@@ -13,15 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, darboux, kdv, scattering, wvn_example as wvn
 from .errors import PositonkitError, ValidationError
-from .schrodinger import Grid, PotentialSpec
+from .schrodinger import Grid, PotentialSpec, count_ode_work
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -29,14 +27,6 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 FMT = "%.17g"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DARBOUX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_csv(path, header, columns):
@@ -64,9 +54,42 @@ def _grid_from(cfg) -> Grid:
 
 def _potential_from(cfg) -> PotentialSpec:
     pot = cfg.get("potential")
-    if pot is None:
+    if not isinstance(pot, dict):
         raise ValidationError("config requires a 'potential' object")
     return PotentialSpec.from_json(pot)
+
+
+def _finite(value, name) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return out
+
+
+def _k_grid_from(cfg) -> np.ndarray:
+    """Momenta of the scatter scan: n points on [k_min, k_max] minus k ~ 0 and the exclusions."""
+    kg = cfg.get("k_grid", {})
+    if not isinstance(kg, dict):
+        raise ValidationError("config requires a 'k_grid' object")
+    k_min, k_max = _finite(kg["k_min"], "k_min"), _finite(kg["k_max"], "k_max")
+    n = kg["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if not isinstance(n, int) or n < 2 or not (k_min < k_max):
+        raise ValidationError("k_grid requires k_min < k_max and an integer n >= 2")
+    try:
+        exclusions = [(_finite(c, "exclusion centre"), _finite(r, "exclusion radius"))
+                      for c, r in kg.get("exclusions", [])]
+    except (TypeError, ValueError):
+        raise ValidationError("k_grid exclusions must be [centre, radius] pairs")
+    ks = np.linspace(k_min, k_max, n)
+    keep = np.abs(ks) > 1e-3
+    for c, r in exclusions:
+        keep &= np.abs(ks - c) > r
+    return ks[keep]
 
 
 def _states_from(cfg, spec) -> list:
@@ -86,33 +109,14 @@ def _states_from(cfg, spec) -> list:
 
 def cmd_scatter(cfg, prefix):
     spec = _potential_from(cfg)
-    kg = cfg.get("k_grid", {})
-    k_min, k_max = float(kg["k_min"]), float(kg["k_max"])
-    n = int(kg["n"])
-    if n < 2 or not (k_min < k_max):
-        raise ValidationError("k_grid requires k_min < k_max and n >= 2")
-    exclusions = [(float(c), float(r)) for c, r in kg.get("exclusions", [])]
-    ks = [k for k in np.linspace(k_min, k_max, n)
-          if abs(k) > 1e-3 and all(abs(k - c) > r for c, r in exclusions)]
-
-    def one(k):
-        r = scattering.reflection_from_wronskians(spec, k)
-        t = scattering.transmission(spec, k)
-        return r, t
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, ks))
-    else:
-        results = [one(k) for k in ks]
-    rs = np.array([r for r, _ in results])
-    ts = np.array([t for _, t in results])
+    ks = _k_grid_from(cfg)
+    with count_ode_work() as work:
+        rs, ts = scattering.scattering_coefficients(spec, ks)
     _write_csv(f"{prefix}.csv", "k,R_re,R_im,T_re,T_im",
-               [np.array(ks), rs.real, rs.imag, ts.real, ts.imag])
+               [ks, rs.real, rs.imag, ts.real, ts.imag])
     unit = float(np.max(np.abs(np.abs(rs) ** 2 + np.abs(ts) ** 2 - 1.0))) if len(ks) else 0.0
     _write_meta(prefix, cfg, {"n_k": len(ks), "max_unitarity_defect": unit,
-                              "workers": workers})
+                              "ode_solves": work.solves, "ode_nfev": work.nfev})
     return EXIT_OK
 
 
@@ -218,9 +222,8 @@ def _verify_checks(rho, alpha):
 
     # numeric scattering against closed forms
     errs = []
-    for k in (0.5, 1.7, 2.6):
-        r_num = scattering.reflection_from_wronskians(spec, k)
-        t_num = scattering.transmission(spec, k)
+    ks = np.array([0.5, 1.7, 2.6])
+    for k, r_num, t_num in zip(ks, *scattering.scattering_coefficients(spec, ks)):
         t_cl, r_cl, _ = wvn.scattering_closed(rho, k)
         errs.append(max(abs(r_num - r_cl), abs(t_num - t_cl)))
     yield row("numeric-scattering-match", float(max(errs)), 1e-6)
@@ -308,6 +311,12 @@ COMMANDS = {
 }
 
 
+def _report_error(kind, exc, code) -> int:
+    """Print the one-line JSON error record and return the exit code."""
+    print(json.dumps({"error": {"kind": kind, "message": str(exc)}}))
+    return code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="positonkit",
@@ -325,8 +334,9 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(json.dumps({"error": {"kind": "config", "message": str(exc)}}))
-            return EXIT_BAD_CONFIG
+            return _report_error("config", exc, EXIT_BAD_CONFIG)
+        if not isinstance(cfg, dict):
+            return _report_error("config", "the config must be a JSON object", EXIT_BAD_CONFIG)
     if args.rho is not None:
         cfg["rho"] = args.rho
     if args.alpha is not None:
@@ -334,12 +344,12 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](cfg, args.output)
+    except np.linalg.LinAlgError as exc:   # a ValueError, but a numerical failure
+        return _report_error("numerical", exc, EXIT_NUMERICAL)
     except (ValidationError, KeyError, ValueError) as exc:
-        print(json.dumps({"error": {"kind": "validation", "message": str(exc)}}))
-        return EXIT_BAD_CONFIG
+        return _report_error("validation", exc, EXIT_BAD_CONFIG)
     except PositonkitError as exc:
-        print(json.dumps({"error": {"kind": "numerical", "message": str(exc)}}))
-        return EXIT_NUMERICAL
+        return _report_error("numerical", exc, EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

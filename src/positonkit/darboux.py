@@ -33,7 +33,7 @@ from .errors import (
     PositonkitError,
     ValidationError,
 )
-from .schrodinger import Grid, PotentialSpec, WaveField, integrate, right_jost
+from .schrodinger import Grid, PotentialSpec, WaveField, integrate, right_jost, right_jost_at
 from .tails import fit_oscillatory_tail
 
 __all__ = [
@@ -294,18 +294,22 @@ def _validate_states(states):
 
 
 def _check_insertion_preconditions(spec, states, probe_xs=(-3.0, -1.3, 0.6)):
-    """Full reflection at each omega, and continuity of psi there."""
+    """Full reflection at each omega, and continuity of psi there.
+
+    psi at the probe points comes from one solve over the residue stencils of
+    all states.
+    """
     for s in states:
         r = sct.reflection_at_resonance(spec, s.omega)
         if abs(abs(r) - 1.0) > 1e-6:
             raise ValidationError(
                 f"omega={s.omega} is not a full-reflection momentum of this potential "
                 f"(|R|={abs(r):.8f})")
-
-        def psi_probe(k, _xs=probe_xs):
-            return np.array([sct._psi_with_derivative_at(spec, k, xx)[0] for xx in _xs])
-
-        res = sct.residue_at(s.omega, psi_probe, delta0=1e-2)
+    ks = np.concatenate([np.concatenate(sct._residue_stencil(s.omega)[1:]) for s in states])
+    psi, _ = right_jost_at(spec, ks, probe_xs)
+    psi_probe = dict(zip(ks.tolist(), psi))
+    for s in states:
+        res = sct.residue_at(s.omega, psi_probe.__getitem__)
         if res.classification != "regular":
             raise ValidationError(
                 f"right Jost solution is singular at omega={s.omega}; "

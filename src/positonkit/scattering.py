@@ -21,12 +21,13 @@ from .errors import (
     ResidueClassificationError,
     ValidationError,
 )
-from .schrodinger import Grid, PotentialSpec, WaveField, right_jost
+from .schrodinger import Grid, PotentialSpec, WaveField, right_jost, right_jost_at
 
 __all__ = [
     "ScatteringData", "MFunctionSample", "ResidueResult",
     "left_reference", "left_weyl",
-    "reflection_from_wronskians", "reflection_at_resonance", "transmission",
+    "scattering_coefficients", "reflection_from_wronskians",
+    "reflection_at_resonance", "transmission",
     "greens_diagonal", "potential_recovery_diagnostic",
     "m_functions", "residue_at", "fit_pole_exponent",
 ]
@@ -128,18 +129,8 @@ def left_reference(spec: PotentialSpec, k: complex, x: float,
             return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
         y0 = (np.exp(-1j * k * cut), -1j * k * np.exp(-1j * k * cut))
         wf = sch.integrate(spec, k, cut, x, y0)
-        return wf.values[-1], wf.derivs[-1]
+        return wf.values[..., -1], wf.derivs[..., -1]
     raise ValidationError(f"no left-side reference solution available for kind {spec.kind!r}")
-
-
-def _psi_with_derivative_at(spec, k, x, rtol=sch.DEFAULT_RTOL):
-    """Right Jost solution (value, derivative) at a single point x."""
-    cutoff = spec.right_cutoff
-    if x >= cutoff:
-        return np.exp(1j * k * x), 1j * k * np.exp(1j * k * x)
-    y0 = (np.exp(1j * k * cutoff), 1j * k * np.exp(1j * k * cutoff))
-    wf = sch.integrate(spec, k, cutoff, x, y0, rtol=rtol)
-    return wf.values[0], wf.derivs[0]
 
 
 def left_weyl(spec: PotentialSpec, k: float, grid: Grid, r_value: complex) -> WaveField:
@@ -152,30 +143,48 @@ def left_weyl(spec: PotentialSpec, k: float, grid: Grid, r_value: complex) -> Wa
     return WaveField(grid, k, vals, ders)
 
 
-def reflection_from_wronskians(spec: PotentialSpec, k: float,
-                               x_eval: float = -4.0, left_cut: float | None = None) -> complex:
-    """Right reflection coefficient R(k) = -W(phi, conj psi)/W(phi, psi) at real k.
+def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0,
+                            left_cut: float | None = None):
+    """Reflection and transmission coefficients (R(k), T(k)) at momenta k.
 
-    phi is any left-side Weyl representative (scale drops out of the ratio).
+    Both come from one Wronskian pair per momentum, with psi the right Jost
+    solution and phi the left reference solution at x_eval:
+
+        R = -W(phi, conj psi) / W(phi, psi),    T = 2ik / W(phi, psi).
+
+    R holds for real k, and the scale of phi drops out of it; T needs phi to
+    be the left Jost solution and holds for Im k >= 0.  All momenta share one
+    ODE solve.  Returns arrays of the shape of k.
     """
-    pv, pd = _psi_with_derivative_at(spec, k, x_eval)
+    k = np.asarray(k)
+    pv, pd = right_jost_at(spec, k, x_eval)
     lv, ld = left_reference(spec, k, x_eval, left_cut=left_cut)
     w_den = lv * pd - ld * pv                      # W(phi, psi)
     w_num = lv * np.conj(pd) - ld * np.conj(pv)    # W(phi, conj psi)
-    if abs(w_den) < 1e-8 * max(1.0, abs(lv * pd)):
+    # a relative test: |W| >= 1e-8 also keeps T = 2ik/W finite
+    bad = np.abs(w_den) < 1e-8 * np.maximum(1.0, np.abs(lv * pd))
+    if np.any(bad):
         raise DegenerateWronskianError(
-            f"W(phi, psi) degenerate at k={k}; near a spectral singularity")
-    return complex(-w_num / w_den)
+            f"W(phi, psi) degenerate at k={np.atleast_1d(k)[np.atleast_1d(bad)][0]}; "
+            "near a spectral singularity")
+    return -w_num / w_den, 2j * k / w_den
+
+
+def reflection_from_wronskians(spec: PotentialSpec, k: float,
+                               x_eval: float = -4.0, left_cut: float | None = None) -> complex:
+    """Right reflection coefficient R(k) at real k (see `scattering_coefficients`)."""
+    return scattering_coefficients(spec, k, x_eval, left_cut)[0]
 
 
 def reflection_at_resonance(spec: PotentialSpec, omega: float,
                             delta0: float = 1e-3, x_eval: float = -4.0) -> complex:
-    """R(omega) at a momentum where the left reference has a pole, by Richardson limit."""
-    vals = []
-    for d in (delta0, delta0 / 2, delta0 / 4):
-        r = 0.5 * (reflection_from_wronskians(spec, omega + d, x_eval)
-                   + reflection_from_wronskians(spec, omega - d, x_eval))
-        vals.append(r)
+    """R(omega) at a momentum where the left reference has a pole, by Richardson limit.
+
+    The six momenta omega +- delta0 {1, 1/2, 1/4} share one solve.
+    """
+    d = delta0 / np.array([1.0, 2.0, 4.0])
+    r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d]), x_eval)[0]
+    vals = 0.5 * (r[:3] + r[3:])
     r1 = (4 * vals[1] - vals[0]) / 3
     r2 = (4 * vals[2] - vals[1]) / 3
     return complex((16 * r2 - r1) / 15)
@@ -183,13 +192,8 @@ def reflection_at_resonance(spec: PotentialSpec, omega: float,
 
 def transmission(spec: PotentialSpec, k: float, x_eval: float = -4.0,
                  left_cut: float | None = None) -> complex:
-    """Transmission coefficient T(k) = 2ik / W(psi_-, psi)."""
-    pv, pd = _psi_with_derivative_at(spec, k, x_eval)
-    lv, ld = left_reference(spec, k, x_eval, left_cut=left_cut)
-    w = lv * pd - ld * pv
-    if abs(w) < 1e-12:
-        raise DegenerateWronskianError(f"W(psi_-, psi) degenerate at k={k}")
-    return complex(2j * k / w)
+    """Transmission coefficient T(k) = 2ik / W(psi_-, psi) (see `scattering_coefficients`)."""
+    return scattering_coefficients(spec, k, x_eval, left_cut)[1]
 
 
 def greens_diagonal(spec: PotentialSpec, k: complex, x: float,
@@ -199,7 +203,7 @@ def greens_diagonal(spec: PotentialSpec, k: complex, x: float,
     The left Weyl representative's scale cancels in the ratio.  Valid for
     Im k > 0 and for real k away from singular momenta.
     """
-    pv, pd = _psi_with_derivative_at(spec, k, x)
+    pv, pd = right_jost_at(spec, k, x)
     lv, ld = left_reference(spec, k, x, left_cut=left_cut)
     w = pv * ld - pd * lv
     if abs(w) < 1e-12 * max(1.0, abs(pv * ld)):
@@ -226,7 +230,7 @@ def m_functions(spec: PotentialSpec, lam: complex, a: float,
     k = complex(np.sqrt(complex(lam)))
     if k.imag < 0:
         k = -k
-    pv, pd = _psi_with_derivative_at(spec, k, a)
+    pv, pd = right_jost_at(spec, k, a)
     lv, ld = left_reference(spec, k, a, left_cut=left_cut)
     if abs(pv) < 1e-13 * max(1.0, abs(pd)) or abs(lv) < 1e-13 * max(1.0, abs(ld)):
         raise PoleAtSampleError(f"a Weyl solution vanishes at the sample point a={a}")
@@ -251,6 +255,13 @@ def _res_norm(obj):
     return float(np.max(np.abs(np.asarray(obj))))
 
 
+def _residue_stencil(omega, delta0: float = 1e-2, levels: int = 3):
+    """Steps d_j = delta0 / 2^j (j = 0..levels) and the momenta omega + d_j,
+    omega - d_j at which `residue_at` samples its family."""
+    d = delta0 / 2.0 ** np.arange(levels + 1)
+    return d, omega + d, omega - d
+
+
 def residue_at(omega: float, family, delta0: float = 1e-2, levels: int = 3,
                regular_tol: float = 1e-8) -> ResidueResult:
     """Residue of k -> family(k) at the real momentum omega.
@@ -262,10 +273,9 @@ def residue_at(omega: float, family, delta0: float = 1e-2, levels: int = 3,
     """
     ests = []
     even = []
-    for j in range(levels + 1):
-        d = delta0 / 2**j
-        fp = family(omega + d)
-        fm = family(omega - d)
+    for d, k_plus, k_minus in zip(*_residue_stencil(omega, delta0, levels)):
+        fp = family(k_plus)
+        fm = family(k_minus)
         ests.append(_linear_combination([fp, fm], [d / 2, -d / 2]))
         even.append(_res_norm(_linear_combination([fp, fm], [0.5, 0.5])))
     # an even-order pole hides from the antisymmetric estimate but blows up

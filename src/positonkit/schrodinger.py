@@ -2,6 +2,7 @@
 
 Solves -u'' + q(x) u = k^2 u with a high-order adaptive integrator (DOP853,
 rtol 1e-10 / atol 1e-12 by default), splitting at the potential's kink points.
+Momentum is a batch axis: an array of k is carried through one solve.
 Right Jost solutions are exact plane waves beyond the potential's right cutoff
 by construction; to the left they are extended by integration.
 """
@@ -10,7 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,9 +30,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Grid", "PotentialSpec", "WaveField",
-    "integrate", "right_jost", "fundamental_pair", "wronskian",
-    "DEFAULT_RTOL", "DEFAULT_ATOL",
+    "Grid", "PotentialSpec", "WaveField", "OdeWork",
+    "solve_at", "integrate", "right_jost_at", "right_jost", "fundamental_pair", "wronskian",
+    "count_ode_work", "DEFAULT_RTOL", "DEFAULT_ATOL",
 ]
 
 DEFAULT_RTOL = 1e-10
@@ -98,8 +102,8 @@ class PotentialSpec:
 
     def __post_init__(self):
         if self.kind in (KIND_WVN, KIND_SYM):
-            if self.rho is None or self.rho <= 0:
-                raise ValidationError(f"{self.kind} requires rho > 0")
+            if not isinstance(self.rho, numbers.Real) or not 0 < self.rho < math.inf:
+                raise ValidationError(f"{self.kind} requires a finite rho > 0")
         if self.kind == KIND_SAMPLED:
             if self.sample_x is None or self.sample_q is None:
                 raise ValidationError("sampled potential requires sample arrays")
@@ -249,7 +253,11 @@ class PotentialSpec:
 
 @dataclass
 class WaveField:
-    """A solution of the Schrodinger equation sampled on a grid, with derivative."""
+    """A solution of the Schrodinger equation sampled on a grid, with derivative.
+
+    A batch of solutions, one per momentum in an array k, carries values and
+    derivs of shape k.shape + (n_points,).
+    """
 
     grid: Grid
     k: complex
@@ -259,8 +267,9 @@ class WaveField:
     def __post_init__(self):
         self.values = np.asarray(self.values)
         self.derivs = np.asarray(self.derivs)
-        if self.values.shape != (self.grid.n_points,) or self.derivs.shape != (self.grid.n_points,):
-            raise ValidationError("values/derivs must have exactly n_points entries")
+        shape = np.shape(self.k) + (self.grid.n_points,)
+        if self.values.shape != shape or self.derivs.shape != shape:
+            raise ValidationError("values/derivs must have exactly n_points entries per momentum")
 
     @property
     def energy(self) -> complex:
@@ -278,8 +287,8 @@ class WaveField:
         h = g.spacing
         i = min(max(int((x0 - g.x_min) / h), 0), g.n_points - 2)
         t = (x0 - g.x[i]) / h
-        v0, v1 = self.values[i], self.values[i + 1]
-        d0, d1 = self.derivs[i], self.derivs[i + 1]
+        v0, v1 = self.values[..., i], self.values[..., i + 1]
+        d0, d1 = self.derivs[..., i], self.derivs[..., i + 1]
         h00 = (1 + 2 * t) * (1 - t) ** 2
         h10 = t * (1 - t) ** 2
         h01 = t**2 * (3 - 2 * t)
@@ -293,7 +302,7 @@ class WaveField:
             for b_ in range(4):
                 if a != b_:
                     la *= (x0 - xs[b_]) / (xs[a] - xs[b_])
-            der = der + la * self.derivs[j + a]
+            der = der + la * self.derivs[..., j + a]
         return val, der
 
     def wronskian_with(self, other: "WaveField", x0: float | None = None) -> complex:
@@ -315,104 +324,162 @@ class WaveField:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+@dataclass
+class OdeWork:
+    """ODE solves and right-hand-side evaluations counted by `count_ode_work`."""
+
+    solves: int = 0
+    nfev: int = 0
+
+
+_ode_work: ContextVar[OdeWork | None] = ContextVar("positonkit_ode_work", default=None)
+
+
+@contextmanager
+def count_ode_work():
+    """Count the ODE solves made inside the block; yields the OdeWork record."""
+    work = OdeWork()
+    token = _ode_work.set(work)
+    try:
+        yield work
+    finally:
+        _ode_work.reset(token)
+
+
 def _integrate_piece(qfn, k, x_from, x_to, y0, t_eval, rtol, atol):
-    """solve_ivp over one smooth piece; returns (values, derivs) at t_eval."""
+    """solve_ivp over one smooth piece for all momenta k (1d array) at once.
+
+    The state is [u_1..u_n, u'_1..u'_n].  solve_ivp bounds the RMS of the
+    scaled error over all 2n components, so both tolerances are divided by
+    sqrt(n): each momentum's own (u, u') pair then keeps the bound that a
+    solve for that momentum alone has, and n = 1 is exactly such a solve.
+    """
+    n = k.size
     ksq = k * k
+    perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    coef = np.ones(2 * n, complex)
 
     def rhs(x, y):
-        return [y[1], (qfn(x) - ksq) * y[0]]
+        coef[n:] = qfn(x) - ksq
+        return y[perm] * coef
 
-    y0 = np.asarray(y0, dtype=complex)
+    scale = math.sqrt(n)
     sol = solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
-                    t_eval=t_eval, rtol=rtol, atol=atol, dense_output=False)
+                    t_eval=t_eval, rtol=rtol / scale, atol=atol / scale, dense_output=False)
     if not sol.success:
-        xf = sol.t[-1] if sol.t.size else x_from
+        xf = sol.t[-1] if len(sol.t) else x_from     # t is [] when no t_eval point was reached
         raise IntegrationFailureError(f"integration failed near x={xf}: {sol.message}",
                                       x_failed=float(xf))
+    work = _ode_work.get()
+    if work is not None:
+        work.solves += 1
+        work.nfev += int(sol.nfev)
     return sol
 
 
-def integrate(spec: PotentialSpec, k: complex, x_from: float, x_to: float,
+def solve_at(spec: PotentialSpec, k, x_from: float, x_to: float, init, x_eval,
+             rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+    """Integrate -u'' + q u = k^2 u from x_from to x_to for every momentum in k.
+
+    init = (u, u') at x_from, each broadcastable to the shape of k.  x_eval
+    holds points between the endpoints, ordered from x_from towards x_to.
+    All momenta share one solve per smooth piece of q (integration is split at
+    the potential's kink points).  Returns (values, derivs), each of shape
+    k.shape + (len(x_eval),).
+    """
+    k = np.asarray(k)
+    ks = k.astype(complex).ravel()
+    x_eval = np.asarray(x_eval, dtype=float)
+    n, m = ks.size, x_eval.size
+    out = np.empty((2 * n, m), complex)
+    if n:
+        u0, d0 = (np.broadcast_to(np.asarray(v, complex), k.shape).ravel() for v in init)
+        y = np.concatenate([u0, d0])
+        qfn = spec.scalar_fn()
+        forward = x_to >= x_from
+        lo, hi = min(x_from, x_to), max(x_from, x_to)
+        breaks = sorted((b for b in spec.breakpoints() if lo < b < hi), reverse=not forward)
+        edges = [x_from] + breaks + [x_to]
+        sign = 1.0 if forward else -1.0
+        pos = 0
+        for a, b in zip(edges[:-1], edges[1:]):
+            end = pos + int(np.count_nonzero(sign * (x_eval[pos:] - b) <= 1e-12))
+            t_eval = x_eval[pos:end]
+            if not t_eval.size or abs(t_eval[-1] - b) > 1e-12:
+                t_eval = np.append(t_eval, b)
+            sol = _integrate_piece(qfn, ks, a, b, y, t_eval, rtol, atol)
+            out[:, pos:end] = sol.y[:, :end - pos]
+            pos = end
+            y = sol.y[:, -1]
+    shape = k.shape + (m,)
+    return out[:n].reshape(shape), out[n:].reshape(shape)
+
+
+def integrate(spec: PotentialSpec, k, x_from: float, x_to: float,
               init, grid: Grid | None = None, n_default_per_unit: int = 40,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> WaveField:
     """Integrate -u'' + q u = k^2 u from x_from to x_to with data init=(u, u').
 
     Returns the solution sampled on the sub-grid of `grid` lying between the
-    endpoints (a fresh uniform grid is built when none is given).  Integration
-    is split at the potential's kink points.
+    endpoints (a fresh uniform grid is built when none is given).  An array k
+    gives a batched WaveField (values of shape k.shape + (n_points,)) from one
+    solve per smooth piece of q.
     """
     if grid is None:
         n = max(2, int(abs(x_to - x_from) * n_default_per_unit) + 1)
         grid = Grid(min(x_from, x_to), max(x_from, x_to), n)
     lo, hi = min(x_from, x_to), max(x_from, x_to)
-    mask = (grid.x >= lo - 1e-12) & (grid.x <= hi + 1e-12)
-    xs = grid.x[mask]
-    sub = Grid(xs[0], xs[-1], len(xs)) if len(xs) >= 2 else grid
-    forward = x_to >= x_from
-    order = xs if forward else xs[::-1]
-
-    qfn = spec.scalar_fn()
-    breaks = [b for b in spec.breakpoints() if lo < b < hi]
-    breaks = sorted(breaks, reverse=not forward)
-    edges = [x_from] + breaks + [x_to]
-
-    vals = np.empty(len(order), complex)
-    ders = np.empty(len(order), complex)
-    y = np.asarray(init, dtype=complex)
-    pos = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if forward:
-            in_piece = (order >= a - 1e-12) & (order <= b + 1e-12)
-        else:
-            in_piece = (order <= a + 1e-12) & (order >= b - 1e-12)
-        in_piece &= np.arange(len(order)) >= pos
-        t_eval = order[in_piece]
-        t_list = list(t_eval)
-        want_end = not t_list or abs(t_list[-1] - b) > 1e-12
-        if want_end:
-            t_list = t_list + [b]
-        sol = _integrate_piece(qfn, k, a, b, y, np.asarray(t_list), rtol, atol)
-        n_keep = len(t_eval)
-        vals[pos:pos + n_keep] = sol.y[0][:n_keep]
-        ders[pos:pos + n_keep] = sol.y[1][:n_keep]
-        pos += n_keep
-        y = sol.y[:, -1]
-    if not forward:
-        vals = vals[::-1]
-        ders = ders[::-1]
+    xs = grid.x[(grid.x >= lo - 1e-12) & (grid.x <= hi + 1e-12)]
     if len(xs) < 2:
         raise ValidationError("integration window contains fewer than 2 grid nodes")
-    return WaveField(sub, k, vals, ders)
+    forward = x_to >= x_from
+    vals, ders = solve_at(spec, k, x_from, x_to, init, xs if forward else xs[::-1],
+                          rtol=rtol, atol=atol)
+    if not forward:
+        vals, ders = vals[..., ::-1], ders[..., ::-1]
+    return WaveField(Grid(xs[0], xs[-1], len(xs)), k, vals, ders)
 
 
-def right_jost(spec: PotentialSpec, k: complex, grid: Grid,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> WaveField:
-    """Right Jost solution psi(., k) on the grid.
+def right_jost_at(spec: PotentialSpec, k, x,
+                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+    """Right Jost solution psi(x, k) and its x-derivative at the points x.
 
     psi(x) = e^{ikx} exactly (bit for bit) for x >= right_cutoff; to the left
-    it is extended by integration.  Requires Im k >= 0 and k != 0.
+    it is extended by integration.  Requires Im k >= 0 and k != 0.  All
+    momenta of an array k share one solve; both arrays have shape
+    k.shape + x.shape.
     """
-    if abs(k) == 0:
-        raise PoleEvaluationError("Jost normalization is degenerate at k = 0", k=k)
-    if np.imag(k) < -1e-14:
+    k = np.asarray(k)
+    if np.any(k == 0):
+        raise PoleEvaluationError("Jost normalization is degenerate at k = 0", k=0.0)
+    if np.any(np.imag(k) < -1e-14):
         raise ValidationError("right_jost requires Im k >= 0")
     cutoff = spec.right_cutoff
     if math.isinf(cutoff) and cutoff > 0:
         raise ValidationError("potential declares no finite right cutoff; cannot build a Jost solution")
-    cutoff = max(cutoff, grid.x_min)
-    if cutoff > grid.x_max + 1e-12:
+    x = np.asarray(x, dtype=float)
+    ks, xs = k.ravel(), x.ravel()
+    vals = np.exp(1j * ks[:, None] * xs)
+    ders = 1j * ks[:, None] * vals
+    left = np.flatnonzero(xs < cutoff - 1e-12)
+    if left.size:
+        left = left[np.argsort(-xs[left], kind="stable")]
+        y0 = (np.exp(1j * ks * cutoff), 1j * ks * np.exp(1j * ks * cutoff))
+        vals[:, left], ders[:, left] = solve_at(spec, ks, cutoff, xs[left[-1]], y0, xs[left],
+                                                rtol=rtol, atol=atol)
+    shape = k.shape + x.shape
+    return vals.reshape(shape)[()], ders.reshape(shape)[()]
+
+
+def right_jost(spec: PotentialSpec, k, grid: Grid,
+               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> WaveField:
+    """Right Jost solution psi(., k) on the grid (see `right_jost_at`).
+
+    An array k gives a batched WaveField from one solve.
+    """
+    if spec.right_cutoff > grid.x_max + 1e-12:
         raise ValidationError("right cutoff must satisfy right_cutoff <= grid.x_max")
-    vals = np.empty(grid.n_points, complex)
-    ders = np.empty(grid.n_points, complex)
-    right = grid.x >= cutoff - 1e-12
-    vals[right] = np.exp(1j * k * grid.x[right])
-    ders[right] = 1j * k * vals[right]
-    if np.any(~right):
-        y0 = (np.exp(1j * k * cutoff), 1j * k * np.exp(1j * k * cutoff))
-        wf = integrate(spec, k, cutoff, grid.x_min, y0, grid=grid, rtol=rtol, atol=atol)
-        n_left = int(np.sum(~right))
-        vals[:n_left] = wf.values[:n_left]
-        ders[:n_left] = wf.derivs[:n_left]
+    vals, ders = right_jost_at(spec, k, grid.x, rtol=rtol, atol=atol)
     return WaveField(grid, k, vals, ders)
 
 

@@ -13,8 +13,8 @@ hand-differentiated closed forms, so the only error is floating-point roundoff.
 These functions serve as the exact reference for the numerical pipelines in
 `schrodinger`, `scattering`, `darboux` and `kdv`.
 
-All x-arguments accept scalars or numpy arrays; momenta k are scalars and may
-be complex.
+All x-arguments accept scalars or numpy arrays; momenta k are scalars (arrays
+where a docstring says so) and may be complex.
 """
 
 from __future__ import annotations
@@ -130,10 +130,13 @@ def left_jost_closed(rho, x, k):
     """Left Jost solution (value, x-derivative) for x <= 0.
 
     psi_-(x,k) = e^{-ikx} - rho*phi0(x)*(e^{-i(k+1)x}/(k+1) - e^{-i(k-1)x}/(k-1)).
-    Simple poles at k = +-1.
+    Simple poles at k = +-1.  x and k broadcast against each other.
     """
-    if min(abs(k - 1.0), abs(k + 1.0)) < 1e-9:
-        raise PoleEvaluationError("left Jost solution has simple poles at k = +-1", k=k)
+    k = np.asarray(k)
+    near_pole = np.minimum(np.abs(k - 1.0), np.abs(k + 1.0)) < 1e-9
+    if np.any(near_pole):
+        raise PoleEvaluationError("left Jost solution has simple poles at k = +-1",
+                                  k=np.atleast_1d(k)[np.atleast_1d(near_pole)][0])
     x = np.asarray(x, dtype=float)
     if np.any(x > 1e-12):
         raise OutOfDomainError("left Jost closed form is only valid for x <= 0")

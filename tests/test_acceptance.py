@@ -29,10 +29,8 @@ def test_criterion_1_scattering_match():
     worst = 0.0
     for rho in (0.5, 2.0):
         spec = PotentialSpec.wvn_example(rho)
-        ks = [k for k in np.linspace(0.2, 3.0, 200) if abs(k - 1.0) > 1e-3]
-        for k in ks:
-            r = sct.reflection_from_wronskians(spec, k)
-            t = sct.transmission(spec, k)
+        ks = np.array([k for k in np.linspace(0.2, 3.0, 200) if abs(k - 1.0) > 1e-3])
+        for k, r, t in zip(ks, *sct.scattering_coefficients(spec, ks)):
             tc, rc, _ = wvn.scattering_closed(rho, k)
             worst = max(worst, abs(r - rc), abs(t - tc))
     elapsed = time.time() - t0

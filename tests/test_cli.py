@@ -86,9 +86,30 @@ def test_evolve_seed_only(tmp_path):
     assert "t=0.0" in meta["diagnostics"]
 
 
-def test_bad_config_exit_code(tmp_path):
-    code, _ = run_cli(tmp_path, "bad", {"potential": {"kind": "nope"}}, "scatter")
-    assert code == cli.EXIT_BAD_CONFIG
+def test_bad_config_exit_code(tmp_path, capsys):
+    k_grid = {"k_min": 0.5, "k_max": 2.0, "n": 3}
+    bad = [{"potential": {"kind": "nope"}, "k_grid": k_grid},
+           # json reads 1e400 as an infinite float
+           {"potential": WVN_POT, "k_grid": dict(k_grid, k_min=-1e400)},
+           {"potential": WVN_POT, "k_grid": dict(k_grid, n=1e400)},
+           {"potential": [1, 2], "k_grid": k_grid},
+           {"potential": dict(WVN_POT, rho=float("nan")), "k_grid": k_grid}]
+    for i, cfg in enumerate(bad):
+        capsys.readouterr()
+        code, prefix = run_cli(tmp_path, f"bad{i}", cfg, "scatter")
+        assert code == cli.EXIT_BAD_CONFIG
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "validation"
+        assert not (tmp_path / f"bad{i}.csv").exists()
+
+
+def test_linalg_error_is_numerical(monkeypatch, capsys):
+    def singular(cfg, prefix):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli.COMMANDS, "scatter", singular)
+    assert cli.main(["scatter"]) == cli.EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
 
 
 def test_missing_config_file(tmp_path):
@@ -107,11 +128,13 @@ def test_verify_example_passes(tmp_path, capsys):
     assert all(c["passed"] for c in meta["diagnostics"]["checks"])
 
 
-def test_worker_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("DARBOUX_THREADS", "2")
+def test_scatter_meta_records_ode_work(tmp_path):
     cfg = {"potential": WVN_POT,
            "k_grid": {"k_min": 0.5, "k_max": 2.0, "n": 5, "exclusions": [[1.0, 1e-3]]}}
-    code, prefix = run_cli(tmp_path, "thr", cfg, "scatter")
+    code, prefix = run_cli(tmp_path, "work", cfg, "scatter")
     assert code == 0
-    meta = json.loads(open(prefix + ".meta.json").read())
-    assert meta["diagnostics"]["workers"] == 2
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
+    assert diag["n_k"] == 5
+    assert diag["ode_solves"] == 1      # every momentum rides in one solve
+    assert diag["ode_nfev"] > 0
+    assert "workers" not in diag

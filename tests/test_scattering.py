@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positonkit import darboux as dbx
 from positonkit import scattering as sct
 from positonkit import wvn_example as wvn
-from positonkit.errors import ResidueClassificationError, ValidationError
-from positonkit.schrodinger import Grid, PotentialSpec
+from positonkit.errors import (
+    DegenerateWronskianError,
+    ResidueClassificationError,
+    ValidationError,
+)
+from positonkit.schrodinger import Grid, PotentialSpec, right_jost_at
 
 RHO = 2.0
 
@@ -36,6 +42,29 @@ def test_unitarity_and_symmetry(wvn_spec):
         assert abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) < 1e-6
         rm = sct.reflection_from_wronskians(wvn_spec, -k)
         assert abs(rm - np.conj(r)) < 1e-6
+
+
+@given(st.floats(0.3, 5.0),
+       st.lists(st.floats(0.2, 3.0).filter(lambda k: abs(k - 1.0) > 1e-3),
+                min_size=1, max_size=12, unique=True))
+@settings(max_examples=30, deadline=None)
+def test_batched_scattering_properties(rho, ks):
+    ks = np.array(ks)
+    r, t = sct.scattering_coefficients(PotentialSpec.wvn_example(rho), np.concatenate([ks, -ks]))
+    n = len(ks)
+    for k, r_k, t_k in zip(ks, r[:n], t[:n]):
+        t_cl, r_cl, _ = wvn.scattering_closed(rho, k)
+        assert abs(r_k - r_cl) < 1e-6 and abs(t_k - t_cl) < 1e-6
+    assert np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0)) < 1e-6
+    assert np.max(np.abs(r[n:] - np.conj(r[:n]))) < 1e-6
+
+
+def test_scattering_coefficients_names_degenerate_momentum(monkeypatch, wvn_spec):
+    # a left reference proportional to psi makes W(phi, psi) vanish
+    monkeypatch.setattr(sct, "left_reference",
+                        lambda spec, k, x, left_cut=None: right_jost_at(spec, k, x))
+    with pytest.raises(DegenerateWronskianError, match="k=1.7"):
+        sct.scattering_coefficients(wvn_spec, np.array([1.7, 2.1]))
 
 
 def test_near_resonance_reflection(wvn_spec):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from positonkit import schrodinger as sch
 from positonkit import wvn_example as wvn
-from positonkit.errors import OutOfDomainError, PoleEvaluationError, ValidationError
+from positonkit.errors import (
+    IntegrationFailureError,
+    OutOfDomainError,
+    PoleEvaluationError,
+    ValidationError,
+)
 
 RHO = 2.0
 
@@ -36,6 +42,20 @@ def test_sampled_potential_out_of_domain():
     assert spec.evaluate(0.3) == pytest.approx(np.cos(0.3), abs=1e-6)
     with pytest.raises(OutOfDomainError):
         spec.evaluate(2.0)
+
+
+def test_wvn_potential_requires_finite_positive_rho():
+    for rho in (0.0, -1.0, math.nan, math.inf, "2"):
+        with pytest.raises(ValidationError):
+            sch.PotentialSpec.wvn_example(rho)
+
+
+def test_integration_failure_is_reported(monkeypatch):
+    # q is NaN past the start point, so the solver fails before any output point
+    spec = sch.PotentialSpec.zero()
+    monkeypatch.setattr(spec, "scalar_fn", lambda: (lambda x: 0.0 if x == 0.0 else math.nan))
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationFailureError):
+        sch.integrate(spec, 1.0, 0.0, -1.0, (1.0, 0.0))
 
 
 def test_composite_potentials():
@@ -88,6 +108,17 @@ def test_integrate_matches_closed_left_scattering(wvn_spec):
     vc, dc = wvn.right_jost_closed(RHO, wf.grid.x, k)
     assert np.max(np.abs(wf.values - vc)) < 1e-6
     assert np.max(np.abs(wf.derivs - dc)) < 1e-6
+
+
+def test_right_jost_batch_matches_closed(wvn_spec):
+    g = sch.Grid(-10.0, 3.0, 651)
+    ks = np.array([0.4, 1.0, 1.5, 2.9])
+    psi = sch.right_jost(wvn_spec, ks, g)
+    assert psi.values.shape == (4, g.n_points)
+    for k, v, d in zip(ks, psi.values, psi.derivs):
+        vc, dc = wvn.right_jost_closed(RHO, g.x, k)
+        assert np.max(np.abs(v - vc)) < 1e-6 and np.max(np.abs(d - dc)) < 1e-6
+        assert np.array_equal(v[g.x >= 0], np.exp(1j * k * g.x[g.x >= 0]))
 
 
 def test_right_jost_exact_tail_and_resonance(wvn_spec):

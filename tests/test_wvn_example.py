@@ -70,6 +70,15 @@ def test_scattering_closed_unitary(rho, k):
 def test_left_jost_pole_and_limit():
     with pytest.raises(PoleEvaluationError):
         wvn.left_jost_closed(RHO, -1.0, 1.0)
+    ks = np.array([0.3, 1.7, -2.2, 0.5 + 0.2j])
+    for x in (-2.5, np.linspace(-4.0, 0.0, 5)[:, None]):
+        v, d = wvn.left_jost_closed(RHO, x, ks)
+        for j, k in enumerate(ks):
+            vk, dk = wvn.left_jost_closed(RHO, x, k)
+            assert np.array_equal(v[..., j], np.reshape(vk, v[..., j].shape))
+            assert np.array_equal(d[..., j], np.reshape(dk, d[..., j].shape))
+    with pytest.raises(PoleEvaluationError):
+        wvn.left_jost_closed(RHO, -1.0, np.array([2.0, -1.0 + 1e-10]))
     v, _ = wvn.left_jost_closed(RHO, 0.0, 2.0)
     assert abs(v - 1.0) < 1e-14
     with pytest.raises(OutOfDomainError):
