@@ -166,30 +166,29 @@ def cmd_evolve(cfg, prefix):
     diags = {}
     for t in t_values:
         state = kdv.EvolvedState(t, params)
-        plane = None
         if states:
             n = int(math.ceil((grid.x_max + 45.0) / grid.spacing)) + 1
             pg = Grid(grid.x_max - (n - 1) * grid.spacing, grid.x_max, n)
             plane = kdv.evolved_phi_plane(state, pg)
-        for x in grid.x:
-            q = kdv.dyson_q(state, float(x))
-            if states:
-                qp = float(kdv.q_plus_evolved(state, states[0].alpha,
-                                              pg.x[pg.index_of(float(x))], plane=plane))
-            else:
-                qp = q
-            cols_x.append(x)
-            cols_t.append(t)
-            cols_q.append(q)
-            cols_qp.append(qp)
-        diags[f"t={t}"] = {
-            "contour_points": state.disc.m,
-            "contour_truncation": state.disc.s_trunc,
-            "contour_height": state.disc.b,
-            "operator_points": state.disc.m_op,
-        }
+        q = np.array([kdv.dyson_q(state, float(x)) for x in grid.x])
+        q_plus = q
+        if states:
+            q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
+        cols_x.append(grid.x)
+        cols_t.append(np.full(grid.n_points, t))
+        cols_q.append(q)
+        cols_qp.append(q_plus)
+        # sizes actually used: mn + 1 of the determinants, and the t > 0 kernel table
+        diag = {"operator_points_min": min(state.det_sizes, default=None),
+                "operator_points_max": max(state.det_sizes, default=None)}
+        if t > 0:
+            tab = state.kernel()
+            diag["kernel_u_points"] = len(tab.u_grid)
+            diag["kernel_contour_points"] = {name: len(nodes)
+                                             for name, (_, nodes, _) in tab.sides.items()}
+        diags[f"t={t}"] = diag
     _write_csv(f"{prefix}.csv", "x,t,q,q_plus",
-               [np.array(cols_x), np.array(cols_t), np.array(cols_q), np.array(cols_qp)])
+               [np.concatenate(c) for c in (cols_x, cols_t, cols_q, cols_qp)])
     _write_meta(prefix, cfg, diags)
     return EXIT_OK
 

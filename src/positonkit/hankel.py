@@ -26,9 +26,11 @@ uniform operator grid is aligned so the kernel's kink at u = 0 falls on a node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve
 
@@ -121,10 +123,9 @@ class HankelDiscretization:
     """Quadrature data for the determinant pipeline.
 
     phi_nodes/phi_weights: rule on the contour segment [-S + ib, S + ib] used
-    by the symbol quadrature.  op_m nodes on a truncated real interval
-    [0, S_op] carry the operator variable; the reference op rule (uniform with
-    endpoint-corrected trapezoid weights) is stored for inspection, and
-    determinant evaluations rebuild it aligned per x.
+    by the symbol quadrature.  m_op is the least number of intervals of the
+    operator grid on [0, S_op]; each determinant builds its own grid (aligned
+    per x at t = 0) with `em_weights`.
     """
 
     rho: float
@@ -136,24 +137,18 @@ class HankelDiscretization:
     m: int
     m_op: int
     poles: PoleData
-    op_nodes: np.ndarray = field(default=None, repr=False)
-    op_weights: np.ndarray = field(default=None, repr=False)
 
     @classmethod
     def build(cls, rho: float, t: float = 0.0, x_scale: float = 20.0,
               m_op: int = 200, b_offset: float = 0.25) -> "HankelDiscretization":
+        if m_op < 12:
+            raise ValidationError("the operator grid needs m_op >= 12 intervals")
         poles = PoleData.for_rho(rho)
         b = poles.ystar + b_offset
         nodes, weights, s_trunc = _contour_rule(b, t, x_scale, rho)
         s_op = (U_DECAY_TARGET / poles.ystar + 2.0 * x_scale) / 2.0
-        delta = s_op / m_op
-        xi = np.arange(m_op + 1) * delta
-        w = em_weights(m_op, delta)
-        disc = cls(rho, b, nodes, weights, float(s_trunc), float(s_op),
-                   len(nodes), m_op, poles, xi, w)
-        if np.any(w <= 0):
-            raise ValidationError("operator weights must be positive")
-        return disc
+        return cls(rho, b, nodes, weights, float(s_trunc), float(s_op),
+                   len(nodes), m_op, poles)
 
     def phi_symbol(self, x: float, t: float, s_points) -> np.ndarray:
         """Symbol Phi_{x,t} at the points s (below the contour) by quadrature."""
@@ -178,6 +173,11 @@ class HankelDiscretization:
         val2 = wide.phi_symbol(x, t, s_points)
         err = np.max(np.abs(np.atleast_1d(val2) - np.atleast_1d(val)))
         return val, float(err)
+
+
+def _hankel(h, n: int) -> np.ndarray:
+    """Zero-copy view of the n x n Hankel matrix H[i, j] = h[i + j] (len(h) >= 2n - 1)."""
+    return sliding_window_view(h, n)[:n]
 
 
 def _one_sided_stencil(r: int, p: int) -> np.ndarray:
@@ -209,15 +209,41 @@ def em_weights(m: int, h: float, order: int = 8) -> np.ndarray:
         for j, c in enumerate(corr):
             w[j] += c
             w[m - j] += c
+    if np.any(w <= 0):
+        raise ValidationError("operator weights must be positive")
     return w
+
+
+def _chirp_z_sums(f, sig_c: float, h: float, u_c: float, du: float, m: int) -> np.ndarray:
+    """Sums sum_j f[..., j] e^{i sigma_j u_k} over two uniform axes, by chirp-z convolution.
+
+    sigma_j = sig_c + j' h and u_k = u_c + k' du with the centred indices
+    j' = j - (n-1)/2 and k' = k - (m-1)/2, which keep every chirp phase small.
+    With sigma_j u_k = sig_c u_k + j' h u_c + h du (j'^2 + k'^2 - (k'-j')^2)/2 the
+    sums are one linear convolution with the chirp e^{-i h du l^2/2} (Bluestein),
+    done by FFT.
+    """
+    n = f.shape[-1]
+    jc = np.arange(n) - 0.5 * (n - 1)
+    kc = np.arange(m) - 0.5 * (m - 1)
+    a = h * du
+    g = f * np.exp(1j * (h * u_c * jc + 0.5 * a * jc * jc))
+    lag = np.arange(n + m - 1) - (n - 1) - 0.5 * (m - n)     # k' - j' at k - j = index - (n-1)
+    size = sfft.next_fast_len(n + m - 1)
+    conv = sfft.ifft(sfft.fft(g, size, axis=-1) * sfft.fft(np.exp(-0.5j * a * lag * lag), size),
+                     axis=-1)[..., n - 1:n - 1 + m]
+    return conv * np.exp(0.5j * a * kc * kc + 1j * sig_c * (u_c + du * kc))
 
 
 class KernelTable:
     """Regular kernel part H_low at fixed t > 0, tabulated by contour quadrature.
 
     Values for u >= 0 come from a contour just below i*ystar (fast decay); for
-    u < 0 from a low contour Im z = b_minus (bounded integrand).  Cubic splines
-    interpolate the tables for derivative orders d = 0, 1, 2.
+    u < 0 from a low contour Im z = b_minus (bounded integrand).  Both the
+    contour rule and the table grid u_k = u_grid[0] + k du are uniform, so each
+    side's quadrature sums are one chirp-z transform.  `sides` maps "u>=0" and
+    "u<0" to the u_grid slice and the contour rule (nodes, weights) used there.
+    Cubic splines interpolate the tables for derivative orders d = 0, 1, 2.
     """
 
     def __init__(self, poles: PoleData, t: float, u_min: float, u_max: float,
@@ -226,28 +252,30 @@ class KernelTable:
             raise ValidationError("KernelTable is the t > 0 path; t = 0 is closed form")
         self.poles = poles
         self.t = t
-        self.u_grid = np.arange(u_min - 4 * du, u_max + 4 * du, du)
-        self._splines = {}
-        y = poles.ystar
-        vals = {d: np.empty(self.u_grid.shape, complex) for d in (0, 1, 2)}
-        for side, bfrac in ((self.u_grid >= 0, b_plus_frac), (self.u_grid < 0, b_minus_frac)):
-            if not np.any(side):
+        start, stop = u_min - 4 * du, u_max + 4 * du
+        self.u_grid = start + du * np.arange(int(math.ceil((stop - start) / du)))
+        n_neg = int(np.searchsorted(self.u_grid, 0.0))
+        self.sides = {}
+        vals = np.empty((3, len(self.u_grid)), complex)
+        for name, sl, bfrac in (("u>=0", slice(n_neg, len(self.u_grid)), b_plus_frac),
+                                ("u<0", slice(0, n_neg), b_minus_frac)):
+            m = sl.stop - sl.start
+            if m == 0:
                 continue
-            b = bfrac * y
-            u_here = self.u_grid[side]
+            b = bfrac * poles.ystar
+            u_here = self.u_grid[sl]
             scale = max(abs(float(u_here[0])), abs(float(u_here[-1])), 1.0)
             nodes, weights, _ = _contour_rule(b, t, scale / 2.0, poles.rho)
+            self.sides[name] = (sl, nodes, weights)
             base = poles.reflection(nodes) * np.exp(1j * 8 * nodes**3 * t) * weights / (2 * np.pi)
-            chunk = max(1, int(4e6 // len(nodes)))
-            for d in (0, 1, 2):
-                fac = base * (1j * nodes) ** d
-                tgt = vals[d]
-                idx = np.where(side)[0]
-                for i0 in range(0, len(idx), chunk):
-                    ii = idx[i0:i0 + chunk]
-                    tgt[ii] = (fac[None, :] * np.exp(1j * nodes[None, :] * self.u_grid[ii, None])).sum(axis=1)
-        for d in (0, 1, 2):
-            self._splines[d] = CubicSpline(self.u_grid, vals[d])
+            f = base * (1j * nodes) ** np.arange(3)[:, None]
+            # steps from the rules themselves: neighbour differences carry rounding
+            sig = nodes.real
+            h = (sig[-1] - sig[0]) / (len(sig) - 1)
+            u_c = start + du * 0.5 * (sl.start + sl.stop - 1)
+            vals[:, sl] = (_chirp_z_sums(f, 0.5 * (sig[0] + sig[-1]), h, u_c, du, m)
+                           * np.exp(-b * u_here))
+        self._splines = {d: CubicSpline(self.u_grid, vals[d]) for d in (0, 1, 2)}
 
     def __call__(self, u, d: int = 0):
         return self._splines[d](u)
@@ -317,27 +345,26 @@ class DetState:
         self._bordered_sym = None
         self._bordered_plain = None
 
-    def _core(self):
-        idx = np.add.outer(np.arange(self.mn + 1), np.arange(self.mn + 1))
-        ss = self._sq[:, None] * self._sq[None, :]
-        return idx, ss
+    def _ss(self):
+        return self._sq[:, None] * self._sq[None, :]
 
     def _a_derivs(self):
-        idx, ss = self._core()
+        mn1 = self.mn + 1
+        ss = self._ss()
         h1 = self._kernel(self._u, 1) * self._udot
         h2 = self._kernel(self._u, 2) * self._udot**2
-        a = ss * self._h0[idx]
-        e1 = ss * h1[idx]
-        e2 = ss * h2[idx]
-        return self._r * a + e1, 2 * self._r * e1 + e2
+        # both blocks are linear in the kernel samples: one Hankel matrix each
+        return (ss * _hankel(self._r * self._h0 + h1, mn1),
+                ss * _hankel(2 * self._r * h1 + h2, mn1))
 
     def _sym_system(self):
         """Bordered symmetric system; nonsingular whenever I + H is."""
         if self._bordered_sym is None:
             mn1 = self.mn + 1
-            idx, ss = self._core()
             b = np.zeros((mn1 + 1, mn1 + 1), complex)
-            b[:mn1, :mn1] = np.eye(mn1) + ss * self._h0[idx]
+            core = b[:mn1, :mn1]
+            np.multiply(self._ss(), _hankel(self._h0, mn1), out=core)
+            core[np.diag_indices(mn1)] += 1.0
             b[:mn1, mn1] = self.gs
             b[mn1, :mn1] = self.s_row * self.gs
             b[mn1, mn1] = -self.s_inv_gamma
@@ -404,12 +431,12 @@ class DetState:
     def _plain_system(self):
         if self._bordered_plain is None:
             mn1 = self.mn + 1
-            idx = np.add.outer(np.arange(mn1), np.arange(mn1))
-            a_plain = self.w[None, :] * self._h0[idx]
             y = self.poles.ystar
             ghat = np.exp(-y * self.xi)
             bp = np.zeros((mn1 + 1, mn1 + 1), complex)
-            bp[:mn1, :mn1] = np.eye(mn1) + a_plain
+            core = bp[:mn1, :mn1]
+            np.multiply(self.w[None, :], _hankel(self._h0, mn1), out=core)
+            core[np.diag_indices(mn1)] += 1.0
             bp[:mn1, mn1] = ghat
             bp[mn1, :mn1] = self.s_row * self.w * ghat
             bp[mn1, mn1] = -self.s_inv_gamma
@@ -441,15 +468,13 @@ class DetState:
         g = self.solve_jost(ks)
         lu, ghat, sol, v = self._jost_cache
         mn1 = self.mn + 1
-        idx = np.add.outer(np.arange(mn1), np.arange(mn1))
         k1 = self._kernel(self._u, 1)
-        a_x = self.w[None, :] * (2.0 * k1[idx])
         y = self.poles.ystar
-        rhs = np.zeros((mn1 + 1, 2), complex)
-        rhs[:mn1, 0] = 2.0 * k1[:mn1] - a_x @ sol[:mn1, 0]
-        rhs[mn1, 0] = 2.0 * y * self.s_inv_gamma * sol[mn1, 0]
-        rhs[:mn1, 1] = -a_x @ sol[:mn1, 1]
-        rhs[mn1, 1] = 2.0 * y * self.s_inv_gamma * sol[mn1, 1]
+        rhs = np.empty((mn1 + 1, 2), complex)
+        # a_x = 2 H(k1) diag(w) applied to both solution columns in one product
+        rhs[:mn1] = -(_hankel(2.0 * k1, mn1) @ (self.w[:, None] * sol[:mn1]))
+        rhs[:mn1, 0] += 2.0 * k1[:mn1]
+        rhs[mn1] = 2.0 * y * self.s_inv_gamma * sol[mn1]
         dsol = lu_solve(lu, rhs)
         vx = dsol[:mn1, 0] + dsol[:mn1, 1]
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))

@@ -36,8 +36,8 @@ from .tails import fit_oscillatory_tail
 __all__ = [
     "EvolvedState", "EvolvedPlane",
     "phi_symbol", "dyson_q", "jost_evolved", "evolved_phi_plane",
-    "q_plus_evolved", "classify_embedded_pole_evolved",
-    "kdv_residual", "split_step_reference", "taper_window",
+    "insertion_term", "q_plus_evolved", "classify_embedded_pole_evolved",
+    "kdv_residual", "split_step_reference",
 ]
 
 
@@ -52,8 +52,12 @@ class EvolvedState:
     delta_cap: float | None = None
     _tables: dict = field(default_factory=dict, repr=False)
     _det_cache: dict = field(default_factory=dict, repr=False)
+    # mn + 1 of every DetState built, the operator sizes actually used
+    det_sizes: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValidationError(f"evolution time must be finite, got t={self.t}")
         if self.t < 0:
             raise ValidationError("evolution is validated for t >= 0")
         if self.t > T_MAX:
@@ -84,10 +88,10 @@ class EvolvedState:
             if len(self._det_cache) > 4:
                 self._det_cache.clear()
             kernel = self.kernel(2.0 * min(x, 0.0) - 2.0)
-            self._det_cache[key] = DetState(self.poles, kernel, x, self.t,
-                                            m_op, aligned=(self.t == 0.0),
-                                            fixed_delta=fixed_delta,
-                                            delta_cap=self.delta_cap)
+            ds = DetState(self.poles, kernel, x, self.t, m_op, aligned=(self.t == 0.0),
+                          fixed_delta=fixed_delta, delta_cap=self.delta_cap)
+            self.det_sizes.append(ds.mn + 1)
+            self._det_cache[key] = ds
         return self._det_cache[key]
 
 
@@ -212,30 +216,39 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
                         fit.self_integral() + cum, fit)
 
 
+def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
+    """-2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)) at plane nodes x.
+
+    The derivatives are analytic in phi and phi_x; x (scalar or array) must lie
+    on the plane grid.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    g = plane.grid
+    j = np.clip(np.rint((xs - g.x_min) / g.spacing).astype(int), 0, g.n_points - 1)
+    if not np.all(np.abs(g.x[j] - xs) <= 1e-9):
+        raise ValidationError("the insertion term requires x on the plane grid")
+    a2 = alpha * alpha
+    u = 1.0 + a2 * plane.big_i[j]
+    f, fx = plane.phi[j], plane.phi_x[j]
+    out = -2.0 * (2 * a2 * f * fx / u - (a2 * f * f / u) ** 2)
+    return out if not np.isscalar(x) else float(out[0])
+
+
 def q_plus_evolved(state: EvolvedState, alpha: float, x, plane: EvolvedPlane = None,
                    omega: float = 1.0, s_left: float = -45.0,
                    s_spacing: float = 0.05) -> np.ndarray:
     """Evolved transformed potential q_+1(x, t) at the requested x (scalar or array).
 
-    q_+1 = q(x,t) - 2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)).
-    The log term's derivatives are analytic in phi and phi_x; the Dyson term
-    uses the resolvent-trace derivatives.
+    q_+1 = q(x,t) - 2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)):
+    the Dyson term (resolvent-trace derivatives) plus `insertion_term`.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if plane is None:
         n = int(math.ceil((xs.max() - s_left) / s_spacing)) + 1
         plane = evolved_phi_plane(state, Grid(s_left, s_left + (n - 1) * s_spacing, n),
                                   omega=omega)
-    out = np.empty(xs.shape)
-    a2 = alpha * alpha
-    for i, xx in enumerate(xs):
-        j = plane.grid.index_of(xx)
-        if abs(plane.grid.x[j] - xx) > 1e-9:
-            raise ValidationError("q_plus_evolved requires x on the plane grid")
-        u = 1.0 + a2 * plane.big_i[j]
-        f, fx = plane.phi[j], plane.phi_x[j]
-        log_dd = 2 * a2 * f * fx / u - (a2 * f * f / u) ** 2
-        out[i] = dyson_q(state, float(xx)) - 2.0 * log_dd
+    out = insertion_term(plane, alpha, xs)
+    out += [dyson_q(state, float(xx)) for xx in xs]
     return out if not np.isscalar(x) else float(out[0])
 
 
@@ -315,14 +328,6 @@ def kdv_residual(u: np.ndarray, dx: float, dt: float, mask: np.ndarray = None) -
             raise ValidationError("mask leaves no valid stencil")
         return float(np.max(np.abs(res[ok])))
     return float(np.max(np.abs(res)))
-
-
-def taper_window(x: np.ndarray, flat: float = 0.8, width: float = 6.0) -> np.ndarray:
-    """Smooth window equal to 1 on the central `flat` fraction, rolling off to 0."""
-    x = np.asarray(x, dtype=float)
-    lo = x[0] + (1 - flat) / 2 * (x[-1] - x[0])
-    hi = x[-1] - (1 - flat) / 2 * (x[-1] - x[0])
-    return 0.25 * (1 + np.tanh((x - lo) / width * 4)) * (1 - np.tanh((x - hi) / width * 4))
 
 
 def split_step_reference(x: np.ndarray, q0: np.ndarray, t_final: float,

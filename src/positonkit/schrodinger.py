@@ -55,6 +55,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValidationError("grid requires finite x_min and x_max")
         if not (self.x_min < self.x_max):
             raise ValidationError("grid requires x_min < x_max")
         if self.n_points < 2:
@@ -239,8 +241,15 @@ class PotentialSpec:
             spec = cls.sum_of(*[cls.from_json(p) for p in d["parts"]])
         else:
             raise ValidationError(f"unknown potential kind {kind!r}")
-        if d.get("right_cutoff") is not None:
-            spec.right_cutoff = d["right_cutoff"]
+        cutoff = d.get("right_cutoff")
+        if cutoff is not None:
+            if (not isinstance(cutoff, numbers.Real) or isinstance(cutoff, bool)
+                    or not math.isfinite(cutoff)):
+                raise ValidationError(f"right_cutoff must be a finite number, got {cutoff!r}")
+            if kind == KIND_WVN and cutoff < 0:
+                raise ValidationError("the wvn_example potential is nonzero below x = 0; "
+                                      "right_cutoff must be >= 0")
+            spec.right_cutoff = float(cutoff)
         return spec
 
     def dumps(self) -> str:

@@ -76,14 +76,22 @@ def test_evolve_seed_only(tmp_path):
     cfg = {"potential": WVN_POT,
            "grid": {"x_min": -3.0, "x_max": 3.0, "n": 7},
            "states": [],
-           "time": {"t_values": [0.0]}}
+           "time": {"t_values": [0.0, 0.02]}}
     code, prefix = run_cli(tmp_path, "evo", cfg, "evolve")
     assert code == 0
     data = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1)
-    qc = wvn.q_seed(2.0, data[:, 0])
-    assert np.max(np.abs(data[:, 2] - qc)) < 1e-3
-    meta = json.loads(open(prefix + ".meta.json").read())
-    assert "t=0.0" in meta["diagnostics"]
+    t0 = data[:, 1] == 0.0
+    qc = wvn.q_seed(2.0, data[t0, 0])
+    assert np.max(np.abs(data[t0, 2] - qc)) < 1e-3
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
+    # sizes actually used: operator nodes mn + 1, and the t > 0 kernel table
+    for key in ("t=0.0", "t=0.02"):
+        lo, hi = diag[key]["operator_points_min"], diag[key]["operator_points_max"]
+        assert 200 < lo <= hi <= 1601
+    assert "kernel_u_points" not in diag["t=0.0"]
+    assert diag["t=0.02"]["kernel_u_points"] > 1000
+    sizes = diag["t=0.02"]["kernel_contour_points"]
+    assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -93,7 +101,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
            {"potential": WVN_POT, "k_grid": dict(k_grid, k_min=-1e400)},
            {"potential": WVN_POT, "k_grid": dict(k_grid, n=1e400)},
            {"potential": [1, 2], "k_grid": k_grid},
-           {"potential": dict(WVN_POT, rho=float("nan")), "k_grid": k_grid}]
+           {"potential": dict(WVN_POT, rho=float("nan")), "k_grid": k_grid},
+           {"potential": dict(WVN_POT, right_cutoff=float("nan")), "k_grid": k_grid},
+           {"potential": dict(WVN_POT, right_cutoff=-3.0), "k_grid": k_grid},
+           {"potential": dict(WVN_POT, right_cutoff="0"), "k_grid": k_grid}]
     for i, cfg in enumerate(bad):
         capsys.readouterr()
         code, prefix = run_cli(tmp_path, f"bad{i}", cfg, "scatter")

@@ -4,7 +4,7 @@ import pytest
 from positonkit import kdv
 from positonkit import wvn_example as wvn
 from positonkit.errors import ValidationError
-from positonkit.hankel import HankelDiscretization, PoleData
+from positonkit.hankel import HankelDiscretization, KernelTable, PoleData, em_weights
 from positonkit.schrodinger import Grid
 
 RHO = 2.0
@@ -22,6 +22,12 @@ def test_state_validation():
         kdv.EvolvedState(1.0, wvn.ExampleParams(RHO))
 
 
+def test_state_rejects_non_finite_time():
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            kdv.EvolvedState(t, wvn.ExampleParams(RHO))
+
+
 def test_pole_data():
     poles = PoleData.for_rho(RHO)
     assert poles.ystar == pytest.approx(1.0, abs=1e-12)
@@ -35,7 +41,7 @@ def test_discretization_contour_above_pole():
     disc = HankelDiscretization.build(RHO)
     assert disc.b > disc.poles.ystar
     assert np.all(disc.phi_weights > 0)
-    assert np.all(disc.op_weights > 0)
+    assert np.all(em_weights(disc.m_op, disc.s_op / disc.m_op) > 0)
     assert disc.m == len(disc.phi_nodes)
 
 
@@ -73,6 +79,24 @@ def test_phi_symbol_doubling(t):
     s = np.linspace(-10.0, 10.0, 9)
     _, err = kdv.phi_symbol(state, s, x=-2.0, with_error=True)
     assert err < 1e-8
+
+
+@pytest.mark.parametrize("t", [0.02, 0.045])
+def test_kernel_table_matches_direct_contour_sum(t):
+    # oracle: the contour sum (1/2 pi) sum_j w_j R(z_j) e^{8 i z_j^3 t} (i z_j)^d e^{i z_j u},
+    # summed term by term at table nodes on each side of u = 0
+    poles = PoleData.for_rho(RHO)
+    tab = KernelTable(poles, t, -100.0, 36.0)
+    assert set(tab.sides) == {"u>=0", "u<0"}
+    for sl, z, w in tab.sides.values():
+        u = tab.u_grid[sl]
+        u = u[(u >= -100.0) & (u <= 36.0)]
+        u = u[np.linspace(0, len(u) - 1, 8).round().astype(int)]
+        refl = -1j * RHO / (z * (z * z - 1.0) + 1j * RHO)
+        terms = (w * refl * np.exp(8j * z**3 * t) / (2 * np.pi))[None, :] * np.exp(1j * np.outer(u, z))
+        for d in (0, 1, 2):
+            direct = (terms * (1j * z) ** d).sum(axis=1)
+            assert np.max(np.abs(tab(u, d) - direct)) <= 1e-9
 
 
 def test_dyson_seed_values(state0):

@@ -25,6 +25,12 @@ def test_grid_validation():
         sch.Grid(0.0, 1.0, 1)
 
 
+def test_grid_rejects_non_finite_bounds():
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValidationError):
+            sch.Grid(lo, hi, 5)
+
+
 def test_potential_eval_branches(wvn_spec):
     assert wvn_spec.evaluate(1.0) == 0.0
     x = np.linspace(-10, -1, 50)
