@@ -48,7 +48,7 @@ def _grid_from(cfg) -> Grid:
     g = cfg.get("grid", {})
     try:
         return Grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"invalid grid config: {exc}")
 
 
@@ -93,18 +93,48 @@ def _k_grid_from(cfg) -> np.ndarray:
 
 
 def _states_from(cfg, spec) -> list:
+    states = cfg.get("states", [])
+    if not isinstance(states, list) or not all(isinstance(s, dict) for s in states):
+        raise ValidationError("'states' must be a list of objects")
     out = []
-    for s in cfg.get("states", []):
-        omega = float(s["omega"])
-        alpha = float(s["alpha"])
+    for s in states:
+        omega = _finite(s["omega"], "omega")
+        alpha = _finite(s["alpha"], "alpha")
         if "r_at_omega" in s:
-            r = complex(*s["r_at_omega"])
+            r = s["r_at_omega"]
+            if not isinstance(r, list) or len(r) != 2:
+                raise ValidationError(f"r_at_omega must be a [re, im] pair, got {r!r}")
+            r = complex(_finite(r[0], "Re r_at_omega"), _finite(r[1], "Im r_at_omega"))
             out.append(darboux.EmbeddedStateSpec(omega, alpha, r))
         elif spec.kind == "wvn_example":
             out.append(darboux.EmbeddedStateSpec.for_wvn_example(spec.rho, alpha, omega))
         else:
             raise ValidationError("state requires r_at_omega for this potential kind")
     return out
+
+
+def _ode_tolerances_from(cfg) -> tuple:
+    """(rtol, atol) of the insertion's ODE solves; None keeps the default."""
+    tol = cfg.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ValidationError("'tolerances' must be an object")
+    out = []
+    for name in ("ode_rtol", "ode_atol"):
+        value = tol.get(name)
+        if value is not None:
+            value = _finite(value, name)
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value!r}")
+        out.append(value)
+    return tuple(out)
+
+
+def _times_from(cfg) -> list:
+    time = cfg.get("time", {})
+    t_values = time.get("t_values", [0.0]) if isinstance(time, dict) else None
+    if not isinstance(t_values, list) or not t_values:
+        raise ValidationError("'time' must be an object whose t_values is a non-empty list")
+    return [_finite(t, "t") for t in t_values]
 
 
 def cmd_scatter(cfg, prefix):
@@ -124,9 +154,8 @@ def cmd_insert(cfg, prefix):
     spec = _potential_from(cfg)
     grid = _grid_from(cfg)
     states = _states_from(cfg, spec)
-    tol = cfg.get("tolerances", {})
-    res = darboux.insert_embedded(spec, states, grid,
-                                  rtol=tol.get("ode_rtol"), atol=tol.get("ode_atol"))
+    rtol, atol = _ode_tolerances_from(cfg)
+    res = darboux.insert_embedded(spec, states, grid, rtol=rtol, atol=atol)
     res.to_csv(f"{prefix}.csv")
     diag = res.meta()
     if states:
@@ -160,7 +189,7 @@ def cmd_evolve(cfg, prefix):
     states = _states_from(cfg, spec)
     if len(states) > 1:
         raise ValidationError("evolve handles at most one embedded state")
-    t_values = [float(t) for t in cfg.get("time", {}).get("t_values", [0.0])]
+    t_values = _times_from(cfg)
     params = wvn.ExampleParams(spec.rho, states[0].alpha if states else 1.0)
     cols_x, cols_t, cols_q, cols_qp = [], [], [], []
     diags = {}
@@ -250,15 +279,9 @@ def _verify_checks(rho, alpha):
         _, psi_n = darboux.transformed_solutions(res, k)
         return psi_n
     rr = scattering.residue_at(1.0, fam, delta0=1e-2)
-    rv = np.real(rr.residue.values)
-    rd = np.real(rr.residue.derivs)
-    h = grid.spacing
-    mid = darboux.cumulative_corrected_trapezoid(rv * rv, 2 * rv * rd, h)[-1]
-    from .tails import fit_oscillatory_tail
-    xw = grid.x
-    fl = fit_oscillatory_tail(xw[xw <= xw[0] + 20], rv[xw <= xw[0] + 20], 1.0, "left")
-    fr = fit_oscillatory_tail(xw[xw >= xw[-1] - 20], rv[xw >= xw[-1] - 20], 1.0, "right")
-    norm = math.sqrt(mid + fl.self_integral() + fr.self_integral())
+    cum, left, right, _ = darboux.tail_closed_gram(
+        grid, [np.real(rr.residue.values)], [np.real(rr.residue.derivs)], [1.0], right=True)
+    norm = math.sqrt(cum[-1, 0, 0] + left[0, 0] + right[0, 0])
     yield row("residue-norming-constant", abs(norm - abs(alpha)), 1e-4)
 
     # transformed pair Wronskian: W(psi_+1, phi_+1) = -2ik

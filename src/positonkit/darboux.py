@@ -21,6 +21,7 @@ tail model of `tails`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ __all__ = [
     "phi_n", "gram_plus", "insert_embedded", "chain_insert",
     "transformed_solutions", "phi_plus_at_omega", "greens_diagonal_transformed",
     "remove_embedded", "check_isolated_pole_preservation",
-    "cumulative_corrected_trapezoid",
+    "cumulative_corrected_trapezoid", "tail_closed_gram", "gauge_map",
 ]
 
 RESONANCE_TOL = 1e-8
@@ -60,6 +61,11 @@ class EmbeddedStateSpec:
     r_at_omega: complex
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega) and math.isfinite(self.alpha)
+                and cmath.isfinite(self.r_at_omega)):
+            raise ValidationError(
+                "embedded state requires finite omega, alpha and r_at_omega, got "
+                f"({self.omega}, {self.alpha}, {self.r_at_omega})")
         if not self.omega > 0:
             raise ValidationError("embedded state requires omega > 0")
         if self.alpha == 0:
@@ -118,20 +124,11 @@ class TransformResult:
 
     def eigenfunction_norms(self, tail_window: float = DEFAULT_TAIL_WINDOW) -> np.ndarray:
         """L2 norms of the eigenfunctions, grid quadrature plus fitted tails."""
-        n = len(self.y_fields)
-        x = self.grid.x
-        h = self.grid.spacing
-        out = np.empty(n)
-        for i, y in enumerate(self.y_fields):
-            yv = np.real(y.values)
-            yd = np.real(y.derivs)
-            mid = cumulative_corrected_trapezoid(yv * yv, 2 * yv * yd, h)[-1]
-            lw = x <= x[0] + tail_window
-            fit_l = fit_oscillatory_tail(x[lw], yv[lw], self.states[i].omega, "left")
-            rw = x >= x[-1] - tail_window
-            fit_r = fit_oscillatory_tail(x[rw], yv[rw], self.states[i].omega, "right")
-            out[i] = math.sqrt(mid + fit_l.self_integral() + fit_r.self_integral())
-        return out
+        cum, left, right, _ = tail_closed_gram(
+            self.grid, [np.real(y.values) for y in self.y_fields],
+            [np.real(y.derivs) for y in self.y_fields], [s.omega for s in self.states],
+            tail_window, right=True)
+        return np.sqrt(np.diagonal(cum[-1] + left + right))
 
     def to_csv(self, path):
         cols = [self.grid.x, self.q_seed, self.q_new, self.log_det]
@@ -193,6 +190,36 @@ def cumulative_corrected_trapezoid(f, fp, h):
     return out
 
 
+def tail_closed_gram(grid: Grid, values, derivs, omegas,
+                     tail_window: float = DEFAULT_TAIL_WINDOW, right: bool = False):
+    """Tail-closed integrals of the products f_m f_l of real oscillatory fields.
+
+    Returns (cum, left, right_tail, fits): cum[:, m, l] is the corrected
+    trapezoid integral of f_m f_l from x_min to each node, left[m, l] the
+    (-inf, x_min] piece from the `TailFit` models fitted on the leftmost
+    `tail_window`, right_tail[m, l] the [x_max, inf) piece when `right` is set
+    (else None), and fits the left fits.  Callers combine the three pieces.
+    """
+    x = grid.x
+    n = len(values)
+    windows = [("left", x <= x[0] + tail_window)]
+    if right:
+        windows.append(("right", x >= x[-1] - tail_window))
+    fits = [[fit_oscillatory_tail(x[win], v[win], w, side) for v, w in zip(values, omegas)]
+            for side, win in windows]
+    cum = np.empty((grid.n_points, n, n))
+    tails = np.empty((len(windows), n, n))
+    for m in range(n):
+        for l in range(m, n):
+            dprod = derivs[m] * values[l] + values[m] * derivs[l]
+            cum[:, m, l] = cum[:, l, m] = cumulative_corrected_trapezoid(
+                values[m] * values[l], dprod, grid.spacing)
+            for i, f in enumerate(fits):
+                tails[i, m, l] = tails[i, l, m] = (f[m].self_integral() if m == l
+                                                   else f[m].cross_integral(f[l]))
+    return cum, tails[0], tails[1] if right else None, fits[0]
+
+
 def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
           psi: WaveField | None = None, rtol: float | None = None,
           atol: float | None = None) -> WaveField:
@@ -211,14 +238,6 @@ def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
     vals = -2.0 * np.real(root * psi.values)
     ders = -2.0 * np.real(root * psi.derivs)
     return WaveField(grid, state.omega, vals, ders)
-
-
-def _phi_tail_fit(grid, phi, omega, window):
-    x = grid.x
-    win = x <= x[0] + window
-    if np.count_nonzero(win) < 16:
-        raise ValidationError("tail window contains too few samples")
-    return fit_oscillatory_tail(x[win], np.real(phi.values[win]), omega, "left")
 
 
 def gram_plus(phis: list, alphas, grid: Grid | None = None,
@@ -240,29 +259,11 @@ def gram_plus(phis: list, alphas, grid: Grid | None = None,
             raise ValidationError("all phi fields must share the grid")
     if omegas is None:
         omegas = [float(np.real(f.k)) for f in phis]
-    h = grid.spacing
-    vals = [np.real(f.values) for f in phis]
-    ders = [np.real(f.derivs) for f in phis]
-    fits = [fit_oscillatory_tail(grid.x[grid.x <= grid.x_min + tail_window],
-                                 v[grid.x <= grid.x_min + tail_window],
-                                 w, "left")
-            for v, w in zip(vals, omegas)]
-    entries = np.empty((grid.n_points, n, n))
-    tail = np.empty((n, n))
-    for m in range(n):
-        for l in range(m, n):
-            prod = vals[m] * vals[l]
-            dprod = ders[m] * vals[l] + vals[m] * ders[l]
-            cum = cumulative_corrected_trapezoid(prod, dprod, h)
-            if m == l:
-                t0 = fits[m].self_integral()
-            else:
-                t0 = fits[m].cross_integral(fits[l])
-            g = alphas[m] * alphas[l] * (cum + t0)
-            entries[:, m, l] = g
-            entries[:, l, m] = g
-            tail[m, l] = tail[l, m] = alphas[m] * alphas[l] * t0
-    return GramField(grid, entries, tail, fits)
+    cum, left, _, fits = tail_closed_gram(grid, [np.real(f.values) for f in phis],
+                                          [np.real(f.derivs) for f in phis], omegas,
+                                          tail_window)
+    weights = np.outer(alphas, alphas)
+    return GramField(grid, weights * (cum + left), weights * left, fits)
 
 
 def _solve_transform(phit, dphit, gram_entries):
@@ -354,8 +355,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     log_det, dd2, y, yp = _solve_transform(phit, dphit, gram.entries)
 
     sl = slice(n_ext, None)
-    sub_entries = gram.entries[sl]
-    gram_out = GramField(grid, sub_entries, gram.tail_constant, gram.fits)
+    gram_out = GramField(grid, gram.entries[sl], gram.tail_constant, gram.fits)
     q_new = q0 - 2.0 * dd2[sl]
     y_fields = [WaveField(grid, s.omega, y[i, sl], yp[i, sl])
                 for i, s in enumerate(states)]
@@ -388,16 +388,14 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
     cur_d = [np.real(f.derivs).copy() for f in phis]
     q = np.asarray(spec.evaluate(ext.x), dtype=float)
     q0 = q.copy()
-    h = ext.spacing
     log_det_total = np.zeros(ext.n_points)
     y_final = []
     for n, s in enumerate(states):
         a = s.alpha
-        fit = fit_oscillatory_tail(ext.x[ext.x <= ext.x_min + tail_window],
-                                   cur_v[n][ext.x <= ext.x_min + tail_window],
-                                   s.omega, "left")
-        big_i = fit.self_integral() + cumulative_corrected_trapezoid(
-            cur_v[n] ** 2, 2 * cur_v[n] * cur_d[n], h)
+        # row 0: the integrals of phi_n against itself and the remaining phi_j
+        cum, left, _, _ = tail_closed_gram(ext, cur_v[n:], cur_d[n:],
+                                           [st.omega for st in states[n:]], tail_window)
+        big_i = left[0, 0] + cum[:, 0, 0]
         u = 1.0 + a * a * big_i
         log_det_total += np.log(u)
         jay = a * a * cur_v[n] ** 2 / u
@@ -407,11 +405,7 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
         ydash = -a * cur_d[n] / u + a**3 * cur_v[n] ** 3 / u**2
         y_final.append((y, ydash))
         for j in range(n + 1, len(states)):
-            fitj = fit_oscillatory_tail(ext.x[ext.x <= ext.x_min + tail_window],
-                                        cur_v[j][ext.x <= ext.x_min + tail_window],
-                                        states[j].omega, "left")
-            hcum = fit.cross_integral(fitj) + cumulative_corrected_trapezoid(
-                cur_v[n] * cur_v[j], cur_d[n] * cur_v[j] + cur_v[n] * cur_d[j], h)
+            hcum = left[0, j - n] + cum[:, 0, j - n]
             new_v = cur_v[j] + a * y * hcum
             new_d = cur_d[j] + a * (ydash * hcum + y * cur_v[n] * cur_v[j])
             cur_v[j], cur_d[j] = new_v, new_d
@@ -424,6 +418,32 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
     return TransformResult(spec, grid, states, q0[sl], q[sl], log_det_total[sl],
                            y_fields, phi_fields, gram,
                            diagnostics={"method": "chain"})
+
+
+def gauge_map(values, derivs, k, terms):
+    """The Darboux gauge map psi -> psi + sum_n alpha_n y_n W(psi, phi_n)/(k^2 - omega_n^2).
+
+    values, derivs: psi and psi' at momentum k, on a grid or at one point;
+    terms: one (alpha, omega, y, y', phi, phi') per state, sampled where psi is.
+    Returns the mapped (psi, psi').
+    """
+    v = np.asarray(values, dtype=complex)
+    d = np.asarray(derivs, dtype=complex)
+    for alpha, omega, y, yd, fv, fd in terms:
+        denom = k * k - omega**2
+        ay, ayd = alpha * y, alpha * yd
+        w = values * fd - derivs * fv
+        v = v + ay * w / denom
+        d = d + (ayd * w / denom + ay * values * fv)
+    return v, d
+
+
+def _gauge_terms(result_like) -> list:
+    """The (alpha, omega, y, y', phi, phi') of each state of a transform, for gauge_map."""
+    return [(s.alpha, s.omega, np.real(y.values), np.real(y.derivs),
+             np.real(f.values), np.real(f.derivs))
+            for s, y, f in zip(result_like.states, result_like.y_fields,
+                               result_like.phi_fields)]
 
 
 def transformed_solutions(result: TransformResult, k: complex):
@@ -460,21 +480,9 @@ def transformed_solutions(result: TransformResult, k: complex):
             lv[~neg] = wf.values[-npos:]
             ld[~neg] = wf.derivs[-npos:]
         phi_v, phi_d = t_val * lv, t_val * ld
-    psi_v = psi.values.astype(complex).copy()
-    psi_d = psi.derivs.astype(complex).copy()
-    phiN_v = phi_v.astype(complex).copy()
-    phiN_d = phi_d.astype(complex).copy()
-    for s, y, f in zip(result.states, result.y_fields, result.phi_fields):
-        denom = k * k - s.omega**2
-        ay, ayd = s.alpha * np.real(y.values), s.alpha * np.real(y.derivs)
-        fv, fd = np.real(f.values), np.real(f.derivs)
-        w_psi = psi.values * fd - psi.derivs * fv
-        psi_v = psi_v + ay * w_psi / denom
-        psi_d = psi_d + (ayd * w_psi / denom + ay * psi.values * fv)
-        w_phi = phi_v * fd - phi_d * fv
-        phiN_v = phiN_v + ay * w_phi / denom
-        phiN_d = phiN_d + (ayd * w_phi / denom + ay * phi_v * fv)
-    return (WaveField(grid, k, phiN_v, phiN_d), WaveField(grid, k, psi_v, psi_d))
+    terms = _gauge_terms(result)
+    return (WaveField(grid, k, *gauge_map(phi_v, phi_d, k, terms)),
+            WaveField(grid, k, *gauge_map(psi.values, psi.derivs, k, terms)))
 
 
 def phi_plus_at_omega(result: TransformResult, n: int) -> WaveField:
@@ -530,30 +538,11 @@ def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
         return RemovalResult(grid, q.copy(), np.zeros(grid.n_points), np.zeros((0, 0)))
     if omegas is None:
         omegas = [float(np.real(y.k)) for y in eigenfunctions]
-    h = grid.spacing
-    x = grid.x
     vals = [np.real(y.values) for y in eigenfunctions]
     ders = [np.real(y.derivs) for y in eigenfunctions]
-    fits_l = [fit_oscillatory_tail(x[x <= x[0] + tail_window],
-                                   v[x <= x[0] + tail_window], w, "left")
-              for v, w in zip(vals, omegas)]
-    fits_r = [fit_oscillatory_tail(x[x >= x[-1] - tail_window],
-                                   v[x >= x[-1] - tail_window], w, "right")
-              for v, w in zip(vals, omegas)]
-    gbar = np.empty((grid.n_points, n, n))
-    ortho = np.empty((n, n))
-    for m in range(n):
-        for l in range(m, n):
-            prod = vals[m] * vals[l]
-            dprod = ders[m] * vals[l] + vals[m] * ders[l]
-            cum = cumulative_corrected_trapezoid(prod, dprod, h)
-            tl = fits_l[m].self_integral() if m == l else fits_l[m].cross_integral(fits_l[l])
-            tr = fits_r[m].self_integral() if m == l else fits_r[m].cross_integral(fits_r[l])
-            total = tl + cum[-1] + tr
-            ortho[m, l] = ortho[l, m] = total
-            right_cum = tr + (cum[-1] - cum)
-            gbar[:, m, l] = right_cum
-            gbar[:, l, m] = right_cum
+    cum, left, right, _ = tail_closed_gram(grid, vals, ders, omegas, tail_window, right=True)
+    ortho = left + cum[-1] + right
+    gbar = right + (cum[-1] - cum)
     dev = np.max(np.abs(ortho - np.eye(n)))
     if dev > ortho_tol:
         raise OrthonormalityError(
@@ -563,11 +552,7 @@ def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
         raise OrthonormalityError("right Gram matrix lost positive definiteness")
     yv = np.stack(vals)
     yd = np.stack(ders)
-    rhs = np.stack([yv.T, yd.T], axis=-1)
-    sol = np.linalg.solve(gbar, rhs)
-    v = sol[:, :, 0].T
-    gv_d = sol[:, :, 1].T
-    del gv_d
+    v = np.linalg.solve(gbar, yv.T[:, :, None])[:, :, 0].T
     jay = np.einsum("ip,ip->p", yv, v)
     dd2 = -2.0 * np.einsum("ip,ip->p", yd, v) - jay**2
     q_minus = q - 2.0 * dd2
@@ -587,21 +572,10 @@ def check_isolated_pole_preservation(phi_family, psi_family, result_like,
     if bound_state is None:
         return PoleCheckReport(0.0, tolerance, vacuous=True)
     kappa, c2 = bound_state
-    states = result_like.states
-    ys = result_like.y_fields
-    fs = result_like.phi_fields
+    terms = _gauge_terms(result_like)
 
     def gauge(base: WaveField, k) -> WaveField:
-        v = base.values.astype(complex).copy()
-        d = base.derivs.astype(complex).copy()
-        for s, y, f in zip(states, ys, fs):
-            denom = k * k - s.omega**2
-            ay, ayd = s.alpha * np.real(y.values), s.alpha * np.real(y.derivs)
-            fv, fd = np.real(f.values), np.real(f.derivs)
-            w = base.values * fd - base.derivs * fv
-            v = v + ay * w / denom
-            d = d + (ayd * w / denom + ay * base.values * fv)
-        return WaveField(base.grid, k, v, d)
+        return WaveField(base.grid, k, *gauge_map(base.values, base.derivs, k, terms))
 
     res = sct.residue_at(1j * kappa, lambda k: gauge(phi_family(k), k), delta0=delta0)
     psi_plus = gauge(psi_family(1j * kappa), 1j * kappa)

@@ -36,7 +36,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DiscretizationFailureError, ValidationError
 
-__all__ = ["PoleData", "HankelDiscretization", "KernelTable", "DetState"]
+__all__ = ["PoleData", "HankelDiscretization", "KernelTable", "DetState", "operator_spacing"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
 THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
@@ -281,6 +281,18 @@ class KernelTable:
         return self._splines[d](u)
 
 
+def operator_spacing(y: float, x: float, m_op: int, delta_cap: float | None = None):
+    """Operator width needed at x, the spacing cap, and the default spacing.
+
+    The solution density lives on [0, 2|x|]; the width adds a decay margin
+    beyond it.  Returns (w_needed, delta_cap, min(w_needed / m_op, delta_cap)).
+    """
+    w_needed = 2.0 * max(0.0, -x) + U_DECAY_TARGET / (2.0 * y)
+    if delta_cap is None:
+        delta_cap = 0.22 / max(y, 1.0)
+    return w_needed, delta_cap, min(w_needed / m_op, delta_cap)
+
+
 class DetState:
     """Per-(x, t) assembly of the split Hankel determinant and its x-derivatives.
 
@@ -295,24 +307,17 @@ class DetState:
         self.x = x
         self.t = t
         y = poles.ystar
-        # the solution density lives on [0, 2|x|]; add a decay margin beyond it
-        w_needed = 2.0 * max(0.0, -x) + U_DECAY_TARGET / (2.0 * y)
-        if delta_cap is None:
-            delta_cap = 0.22 / max(y, 1.0)
+        w_needed, delta_cap, delta = operator_spacing(y, x, m_op, delta_cap)
+        free = fixed_delta is None and not (aligned and x < -THIN_SUPPORT_X)
+        ddelta = 0.0
         if fixed_delta is not None:
             delta = fixed_delta
-            ddelta = 0.0
-            mn = min(M_OP_CAP, max(m_op, int(math.ceil(w_needed / delta))))
-        elif aligned and x < -THIN_SUPPORT_X:
-            delta_des = min(w_needed / m_op, delta_cap)
-            m1 = max(KINK_NODES_MIN, round(-2 * x / delta_des))
-            delta = -2 * x / m1
-            ddelta = -2.0 / m1
-            mn = min(M_OP_CAP, max(m_op, int(math.ceil(w_needed / delta))))
-        else:
-            delta = min(w_needed / m_op, delta_cap)
-            mn = min(M_OP_CAP, max(m_op, int(math.ceil(w_needed / delta))))
-            ddelta = (-2.0 / mn if x < 0 else 0.0) if delta < delta_cap else 0.0
+        elif not free:
+            m1 = max(KINK_NODES_MIN, round(-2 * x / delta))
+            delta, ddelta = -2 * x / m1, -2.0 / m1
+        mn = min(M_OP_CAP, max(m_op, int(math.ceil(w_needed / delta))))
+        if free and x < 0 and delta < delta_cap:
+            ddelta = -2.0 / mn     # the free grid stretches with x until it hits the cap
         i_arr = np.arange(mn + 1)
         self.delta, self.ddelta, self.mn = delta, ddelta, mn
         self.xi = i_arr * delta

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wvn_example as wvn
+from .darboux import gauge_map, tail_closed_gram
 from .errors import ValidationError
 from .hankel import (
     T_MAX,
@@ -29,9 +30,9 @@ from .hankel import (
     HankelDiscretization,
     KernelTable,
     PoleData,
+    operator_spacing,
 )
 from .schrodinger import Grid
-from .tails import fit_oscillatory_tail
 
 __all__ = [
     "EvolvedState", "EvolvedPlane",
@@ -94,6 +95,10 @@ class EvolvedState:
             self._det_cache[key] = ds
         return self._det_cache[key]
 
+    def fixed_delta(self, x_min: float) -> float:
+        """DetState's default operator spacing at x_min, held fixed for solves at x >= x_min."""
+        return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[2]
+
 
 def phi_symbol(state: EvolvedState, s, x: float = 0.0, with_error: bool = False):
     """Contour symbol Phi_{x,t}(s); optionally with a doubling error estimate."""
@@ -147,25 +152,25 @@ def jost_evolved(state: EvolvedState, x: float, k,
     """
     scal = np.isscalar(k)
     ks = np.atleast_1d(np.asarray(k, dtype=complex))
-    use_fixed = with_derivative or state.t > 0.0
-    ds = state.det_state(x, fixed_delta=_plane_delta(state, x) if use_fixed else None)
+    fixed = state.fixed_delta(x) if with_derivative or state.t > 0.0 else None
+    out = _jost_readout(state.det_state(x, fixed_delta=fixed), x, ks, with_derivative)
+    if scal:
+        out = tuple(complex(o[0]) for o in out)
+    return out if with_derivative else out[0]
+
+
+def _jost_readout(ds: DetState, x: float, ks: np.ndarray, with_derivative: bool = True):
+    """(psi,) or (psi, psi_x) at momenta ks from one GLM solve of ds.
+
+    psi = e^{ikx}(1 - g) and psi_x = ik psi - e^{ikx} g_x.
+    """
     if with_derivative:
         g, gx = ds.solve_jost_with_derivative(ks)
-        psi = np.exp(1j * ks * x) * (1.0 - g)
-        psi_x = 1j * ks * psi + np.exp(1j * ks * x) * (-gx)
-        if scal:
-            return complex(psi[0]), complex(psi_x[0])
-        return psi, psi_x
-    g = ds.solve_jost(ks)
-    psi = np.exp(1j * ks * x) * (1.0 - g)
-    return complex(psi[0]) if scal else psi
-
-
-def _plane_delta(state: EvolvedState, x_min: float) -> float:
-    y = state.poles.ystar
-    w_needed = 2.0 * max(0.0, -x_min) + U_DECAY_TARGET / (2.0 * y)
-    cap = state.delta_cap if state.delta_cap is not None else 0.22 / max(y, 1.0)
-    return min(w_needed / state.m_op, cap)
+    else:
+        g = ds.solve_jost(ks)
+    e = np.exp(1j * ks * x)
+    psi = e * (1.0 - g)
+    return (psi, 1j * ks * psi + e * (-gx)) if with_derivative else (psi,)
 
 
 @dataclass
@@ -184,36 +189,25 @@ class EvolvedPlane:
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
                       tail_window: float = 20.0) -> EvolvedPlane:
     """Evaluate the evolved generating function on a grid, with cumulative norm."""
-    from .darboux import cumulative_corrected_trapezoid
-
     phase = np.exp(4j * omega**3 * state.t)
-    phi = np.empty(grid.n_points)
-    phi_x = np.empty(grid.n_points)
     if state.t == 0.0:
         # kink-aligned solves per node; derivative by centered stencils on the grid
-        psis = np.empty(grid.n_points, complex)
-        for i, s in enumerate(grid.x):
-            psis[i] = jost_evolved(state, float(s), omega)
-        f = 2.0 * np.imag(phase * psis)
+        psis = np.array([jost_evolved(state, float(s), omega) for s in grid.x], dtype=complex)
+        phi = 2.0 * np.imag(phase * psis)
         h = grid.spacing
-        fx = np.gradient(f, h, edge_order=2)
-        fx[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-        phi[:] = f
-        phi_x[:] = fx
+        phi_x = np.gradient(phi, h, edge_order=2)
+        phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
     else:
-        delta = _plane_delta(state, grid.x_min)
+        phi = np.empty(grid.n_points)
+        phi_x = np.empty(grid.n_points)
+        delta = state.fixed_delta(grid.x_min)
+        ks = np.array([omega], dtype=complex)
         for i, s in enumerate(grid.x):
-            ds = state.det_state(s, fixed_delta=delta)
-            g, gx = ds.solve_jost_with_derivative([omega])
-            psi = np.exp(1j * omega * s) * (1.0 - g[0])
-            psix = 1j * omega * psi + np.exp(1j * omega * s) * (-gx[0])
-            phi[i] = 2.0 * np.imag(phase * psi)
-            phi_x[i] = 2.0 * np.imag(phase * psix)
-    win = grid.x <= grid.x_min + tail_window
-    fit = fit_oscillatory_tail(grid.x[win], phi[win], omega, "left")
-    cum = cumulative_corrected_trapezoid(phi * phi, 2 * phi * phi_x, grid.spacing)
-    return EvolvedPlane(state, grid, omega, phi, phi_x,
-                        fit.self_integral() + cum, fit)
+            psi, psix = _jost_readout(state.det_state(s, fixed_delta=delta), s, ks)
+            phi[i] = 2.0 * np.imag(phase * psi[0])
+            phi_x[i] = 2.0 * np.imag(phase * psix[0])
+    cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
+    return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0])
 
 
 def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
@@ -270,9 +264,10 @@ def classify_embedded_pole_evolved(state: EvolvedState, alpha: float, x_probe: f
     big_i = plane.big_i[j]
     u = 1.0 + alpha**2 * big_i
     y_val = -alpha * f / u
+    terms = [(alpha, omega, y_val, -alpha * fx / u + alpha**3 * f**3 / u**2, f, fx)]
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
     phi_plus_reg = abs(f + alpha * y_val * big_i)
-    delta = _plane_delta(state, plane.grid.x_min)
+    delta = state.fixed_delta(plane.grid.x_min)
     mags = []
     for eps in eps_values:
         k = omega + 1j * eps
@@ -282,12 +277,9 @@ def classify_embedded_pole_evolved(state: EvolvedState, alpha: float, x_probe: f
             psix = (jost_evolved(state, xx + h, k)
                     - jost_evolved(state, xx - h, k)) / (2 * h)
         else:
-            ds = state.det_state(xx, fixed_delta=delta)
-            g, gx = ds.solve_jost_with_derivative([k])
-            psi = np.exp(1j * k * xx) * (1.0 - g[0])
-            psix = 1j * k * psi + np.exp(1j * k * xx) * (-gx[0])
-        w = psi * fx - psix * f
-        psi_plus = psi + alpha * y_val * w / (k * k - omega**2)
+            psi, psix = (p[0] for p in _jost_readout(
+                state.det_state(xx, fixed_delta=delta), xx, np.array([k])))
+        psi_plus, _ = gauge_map(psi, psix, k, terms)
         mags.append(abs(-phi_plus_reg * psi_plus / (2j * k)))
     from .scattering import fit_pole_exponent
     return fit_pole_exponent(eps_values, mags), mags

@@ -52,8 +52,8 @@ class ExampleParams:
     def __post_init__(self):
         if not (self.rho > 0):
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
+        if not math.isfinite(self.alpha) or self.alpha == 0:
+            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha}")
 
 
 def tau(rho, x):

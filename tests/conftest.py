@@ -26,16 +26,9 @@ def inserted_std(wvn_spec, grid_std):
 
 def l2_norm_with_tails(grid, values, derivs, omega=1.0, window=20.0):
     """L2 norm of a real oscillatory-decaying field: grid quadrature + tail fits."""
-    from positonkit.darboux import cumulative_corrected_trapezoid
-    from positonkit.tails import fit_oscillatory_tail
-
-    v = np.real(values)
-    d = np.real(derivs)
-    x = grid.x
-    mid = cumulative_corrected_trapezoid(v * v, 2 * v * d, grid.spacing)[-1]
-    fl = fit_oscillatory_tail(x[x <= x[0] + window], v[x <= x[0] + window], omega, "left")
-    fr = fit_oscillatory_tail(x[x >= x[-1] - window], v[x >= x[-1] - window], omega, "right")
-    return float(np.sqrt(mid + fl.self_integral() + fr.self_integral()))
+    cum, left, right, _ = dbx.tail_closed_gram(grid, [np.real(values)], [np.real(derivs)],
+                                               [omega], window, right=True)
+    return float(np.sqrt(cum[-1, 0, 0] + left[0, 0] + right[0, 0]))
 
 
 @pytest.fixture(scope="session")

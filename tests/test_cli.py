@@ -96,18 +96,37 @@ def test_evolve_seed_only(tmp_path):
 
 def test_bad_config_exit_code(tmp_path, capsys):
     k_grid = {"k_min": 0.5, "k_max": 2.0, "n": 3}
-    bad = [{"potential": {"kind": "nope"}, "k_grid": k_grid},
-           # json reads 1e400 as an infinite float
-           {"potential": WVN_POT, "k_grid": dict(k_grid, k_min=-1e400)},
-           {"potential": WVN_POT, "k_grid": dict(k_grid, n=1e400)},
-           {"potential": [1, 2], "k_grid": k_grid},
-           {"potential": dict(WVN_POT, rho=float("nan")), "k_grid": k_grid},
-           {"potential": dict(WVN_POT, right_cutoff=float("nan")), "k_grid": k_grid},
-           {"potential": dict(WVN_POT, right_cutoff=-3.0), "k_grid": k_grid},
-           {"potential": dict(WVN_POT, right_cutoff="0"), "k_grid": k_grid}]
-    for i, cfg in enumerate(bad):
+    scatter = [{"potential": {"kind": "nope"}, "k_grid": k_grid},
+               # json reads 1e400 as an infinite float
+               {"potential": WVN_POT, "k_grid": dict(k_grid, k_min=-1e400)},
+               {"potential": WVN_POT, "k_grid": dict(k_grid, n=1e400)},
+               {"potential": [1, 2], "k_grid": k_grid},
+               {"potential": dict(WVN_POT, rho=float("nan")), "k_grid": k_grid},
+               {"potential": dict(WVN_POT, right_cutoff=float("nan")), "k_grid": k_grid},
+               {"potential": dict(WVN_POT, right_cutoff=-3.0), "k_grid": k_grid},
+               {"potential": dict(WVN_POT, right_cutoff="0"), "k_grid": k_grid}]
+    base = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 11},
+            "states": [{"omega": 1.0, "alpha": 1.0}]}
+    nan_alpha = dict(base, states=[{"omega": 1, "alpha": float("nan")}])
+    r_triple = dict(base, states=[{"omega": 1.0, "alpha": 1.0, "r_at_omega": [1, 2, 3]}])
+    bad = [("scatter", cfg) for cfg in scatter] + [
+        ("evolve", dict(base, time={"t_values": 0.02})),
+        ("evolve", dict(base, time=5)),
+        ("evolve", dict(base, time={"t_values": []})),
+        ("evolve", dict(base, time={"t_values": [0.0, float("nan")]})),
+        ("evolve", nan_alpha),
+        ("insert", nan_alpha),
+        ("insert", dict(base, states=5)),
+        ("insert", dict(base, states=[5])),
+        ("insert", dict(base, states=[{"omega": None, "alpha": 1.0}])),
+        ("remove", dict(base, states=5)),
+        ("insert", r_triple),
+        ("remove", r_triple),
+        ("insert", dict(base, tolerances={"ode_rtol": "x"})),
+        ("insert", dict(base, grid={"x_min": -3.0, "x_max": 2.0, "n": 1e400}))]
+    for i, (command, cfg) in enumerate(bad):
         capsys.readouterr()
-        code, prefix = run_cli(tmp_path, f"bad{i}", cfg, "scatter")
+        code, prefix = run_cli(tmp_path, f"bad{i}", cfg, command)
         assert code == cli.EXIT_BAD_CONFIG
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "validation"

@@ -21,6 +21,11 @@ def test_state_spec_validation():
         dbx.EmbeddedStateSpec(1.0, 1.0, 0.5 + 0.1j)  # not unimodular
     with pytest.raises(ValidationError):
         dbx.EmbeddedStateSpec(-1.0, 1.0, -1.0)
+    # abs(nan - 1) > tol is False, so a NaN would pass the unimodularity test
+    for args in [(np.inf, 1.0, -1.0), (1.0, np.nan, -1.0), (1.0, 1.0, np.nan),
+                 (1.0, 1.0, complex(-1.0, np.nan))]:
+        with pytest.raises(ValidationError):
+            dbx.EmbeddedStateSpec(*args)
     st = dbx.EmbeddedStateSpec(1.0, 1.0, -1.0 + 1e-10j)
     assert st.r_at_omega == -1.0
     assert st.root_r == 1j
@@ -257,6 +262,67 @@ def test_remove_rejects_non_orthonormal(grid_std):
                   1.1 * wvn.y_x_closed(RHO, alpha, grid_std.x))
     with pytest.raises(OrthonormalityError):
         dbx.remove_embedded(wvn.q_sym(RHO, grid_std.x), [y], grid_std, omegas=[1.0])
+
+
+MODEL_RHO = 2.0
+MODEL_OMEGAS = (1.0, 1.6)
+
+
+def _model_tau(omega, s):
+    """tau_omega(s) = 1 + rho|s| - rho sin(2 omega|s|)/(2 omega): the envelope the tail fits model."""
+    a = np.abs(s)
+    return 1.0 + MODEL_RHO * a - MODEL_RHO * np.sin(2 * omega * a) / (2 * omega)
+
+
+def _model_field(omega, s):
+    """phi_omega(s) = sin(omega s)/tau_omega(s) and its derivative."""
+    tau = _model_tau(omega, s)
+    tau_s = 2 * MODEL_RHO * np.sign(s) * np.sin(omega * s) ** 2
+    return np.sin(omega * s) / tau, omega * np.cos(omega * s) / tau - np.sin(omega * s) * tau_s / tau**2
+
+
+def _model_cross_far_left(s_end, far=-20000.0, h=0.02):
+    """Integral of phi_1 phi_2 over [far, s_end] by the corrected trapezoid rule."""
+    s = np.linspace(far, s_end, int(round((s_end - far) / h)) + 1)
+    (v1, d1), (v2, d2) = (_model_field(w, s) for w in MODEL_OMEGAS)
+    return dbx.cumulative_corrected_trapezoid(v1 * v2, d1 * v2 + v1 * d2, s[1] - s[0])[-1]
+
+
+def _model_wavefields(grid):
+    return [WaveField(grid, w, *_model_field(w, grid.x)) for w in MODEL_OMEGAS]
+
+
+def test_gram_two_state_tails_on_model_fields():
+    """Diagonal: Integral(phi^2, -inf..x) = 1/(2 rho tau(x)); cross: quadrature from -20000."""
+    grid = Grid(-40.0, 0.0, 4001)
+    fields = _model_wavefields(grid)
+    gram = dbx.gram_plus(fields, [1.0, 1.0], grid, omegas=list(MODEL_OMEGAS))
+    for m, w in enumerate(MODEL_OMEGAS):
+        exact = 1.0 / (2 * MODEL_RHO * _model_tau(w, grid.x))
+        # the tail model is exact for these fields; the grid part carries the
+        # rule's h^4 f'''/720 error, largest (~6e-10) near x = 0 where tau ~ 1
+        assert abs(gram.tail_constant[m, m] - exact[0]) < 1e-10
+        assert np.max(np.abs(gram.entries[:, m, m] - exact)) < 1e-9
+    (v1, d1), (v2, d2) = ((f.values, f.derivs) for f in fields)
+    ref = _model_cross_far_left(grid.x_min) + dbx.cumulative_corrected_trapezoid(
+        v1 * v2, d1 * v2 + v1 * d2, grid.spacing)
+    assert np.max(np.abs(gram.entries[:, 0, 1] - ref)) < 2e-6
+    assert np.array_equal(gram.entries[:, 0, 1], gram.entries[:, 1, 0])
+
+
+def test_remove_two_state_tails_on_model_fields():
+    """Full-line integrals: 1/rho on the diagonal, quadrature on [-20000, 20000] across."""
+    grid = Grid(-40.0, 40.0, 8001)
+    fields = _model_wavefields(grid)
+    rem = dbx.remove_embedded(np.zeros(grid.n_points), fields, grid,
+                              omegas=list(MODEL_OMEGAS), ortho_tol=np.inf)
+    assert np.max(np.abs(np.diagonal(rem.orthonormality) - 1.0 / MODEL_RHO)) < 1e-10
+    (v1, d1), (v2, d2) = ((f.values, f.derivs) for f in fields)
+    mid = dbx.cumulative_corrected_trapezoid(v1 * v2, d1 * v2 + v1 * d2, grid.spacing)[-1]
+    # phi_1 phi_2 is even, so the far right integral equals the far left one
+    ref = 2 * _model_cross_far_left(grid.x_min) + mid
+    assert abs(rem.orthonormality[0, 1] - ref) < 2e-6
+    assert rem.orthonormality[0, 1] == rem.orthonormality[1, 0]
 
 
 def test_tail_divergence_detected():

@@ -165,3 +165,6 @@ def test_params_validation():
         wvn.ExampleParams(rho=-1.0)
     with pytest.raises(ValueError):
         wvn.ExampleParams(rho=1.0, alpha=0.0)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            wvn.ExampleParams(rho=1.0, alpha=alpha)
