@@ -47,7 +47,7 @@ def _write_meta(prefix, config, diagnostics):
 def _grid_from(cfg) -> Grid:
     g = cfg.get("grid", {})
     try:
-        return Grid(float(g["x_min"]), float(g["x_max"]), int(g["n"]))
+        return Grid(float(g["x_min"]), float(g["x_max"]), _integer(g["n"], "grid n"))
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"invalid grid config: {exc}")
 
@@ -69,16 +69,23 @@ def _finite(value, name) -> float:
     return out
 
 
+def _integer(value, name) -> int:
+    """value as an int; a fractional, non-finite or non-numeric value is rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _k_grid_from(cfg) -> np.ndarray:
     """Momenta of the scatter scan: n points on [k_min, k_max] minus k ~ 0 and the exclusions."""
     kg = cfg.get("k_grid", {})
     if not isinstance(kg, dict):
         raise ValidationError("config requires a 'k_grid' object")
     k_min, k_max = _finite(kg["k_min"], "k_min"), _finite(kg["k_max"], "k_max")
-    n = kg["n"]
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if not isinstance(n, int) or n < 2 or not (k_min < k_max):
+    n = _integer(kg["n"], "k_grid n")
+    if n < 2 or not (k_min < k_max):
         raise ValidationError("k_grid requires k_min < k_max and an integer n >= 2")
     try:
         exclusions = [(_finite(c, "exclusion centre"), _finite(r, "exclusion radius"))
@@ -207,9 +214,14 @@ def cmd_evolve(cfg, prefix):
         cols_t.append(np.full(grid.n_points, t))
         cols_q.append(q)
         cols_qp.append(q_plus)
-        # sizes actually used: mn + 1 of the determinants, and the t > 0 kernel table
-        diag = {"operator_points_min": min(state.det_sizes, default=None),
-                "operator_points_max": max(state.det_sizes, default=None)}
+        # sizes actually used: mn + 1 of the operator systems, the t > 0 plane's
+        # factorizations and its kernel table
+        diag = {"operator_points_min": min(state.operator_sizes, default=None),
+                "operator_points_max": max(state.operator_sizes, default=None)}
+        if t > 0 and states:
+            diag["plane_operator_spacing"] = plane.delta
+            diag["plane_chains"] = len(plane.factor_points)
+            diag["plane_factor_points"] = list(plane.factor_points)
         if t > 0:
             tab = state.kernel()
             diag["kernel_u_points"] = len(tab.u_grid)

@@ -201,6 +201,10 @@ def tail_closed_gram(grid: Grid, values, derivs, omegas,
     (else None), and fits the left fits.  Callers combine the three pieces.
     """
     x = grid.x
+    if x[0] + tail_window > 0.5 * (x[0] + x[-1]):
+        raise ValidationError(
+            f"the {tail_window}-unit tail window reaches past the midpoint of the grid "
+            f"[{x[0]}, {x[-1]}]; the tails need a grid at least {2 * tail_window} long")
     n = len(values)
     windows = [("left", x <= x[0] + tail_window)]
     if right:

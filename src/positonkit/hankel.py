@@ -32,11 +32,12 @@ import numpy as np
 import scipy.fft as sfft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import DiscretizationFailureError, ValidationError
 
-__all__ = ["PoleData", "HankelDiscretization", "KernelTable", "DetState", "operator_spacing"]
+__all__ = ["PoleData", "HankelDiscretization", "KernelTable", "DetState", "PlaneJost",
+           "operator_spacing", "plane_jost"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
 THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
@@ -293,6 +294,36 @@ def operator_spacing(y: float, x: float, m_op: int, delta_cap: float | None = No
     return w_needed, delta_cap, min(w_needed / m_op, delta_cap)
 
 
+def _within_cap(mn: int) -> int:
+    """mn, checked: an operator grid wider than M_OP_CAP intervals is a discretization failure.
+
+    Capping it instead would silently narrow the window below the kernel's support.
+    """
+    if mn > M_OP_CAP:
+        raise DiscretizationFailureError(
+            f"the operator grid needs {mn} intervals, above the cap of {M_OP_CAP}")
+    return mn
+
+
+def _operator_intervals(w_needed: float, delta: float, m_op: int) -> int:
+    """Intervals mn of an operator grid of spacing delta covering the width w_needed."""
+    return _within_cap(max(m_op, int(math.ceil(w_needed / delta))))
+
+
+def _resonance_border(poles: PoleData, x: float, t: float):
+    """(log Gamma, s_row, s_inv_gamma) of the rank-one resonance border at (x, t).
+
+    Only log Gamma and 1/Gamma ever enter the numerics: a huge Gamma keeps the
+    border row unscaled (1/Gamma may underflow); a tiny one (far right)
+    scales the border row by Gamma instead.
+    """
+    y = poles.ystar
+    log_gamma = math.log(poles.c0) + 8.0 * y**3 * t - 2.0 * y * x
+    if log_gamma >= 0:
+        return log_gamma, 1.0, (math.exp(-log_gamma) if log_gamma < 700 else 0.0)
+    return log_gamma, math.exp(log_gamma), 1.0
+
+
 class DetState:
     """Per-(x, t) assembly of the split Hankel determinant and its x-derivatives.
 
@@ -315,7 +346,7 @@ class DetState:
         elif not free:
             m1 = max(KINK_NODES_MIN, round(-2 * x / delta))
             delta, ddelta = -2 * x / m1, -2.0 / m1
-        mn = min(M_OP_CAP, max(m_op, int(math.ceil(w_needed / delta))))
+        mn = _operator_intervals(w_needed, delta, m_op)
         if free and x < 0 and delta < delta_cap:
             ddelta = -2.0 / mn     # the free grid stretches with x until it hits the cap
         i_arr = np.arange(mn + 1)
@@ -338,15 +369,7 @@ class DetState:
         ci = self._r / 2 - y * i_arr * ddelta
         self.gs1 = self.gs * ci
         self.gs2 = self.gs * (ci**2 - self._r * self._r / 2)
-        self.log_gamma = math.log(poles.c0) + 8.0 * y**3 * t - 2.0 * y * x
-        if self.log_gamma >= 0:
-            # huge resonance factor: unscaled border row, 1/Gamma may underflow
-            self.s_row = 1.0
-            self.s_inv_gamma = math.exp(-self.log_gamma) if self.log_gamma < 700 else 0.0
-        else:
-            # tiny resonance factor (far right): scale the border row by Gamma
-            self.s_row = math.exp(self.log_gamma)
-            self.s_inv_gamma = 1.0
+        self.log_gamma, self.s_row, self.s_inv_gamma = _resonance_border(poles, x, t)
         self._bordered_sym = None
         self._bordered_plain = None
 
@@ -485,3 +508,179 @@ class DetState:
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         gx = np.array([np.sum(self.w * np.exp(1j * k * self.xi) * vx) for k in ks])
         return g, gx
+
+
+# -- the fixed-grid t > 0 plane: one factorization per chain of nodes ----------
+
+_SUBST_BLOCK = 128         # row block of the substitution passes over a packed factor
+_EM_END = 5                # weights that em_weights(order=6) corrects at each end
+
+
+class _LeadingBlockSolver:
+    """Substitutions with every leading block of a matrix A from one LU without row swaps.
+
+    A = LU with no interchange gives A[:m, :m] = L[:m, :m] U[:m, :m].  Both
+    passes run over views of the packed factor in row blocks; the inverse of
+    each diagonal block is formed once, and a partial last block uses the
+    leading part of it (the inverse of a leading block of a triangular matrix
+    is the leading block of its inverse).
+    """
+
+    def __init__(self, lu: np.ndarray):
+        self.lu = lu
+        self.l_inv, self.u_inv = [], []
+        for k0 in range(0, lu.shape[0], _SUBST_BLOCK):
+            d = lu[k0:k0 + _SUBST_BLOCK, k0:k0 + _SUBST_BLOCK]
+            eye = np.eye(d.shape[0], dtype=complex)
+            self.l_inv.append(solve_triangular(d, eye, lower=True, unit_diagonal=True))
+            self.u_inv.append(solve_triangular(d, eye))
+
+    def forward(self, m: int, rhs: np.ndarray) -> np.ndarray:
+        """L[:m, :m]^{-1} rhs for rhs of shape (m, k)."""
+        lu, nb = self.lu, _SUBST_BLOCK
+        y = np.array(rhs, dtype=complex)
+        for k0 in range(0, m, nb):
+            k1 = min(k0 + nb, m)
+            blk = y[k0:k1] - lu[k0:k1, :k0] @ y[:k0] if k0 else y[k0:k1]
+            y[k0:k1] = self.l_inv[k0 // nb][:k1 - k0, :k1 - k0] @ blk
+        return y
+
+    def backward(self, m: int, rhs: np.ndarray) -> np.ndarray:
+        """U[:m, :m]^{-1} rhs for rhs of shape (m, k)."""
+        lu, nb = self.lu, _SUBST_BLOCK
+        y = np.array(rhs, dtype=complex)
+        for k0 in reversed(range(0, m, nb)):
+            k1 = min(k0 + nb, m)
+            blk = y[k0:k1] - lu[k0:k1, k1:m] @ y[k1:m] if k1 < m else y[k0:k1]
+            y[k0:k1] = self.u_inv[k0 // nb][:k1 - k0, :k1 - k0] @ blk
+        return y
+
+
+@dataclass
+class PlaneJost:
+    """g(k) and g_x(k) of the evolved Jost solution at every node of a uniform plane.
+
+    psi(x, t, k) = e^{ikx}(1 - g(k)) as for `DetState.solve_jost_with_derivative`.
+    g and gx have shape (nodes, momenta); sizes holds mn + 1 of each node's
+    system and factor_points that of each chain's one factorization.
+    """
+
+    g: np.ndarray
+    gx: np.ndarray
+    delta: float
+    factor_points: tuple
+    sizes: np.ndarray
+
+
+def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
+               delta0: float) -> PlaneJost:
+    """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x (t > 0).
+
+    The operator spacing is made commensurate with the plane spacing h:
+    delta = c h with c = floor(delta0 / h) >= 1 (c interleaved chains of
+    nodes delta apart), or delta = h / l with l = ceil(h / delta0) when
+    h > delta0 (one chain, nodes l rows apart).  On one chain the system at
+    x + delta is the system at x with its first row and column dropped, so
+    every node's regular core is a trailing block of the core of the chain's
+    leftmost node, whose window ends where the widest node needs it (no node
+    gets less than `DetState` gives it at this spacing).  The reversed core
+    J(I + H diag(w))J is factored once, and its leading blocks then factor
+    every node's core.  Per node, in O(n^2):
+      * the node's own left end corrections of `em_weights` enter as a rank-5
+        (Woodbury) update of the factor's last five columns;
+      * the resonance border enters as a 1 x 1 Schur complement;
+      * the derivative right-hand side's Hankel product is an FFT correlation;
+      * each solve is two passes of blocked substitution over views of the
+        packed factor.
+    A row interchange in the factorization would break the leading-block
+    property; it is reported as a DiscretizationFailureError.
+    """
+    if t <= 0:
+        raise ValidationError("plane_jost is the t > 0 path; t = 0 uses kink-aligned grids")
+    x = np.asarray(x, dtype=float)
+    ks = np.atleast_1d(np.asarray(ks, dtype=complex))
+    n = len(x)
+    h = (x[-1] - x[0]) / (n - 1)
+    if h <= delta0:
+        chains, stride = math.floor(delta0 / h), 1
+        delta = chains * h
+    else:
+        chains, stride = 1, math.ceil(h / delta0)
+        delta = h / stride
+    steps = np.arange(n) // chains * stride         # rows from the chain's leftmost node
+    # the window DetState gives each node at this spacing
+    needed = np.array([_operator_intervals(operator_spacing(poles.ystar, float(xx), m_op)[0],
+                                           delta, m_op) for xx in x])
+    sizes = np.empty(n, int)
+    g = np.empty((n, len(ks)), complex)
+    gx = np.empty((n, len(ks)), complex)
+    factor_points = []
+    for r in range(min(chains, n)):
+        nodes = np.arange(r, n, chains)
+        big_n = _within_cap(int(np.max(steps[nodes] + needed[nodes])))
+        sizes[nodes] = big_n - steps[nodes] + 1
+        factor_points.append(big_n + 1)
+        u = 2.0 * x[r] + np.arange(2 * big_n + 1) * delta
+        h0_rev = kernel(u, 0)[::-1]
+        h1_rev = kernel(u, 1)[::-1]
+        w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
+        core = np.empty((big_n + 1, big_n + 1), complex, order="F")
+        np.multiply(_hankel(h0_rev, big_n + 1), w0[None, :], out=core)
+        core[np.diag_indices(big_n + 1)] += 1.0
+        lu, piv = lu_factor(core, overwrite_a=True)
+        if np.any(piv != np.arange(big_n + 1)):
+            raise DiscretizationFailureError(
+                "the reversed GLM core needed a row interchange; its leading blocks "
+                "do not factor the nodes' systems")
+        tri = _LeadingBlockSolver(lu)
+        size_fft = sfft.next_fast_len(3 * big_n + 1)
+        h1_hat = sfft.fft(2.0 * h1_rev, size_fft)
+        for j in nodes:
+            g[j], gx[j] = _plane_node(poles, t, float(x[j]), ks, delta, sizes[j], tri, w0,
+                                      h0_rev, h1_rev, h1_hat)
+    return PlaneJost(g, gx, delta, tuple(factor_points), sizes)
+
+
+def _plane_node(poles, t, x, ks, delta, m, tri, w0, h0_rev, h1_rev, h1_hat):
+    """(g, gx) at one plane node from the chain's factor; all vectors in reversed order.
+
+    The node's core A differs from the leading block L U of the chain's core
+    only in its last five columns (reversed order), where the node's own left
+    end corrections of `em_weights` replace the chain's weights.  With
+    r = w / w0 there, A e_c = r_c L U e_c + (1 - r_c) e_c: a rank-5 update
+    (Woodbury) that leaves L and changes only the last five columns of U.
+    The changed upper factor is block triangular with a full 5 x 5 corner, so
+    A x = b is one forward pass, one 5 x 5 solve and one backward pass over
+    the leading m - 5 rows.
+    """
+    y = poles.ystar
+    _, s_row, s_inv_gamma = _resonance_border(poles, x, t)
+    w = em_weights(m - 1, delta, order=6)
+    k = m - _EM_END
+    lu = tri.lu
+    r = w[k:] / w0[k:m]
+    # (numpy, not scipy, linear algebra in this loop: alternating the two
+    # libraries' BLAS thread pools makes each spin against the other)
+    l_inv_e = np.linalg.inv(np.tril(lu[k:m, k:m], -1) + np.eye(_EM_END))
+    corner = np.triu(lu[k:m, k:m]) * r + l_inv_e * (1.0 - r)   # L^{-1} e_c lies in the corner
+    top = lu[:k, k:m] * r
+
+    def core_solve(b):
+        fy = tri.forward(m, b)
+        tail = np.linalg.solve(corner, fy[k:])
+        return np.concatenate([tri.backward(k, fy[:k] - top @ tail), tail])
+
+    xi = (m - 1 - np.arange(m)) * delta
+    ghat = np.exp(-y * xi)
+    a, z = core_solve(np.stack([h0_rev[m - 1:2 * m - 1], ghat], axis=1)).T
+    row = s_row * w * ghat
+    sigma = -s_inv_gamma - row @ z                   # Schur complement of the border
+    mu = (s_row - row @ a) / sigma
+    v = a - mu * z
+    # a_x v = 2 H(k1) diag(w) v, the Hankel product as an FFT correlation
+    corr = sfft.ifft(h1_hat * sfft.fft((w * v)[::-1], h1_hat.size))[m - 1:2 * m - 1]
+    ax = core_solve((2.0 * h1_rev[m - 1:2 * m - 1] - corr)[:, None])[:, 0]
+    mux = (2.0 * y * s_inv_gamma * mu - row @ ax) / sigma
+    vx = ax - mux * z
+    e = w * np.exp(1j * ks[:, None] * xi)
+    return e @ v, e @ vx

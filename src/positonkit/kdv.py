@@ -31,6 +31,7 @@ from .hankel import (
     KernelTable,
     PoleData,
     operator_spacing,
+    plane_jost,
 )
 from .schrodinger import Grid
 
@@ -53,8 +54,8 @@ class EvolvedState:
     delta_cap: float | None = None
     _tables: dict = field(default_factory=dict, repr=False)
     _det_cache: dict = field(default_factory=dict, repr=False)
-    # mn + 1 of every DetState built, the operator sizes actually used
-    det_sizes: list = field(default_factory=list, repr=False)
+    # mn + 1 of every operator system solved (DetStates and plane nodes), the sizes actually used
+    operator_sizes: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.t):
@@ -91,7 +92,7 @@ class EvolvedState:
             kernel = self.kernel(2.0 * min(x, 0.0) - 2.0)
             ds = DetState(self.poles, kernel, x, self.t, m_op, aligned=(self.t == 0.0),
                           fixed_delta=fixed_delta, delta_cap=self.delta_cap)
-            self.det_sizes.append(ds.mn + 1)
+            self.operator_sizes.append(ds.mn + 1)
             self._det_cache[key] = ds
         return self._det_cache[key]
 
@@ -153,29 +154,32 @@ def jost_evolved(state: EvolvedState, x: float, k,
     scal = np.isscalar(k)
     ks = np.atleast_1d(np.asarray(k, dtype=complex))
     fixed = state.fixed_delta(x) if with_derivative or state.t > 0.0 else None
-    out = _jost_readout(state.det_state(x, fixed_delta=fixed), x, ks, with_derivative)
+    ds = state.det_state(x, fixed_delta=fixed)
+    out = _jost_readout(x, ks, *(ds.solve_jost_with_derivative(ks) if with_derivative
+                                 else (ds.solve_jost(ks),)))
     if scal:
         out = tuple(complex(o[0]) for o in out)
     return out if with_derivative else out[0]
 
 
-def _jost_readout(ds: DetState, x: float, ks: np.ndarray, with_derivative: bool = True):
-    """(psi,) or (psi, psi_x) at momenta ks from one GLM solve of ds.
+def _jost_readout(x, ks: np.ndarray, g, gx=None):
+    """(psi,) or, given g_x, (psi, psi_x) at momenta ks from the GLM solution g.
 
     psi = e^{ikx}(1 - g) and psi_x = ik psi - e^{ikx} g_x.
     """
-    if with_derivative:
-        g, gx = ds.solve_jost_with_derivative(ks)
-    else:
-        g = ds.solve_jost(ks)
     e = np.exp(1j * ks * x)
     psi = e * (1.0 - g)
-    return (psi, 1j * ks * psi + e * (-gx)) if with_derivative else (psi,)
+    return (psi,) if gx is None else (psi, 1j * ks * psi + e * (-gx))
 
 
 @dataclass
 class EvolvedPlane:
-    """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on an s-grid."""
+    """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on an s-grid.
+
+    At t > 0, delta is the operator spacing of the plane's GLM solves and
+    factor_points the size of each chain's one factorization (see
+    `hankel.plane_jost`); at t = 0 each node has its own aligned grid.
+    """
 
     state: EvolvedState
     grid: Grid
@@ -184,12 +188,15 @@ class EvolvedPlane:
     phi_x: np.ndarray
     big_i: np.ndarray          # cumulative integral of phi^2 from -inf
     tail_fit: object
+    delta: float | None = None
+    factor_points: tuple = ()
 
 
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
                       tail_window: float = 20.0) -> EvolvedPlane:
     """Evaluate the evolved generating function on a grid, with cumulative norm."""
     phase = np.exp(4j * omega**3 * state.t)
+    delta, factor_points = None, ()
     if state.t == 0.0:
         # kink-aligned solves per node; derivative by centered stencils on the grid
         psis = np.array([jost_evolved(state, float(s), omega) for s in grid.x], dtype=complex)
@@ -198,16 +205,17 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
         phi_x = np.gradient(phi, h, edge_order=2)
         phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
     else:
-        phi = np.empty(grid.n_points)
-        phi_x = np.empty(grid.n_points)
-        delta = state.fixed_delta(grid.x_min)
         ks = np.array([omega], dtype=complex)
-        for i, s in enumerate(grid.x):
-            psi, psix = _jost_readout(state.det_state(s, fixed_delta=delta), s, ks)
-            phi[i] = 2.0 * np.imag(phase * psi[0])
-            phi_x[i] = 2.0 * np.imag(phase * psix[0])
+        sol = plane_jost(state.poles, state.kernel(2.0 * min(grid.x_min, 0.0) - 2.0), state.t,
+                         grid.x, ks, state.m_op, state.fixed_delta(grid.x_min))
+        state.operator_sizes.extend(sol.sizes.tolist())
+        delta, factor_points = sol.delta, sol.factor_points
+        psi, psix = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)
+        phi = 2.0 * np.imag(phase * psi[:, 0])
+        phi_x = 2.0 * np.imag(phase * psix[:, 0])
     cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
-    return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0])
+    return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0],
+                        delta, factor_points)
 
 
 def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
@@ -267,7 +275,6 @@ def classify_embedded_pole_evolved(state: EvolvedState, alpha: float, x_probe: f
     terms = [(alpha, omega, y_val, -alpha * fx / u + alpha**3 * f**3 / u**2, f, fx)]
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
     phi_plus_reg = abs(f + alpha * y_val * big_i)
-    delta = state.fixed_delta(plane.grid.x_min)
     mags = []
     for eps in eps_values:
         k = omega + 1j * eps
@@ -277,8 +284,9 @@ def classify_embedded_pole_evolved(state: EvolvedState, alpha: float, x_probe: f
             psix = (jost_evolved(state, xx + h, k)
                     - jost_evolved(state, xx - h, k)) / (2 * h)
         else:
-            psi, psix = (p[0] for p in _jost_readout(
-                state.det_state(xx, fixed_delta=delta), xx, np.array([k])))
+            ks = np.array([k])
+            ds = state.det_state(xx, fixed_delta=plane.delta)
+            psi, psix = (p[0] for p in _jost_readout(xx, ks, *ds.solve_jost_with_derivative(ks)))
         psi_plus, _ = gauge_map(psi, psix, k, terms)
         mags.append(abs(-phi_plus_reg * psi_plus / (2j * k)))
     from .scattering import fit_pole_exponent

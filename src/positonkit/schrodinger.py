@@ -369,7 +369,11 @@ def _integrate_piece(qfn, k, x_from, x_to, y0, t_eval, rtol, atol):
     coef = np.ones(2 * n, complex)
 
     def rhs(x, y):
-        coef[n:] = qfn(x) - ksq
+        q = qfn(x)
+        if not math.isfinite(q):     # DOP853 never returns on a non-finite right-hand side
+            raise IntegrationFailureError(f"potential is not finite at x={x}: q={q}",
+                                          x_failed=float(x))
+        coef[n:] = q - ksq
         return y[perm] * coef
 
     scale = math.sqrt(n)

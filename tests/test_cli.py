@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from positonkit import cli
 from positonkit import wvn_example as wvn
@@ -88,10 +89,21 @@ def test_evolve_seed_only(tmp_path):
     for key in ("t=0.0", "t=0.02"):
         lo, hi = diag[key]["operator_points_min"], diag[key]["operator_points_max"]
         assert 200 < lo <= hi <= 1601
+        assert "plane_operator_spacing" not in diag[key]     # no state, no plane
     assert "kernel_u_points" not in diag["t=0.0"]
     assert diag["t=0.02"]["kernel_u_points"] > 1000
     sizes = diag["t=0.02"]["kernel_contour_points"]
     assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
+    # with a state, the plane on [-45, 3] at spacing 1 > 0.22 is one chain at
+    # delta = 1/5 whose factorization spans the widest node, x = -45: 106/0.2 intervals
+    cfg = dict(cfg, states=[{"omega": 1.0, "alpha": 1.0}], time={"t_values": [0.02]})
+    code, prefix = run_cli(tmp_path, "evo_plane", cfg, "evolve")
+    assert code == 0
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.02"]
+    assert diag["plane_operator_spacing"] == pytest.approx(0.2, abs=1e-12)
+    assert diag["plane_chains"] == 1
+    assert diag["plane_factor_points"] == [531]
+    assert diag["operator_points_max"] == 531
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -123,7 +135,10 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("insert", r_triple),
         ("remove", r_triple),
         ("insert", dict(base, tolerances={"ode_rtol": "x"})),
-        ("insert", dict(base, grid={"x_min": -3.0, "x_max": 2.0, "n": 1e400}))]
+        ("insert", dict(base, grid={"x_min": -3.0, "x_max": 2.0, "n": 1e400})),
+        ("insert", dict(base, grid={"x_min": -20.0, "x_max": 20.0, "n": 400.5})),
+        # the 20-unit tail windows would cover the grid's non-asymptotic core
+        ("insert", dict(base, grid={"x_min": -5.0, "x_max": 5.0, "n": 1001}))]
     for i, (command, cfg) in enumerate(bad):
         capsys.readouterr()
         code, prefix = run_cli(tmp_path, f"bad{i}", cfg, command)

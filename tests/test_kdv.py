@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lu_factor
 
-from positonkit import kdv
+from positonkit import hankel, kdv
 from positonkit import wvn_example as wvn
-from positonkit.errors import ValidationError
-from positonkit.hankel import HankelDiscretization, KernelTable, PoleData, em_weights
+from positonkit.errors import DiscretizationFailureError, ValidationError
+from positonkit.hankel import DetState, HankelDiscretization, KernelTable, PoleData, em_weights
 from positonkit.schrodinger import Grid
 
 RHO = 2.0
@@ -114,6 +117,57 @@ def test_dyson_determinant_positive():
     for t, x in ((0.0, -6.0), (0.02, -4.0), (0.02, 2.0)):
         state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
         assert np.isfinite(state.det_state(x).log_det())
+
+
+def test_operator_grid_cap_is_a_failure(state0):
+    # at x = -190 the window 2|x| + 16/ystar needs more than M_OP_CAP intervals;
+    # a capped grid would be narrower than the kernel's support
+    with pytest.raises(DiscretizationFailureError, match="cap"):
+        kdv.dyson_q(state0, -190.0)
+    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
+    with pytest.raises(DiscretizationFailureError, match="cap"):
+        kdv.evolved_phi_plane(state, Grid(-190.0, -189.0, 11))
+
+
+def _assert_plane_matches_dense(rho, t, x):
+    """plane_jost against a dense bordered LU (DetState) at each node's own (x, delta, window)."""
+    state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
+    kernel = state.kernel(2.0 * min(x[0], 0.0) - 2.0)
+    ks = np.array([1.0 + 0.0j])
+    swaps = []
+
+    def recording_lu(a, **kwargs):
+        lu, piv = lu_factor(a, **kwargs)
+        swaps.append(int(np.count_nonzero(piv != np.arange(len(piv)))))
+        return lu, piv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "lu_factor", recording_lu)
+        sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
+                                state.fixed_delta(x[0]))
+    assert swaps == [0] * len(sol.factor_points)
+    for j, xx in enumerate(x):
+        ds = DetState(state.poles, kernel, float(xx), t, int(sol.sizes[j]) - 1,
+                      aligned=False, fixed_delta=sol.delta)
+        assert ds.mn + 1 == sol.sizes[j]
+        g, gx = ds.solve_jost_with_derivative(ks)
+        assert abs(sol.g[j, 0] - g[0]) <= 1e-10 * max(1.0, abs(g[0]))
+        assert abs(sol.gx[j, 0] - gx[0]) <= 1e-10 * max(1.0, abs(gx[0]))
+
+
+def test_plane_jost_matches_dense_solves():
+    # two chains of 21 and 20 nodes: nodes 0-4 rows in overlap the base's own
+    # end corrections, later ones do not
+    x = -6.0 + 0.05 * np.arange(41)
+    _assert_plane_matches_dense(RHO, 0.02, x)
+
+
+@given(st.floats(0.3, 5.0), st.floats(0.005, 0.05), st.sampled_from([0.05, 0.1, 0.3]),
+       st.floats(-8.0, 1.0))
+@settings(max_examples=12, deadline=None)
+def test_plane_jost_no_row_swap_across_family(rho, t, h, x_min):
+    # h = 0.3 exceeds every default spacing: one chain, nodes several rows apart
+    _assert_plane_matches_dense(rho, t, x_min + h * np.arange(8))
 
 
 def test_jost_evolved_t0(state0):

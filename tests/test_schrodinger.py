@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +65,23 @@ def test_integration_failure_is_reported(monkeypatch):
     monkeypatch.setattr(spec, "scalar_fn", lambda: (lambda x: 0.0 if x == 0.0 else math.nan))
     with np.errstate(invalid="ignore"), pytest.raises(IntegrationFailureError):
         sch.integrate(spec, 1.0, 0.0, -1.0, (1.0, 0.0))
+
+
+def test_nan_potential_fails_promptly():
+    # DOP853 never returns when q is NaN from the start; run in a child under a timeout
+    src = os.path.dirname(os.path.dirname(sch.__file__))
+    code = ("import math\n"
+            "from positonkit import schrodinger as sch\n"
+            "from positonkit.errors import IntegrationFailureError\n"
+            "spec = sch.PotentialSpec.zero()\n"
+            "spec.scalar_fn = lambda: (lambda x: math.nan)\n"
+            "try:\n"
+            "    sch.integrate(spec, 1.0, 0.0, -1.0, (1.0, 0.0))\n"
+            "except IntegrationFailureError:\n"
+            "    print('raised')\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"
 
 
 def test_composite_potentials():
