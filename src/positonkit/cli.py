@@ -202,14 +202,19 @@ def cmd_evolve(cfg, prefix):
     diags = {}
     for t in t_values:
         state = kdv.EvolvedState(t, params)
+        # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
+        # state the output grid itself); at t = 0 from resolvent traces
         if states:
             n = int(math.ceil((grid.x_max + 45.0) / grid.spacing)) + 1
             pg = Grid(grid.x_max - (n - 1) * grid.spacing, grid.x_max, n)
             plane = kdv.evolved_phi_plane(state, pg)
-        q = np.array([kdv.dyson_q(state, float(x)) for x in grid.x])
-        q_plus = q
-        if states:
+            q = plane.q_at(grid.x)
             q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
+        elif t > 0:
+            plane = state.glm_plane(grid.x)
+            q = q_plus = plane.q
+        else:
+            q = q_plus = np.array([kdv.dyson_q(state, float(x)) for x in grid.x])
         cols_x.append(grid.x)
         cols_t.append(np.full(grid.n_points, t))
         cols_q.append(q)
@@ -217,12 +222,14 @@ def cmd_evolve(cfg, prefix):
         # sizes actually used: mn + 1 of the operator systems, the t > 0 plane's
         # factorizations and its kernel table
         diag = {"operator_points_min": min(state.operator_sizes, default=None),
-                "operator_points_max": max(state.operator_sizes, default=None)}
-        if t > 0 and states:
+                "operator_points_max": max(state.operator_sizes, default=None),
+                "q_source": "plane_glm" if t > 0 else "trace"}
+        if states:
+            diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
+        if t > 0:
             diag["plane_operator_spacing"] = plane.delta
             diag["plane_chains"] = len(plane.factor_points)
             diag["plane_factor_points"] = list(plane.factor_points)
-        if t > 0:
             tab = state.kernel()
             diag["kernel_u_points"] = len(tab.u_grid)
             diag["kernel_contour_points"] = {name: len(nodes)

@@ -43,7 +43,7 @@ __all__ = [
     "phi_n", "gram_plus", "insert_embedded", "chain_insert",
     "transformed_solutions", "phi_plus_at_omega", "greens_diagonal_transformed",
     "remove_embedded", "check_isolated_pole_preservation",
-    "cumulative_corrected_trapezoid", "tail_closed_gram", "gauge_map",
+    "cumulative_corrected_trapezoid", "tail_closed_gram", "gauge_map", "single_state_step",
 ]
 
 RESONANCE_TOL = 1e-8
@@ -371,6 +371,22 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
                                         "tail_window": tail_window})
 
 
+def single_state_step(alpha, phi, phi_x, big_i):
+    """One-state Darboux step from phi, phi' and I = Integral(phi^2, -inf..x).
+
+    Returns (u, y, y', dq): u = 1 + alpha^2 I, the normalized eigenfunction
+    y = -alpha phi / u with y' = -alpha phi'/u + alpha^3 phi^3/u^2, and the
+    potential increment dq = -2 (log u)'' = -2 (2 alpha^2 phi phi'/u - (alpha^2 phi^2/u)^2).
+    """
+    a2 = alpha * alpha
+    u = 1.0 + a2 * big_i
+    y = -alpha * phi / u
+    y_x = -alpha * phi_x / u + alpha * a2 * phi**3 / u**2
+    jay = a2 * phi * phi / u
+    dq = -2.0 * (2.0 * a2 * phi * phi_x / u - jay * jay)
+    return u, y, y_x, dq
+
+
 def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
                  extend_left: float = DEFAULT_EXTEND_LEFT,
                  tail_window: float = DEFAULT_TAIL_WINDOW,
@@ -399,14 +415,9 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
         # row 0: the integrals of phi_n against itself and the remaining phi_j
         cum, left, _, _ = tail_closed_gram(ext, cur_v[n:], cur_d[n:],
                                            [st.omega for st in states[n:]], tail_window)
-        big_i = left[0, 0] + cum[:, 0, 0]
-        u = 1.0 + a * a * big_i
+        u, y, ydash, dq = single_state_step(a, cur_v[n], cur_d[n], left[0, 0] + cum[:, 0, 0])
         log_det_total += np.log(u)
-        jay = a * a * cur_v[n] ** 2 / u
-        dd2 = 2.0 * a * a * cur_v[n] * cur_d[n] / u - jay**2
-        q = q - 2.0 * dd2
-        y = -a * cur_v[n] / u
-        ydash = -a * cur_d[n] / u + a**3 * cur_v[n] ** 3 / u**2
+        q = q + dq
         y_final.append((y, ydash))
         for j in range(n + 1, len(states)):
             hcum = left[0, j - n] + cum[:, 0, j - n]

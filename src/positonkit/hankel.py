@@ -1,26 +1,22 @@
 """Fredholm determinant machinery for the time-evolved explicit potential family.
 
 The evolved potential is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) where H(x,t)
-is the Hankel-type operator on the Hardy space with kernel
--Phi_{x,t}(s)/(s + k + i0)/(4 pi^2) and contour symbol
-
-    Phi_{x,t}(s) = Integral over Im z = b of R(z) e^{i(8 z^3 t + 2 z x)}/(z - s) dz,
-
-the line Im z = b lying above the single pole i*ystar of R in the upper half
-plane (ystar solves y^3 + y = rho).  Determinants are evaluated in the Fourier
-representation of the same operator: a Hankel operator on L^2(0, inf) whose
-kernel function
+is the Hankel operator on L^2(0, inf) whose kernel function
 
     K_t(u) = (1/2 pi) Integral over Im z = b of R(z) e^{i 8 z^3 t} e^{i z u} dz
 
-is split into an explicit rank-one resonance-pole piece c_t e^{-ystar u}
-(the only exponentially large part; kept in exact scalar form) plus the
-bounded regular remainder evaluated on contours inside 0 < Im z < ystar.
-Both log-det derivatives are computed analytically from resolvent traces.
+runs on the line Im z = b above the single pole i*ystar of R in the upper half
+plane (ystar solves y^3 + y = rho).  K_t is split into an explicit rank-one
+resonance-pole piece c_t e^{-ystar u} (the only exponentially large part;
+kept in exact scalar form) plus the bounded regular remainder evaluated on
+contours inside 0 < Im z < ystar.
 
 At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
 kernel is supported on u < 0, which makes the operator finite-window; the
-uniform operator grid is aligned so the kernel's kink at u = 0 falls on a node.
+uniform operator grid is aligned so the kernel's kink at u = 0 falls on a node,
+and both log-det derivatives come from resolvent traces (`DetState`).  At
+t > 0 the kernel is tabulated (`KernelTable`) and q is read from the GLM
+solves of `plane_jost`.
 """
 
 from __future__ import annotations
@@ -94,86 +90,48 @@ class PoleData:
         return self.c0 * math.exp(8.0 * self.ystar**3 * t - 2.0 * self.ystar * x)
 
 
-def _contour_rule(b: float, t: float, x_scale: float, rho: float,
-                  s_cap: float = 500.0, tol_exp: float = 38.0):
-    """(nodes, weights) of a uniform trapezoid rule on the line Im z = b.
+def _contour_rule(b: float, t: float, x_scale: float, tol_exp: float = 38.0):
+    """(nodes, weights) of a uniform trapezoid rule on the line Im z = b (t > 0).
 
-    Truncation S balances the Gaussian damping e^{-24 t b sigma^2} (t > 0)
-    against the algebraic |R| ~ rho/sigma^3 tail; the spacing resolves the
-    oscillation e^{i(z u + 8 z^3 t)} for |u| <= 2 x_scale inside the live
-    Gaussian window.
+    Truncation S (at most 500) balances the Gaussian damping e^{-24 t b sigma^2}
+    against the algebraic |R| ~ rho/sigma^3 tail; the spacing resolves the oscillation
+    e^{i(z u + 8 z^3 t)} for |u| <= 2 x_scale inside the live Gaussian window.
     """
-    if t > 0:
-        s_gauss = math.sqrt(tol_exp / (24.0 * t * b)) + 4.0
-        s_trunc = min(s_cap, s_gauss)
-        rate = 2.0 * x_scale + tol_exp / b + 10.0
-    else:
-        s_trunc = s_cap
-        rate = 2.0 * x_scale + 10.0
+    s_trunc = min(500.0, math.sqrt(tol_exp / (24.0 * t * b)) + 4.0)
+    rate = 2.0 * x_scale + tol_exp / b + 10.0
     h = min(0.05, 2.0 * math.pi / rate / 3.0)
     n = int(math.ceil(2 * s_trunc / h)) + 1
     sig = np.linspace(-s_trunc, s_trunc, n)
     w = np.full(n, sig[1] - sig[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    return sig + 1j * b, w, s_trunc
+    return sig + 1j * b, w
 
 
 @dataclass
 class HankelDiscretization:
-    """Quadrature data for the determinant pipeline.
+    """Discretization data of the determinant pipeline.
 
-    phi_nodes/phi_weights: rule on the contour segment [-S + ib, S + ib] used
-    by the symbol quadrature.  m_op is the least number of intervals of the
-    operator grid on [0, S_op]; each determinant builds its own grid (aligned
-    per x at t = 0) with `em_weights`.
+    b is the height of the contour Im z = b above the pole that defines the
+    kernel; m_op is the least number of intervals of the operator grid on
+    [0, s_op]; each determinant builds its own grid (aligned per x at t = 0)
+    with `em_weights`.
     """
 
     rho: float
     b: float
-    phi_nodes: np.ndarray
-    phi_weights: np.ndarray
-    s_trunc: float
     s_op: float
-    m: int
     m_op: int
     poles: PoleData
 
     @classmethod
-    def build(cls, rho: float, t: float = 0.0, x_scale: float = 20.0,
-              m_op: int = 200, b_offset: float = 0.25) -> "HankelDiscretization":
+    def build(cls, rho: float, x_scale: float = 20.0, m_op: int = 200,
+              b_offset: float = 0.25) -> "HankelDiscretization":
         if m_op < 12:
             raise ValidationError("the operator grid needs m_op >= 12 intervals")
         poles = PoleData.for_rho(rho)
-        b = poles.ystar + b_offset
-        nodes, weights, s_trunc = _contour_rule(b, t, x_scale, rho)
         s_op = (U_DECAY_TARGET / poles.ystar + 2.0 * x_scale) / 2.0
-        return cls(rho, b, nodes, weights, float(s_trunc), float(s_op),
-                   len(nodes), m_op, poles)
-
-    def phi_symbol(self, x: float, t: float, s_points) -> np.ndarray:
-        """Symbol Phi_{x,t} at the points s (below the contour) by quadrature."""
-        z = self.phi_nodes
-        base = self.poles.reflection(z) * np.exp(1j * (8 * z**3 * t + 2 * z * x)) * self.phi_weights
-        s = np.atleast_1d(np.asarray(s_points, dtype=complex))
-        out = np.empty(s.shape, complex)
-        chunk = max(1, int(4e6 // len(z)))
-        for i0 in range(0, len(s), chunk):
-            blk = s[i0:i0 + chunk]
-            out[i0:i0 + chunk] = (base[None, :] / (z[None, :] - blk[:, None])).sum(axis=1)
-        return out if not np.isscalar(s_points) else complex(out[0])
-
-    def phi_symbol_with_error(self, x: float, t: float, s_points):
-        """Symbol and a truncation-error estimate from doubling S."""
-        val = self.phi_symbol(x, t, s_points)
-        wide = HankelDiscretization(
-            self.rho, self.b, *_contour_rule(self.b, t, max(abs(x), 20.0), self.rho,
-                                             s_cap=2 * self.s_trunc),
-            s_op=self.s_op, m=0, m_op=self.m_op, poles=self.poles)
-        wide.m = len(wide.phi_nodes)
-        val2 = wide.phi_symbol(x, t, s_points)
-        err = np.max(np.abs(np.atleast_1d(val2) - np.atleast_1d(val)))
-        return val, float(err)
+        return cls(rho, poles.ystar + b_offset, float(s_op), m_op, poles)
 
 
 def _hankel(h, n: int) -> np.ndarray:
@@ -244,7 +202,9 @@ class KernelTable:
     contour rule and the table grid u_k = u_grid[0] + k du are uniform, so each
     side's quadrature sums are one chirp-z transform.  `sides` maps "u>=0" and
     "u<0" to the u_grid slice and the contour rule (nodes, weights) used there.
-    Cubic splines interpolate the tables for derivative orders d = 0, 1, 2.
+    Cubic splines interpolate the tables for derivative orders d = 0, 1.  Right
+    of the table the kernel is 0: the u >= 0 side decays at least like
+    e^{-b_plus u}, so the error is at most |K(u_grid[-1])|.
     """
 
     def __init__(self, poles: PoleData, t: float, u_min: float, u_max: float,
@@ -257,7 +217,7 @@ class KernelTable:
         self.u_grid = start + du * np.arange(int(math.ceil((stop - start) / du)))
         n_neg = int(np.searchsorted(self.u_grid, 0.0))
         self.sides = {}
-        vals = np.empty((3, len(self.u_grid)), complex)
+        vals = np.empty((2, len(self.u_grid)), complex)
         for name, sl, bfrac in (("u>=0", slice(n_neg, len(self.u_grid)), b_plus_frac),
                                 ("u<0", slice(0, n_neg), b_minus_frac)):
             m = sl.stop - sl.start
@@ -266,20 +226,23 @@ class KernelTable:
             b = bfrac * poles.ystar
             u_here = self.u_grid[sl]
             scale = max(abs(float(u_here[0])), abs(float(u_here[-1])), 1.0)
-            nodes, weights, _ = _contour_rule(b, t, scale / 2.0, poles.rho)
+            nodes, weights = _contour_rule(b, t, scale / 2.0)
             self.sides[name] = (sl, nodes, weights)
             base = poles.reflection(nodes) * np.exp(1j * 8 * nodes**3 * t) * weights / (2 * np.pi)
-            f = base * (1j * nodes) ** np.arange(3)[:, None]
+            f = base * (1j * nodes) ** np.arange(2)[:, None]
             # steps from the rules themselves: neighbour differences carry rounding
             sig = nodes.real
             h = (sig[-1] - sig[0]) / (len(sig) - 1)
             u_c = start + du * 0.5 * (sl.start + sl.stop - 1)
             vals[:, sl] = (_chirp_z_sums(f, 0.5 * (sig[0] + sig[-1]), h, u_c, du, m)
                            * np.exp(-b * u_here))
-        self._splines = {d: CubicSpline(self.u_grid, vals[d]) for d in (0, 1, 2)}
+        self._splines = {d: CubicSpline(self.u_grid, vals[d]) for d in (0, 1)}
 
     def __call__(self, u, d: int = 0):
-        return self._splines[d](u)
+        u = np.asarray(u, dtype=float)
+        if np.any(u < self.u_grid[0]):
+            raise ValidationError(f"kernel requested at u < {self.u_grid[0]}, left of its table")
+        return np.where(u <= self.u_grid[-1], self._splines[d](u), 0.0)
 
 
 def operator_spacing(y: float, x: float, m_op: int, delta_cap: float | None = None):
@@ -437,12 +400,15 @@ class DetState:
         return val
 
     def log_det_derivatives(self):
-        """(F', F'') of F = log det(I + H) by resolvent traces on the bordered system.
+        """(F', F'') of F = log det(I + H) by resolvent traces on the bordered system (t = 0).
 
-        The grid motion (moving aligned grids at t = 0) is carried by the
-        derivative blocks; the huge resonance factor contributes only the exact
-        terms -2 y and 0 through log Gamma.
+        The grid motion (moving aligned grids) is carried by the derivative
+        blocks; the huge resonance factor contributes only the exact terms -2 y
+        and 0 through log Gamma.  At t > 0 q comes from `plane_jost` instead.
         """
+        if self.t > 0:
+            raise ValidationError("resolvent-trace derivatives are the t = 0 path; "
+                                  "at t > 0 q is read from plane_jost")
         _, lu = self._sym_system()
         a1, a2 = self._a_derivs()
         b1 = self._border_blocks(a1, a2, 1)
@@ -512,61 +478,24 @@ class DetState:
 
 # -- the fixed-grid t > 0 plane: one factorization per chain of nodes ----------
 
-_SUBST_BLOCK = 128         # row block of the substitution passes over a packed factor
 _EM_END = 5                # weights that em_weights(order=6) corrects at each end
-
-
-class _LeadingBlockSolver:
-    """Substitutions with every leading block of a matrix A from one LU without row swaps.
-
-    A = LU with no interchange gives A[:m, :m] = L[:m, :m] U[:m, :m].  Both
-    passes run over views of the packed factor in row blocks; the inverse of
-    each diagonal block is formed once, and a partial last block uses the
-    leading part of it (the inverse of a leading block of a triangular matrix
-    is the leading block of its inverse).
-    """
-
-    def __init__(self, lu: np.ndarray):
-        self.lu = lu
-        self.l_inv, self.u_inv = [], []
-        for k0 in range(0, lu.shape[0], _SUBST_BLOCK):
-            d = lu[k0:k0 + _SUBST_BLOCK, k0:k0 + _SUBST_BLOCK]
-            eye = np.eye(d.shape[0], dtype=complex)
-            self.l_inv.append(solve_triangular(d, eye, lower=True, unit_diagonal=True))
-            self.u_inv.append(solve_triangular(d, eye))
-
-    def forward(self, m: int, rhs: np.ndarray) -> np.ndarray:
-        """L[:m, :m]^{-1} rhs for rhs of shape (m, k)."""
-        lu, nb = self.lu, _SUBST_BLOCK
-        y = np.array(rhs, dtype=complex)
-        for k0 in range(0, m, nb):
-            k1 = min(k0 + nb, m)
-            blk = y[k0:k1] - lu[k0:k1, :k0] @ y[:k0] if k0 else y[k0:k1]
-            y[k0:k1] = self.l_inv[k0 // nb][:k1 - k0, :k1 - k0] @ blk
-        return y
-
-    def backward(self, m: int, rhs: np.ndarray) -> np.ndarray:
-        """U[:m, :m]^{-1} rhs for rhs of shape (m, k)."""
-        lu, nb = self.lu, _SUBST_BLOCK
-        y = np.array(rhs, dtype=complex)
-        for k0 in reversed(range(0, m, nb)):
-            k1 = min(k0 + nb, m)
-            blk = y[k0:k1] - lu[k0:k1, k1:m] @ y[k1:m] if k1 < m else y[k0:k1]
-            y[k0:k1] = self.u_inv[k0 // nb][:k1 - k0, :k1 - k0] @ blk
-        return y
+_NODE_BLOCK = 32           # plane nodes that share each pair of triangular solves
 
 
 @dataclass
 class PlaneJost:
-    """g(k) and g_x(k) of the evolved Jost solution at every node of a uniform plane.
+    """g(k), g_x(k) and q at every node of a uniform plane.
 
     psi(x, t, k) = e^{ikx}(1 - g(k)) as for `DetState.solve_jost_with_derivative`.
-    g and gx have shape (nodes, momenta); sizes holds mn + 1 of each node's
-    system and factor_points that of each chain's one factorization.
+    g and gx have shape (nodes, momenta); q = 2 Re d/dx v(xi = 0) is the
+    evolved potential, since K(x, x + xi) = -v(xi) and q = -2 d/dx K(x, x).
+    sizes holds mn + 1 of each node's system and factor_points that of each
+    chain's one factorization.
     """
 
     g: np.ndarray
     gx: np.ndarray
+    q: np.ndarray
     delta: float
     factor_points: tuple
     sizes: np.ndarray
@@ -575,6 +504,8 @@ class PlaneJost:
 def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                delta0: float) -> PlaneJost:
     """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x (t > 0).
+
+    x may be a single node, which then gets the spacing delta0.
 
     The operator spacing is made commensurate with the plane spacing h:
     delta = c h with c = floor(delta0 / h) >= 1 (c interleaved chains of
@@ -590,8 +521,9 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
         (Woodbury) update of the factor's last five columns;
       * the resonance border enters as a 1 x 1 Schur complement;
       * the derivative right-hand side's Hankel product is an FFT correlation;
-      * each solve is two passes of blocked substitution over views of the
-        packed factor.
+      * each solve is a forward and a backward triangular solve with the
+        packed factor, shared by a block of the chain's nodes.
+    q needs no solve of its own: it is read from the derivative solve.
     A row interchange in the factorization would break the leading-block
     property; it is reported as a DiscretizationFailureError.
     """
@@ -600,7 +532,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     x = np.asarray(x, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     n = len(x)
-    h = (x[-1] - x[0]) / (n - 1)
+    h = (x[-1] - x[0]) / (n - 1) if n > 1 else delta0
     if h <= delta0:
         chains, stride = math.floor(delta0 / h), 1
         delta = chains * h
@@ -614,6 +546,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     sizes = np.empty(n, int)
     g = np.empty((n, len(ks)), complex)
     gx = np.empty((n, len(ks)), complex)
+    q = np.empty(n)
     factor_points = []
     for r in range(min(chains, n)):
         nodes = np.arange(r, n, chains)
@@ -632,55 +565,75 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
             raise DiscretizationFailureError(
                 "the reversed GLM core needed a row interchange; its leading blocks "
                 "do not factor the nodes' systems")
-        tri = _LeadingBlockSolver(lu)
         size_fft = sfft.next_fast_len(3 * big_n + 1)
         h1_hat = sfft.fft(2.0 * h1_rev, size_fft)
-        for j in nodes:
-            g[j], gx[j] = _plane_node(poles, t, float(x[j]), ks, delta, sizes[j], tri, w0,
-                                      h0_rev, h1_rev, h1_hat)
-    return PlaneJost(g, gx, delta, tuple(factor_points), sizes)
+        for b0 in range(0, len(nodes), _NODE_BLOCK):
+            js = nodes[b0:b0 + _NODE_BLOCK]
+            g[js], gx[js], q[js] = _plane_nodes(poles, t, x[js], ks, delta, sizes[js], lu, w0,
+                                                h0_rev, h1_rev, h1_hat)
+    return PlaneJost(g, gx, q, delta, tuple(factor_points), sizes)
 
 
-def _plane_node(poles, t, x, ks, delta, m, tri, w0, h0_rev, h1_rev, h1_hat):
-    """(g, gx) at one plane node from the chain's factor; all vectors in reversed order.
+def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
+    """(g, gx, q) at a block of one chain's nodes from the chain's packed factor lu.
 
-    The node's core A differs from the leading block L U of the chain's core
+    Node c's core A differs from the leading block L U of the chain's core
     only in its last five columns (reversed order), where the node's own left
     end corrections of `em_weights` replace the chain's weights.  With
     r = w / w0 there, A e_c = r_c L U e_c + (1 - r_c) e_c: a rank-5 update
     (Woodbury) that leaves L and changes only the last five columns of U.
     The changed upper factor is block triangular with a full 5 x 5 corner, so
     A x = b is one forward pass, one 5 x 5 solve and one backward pass over
-    the leading m - 5 rows.
+    the leading m - 5 rows.  The block's nodes share each pass: a column that
+    is zero below a node's rows gives, in those rows, that node's leading-block
+    solution (the leading block of a triangular inverse is the inverse of the
+    leading block).  Arrays are (rows, nodes) in reversed order, zero below
+    each node's m rows.
     """
     y = poles.ystar
-    _, s_row, s_inv_gamma = _resonance_border(poles, x, t)
-    w = em_weights(m - 1, delta, order=6)
-    k = m - _EM_END
-    lu = tri.lu
-    r = w[k:] / w0[k:m]
-    # (numpy, not scipy, linear algebra in this loop: alternating the two
-    # libraries' BLAS thread pools makes each spin against the other)
-    l_inv_e = np.linalg.inv(np.tril(lu[k:m, k:m], -1) + np.eye(_EM_END))
-    corner = np.triu(lu[k:m, k:m]) * r + l_inv_e * (1.0 - r)   # L^{-1} e_c lies in the corner
-    top = lu[:k, k:m] * r
+    n1, big_m, cols, k = lu.shape[0], int(m.max()), np.arange(len(m)), m - _EM_END
+    i = np.arange(big_m)[:, None]
+    inside = i < m
+    ends = k[:, None] + np.arange(_EM_END)                  # (nodes, 5): each node's last rows
+    xi = np.where(inside, (m - 1 - i) * delta, 0.0)
+    ghat = np.exp(-y * xi) * inside
+    w = np.where(i < k, w0[:big_m, None], 0.0)
+    w[ends, cols[:, None]] = w0[-_EM_END:]                 # the node's own end corrections
+    r = w0[-_EM_END:] / w0[ends]
+    s_row, s_inv_gamma = np.array([_resonance_border(poles, float(xx), t)[1:] for xx in x]).T
+    blk = lu[ends[:, :, None], ends[:, None, :]]
+    l_inv_e = np.linalg.inv(np.tril(blk, -1) + np.eye(_EM_END))
+    # L^{-1} e_c lies in the corner
+    corner = np.triu(blk) * r[:, None, :] + l_inv_e * (1.0 - r[:, None, :])
+    top = lu[:big_m, ends].transpose(1, 0, 2)               # (nodes, rows, 5)
+    above = (i < k)[:, :, None]
+
+    def substitute(b, lower):
+        # over the whole factor: a leading-block view would be copied for LAPACK
+        pad = np.zeros((n1, b[0].size), complex, order="F")
+        pad[:big_m] = b.reshape(big_m, -1)
+        return solve_triangular(lu, pad, lower=lower, unit_diagonal=lower, overwrite_b=True,
+                                check_finite=False)[:big_m].reshape(b.shape)
 
     def core_solve(b):
-        fy = tri.forward(m, b)
-        tail = np.linalg.solve(corner, fy[k:])
-        return np.concatenate([tri.backward(k, fy[:k] - top @ tail), tail])
+        fy = substitute(b, lower=True)
+        tail = np.linalg.solve(corner, fy[ends, cols[:, None]])
+        out = substitute((fy - np.matmul(top, r[:, :, None] * tail).transpose(1, 0, 2)) * above,
+                         lower=False)
+        out[ends, cols[:, None]] = tail
+        return out
 
-    xi = (m - 1 - np.arange(m)) * delta
-    ghat = np.exp(-y * xi)
-    a, z = core_solve(np.stack([h0_rev[m - 1:2 * m - 1], ghat], axis=1)).T
+    a, z = np.moveaxis(core_solve(np.stack([h0_rev[m - 1 + i] * inside, ghat], axis=2)), 2, 0)
     row = s_row * w * ghat
-    sigma = -s_inv_gamma - row @ z                   # Schur complement of the border
-    mu = (s_row - row @ a) / sigma
+    sigma = -s_inv_gamma - np.sum(row * z, axis=0)         # Schur complement of the border
+    mu = (s_row - np.sum(row * a, axis=0)) / sigma
     v = a - mu * z
-    # a_x v = 2 H(k1) diag(w) v, the Hankel product as an FFT correlation
-    corr = sfft.ifft(h1_hat * sfft.fft((w * v)[::-1], h1_hat.size))[m - 1:2 * m - 1]
-    ax = core_solve((2.0 * h1_rev[m - 1:2 * m - 1] - corr)[:, None])[:, 0]
-    mux = (2.0 * y * s_inv_gamma * mu - row @ ax) / sigma
+    # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
+    corr = sfft.ifft(h1_hat[:, None] * sfft.fft((w * v)[::-1], h1_hat.size, axis=0),
+                     axis=0)[big_m - 1:2 * big_m - 1]
+    ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
+    mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
     vx = ax - mux * z
-    e = w * np.exp(1j * ks[:, None] * xi)
-    return e @ v, e @ vx
+    e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
+    return (np.einsum("ick,ic->ck", e, v), np.einsum("ick,ic->ck", e, vx),
+            2.0 * vx[m - 1, cols].real)                    # xi = 0 is each node's last row

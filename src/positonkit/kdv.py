@@ -2,7 +2,8 @@
 time-evolved insertion of the embedded state, and independent PDE cross-checks.
 
 The evolved seed is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) (Dyson formula);
-its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  The
+its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
+t > 0 q is read from the same GLM solves, q = 2 Re d/dx v(xi = 0).  The
 one-state evolved insertion adds -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2))
 with phi(s,t) = 2 Im[e^{4 i omega^3 t} psi(s,t,omega)].  An independent
 pseudospectral split-step integrator and centered-stencil PDE residuals close
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import wvn_example as wvn
-from .darboux import gauge_map, tail_closed_gram
+from .darboux import gauge_map, single_state_step, tail_closed_gram
 from .errors import ValidationError
 from .hankel import (
     T_MAX,
@@ -29,6 +30,7 @@ from .hankel import (
     DetState,
     HankelDiscretization,
     KernelTable,
+    PlaneJost,
     PoleData,
     operator_spacing,
     plane_jost,
@@ -37,7 +39,7 @@ from .schrodinger import Grid
 
 __all__ = [
     "EvolvedState", "EvolvedPlane",
-    "phi_symbol", "dyson_q", "jost_evolved", "evolved_phi_plane",
+    "dyson_q", "jost_evolved", "evolved_phi_plane",
     "insertion_term", "q_plus_evolved", "classify_embedded_pole_evolved",
     "kdv_residual", "split_step_reference",
 ]
@@ -66,8 +68,7 @@ class EvolvedState:
             raise ValidationError(
                 f"t={self.t} beyond the validated contour tuning (t <= {T_MAX})")
         if self.disc is None:
-            self.disc = HankelDiscretization.build(self.params.rho, t=self.t,
-                                                   m_op=self.m_op)
+            self.disc = HankelDiscretization.build(self.params.rho, m_op=self.m_op)
         self.poles = self.disc.poles
 
     def kernel(self, u_min_needed: float = -96.0):
@@ -100,12 +101,12 @@ class EvolvedState:
         """DetState's default operator spacing at x_min, held fixed for solves at x >= x_min."""
         return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[2]
 
-
-def phi_symbol(state: EvolvedState, s, x: float = 0.0, with_error: bool = False):
-    """Contour symbol Phi_{x,t}(s); optionally with a doubling error estimate."""
-    if with_error:
-        return state.disc.phi_symbol_with_error(x, state.t, s)
-    return state.disc.phi_symbol(x, state.t, s)
+    def glm_plane(self, x: np.ndarray, ks=()) -> PlaneJost:
+        """`hankel.plane_jost` over the uniform nodes x (t > 0) at the default spacing of x[0]."""
+        sol = plane_jost(self.poles, self.kernel(2.0 * min(float(x[0]), 0.0) - 2.0), self.t,
+                         x, ks, self.m_op, self.fixed_delta(float(x[0])))
+        self.operator_sizes.extend(sol.sizes.tolist())
+        return sol
 
 
 def _thin_support_q(poles: PoleData, x: float) -> float:
@@ -121,18 +122,22 @@ def _thin_support_q(poles: PoleData, x: float) -> float:
     return float(np.real(4.0 * s1 - 4.0 * s0 * s0))
 
 
-def dyson_q(state: EvolvedState, x: float, method: str = "trace",
+def dyson_q(state: EvolvedState, x: float, method: str | None = None,
             fd_h: float = 1e-2) -> float:
     """Evolved seed q(x, t) = -2 d^2/dx^2 log det(I + H(x,t)).
 
-    method="trace" evaluates both derivatives analytically from resolvent
-    traces (default); method="fd" uses centered differences of log det with one
-    Richardson step at spacing fd_h.
+    By default q at t > 0 is the GLM read-out of a one-node plane
+    (`EvolvedState.glm_plane`), and at t = 0, where that read-out fails because
+    K' jumps at u = 0, both derivatives come from resolvent traces
+    (method="trace", t = 0 only).  method="fd" uses centered differences of
+    log det with one Richardson step at spacing fd_h.
     """
     x_thin = min(0.35, THIN_SUPPORT_X * max(1.0, (2.0 / state.params.rho) ** (1.0 / 3.0)))
     if state.t == 0.0 and -x_thin < x < 0.0:
         return _thin_support_q(state.poles, x)
-    if method == "trace":
+    if method is None and state.t > 0:
+        return float(state.glm_plane(np.array([x], dtype=float)).q[0])
+    if method in (None, "trace"):
         _, f2 = state.det_state(x).log_det_derivatives()
         return float(-2.0 * np.real(f2))
     if method == "fd":
@@ -176,9 +181,10 @@ def _jost_readout(x, ks: np.ndarray, g, gx=None):
 class EvolvedPlane:
     """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on an s-grid.
 
-    At t > 0, delta is the operator spacing of the plane's GLM solves and
-    factor_points the size of each chain's one factorization (see
-    `hankel.plane_jost`); at t = 0 each node has its own aligned grid.
+    At t > 0, delta is the operator spacing of the plane's GLM solves,
+    factor_points the size of each chain's one factorization and q the evolved
+    seed read from the same solves (see `hankel.plane_jost`); at t = 0 each
+    node has its own aligned grid, and q is left to `dyson_q`.
     """
 
     state: EvolvedState
@@ -190,13 +196,30 @@ class EvolvedPlane:
     tail_fit: object
     delta: float | None = None
     factor_points: tuple = ()
+    q: np.ndarray | None = None
+
+    def index(self, x) -> np.ndarray:
+        """Indices of the nodes x (scalar or array); x off the plane grid is rejected."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        g = self.grid
+        j = np.clip(np.rint((xs - g.x_min) / g.spacing).astype(int), 0, g.n_points - 1)
+        if not np.all(np.abs(g.x[j] - xs) <= 1e-9):
+            raise ValidationError("x must lie on the plane grid")
+        return j
+
+    def q_at(self, x) -> np.ndarray:
+        """Evolved seed q at plane nodes x: the plane's own read-out at t > 0, `dyson_q` at t = 0."""
+        j = self.index(x)
+        if self.q is not None:
+            return self.q[j]
+        return np.array([dyson_q(self.state, float(xx)) for xx in np.atleast_1d(x)])
 
 
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
                       tail_window: float = 20.0) -> EvolvedPlane:
     """Evaluate the evolved generating function on a grid, with cumulative norm."""
     phase = np.exp(4j * omega**3 * state.t)
-    delta, factor_points = None, ()
+    delta, factor_points, q = None, (), None
     if state.t == 0.0:
         # kink-aligned solves per node; derivative by centered stencils on the grid
         psis = np.array([jost_evolved(state, float(s), omega) for s in grid.x], dtype=complex)
@@ -206,16 +229,14 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
         phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
     else:
         ks = np.array([omega], dtype=complex)
-        sol = plane_jost(state.poles, state.kernel(2.0 * min(grid.x_min, 0.0) - 2.0), state.t,
-                         grid.x, ks, state.m_op, state.fixed_delta(grid.x_min))
-        state.operator_sizes.extend(sol.sizes.tolist())
-        delta, factor_points = sol.delta, sol.factor_points
+        sol = state.glm_plane(grid.x, ks)
+        delta, factor_points, q = sol.delta, sol.factor_points, sol.q
         psi, psix = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)
         phi = 2.0 * np.imag(phase * psi[:, 0])
         phi_x = 2.0 * np.imag(phase * psix[:, 0])
     cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
     return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0],
-                        delta, factor_points)
+                        delta, factor_points, q)
 
 
 def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
@@ -224,16 +245,9 @@ def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
     The derivatives are analytic in phi and phi_x; x (scalar or array) must lie
     on the plane grid.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    g = plane.grid
-    j = np.clip(np.rint((xs - g.x_min) / g.spacing).astype(int), 0, g.n_points - 1)
-    if not np.all(np.abs(g.x[j] - xs) <= 1e-9):
-        raise ValidationError("the insertion term requires x on the plane grid")
-    a2 = alpha * alpha
-    u = 1.0 + a2 * plane.big_i[j]
-    f, fx = plane.phi[j], plane.phi_x[j]
-    out = -2.0 * (2 * a2 * f * fx / u - (a2 * f * f / u) ** 2)
-    return out if not np.isscalar(x) else float(out[0])
+    j = plane.index(x)
+    *_, dq = single_state_step(alpha, plane.phi[j], plane.phi_x[j], plane.big_i[j])
+    return dq if not np.isscalar(x) else float(dq[0])
 
 
 def q_plus_evolved(state: EvolvedState, alpha: float, x, plane: EvolvedPlane = None,
@@ -242,15 +256,14 @@ def q_plus_evolved(state: EvolvedState, alpha: float, x, plane: EvolvedPlane = N
     """Evolved transformed potential q_+1(x, t) at the requested x (scalar or array).
 
     q_+1 = q(x,t) - 2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)):
-    the Dyson term (resolvent-trace derivatives) plus `insertion_term`.
+    the evolved seed (`EvolvedPlane.q_at`) plus `insertion_term`.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if plane is None:
         n = int(math.ceil((xs.max() - s_left) / s_spacing)) + 1
         plane = evolved_phi_plane(state, Grid(s_left, s_left + (n - 1) * s_spacing, n),
                                   omega=omega)
-    out = insertion_term(plane, alpha, xs)
-    out += [dyson_q(state, float(xx)) for xx in xs]
+    out = insertion_term(plane, alpha, xs) + plane.q_at(xs)
     return out if not np.isscalar(x) else float(out[0])
 
 
@@ -270,9 +283,8 @@ def classify_embedded_pole_evolved(state: EvolvedState, alpha: float, x_probe: f
     xx = float(plane.grid.x[j])
     f, fx = plane.phi[j], plane.phi_x[j]
     big_i = plane.big_i[j]
-    u = 1.0 + alpha**2 * big_i
-    y_val = -alpha * f / u
-    terms = [(alpha, omega, y_val, -alpha * fx / u + alpha**3 * f**3 / u**2, f, fx)]
+    _, y_val, y_x, _ = single_state_step(alpha, f, fx, big_i)
+    terms = [(alpha, omega, y_val, y_x, f, fx)]
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
     phi_plus_reg = abs(f + alpha * y_val * big_i)
     mags = []

@@ -89,8 +89,17 @@ def test_evolve_seed_only(tmp_path):
     for key in ("t=0.0", "t=0.02"):
         lo, hi = diag[key]["operator_points_min"], diag[key]["operator_points_max"]
         assert 200 < lo <= hi <= 1601
-        assert "plane_operator_spacing" not in diag[key]     # no state, no plane
+        assert "plane_tail_fit_residual" not in diag[key]     # no state, no phi-plane
+    assert diag["t=0.0"]["q_source"] == "trace"
+    assert "plane_operator_spacing" not in diag["t=0.0"]
     assert "kernel_u_points" not in diag["t=0.0"]
+    # without a state q at t > 0 comes from a GLM plane over the output grid
+    # alone: spacing 1 > 0.11, one chain at delta = 1/10, factored where x = 3
+    # needs it (60 rows + 200 intervals)
+    assert diag["t=0.02"]["q_source"] == "plane_glm"
+    assert diag["t=0.02"]["plane_operator_spacing"] == pytest.approx(0.1, abs=1e-12)
+    assert diag["t=0.02"]["plane_chains"] == 1
+    assert diag["t=0.02"]["plane_factor_points"] == [261]
     assert diag["t=0.02"]["kernel_u_points"] > 1000
     sizes = diag["t=0.02"]["kernel_contour_points"]
     assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
@@ -104,6 +113,8 @@ def test_evolve_seed_only(tmp_path):
     assert diag["plane_chains"] == 1
     assert diag["plane_factor_points"] == [531]
     assert diag["operator_points_max"] == 531
+    assert diag["q_source"] == "plane_glm"
+    assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
