@@ -4,13 +4,16 @@ and the closed-form verification battery for the explicit example.
 All runs are driven by a JSON config (single source of truth); outputs are a
 CSV file plus a .meta.json sidecar holding the fully resolved configuration,
 package versions and convergence diagnostics, so every output is reproducible
-from its sidecar alone.  Exit codes: 0 success, 1 verification failures,
-2 invalid configuration, 3 numerical failure.
+from its sidecar alone.  Each command reads its config with one declarative
+reader (`COMMANDS`) that names unknown and missing keys by their path.  Exit
+codes: 0 success, 1 verification failures, 2 invalid configuration,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,6 +30,7 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 FMT = "%.17g"
+MAX_POINTS = 10**6      # most nodes, momenta or list entries a config may ask for
 
 
 def _write_csv(path, header, columns):
@@ -44,54 +48,108 @@ def _write_meta(prefix, config, diagnostics):
         json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-def _grid_from(cfg) -> Grid:
-    g = cfg.get("grid", {})
+def _show(value) -> str:
+    return f"{value!r:.60}"
+
+
+def _number(value, path) -> float:
+    """A finite JSON number (true and false are not numbers)."""
     try:
-        return Grid(float(g["x_min"]), float(g["x_max"]), _integer(g["n"], "grid n"))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValidationError(f"invalid grid config: {exc}")
-
-
-def _potential_from(cfg) -> PotentialSpec:
-    pot = cfg.get("potential")
-    if not isinstance(pot, dict):
-        raise ValidationError("config requires a 'potential' object")
-    return PotentialSpec.from_json(pot)
-
-
-def _finite(value, name) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        out = math.nan
+        out = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:          # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
-        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        raise ValidationError(f"{path} must be a finite number, got {_show(value)}")
     return out
 
 
-def _integer(value, name) -> int:
-    """value as an int; a fractional, non-finite or non-numeric value is rejected."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return value
+def _positive(value, path) -> float:
+    out = _number(value, path)
+    if out <= 0:
+        raise ValidationError(f"{path} must be positive, got {_show(value)}")
+    return out
 
 
-def _k_grid_from(cfg) -> np.ndarray:
+def _count(least: int):
+    """Reader of an integer in [least, MAX_POINTS]; an integral float counts as one."""
+    def read(value, path) -> int:
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int or not least <= value <= MAX_POINTS:
+            raise ValidationError(
+                f"{path} must be an integer in [{least}, {MAX_POINTS}], got {_show(value)}")
+        return value
+    return read
+
+
+def _list(item, least: int = 0, most: int = MAX_POINTS):
+    """Reader of a list of least..most entries, each read by `item`."""
+    def read(value, path) -> list:
+        if type(value) is not list or not least <= len(value) <= most:
+            raise ValidationError(
+                f"{path} must be a list of {least} to {most} entries, got {_show(value)}")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return read
+
+
+def _object(fields: dict, build=dict):
+    """Reader of an object with no keys but those of `fields`, passed to `build` by name.
+
+    A field is a reader (a required key) or (reader, default) for an optional key.
+    """
+    def read(value, path):
+        if type(value) is not dict:
+            raise ValidationError(f"{path} must be an object, got {_show(value)}")
+        unknown = sorted(set(value) - set(fields))
+        if unknown:
+            raise ValidationError(f"{path}.{unknown[0]} is not a known key "
+                                  f"(expected {', '.join(fields)})")
+        out = {}
+        for name, field in fields.items():
+            reader, default = field if type(field) is tuple else (field, ...)
+            if name in value:
+                out[name] = reader(value[name], f"{path}.{name}")
+            elif default is ...:
+                raise ValidationError(f"{path}.{name} is missing")
+            else:
+                out[name] = default
+        return build(**out)
+    return read
+
+
+def _potential(value, path) -> PotentialSpec:
+    """A potential: its "kind" names the reader of its other keys."""
+    kind = value.get("kind") if type(value) is dict else None
+    if type(kind) is not str or kind not in _POTENTIALS:
+        raise ValidationError(f"{path} must be an object whose kind is one of "
+                              f"{', '.join(_POTENTIALS)}, got {_show(value)}")
+    return _POTENTIALS[kind]({k: v for k, v in value.items() if k != "kind"}, path)
+
+
+def _kind(make, **fields):
+    """Reader of one potential kind: its fields go to `make`; right_cutoff may override."""
+    def build(right_cutoff=None, **kw):
+        spec = make(**kw)
+        return spec if right_cutoff is None else dataclasses.replace(spec, right_cutoff=right_cutoff)
+    return _object(dict(fields, right_cutoff=(_number, None)), build)
+
+
+_POTENTIALS = {
+    "zero": _kind(PotentialSpec.zero),
+    "wvn_example": _kind(PotentialSpec.wvn_example, rho=_number),
+    "sym_plus_one": _kind(PotentialSpec.sym_plus_one, rho=_number, tail_tol=(_number, 1e-2)),
+    "sampled": _kind(PotentialSpec.sampled, x=_list(_number, 2), q=_list(_number, 2),
+                     tail_tol=(_number, 0.0)),
+    "shifted": _kind(lambda inner, shift: PotentialSpec.shifted(inner, shift),
+                     inner=_potential, shift=_number),
+    "sum": _kind(lambda parts: PotentialSpec.sum_of(*parts), parts=_list(_potential, 1)),
+}
+
+
+def _momenta(k_min, k_max, n, exclusions) -> np.ndarray:
     """Momenta of the scatter scan: n points on [k_min, k_max] minus k ~ 0 and the exclusions."""
-    kg = cfg.get("k_grid", {})
-    if not isinstance(kg, dict):
-        raise ValidationError("config requires a 'k_grid' object")
-    k_min, k_max = _finite(kg["k_min"], "k_min"), _finite(kg["k_max"], "k_max")
-    n = _integer(kg["n"], "k_grid n")
-    if n < 2 or not (k_min < k_max):
-        raise ValidationError("k_grid requires k_min < k_max and an integer n >= 2")
-    try:
-        exclusions = [(_finite(c, "exclusion centre"), _finite(r, "exclusion radius"))
-                      for c, r in kg.get("exclusions", [])]
-    except (TypeError, ValueError):
-        raise ValidationError("k_grid exclusions must be [centre, radius] pairs")
+    if not k_min < k_max:
+        raise ValidationError("config.k_grid requires k_min < k_max")
     ks = np.linspace(k_min, k_max, n)
     keep = np.abs(ks) > 1e-3
     for c, r in exclusions:
@@ -99,108 +157,75 @@ def _k_grid_from(cfg) -> np.ndarray:
     return ks[keep]
 
 
-def _states_from(cfg, spec) -> list:
-    states = cfg.get("states", [])
-    if not isinstance(states, list) or not all(isinstance(s, dict) for s in states):
-        raise ValidationError("'states' must be a list of objects")
+def _with_states(potential, states, **rest) -> dict:
+    """The values read, each state completed to an `EmbeddedStateSpec` by the potential."""
     out = []
-    for s in states:
-        omega = _finite(s["omega"], "omega")
-        alpha = _finite(s["alpha"], "alpha")
-        if "r_at_omega" in s:
-            r = s["r_at_omega"]
-            if not isinstance(r, list) or len(r) != 2:
-                raise ValidationError(f"r_at_omega must be a [re, im] pair, got {r!r}")
-            r = complex(_finite(r[0], "Re r_at_omega"), _finite(r[1], "Im r_at_omega"))
-            out.append(darboux.EmbeddedStateSpec(omega, alpha, r))
-        elif spec.kind == "wvn_example":
-            out.append(darboux.EmbeddedStateSpec.for_wvn_example(spec.rho, alpha, omega))
+    for i, s in enumerate(states):
+        if s["r_at_omega"] is not None:
+            r = complex(*s["r_at_omega"])
+            out.append(darboux.EmbeddedStateSpec(s["omega"], s["alpha"], r))
+        elif potential.kind == "wvn_example":
+            out.append(darboux.EmbeddedStateSpec.for_wvn_example(potential.rho, s["alpha"],
+                                                                 s["omega"]))
         else:
-            raise ValidationError("state requires r_at_omega for this potential kind")
-    return out
+            raise ValidationError(f"config.states[{i}].r_at_omega is missing; only a "
+                                  "wvn_example potential supplies it")
+    return dict(rest, potential=potential, states=out)
 
 
-def _ode_tolerances_from(cfg) -> tuple:
-    """(rtol, atol) of the insertion's ODE solves; None keeps the default."""
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ValidationError("'tolerances' must be an object")
-    out = []
-    for name in ("ode_rtol", "ode_atol"):
-        value = tol.get(name)
-        if value is not None:
-            value = _finite(value, name)
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value!r}")
-        out.append(value)
-    return tuple(out)
+_GRID = _object({"x_min": _number, "x_max": _number, "n": _count(2)},
+                lambda x_min, x_max, n: Grid(x_min, x_max, n))
+_STATES = (_list(_object({"omega": _number, "alpha": _number,
+                          "r_at_omega": (_list(_number, 2, 2), None)})), [])
+# insert and remove: (rtol, atol) of the insertion's ODE solves; None keeps the default
+_TOLERANCES = (_object({"ode_rtol": (_positive, None), "ode_atol": (_positive, None)},
+                       lambda ode_rtol, ode_atol: {"rtol": ode_rtol, "atol": ode_atol}), {})
 
 
-def _times_from(cfg) -> list:
-    time = cfg.get("time", {})
-    t_values = time.get("t_values", [0.0]) if isinstance(time, dict) else None
-    if not isinstance(t_values, list) or not t_values:
-        raise ValidationError("'time' must be an object whose t_values is a non-empty list")
-    return [_finite(t, "t") for t in t_values]
-
-
-def cmd_scatter(cfg, prefix):
-    spec = _potential_from(cfg)
-    ks = _k_grid_from(cfg)
+def cmd_scatter(config, prefix, *, potential, k_grid):
     with count_ode_work() as work:
-        rs, ts = scattering.scattering_coefficients(spec, ks)
+        rs, ts = scattering.scattering_coefficients(potential, k_grid)
     _write_csv(f"{prefix}.csv", "k,R_re,R_im,T_re,T_im",
-               [ks, rs.real, rs.imag, ts.real, ts.imag])
-    unit = float(np.max(np.abs(np.abs(rs) ** 2 + np.abs(ts) ** 2 - 1.0))) if len(ks) else 0.0
-    _write_meta(prefix, cfg, {"n_k": len(ks), "max_unitarity_defect": unit,
-                              "ode_solves": work.solves, "ode_nfev": work.nfev})
+               [k_grid, rs.real, rs.imag, ts.real, ts.imag])
+    unit = float(np.max(np.abs(np.abs(rs) ** 2 + np.abs(ts) ** 2 - 1.0))) if len(k_grid) else 0.0
+    _write_meta(prefix, config, {"n_k": len(k_grid), "max_unitarity_defect": unit,
+                                 "ode_solves": work.solves, "ode_nfev": work.nfev})
     return EXIT_OK
 
 
-def cmd_insert(cfg, prefix):
-    spec = _potential_from(cfg)
-    grid = _grid_from(cfg)
-    states = _states_from(cfg, spec)
-    rtol, atol = _ode_tolerances_from(cfg)
-    res = darboux.insert_embedded(spec, states, grid, rtol=rtol, atol=atol)
+def cmd_insert(config, prefix, *, potential, grid, states, tolerances):
+    res = darboux.insert_embedded(potential, states, grid, **tolerances)
     res.to_csv(f"{prefix}.csv")
     diag = res.meta()
     if states:
         diag["eigenfunction_norms"] = res.eigenfunction_norms().tolist()
-    _write_meta(prefix, cfg, diag)
+    _write_meta(prefix, config, diag)
     return EXIT_OK
 
 
-def cmd_remove(cfg, prefix):
+def cmd_remove(config, prefix, *, potential, grid, states, tolerances):
     """Insert the configured states, then remove them again (round trip)."""
-    spec = _potential_from(cfg)
-    grid = _grid_from(cfg)
-    states = _states_from(cfg, spec)
-    res = darboux.insert_embedded(spec, states, grid)
+    res = darboux.insert_embedded(potential, states, grid, **tolerances)
     rem = darboux.remove_embedded(res.q_new, res.y_fields, grid,
                                   omegas=[s.omega for s in states])
     _write_csv(f"{prefix}.csv", "x,q_seed,q_plus,q_removed",
                [grid.x, res.q_seed, res.q_new, rem.q_minus])
-    _write_meta(prefix, cfg, {
+    _write_meta(prefix, config, {
         "round_trip_max_error": float(np.max(np.abs(rem.q_minus - res.q_seed))),
         "orthonormality": rem.orthonormality.tolist(),
     })
     return EXIT_OK
 
 
-def cmd_evolve(cfg, prefix):
-    spec = _potential_from(cfg)
-    if spec.kind != "wvn_example":
+def cmd_evolve(config, prefix, *, potential, grid, states, time):
+    if potential.kind != "wvn_example":
         raise ValidationError("evolve supports the explicit example family")
-    grid = _grid_from(cfg)
-    states = _states_from(cfg, spec)
     if len(states) > 1:
         raise ValidationError("evolve handles at most one embedded state")
-    t_values = _times_from(cfg)
-    params = wvn.ExampleParams(spec.rho, states[0].alpha if states else 1.0)
+    params = wvn.ExampleParams(potential.rho, states[0].alpha if states else 1.0)
     cols_x, cols_t, cols_q, cols_qp = [], [], [], []
     diags = {}
-    for t in t_values:
+    for t in time:
         state = kdv.EvolvedState(t, params)
         # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
         # state the output grid itself); at t = 0 from resolvent traces
@@ -237,7 +262,7 @@ def cmd_evolve(cfg, prefix):
         diags[f"t={t}"] = diag
     _write_csv(f"{prefix}.csv", "x,t,q,q_plus",
                [np.concatenate(c) for c in (cols_x, cols_t, cols_q, cols_qp)])
-    _write_meta(prefix, cfg, diags)
+    _write_meta(prefix, config, diags)
     return EXIT_OK
 
 
@@ -324,9 +349,7 @@ def _verify_checks(rho, alpha):
 
 
 
-def cmd_verify_example(cfg, prefix):
-    rho = float(cfg.get("rho", 2.0))
-    alpha = float(cfg.get("alpha", 1.0))
+def cmd_verify_example(config, prefix, *, rho, alpha):
     rows = list(_verify_checks(rho, alpha))
     width = max(len(r[0]) for r in rows) + 2
     n_fail = 0
@@ -337,18 +360,30 @@ def cmd_verify_example(cfg, prefix):
         print(f"{status}  {name:<{width}} value={value:.3e}  tol={tol:.1e}")
     print(f"{len(rows) - n_fail}/{len(rows)} checks passed (rho={rho}, alpha={alpha})")
     if prefix:
-        _write_meta(prefix, cfg, {
+        _write_meta(prefix, config, {
             "checks": [{"name": n, "value": v, "tol": t, "passed": bool(ok)}
                        for n, v, t, ok in rows]})
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 
+_DARBOUX = _object({"potential": _potential, "grid": _GRID, "states": _STATES,
+                    "tolerances": _TOLERANCES}, _with_states)
+
+# command -> (function, reader of its config); the function gets the raw config
+# for the sidecar, the output prefix and the values read
 COMMANDS = {
-    "scatter": cmd_scatter,
-    "insert": cmd_insert,
-    "remove": cmd_remove,
-    "evolve": cmd_evolve,
-    "verify-example": cmd_verify_example,
+    "scatter": (cmd_scatter, _object({
+        "potential": _potential,
+        "k_grid": _object({"k_min": _number, "k_max": _number, "n": _count(2),
+                           "exclusions": (_list(_list(_number, 2, 2)), [])}, _momenta)})),
+    "insert": (cmd_insert, _DARBOUX),
+    "remove": (cmd_remove, _DARBOUX),
+    "evolve": (cmd_evolve, _object({
+        "potential": _potential, "grid": _GRID, "states": _STATES,
+        "time": (_object({"t_values": (_list(_number, 1), [0.0])}, lambda t_values: t_values),
+                 [0.0])}, _with_states)),
+    "verify-example": (cmd_verify_example, _object({"rho": (_number, 2.0),
+                                                    "alpha": (_number, 1.0)})),
 }
 
 
@@ -374,7 +409,8 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: not JSON, or not text; RecursionError: nested beyond the parser's stack
+        except (OSError, ValueError, RecursionError) as exc:
             return _report_error("config", exc, EXIT_BAD_CONFIG)
         if not isinstance(cfg, dict):
             return _report_error("config", "the config must be a JSON object", EXIT_BAD_CONFIG)
@@ -383,13 +419,14 @@ def main(argv=None) -> int:
     if args.alpha is not None:
         cfg["alpha"] = args.alpha
 
+    command, read = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](cfg, args.output)
-    except np.linalg.LinAlgError as exc:   # a ValueError, but a numerical failure
-        return _report_error("numerical", exc, EXIT_NUMERICAL)
-    except (ValidationError, KeyError, ValueError) as exc:
+        return command(cfg, args.output, **read(cfg, "config"))
+    # only potentials nested deeper than the stack recurse that far
+    except (ValidationError, RecursionError) as exc:
         return _report_error("validation", exc, EXIT_BAD_CONFIG)
-    except PositonkitError as exc:
+    # ValueError covers LinAlgError; ArithmeticError is float overflow on extreme values
+    except (PositonkitError, ValueError, ArithmeticError) as exc:
         return _report_error("numerical", exc, EXIT_NUMERICAL)
 
 

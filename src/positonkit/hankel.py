@@ -32,7 +32,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import DiscretizationFailureError, ValidationError
 
-__all__ = ["PoleData", "HankelDiscretization", "KernelTable", "DetState", "PlaneJost",
+__all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost",
            "operator_spacing", "plane_jost"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
@@ -106,32 +106,6 @@ def _contour_rule(b: float, t: float, x_scale: float, tol_exp: float = 38.0):
     w[0] *= 0.5
     w[-1] *= 0.5
     return sig + 1j * b, w
-
-
-@dataclass
-class HankelDiscretization:
-    """Discretization data of the determinant pipeline.
-
-    b is the height of the contour Im z = b above the pole that defines the
-    kernel; m_op is the least number of intervals of the operator grid on
-    [0, s_op]; each determinant builds its own grid (aligned per x at t = 0)
-    with `em_weights`.
-    """
-
-    rho: float
-    b: float
-    s_op: float
-    m_op: int
-    poles: PoleData
-
-    @classmethod
-    def build(cls, rho: float, x_scale: float = 20.0, m_op: int = 200,
-              b_offset: float = 0.25) -> "HankelDiscretization":
-        if m_op < 12:
-            raise ValidationError("the operator grid needs m_op >= 12 intervals")
-        poles = PoleData.for_rho(rho)
-        s_op = (U_DECAY_TARGET / poles.ystar + 2.0 * x_scale) / 2.0
-        return cls(rho, poles.ystar + b_offset, float(s_op), m_op, poles)
 
 
 def _hankel(h, n: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from .hankel import (
     THIN_SUPPORT_X,
     U_DECAY_TARGET,
     DetState,
-    HankelDiscretization,
     KernelTable,
     PlaneJost,
     PoleData,
@@ -51,7 +50,6 @@ class EvolvedState:
 
     t: float
     params: wvn.ExampleParams
-    disc: HankelDiscretization = None
     m_op: int = 200
     delta_cap: float | None = None
     _tables: dict = field(default_factory=dict, repr=False)
@@ -67,9 +65,9 @@ class EvolvedState:
         if self.t > T_MAX:
             raise ValidationError(
                 f"t={self.t} beyond the validated contour tuning (t <= {T_MAX})")
-        if self.disc is None:
-            self.disc = HankelDiscretization.build(self.params.rho, m_op=self.m_op)
-        self.poles = self.disc.poles
+        if self.m_op < 12:
+            raise ValidationError("the operator grid needs m_op >= 12 intervals")
+        self.poles = PoleData.for_rho(self.params.rho)
 
     def kernel(self, u_min_needed: float = -96.0):
         """Regular kernel part: closed form at t = 0, tabulated for t > 0."""
@@ -149,22 +147,16 @@ def dyson_q(state: EvolvedState, x: float, method: str | None = None,
     raise ValidationError(f"unknown dyson_q method {method!r}")
 
 
-def jost_evolved(state: EvolvedState, x: float, k,
-                 with_derivative: bool = False):
+def jost_evolved(state: EvolvedState, x: float, k):
     """Evolved right Jost solution psi(x, t, k) = e^{ikx}(1 - g(k)).
 
     Accepts a scalar or array of momenta with Im k >= 0 (off the embedded
     poles of any transformed potential; the seed itself is regular at k = 1).
     """
-    scal = np.isscalar(k)
     ks = np.atleast_1d(np.asarray(k, dtype=complex))
-    fixed = state.fixed_delta(x) if with_derivative or state.t > 0.0 else None
-    ds = state.det_state(x, fixed_delta=fixed)
-    out = _jost_readout(x, ks, *(ds.solve_jost_with_derivative(ks) if with_derivative
-                                 else (ds.solve_jost(ks),)))
-    if scal:
-        out = tuple(complex(o[0]) for o in out)
-    return out if with_derivative else out[0]
+    ds = state.det_state(x, fixed_delta=state.fixed_delta(x) if state.t > 0.0 else None)
+    psi, = _jost_readout(x, ks, ds.solve_jost(ks))
+    return complex(psi[0]) if np.isscalar(k) else psi
 
 
 def _jost_readout(x, ks: np.ndarray, g, gx=None):

@@ -9,7 +9,6 @@ by construction; to the left they are extended by integration.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from contextlib import contextmanager
@@ -37,6 +36,10 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+# right-hand-side evaluations per smooth piece: 12x the most any test or workload
+# takes (16,430 over 225 units at k = 1).  Uncapped, DOP853 crawls for hours on
+# momenta or spans near 1e18, or on a potential whose rounding noise defeats it.
+MAX_NFEV = 200_000
 
 KIND_ZERO = "zero"
 KIND_WVN = "wvn_example"
@@ -113,7 +116,12 @@ class PotentialSpec:
             self.sample_q = np.asarray(self.sample_q, dtype=float)
             if self.sample_x.ndim != 1 or self.sample_x.shape != self.sample_q.shape:
                 raise ValidationError("sample arrays must be 1d and of equal length")
+            if self.sample_x.size < 2 or np.any(np.diff(self.sample_x) <= 0):
+                raise ValidationError("sample x must be at least 2 strictly increasing points")
             self._spline = CubicSpline(self.sample_x, self.sample_q, extrapolate=False)
+        if self.kind == KIND_WVN and self.right_cutoff < 0:
+            raise ValidationError("the wvn_example potential is nonzero below x = 0; "
+                                  "right_cutoff must be >= 0")
         if self.tail_tol < 0:
             raise ValidationError("tail_tol must be nonnegative")
 
@@ -204,60 +212,6 @@ class PotentialSpec:
             out = sorted({b for p in self.parts for b in p.breakpoints()})
             return out
         return []
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        d = {"kind": self.kind,
-             "right_cutoff": None if math.isinf(self.right_cutoff) else self.right_cutoff,
-             "tail_tol": self.tail_tol}
-        if self.rho is not None:
-            d["rho"] = self.rho
-        if self.kind == KIND_SAMPLED:
-            d["x"] = self.sample_x.tolist()
-            d["q"] = self.sample_q.tolist()
-        if self.kind == KIND_SHIFTED:
-            d["shift"] = self.shift
-            d["inner"] = self.parts[0].to_json()
-        if self.kind == KIND_SUM:
-            d["parts"] = [p.to_json() for p in self.parts]
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PotentialSpec":
-        kind = d["kind"]
-        if kind == KIND_ZERO:
-            return cls.zero()
-        if kind == KIND_WVN:
-            spec = cls.wvn_example(d["rho"])
-        elif kind == KIND_SYM:
-            spec = cls.sym_plus_one(d["rho"], d.get("tail_tol", 1e-2))
-        elif kind == KIND_SAMPLED:
-            spec = cls.sampled(np.asarray(d["x"]), np.asarray(d["q"]),
-                               d.get("right_cutoff"), d.get("tail_tol", 0.0))
-        elif kind == KIND_SHIFTED:
-            spec = cls.shifted(cls.from_json(d["inner"]), d["shift"])
-        elif kind == KIND_SUM:
-            spec = cls.sum_of(*[cls.from_json(p) for p in d["parts"]])
-        else:
-            raise ValidationError(f"unknown potential kind {kind!r}")
-        cutoff = d.get("right_cutoff")
-        if cutoff is not None:
-            if (not isinstance(cutoff, numbers.Real) or isinstance(cutoff, bool)
-                    or not math.isfinite(cutoff)):
-                raise ValidationError(f"right_cutoff must be a finite number, got {cutoff!r}")
-            if kind == KIND_WVN and cutoff < 0:
-                raise ValidationError("the wvn_example potential is nonzero below x = 0; "
-                                      "right_cutoff must be >= 0")
-            spec.right_cutoff = float(cutoff)
-        return spec
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "PotentialSpec":
-        return cls.from_json(json.loads(s))
 
 
 @dataclass
@@ -367,8 +321,15 @@ def _integrate_piece(qfn, k, x_from, x_to, y0, t_eval, rtol, atol):
     ksq = k * k
     perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     coef = np.ones(2 * n, complex)
+    nfev = 0
 
     def rhs(x, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV:
+            raise IntegrationFailureError(
+                f"no solution within {MAX_NFEV} evaluations of the equation, near x={x}",
+                x_failed=float(x))
         q = qfn(x)
         if not math.isfinite(q):     # DOP853 never returns on a non-finite right-hand side
             raise IntegrationFailureError(f"potential is not finite at x={x}: q={q}",

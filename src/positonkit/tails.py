@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import TailDivergenceError
+from .errors import TailDivergenceError, ValidationError
 
 __all__ = ["TailFit", "fit_oscillatory_tail"]
 
@@ -73,7 +73,7 @@ class TailFit:
         if self.zero_tail or other.zero_tail:
             return 0.0
         if self.side != other.side or abs(self.s0 - other.s0) > 1e-9:
-            raise ValueError("cross tails require matching side and anchor")
+            raise ValidationError("cross tails require matching side and anchor")
         f0 = 1.0 / (self.a * other.a)
         f1 = -(self.b / self.a + other.b / other.a) * f0
         sgn = 1.0 if self.side == LEFT else -1.0
@@ -110,7 +110,7 @@ def fit_oscillatory_tail(s, phi, omega, side, zero_tol=1e-11) -> TailFit:
     s = np.asarray(s, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if side not in (LEFT, RIGHT):
-        raise ValueError("side must be 'left' or 'right'")
+        raise ValidationError("side must be 'left' or 'right'")
     order = np.argsort(s)
     s, phi = s[order], phi[order]
     s0 = s[0] if side == LEFT else s[-1]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import OutOfDomainError, PoleEvaluationError
+from .errors import OutOfDomainError, PoleEvaluationError, ValidationError
 
 __all__ = [
     "ExampleParams",
@@ -50,10 +50,10 @@ class ExampleParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (self.rho > 0):
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ValidationError(f"rho must be finite and positive, got {self.rho}")
         if not math.isfinite(self.alpha) or self.alpha == 0:
-            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha}")
+            raise ValidationError(f"alpha must be finite and nonzero, got {self.alpha}")
 
 
 def tau(rho, x):

@@ -1,7 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positonkit import cli
 from positonkit import wvn_example as wvn
@@ -119,6 +128,9 @@ def test_evolve_seed_only(tmp_path):
 
 def test_bad_config_exit_code(tmp_path, capsys):
     k_grid = {"k_min": 0.5, "k_max": 2.0, "n": 3}
+    deep = {"kind": "zero"}
+    for _ in range(600):        # nested past the interpreter's stack, not the JSON parser's
+        deep = {"kind": "shifted", "inner": deep, "shift": 0.0}
     scatter = [{"potential": {"kind": "nope"}, "k_grid": k_grid},
                # json reads 1e400 as an infinite float
                {"potential": WVN_POT, "k_grid": dict(k_grid, k_min=-1e400)},
@@ -127,9 +139,18 @@ def test_bad_config_exit_code(tmp_path, capsys):
                {"potential": dict(WVN_POT, rho=float("nan")), "k_grid": k_grid},
                {"potential": dict(WVN_POT, right_cutoff=float("nan")), "k_grid": k_grid},
                {"potential": dict(WVN_POT, right_cutoff=-3.0), "k_grid": k_grid},
-               {"potential": dict(WVN_POT, right_cutoff="0"), "k_grid": k_grid}]
+               {"potential": dict(WVN_POT, right_cutoff="0"), "k_grid": k_grid},
+               {"potential": {"kind": "shifted", "inner": 5, "shift": 1}, "k_grid": k_grid},
+               {"potential": {"kind": "sum", "parts": None}, "k_grid": k_grid},
+               {"potential": {"kind": "sampled", "x": "abc", "q": "def"}, "k_grid": k_grid},
+               {"potential": {"kind": "sampled", "x": [0, 0, 1], "q": [0, 0, 0]}, "k_grid": k_grid},
+               {"potential": {"kind": "sym_plus_one", "rho": 2, "tail_tol": "x"}, "k_grid": k_grid},
+               {"potential": {"kind": "wvn_example", "rho": True}, "k_grid": k_grid},
+               {"potential": WVN_POT, "k_grid": dict(k_grid, n=2**63)},
+               {"potential": deep, "k_grid": k_grid}]
     base = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 11},
             "states": [{"omega": 1.0, "alpha": 1.0}]}
+    wide = dict(base, grid={"x_min": -20.0, "x_max": 20.0, "n": 401})
     nan_alpha = dict(base, states=[{"omega": 1, "alpha": float("nan")}])
     r_triple = dict(base, states=[{"omega": 1.0, "alpha": 1.0, "r_at_omega": [1, 2, 3]}])
     bad = [("scatter", cfg) for cfg in scatter] + [
@@ -148,6 +169,13 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("insert", dict(base, tolerances={"ode_rtol": "x"})),
         ("insert", dict(base, grid={"x_min": -3.0, "x_max": 2.0, "n": 1e400})),
         ("insert", dict(base, grid={"x_min": -20.0, "x_max": 20.0, "n": 400.5})),
+        ("insert", dict(base, grid={"x_min": -20.0, "x_max": 20.0, "n": 2**63})),
+        # each of these is the only fault of a config that runs without it
+        ("insert", dict(wide, grdi=wide["grid"])),
+        ("remove", dict(wide, tolerances={"ode_rtol": -1})),
+        ("evolve", dict(base, tolerances=7)),
+        ("insert", dict(wide, states=[{"omega": 1.0, "alpha": 1.0},
+                                      {"omega": 1.0 + 7e-13, "alpha": 1.0}])),
         # the 20-unit tail windows would cover the grid's non-asymptotic core
         ("insert", dict(base, grid={"x_min": -5.0, "x_max": 5.0, "n": 1001}))]
     for i, (command, cfg) in enumerate(bad):
@@ -159,12 +187,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert not (tmp_path / f"bad{i}.csv").exists()
 
 
-def test_linalg_error_is_numerical(monkeypatch, capsys):
-    def singular(cfg, prefix):
+def test_linalg_error_is_numerical(tmp_path, monkeypatch, capsys):
+    def singular(spec, ks):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setitem(cli.COMMANDS, "scatter", singular)
-    assert cli.main(["scatter"]) == cli.EXIT_NUMERICAL
+    monkeypatch.setattr(cli.scattering, "scattering_coefficients", singular)
+    cfg = {"potential": WVN_POT, "k_grid": {"k_min": 0.5, "k_max": 2.0, "n": 3}}
+    code, _ = run_cli(tmp_path, "singular", cfg, "scatter")
+    assert code == cli.EXIT_NUMERICAL
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
+    # so is a float overflow: a finite momentum that the closed form cannot cube
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 6},
+           "states": [{"omega": 1e300, "alpha": 1.0}]}
+    code, _ = run_cli(tmp_path, "overflow", cfg, "evolve")
+    assert code == cli.EXIT_NUMERICAL
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
 
 
@@ -172,6 +208,12 @@ def test_missing_config_file(tmp_path):
     code = cli.main(["scatter", "--config", str(tmp_path / "absent.json"),
                      "--output", str(tmp_path / "x")])
     assert code == cli.EXIT_BAD_CONFIG
+    # nor can a file that is not text, or nests past the JSON parser's stack, be read
+    for name, content in [("binary.json", b"\xff\xfe{"), ("deep.json", b"[" * 100000)]:
+        (tmp_path / name).write_bytes(content)
+        code = cli.main(["scatter", "--config", str(tmp_path / name),
+                         "--output", str(tmp_path / "x")])
+        assert code == cli.EXIT_BAD_CONFIG
 
 
 def test_verify_example_passes(tmp_path, capsys):
@@ -194,3 +236,103 @@ def test_scatter_meta_records_ode_work(tmp_path):
     assert diag["ode_solves"] == 1      # every momentum rides in one solve
     assert diag["ode_nfev"] > 0
     assert "workers" not in diag
+
+
+# -- fuzzing main with hostile configs -----------------------------------------
+
+SMALL_CONFIGS = {
+    "scatter": {"potential": WVN_POT,
+                "k_grid": {"k_min": 0.5, "k_max": 2.0, "n": 3, "exclusions": [[1.0, 1e-3]]}},
+    "insert": {"potential": WVN_POT, "grid": {"x_min": -20.0, "x_max": 20.0, "n": 401},
+               "states": [{"omega": 1.0, "alpha": 1.0, "r_at_omega": [-1.0, 0.0]}],
+               "tolerances": {"ode_rtol": 1e-8, "ode_atol": 1e-10}},
+    "evolve": {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 6},
+               "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.02]}},
+    "verify-example": {"rho": 2.0, "alpha": 1.0},
+}
+SMALL_CONFIGS["remove"] = SMALL_CONFIGS["insert"]
+
+# wrong JSON types, non-finite and huge numbers (json reads 1e400 as inf), signs,
+# zero and fractions, and nestings of them
+_SCALARS = st.sampled_from(["x", None, True, math.nan, math.inf, -math.inf, 2**63, -1, 0, 0.5])
+HOSTILE = _SCALARS | st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=2), inner, max_size=3), max_leaves=6)
+HANG_S = 20.0
+
+
+def _paths(node, path=()):
+    """Paths to every value below node, in any object or list."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def hostile_config(draw, command):
+    """The command's small config with one key deleted, one unknown key added or one
+    value at any depth replaced by a hostile one."""
+    cfg = copy.deepcopy(SMALL_CONFIGS[command])
+    paths = list(_paths(cfg))
+    op = draw(st.sampled_from(["delete", "add", "replace"]))
+    if op == "delete":
+        path = draw(st.sampled_from([p for p in paths if isinstance(_at(cfg, p[:-1]), dict)]))
+        del _at(cfg, path[:-1])[path[-1]]
+    elif op == "add":
+        objects = [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        _at(cfg, draw(st.sampled_from(objects)))["unknown"] = draw(HOSTILE)
+    else:
+        path = draw(st.sampled_from(paths))
+        _at(cfg, path[:-1])[path[-1]] = draw(HOSTILE)
+    return cfg
+
+
+class _Hang(BaseException):
+    """Raised by the per-example timer when main has not returned."""
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_main_is_total_on_hostile_configs(command, data):
+    # every input ends in an exit code, with exactly one JSON error line on an
+    # error exit, and an invalid config writes no output
+    cfg = data.draw(hostile_config(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, prefix = os.path.join(tmp, "config.json"), os.path.join(tmp, "run")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_hang)
+        signal.setitimer(signal.ITIMER_REAL, HANG_S)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli.main([command, "--config", path, "--output", prefix])
+        except _Hang:
+            pytest.fail(f"{command} did not return within {HANG_S} s")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_BAD_CONFIG,
+                        cli.EXIT_NUMERICAL)
+        if code == cli.EXIT_CHECK_FAILED:
+            assert command == "verify-example"
+        if code in (cli.EXIT_BAD_CONFIG, cli.EXIT_NUMERICAL):
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1
+            kind = json.loads(lines[0])["error"]["kind"]
+            assert kind == ("validation" if code == cli.EXIT_BAD_CONFIG else "numerical")
+        if code == cli.EXIT_BAD_CONFIG:
+            assert not os.path.exists(prefix + ".csv")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from positonkit import darboux as dbx
 from positonkit import scattering as sct
@@ -10,7 +12,7 @@ from positonkit.errors import (
     TailDivergenceError,
     ValidationError,
 )
-from positonkit.schrodinger import Grid, WaveField
+from positonkit.schrodinger import Grid, PotentialSpec, WaveField
 from positonkit.tails import fit_oscillatory_tail
 
 RHO = 2.0
@@ -93,11 +95,13 @@ def test_insert_precondition_rejects_nonresonant(wvn_spec):
 
 
 def test_insert_duplicate_omegas_rejected(wvn_spec):
+    # 7e-13 apart passed a round(omega, 12) check and then divided by the difference
     grid = Grid(-5.0, 5.0, 201)
     s1 = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 1.0)
-    s2 = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 0.5)
-    with pytest.raises(ValidationError):
-        dbx.insert_embedded(wvn_spec, [s1, s2], grid)
+    for omega in (1.0, 1.0 + 7e-13):
+        s2 = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 0.5, omega)
+        with pytest.raises(ValidationError, match="apart"):
+            dbx.insert_embedded(wvn_spec, [s1, s2], grid)
 
 
 def test_symmetry_iff_matched_norming(wvn_spec, grid_std):
@@ -237,6 +241,17 @@ def test_remove_round_trip(wvn_spec, grid_std):
     state = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 0.7)
     res = dbx.insert_embedded(wvn_spec, [state], grid_std, check_preconditions=False)
     rem = dbx.remove_embedded(res.q_new, res.y_fields, grid_std, omegas=[1.0])
+    assert np.max(np.abs(rem.q_minus - res.q_seed)) < 1e-6
+
+
+@given(st.floats(0.3, 5.0), st.floats(0.3, 3.0))
+@example(5.0, 3.0)
+@settings(max_examples=10, deadline=None)
+def test_remove_round_trip_across_family(rho, alpha):
+    grid = Grid(-20.0, 20.0, 2001)
+    state = dbx.EmbeddedStateSpec.for_wvn_example(rho, alpha)
+    res = dbx.insert_embedded(PotentialSpec.wvn_example(rho), [state], grid)
+    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid, omegas=[1.0])
     assert np.max(np.abs(rem.q_minus - res.q_seed)) < 1e-6
 
 

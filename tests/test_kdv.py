@@ -7,7 +7,7 @@ from scipy.linalg import lu_factor
 from positonkit import hankel, kdv
 from positonkit import wvn_example as wvn
 from positonkit.errors import DiscretizationFailureError, ValidationError
-from positonkit.hankel import DetState, HankelDiscretization, KernelTable, PoleData, em_weights
+from positonkit.hankel import DetState, KernelTable, PoleData
 from positonkit.schrodinger import Grid
 
 RHO = 2.0
@@ -16,6 +16,13 @@ RHO = 2.0
 @pytest.fixture(scope="module")
 def state0():
     return kdv.EvolvedState(0.0, wvn.ExampleParams(RHO, 1.0))
+
+
+@pytest.fixture(scope="module")
+def plane0(state0):
+    """The t = 0 phi-plane on [-45, 2] at spacing 0.05, as `q_plus_evolved` builds it for x <= 2."""
+    n = int(np.ceil((2.0 + 45.0) / 0.05)) + 1
+    return kdv.evolved_phi_plane(state0, Grid(-45.0, -45.0 + (n - 1) * 0.05, n))
 
 
 def test_state_validation():
@@ -38,12 +45,6 @@ def test_pole_data():
     assert all(p.imag < 0 for p in poles.low_poles)
     # residues of R sum to zero (R decays like 1/z^3)
     assert abs(sum(poles.low_res) + poles.r_star) < 1e-12
-
-
-def test_discretization_contour_above_pole():
-    disc = HankelDiscretization.build(RHO)
-    assert disc.b > disc.poles.ystar
-    assert np.all(em_weights(disc.m_op, disc.s_op / disc.m_op) > 0)
 
 
 @pytest.mark.parametrize("t", [0.02, 0.045])
@@ -154,29 +155,26 @@ def test_jost_evolved_t0(state0):
     assert abs(kdv.jost_evolved(state0, -5.0, 2.0) - vc) < 1e-3
 
 
-def test_evolved_plane_t0_matches_closed(state0):
-    g = Grid(-45.0, 1.0, 461)   # 0.1 spacing keeps this test quick
-    plane = kdv.evolved_phi_plane(state0, g)
+def test_evolved_plane_t0_matches_closed(plane0):
+    g = plane0.grid
     phic = wvn.phi_closed(RHO, g.x)
-    assert np.max(np.abs(plane.phi - phic)) < 5e-3
+    assert np.max(np.abs(plane0.phi - phic)) < 5e-3
     i0 = g.index_of(0.0)
-    assert abs(plane.big_i[i0] - wvn.big_i_closed(RHO, 0.0)) < 2e-3
+    assert abs(plane0.big_i[i0] - wvn.big_i_closed(RHO, 0.0)) < 2e-3
 
 
-def test_q_plus_evolved_t0_matches_oracle(state0):
+def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
     xq = np.arange(-6.0, 2.01, 0.5)
-    qp = kdv.q_plus_evolved(state0, 1.0, xq, s_left=-45.0, s_spacing=0.05)
+    qp = kdv.q_plus_evolved(state0, 1.0, xq, plane=plane0)
     qc = wvn.q_plus1(RHO, 1.0, xq)
     assert np.max(np.abs(qp - qc)) < 2e-3
 
 
-def test_q_plus_free_limit():
+def test_q_plus_free_limit(state0, plane0):
     # without the inserted state the formula returns the evolved seed itself
-    state = kdv.EvolvedState(0.0, wvn.ExampleParams(RHO))
     x = -3.0
-    q_seed = kdv.dyson_q(state, x)
-    plane = kdv.evolved_phi_plane(state, Grid(-45.0, -3.0 + 0.05, 842))
-    tiny = kdv.q_plus_evolved(state, 1e-8, np.array([x]), plane=plane)
+    q_seed = kdv.dyson_q(state0, x)
+    tiny = kdv.q_plus_evolved(state0, 1e-8, np.array([x]), plane=plane0)
     assert abs(tiny[0] - q_seed) < 1e-6
 
 

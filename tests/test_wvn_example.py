@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positonkit import wvn_example as wvn
-from positonkit.errors import OutOfDomainError, PoleEvaluationError
+from positonkit.errors import OutOfDomainError, PoleEvaluationError, ValidationError
 
 RHO = 2.0
 
@@ -161,10 +161,11 @@ def test_positon_asymptotics():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        wvn.ExampleParams(rho=-1.0)
-    with pytest.raises(ValueError):
+    for rho in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            wvn.ExampleParams(rho=rho)
+    with pytest.raises(ValidationError):
         wvn.ExampleParams(rho=1.0, alpha=0.0)
     for alpha in (np.nan, np.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             wvn.ExampleParams(rho=1.0, alpha=alpha)
