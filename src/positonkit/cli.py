@@ -387,6 +387,14 @@ COMMANDS = {
 }
 
 
+def _read_config(read, cfg) -> dict:
+    """The values of cfg; only the reader's recursion over nested potentials is a config fault."""
+    try:
+        return read(cfg, "config")
+    except RecursionError as exc:
+        raise ValidationError(f"config nests deeper than the interpreter's stack: {exc}") from exc
+
+
 def _report_error(kind, exc, code) -> int:
     """Print the one-line JSON error record and return the exit code."""
     print(json.dumps({"error": {"kind": kind, "message": str(exc)}}))
@@ -421,9 +429,8 @@ def main(argv=None) -> int:
 
     command, read = COMMANDS[args.command]
     try:
-        return command(cfg, args.output, **read(cfg, "config"))
-    # only potentials nested deeper than the stack recurse that far
-    except (ValidationError, RecursionError) as exc:
+        return command(cfg, args.output, **_read_config(read, cfg))
+    except ValidationError as exc:
         return _report_error("validation", exc, EXIT_BAD_CONFIG)
     # ValueError covers LinAlgError; ArithmeticError is float overflow on extreme values
     except (PositonkitError, ValueError, ArithmeticError) as exc:

@@ -242,35 +242,27 @@ def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
     return dq if not np.isscalar(x) else float(dq[0])
 
 
-def q_plus_evolved(state: EvolvedState, alpha: float, x, plane: EvolvedPlane = None,
-                   omega: float = 1.0, s_left: float = -45.0,
-                   s_spacing: float = 0.05) -> np.ndarray:
-    """Evolved transformed potential q_+1(x, t) at the requested x (scalar or array).
+def q_plus_evolved(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
+    """Evolved transformed potential q_+1(x, t) at plane nodes x (scalar or array).
 
     q_+1 = q(x,t) - 2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)):
     the evolved seed (`EvolvedPlane.q_at`) plus `insertion_term`.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if plane is None:
-        n = int(math.ceil((xs.max() - s_left) / s_spacing)) + 1
-        plane = evolved_phi_plane(state, Grid(s_left, s_left + (n - 1) * s_spacing, n),
-                                  omega=omega)
     out = insertion_term(plane, alpha, xs) + plane.q_at(xs)
     return out if not np.isscalar(x) else float(out[0])
 
 
-def classify_embedded_pole_evolved(state: EvolvedState, alpha: float, x_probe: float,
-                                   eps_values=(1e-2, 1e-3, 1e-4), omega: float = 1.0,
-                                   plane: EvolvedPlane = None):
+def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: float,
+                                   eps_values=(1e-2, 1e-3, 1e-4)):
     """Exponent p of |g_+1(omega + i eps)| ~ C/eps^p for the transformed potential.
 
     Builds psi_+1(x, t, omega + i eps) by the gauge transform of the evolved
     Jost solution and pairs it with the regularized (finite) phi_+1 value, so a
-    simple embedded pole shows p ~ 1 and a regular point p ~ 0.
+    simple embedded pole shows p ~ 1 and a regular point p ~ 0.  x_probe is
+    read at the plane node nearest to it.
     """
-    if plane is None:
-        n = int(math.ceil((x_probe + 0.5 + 45.0) / 0.05)) + 1
-        plane = evolved_phi_plane(state, Grid(-45.0, -45.0 + (n - 1) * 0.05, n), omega=omega)
+    state, omega = plane.state, plane.omega
     j = plane.grid.index_of(x_probe)
     xx = float(plane.grid.x[j])
     f, fx = plane.phi[j], plane.phi_x[j]

@@ -36,10 +36,12 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-# right-hand-side evaluations per smooth piece: 12x the most any test or workload
-# takes (16,430 over 225 units at k = 1).  Uncapped, DOP853 crawls for hours on
-# momenta or spans near 1e18, or on a potential whose rounding noise defeats it.
-MAX_NFEV = 200_000
+# Most right-hand-side evaluations one smooth piece of q may take (about a
+# minute; 44-54 per unit of |k| * span, see README).  Every NFEV_CHECK of them
+# the total is projected from the share of the span covered, so a piece
+# projected past the cap fails at once instead of running for hours.
+MAX_NFEV = 2_000_000
+NFEV_CHECK = 5_000
 
 KIND_ZERO = "zero"
 KIND_WVN = "wvn_example"
@@ -80,11 +82,6 @@ class Grid:
 
     def contains(self, x0: float) -> bool:
         return self.x_min - 1e-12 <= x0 <= self.x_max + 1e-12
-
-    @classmethod
-    def from_spacing(cls, x_min: float, x_max: float, h: float) -> "Grid":
-        n = int(round((x_max - x_min) / h)) + 1
-        return cls(x_min, x_min + (n - 1) * h, n)
 
 
 @dataclass
@@ -209,8 +206,7 @@ class PotentialSpec:
         if self.kind == KIND_SHIFTED:
             return [b + self.shift for b in self.parts[0].breakpoints()]
         if self.kind == KIND_SUM:
-            out = sorted({b for p in self.parts for b in p.breakpoints()})
-            return out
+            return sorted({b for p in self.parts for b in p.breakpoints()})
         return []
 
 
@@ -233,10 +229,6 @@ class WaveField:
         shape = np.shape(self.k) + (self.grid.n_points,)
         if self.values.shape != shape or self.derivs.shape != shape:
             raise ValidationError("values/derivs must have exactly n_points entries per momentum")
-
-    @property
-    def energy(self) -> complex:
-        return self.k**2
 
     def at(self, x0: float):
         """(value, derivative) at x0 by local cubic interpolation.
@@ -321,15 +313,16 @@ def _integrate_piece(qfn, k, x_from, x_to, y0, t_eval, rtol, atol):
     ksq = k * k
     perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
     coef = np.ones(2 * n, complex)
+    span = x_to - x_from
     nfev = 0
 
     def rhs(x, y):
         nonlocal nfev
         nfev += 1
-        if nfev > MAX_NFEV:
+        if nfev % NFEV_CHECK == 0 and nfev > MAX_NFEV * (x - x_from) / span:
             raise IntegrationFailureError(
-                f"no solution within {MAX_NFEV} evaluations of the equation, near x={x}",
-                x_failed=float(x))
+                f"the solve would take more than {MAX_NFEV} evaluations of the equation: "
+                f"{nfev} reached x={x} of [{x_from}, {x_to}]", x_failed=float(x))
         q = qfn(x)
         if not math.isfinite(q):     # DOP853 never returns on a non-finite right-hand side
             raise IntegrationFailureError(f"potential is not finite at x={x}: q={q}",

@@ -196,7 +196,7 @@ def test_criterion_9c_evolved_residual():
     for t in ts:
         state = kdv.EvolvedState(t, par)
         plane = kdv.evolved_phi_plane(state, plane_grid)
-        u[t] = kdv.q_plus_evolved(state, 1.0, xcols, plane=plane)
+        u[t] = kdv.q_plus_evolved(plane, 1.0, xcols)
     worst = 0.0
     for x0 in probes:
         cols = [i for i, x in enumerate(xcols) if abs(x - x0) < 3 * hx + 1e-9]
@@ -224,7 +224,7 @@ def test_criterion_10_eigenvalue_persistence():
     ev = kdv.EvolvedState(0.02, wvn.ExampleParams(rho, 1.0))
     n = int(round(45.0 / 0.05)) + 1
     plane = kdv.evolved_phi_plane(ev, Grid(-45.0, 0.0, n))
-    p_t2, _ = kdv.classify_embedded_pole_evolved(ev, 1.0, -1.1, plane=plane)
+    p_t2, _ = kdv.classify_embedded_pole_evolved(plane, 1.0, -1.1)
     ok1 = _report("10a simple pole at t=0", abs(p_t0 - 1.0), 0.25, f"(p = {p_t0:.3f})")
     ok2 = _report("10b simple pole at t=0.02", abs(p_t2 - 1.0), 0.25, f"(p = {p_t2:.3f})")
     assert ok1 and ok2

@@ -204,6 +204,17 @@ def test_linalg_error_is_numerical(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
 
 
+def test_recursion_in_a_run_is_not_a_config_fault(tmp_path, monkeypatch):
+    # only the reader's recursion over nested potentials is a config fault
+    def deep(spec, ks):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.scattering, "scattering_coefficients", deep)
+    cfg = {"potential": WVN_POT, "k_grid": {"k_min": 0.5, "k_max": 2.0, "n": 3}}
+    with pytest.raises(RecursionError):
+        run_cli(tmp_path, "deep", cfg, "scatter")
+
+
 def test_missing_config_file(tmp_path):
     code = cli.main(["scatter", "--config", str(tmp_path / "absent.json"),
                      "--output", str(tmp_path / "x")])

@@ -20,7 +20,7 @@ def state0():
 
 @pytest.fixture(scope="module")
 def plane0(state0):
-    """The t = 0 phi-plane on [-45, 2] at spacing 0.05, as `q_plus_evolved` builds it for x <= 2."""
+    """The t = 0 phi-plane on [-45, 2] at spacing 0.05 (941 nodes; x = -3 is node 840)."""
     n = int(np.ceil((2.0 + 45.0) / 0.05)) + 1
     return kdv.evolved_phi_plane(state0, Grid(-45.0, -45.0 + (n - 1) * 0.05, n))
 
@@ -165,7 +165,7 @@ def test_evolved_plane_t0_matches_closed(plane0):
 
 def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
     xq = np.arange(-6.0, 2.01, 0.5)
-    qp = kdv.q_plus_evolved(state0, 1.0, xq, plane=plane0)
+    qp = kdv.q_plus_evolved(plane0, 1.0, xq)
     qc = wvn.q_plus1(RHO, 1.0, xq)
     assert np.max(np.abs(qp - qc)) < 2e-3
 
@@ -174,7 +174,7 @@ def test_q_plus_free_limit(state0, plane0):
     # without the inserted state the formula returns the evolved seed itself
     x = -3.0
     q_seed = kdv.dyson_q(state0, x)
-    tiny = kdv.q_plus_evolved(state0, 1e-8, np.array([x]), plane=plane0)
+    tiny = kdv.q_plus_evolved(plane0, 1e-8, np.array([x]))
     assert abs(tiny[0] - q_seed) < 1e-6
 
 
@@ -249,7 +249,7 @@ def test_conservation_under_evolution(averaged_integral):
     gc = Grid(-45.0, -45.0 + (n - 1) * 0.05, n)
     plane = kdv.evolved_phi_plane(state, gc)
     xs = gc.x[gc.x >= -L - 1e-9]
-    q_t = kdv.q_plus_evolved(state, 1.0, xs, plane=plane)
+    q_t = kdv.q_plus_evolved(plane, 1.0, xs)
     q_0 = wvn.q_plus1(RHO, 1.0, xs)
     d_mass = abs(averaged_integral(xs, q_t) - averaged_integral(xs, q_0))
     d_mom = abs(averaged_integral(xs, q_t**2) - averaged_integral(xs, q_0**2))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from positonkit import scattering
 from positonkit import schrodinger as sch
 from positonkit import wvn_example as wvn
 from positonkit.errors import (
@@ -83,11 +84,25 @@ def test_nan_potential_fails_promptly():
     assert out.returncode == 0 and out.stdout.strip() == "raised"
 
 
-def test_ode_work_is_capped(monkeypatch):
-    # a solve that needs more evaluations than the cap fails instead of running on
-    monkeypatch.setattr(sch, "MAX_NFEV", 1000)
-    with pytest.raises(IntegrationFailureError, match="1000 evaluations"):
-        sch.right_jost_at(sch.PotentialSpec.wvn_example(RHO), 1.0, -200.0)
+@pytest.mark.parametrize("share, solved", [(0.95, True), (1.1, False)])
+def test_ode_cap_admits_its_documented_span(monkeypatch, share, solved):
+    # at the full cap a 200-momentum scan (one piece, 0 -> -4) is solved up to
+    # |k| * span = 44,000 (k_max = 11,000; 10,500 took 1,853,153 evaluations).
+    # With the cap lowered 50-fold, the same share of that span is solved just
+    # inside it, and just outside it fails at the first projection.
+    cap = sch.MAX_NFEV // 50
+    monkeypatch.setattr(sch, "MAX_NFEV", cap)
+    k_max = share * 44_000 / 50 / 4.0
+    ks = np.linspace(0.2, k_max, 200)
+    spec = sch.PotentialSpec.wvn_example(RHO)
+    if solved:
+        with sch.count_ode_work() as work:
+            scattering.scattering_coefficients(spec, ks)
+        assert work.solves == 1 and work.nfev <= cap
+    else:
+        with pytest.raises(IntegrationFailureError,
+                           match=f"more than {cap} evaluations.*: {sch.NFEV_CHECK} reached"):
+            scattering.scattering_coefficients(spec, ks)
 
 
 def test_composite_potentials():
