@@ -195,10 +195,11 @@ def cmd_scatter(config, prefix, *, potential, k_grid):
 
 def cmd_insert(config, prefix, *, potential, grid, states, tolerances):
     res = darboux.insert_embedded(potential, states, grid, **tolerances)
-    res.to_csv(f"{prefix}.csv")
     diag = res.meta()
     if states:
+        # before any output: the norms' tail windows may not fit the grid
         diag["eigenfunction_norms"] = res.eigenfunction_norms().tolist()
+    res.to_csv(f"{prefix}.csv")
     _write_meta(prefix, config, diag)
     return EXIT_OK
 
@@ -223,6 +224,16 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
     if len(states) > 1:
         raise ValidationError("evolve handles at most one embedded state")
     params = wvn.ExampleParams(potential.rho, states[0].alpha if states else 1.0)
+    if states:
+        # the phi-plane runs from -45 to x_max at the output grid's spacing
+        if not grid.x_max > -45.0:
+            raise ValidationError(f"config.grid.x_max must exceed -45, where the phi-plane "
+                                  f"starts, got {grid.x_max}")
+        n = int(math.ceil((grid.x_max + 45.0) / grid.spacing)) + 1
+        if n > MAX_POINTS:
+            raise ValidationError(f"config.grid spacing {grid.spacing:.3g} makes a phi-plane "
+                                  f"of {n} nodes over [-45, x_max], above {MAX_POINTS}")
+        pg = Grid(grid.x_max - (n - 1) * grid.spacing, grid.x_max, n)
     cols_x, cols_t, cols_q, cols_qp = [], [], [], []
     diags = {}
     for t in time:
@@ -230,8 +241,6 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
         # state the output grid itself); at t = 0 from resolvent traces
         if states:
-            n = int(math.ceil((grid.x_max + 45.0) / grid.spacing)) + 1
-            pg = Grid(grid.x_max - (n - 1) * grid.spacing, grid.x_max, n)
             plane = kdv.evolved_phi_plane(state, pg)
             q = plane.q_at(grid.x)
             q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
@@ -244,17 +253,19 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         cols_t.append(np.full(grid.n_points, t))
         cols_q.append(q)
         cols_qp.append(q_plus)
-        # sizes actually used: mn + 1 of the operator systems, the t > 0 plane's
-        # factorizations and its kernel table
+        # sizes actually used: mn + 1 of the operator systems, the plane's
+        # factorizations and the t > 0 kernel table
         diag = {"operator_points_min": min(state.operator_sizes, default=None),
                 "operator_points_max": max(state.operator_sizes, default=None),
                 "q_source": "plane_glm" if t > 0 else "trace"}
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
-        if t > 0:
+        if states or t > 0:
+            diag["plane_path"] = "per_node" if plane.delta is None else "chain"
             diag["plane_operator_spacing"] = plane.delta
             diag["plane_chains"] = len(plane.factor_points)
             diag["plane_factor_points"] = list(plane.factor_points)
+        if t > 0:
             tab = state.kernel()
             diag["kernel_u_points"] = len(tab.u_grid)
             diag["kernel_contour_points"] = {name: len(nodes)

@@ -12,11 +12,13 @@ kept in exact scalar form) plus the bounded regular remainder evaluated on
 contours inside 0 < Im z < ystar.
 
 At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
-kernel is supported on u < 0, which makes the operator finite-window; the
-uniform operator grid is aligned so the kernel's kink at u = 0 falls on a node,
-and both log-det derivatives come from resolvent traces (`DetState`).  At
-t > 0 the kernel is tabulated (`KernelTable`) and q is read from the GLM
-solves of `plane_jost`.
+kernel is supported on u < 0, which makes the operator finite-window.  Every
+t = 0 operator grid puts the kernel's kink at u = 0 on a node: `plane_jost`
+by its spacing rule (checked by `t0_plane_chains`), `DetState` by a grid
+aligned per node.  Because K' jumps at u = 0, q at t = 0 comes from
+resolvent traces (`DetState`), not from the GLM solves.  At t > 0 the kernel
+is tabulated (`KernelTable`) and q is read from the GLM solves of
+`plane_jost`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from .errors import DiscretizationFailureError, ValidationError
 
 __all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost",
-           "operator_spacing", "plane_jost"]
+           "operator_spacing", "plane_jost", "t0_plane_chains"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
 THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
@@ -244,7 +246,7 @@ def _within_cap(mn: int) -> int:
 
 def _operator_intervals(w_needed: float, delta: float, m_op: int) -> int:
     """Intervals mn of an operator grid of spacing delta covering the width w_needed."""
-    return _within_cap(max(m_op, int(math.ceil(w_needed / delta))))
+    return max(m_op, int(math.ceil(w_needed / delta)))
 
 
 def _resonance_border(poles: PoleData, x: float, t: float):
@@ -283,7 +285,7 @@ class DetState:
         elif not free:
             m1 = max(KINK_NODES_MIN, round(-2 * x / delta))
             delta, ddelta = -2 * x / m1, -2.0 / m1
-        mn = _operator_intervals(w_needed, delta, m_op)
+        mn = _within_cap(_operator_intervals(w_needed, delta, m_op))
         if free and x < 0 and delta < delta_cap:
             ddelta = -2.0 / mn     # the free grid stretches with x until it hits the cap
         i_arr = np.arange(mn + 1)
@@ -450,7 +452,7 @@ class DetState:
         return g, gx
 
 
-# -- the fixed-grid t > 0 plane: one factorization per chain of nodes ----------
+# -- the fixed-grid plane: one factorization per chain of nodes ----------------
 
 _EM_END = 5                # weights that em_weights(order=6) corrects at each end
 _NODE_BLOCK = 32           # plane nodes that share each pair of triangular solves
@@ -463,34 +465,79 @@ class PlaneJost:
     psi(x, t, k) = e^{ikx}(1 - g(k)) as for `DetState.solve_jost_with_derivative`.
     g and gx have shape (nodes, momenta); q = 2 Re d/dx v(xi = 0) is the
     evolved potential, since K(x, x + xi) = -v(xi) and q = -2 d/dx K(x, x).
-    sizes holds mn + 1 of each node's system and factor_points that of each
-    chain's one factorization.
+    At t = 0, where K' jumps at u = 0 and both read-outs are wrong, gx and q
+    are None.  sizes holds mn + 1 of each node's system and factor_points that
+    of each chain's one factorization.
     """
 
     g: np.ndarray
-    gx: np.ndarray
-    q: np.ndarray
+    gx: np.ndarray | None
+    q: np.ndarray | None
     delta: float
     factor_points: tuple
     sizes: np.ndarray
 
 
+def _plane_layout(poles: PoleData, t: float, x: np.ndarray, m_op: int, delta0: float):
+    """(chains, delta, steps, needed) of the chained plane over the uniform nodes x.
+
+    steps counts each node's rows from its chain's leftmost node and needed
+    the intervals `DetState` gives the node at the spacing delta.  At t = 0
+    there are at most two chains: the plane spacing is then a multiple of
+    delta / 2, so 2x / delta is integral at every node once it is at x[0].
+    """
+    n = len(x)
+    h = (x[-1] - x[0]) / (n - 1) if n > 1 else delta0
+    if h <= delta0:
+        chains, stride = math.floor(delta0 / h), 1
+        if t == 0.0:
+            chains = min(2, chains)
+        delta = chains * h
+    else:
+        chains, stride = 1, math.ceil(h / delta0)
+        delta = h / stride
+    steps = np.arange(n) // chains * stride
+    needed = np.array([_operator_intervals(operator_spacing(poles.ystar, float(xx), m_op)[0],
+                                           delta, m_op) for xx in x])
+    return chains, delta, steps, needed
+
+
+def _kink_on_node(x0: float, delta: float) -> bool:
+    """Whether u = 2 x0 + i delta meets the t = 0 kernel's kink u = 0 at an integer i."""
+    a = 2.0 * x0 / delta
+    return abs(a - round(a)) <= 1e-8 * max(1.0, abs(a))
+
+
+def t0_plane_chains(poles: PoleData, x: np.ndarray, m_op: int, delta0: float) -> bool:
+    """Whether `plane_jost` can solve the t = 0 plane over the uniform nodes x.
+
+    It can when its spacing puts the kernel's kink on a node of every chain
+    (2 x[0] / delta integral) and no chain's factor passes M_OP_CAP.
+    """
+    x = np.asarray(x, dtype=float)
+    _, delta, steps, needed = _plane_layout(poles, 0.0, x, m_op, delta0)
+    return _kink_on_node(float(x[0]), delta) and int(np.max(steps + needed)) <= M_OP_CAP
+
+
 def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                delta0: float) -> PlaneJost:
-    """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x (t > 0).
+    """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x.
 
     x may be a single node, which then gets the spacing delta0.
 
     The operator spacing is made commensurate with the plane spacing h:
     delta = c h with c = floor(delta0 / h) >= 1 (c interleaved chains of
     nodes delta apart), or delta = h / l with l = ceil(h / delta0) when
-    h > delta0 (one chain, nodes l rows apart).  On one chain the system at
-    x + delta is the system at x with its first row and column dropped, so
-    every node's regular core is a trailing block of the core of the chain's
-    leftmost node, whose window ends where the widest node needs it (no node
-    gets less than `DetState` gives it at this spacing).  The reversed core
-    J(I + H diag(w))J is factored once, and its leading blocks then factor
-    every node's core.  Per node, in O(n^2):
+    h > delta0 (one chain, nodes l rows apart).  At t = 0 c is at most 2 and
+    2 x[0] / delta must be integral, so that the kernel's kink u = 0 is a node
+    of every chain (`t0_plane_chains`); only g is solved there.
+
+    On one chain the system at x + delta is the system at x with its first
+    row and column dropped, so every node's regular core is a trailing block
+    of the core of the chain's leftmost node, whose window ends where the
+    widest node needs it (no node gets less than `DetState` gives it at this
+    spacing).  The reversed core J(I + H diag(w))J is factored once, and its
+    leading blocks then factor every node's core.  Per node, in O(n^2):
       * the node's own left end corrections of `em_weights` enter as a rank-5
         (Woodbury) update of the factor's last five columns;
       * the resonance border enters as a 1 x 1 Schur complement;
@@ -501,26 +548,17 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     A row interchange in the factorization would break the leading-block
     property; it is reported as a DiscretizationFailureError.
     """
-    if t <= 0:
-        raise ValidationError("plane_jost is the t > 0 path; t = 0 uses kink-aligned grids")
     x = np.asarray(x, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     n = len(x)
-    h = (x[-1] - x[0]) / (n - 1) if n > 1 else delta0
-    if h <= delta0:
-        chains, stride = math.floor(delta0 / h), 1
-        delta = chains * h
-    else:
-        chains, stride = 1, math.ceil(h / delta0)
-        delta = h / stride
-    steps = np.arange(n) // chains * stride         # rows from the chain's leftmost node
-    # the window DetState gives each node at this spacing
-    needed = np.array([_operator_intervals(operator_spacing(poles.ystar, float(xx), m_op)[0],
-                                           delta, m_op) for xx in x])
+    chains, delta, steps, needed = _plane_layout(poles, t, x, m_op, delta0)
+    if t == 0.0 and not _kink_on_node(float(x[0]), delta):
+        raise ValidationError(f"the t = 0 plane at spacing {delta} puts the kernel's kink off "
+                              f"its nodes: 2 x[0] / delta = {2.0 * x[0] / delta} is not an integer")
     sizes = np.empty(n, int)
     g = np.empty((n, len(ks)), complex)
-    gx = np.empty((n, len(ks)), complex)
-    q = np.empty(n)
+    gx = np.empty((n, len(ks)), complex) if t > 0 else None
+    q = np.empty(n) if t > 0 else None
     factor_points = []
     for r in range(min(chains, n)):
         nodes = np.arange(r, n, chains)
@@ -529,7 +567,6 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
         factor_points.append(big_n + 1)
         u = 2.0 * x[r] + np.arange(2 * big_n + 1) * delta
         h0_rev = kernel(u, 0)[::-1]
-        h1_rev = kernel(u, 1)[::-1]
         w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
         core = np.empty((big_n + 1, big_n + 1), complex, order="F")
         np.multiply(_hankel(h0_rev, big_n + 1), w0[None, :], out=core)
@@ -539,17 +576,24 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
             raise DiscretizationFailureError(
                 "the reversed GLM core needed a row interchange; its leading blocks "
                 "do not factor the nodes' systems")
-        size_fft = sfft.next_fast_len(3 * big_n + 1)
-        h1_hat = sfft.fft(2.0 * h1_rev, size_fft)
+        h1_rev = h1_hat = None
+        if t > 0:
+            h1_rev = kernel(u, 1)[::-1]
+            h1_hat = sfft.fft(2.0 * h1_rev, sfft.next_fast_len(3 * big_n + 1))
         for b0 in range(0, len(nodes), _NODE_BLOCK):
             js = nodes[b0:b0 + _NODE_BLOCK]
-            g[js], gx[js], q[js] = _plane_nodes(poles, t, x[js], ks, delta, sizes[js], lu, w0,
-                                                h0_rev, h1_rev, h1_hat)
+            g[js], derivative = _plane_nodes(poles, t, x[js], ks, delta, sizes[js], lu, w0,
+                                             h0_rev, h1_rev, h1_hat)
+            if derivative is not None:
+                gx[js], q[js] = derivative
     return PlaneJost(g, gx, q, delta, tuple(factor_points), sizes)
 
 
 def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
-    """(g, gx, q) at a block of one chain's nodes from the chain's packed factor lu.
+    """(g, (gx, q)) at a block of one chain's nodes from the chain's packed factor lu.
+
+    Without the kernel derivative h1_rev and its transform h1_hat (t = 0)
+    only g is solved, and (gx, q) is None.
 
     Node c's core A differs from the leading block L U of the chain's core
     only in its last five columns (reversed order), where the node's own left
@@ -602,12 +646,15 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
     sigma = -s_inv_gamma - np.sum(row * z, axis=0)         # Schur complement of the border
     mu = (s_row - np.sum(row * a, axis=0)) / sigma
     v = a - mu * z
+    e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
+    g = np.einsum("ick,ic->ck", e, v)
+    if h1_rev is None:
+        return g, None
     # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
     corr = sfft.ifft(h1_hat[:, None] * sfft.fft((w * v)[::-1], h1_hat.size, axis=0),
                      axis=0)[big_m - 1:2 * big_m - 1]
     ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
     mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
     vx = ax - mux * z
-    e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
-    return (np.einsum("ick,ic->ck", e, v), np.einsum("ick,ic->ck", e, vx),
-            2.0 * vx[m - 1, cols].real)                    # xi = 0 is each node's last row
+    return g, (np.einsum("ick,ic->ck", e, vx),
+               2.0 * vx[m - 1, cols].real)                 # xi = 0 is each node's last row

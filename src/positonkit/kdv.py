@@ -33,6 +33,7 @@ from .hankel import (
     PoleData,
     operator_spacing,
     plane_jost,
+    t0_plane_chains,
 )
 from .schrodinger import Grid
 
@@ -100,7 +101,7 @@ class EvolvedState:
         return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[2]
 
     def glm_plane(self, x: np.ndarray, ks=()) -> PlaneJost:
-        """`hankel.plane_jost` over the uniform nodes x (t > 0) at the default spacing of x[0]."""
+        """`hankel.plane_jost` over the uniform nodes x at the default spacing of x[0]."""
         sol = plane_jost(self.poles, self.kernel(2.0 * min(float(x[0]), 0.0) - 2.0), self.t,
                          x, ks, self.m_op, self.fixed_delta(float(x[0])))
         self.operator_sizes.extend(sol.sizes.tolist())
@@ -173,10 +174,11 @@ def _jost_readout(x, ks: np.ndarray, g, gx=None):
 class EvolvedPlane:
     """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on an s-grid.
 
-    At t > 0, delta is the operator spacing of the plane's GLM solves,
-    factor_points the size of each chain's one factorization and q the evolved
-    seed read from the same solves (see `hankel.plane_jost`); at t = 0 each
-    node has its own aligned grid, and q is left to `dyson_q`.
+    delta is the operator spacing of the plane's chained GLM solves and
+    factor_points the size of each chain's one factorization (see
+    `hankel.plane_jost`); both are (None, ()) on a t = 0 plane solved node by
+    node on kink-aligned grids.  q is the evolved seed read from the same
+    solves at t > 0; at t = 0 it is None, and q is left to `dyson_q`.
     """
 
     state: EvolvedState
@@ -209,23 +211,31 @@ class EvolvedPlane:
 
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
                       tail_window: float = 20.0) -> EvolvedPlane:
-    """Evaluate the evolved generating function on a grid, with cumulative norm."""
+    """Evaluate the evolved generating function on a grid, with cumulative norm.
+
+    The GLM solves are `EvolvedState.glm_plane`'s chains.  A t = 0 grid they
+    cannot serve (see `hankel.t0_plane_chains`) is solved node by node on
+    kink-aligned grids (`jost_evolved`).  At t = 0, where K' jumps at u = 0,
+    phi_x is a 4th-order centred stencil on the grid.
+    """
     phase = np.exp(4j * omega**3 * state.t)
     delta, factor_points, q = None, (), None
-    if state.t == 0.0:
-        # kink-aligned solves per node; derivative by centered stencils on the grid
-        psis = np.array([jost_evolved(state, float(s), omega) for s in grid.x], dtype=complex)
-        phi = 2.0 * np.imag(phase * psis)
-        h = grid.spacing
-        phi_x = np.gradient(phi, h, edge_order=2)
-        phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
-    else:
+    if state.t > 0.0 or t0_plane_chains(state.poles, grid.x, state.m_op,
+                                        state.fixed_delta(grid.x_min)):
         ks = np.array([omega], dtype=complex)
         sol = state.glm_plane(grid.x, ks)
         delta, factor_points, q = sol.delta, sol.factor_points, sol.q
-        psi, psix = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)
-        phi = 2.0 * np.imag(phase * psi[:, 0])
-        phi_x = 2.0 * np.imag(phase * psix[:, 0])
+        readout = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)     # (psi,) at t = 0
+        psi = readout[0][:, 0]
+    else:
+        psi = np.array([jost_evolved(state, float(s), omega) for s in grid.x], dtype=complex)
+    phi = 2.0 * np.imag(phase * psi)
+    if state.t > 0.0:
+        phi_x = 2.0 * np.imag(phase * readout[1][:, 0])
+    else:
+        h = grid.spacing
+        phi_x = np.gradient(phi, h, edge_order=2)
+        phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
     cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
     return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0],
                         delta, factor_points, q)

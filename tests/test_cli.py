@@ -100,12 +100,13 @@ def test_evolve_seed_only(tmp_path):
         assert 200 < lo <= hi <= 1601
         assert "plane_tail_fit_residual" not in diag[key]     # no state, no phi-plane
     assert diag["t=0.0"]["q_source"] == "trace"
-    assert "plane_operator_spacing" not in diag["t=0.0"]
+    assert "plane_path" not in diag["t=0.0"] and "plane_operator_spacing" not in diag["t=0.0"]
     assert "kernel_u_points" not in diag["t=0.0"]
     # without a state q at t > 0 comes from a GLM plane over the output grid
     # alone: spacing 1 > 0.11, one chain at delta = 1/10, factored where x = 3
     # needs it (60 rows + 200 intervals)
     assert diag["t=0.02"]["q_source"] == "plane_glm"
+    assert diag["t=0.02"]["plane_path"] == "chain"
     assert diag["t=0.02"]["plane_operator_spacing"] == pytest.approx(0.1, abs=1e-12)
     assert diag["t=0.02"]["plane_chains"] == 1
     assert diag["t=0.02"]["plane_factor_points"] == [261]
@@ -113,17 +114,21 @@ def test_evolve_seed_only(tmp_path):
     sizes = diag["t=0.02"]["kernel_contour_points"]
     assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
     # with a state, the plane on [-45, 3] at spacing 1 > 0.22 is one chain at
-    # delta = 1/5 whose factorization spans the widest node, x = -45: 106/0.2 intervals
-    cfg = dict(cfg, states=[{"omega": 1.0, "alpha": 1.0}], time={"t_values": [0.02]})
+    # delta = 1/5 whose factorization spans the widest node, x = -45: 106/0.2
+    # intervals; at t = 0 too, since u = 2 * -45 is node 450 of that chain
+    cfg = dict(cfg, states=[{"omega": 1.0, "alpha": 1.0}])
     code, prefix = run_cli(tmp_path, "evo_plane", cfg, "evolve")
     assert code == 0
-    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.02"]
-    assert diag["plane_operator_spacing"] == pytest.approx(0.2, abs=1e-12)
-    assert diag["plane_chains"] == 1
-    assert diag["plane_factor_points"] == [531]
-    assert diag["operator_points_max"] == 531
-    assert diag["q_source"] == "plane_glm"
-    assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
+    diags = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
+    for key, q_source in (("t=0.0", "trace"), ("t=0.02", "plane_glm")):
+        diag = diags[key]
+        assert diag["plane_path"] == "chain"
+        assert diag["plane_operator_spacing"] == pytest.approx(0.2, abs=1e-12)
+        assert diag["plane_chains"] == 1
+        assert diag["plane_factor_points"] == [531]
+        assert diag["operator_points_max"] == 531
+        assert diag["q_source"] == q_source
+        assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -177,14 +182,25 @@ def test_bad_config_exit_code(tmp_path, capsys):
         ("insert", dict(wide, states=[{"omega": 1.0, "alpha": 1.0},
                                       {"omega": 1.0 + 7e-13, "alpha": 1.0}])),
         # the 20-unit tail windows would cover the grid's non-asymptotic core
-        ("insert", dict(base, grid={"x_min": -5.0, "x_max": 5.0, "n": 1001}))]
+        ("insert", dict(base, grid={"x_min": -5.0, "x_max": 5.0, "n": 1001})),
+        # with R(omega) given, only the eigenfunction norms' tail windows see it
+        ("insert", dict(base, grid={"x_min": -1.0, "x_max": 20.0, "n": 401},
+                        states=[{"omega": 1.0, "alpha": 1.0, "r_at_omega": [-1.0, 0.0]}])),
+        # the phi-plane on [-45, x_max] at the grid's spacing: 4.7e11 nodes, or none
+        ("evolve", dict(base, grid={"x_min": 1.999999999, "x_max": 2.0, "n": 11},
+                        time={"t_values": [0.02]})),
+        ("evolve", dict(base, grid={"x_min": -50.0, "x_max": -45.0, "n": 11}))]
+    messages = []
     for i, (command, cfg) in enumerate(bad):
         capsys.readouterr()
         code, prefix = run_cli(tmp_path, f"bad{i}", cfg, command)
         assert code == cli.EXIT_BAD_CONFIG
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "validation"
+        messages.append(json.loads(lines[0])["error"]["message"])
         assert not (tmp_path / f"bad{i}.csv").exists()
+    # a phi-plane fault is named by the config grid that makes it
+    assert all("config.grid" in m for m in messages[-2:])
 
 
 def test_linalg_error_is_numerical(tmp_path, monkeypatch, capsys):

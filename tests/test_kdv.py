@@ -104,7 +104,12 @@ def test_operator_grid_cap_is_a_failure(state0):
 
 
 def _assert_plane_matches_dense(rho, t, x):
-    """plane_jost against a dense bordered LU (DetState) at each node's own (x, delta, window)."""
+    """plane_jost against a dense LU of each node's own system at its (x, delta, window, weights).
+
+    At t > 0 that is `DetState`'s bordered LU.  At t = 0, where `DetState`
+    keeps order-8 weights, it is a one-node plane, whose one factor is the
+    node's own system; there only g is solved.
+    """
     state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
     kernel = state.kernel(2.0 * min(x[0], 0.0) - 2.0)
     ks = np.array([1.0 + 0.0j])
@@ -120,6 +125,14 @@ def _assert_plane_matches_dense(rho, t, x):
         sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
                                 state.fixed_delta(x[0]))
     assert swaps == [0] * len(sol.factor_points)
+    if t == 0.0:
+        assert sol.gx is None and sol.q is None
+        for j in range(len(x)):
+            alone = hankel.plane_jost(state.poles, kernel, t, x[j:j + 1], ks,
+                                      int(sol.sizes[j]) - 1, sol.delta)
+            assert alone.sizes[0] == sol.sizes[j]
+            assert abs(sol.g[j, 0] - alone.g[0, 0]) <= 1e-10 * max(1.0, abs(alone.g[0, 0]))
+        return
     for j, xx in enumerate(x):
         ds = DetState(state.poles, kernel, float(xx), t, int(sol.sizes[j]) - 1,
                       aligned=False, fixed_delta=sol.delta)
@@ -135,9 +148,11 @@ def _assert_plane_matches_dense(rho, t, x):
 
 def test_plane_jost_matches_dense_solves():
     # two chains of 21 and 20 nodes: nodes 0-4 rows in overlap the base's own
-    # end corrections, later ones do not
+    # end corrections, later ones do not; at t = 0 (delta = 0.1) u = 0 is kernel
+    # sample 120 of the first chain and 119 of the second
     x = -6.0 + 0.05 * np.arange(41)
-    _assert_plane_matches_dense(RHO, 0.02, x)
+    for t in (0.02, 0.0):
+        _assert_plane_matches_dense(RHO, t, x)
 
 
 @given(st.floats(0.3, 5.0), st.floats(0.005, 0.05), st.sampled_from([0.05, 0.1, 0.3]),
@@ -146,6 +161,24 @@ def test_plane_jost_matches_dense_solves():
 def test_plane_jost_no_row_swap_across_family(rho, t, h, x_min):
     # h = 0.3 exceeds every default spacing: one chain, nodes several rows apart
     _assert_plane_matches_dense(rho, t, x_min + h * np.arange(8))
+    # at t = 0 the plane starts on a multiple of h, which puts the kink on a node
+    _assert_plane_matches_dense(rho, 0.0, h * (round(x_min / h) + np.arange(8)))
+
+
+def test_unaligned_t0_plane_is_solved_per_node(state0):
+    # the plane cmd_evolve builds for the output grid [-3, 2.03] (n = 101), cut
+    # to [-15, 2.03]: x_max / h is not integral, so no spacing puts the kink on
+    # a node of the plane's chains, and each node keeps its own aligned grid
+    h = 0.0503
+    n = int(np.ceil((2.03 + 15.0) / h)) + 1
+    grid = Grid(2.03 - (n - 1) * h, 2.03, n)
+    plane = kdv.evolved_phi_plane(state0, grid, tail_window=5.0)
+    assert plane.delta is None and plane.factor_points == ()
+    for j in (0, n // 2, n - 1):
+        assert plane.phi[j] == 2.0 * np.imag(kdv.jost_evolved(state0, float(grid.x[j]), 1.0))
+    with pytest.raises(ValidationError, match="kink"):
+        hankel.plane_jost(state0.poles, state0.kernel(), 0.0, grid.x, [1.0], state0.m_op,
+                          state0.fixed_delta(float(grid.x[0])))
 
 
 def test_jost_evolved_t0(state0):
@@ -161,6 +194,15 @@ def test_evolved_plane_t0_matches_closed(plane0):
     assert np.max(np.abs(plane0.phi - phic)) < 5e-3
     i0 = g.index_of(0.0)
     assert abs(plane0.big_i[i0] - wvn.big_i_closed(RHO, 0.0)) < 2e-3
+
+
+def test_evolved_plane_t0_is_chained(plane0):
+    # h = 0.05 under delta0 = 0.22: two chains at delta = 0.1, u = 0 on a node of
+    # each; the per-node aligned grids missed phi_closed by 1.8e-3 on this plane
+    assert plane0.delta == pytest.approx(0.1, abs=1e-12)
+    assert plane0.factor_points == (1061, 1060)
+    assert plane0.q is None
+    assert np.max(np.abs(plane0.phi - wvn.phi_closed(RHO, plane0.grid.x))) < 2e-4
 
 
 def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
