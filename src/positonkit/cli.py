@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, darboux, kdv, scattering, wvn_example as wvn
 from .errors import PositonkitError, ValidationError
-from .schrodinger import Grid, PotentialSpec, count_ode_work
+from .schrodinger import DEFAULT_RTOL, Grid, PotentialSpec, count_ode_work
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -177,9 +177,16 @@ _GRID = _object({"x_min": _number, "x_max": _number, "n": _count(2)},
                 lambda x_min, x_max, n: Grid(x_min, x_max, n))
 _STATES = (_list(_object({"omega": _number, "alpha": _number,
                           "r_at_omega": (_list(_number, 2, 2), None)})), [])
-# insert and remove: (rtol, atol) of the insertion's ODE solves; None keeps the default
-_TOLERANCES = (_object({"ode_rtol": (_positive, None), "ode_atol": (_positive, None)},
-                       lambda ode_rtol, ode_atol: {"rtol": ode_rtol, "atol": ode_atol}), {})
+# insert and remove: the rtol that sets the Magnus step bound of the insertion's
+# full-field solves, h_s = rtol^(1/6) / max(1, omega)
+_TOLERANCES = (_object({"ode_rtol": (_positive, DEFAULT_RTOL)},
+                       lambda ode_rtol: {"rtol": ode_rtol}), {})
+
+
+def _work_done(work) -> dict:
+    """The sidecar record of the integration work counted by `count_ode_work`."""
+    return {"magnus_steps": work.magnus_steps, "magnus_step_max": work.magnus_step_max,
+            "ode_solves": work.solves, "ode_nfev": work.nfev}
 
 
 def cmd_scatter(config, prefix, *, potential, k_grid):
@@ -189,13 +196,14 @@ def cmd_scatter(config, prefix, *, potential, k_grid):
                [k_grid, rs.real, rs.imag, ts.real, ts.imag])
     unit = float(np.max(np.abs(np.abs(rs) ** 2 + np.abs(ts) ** 2 - 1.0))) if len(k_grid) else 0.0
     _write_meta(prefix, config, {"n_k": len(k_grid), "max_unitarity_defect": unit,
-                                 "ode_solves": work.solves, "ode_nfev": work.nfev})
+                                 **_work_done(work)})
     return EXIT_OK
 
 
 def cmd_insert(config, prefix, *, potential, grid, states, tolerances):
-    res = darboux.insert_embedded(potential, states, grid, **tolerances)
-    diag = res.meta()
+    with count_ode_work() as work:
+        res = darboux.insert_embedded(potential, states, grid, **tolerances)
+    diag = dict(res.meta(), **_work_done(work))
     if states:
         # before any output: the norms' tail windows may not fit the grid
         diag["eigenfunction_norms"] = res.eigenfunction_norms().tolist()
@@ -206,7 +214,8 @@ def cmd_insert(config, prefix, *, potential, grid, states, tolerances):
 
 def cmd_remove(config, prefix, *, potential, grid, states, tolerances):
     """Insert the configured states, then remove them again (round trip)."""
-    res = darboux.insert_embedded(potential, states, grid, **tolerances)
+    with count_ode_work() as work:
+        res = darboux.insert_embedded(potential, states, grid, **tolerances)
     rem = darboux.remove_embedded(res.q_new, res.y_fields, grid,
                                   omegas=[s.omega for s in states])
     _write_csv(f"{prefix}.csv", "x,q_seed,q_plus,q_removed",
@@ -214,6 +223,7 @@ def cmd_remove(config, prefix, *, potential, grid, states, tolerances):
     _write_meta(prefix, config, {
         "round_trip_max_error": float(np.max(np.abs(rem.q_minus - res.q_seed))),
         "orthonormality": rem.orthonormality.tolist(),
+        **_work_done(work),
     })
     return EXIT_OK
 

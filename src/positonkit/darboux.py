@@ -34,7 +34,15 @@ from .errors import (
     PositonkitError,
     ValidationError,
 )
-from .schrodinger import Grid, PotentialSpec, WaveField, integrate, right_jost, right_jost_at
+from .schrodinger import (
+    DEFAULT_RTOL,
+    Grid,
+    PotentialSpec,
+    WaveField,
+    integrate,
+    right_jost,
+    right_jost_at,
+)
 from .tails import fit_oscillatory_tail
 
 __all__ = [
@@ -225,8 +233,7 @@ def tail_closed_gram(grid: Grid, values, derivs, omegas,
 
 
 def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
-          psi: WaveField | None = None, rtol: float | None = None,
-          atol: float | None = None) -> WaveField:
+          psi: WaveField | None = None, rtol: float = DEFAULT_RTOL) -> WaveField:
     """Real generating function phi_n = -2 Re[R(omega)^{1/2} psi(., omega)].
 
     The minus sign is this artifact's convention; it makes phi equal to
@@ -234,10 +241,7 @@ def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
     phi ~ (+-)2 cos(omega x + arg R / 2).
     """
     if psi is None:
-        from .schrodinger import DEFAULT_ATOL, DEFAULT_RTOL
-        psi = right_jost(spec, state.omega, grid,
-                         rtol=DEFAULT_RTOL if rtol is None else rtol,
-                         atol=DEFAULT_ATOL if atol is None else atol)
+        psi = right_jost(spec, state.omega, grid, rtol=rtol)
     root = state.root_r
     vals = -2.0 * np.real(root * psi.values)
     ders = -2.0 * np.real(root * psi.derivs)
@@ -332,7 +336,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
                     extend_left: float = DEFAULT_EXTEND_LEFT,
                     tail_window: float = DEFAULT_TAIL_WINDOW,
                     check_preconditions: bool = True,
-                    rtol: float | None = None, atol: float | None = None) -> TransformResult:
+                    rtol: float = DEFAULT_RTOL) -> TransformResult:
     """Insert embedded eigenvalues omega_n^2 into the potential.
 
     q_new = q - 2 d^2/dx^2 log det(I + G(x)); both derivatives are evaluated
@@ -350,7 +354,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     if check_preconditions:
         _check_insertion_preconditions(spec, states)
     ext, n_ext = _extended_grid(grid, extend_left)
-    phis = [phi_n(spec, s, ext, rtol=rtol, atol=atol) for s in states]
+    phis = [phi_n(spec, s, ext, rtol=rtol) for s in states]
     alphas = np.array([s.alpha for s in states])
     gram = gram_plus(phis, alphas, ext, tail_window,
                      omegas=[s.omega for s in states])

@@ -1,10 +1,19 @@
 """Potentials, grids, and direct integration of the 1D Schrodinger equation.
 
-Solves -u'' + q(x) u = k^2 u with a high-order adaptive integrator (DOP853,
-rtol 1e-10 / atol 1e-12 by default), splitting at the potential's kink points.
-Momentum is a batch axis: an array of k is carried through one solve.
-Right Jost solutions are exact plane waves beyond the potential's right cutoff
-by construction; to the left they are extended by integration.
+-u'' + q(x) u = k^2 u is integrated in two ways, both split at the
+potential's kink points, with momentum as a batch axis (an array of k is
+carried through one solve):
+
+- at scattered points (`solve_at`, `right_jost_at`) by adaptive DOP853,
+  rtol 1e-10 / atol 1e-12 by default;
+- on grids (`integrate`, `right_jost`, `fundamental_pair`) by a vectorised
+  sixth-order Magnus propagator whose steps are at most
+  h_s = rtol^(1/6) / max(1, |k|), 0.0215 at the default rtol.
+
+A solve is capped at MAX_NFEV right-hand-side evaluations per smooth piece
+(DOP853) or MAX_NFEV steps (Magnus).  Right Jost solutions are exact plane
+waves beyond the potential's right cutoff by construction; to the left they
+are extended by integration.
 """
 
 from __future__ import annotations
@@ -36,10 +45,12 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-# Most right-hand-side evaluations one smooth piece of q may take (about a
-# minute; 44-54 per unit of |k| * span, see README).  Every NFEV_CHECK of them
-# the total is projected from the share of the span covered, so a piece
-# projected past the cap fails at once instead of running for hours.
+# Most right-hand-side evaluations one smooth piece of q may take in DOP853
+# (about a minute; 44-54 per unit of |k| * span, see README), and most steps
+# one Magnus solve may take (46 per unit of |k| * span for |k| >= 1 at the
+# default rtol).  Every NFEV_CHECK evaluations the DOP853 total is projected
+# from the share of the span covered, so a piece projected past the cap fails
+# at once instead of running for hours; the Magnus count is known up front.
 MAX_NFEV = 2_000_000
 NFEV_CHECK = 5_000
 
@@ -281,10 +292,14 @@ class WaveField:
 
 @dataclass
 class OdeWork:
-    """ODE solves and right-hand-side evaluations counted by `count_ode_work`."""
+    """Work counted by `count_ode_work`: the DOP853 solves of the point
+    evaluators and their right-hand-side evaluations, and the steps of the
+    grid propagator with the largest step bound h_s it used."""
 
     solves: int = 0
     nfev: int = 0
+    magnus_steps: int = 0
+    magnus_step_max: float = 0.0
 
 
 _ode_work: ContextVar[OdeWork | None] = ContextVar("positonkit_ode_work", default=None)
@@ -350,9 +365,9 @@ def solve_at(spec: PotentialSpec, k, x_from: float, x_to: float, init, x_eval,
 
     init = (u, u') at x_from, each broadcastable to the shape of k.  x_eval
     holds points between the endpoints, ordered from x_from towards x_to.
-    All momenta share one solve per smooth piece of q (integration is split at
-    the potential's kink points).  Returns (values, derivs), each of shape
-    k.shape + (len(x_eval),).
+    All momenta share one DOP853 solve per smooth piece of q (integration is
+    split at the potential's kink points).  Returns (values, derivs), each of
+    shape k.shape + (len(x_eval),).
     """
     k = np.asarray(k)
     ks = k.astype(complex).ravel()
@@ -382,15 +397,153 @@ def solve_at(spec: PotentialSpec, k, x_from: float, x_to: float, init, x_eval,
     return out[:n].reshape(shape), out[n:].reshape(shape)
 
 
+# Gauss-Legendre nodes on [0, 1] of the sixth-order Magnus step
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+
+
+def _magnus_factors(q, h, ksq):
+    """exp(Omega) of one sixth-order Magnus step per (momentum, step).
+
+    q: (steps, 3) samples of q at the Gauss nodes, h: (steps,) signed step
+    lengths, ksq: (n, 1) squared momenta.  The system is Y' = A Y with
+    Y = (u, u') and A = [[0, 1], [q - k^2, 0]].  In the commutator form of
+    Blanes, Casas & Ros (BIT 2000), after Iserles & Norsett (1999),
+
+        a1 = h A2,  a2 = (sqrt(15)/3) h (A3 - A1),  a3 = (10/3) h (A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+        Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+
+    Writing a traceless [[m, p], [r, -m]] as (m, p, r): a1 = (0, h, a),
+    a2 = (0, 0, b) and a3 = (0, 0, c), so k^2 enters through a alone, and
+    Omega = (m, p, r) below.  With s^2 = m^2 + p r,
+    exp(Omega) = cosh(s) I + (sinh(s)/s) Omega.  Returns its entries
+    (e11, e12, e21, e22), each of shape (n, steps).
+    """
+    q1, q2, q3 = q.T
+    a = h * (q2 - ksq)
+    b = (math.sqrt(15.0) / 3.0) * h * (q3 - q1)
+    c = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+    hb2 = h * b * b
+    m = h * b * (-20.0 + (4.0 / 3.0) * h * a + h * c / 30.0) / 240.0
+    p = h + h * h * (hb2 - 20.0 * c) / 3600.0
+    r = a + c / 12.0 + (h * c * (20.0 * a + c) / 15.0 - 2.0 * hb2 + h * a * hb2 / 15.0) / 240.0
+    s = np.sqrt((m * m + p * r).astype(complex))
+    ch = np.cosh(s)
+    shs = np.divide(np.sinh(s), s, out=np.ones_like(s), where=s != 0)
+    if not np.iscomplexobj(a):
+        ch, shs = ch.real, shs.real
+    return ch + shs * m, shs * p, shs * r, ch - shs * m
+
+
+def _prefix_products(e):
+    """Running products E_i ... E_1 along the last axis of 2x2 factors.
+
+    Recursive doubling (Hillis-Steele): after the pass with shift d every
+    entry holds the product of its last 2d factors.  e holds the entries
+    (e11, e12, e21, e22) as separate arrays, which are overwritten with the
+    products' entries and returned.
+    """
+    a, b, c, d = e
+    steps = a.shape[-1]
+    shift = 1
+    while shift < steps:
+        a0, b0, c0, d0 = (x[..., :-shift] for x in (a, b, c, d))
+        a1, b1, c1, d1 = (x[..., shift:] for x in (a, b, c, d))
+        new = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+        for x, v in zip((a, b, c, d), new):
+            x[..., shift:] = v
+        shift *= 2
+    return a, b, c, d
+
+
+def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = DEFAULT_RTOL):
+    """Grid counterpart of `solve_at`: a sixth-order Magnus propagator from x_from.
+
+    Each interval between x_from, the points x_eval (ordered away from
+    x_from) and the kink points of q between them gets ceil(|length| / h_s)
+    equal steps, h_s = rtol^(1/6) / max(1, |k|), so no kink falls inside a
+    step.  Momenta with equal h_s share their steps and the q samples at
+    the steps' Gauss nodes (one `spec.evaluate` call per block).  The state
+    at every point comes from running products of the steps' propagators,
+    formed in blocks of at most 2^16 (momentum, step) pairs with the state
+    carried between blocks.  A solve of more than MAX_NFEV steps fails
+    before its first step, and a non-finite q sample fails its block.
+    Returns (values, derivs), each of shape k.shape + (len(x_eval),).
+    """
+    k = np.asarray(k)
+    ks = k.astype(complex).ravel()
+    x_eval = np.asarray(x_eval, dtype=float)
+    n, m = ks.size, x_eval.size
+    vals = np.empty((n, m), complex)
+    ders = np.empty((n, m), complex)
+    if n and m:
+        u0, d0 = (np.broadcast_to(np.asarray(v, complex), k.shape).ravel() for v in init)
+        x_end = x_eval[-1]
+        lo, hi = min(x_from, x_end), max(x_from, x_end)
+        edges = np.unique(np.concatenate(
+            [[x_from], x_eval, [b for b in spec.breakpoints() if lo < b < hi]]))
+        at = np.searchsorted(edges, x_eval)             # edge index of each point
+        if x_end < x_from:
+            edges, at = edges[::-1], len(edges) - 1 - at
+        lengths = np.diff(edges)
+        ksq = ks * ks
+        if not np.any(ksq.imag):
+            ksq = ksq.real
+        h_s = rtol ** (1.0 / 6.0) / np.maximum(1.0, np.abs(ks))
+        work = _ode_work.get()
+        for hs in np.unique(h_s):
+            counts = np.ceil(np.abs(lengths) / hs)
+            total = counts.sum()
+            if not total <= MAX_NFEV:
+                raise IntegrationFailureError(
+                    f"the solve would take more than {MAX_NFEV} steps of the propagator: "
+                    f"{total:.4g} steps of at most {hs:.3g} over [{x_from}, {x_end}]",
+                    x_failed=float(x_from))
+            total = int(total)
+            counts = counts.astype(np.int64)
+            done = np.concatenate([[0], np.cumsum(counts)])   # steps taken to each edge
+            node_step = done[at]
+            rows = np.flatnonzero(h_s == hs)
+            y = (u0[rows], d0[rows])
+            first = np.searchsorted(node_step, 0, side="right")
+            vals[rows, :first], ders[rows, :first] = y[0][:, None], y[1][:, None]
+            block = max(1, (1 << 16) // rows.size)
+            for s0 in range(0, total, block):
+                step = np.arange(s0, min(s0 + block, total))
+                j = np.searchsorted(done, step, side="right") - 1   # interval of each step
+                h = lengths[j] / counts[j]
+                xq = (edges[j] + (step - done[j]) * h)[:, None] + h[:, None] * _GAUSS
+                q = np.asarray(spec.evaluate(xq.ravel()), dtype=float).reshape(xq.shape)
+                bad = ~np.isfinite(q)
+                if bad.any():
+                    x_bad = float(xq.ravel()[np.argmax(bad.ravel())])
+                    raise IntegrationFailureError(f"potential is not finite at x={x_bad}",
+                                                  x_failed=x_bad)
+                e11, e12, e21, e22 = _prefix_products(
+                    _magnus_factors(q, h, ksq[rows, None]))
+                last = np.searchsorted(node_step, step[-1] + 1, side="right")
+                cols = node_step[first:last] - s0 - 1
+                uv, dv = y[0][:, None], y[1][:, None]
+                vals[rows, first:last] = e11[:, cols] * uv + e12[:, cols] * dv
+                ders[rows, first:last] = e21[:, cols] * uv + e22[:, cols] * dv
+                y = (e11[:, -1] * y[0] + e12[:, -1] * y[1], e21[:, -1] * y[0] + e22[:, -1] * y[1])
+                first = last
+            if work is not None:
+                work.magnus_steps += total
+                work.magnus_step_max = max(work.magnus_step_max, float(hs))
+    shape = k.shape + (m,)
+    return vals.reshape(shape), ders.reshape(shape)
+
+
 def integrate(spec: PotentialSpec, k, x_from: float, x_to: float,
               init, grid: Grid | None = None, n_default_per_unit: int = 40,
-              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> WaveField:
+              rtol: float = DEFAULT_RTOL) -> WaveField:
     """Integrate -u'' + q u = k^2 u from x_from to x_to with data init=(u, u').
 
     Returns the solution sampled on the sub-grid of `grid` lying between the
-    endpoints (a fresh uniform grid is built when none is given).  An array k
-    gives a batched WaveField (values of shape k.shape + (n_points,)) from one
-    solve per smooth piece of q.
+    endpoints (a fresh uniform grid is built when none is given), from the
+    Magnus propagator with steps of at most rtol^(1/6) / max(1, |k|).  An
+    array k gives a batched WaveField (values of shape k.shape + (n_points,)).
     """
     if grid is None:
         n = max(2, int(abs(x_to - x_from) * n_default_per_unit) + 1)
@@ -400,22 +553,15 @@ def integrate(spec: PotentialSpec, k, x_from: float, x_to: float,
     if len(xs) < 2:
         raise ValidationError("integration window contains fewer than 2 grid nodes")
     forward = x_to >= x_from
-    vals, ders = solve_at(spec, k, x_from, x_to, init, xs if forward else xs[::-1],
-                          rtol=rtol, atol=atol)
+    vals, ders = _magnus(spec, k, x_from, init, xs if forward else xs[::-1], rtol)
     if not forward:
         vals, ders = vals[..., ::-1], ders[..., ::-1]
     return WaveField(Grid(xs[0], xs[-1], len(xs)), k, vals, ders)
 
 
-def right_jost_at(spec: PotentialSpec, k, x,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Right Jost solution psi(x, k) and its x-derivative at the points x.
-
-    psi(x) = e^{ikx} exactly (bit for bit) for x >= right_cutoff; to the left
-    it is extended by integration.  Requires Im k >= 0 and k != 0.  All
-    momenta of an array k share one solve; both arrays have shape
-    k.shape + x.shape.
-    """
+def _right_jost(spec: PotentialSpec, k, x, solve):
+    """psi(x, k) and psi'(x, k) with the part left of the cutoff from
+    solve(ks, x_from, init, x_eval); shapes k.shape + x.shape."""
     k = np.asarray(k)
     if np.any(k == 0):
         raise PoleEvaluationError("Jost normalization is degenerate at k = 0", k=0.0)
@@ -432,26 +578,41 @@ def right_jost_at(spec: PotentialSpec, k, x,
     if left.size:
         left = left[np.argsort(-xs[left], kind="stable")]
         y0 = (np.exp(1j * ks * cutoff), 1j * ks * np.exp(1j * ks * cutoff))
-        vals[:, left], ders[:, left] = solve_at(spec, ks, cutoff, xs[left[-1]], y0, xs[left],
-                                                rtol=rtol, atol=atol)
+        vals[:, left], ders[:, left] = solve(ks, cutoff, y0, xs[left])
     shape = k.shape + x.shape
     return vals.reshape(shape)[()], ders.reshape(shape)[()]
 
 
-def right_jost(spec: PotentialSpec, k, grid: Grid,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> WaveField:
+def right_jost_at(spec: PotentialSpec, k, x,
+                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+    """Right Jost solution psi(x, k) and its x-derivative at the points x.
+
+    psi(x) = e^{ikx} exactly (bit for bit) for x >= right_cutoff; to the left
+    it is extended by DOP853.  Requires Im k >= 0 and k != 0.  All momenta of
+    an array k share one solve; both arrays have shape k.shape + x.shape.
+    """
+    def solve(ks, x_from, init, x_eval):
+        return solve_at(spec, ks, x_from, x_eval[-1], init, x_eval, rtol=rtol, atol=atol)
+
+    return _right_jost(spec, k, x, solve)
+
+
+def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL) -> WaveField:
     """Right Jost solution psi(., k) on the grid (see `right_jost_at`).
 
-    An array k gives a batched WaveField from one solve.
+    Left of the cutoff it comes from the Magnus propagator (see `integrate`);
+    an array k gives a batched WaveField.
     """
     if spec.right_cutoff > grid.x_max + 1e-12:
         raise ValidationError("right cutoff must satisfy right_cutoff <= grid.x_max")
-    vals, ders = right_jost_at(spec, k, grid.x, rtol=rtol, atol=atol)
+    vals, ders = _right_jost(spec, k, grid.x,
+                             lambda ks, x_from, init, x_eval:
+                             _magnus(spec, ks, x_from, init, x_eval, rtol))
     return WaveField(grid, k, vals, ders)
 
 
 def fundamental_pair(spec: PotentialSpec, lam: complex, grid: Grid,
-                     rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+                     rtol: float = DEFAULT_RTOL):
     """Solutions (c, s) with c(0)=1, c'(0)=0, s(0)=0, s'(0)=1; W(c, s) = 1."""
     i0 = grid.index_of(0.0)
     if not grid.contains(0.0) or abs(grid.x[i0]) > 1e-9:
@@ -464,12 +625,12 @@ def fundamental_pair(spec: PotentialSpec, lam: complex, grid: Grid,
         vals = np.empty(grid.n_points, complex)
         ders = np.empty(grid.n_points, complex)
         if i0 + 1 < grid.n_points:
-            wf = integrate(spec, k, 0.0, grid.x_max, init, grid=grid, rtol=rtol, atol=atol)
+            wf = integrate(spec, k, 0.0, grid.x_max, init, grid=grid, rtol=rtol)
             n = wf.grid.n_points
             vals[grid.n_points - n:] = wf.values
             ders[grid.n_points - n:] = wf.derivs
         if i0 > 0:
-            wf = integrate(spec, k, 0.0, grid.x_min, init, grid=grid, rtol=rtol, atol=atol)
+            wf = integrate(spec, k, 0.0, grid.x_min, init, grid=grid, rtol=rtol)
             n = wf.grid.n_points
             vals[:n] = wf.values
             ders[:n] = wf.derivs

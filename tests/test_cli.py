@@ -70,6 +70,16 @@ def test_insert_with_state(tmp_path):
     assert np.max(np.abs(data[:, 2] - qc)) < 1e-6
     meta = json.loads(open(prefix + ".meta.json").read())
     assert abs(meta["diagnostics"]["eigenfunction_norms"][0] - 1.0) < 1e-6
+    _assert_work_recorded(meta["diagnostics"])
+
+
+def _assert_work_recorded(diag):
+    # phi on the grid extended 25 units left: [-45, 0] in 2250 intervals of
+    # 0.02 < h_s = 1e-10^(1/6), one Magnus step each; DOP853 only for the
+    # resonance's R(omega) and the continuity probes
+    assert diag["magnus_steps"] == 2250
+    assert diag["magnus_step_max"] == pytest.approx(1e-10 ** (1 / 6), rel=1e-12)
+    assert diag["ode_solves"] == 2 and diag["ode_nfev"] > 0
 
 
 def test_remove_round_trip(tmp_path):
@@ -80,6 +90,29 @@ def test_remove_round_trip(tmp_path):
     assert code == 0
     meta = json.loads(open(prefix + ".meta.json").read())
     assert meta["diagnostics"]["round_trip_max_error"] < 1e-6
+    _assert_work_recorded(meta["diagnostics"])
+
+
+def test_ode_rtol_sets_the_step_and_ode_atol_is_rejected(tmp_path, capsys):
+    # tolerances.ode_rtol bounds the Magnus steps at rtol^(1/6); no grid
+    # integration reads an absolute tolerance, so ode_atol is not a key
+    cfg = {"potential": WVN_POT,
+           "grid": {"x_min": -20.0, "x_max": 20.0, "n": 401},
+           "states": [{"omega": 1.0, "alpha": 1.0}],
+           "tolerances": {"ode_rtol": 1e-11}}
+    code, prefix = run_cli(tmp_path, "rtol", cfg, "insert")
+    assert code == 0
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
+    assert diag["magnus_step_max"] == pytest.approx(1e-11 ** (1 / 6), rel=1e-12)
+    # [-45, 0] in 450 intervals of 0.1, each cut into ceil(0.1 / 0.0147) = 7 steps
+    assert diag["magnus_steps"] == 450 * 7
+    capsys.readouterr()
+    cfg["tolerances"]["ode_atol"] = 1e-12
+    code, prefix = run_cli(tmp_path, "atol", cfg, "insert")
+    assert code == cli.EXIT_BAD_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "validation" and "config.tolerances.ode_atol" in error["message"]
+    assert not os.path.exists(prefix + ".csv")
 
 
 def test_evolve_seed_only(tmp_path):
@@ -272,7 +305,7 @@ SMALL_CONFIGS = {
                 "k_grid": {"k_min": 0.5, "k_max": 2.0, "n": 3, "exclusions": [[1.0, 1e-3]]}},
     "insert": {"potential": WVN_POT, "grid": {"x_min": -20.0, "x_max": 20.0, "n": 401},
                "states": [{"omega": 1.0, "alpha": 1.0, "r_at_omega": [-1.0, 0.0]}],
-               "tolerances": {"ode_rtol": 1e-8, "ode_atol": 1e-10}},
+               "tolerances": {"ode_rtol": 1e-8}},
     "evolve": {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 6},
                "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.02]}},
     "verify-example": {"rho": 2.0, "alpha": 1.0},
@@ -332,7 +365,7 @@ def _raise_hang(signum, frame):
 
 @pytest.mark.parametrize("command", sorted(SMALL_CONFIGS))
 @given(data=st.data())
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
 def test_main_is_total_on_hostile_configs(command, data):
     # every input ends in an exit code, with exactly one JSON error line on an
     # error exit, and an invalid config writes no output

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from positonkit import scattering
@@ -60,15 +63,21 @@ def test_wvn_potential_requires_finite_positive_rho():
 
 
 def test_integration_failure_is_reported(monkeypatch):
-    # q is NaN past the start point, so the solver fails before any output point
+    # q is NaN past the start point, so both integrators fail before any output
+    # point: the grid propagator (which samples q through evaluate) and DOP853
+    # (which calls scalar_fn)
     spec = sch.PotentialSpec.zero()
     monkeypatch.setattr(spec, "scalar_fn", lambda: (lambda x: 0.0 if x == 0.0 else math.nan))
+    monkeypatch.setattr(spec, "evaluate", lambda x: np.where(np.asarray(x) == 0.0, 0.0, np.nan))
     with np.errstate(invalid="ignore"), pytest.raises(IntegrationFailureError):
         sch.integrate(spec, 1.0, 0.0, -1.0, (1.0, 0.0))
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationFailureError):
+        sch.solve_at(spec, 1.0, 0.0, -1.0, (1.0, 0.0), [-0.5, -1.0])
 
 
 def test_nan_potential_fails_promptly():
-    # DOP853 never returns when q is NaN from the start; run in a child under a timeout
+    # DOP853 (the point evaluator) never returns when q is NaN from the start;
+    # run in a child under a timeout
     src = os.path.dirname(os.path.dirname(sch.__file__))
     code = ("import math\n"
             "from positonkit import schrodinger as sch\n"
@@ -76,7 +85,7 @@ def test_nan_potential_fails_promptly():
             "spec = sch.PotentialSpec.zero()\n"
             "spec.scalar_fn = lambda: (lambda x: math.nan)\n"
             "try:\n"
-            "    sch.integrate(spec, 1.0, 0.0, -1.0, (1.0, 0.0))\n"
+            "    sch.solve_at(spec, 1.0, 0.0, -1.0, (1.0, 0.0), [-1.0])\n"
             "except IntegrationFailureError:\n"
             "    print('raised')\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -103,6 +112,90 @@ def test_ode_cap_admits_its_documented_span(monkeypatch, share, solved):
         with pytest.raises(IntegrationFailureError,
                            match=f"more than {cap} evaluations.*: {sch.NFEV_CHECK} reached"):
             scattering.scattering_coefficients(spec, ks)
+
+
+@given(rho=st.floats(0.3, 5.0), k=st.floats(0.2, 3.0))
+@example(rho=RHO, k=1.0)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+def test_magnus_right_jost_matches_closed_form(rho, k):
+    g = sch.Grid(-60.0, 0.0, 3001)
+    psi = sch.right_jost(sch.PotentialSpec.wvn_example(rho), k, g)
+    vc, dc = wvn.right_jost_closed(rho, g.x, k)
+    scale = np.max(np.abs(vc))
+    assert np.max(np.abs(psi.values - vc)) <= 1e-8 * scale
+    assert np.max(np.abs(psi.derivs - dc)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.2])
+def test_magnus_error_falls_sixth_order(wvn_spec, k):
+    # rtol / 64 halves h_s = rtol^(1/6) / max(1, |k|), and with it every step:
+    # an interval of h = 0.17 holds h / h_s = 1.7 or 3.74 of the longer steps
+    g = sch.Grid(-59.5, 0.0, 351)
+    vc, _ = wvn.right_jost_closed(RHO, g.x, k)
+    errs, steps = [], []
+    for rtol in (1e-6, 1e-6 / 64):
+        with sch.count_ode_work() as work:
+            psi = sch.right_jost(wvn_spec, k, g, rtol=rtol)
+        errs.append(np.max(np.abs(psi.values - vc)))
+        steps.append(work.magnus_steps)
+    assert steps[1] == 2 * steps[0]
+    assert errs[0] >= 40 * errs[1]
+
+
+def test_magnus_steps_split_at_kinks(wvn_spec):
+    # the shifted example's kink lies between grid nodes, and a cutoff moved
+    # right of it puts the kink inside the integrated span
+    shift = 0.3137
+    spec = dataclasses.replace(sch.PotentialSpec.shifted(wvn_spec, shift), right_cutoff=1.0)
+    g = sch.Grid(-20.0, 2.0, 1101)
+    assert np.min(np.abs(g.x - shift)) > 1e-3
+    for k in (0.7, 1.0, 2.2):
+        psi = sch.right_jost(spec, k, g)
+        vals, ders = sch.right_jost_at(spec, k, g.x)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(psi.values - vals)) <= 1e-8 * scale
+        assert np.max(np.abs(psi.derivs - ders)) <= 1e-8 * scale
+
+
+def test_magnus_batch_matches_single_momenta(wvn_spec):
+    g = sch.Grid(-60.0, 0.0, 3001)
+    ks = np.array([0.4, 1.0, 1.5, 2.9])       # three step bounds among four momenta
+    batch = sch.right_jost(wvn_spec, ks, g)
+    for k, v, d in zip(ks, batch.values, batch.derivs):
+        one = sch.right_jost(wvn_spec, k, g)
+        scale = np.max(np.abs(one.values))
+        assert np.max(np.abs(v - one.values)) <= 1e-14 * scale
+        assert np.max(np.abs(d - one.derivs)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k, grid", [(1e6, sch.Grid(-200.0, 0.0, 11)),
+                                     (1.0, sch.Grid(-1e6, 0.0, 3))])
+def test_magnus_cap_fails_before_allocating(wvn_spec, k, grid):
+    # 9.3e9 and 4.6e7 steps: the count is known before any step is taken
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(IntegrationFailureError, match="steps of the propagator"):
+            sch.right_jost(wvn_spec, k, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("n_steps, solved", [(19_999, True), (20_001, False)])
+def test_magnus_cap_counts_steps(monkeypatch, wvn_spec, n_steps, solved):
+    # at k = 1 an interval of 0.02 < h_s = 0.0215 is one step
+    monkeypatch.setattr(sch, "MAX_NFEV", 20_000)
+    g = sch.Grid(-0.02 * n_steps, 0.0, n_steps + 1)
+    if solved:
+        with sch.count_ode_work() as work:
+            sch.right_jost(wvn_spec, 1.0, g)
+        assert work.magnus_steps == n_steps and work.solves == 0
+    else:
+        with pytest.raises(IntegrationFailureError, match="more than 20000 steps"):
+            sch.right_jost(wvn_spec, 1.0, g)
 
 
 def test_composite_potentials():
