@@ -307,7 +307,7 @@ _ode_work: ContextVar[OdeWork | None] = ContextVar("positonkit_ode_work", defaul
 
 @contextmanager
 def count_ode_work():
-    """Count the ODE solves made inside the block; yields the OdeWork record."""
+    """Count the integration work done inside the block; yields the OdeWork record."""
     work = OdeWork()
     token = _ode_work.set(work)
     try:
