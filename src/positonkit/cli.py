@@ -23,19 +23,14 @@ import numpy as np
 from . import __version__, darboux, kdv, scattering, wvn_example as wvn
 from .errors import PositonkitError, ValidationError
 from .schrodinger import DEFAULT_RTOL, Grid, PotentialSpec, count_ode_work
+from .schrodinger import write_csv as _write_csv     # perfbench times the CSV writes by this name
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-FMT = "%.17g"
 MAX_POINTS = 10**6      # most nodes, momenta or list entries a config may ask for
-
-
-def _write_csv(path, header, columns):
-    data = np.column_stack(columns)
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt=FMT)
 
 
 def _write_meta(prefix, config, diagnostics):
@@ -249,7 +244,8 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
     for t in time:
         state = kdv.EvolvedState(t, params)
         # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
-        # state the output grid itself); at t = 0 from resolvent traces
+        # state the output grid itself); at t = 0 from the log-determinants of
+        # the phi-plane's chains, or of a chain of each x's own
         if states:
             plane = kdv.evolved_phi_plane(state, pg)
             q = plane.q_at(grid.x)
@@ -264,10 +260,12 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         cols_q.append(q)
         cols_qp.append(q_plus)
         # sizes actually used: mn + 1 of the operator systems, the plane's
-        # factorizations and the t > 0 kernel table
+        # factorizations and the t > 0 kernel table; the determinant sign margin
         diag = {"operator_points_min": min(state.operator_sizes, default=None),
                 "operator_points_max": max(state.operator_sizes, default=None),
-                "q_source": "plane_glm" if t > 0 else "trace"}
+                "q_source": "plane_glm" if t > 0 else "chain_log_det",
+                "q_points_own_chain": state.q_points_own_chain,
+                "log_det_phase_max": state.log_det_phase_max}
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
         if states or t > 0:

@@ -42,6 +42,7 @@ from .schrodinger import (
     integrate,
     right_jost,
     right_jost_at,
+    write_csv,
 )
 from .tails import fit_oscillatory_tail
 
@@ -110,10 +111,6 @@ class GramField:
     tail_constant: np.ndarray      # (N, N): contribution of (-inf, x_min]
     fits: list = field(default_factory=list)
 
-    @property
-    def n_states(self) -> int:
-        return self.entries.shape[1]
-
 
 @dataclass
 class TransformResult:
@@ -144,8 +141,7 @@ class TransformResult:
         for i, y in enumerate(self.y_fields):
             cols.append(np.real(y.values))
             header += f",y_{i+1}"
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-                   comments="", fmt="%.17g")
+        write_csv(path, header, cols)
 
     def meta(self) -> dict:
         return {

@@ -15,10 +15,13 @@ At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
 kernel is supported on u < 0, which makes the operator finite-window.  Every
 t = 0 operator grid puts the kernel's kink at u = 0 on a node: `plane_jost`
 by its spacing rule (checked by `t0_plane_chains`), `DetState` by a grid
-aligned per node.  Because K' jumps at u = 0, q at t = 0 comes from
-resolvent traces (`DetState`), not from the GLM solves.  At t > 0 the kernel
-is tabulated (`KernelTable`) and q is read from the GLM solves of
-`plane_jost`.
+aligned per node (`kink_spacing`).  `plane_jost` reads log det(I + H) at
+every node of a chain off the chain's one factorization.  Because K' jumps at
+u = 0, q at t = 0 is a second difference of those log-determinants along a
+chain (`kdv.dyson_q`), not the GLM read-out.  At t > 0 the kernel is
+tabulated (`KernelTable`) and q is read from the GLM solves of `plane_jost`.
+`DetState`, one dense bordered system per node, serves the per-node paths and
+is the oracle of `plane_jost`.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import DiscretizationFailureError, ValidationError
 
-__all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost",
-           "operator_spacing", "plane_jost", "t0_plane_chains"]
+__all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost", "difference_stencil",
+           "kink_spacing", "operator_spacing", "plane_jost", "t0_plane_chains"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
 THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
 KINK_NODES_MIN = 12        # minimum nodes between the origin and the kernel kink
 M_OP_CAP = 1600            # hard cap for the adaptive operator-grid refinement
+POSITIVITY_TOL = 1e-6      # largest |Im log det(I + H)| of a determinant taken as positive
 T_MAX = 0.25               # evolution beyond this needs contour re-tuning
 
 
@@ -87,10 +91,6 @@ class PoleData:
         out[~m] = 1j * self.r_star * (1j * self.p_star) ** d * np.exp(1j * self.p_star * u[~m])
         return out
 
-    def gamma_scale(self, x: float, t: float) -> float:
-        """The rank-one coefficient c0 e^{8 ystar^3 t} e^{-2 ystar x} (positive)."""
-        return self.c0 * math.exp(8.0 * self.ystar**3 * t - 2.0 * self.ystar * x)
-
 
 def _contour_rule(b: float, t: float, x_scale: float, tol_exp: float = 38.0):
     """(nodes, weights) of a uniform trapezoid rule on the line Im z = b (t > 0).
@@ -115,10 +115,15 @@ def _hankel(h, n: int) -> np.ndarray:
     return sliding_window_view(h, n)[:n]
 
 
-def _one_sided_stencil(r: int, p: int) -> np.ndarray:
-    """Forward finite-difference stencil for f^(r)(0) of order p (unit spacing)."""
-    m = r + p
-    mom = np.vander(np.arange(m, dtype=float), m, increasing=True).T
+def difference_stencil(offsets, r: int) -> np.ndarray:
+    """Weights of the finite difference for f^(r)(0) from f at the offsets (unit spacing).
+
+    Exact for polynomials of degree below len(offsets): order len(offsets) - r,
+    one more for a symmetric stencil of even r.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    m = len(offsets)
+    mom = np.vander(offsets, m, increasing=True).T
     rhs = np.zeros(m)
     rhs[r] = math.factorial(r)
     return np.linalg.solve(mom, rhs)
@@ -139,7 +144,7 @@ def em_weights(m: int, h: float, order: int = 8) -> np.ndarray:
              6: [(1, 4, -1.0 / 12.0), (3, 2, 1.0 / 720.0)],
              8: [(1, 6, -1.0 / 12.0), (3, 4, 1.0 / 720.0), (5, 2, -1.0 / 30240.0)]}[order]
     for r, p, coef in terms:
-        d = _one_sided_stencil(r, p)
+        d = difference_stencil(np.arange(r + p), r)
         corr = -coef * h * d            # -c_r d_j / h^r with c_r = coef h^{r+1}
         for j, c in enumerate(corr):
             w[j] += c
@@ -222,15 +227,31 @@ class KernelTable:
 
 
 def operator_spacing(y: float, x: float, m_op: int, delta_cap: float | None = None):
-    """Operator width needed at x, the spacing cap, and the default spacing.
+    """Operator width needed at x and the default spacing.
 
     The solution density lives on [0, 2|x|]; the width adds a decay margin
-    beyond it.  Returns (w_needed, delta_cap, min(w_needed / m_op, delta_cap)).
+    beyond it.  Returns (w_needed, min(w_needed / m_op, delta_cap)), the cap
+    being 0.22 / max(y, 1) unless given.
     """
     w_needed = 2.0 * max(0.0, -x) + U_DECAY_TARGET / (2.0 * y)
     if delta_cap is None:
         delta_cap = 0.22 / max(y, 1.0)
-    return w_needed, delta_cap, min(w_needed / m_op, delta_cap)
+    return w_needed, min(w_needed / m_op, delta_cap)
+
+
+def kink_spacing(x: float, delta: float) -> float:
+    """The spacing nearest delta that puts the t = 0 kernel's kink u = 0 on a node at x < 0.
+
+    2|x| / kink_spacing is an integer of at least KINK_NODES_MIN.
+    """
+    return -2.0 * x / max(KINK_NODES_MIN, round(-2.0 * x / delta))
+
+
+def _check_positive(phase, mn: int):
+    """Raise unless every phase of det(I + H) is within POSITIVITY_TOL of zero."""
+    if np.any(np.abs(phase) > POSITIVITY_TOL):
+        raise DiscretizationFailureError("determinant lost positivity; refine the operator grid",
+                                         suggested_m=2 * mn)
 
 
 def _within_cap(mn: int) -> int:
@@ -264,155 +285,63 @@ def _resonance_border(poles: PoleData, x: float, t: float):
 
 
 class DetState:
-    """Per-(x, t) assembly of the split Hankel determinant and its x-derivatives.
+    """Per-(x, t) assembly of the split Hankel determinant and its GLM solves.
 
-    delta may depend on x (aligned grids at t = 0); ddelta carries the grid
-    motion into the analytic trace formulas.
+    One dense bordered system per node: the per-node path, and the oracle of
+    `plane_jost`.  Without a fixed_delta a t = 0 grid is aligned: it puts the
+    kernel's kink on a node (`kink_spacing`).
     """
 
-    def __init__(self, poles: PoleData, kernel, x: float, t: float,
-                 m_op: int, aligned: bool, fixed_delta: float | None = None,
-                 delta_cap: float | None = None):
+    def __init__(self, poles: PoleData, kernel, x: float, t: float, m_op: int,
+                 fixed_delta: float | None = None, delta_cap: float | None = None):
         self.poles = poles
-        self.x = x
-        self.t = t
         y = poles.ystar
-        w_needed, delta_cap, delta = operator_spacing(y, x, m_op, delta_cap)
-        free = fixed_delta is None and not (aligned and x < -THIN_SUPPORT_X)
-        ddelta = 0.0
+        w_needed, delta = operator_spacing(y, x, m_op, delta_cap)
         if fixed_delta is not None:
             delta = fixed_delta
-        elif not free:
-            m1 = max(KINK_NODES_MIN, round(-2 * x / delta))
-            delta, ddelta = -2 * x / m1, -2.0 / m1
+        elif t == 0.0 and x < -THIN_SUPPORT_X:
+            delta = kink_spacing(x, delta)
         mn = _within_cap(_operator_intervals(w_needed, delta, m_op))
-        if free and x < 0 and delta < delta_cap:
-            ddelta = -2.0 / mn     # the free grid stretches with x until it hits the cap
-        i_arr = np.arange(mn + 1)
-        self.delta, self.ddelta, self.mn = delta, ddelta, mn
-        self.xi = i_arr * delta
-        w = em_weights(mn, delta, order=8 if t == 0.0 else 6)
-        self.w = w
-        sq = np.sqrt(w.astype(complex))
-        midx = np.arange(2 * mn + 1)
-        u = 2 * x + midx * delta
-        self._udot = 2.0 + midx * ddelta
-        self._sq = sq
-        self._u = u
+        self.fixed_delta = fixed_delta
+        self.delta, self.mn = delta, mn
+        self.xi = np.arange(mn + 1) * delta
+        self.w = em_weights(mn, delta, order=8 if t == 0.0 else 6)
+        self._u = 2 * x + np.arange(2 * mn + 1) * delta
         self._kernel = kernel
-        self._h0 = kernel(u, 0)
-        self._r = ddelta / delta
-        # rank-one resonance piece Gamma * gs gs^T, Gamma = c0 e^{8 y^3 t - 2 y x};
-        # only log Gamma and 1/Gamma ever enter the numerics
-        self.gs = sq * np.exp(-y * self.xi)
-        ci = self._r / 2 - y * i_arr * ddelta
-        self.gs1 = self.gs * ci
-        self.gs2 = self.gs * (ci**2 - self._r * self._r / 2)
+        self._h0 = kernel(self._u, 0)
+        # the rank-one resonance piece Gamma e^{-y xi} e^{-y xi'} is a border of the
+        # system; only log Gamma and 1/Gamma ever enter the numerics
         self.log_gamma, self.s_row, self.s_inv_gamma = _resonance_border(poles, x, t)
-        self._bordered_sym = None
-        self._bordered_plain = None
+        self._system = None
 
-    def _ss(self):
-        return self._sq[:, None] * self._sq[None, :]
-
-    def _a_derivs(self):
-        mn1 = self.mn + 1
-        ss = self._ss()
-        h1 = self._kernel(self._u, 1) * self._udot
-        h2 = self._kernel(self._u, 2) * self._udot**2
-        # both blocks are linear in the kernel samples: one Hankel matrix each
-        return (ss * _hankel(self._r * self._h0 + h1, mn1),
-                ss * _hankel(2 * self._r * h1 + h2, mn1))
-
-    def _sym_system(self):
-        """Bordered symmetric system; nonsingular whenever I + H is."""
-        if self._bordered_sym is None:
+    def _bordered(self):
+        """LU of B = I + H diag(w) bordered by the resonance piece, nonsingular with I + H."""
+        if self._system is None:
             mn1 = self.mn + 1
+            ghat = np.exp(-self.poles.ystar * self.xi)
             b = np.zeros((mn1 + 1, mn1 + 1), complex)
             core = b[:mn1, :mn1]
-            np.multiply(self._ss(), _hankel(self._h0, mn1), out=core)
-            core[np.diag_indices(mn1)] += 1.0
-            b[:mn1, mn1] = self.gs
-            b[mn1, :mn1] = self.s_row * self.gs
-            b[mn1, mn1] = -self.s_inv_gamma
-            try:
-                lu = lu_factor(b)
-            except np.linalg.LinAlgError as exc:
-                raise DiscretizationFailureError(
-                    "factorization of the bordered system failed",
-                    suggested_m=2 * self.mn) from exc
-            self._bordered_sym = (b, lu)
-        return self._bordered_sym
-
-    def _border_blocks(self, a1, a2, order: int):
-        """Bordered derivative matrix of the given order (1 or 2)."""
-        mn1 = self.mn + 1
-        y = self.poles.ystar
-        bx = np.zeros((mn1 + 1, mn1 + 1), complex)
-        if order == 1:
-            bx[:mn1, :mn1] = a1
-            bx[:mn1, mn1] = self.gs1
-            bx[mn1, :mn1] = self.s_row * self.gs1
-            bx[mn1, mn1] = -2.0 * y * self.s_inv_gamma
-        else:
-            bx[:mn1, :mn1] = a2
-            bx[:mn1, mn1] = self.gs2
-            bx[mn1, :mn1] = self.s_row * self.gs2
-            bx[mn1, mn1] = -4.0 * y**2 * self.s_inv_gamma
-        return bx
-
-    # -- determinant and derivatives ---------------------------------------
-
-    def log_det(self) -> float:
-        """log det(I + H) = log Gamma - log s + log(-det B) for the bordered B."""
-        b, _ = self._sym_system()
-        sign, ld = np.linalg.slogdet(b)
-        val = self.log_gamma - math.log(self.s_row) + float(np.real(ld))
-        im = abs(np.imag(np.log(-sign)))
-        if im > 1e-6:
-            raise DiscretizationFailureError(
-                "determinant lost positivity; refine the operator grid",
-                suggested_m=2 * self.mn)
-        return val
-
-    def log_det_derivatives(self):
-        """(F', F'') of F = log det(I + H) by resolvent traces on the bordered system (t = 0).
-
-        The grid motion (moving aligned grids) is carried by the derivative
-        blocks; the huge resonance factor contributes only the exact terms -2 y
-        and 0 through log Gamma.  At t > 0 q comes from `plane_jost` instead.
-        """
-        if self.t > 0:
-            raise ValidationError("resolvent-trace derivatives are the t = 0 path; "
-                                  "at t > 0 q is read from plane_jost")
-        _, lu = self._sym_system()
-        a1, a2 = self._a_derivs()
-        b1 = self._border_blocks(a1, a2, 1)
-        b2 = self._border_blocks(a1, a2, 2)
-        s1 = lu_solve(lu, b1)
-        s2 = lu_solve(lu, b2)
-        y = self.poles.ystar
-        f1 = -2.0 * y + np.trace(s1)
-        f2 = np.trace(s2) - np.sum(s1 * s1.T)
-        return complex(f1), complex(f2)
-
-    # -- linear solves for the evolved Jost solution ------------------------
-
-    def _plain_system(self):
-        if self._bordered_plain is None:
-            mn1 = self.mn + 1
-            y = self.poles.ystar
-            ghat = np.exp(-y * self.xi)
-            bp = np.zeros((mn1 + 1, mn1 + 1), complex)
-            core = bp[:mn1, :mn1]
             np.multiply(self.w[None, :], _hankel(self._h0, mn1), out=core)
             core[np.diag_indices(mn1)] += 1.0
-            bp[:mn1, mn1] = ghat
-            bp[mn1, :mn1] = self.s_row * self.w * ghat
-            bp[mn1, mn1] = -self.s_inv_gamma
-            lu = lu_factor(bp)
-            self._bordered_plain = (lu, ghat)
-        return self._bordered_plain
+            b[:mn1, mn1] = ghat
+            b[mn1, :mn1] = self.s_row * self.w * ghat
+            b[mn1, mn1] = -self.s_inv_gamma
+            self._system = lu_factor(b, overwrite_a=True)
+        return self._system
+
+    def log_det(self) -> float:
+        """log det(I + H) = log Gamma - log s + log(-det B) for the bordered B.
+
+        det B is the product of its LU factor's diagonal, its sign flipped by
+        each row interchange.
+        """
+        lu, piv = self._bordered()
+        d = np.diagonal(lu)
+        swaps = np.count_nonzero(piv != np.arange(len(piv)))
+        _check_positive(np.angle(-np.prod(d / np.abs(d)) * (-1.0) ** swaps), self.mn)
+        return self.log_gamma - math.log(self.s_row) + float(np.sum(np.log(np.abs(d))))
+
+    # -- linear solves for the evolved Jost solution ------------------------
 
     def solve_jost(self, ks):
         """(I+H)^{-1}(H 1) extended to the momenta ks; returns g(k) per k.
@@ -421,22 +350,22 @@ class DetState:
         handled by a bordered solve, stable for any size of its coefficient.
         """
         mn1 = self.mn + 1
-        lu, ghat = self._plain_system()
+        lu = self._bordered()
         rhs = np.zeros((mn1 + 1, 2), complex)
         rhs[:mn1, 0] = self._h0[:mn1]
         rhs[mn1, 1] = self.s_row
         sol = lu_solve(lu, rhs)
+        self._jost_cache = (lu, sol)
         v = sol[:mn1, 0] + sol[:mn1, 1]
-        self._jost_cache = (lu, ghat, sol, v)
         ks = np.atleast_1d(np.asarray(ks, dtype=complex))
         return np.array([np.sum(self.w * np.exp(1j * k * self.xi) * v) for k in ks])
 
     def solve_jost_with_derivative(self, ks):
         """g(k) and its x-derivative (fixed-grid path)."""
-        if abs(self.ddelta) > 0:
-            raise ValidationError("jost x-derivatives require a fixed (non-moving) grid")
+        if self.fixed_delta is None:
+            raise ValidationError("jost x-derivatives require a fixed grid (fixed_delta)")
         g = self.solve_jost(ks)
-        lu, ghat, sol, v = self._jost_cache
+        lu, sol = self._jost_cache
         mn1 = self.mn + 1
         k1 = self._kernel(self._u, 1)
         y = self.poles.ystar
@@ -460,22 +389,31 @@ _NODE_BLOCK = 32           # plane nodes that share each pair of triangular solv
 
 @dataclass
 class PlaneJost:
-    """g(k), g_x(k) and q at every node of a uniform plane.
+    """g(k), g_x(k), q and log det(I + H) at every node of a uniform plane.
 
     psi(x, t, k) = e^{ikx}(1 - g(k)) as for `DetState.solve_jost_with_derivative`.
     g and gx have shape (nodes, momenta); q = 2 Re d/dx v(xi = 0) is the
     evolved potential, since K(x, x + xi) = -v(xi) and q = -2 d/dx K(x, x).
     At t = 0, where K' jumps at u = 0 and both read-outs are wrong, gx and q
-    are None.  sizes holds mn + 1 of each node's system and factor_points that
-    of each chain's one factorization.
+    are None; q is then a second difference of log_det along a chain
+    (`kdv.dyson_q`).  log_det is complex, its imaginary part the phase of
+    the determinant in (-pi, pi], which is 0 for a positive one.  sizes holds
+    mn + 1 of each node's system and factor_points that of each chain's one
+    factorization.
     """
 
     g: np.ndarray
     gx: np.ndarray | None
     q: np.ndarray | None
+    log_det: np.ndarray
     delta: float
     factor_points: tuple
     sizes: np.ndarray
+
+    def log_det_real(self, nodes=slice(None)) -> np.ndarray:
+        """Re log det(I + H) at the nodes, each checked positive as by `DetState.log_det`."""
+        _check_positive(self.log_det[nodes].imag, int(np.max(self.sizes[nodes], initial=0)))
+        return self.log_det[nodes].real
 
 
 def _plane_layout(poles: PoleData, t: float, x: np.ndarray, m_op: int, delta0: float):
@@ -488,8 +426,8 @@ def _plane_layout(poles: PoleData, t: float, x: np.ndarray, m_op: int, delta0: f
     """
     n = len(x)
     h = (x[-1] - x[0]) / (n - 1) if n > 1 else delta0
-    if h <= delta0:
-        chains, stride = math.floor(delta0 / h), 1
+    if h <= delta0 * (1.0 + 1e-12):          # h = delta0 up to rounding: one chain
+        chains, stride = math.floor(delta0 / h * (1.0 + 1e-12)), 1
         if t == 0.0:
             chains = min(2, chains)
         delta = chains * h
@@ -503,16 +441,21 @@ def _plane_layout(poles: PoleData, t: float, x: np.ndarray, m_op: int, delta0: f
 
 
 def _kink_on_node(x0: float, delta: float) -> bool:
-    """Whether u = 2 x0 + i delta meets the t = 0 kernel's kink u = 0 at an integer i."""
+    """Whether the t = 0 kernel's kink u = 0 is off no window u = 2 x + i delta of x >= x0.
+
+    That is so when 2 x0 / delta is an integer, or when x0 >= 0 puts every
+    window right of the kink.
+    """
     a = 2.0 * x0 / delta
-    return abs(a - round(a)) <= 1e-8 * max(1.0, abs(a))
+    return x0 >= 0.0 or abs(a - round(a)) <= 1e-8 * max(1.0, abs(a))
 
 
 def t0_plane_chains(poles: PoleData, x: np.ndarray, m_op: int, delta0: float) -> bool:
     """Whether `plane_jost` can solve the t = 0 plane over the uniform nodes x.
 
     It can when its spacing puts the kernel's kink on a node of every chain
-    (2 x[0] / delta integral) and no chain's factor passes M_OP_CAP.
+    (2 x[0] / delta integral, or x[0] >= 0) and no chain's factor passes
+    M_OP_CAP.
     """
     x = np.asarray(x, dtype=float)
     _, delta, steps, needed = _plane_layout(poles, 0.0, x, m_op, delta0)
@@ -529,8 +472,9 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     delta = c h with c = floor(delta0 / h) >= 1 (c interleaved chains of
     nodes delta apart), or delta = h / l with l = ceil(h / delta0) when
     h > delta0 (one chain, nodes l rows apart).  At t = 0 c is at most 2 and
-    2 x[0] / delta must be integral, so that the kernel's kink u = 0 is a node
-    of every chain (`t0_plane_chains`); only g is solved there.
+    2 x[0] / delta must be integral (or x[0] >= 0), so that the kernel's kink
+    u = 0 is a node of every chain (`t0_plane_chains`); g and log det are
+    solved there, not gx and q.
 
     On one chain the system at x + delta is the system at x with its first
     row and column dropped, so every node's regular core is a trailing block
@@ -541,6 +485,8 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
       * the node's own left end corrections of `em_weights` enter as a rank-5
         (Woodbury) update of the factor's last five columns;
       * the resonance border enters as a 1 x 1 Schur complement;
+      * log det(I + H) is the sum of the logs of the factor's leading diagonal,
+        of the updated 5 x 5 corner's determinant and of that Schur complement;
       * the derivative right-hand side's Hankel product is an FFT correlation;
       * each solve is a forward and a backward triangular solve with the
         packed factor, shared by a block of the chain's nodes.
@@ -559,6 +505,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     g = np.empty((n, len(ks)), complex)
     gx = np.empty((n, len(ks)), complex) if t > 0 else None
     q = np.empty(n) if t > 0 else None
+    log_det = np.empty(n, complex)
     factor_points = []
     for r in range(min(chains, n)):
         nodes = np.arange(r, n, chains)
@@ -576,24 +523,28 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
             raise DiscretizationFailureError(
                 "the reversed GLM core needed a row interchange; its leading blocks "
                 "do not factor the nodes' systems")
+        log_u = np.concatenate([[0.0], np.cumsum(np.log(np.diagonal(lu)))])
         h1_rev = h1_hat = None
         if t > 0:
             h1_rev = kernel(u, 1)[::-1]
             h1_hat = sfft.fft(2.0 * h1_rev, sfft.next_fast_len(3 * big_n + 1))
         for b0 in range(0, len(nodes), _NODE_BLOCK):
             js = nodes[b0:b0 + _NODE_BLOCK]
-            g[js], derivative = _plane_nodes(poles, t, x[js], ks, delta, sizes[js], lu, w0,
-                                             h0_rev, h1_rev, h1_hat)
+            g[js], log_det[js], derivative = _plane_nodes(
+                poles, t, x[js], ks, delta, sizes[js], lu, log_u, w0, h0_rev, h1_rev, h1_hat)
             if derivative is not None:
                 gx[js], q[js] = derivative
-    return PlaneJost(g, gx, q, delta, tuple(factor_points), sizes)
+    # the phase of a positive determinant is 0 up to rounding, whatever the sum's branches
+    log_det.imag = np.angle(np.exp(1j * log_det.imag))
+    return PlaneJost(g, gx, q, log_det, delta, tuple(factor_points), sizes)
 
 
-def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
-    """(g, (gx, q)) at a block of one chain's nodes from the chain's packed factor lu.
+def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_hat):
+    """(g, log det(I + H), (gx, q)) at a block of one chain's nodes from its packed factor lu.
 
-    Without the kernel derivative h1_rev and its transform h1_hat (t = 0)
-    only g is solved, and (gx, q) is None.
+    log_u holds the cumulative sums of the logs of lu's diagonal.  Without
+    the kernel derivative h1_rev and its transform h1_hat (t = 0) gx and q
+    are not solved, and (gx, q) is None.
 
     Node c's core A differs from the leading block L U of the chain's core
     only in its last five columns (reversed order), where the node's own left
@@ -606,7 +557,10 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
     is zero below a node's rows gives, in those rows, that node's leading-block
     solution (the leading block of a triangular inverse is the inverse of the
     leading block).  Arrays are (rows, nodes) in reversed order, zero below
-    each node's m rows.
+    each node's m rows.  So det A is the product of the leading m - 5
+    diagonal entries of U and det(corner), and the bordered determinant is
+    det A times the border's Schur complement sigma: log det(I + H) =
+    log det A + log(-sigma) + log Gamma - log s_row, as in `DetState.log_det`.
     """
     y = poles.ystar
     n1, big_m, cols, k = lu.shape[0], int(m.max()), np.arange(len(m)), m - _EM_END
@@ -618,7 +572,8 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
     w = np.where(i < k, w0[:big_m, None], 0.0)
     w[ends, cols[:, None]] = w0[-_EM_END:]                 # the node's own end corrections
     r = w0[-_EM_END:] / w0[ends]
-    s_row, s_inv_gamma = np.array([_resonance_border(poles, float(xx), t)[1:] for xx in x]).T
+    log_gamma, s_row, s_inv_gamma = np.array([_resonance_border(poles, float(xx), t)
+                                              for xx in x]).T
     blk = lu[ends[:, :, None], ends[:, None, :]]
     l_inv_e = np.linalg.inv(np.tril(blk, -1) + np.eye(_EM_END))
     # L^{-1} e_c lies in the corner
@@ -648,13 +603,16 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, w0, h0_rev, h1_rev, h1_hat):
     v = a - mu * z
     e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
     g = np.einsum("ick,ic->ck", e, v)
+    sign, log_corner = np.linalg.slogdet(corner)
+    log_det = (log_u[k] + np.log(sign) + log_corner + np.log(-sigma)
+               + log_gamma - np.log(s_row))
     if h1_rev is None:
-        return g, None
+        return g, log_det, None
     # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
     corr = sfft.ifft(h1_hat[:, None] * sfft.fft((w * v)[::-1], h1_hat.size, axis=0),
                      axis=0)[big_m - 1:2 * big_m - 1]
     ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
     mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
     vx = ax - mux * z
-    return g, (np.einsum("ick,ic->ck", e, vx),
+    return g, log_det, (np.einsum("ick,ic->ck", e, vx),
                2.0 * vx[m - 1, cols].real)                 # xi = 0 is each node's last row

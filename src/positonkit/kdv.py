@@ -3,7 +3,9 @@ time-evolved insertion of the embedded state, and independent PDE cross-checks.
 
 The evolved seed is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) (Dyson formula);
 its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
-t > 0 q is read from the same GLM solves, q = 2 Re d/dx v(xi = 0).  The
+t > 0 q is read from the same GLM solves, q = 2 Re d/dx v(xi = 0); at t = 0
+it is a sixth-order second difference of the log-determinants that the same
+chained solves give at every node.  The
 one-state evolved insertion adds -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2))
 with phi(s,t) = 2 Im[e^{4 i omega^3 t} psi(s,t,omega)].  An independent
 pseudospectral split-step integrator and centered-stencil PDE residuals close
@@ -24,6 +26,7 @@ from . import wvn_example as wvn
 from .darboux import gauge_map, single_state_step, tail_closed_gram
 from .errors import ValidationError
 from .hankel import (
+    KINK_NODES_MIN,
     T_MAX,
     THIN_SUPPORT_X,
     U_DECAY_TARGET,
@@ -31,6 +34,8 @@ from .hankel import (
     KernelTable,
     PlaneJost,
     PoleData,
+    difference_stencil,
+    kink_spacing,
     operator_spacing,
     plane_jost,
     t0_plane_chains,
@@ -57,6 +62,10 @@ class EvolvedState:
     _det_cache: dict = field(default_factory=dict, repr=False)
     # mn + 1 of every operator system solved (DetStates and plane nodes), the sizes actually used
     operator_sizes: list = field(default_factory=list, repr=False)
+    # t = 0 q values that took a chain of their own (`dyson_q`), and the largest
+    # |Im log det(I + H)| over every plane node: the determinant sign margin
+    q_points_own_chain: int = field(default=0, repr=False)
+    log_det_phase_max: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.t):
@@ -82,29 +91,31 @@ class EvolvedState:
             self._tables["default"] = KernelTable(self.poles, self.t, u_lo, u_hi)
         return self._tables["default"]
 
-    def det_state(self, x: float, m_op: int | None = None,
-                  fixed_delta: float | None = None) -> DetState:
-        m_op = self.m_op if m_op is None else m_op
-        key = (round(x, 12), m_op, fixed_delta)
+    def det_state(self, x: float, fixed_delta: float | None = None) -> DetState:
+        key = (round(x, 12), fixed_delta)
         if key not in self._det_cache:
             if len(self._det_cache) > 4:
                 self._det_cache.clear()
             kernel = self.kernel(2.0 * min(x, 0.0) - 2.0)
-            ds = DetState(self.poles, kernel, x, self.t, m_op, aligned=(self.t == 0.0),
-                          fixed_delta=fixed_delta, delta_cap=self.delta_cap)
+            ds = DetState(self.poles, kernel, x, self.t, self.m_op, fixed_delta=fixed_delta,
+                          delta_cap=self.delta_cap)
             self.operator_sizes.append(ds.mn + 1)
             self._det_cache[key] = ds
         return self._det_cache[key]
 
     def fixed_delta(self, x_min: float) -> float:
         """DetState's default operator spacing at x_min, held fixed for solves at x >= x_min."""
-        return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[2]
+        return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[1]
 
-    def glm_plane(self, x: np.ndarray, ks=()) -> PlaneJost:
-        """`hankel.plane_jost` over the uniform nodes x at the default spacing of x[0]."""
+    def glm_plane(self, x: np.ndarray, ks=(), delta0: float | None = None) -> PlaneJost:
+        """`hankel.plane_jost` over the uniform nodes x, by default at the spacing of x[0]."""
+        if delta0 is None:
+            delta0 = self.fixed_delta(float(x[0]))
         sol = plane_jost(self.poles, self.kernel(2.0 * min(float(x[0]), 0.0) - 2.0), self.t,
-                         x, ks, self.m_op, self.fixed_delta(float(x[0])))
+                         x, ks, self.m_op, delta0)
         self.operator_sizes.extend(sol.sizes.tolist())
+        self.log_det_phase_max = max(self.log_det_phase_max,
+                                     float(np.max(np.abs(sol.log_det.imag))))
         return sol
 
 
@@ -121,31 +132,34 @@ def _thin_support_q(poles: PoleData, x: float) -> float:
     return float(np.real(4.0 * s1 - 4.0 * s0 * s0))
 
 
-def dyson_q(state: EvolvedState, x: float, method: str | None = None,
-            fd_h: float = 1e-2) -> float:
+# (offsets, weights) of the sixth-order second difference: centred on 7 nodes, forward over 8
+_CENTRAL, _FORWARD = ((o, difference_stencil(o, 2)) for o in (np.arange(-3, 4), np.arange(8)))
+
+
+def dyson_q(state: EvolvedState, x: float) -> float:
     """Evolved seed q(x, t) = -2 d^2/dx^2 log det(I + H(x,t)).
 
-    By default q at t > 0 is the GLM read-out of a one-node plane
-    (`EvolvedState.glm_plane`), and at t = 0, where that read-out fails because
-    K' jumps at u = 0, both derivatives come from resolvent traces
-    (method="trace", t = 0 only).  method="fd" uses centered differences of
-    log det with one Richardson step at spacing fd_h.
+    At t > 0 q is the GLM read-out of a one-node plane
+    (`EvolvedState.glm_plane`).  At t = 0, where that read-out fails because
+    K' jumps at u = 0, q is -2 times a sixth-order second difference of the
+    log-determinants of a chain of its own: for x < 0, 7 nodes centred on x
+    at `hankel.kink_spacing`; for x >= 0, 8 nodes forward from x, whose
+    windows lie right of the kink, so that the stencil stays off q's
+    derivative jump at x = 0.  Next to x = 0 on the left, where a chain puts
+    too few nodes on the kernel's support [0, 2|x|], the series is used.
     """
-    x_thin = min(0.35, THIN_SUPPORT_X * max(1.0, (2.0 / state.params.rho) ** (1.0 / 3.0)))
-    if state.t == 0.0 and -x_thin < x < 0.0:
-        return _thin_support_q(state.poles, x)
-    if method is None and state.t > 0:
+    if state.t > 0:
         return float(state.glm_plane(np.array([x], dtype=float)).q[0])
-    if method in (None, "trace"):
-        _, f2 = state.det_state(x).log_det_derivatives()
-        return float(-2.0 * np.real(f2))
-    if method == "fd":
-        def f(xx):
-            return state.det_state(xx).log_det()
-        d2a = (f(x + fd_h) - 2 * f(x) + f(x - fd_h)) / fd_h**2
-        d2b = (f(x + fd_h / 2) - 2 * f(x) + f(x - fd_h / 2)) / (fd_h / 2) ** 2
-        return float(-2.0 * (4 * d2b - d2a) / 3)
-    raise ValidationError(f"unknown dyson_q method {method!r}")
+    x_thin = min(0.35, THIN_SUPPORT_X * max(1.0, (2.0 / state.params.rho) ** (1.0 / 3.0)))
+    if -x_thin < x < 0.0:
+        return _thin_support_q(state.poles, x)
+    delta = state.fixed_delta(x)
+    offsets, weights = _FORWARD
+    if x < 0.0:
+        delta, (offsets, weights) = kink_spacing(x, delta), _CENTRAL
+    sol = state.glm_plane(x + delta * offsets, delta0=delta)
+    state.q_points_own_chain += 1
+    return float(-2.0 * (sol.log_det_real() @ weights) / sol.delta**2)
 
 
 def jost_evolved(state: EvolvedState, x: float, k):
@@ -178,7 +192,9 @@ class EvolvedPlane:
     factor_points the size of each chain's one factorization (see
     `hankel.plane_jost`); both are (None, ()) on a t = 0 plane solved node by
     node on kink-aligned grids.  q is the evolved seed read from the same
-    solves at t > 0; at t = 0 it is None, and q is left to `dyson_q`.
+    solves: at t > 0 the GLM read-out at every node; at t = 0 the second
+    difference of the chains' log-determinants (`_plane_chain_q`), NaN at the
+    nodes they cannot serve, which `q_at` leaves to `dyson_q`.
     """
 
     state: EvolvedState
@@ -188,9 +204,9 @@ class EvolvedPlane:
     phi_x: np.ndarray
     big_i: np.ndarray          # cumulative integral of phi^2 from -inf
     tail_fit: object
+    q: np.ndarray
     delta: float | None = None
     factor_points: tuple = ()
-    q: np.ndarray | None = None
 
     def index(self, x) -> np.ndarray:
         """Indices of the nodes x (scalar or array); x off the plane grid is rejected."""
@@ -202,11 +218,12 @@ class EvolvedPlane:
         return j
 
     def q_at(self, x) -> np.ndarray:
-        """Evolved seed q at plane nodes x: the plane's own read-out at t > 0, `dyson_q` at t = 0."""
+        """Evolved seed q at plane nodes x: the plane's own read-out, else `dyson_q`."""
         j = self.index(x)
-        if self.q is not None:
-            return self.q[j]
-        return np.array([dyson_q(self.state, float(xx)) for xx in np.atleast_1d(x)])
+        q = self.q[j]
+        own = np.flatnonzero(np.isnan(q))
+        q[own] = [dyson_q(self.state, float(self.grid.x[i])) for i in j[own]]
+        return q
 
 
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
@@ -216,15 +233,17 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
     The GLM solves are `EvolvedState.glm_plane`'s chains.  A t = 0 grid they
     cannot serve (see `hankel.t0_plane_chains`) is solved node by node on
     kink-aligned grids (`jost_evolved`).  At t = 0, where K' jumps at u = 0,
-    phi_x is a 4th-order centred stencil on the grid.
+    phi_x is a 4th-order centred stencil on the grid, and q is read from the
+    chains' log-determinants where `_plane_chain_q` allows.
     """
     phase = np.exp(4j * omega**3 * state.t)
-    delta, factor_points, q = None, (), None
+    delta, factor_points, q = None, (), np.full(grid.n_points, np.nan)
     if state.t > 0.0 or t0_plane_chains(state.poles, grid.x, state.m_op,
                                         state.fixed_delta(grid.x_min)):
         ks = np.array([omega], dtype=complex)
         sol = state.glm_plane(grid.x, ks)
-        delta, factor_points, q = sol.delta, sol.factor_points, sol.q
+        delta, factor_points = sol.delta, sol.factor_points
+        q = sol.q if state.t > 0.0 else _plane_chain_q(sol, grid)
         readout = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)     # (psi,) at t = 0
         psi = readout[0][:, 0]
     else:
@@ -237,8 +256,27 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
         phi_x = np.gradient(phi, h, edge_order=2)
         phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
     cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
-    return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0],
-                        delta, factor_points, q)
+    return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0], q,
+                        delta, factor_points)
+
+
+def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
+    """q at the t = 0 plane's nodes from its chains' log-determinants, NaN where they cannot serve.
+
+    A node qualifies when its chain's nodes are delta apart, the centred
+    stencil fits inside the chain and 2|x| / delta >= KINK_NODES_MIN, which
+    keeps the stencil off q's derivative jump at x = 0.
+    """
+    offsets, weights = _CENTRAL
+    q = np.full(grid.n_points, np.nan)
+    chains = len(sol.factor_points)
+    if abs(chains * grid.spacing - sol.delta) <= 1e-9 * sol.delta:
+        nodes = np.arange(grid.n_points)
+        ends = (nodes >= 3 * chains) & (nodes < grid.n_points - 3 * chains)
+        nodes = nodes[ends & (np.rint(2.0 * np.abs(grid.x) / sol.delta) >= KINK_NODES_MIN)]
+        window = nodes[:, None] + chains * offsets
+        q[nodes] = -2.0 * (sol.log_det_real(window) @ weights) / sol.delta**2
+    return q
 
 
 def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:

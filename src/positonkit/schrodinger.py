@@ -40,7 +40,7 @@ from .errors import (
 __all__ = [
     "Grid", "PotentialSpec", "WaveField", "OdeWork",
     "solve_at", "integrate", "right_jost_at", "right_jost", "fundamental_pair", "wronskian",
-    "count_ode_work", "DEFAULT_RTOL", "DEFAULT_ATOL",
+    "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL",
 ]
 
 DEFAULT_RTOL = 1e-10
@@ -283,11 +283,15 @@ class WaveField:
         return complex(f * gp - fp * g)
 
     def to_csv(self, path):
-        data = np.column_stack([self.grid.x,
-                                self.values.real, self.values.imag,
-                                self.derivs.real, self.derivs.imag])
-        header = "x,re_u,im_u,re_du,im_du"
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, "x,re_u,im_u,re_du,im_du",
+                  [self.grid.x, self.values.real, self.values.imag,
+                   self.derivs.real, self.derivs.imag])
+
+
+def write_csv(path, header, columns):
+    """Write the columns as CSV under a header line, every value as %.17g."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
+               fmt="%.17g")
 
 
 @dataclass
@@ -462,8 +466,9 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
     Each interval between x_from, the points x_eval (ordered away from
     x_from) and the kink points of q between them gets ceil(|length| / h_s)
     equal steps, h_s = rtol^(1/6) / max(1, |k|), so no kink falls inside a
-    step.  Momenta with equal h_s share their steps and the q samples at
-    the steps' Gauss nodes (one `spec.evaluate` call per block).  The state
+    step.  Momenta with equal step counts on every interval share their steps
+    and the q samples at the steps' Gauss nodes (one `spec.evaluate` call per
+    block).  The state
     at every point comes from running products of the steps' propagators,
     formed in blocks of at most 2^16 (momentum, step) pairs with the state
     carried between blocks.  A solve of more than MAX_NFEV steps fails
@@ -491,8 +496,15 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
             ksq = ksq.real
         h_s = rtol ** (1.0 / 6.0) / np.maximum(1.0, np.abs(ks))
         work = _ode_work.get()
-        for hs in np.unique(h_s):
-            counts = np.ceil(np.abs(lengths) / hs)
+        # steps per interval -> the momenta taking them, the most steps first, so
+        # that a solve past MAX_NFEV fails before any step is taken
+        groups = {}
+        for i in np.argsort(h_s):
+            counts = np.ceil(np.abs(lengths) / h_s[i])
+            groups.setdefault(counts.tobytes(), (counts, []))[1].append(i)
+        for counts, rows in groups.values():
+            rows = np.array(rows)
+            hs = float(np.max(h_s[rows]))
             total = counts.sum()
             if not total <= MAX_NFEV:
                 raise IntegrationFailureError(
@@ -503,7 +515,6 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
             counts = counts.astype(np.int64)
             done = np.concatenate([[0], np.cumsum(counts)])   # steps taken to each edge
             node_step = done[at]
-            rows = np.flatnonzero(h_s == hs)
             y = (u0[rows], d0[rows])
             first = np.searchsorted(node_step, 0, side="right")
             vals[rows, :first], ders[rows, :first] = y[0][:, None], y[1][:, None]
@@ -530,7 +541,7 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
                 first = last
             if work is not None:
                 work.magnus_steps += total
-                work.magnus_step_max = max(work.magnus_step_max, float(hs))
+                work.magnus_step_max = max(work.magnus_step_max, hs)
     shape = k.shape + (m,)
     return vals.reshape(shape), ders.reshape(shape)
 

@@ -53,9 +53,6 @@ class TailFit:
                - np.sin(2 * (self.omega * self.s0 + self.theta))) / (2 * self.omega)
         return self.a + self._sgn() * (self.b * (s - self.s0) - self.b * osc)
 
-    def phi_model(self, s):
-        return self.amp * np.sin(self.omega * np.asarray(s) + self.theta) / self.tau_hat(s)
-
     def self_integral(self) -> float:
         """Integral of phi^2 over the tail beyond s0."""
         if self.zero_tail:

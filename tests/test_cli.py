@@ -132,7 +132,11 @@ def test_evolve_seed_only(tmp_path):
         lo, hi = diag[key]["operator_points_min"], diag[key]["operator_points_max"]
         assert 200 < lo <= hi <= 1601
         assert "plane_tail_fit_residual" not in diag[key]     # no state, no phi-plane
-    assert diag["t=0.0"]["q_source"] == "trace"
+    # at t = 0 each x's q takes a chain of its own, but x = 0 (the thin support is x < 0)
+    assert diag["t=0.0"]["q_source"] == "chain_log_det"
+    assert diag["t=0.0"]["q_points_own_chain"] == 7
+    for key in ("t=0.0", "t=0.02"):
+        assert 0.0 <= diag[key]["log_det_phase_max"] < 1e-6
     assert "plane_path" not in diag["t=0.0"] and "plane_operator_spacing" not in diag["t=0.0"]
     assert "kernel_u_points" not in diag["t=0.0"]
     # without a state q at t > 0 comes from a GLM plane over the output grid
@@ -153,7 +157,7 @@ def test_evolve_seed_only(tmp_path):
     code, prefix = run_cli(tmp_path, "evo_plane", cfg, "evolve")
     assert code == 0
     diags = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
-    for key, q_source in (("t=0.0", "trace"), ("t=0.02", "plane_glm")):
+    for key, q_source in (("t=0.0", "chain_log_det"), ("t=0.02", "plane_glm")):
         diag = diags[key]
         assert diag["plane_path"] == "chain"
         assert diag["plane_operator_spacing"] == pytest.approx(0.2, abs=1e-12)

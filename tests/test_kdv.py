@@ -81,10 +81,17 @@ def test_dyson_seed_values(state0):
     assert kdv.dyson_q(state0, -5.0) == pytest.approx(float(wvn.q_seed(RHO, -5.0)), abs=1e-3)
 
 
-def test_dyson_fd_matches_trace(state0):
-    a = kdv.dyson_q(state0, -5.0, method="fd")
-    b = kdv.dyson_q(state0, -5.0, method="trace")
-    assert abs(a - b) < 1e-6
+@pytest.mark.parametrize("rho", [0.3, 0.5, 1.0, 2.0, 5.0])
+def test_dyson_q_t0_across_family(rho):
+    # from just left of the thin-support edge, where a chain's kink spacing is
+    # finest and its factor widest, out to x = -15: each own chain stays under
+    # M_OP_CAP and its second difference meets q_seed at criterion 8's 1e-3
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho))
+    x_thin = min(0.35, hankel.THIN_SUPPORT_X * max(1.0, (2.0 / rho) ** (1.0 / 3.0)))
+    xs = -np.geomspace(x_thin + 1e-3, 15.0, 6)
+    worst = max(abs(kdv.dyson_q(state, float(x)) - float(wvn.q_seed(rho, x))) for x in xs)
+    assert state.q_points_own_chain == len(xs)
+    assert worst < 1e-3
 
 
 def test_dyson_determinant_positive():
@@ -106,9 +113,9 @@ def test_operator_grid_cap_is_a_failure(state0):
 def _assert_plane_matches_dense(rho, t, x):
     """plane_jost against a dense LU of each node's own system at its (x, delta, window, weights).
 
-    At t > 0 that is `DetState`'s bordered LU.  At t = 0, where `DetState`
-    keeps order-8 weights, it is a one-node plane, whose one factor is the
-    node's own system; there only g is solved.
+    At t > 0 that is `DetState`'s bordered LU, for g, gx and log det.  At
+    t = 0, where `DetState` keeps order-8 weights, it is a one-node plane,
+    whose one factor is the node's own system; there g and log det are solved.
     """
     state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
     kernel = state.kernel(2.0 * min(x[0], 0.0) - 2.0)
@@ -125,6 +132,7 @@ def _assert_plane_matches_dense(rho, t, x):
         sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
                                 state.fixed_delta(x[0]))
     assert swaps == [0] * len(sol.factor_points)
+    log_det = sol.log_det_real()
     if t == 0.0:
         assert sol.gx is None and sol.q is None
         for j in range(len(x)):
@@ -132,14 +140,18 @@ def _assert_plane_matches_dense(rho, t, x):
                                       int(sol.sizes[j]) - 1, sol.delta)
             assert alone.sizes[0] == sol.sizes[j]
             assert abs(sol.g[j, 0] - alone.g[0, 0]) <= 1e-10 * max(1.0, abs(alone.g[0, 0]))
+            dense = alone.log_det_real()[0]
+            assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
         return
     for j, xx in enumerate(x):
         ds = DetState(state.poles, kernel, float(xx), t, int(sol.sizes[j]) - 1,
-                      aligned=False, fixed_delta=sol.delta)
+                      fixed_delta=sol.delta)
         assert ds.mn + 1 == sol.sizes[j]
         g, gx = ds.solve_jost_with_derivative(ks)
         assert abs(sol.g[j, 0] - g[0]) <= 1e-10 * max(1.0, abs(g[0]))
         assert abs(sol.gx[j, 0] - gx[0]) <= 1e-10 * max(1.0, abs(gx[0]))
+        dense = ds.log_det()
+        assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
         if j in (1, len(x) - 1):
             # q of a node solved in a block of its chain equals that of the node alone
             alone = hankel.plane_jost(state.poles, kernel, t, x[j:j + 1], ks, ds.mn, sol.delta)
@@ -201,8 +213,15 @@ def test_evolved_plane_t0_is_chained(plane0):
     # each; the per-node aligned grids missed phi_closed by 1.8e-3 on this plane
     assert plane0.delta == pytest.approx(0.1, abs=1e-12)
     assert plane0.factor_points == (1061, 1060)
-    assert plane0.q is None
     assert np.max(np.abs(plane0.phi - wvn.phi_closed(RHO, plane0.grid.x))) < 2e-4
+    # q from the chains' log-determinants wherever the centred stencil fits its
+    # chain and keeps 12 kink intervals at its centre (|x| >= 0.6); NaN, and left
+    # to dyson_q, at the chains' three end nodes and next to x = 0
+    x = plane0.grid.x
+    served = np.isfinite(plane0.q)
+    i = np.arange(len(x))
+    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6) & (np.abs(x) > 0.6 - 1e-9))
+    assert np.max(np.abs(plane0.q[served] - wvn.q_seed(RHO, x[served]))) < 1e-3
 
 
 def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
@@ -213,11 +232,10 @@ def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
 
 
 def test_q_plus_free_limit(state0, plane0):
-    # without the inserted state the formula returns the evolved seed itself
-    x = -3.0
-    q_seed = kdv.dyson_q(state0, x)
-    tiny = kdv.q_plus_evolved(plane0, 1e-8, np.array([x]))
-    assert abs(tiny[0] - q_seed) < 1e-6
+    # without the inserted state the formula returns the plane's evolved seed itself
+    x = np.array([-3.0, -0.3])          # read from the plane's chains, and from its own
+    tiny = kdv.q_plus_evolved(plane0, 1e-8, x)
+    assert np.max(np.abs(tiny - plane0.q_at(x))) < 1e-6
 
 
 def test_kdv_residual_zero_field():
@@ -272,12 +290,18 @@ def test_dyson_q_far_left_converged(x):
     assert abs(a - b) < 1e-3
 
 
-def test_trace_derivatives_are_the_t0_path():
-    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
-    with pytest.raises(ValidationError, match="t = 0"):
-        state.det_state(-3.0).log_det_derivatives()
-    with pytest.raises(ValidationError, match="t = 0"):
-        kdv.dyson_q(state, -3.0, method="trace")
+def test_dyson_q_t0_is_its_own_chain():
+    # x < 0: 7 nodes centred on x at a kink spacing (2|x| / delta = 12 at x = -0.5);
+    # x >= 0: 8 nodes forward from x at the default spacing; the thin support: none
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(RHO))
+    for x, nodes in ((-0.5, 7), (-5.0, 7), (0.3, 8), (-0.05, 0)):
+        before = len(state.operator_sizes)
+        kdv.dyson_q(state, x)
+        sizes = state.operator_sizes[before:]
+        assert len(sizes) == nodes
+        assert np.all(np.diff(sizes) == -1)              # one chain: one row fewer per node
+    assert state.q_points_own_chain == 3
+    assert 0.0 <= state.log_det_phase_max < hankel.POSITIVITY_TOL
 
 
 @pytest.mark.slow

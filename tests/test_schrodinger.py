@@ -159,7 +159,8 @@ def test_magnus_steps_split_at_kinks(wvn_spec):
 
 def test_magnus_batch_matches_single_momenta(wvn_spec):
     g = sch.Grid(-60.0, 0.0, 3001)
-    ks = np.array([0.4, 1.0, 1.5, 2.9])       # three step bounds among four momenta
+    # four step bounds among five momenta; 1.5 and 1.6 take two steps per node, 2.9 three
+    ks = np.array([0.4, 1.0, 1.5, 1.6, 2.9])
     batch = sch.right_jost(wvn_spec, ks, g)
     for k, v, d in zip(ks, batch.values, batch.derivs):
         one = sch.right_jost(wvn_spec, k, g)
