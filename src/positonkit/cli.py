@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import sys
+from time import perf_counter
 
 import numpy as np
 
@@ -246,15 +247,20 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
         # state the output grid itself); at t = 0 from the log-determinants of
         # the phi-plane's chains, or of a chain of each x's own
+        start = perf_counter()
         if states:
             plane = kdv.evolved_phi_plane(state, pg)
+            solved = perf_counter()
             q = plane.q_at(grid.x)
             q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
         elif t > 0:
             plane = state.glm_plane(grid.x)
+            solved = perf_counter()
             q = q_plus = plane.q
         else:
+            solved = start
             q = q_plus = np.array([kdv.dyson_q(state, float(x)) for x in grid.x])
+        timings = {"plane": solved - start, "q": perf_counter() - solved}
         cols_x.append(grid.x)
         cols_t.append(np.full(grid.n_points, t))
         cols_q.append(q)
@@ -265,7 +271,8 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
                 "operator_points_max": max(state.operator_sizes, default=None),
                 "q_source": "plane_glm" if t > 0 else "chain_log_det",
                 "q_points_own_chain": state.q_points_own_chain,
-                "log_det_phase_max": state.log_det_phase_max}
+                "log_det_phase_max": state.log_det_phase_max,
+                "timings_s": timings}
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
         if states or t > 0:

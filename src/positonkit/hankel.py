@@ -18,8 +18,11 @@ by its spacing rule (checked by `t0_plane_chains`), `DetState` by a grid
 aligned per node (`kink_spacing`).  `plane_jost` reads log det(I + H) at
 every node of a chain off the chain's one factorization.  Because K' jumps at
 u = 0, q at t = 0 is a second difference of those log-determinants along a
-chain (`kdv.dyson_q`), not the GLM read-out.  At t > 0 the kernel is
-tabulated (`KernelTable`) and q is read from the GLM solves of `plane_jost`.
+chain (`kdv.dyson_q`), not the GLM read-out; only scalar functionals of each
+node's solution are then read, and a whole chain gives them from one forward
+and one transposed backward substitution with its factor, in O(n^2).  At
+t > 0 the kernel is tabulated (`KernelTable`) and q is read from the GLM
+solves of `plane_jost`, which need each node's full solution.
 `DetState`, one dense bordered system per node, serves the per-node paths and
 is the oracle of `plane_jost`.
 """
@@ -289,7 +292,8 @@ class DetState:
 
     One dense bordered system per node: the per-node path, and the oracle of
     `plane_jost`.  Without a fixed_delta a t = 0 grid is aligned: it puts the
-    kernel's kink on a node (`kink_spacing`).
+    kernel's kink on a node (`kink_spacing`), and gets order-8 weights; a
+    fixed_delta grid gets the order-6 weights of `plane_jost`'s chains.
     """
 
     def __init__(self, poles: PoleData, kernel, x: float, t: float, m_op: int,
@@ -305,7 +309,7 @@ class DetState:
         self.fixed_delta = fixed_delta
         self.delta, self.mn = delta, mn
         self.xi = np.arange(mn + 1) * delta
-        self.w = em_weights(mn, delta, order=8 if t == 0.0 else 6)
+        self.w = em_weights(mn, delta, order=8 if t == 0.0 and fixed_delta is None else 6)
         self._u = 2 * x + np.arange(2 * mn + 1) * delta
         self._kernel = kernel
         self._h0 = kernel(self._u, 0)
@@ -481,16 +485,19 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     of the core of the chain's leftmost node, whose window ends where the
     widest node needs it (no node gets less than `DetState` gives it at this
     spacing).  The reversed core J(I + H diag(w))J is factored once, and its
-    leading blocks then factor every node's core.  Per node, in O(n^2):
+    leading blocks then factor every node's core:
       * the node's own left end corrections of `em_weights` enter as a rank-5
         (Woodbury) update of the factor's last five columns;
       * the resonance border enters as a 1 x 1 Schur complement;
       * log det(I + H) is the sum of the logs of the factor's leading diagonal,
-        of the updated 5 x 5 corner's determinant and of that Schur complement;
-      * the derivative right-hand side's Hankel product is an FFT correlation;
-      * each solve is a forward and a backward triangular solve with the
-        packed factor, shared by a block of the chain's nodes.
-    q needs no solve of its own: it is read from the derivative solve.
+        of the updated 5 x 5 corner's determinant and of that Schur complement.
+    At t = 0 only scalar functionals of each node's solution are read, and a
+    chain's nodes share one forward and one transposed backward substitution
+    with the whole factor, plus O(1) work per node (`_chain_t0`).  At t > 0
+    the derivative right-hand side needs each node's full solution: a forward
+    and a backward substitution shared by a block of the chain's nodes, and an
+    FFT correlation for its Hankel product (`_plane_nodes`); q is read from
+    the derivative solve.
     A row interchange in the factorization would break the leading-block
     property; it is reported as a DiscretizationFailureError.
     """
@@ -524,27 +531,101 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                 "the reversed GLM core needed a row interchange; its leading blocks "
                 "do not factor the nodes' systems")
         log_u = np.concatenate([[0.0], np.cumsum(np.log(np.diagonal(lu)))])
-        h1_rev = h1_hat = None
-        if t > 0:
-            h1_rev = kernel(u, 1)[::-1]
-            h1_hat = sfft.fft(2.0 * h1_rev, sfft.next_fast_len(3 * big_n + 1))
+        if t == 0.0:
+            g[nodes], log_det[nodes] = _chain_t0(poles, x[nodes], ks, delta, sizes[nodes],
+                                                 lu, log_u, w0)
+            continue
+        h1_rev = kernel(u, 1)[::-1]
+        h1_hat = sfft.fft(2.0 * h1_rev, sfft.next_fast_len(3 * big_n + 1))
         for b0 in range(0, len(nodes), _NODE_BLOCK):
             js = nodes[b0:b0 + _NODE_BLOCK]
-            g[js], log_det[js], derivative = _plane_nodes(
+            g[js], log_det[js], gx[js], q[js] = _plane_nodes(
                 poles, t, x[js], ks, delta, sizes[js], lu, log_u, w0, h0_rev, h1_rev, h1_hat)
-            if derivative is not None:
-                gx[js], q[js] = derivative
     # the phase of a positive determinant is 0 up to rounding, whatever the sum's branches
     log_det.imag = np.angle(np.exp(1j * log_det.imag))
     return PlaneJost(g, gx, q, log_det, delta, tuple(factor_points), sizes)
 
 
-def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_hat):
-    """(g, log det(I + H), (gx, q)) at a block of one chain's nodes from its packed factor lu.
+def _node_corners(lu, w0, k):
+    """(ends, r, upper, corner) of the nodes whose leading m - 5 rows number k.
 
-    log_u holds the cumulative sums of the logs of lu's diagonal.  Without
-    the kernel derivative h1_rev and its transform h1_hat (t = 0) gx and q
-    are not solved, and (gx, q) is None.
+    ends holds each node's last five rows, r = w / w0 there, upper the
+    factor's upper triangle on them and corner the 5 x 5 block of the node's
+    updated upper factor (see `_plane_nodes`): r_c U e_c + (1 - r_c) L^{-1} e_c
+    restricted to the ends, L^{-1} e_c lying in the corner.
+    """
+    ends = k[:, None] + np.arange(_EM_END)                  # (nodes, 5)
+    r = w0[-_EM_END:] / w0[ends]
+    blk = lu[ends[:, :, None], ends[:, None, :]]
+    l_inv_e = np.linalg.inv(np.tril(blk, -1) + np.eye(_EM_END))
+    upper = np.triu(blk)
+    return ends, r, upper, upper * r[:, None, :] + l_inv_e * (1.0 - r[:, None, :])
+
+
+def _border(poles, x, t):
+    """(log Gamma, s_row, s_inv_gamma) of `_resonance_border` at each node x, as arrays."""
+    return np.array([_resonance_border(poles, float(xx), t) for xx in x]).T
+
+
+def _log_det(log_u, k, corner, sigma, log_gamma, s_row):
+    """log det(I + H) = log det A + log(-sigma) + log Gamma - log s_row, as in `DetState.log_det`.
+
+    det A is the product of the leading k diagonal entries of U and det(corner).
+    """
+    sign, log_corner = np.linalg.slogdet(corner)
+    return log_u[k] + np.log(sign) + log_corner + np.log(-sigma) + log_gamma - np.log(s_row)
+
+
+def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
+    """(g, log det(I + H)) at every node of one t = 0 chain from its packed factor lu.
+
+    Node c's core A = L U' is as in `_plane_nodes`, with k = m - 5 leading
+    rows.  Only functionals c^T A^{-1} b are read, for the border row
+    c = s_row w ghat (s_row applied last) and the read-out c = w e^{ik xi}
+    at each momentum:
+      * the a column: its right-hand side is column m - 1 of H, so
+        A a = (A - I) e_{m-1} / w_{m-1} and a = (e_{m-1} - A^{-1} e_{m-1}) / w_{m-1},
+        where L^{-1} e_{m-1} = e_{m-1};
+      * the z column: ghat = e^{-y xi} is beta = e^{-y delta (m-1-i0)} times
+        the leading rows of the chain vector f_i = e^{y delta (i-i0)}, centred
+        on i0 = (n1 - 1) / 2 to keep f within e^{+-0.23 M_OP_CAP / 2}.
+    Each c is, on rows i < k, a per-node scalar alpha times the chain vector
+    d = w0 e^{rate delta (i-i0)} (rate y for the border, -ik for the
+    read-out).  L and U^T are lower triangular, so p = L^{-1} f and
+    Q = U^{-T} d serve every node through their leading rows:
+    c^T A^{-1} b = alpha Q[:k].(L^{-1} b)[:k] + q_e.(L^{-1} b)[ends], with
+    q_e = corner^{-T}(c[ends] - r alpha U[:k, ends]^T Q[:k]).  The prefix
+    dots are one cumulative sum per chain, and U[:k, ends]^T Q[:k] is
+    d[ends] - triu(U[ends, ends])^T Q[ends], since U^T Q = d.
+    """
+    y = poles.ystar
+    n1, k = lu.shape[0], m - _EM_END
+    ends, r, upper, corner = _node_corners(lu, w0, k)
+    log_gamma, s_row, s_inv_gamma = _border(poles, x, 0.0)
+    rate = np.concatenate([[y], -1j * ks])                  # border row, then each momentum
+    chain = np.exp(delta * (np.arange(n1) - 0.5 * (n1 - 1))[:, None] * rate)   # (rows, 1 + momenta)
+    p = solve_triangular(lu, chain[:, 0], lower=True, unit_diagonal=True, check_finite=False)
+    d = w0[:, None] * chain
+    big_q = solve_triangular(lu, d, trans="T", lower=False, check_finite=False)
+    prefix = np.concatenate([np.zeros((1, rate.size)), np.cumsum(big_q * p[:, None], axis=0)])
+    off = delta * (m - 1 - 0.5 * (n1 - 1))                  # xi of each node's row i0
+    alpha = np.exp(-off[:, None] * rate)
+    c_end = w0[-_EM_END:, None] * np.exp(-delta * np.arange(_EM_END - 1, -1, -1)[:, None] * rate)
+    top = d[ends] - np.einsum("nic,nij->ncj", upper, big_q[ends])
+    q_e = np.linalg.solve(np.swapaxes(corner, 1, 2), c_end - r[:, :, None] * alpha[:, None, :] * top)
+    cz = np.exp(-y * off)[:, None] * (alpha * prefix[k] + np.einsum("ncj,nc->nj", q_e, p[ends]))
+    ca = (c_end[-1] - q_e[:, -1]) / w0[-1]
+    # the border row is s_row times column 0's functionals
+    sigma = -s_inv_gamma - s_row * cz[:, 0]                 # Schur complement of the border
+    mu = s_row * (1.0 - ca[:, 0]) / sigma
+    return ca[:, 1:] - mu[:, None] * cz[:, 1:], _log_det(log_u, k, corner, sigma, log_gamma, s_row)
+
+
+def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_hat):
+    """(g, log det(I + H), gx, q) at a block of one t > 0 chain's nodes from its packed factor lu.
+
+    log_u holds the cumulative sums of the logs of lu's diagonal, h1_rev the
+    reversed kernel derivative and h1_hat the transform of twice it.
 
     Node c's core A differs from the leading block L U of the chain's core
     only in its last five columns (reversed order), where the node's own left
@@ -557,27 +638,19 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_ha
     is zero below a node's rows gives, in those rows, that node's leading-block
     solution (the leading block of a triangular inverse is the inverse of the
     leading block).  Arrays are (rows, nodes) in reversed order, zero below
-    each node's m rows.  So det A is the product of the leading m - 5
-    diagonal entries of U and det(corner), and the bordered determinant is
-    det A times the border's Schur complement sigma: log det(I + H) =
-    log det A + log(-sigma) + log Gamma - log s_row, as in `DetState.log_det`.
+    each node's m rows.  The bordered determinant is det A times the border's
+    Schur complement sigma (`_log_det`).
     """
     y = poles.ystar
     n1, big_m, cols, k = lu.shape[0], int(m.max()), np.arange(len(m)), m - _EM_END
     i = np.arange(big_m)[:, None]
     inside = i < m
-    ends = k[:, None] + np.arange(_EM_END)                  # (nodes, 5): each node's last rows
+    ends, r, _, corner = _node_corners(lu, w0, k)
     xi = np.where(inside, (m - 1 - i) * delta, 0.0)
     ghat = np.exp(-y * xi) * inside
     w = np.where(i < k, w0[:big_m, None], 0.0)
     w[ends, cols[:, None]] = w0[-_EM_END:]                 # the node's own end corrections
-    r = w0[-_EM_END:] / w0[ends]
-    log_gamma, s_row, s_inv_gamma = np.array([_resonance_border(poles, float(xx), t)
-                                              for xx in x]).T
-    blk = lu[ends[:, :, None], ends[:, None, :]]
-    l_inv_e = np.linalg.inv(np.tril(blk, -1) + np.eye(_EM_END))
-    # L^{-1} e_c lies in the corner
-    corner = np.triu(blk) * r[:, None, :] + l_inv_e * (1.0 - r[:, None, :])
+    log_gamma, s_row, s_inv_gamma = _border(poles, x, t)
     top = lu[:big_m, ends].transpose(1, 0, 2)               # (nodes, rows, 5)
     above = (i < k)[:, :, None]
 
@@ -602,17 +675,11 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_ha
     mu = (s_row - np.sum(row * a, axis=0)) / sigma
     v = a - mu * z
     e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
-    g = np.einsum("ick,ic->ck", e, v)
-    sign, log_corner = np.linalg.slogdet(corner)
-    log_det = (log_u[k] + np.log(sign) + log_corner + np.log(-sigma)
-               + log_gamma - np.log(s_row))
-    if h1_rev is None:
-        return g, log_det, None
     # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
     corr = sfft.ifft(h1_hat[:, None] * sfft.fft((w * v)[::-1], h1_hat.size, axis=0),
                      axis=0)[big_m - 1:2 * big_m - 1]
     ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
     mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
     vx = ax - mux * z
-    return g, log_det, (np.einsum("ick,ic->ck", e, vx),
-               2.0 * vx[m - 1, cols].real)                 # xi = 0 is each node's last row
+    return (np.einsum("ick,ic->ck", e, v), _log_det(log_u, k, corner, sigma, log_gamma, s_row),
+            np.einsum("ick,ic->ck", e, vx), 2.0 * vx[m - 1, cols].real)   # xi = 0: last row

@@ -264,8 +264,10 @@ def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
     """q at the t = 0 plane's nodes from its chains' log-determinants, NaN where they cannot serve.
 
     A node qualifies when its chain's nodes are delta apart, the centred
-    stencil fits inside the chain and 2|x| / delta >= KINK_NODES_MIN, which
-    keeps the stencil off q's derivative jump at x = 0.
+    stencil fits inside the chain and its inner end, 3 delta nearer x = 0,
+    keeps 2|x| / delta >= KINK_NODES_MIN.  That keeps the stencil off q's
+    derivative jump at x = 0 and off the nodes next to it, where the
+    second difference is least accurate; `dyson_q` serves those x instead.
     """
     offsets, weights = _CENTRAL
     q = np.full(grid.n_points, np.nan)
@@ -273,7 +275,8 @@ def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
     if abs(chains * grid.spacing - sol.delta) <= 1e-9 * sol.delta:
         nodes = np.arange(grid.n_points)
         ends = (nodes >= 3 * chains) & (nodes < grid.n_points - 3 * chains)
-        nodes = nodes[ends & (np.rint(2.0 * np.abs(grid.x) / sol.delta) >= KINK_NODES_MIN)]
+        inner = np.rint(2.0 * np.abs(grid.x) / sol.delta) - 2 * offsets[-1]
+        nodes = nodes[ends & (inner >= KINK_NODES_MIN)]
         window = nodes[:, None] + chains * offsets
         q[nodes] = -2.0 * (sol.log_det_real(window) @ weights) / sol.delta**2
     return q

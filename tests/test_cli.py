@@ -137,6 +137,9 @@ def test_evolve_seed_only(tmp_path):
     assert diag["t=0.0"]["q_points_own_chain"] == 7
     for key in ("t=0.0", "t=0.02"):
         assert 0.0 <= diag[key]["log_det_phase_max"] < 1e-6
+        assert set(diag[key]["timings_s"]) == {"plane", "q"}
+        assert min(diag[key]["timings_s"].values()) >= 0.0
+    assert diag["t=0.0"]["timings_s"]["plane"] == 0.0      # no plane: q from chains of their own
     assert "plane_path" not in diag["t=0.0"] and "plane_operator_spacing" not in diag["t=0.0"]
     assert "kernel_u_points" not in diag["t=0.0"]
     # without a state q at t > 0 comes from a GLM plane over the output grid

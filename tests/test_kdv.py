@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, solve_triangular
 
 from positonkit import hankel, kdv
 from positonkit import wvn_example as wvn
@@ -110,52 +110,55 @@ def test_operator_grid_cap_is_a_failure(state0):
         kdv.evolved_phi_plane(state, Grid(-190.0, -189.0, 11))
 
 
-def _assert_plane_matches_dense(rho, t, x):
+def _assert_plane_matches_dense(rho, t, x, nodes=None):
     """plane_jost against a dense LU of each node's own system at its (x, delta, window, weights).
 
-    At t > 0 that is `DetState`'s bordered LU, for g, gx and log det.  At
-    t = 0, where `DetState` keeps order-8 weights, it is a one-node plane,
-    whose one factor is the node's own system; there g and log det are solved.
+    That is `DetState`'s bordered LU at the plane's spacing (order-6 weights),
+    for g and log det, and at t > 0 for gx.  A t = 0 plane reads its nodes off
+    one forward and one backward substitution per chain.  nodes picks the
+    nodes compared (all by default).  Returns the plane.
     """
     state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
     kernel = state.kernel(2.0 * min(x[0], 0.0) - 2.0)
     ks = np.array([1.0 + 0.0j])
-    swaps = []
+    swaps, substitutions = [], []
 
     def recording_lu(a, **kwargs):
         lu, piv = lu_factor(a, **kwargs)
         swaps.append(int(np.count_nonzero(piv != np.arange(len(piv)))))
         return lu, piv
 
+    def counting_solve(*args, **kwargs):
+        substitutions.append(1)
+        return solve_triangular(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hankel, "lu_factor", recording_lu)
+        mp.setattr(hankel, "solve_triangular", counting_solve)
         sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
                                 state.fixed_delta(x[0]))
     assert swaps == [0] * len(sol.factor_points)
-    log_det = sol.log_det_real()
     if t == 0.0:
         assert sol.gx is None and sol.q is None
-        for j in range(len(x)):
-            alone = hankel.plane_jost(state.poles, kernel, t, x[j:j + 1], ks,
-                                      int(sol.sizes[j]) - 1, sol.delta)
-            assert alone.sizes[0] == sol.sizes[j]
-            assert abs(sol.g[j, 0] - alone.g[0, 0]) <= 1e-10 * max(1.0, abs(alone.g[0, 0]))
-            dense = alone.log_det_real()[0]
-            assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
-        return
-    for j, xx in enumerate(x):
-        ds = DetState(state.poles, kernel, float(xx), t, int(sol.sizes[j]) - 1,
+        assert len(substitutions) <= 2 * len(sol.factor_points)
+    log_det = sol.log_det_real()
+    for j in range(len(x)) if nodes is None else nodes:
+        ds = DetState(state.poles, kernel, float(x[j]), t, int(sol.sizes[j]) - 1,
                       fixed_delta=sol.delta)
         assert ds.mn + 1 == sol.sizes[j]
-        g, gx = ds.solve_jost_with_derivative(ks)
+        if t == 0.0:
+            g = ds.solve_jost(ks)
+        else:
+            g, gx = ds.solve_jost_with_derivative(ks)
+            assert abs(sol.gx[j, 0] - gx[0]) <= 1e-10 * max(1.0, abs(gx[0]))
         assert abs(sol.g[j, 0] - g[0]) <= 1e-10 * max(1.0, abs(g[0]))
-        assert abs(sol.gx[j, 0] - gx[0]) <= 1e-10 * max(1.0, abs(gx[0]))
         dense = ds.log_det()
         assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
-        if j in (1, len(x) - 1):
+        if t > 0.0 and j in (1, len(x) - 1):
             # q of a node solved in a block of its chain equals that of the node alone
             alone = hankel.plane_jost(state.poles, kernel, t, x[j:j + 1], ks, ds.mn, sol.delta)
             assert abs(sol.q[j] - alone.q[0]) <= 1e-10 * max(1.0, abs(alone.q[0]))
+    return sol
 
 
 def test_plane_jost_matches_dense_solves():
@@ -175,6 +178,15 @@ def test_plane_jost_no_row_swap_across_family(rho, t, h, x_min):
     _assert_plane_matches_dense(rho, t, x_min + h * np.arange(8))
     # at t = 0 the plane starts on a multiple of h, which puts the kink on a node
     _assert_plane_matches_dense(rho, 0.0, h * (round(x_min / h) + np.arange(8)))
+
+
+def test_plane_jost_t0_near_cap():
+    # rho = 0.3 on the evolve phi-plane [-45, 2] at h = 0.05: two chains at
+    # delta = 0.1 whose factors (1476 and 1475 points) are near M_OP_CAP, the
+    # longest chain vectors e^{y delta (i - i0)}; the chains' first node (the
+    # widest system), a middle one and the last
+    sol = _assert_plane_matches_dense(0.3, 0.0, -45.0 + 0.05 * np.arange(941), nodes=(0, 471, 940))
+    assert sol.factor_points == (1476, 1475)
 
 
 def test_unaligned_t0_plane_is_solved_per_node(state0):
@@ -215,12 +227,12 @@ def test_evolved_plane_t0_is_chained(plane0):
     assert plane0.factor_points == (1061, 1060)
     assert np.max(np.abs(plane0.phi - wvn.phi_closed(RHO, plane0.grid.x))) < 2e-4
     # q from the chains' log-determinants wherever the centred stencil fits its
-    # chain and keeps 12 kink intervals at its centre (|x| >= 0.6); NaN, and left
-    # to dyson_q, at the chains' three end nodes and next to x = 0
+    # chain and keeps 12 kink intervals at its inner end (|x| >= 0.9); NaN, and
+    # left to dyson_q, at the chains' three end nodes and next to x = 0
     x = plane0.grid.x
     served = np.isfinite(plane0.q)
     i = np.arange(len(x))
-    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6) & (np.abs(x) > 0.6 - 1e-9))
+    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6) & (np.abs(x) > 0.9 - 1e-9))
     assert np.max(np.abs(plane0.q[served] - wvn.q_seed(RHO, x[served]))) < 1e-3
 
 
