@@ -23,15 +23,13 @@ import numpy as np
 
 from . import __version__, darboux, kdv, scattering, wvn_example as wvn
 from .errors import PositonkitError, ValidationError
-from .schrodinger import DEFAULT_RTOL, Grid, PotentialSpec, count_ode_work
+from .schrodinger import DEFAULT_RTOL, MAX_POINTS, Grid, PotentialSpec, count_ode_work
 from .schrodinger import write_csv as _write_csv     # perfbench times the CSV writes by this name
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-MAX_POINTS = 10**6      # most nodes, momenta or list entries a config may ask for
 
 
 def _write_meta(prefix, config, diagnostics):
@@ -230,20 +228,13 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
     if len(states) > 1:
         raise ValidationError("evolve handles at most one embedded state")
     params = wvn.ExampleParams(potential.rho, states[0].alpha if states else 1.0)
-    if states:
-        # the phi-plane runs from -45 to x_max at the output grid's spacing
-        if not grid.x_max > -45.0:
-            raise ValidationError(f"config.grid.x_max must exceed -45, where the phi-plane "
-                                  f"starts, got {grid.x_max}")
-        n = int(math.ceil((grid.x_max + 45.0) / grid.spacing)) + 1
-        if n > MAX_POINTS:
-            raise ValidationError(f"config.grid spacing {grid.spacing:.3g} makes a phi-plane "
-                                  f"of {n} nodes over [-45, x_max], above {MAX_POINTS}")
-        pg = Grid(grid.x_max - (n - 1) * grid.spacing, grid.x_max, n)
-    cols_x, cols_t, cols_q, cols_qp = [], [], [], []
-    diags = {}
-    for t in time:
-        state = kdv.EvolvedState(t, params)
+    evolved = [kdv.EvolvedState(t, params) for t in time]
+    try:        # every t's phi-plane is laid out, and so checked, before any solve
+        plane_grids = [kdv.phi_plane_grid(state, grid) if states else None for state in evolved]
+    except ValidationError as exc:        # a fault of the config's grid
+        raise ValidationError(f"config.{exc}") from exc
+    cols, diags = [], {}
+    for t, state, pg in zip(time, evolved, plane_grids):
         # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
         # state the output grid itself); at t = 0 from the log-determinants of
         # the phi-plane's chains, or of a chain of each x's own
@@ -261,10 +252,7 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
             solved = start
             q = q_plus = np.array([kdv.dyson_q(state, float(x)) for x in grid.x])
         timings = {"plane": solved - start, "q": perf_counter() - solved}
-        cols_x.append(grid.x)
-        cols_t.append(np.full(grid.n_points, t))
-        cols_q.append(q)
-        cols_qp.append(q_plus)
+        cols.append((grid.x, np.full(grid.n_points, t), q, q_plus))
         # sizes actually used: mn + 1 of the operator systems, the plane's
         # factorizations and the t > 0 kernel table; the determinant sign margin
         diag = {"operator_points_min": min(state.operator_sizes, default=None),
@@ -276,7 +264,8 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
         if states or t > 0:
-            diag["plane_path"] = "per_node" if plane.delta is None else "chain"
+            diag["plane_nodes"] = (plane.grid if states else grid).n_points
+            diag["plane_spacing"] = (plane.grid if states else grid).spacing
             diag["plane_operator_spacing"] = plane.delta
             diag["plane_chains"] = len(plane.factor_points)
             diag["plane_factor_points"] = list(plane.factor_points)
@@ -287,7 +276,7 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
                                              for name, (_, nodes, _) in tab.sides.items()}
         diags[f"t={t}"] = diag
     _write_csv(f"{prefix}.csv", "x,t,q,q_plus",
-               [np.concatenate(c) for c in (cols_x, cols_t, cols_q, cols_qp)])
+               [np.concatenate(c) for c in zip(*cols)])
     _write_meta(prefix, config, diags)
     return EXIT_OK
 

@@ -13,18 +13,15 @@ contours inside 0 < Im z < ystar.
 
 At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
 kernel is supported on u < 0, which makes the operator finite-window.  Every
-t = 0 operator grid puts the kernel's kink at u = 0 on a node: `plane_jost`
-by its spacing rule (checked by `t0_plane_chains`), `DetState` by a grid
-aligned per node (`kink_spacing`).  `plane_jost` reads log det(I + H) at
-every node of a chain off the chain's one factorization.  Because K' jumps at
-u = 0, q at t = 0 is a second difference of those log-determinants along a
-chain (`kdv.dyson_q`), not the GLM read-out; only scalar functionals of each
-node's solution are then read, and a whole chain gives them from one forward
-and one transposed backward substitution with its factor, in O(n^2).  At
-t > 0 the kernel is tabulated (`KernelTable`) and q is read from the GLM
-solves of `plane_jost`, which need each node's full solution.
-`DetState`, one dense bordered system per node, serves the per-node paths and
-is the oracle of `plane_jost`.
+t = 0 operator grid puts the kernel's kink u = 0 on a node: `plane_jost`'s by
+its chains' lattice (delta / 2)Z (laid out by `kdv.phi_plane_grid`),
+`DetState`'s by a grid aligned per node (`kink_spacing`).  As K' jumps at
+u = 0, q at t = 0 is a second difference of the log-determinants that
+`plane_jost` reads off a chain's one factorization with two triangular
+substitutions, in O(n^2).  At t > 0 the kernel is tabulated (`KernelTable`)
+and q is the GLM read-out of `plane_jost`, which needs each node's full
+solution.  `DetState`, one dense system per node, serves the per-node Jost
+solves (`kdv.jost_evolved`) and is the oracle of `plane_jost`.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from .errors import DiscretizationFailureError, ValidationError
 
 __all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost", "difference_stencil",
-           "kink_spacing", "operator_spacing", "plane_jost", "t0_plane_chains"]
+           "kink_spacing", "operator_spacing", "plane_jost", "plane_spacing"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
 THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
@@ -420,50 +417,19 @@ class PlaneJost:
         return self.log_det[nodes].real
 
 
-def _plane_layout(poles: PoleData, t: float, x: np.ndarray, m_op: int, delta0: float):
-    """(chains, delta, steps, needed) of the chained plane over the uniform nodes x.
+def plane_spacing(t: float, h: float, delta0: float):
+    """(chains, stride, delta) of the chained plane over uniform nodes h apart.
 
-    steps counts each node's rows from its chain's leftmost node and needed
-    the intervals `DetState` gives the node at the spacing delta.  At t = 0
-    there are at most two chains: the plane spacing is then a multiple of
-    delta / 2, so 2x / delta is integral at every node once it is at x[0].
+    chains = floor(delta0 / h) interleaved chains at delta = chains h, at most 2
+    at t = 0 (then every node is on the kink lattice (delta / 2)Z if the first is);
+    or one chain at delta = h / stride, stride = ceil(h / delta0), when h > delta0.
     """
-    n = len(x)
-    h = (x[-1] - x[0]) / (n - 1) if n > 1 else delta0
     if h <= delta0 * (1.0 + 1e-12):          # h = delta0 up to rounding: one chain
-        chains, stride = math.floor(delta0 / h * (1.0 + 1e-12)), 1
-        if t == 0.0:
-            chains = min(2, chains)
-        delta = chains * h
-    else:
-        chains, stride = 1, math.ceil(h / delta0)
-        delta = h / stride
-    steps = np.arange(n) // chains * stride
-    needed = np.array([_operator_intervals(operator_spacing(poles.ystar, float(xx), m_op)[0],
-                                           delta, m_op) for xx in x])
-    return chains, delta, steps, needed
-
-
-def _kink_on_node(x0: float, delta: float) -> bool:
-    """Whether the t = 0 kernel's kink u = 0 is off no window u = 2 x + i delta of x >= x0.
-
-    That is so when 2 x0 / delta is an integer, or when x0 >= 0 puts every
-    window right of the kink.
-    """
-    a = 2.0 * x0 / delta
-    return x0 >= 0.0 or abs(a - round(a)) <= 1e-8 * max(1.0, abs(a))
-
-
-def t0_plane_chains(poles: PoleData, x: np.ndarray, m_op: int, delta0: float) -> bool:
-    """Whether `plane_jost` can solve the t = 0 plane over the uniform nodes x.
-
-    It can when its spacing puts the kernel's kink on a node of every chain
-    (2 x[0] / delta integral, or x[0] >= 0) and no chain's factor passes
-    M_OP_CAP.
-    """
-    x = np.asarray(x, dtype=float)
-    _, delta, steps, needed = _plane_layout(poles, 0.0, x, m_op, delta0)
-    return _kink_on_node(float(x[0]), delta) and int(np.max(steps + needed)) <= M_OP_CAP
+        chains = math.floor(delta0 / h * (1.0 + 1e-12))
+        chains = min(2, chains) if t == 0.0 else chains
+        return chains, 1, chains * h
+    stride = math.ceil(h / delta0)
+    return 1, stride, h / stride
 
 
 def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
@@ -472,13 +438,10 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
 
     x may be a single node, which then gets the spacing delta0.
 
-    The operator spacing is made commensurate with the plane spacing h:
-    delta = c h with c = floor(delta0 / h) >= 1 (c interleaved chains of
-    nodes delta apart), or delta = h / l with l = ceil(h / delta0) when
-    h > delta0 (one chain, nodes l rows apart).  At t = 0 c is at most 2 and
-    2 x[0] / delta must be integral (or x[0] >= 0), so that the kernel's kink
-    u = 0 is a node of every chain (`t0_plane_chains`); g and log det are
-    solved there, not gx and q.
+    The operator spacing delta is commensurate with the plane spacing
+    (`plane_spacing`).  At t = 0 2 x[0] / delta must be integral (or
+    x[0] >= 0), so that the kernel's kink u = 0 is a node of every chain,
+    else ValidationError; g and log det are solved there, not gx and q.
 
     On one chain the system at x + delta is the system at x with its first
     row and column dropped, so every node's regular core is a trailing block
@@ -504,10 +467,17 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     x = np.asarray(x, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
     n = len(x)
-    chains, delta, steps, needed = _plane_layout(poles, t, x, m_op, delta0)
-    if t == 0.0 and not _kink_on_node(float(x[0]), delta):
+    chains, stride, delta = plane_spacing(t, (x[-1] - x[0]) / (n - 1) if n > 1 else delta0,
+                                          delta0)
+    # each node's rows from its chain's leftmost node, and those `DetState` gives it at delta
+    steps = np.arange(n) // chains * stride
+    needed = np.array([_operator_intervals(operator_spacing(poles.ystar, float(xx), m_op)[0],
+                                           delta, m_op) for xx in x])
+    # u = 0 is a node of every window u = 2 x + i delta, or x[0] >= 0 puts each right of it
+    kink = 2.0 * x[0] / delta
+    if t == 0.0 and x[0] < 0.0 and abs(kink - round(kink)) > 1e-8 * max(1.0, abs(kink)):
         raise ValidationError(f"the t = 0 plane at spacing {delta} puts the kernel's kink off "
-                              f"its nodes: 2 x[0] / delta = {2.0 * x[0] / delta} is not an integer")
+                              f"its nodes: 2 x[0] / delta = {kink} is not an integer")
     sizes = np.empty(n, int)
     g = np.empty((n, len(ks)), complex)
     gx = np.empty((n, len(ks)), complex) if t > 0 else None

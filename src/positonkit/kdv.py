@@ -3,13 +3,13 @@ time-evolved insertion of the embedded state, and independent PDE cross-checks.
 
 The evolved seed is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) (Dyson formula);
 its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
-t > 0 q is read from the same GLM solves, q = 2 Re d/dx v(xi = 0); at t = 0
-it is a sixth-order second difference of the log-determinants that the same
-chained solves give at every node.  The
-one-state evolved insertion adds -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2))
-with phi(s,t) = 2 Im[e^{4 i omega^3 t} psi(s,t,omega)].  An independent
-pseudospectral split-step integrator and centered-stencil PDE residuals close
-the loop.
+t > 0 q is read from the same GLM solves, q = 2 Re d/dx v(xi = 0); at t = 0 it
+is a sixth-order second difference of the log-determinants that the same
+chained solves give at every node.  The one-state evolved insertion adds
+-2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2)), phi(s,t) = 2 Im[e^{4 i omega^3 t}
+psi(s,t,omega)], solved on a phi-plane whose nodes `phi_plane_grid` lays out and
+whose read-outs serve any x.  An independent pseudospectral split-step
+integrator and centered-stencil PDE residuals close the loop.
 
 Validated time range: t in [0, 0.05] at the default discretization; larger t
 needs contour re-tuning and is rejected beyond T_MAX.
@@ -21,12 +21,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import make_interp_spline
 
 from . import wvn_example as wvn
 from .darboux import gauge_map, single_state_step, tail_closed_gram
 from .errors import ValidationError
 from .hankel import (
     KINK_NODES_MIN,
+    M_OP_CAP,
     T_MAX,
     THIN_SUPPORT_X,
     U_DECAY_TARGET,
@@ -38,16 +40,19 @@ from .hankel import (
     kink_spacing,
     operator_spacing,
     plane_jost,
-    t0_plane_chains,
+    plane_spacing,
 )
-from .schrodinger import Grid
+from .schrodinger import MAX_POINTS, Grid
 
 __all__ = [
     "EvolvedState", "EvolvedPlane",
-    "dyson_q", "jost_evolved", "evolved_phi_plane",
+    "dyson_q", "jost_evolved", "phi_plane_grid", "evolved_phi_plane",
     "insertion_term", "q_plus_evolved", "classify_embedded_pole_evolved",
     "kdv_residual", "split_step_reference",
 ]
+
+PLANE_START = -45.0        # the phi-plane's first node is at x <= PLANE_START
+RHO_MAX = 5.0              # the evolved fields are validated for rho <= RHO_MAX
 
 
 @dataclass
@@ -75,6 +80,8 @@ class EvolvedState:
         if self.t > T_MAX:
             raise ValidationError(
                 f"t={self.t} beyond the validated contour tuning (t <= {T_MAX})")
+        if self.params.rho > RHO_MAX:
+            raise ValidationError(f"rho={self.params.rho} beyond the validated rho <= {RHO_MAX}")
         if self.m_op < 12:
             raise ValidationError("the operator grid needs m_op >= 12 intervals")
         self.poles = PoleData.for_rho(self.params.rho)
@@ -188,13 +195,12 @@ def _jost_readout(x, ks: np.ndarray, g, gx=None):
 class EvolvedPlane:
     """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on an s-grid.
 
-    delta is the operator spacing of the plane's chained GLM solves and
-    factor_points the size of each chain's one factorization (see
-    `hankel.plane_jost`); both are (None, ()) on a t = 0 plane solved node by
-    node on kink-aligned grids.  q is the evolved seed read from the same
-    solves: at t > 0 the GLM read-out at every node; at t = 0 the second
-    difference of the chains' log-determinants (`_plane_chain_q`), NaN at the
-    nodes they cannot serve, which `q_at` leaves to `dyson_q`.
+    delta is the operator spacing of the plane's chained GLM solves and factor_points
+    the size of each chain's one factorization (`hankel.plane_jost`).  q is the evolved
+    seed from the same solves: the GLM read-out at t > 0; at t = 0 the chains'
+    log-determinant second difference (`_plane_chain_q`), NaN where they cannot serve.
+    The read-outs (`fields`, `q_at`) take x in [grid.x_min, grid.x_max]: node values at a node,
+    else phi, phi_x and I from their quintic spline and q, as at NaN nodes, from `dyson_q`.
     """
 
     state: EvolvedState
@@ -205,69 +211,107 @@ class EvolvedPlane:
     big_i: np.ndarray          # cumulative integral of phi^2 from -inf
     tail_fit: object
     q: np.ndarray
-    delta: float | None = None
-    factor_points: tuple = ()
+    delta: float
+    factor_points: tuple
 
-    def index(self, x) -> np.ndarray:
-        """Indices of the nodes x (scalar or array); x off the plane grid is rejected."""
+    def index(self, x):
+        """(x, j, on): x as an array, the node nearest each x and whether x is that node."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        g = self.grid
+        g, tol = self.grid, 1e-9 * self.grid.spacing
+        if not np.all((xs >= g.x_min - tol) & (xs <= g.x_max + tol)):
+            raise ValidationError(f"x must lie on the phi-plane [{g.x_min}, {g.x_max}]")
         j = np.clip(np.rint((xs - g.x_min) / g.spacing).astype(int), 0, g.n_points - 1)
-        if not np.all(np.abs(g.x[j] - xs) <= 1e-9):
-            raise ValidationError("x must lie on the plane grid")
-        return j
+        return xs, j, np.abs(g.x[j] - xs) <= tol
+
+    def fields(self, x) -> np.ndarray:
+        """(phi, phi_x, I) at x: the node values at nodes, their quintic spline between."""
+        xs, j, on = self.index(x)
+        nodes = np.stack([self.phi, self.phi_x, self.big_i])
+        out = nodes[:, j]
+        if not np.all(on):
+            out[:, ~on] = make_interp_spline(self.grid.x, nodes.T, k=5)(xs[~on]).T
+        return out
 
     def q_at(self, x) -> np.ndarray:
-        """Evolved seed q at plane nodes x: the plane's own read-out, else `dyson_q`."""
-        j = self.index(x)
-        q = self.q[j]
+        """Evolved seed q at x: the plane's own read-out at its nodes, else `dyson_q`."""
+        xs, j, on = self.index(x)
+        q = np.where(on, self.q[j], np.nan)
         own = np.flatnonzero(np.isnan(q))
-        q[own] = [dyson_q(self.state, float(self.grid.x[i])) for i in j[own]]
+        q[own] = [dyson_q(self.state, float(v)) for v in xs[own]]
         return q
+
+
+def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
+    """The phi-plane for the output grid: uniform nodes from x <= PLANE_START past its x_max.
+
+    At t > 0 it has the grid's spacing h and ends at x_max.  At t = 0 its nodes
+    lie on the kink lattice (delta / 2)Z of its chains (`hankel.plane_spacing`),
+    its spacing is l h with l = 1 unless a chain factor would pass M_OP_CAP (then
+    the least l that fits, in closed form from the widest nodes' rows; `plane_jost`
+    checks them all), and it ends three chain steps past x_max, so that no output
+    node reads an edge stencil.  A grid starting left of the plane is a ValidationError.
+    """
+    h, x_max = grid.spacing, grid.x_max
+    if not x_max > PLANE_START:
+        raise ValidationError(f"grid.x_max = {x_max} must exceed the phi-plane's start {PLANE_START}")
+    end, step = x_max, h
+    if state.t == 0.0:
+        delta0, span = state.fixed_delta(PLANE_START), x_max - PLANE_START
+        w = [operator_spacing(state.poles.ystar, x, state.m_op)[0] for x in (PLANE_START, x_max)]
+        # least delta for rows within M_OP_CAP: the first node's window (x0 >= -45 - delta),
+        # the last node's steps and window (m_op at least), the margin adding <= 5 rows
+        d_min = max(w[0] / (M_OP_CAP - 2), (span + w[1]) / (M_OP_CAP - 6),
+                    span / max(1, M_OP_CAP - 6 - state.m_op))
+        l = max(1, math.ceil(d_min / (2.0 * h)))             # two chains at delta = 2 l h
+        if 2 * l * h > delta0:                               # one chain at delta = l h
+            l = max(l, math.ceil(d_min / h))
+        if l * h > delta0 and d_min < delta0:                # delta = l h / ceil(l h / delta0)
+            l = max(l, math.ceil(1.0 / (h / d_min - h / delta0)))
+        step = l * h
+        chains, _, delta = plane_spacing(0.0, step, delta0)
+        end = math.ceil((x_max + 3 * chains * step) / (delta / 2) - 1e-9) * delta / 2
+    n = math.ceil((end - PLANE_START) / step) + 1
+    if n > MAX_POINTS:
+        raise ValidationError(f"grid spacing {h:.3g} makes a phi-plane of {n} > {MAX_POINTS} nodes")
+    plane = Grid(end - (n - 1) * step, end, n)
+    if grid.x_min < plane.x_min - 1e-9 * step:
+        raise ValidationError(f"grid.x_min = {grid.x_min} is left of the phi-plane's start {plane.x_min!r}")
+    return plane
 
 
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
                       tail_window: float = 20.0) -> EvolvedPlane:
-    """Evaluate the evolved generating function on a grid, with cumulative norm.
+    """Evaluate the evolved generating function on the plane's own grid, with cumulative norm.
 
-    The GLM solves are `EvolvedState.glm_plane`'s chains.  A t = 0 grid they
-    cannot serve (see `hankel.t0_plane_chains`) is solved node by node on
-    kink-aligned grids (`jost_evolved`).  At t = 0, where K' jumps at u = 0,
-    phi_x is a 4th-order centred stencil on the grid, and q is read from the
+    The GLM solves are `EvolvedState.glm_plane`'s chains; a t = 0 grid off their kink
+    lattice (see `phi_plane_grid`) is a ValidationError.  At t = 0, where K' jumps at
+    u = 0, phi_x is a 4th-order centred stencil on the grid, and q is read from the
     chains' log-determinants where `_plane_chain_q` allows.
     """
     phase = np.exp(4j * omega**3 * state.t)
-    delta, factor_points, q = None, (), np.full(grid.n_points, np.nan)
-    if state.t > 0.0 or t0_plane_chains(state.poles, grid.x, state.m_op,
-                                        state.fixed_delta(grid.x_min)):
-        ks = np.array([omega], dtype=complex)
-        sol = state.glm_plane(grid.x, ks)
-        delta, factor_points = sol.delta, sol.factor_points
-        q = sol.q if state.t > 0.0 else _plane_chain_q(sol, grid)
-        readout = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)     # (psi,) at t = 0
-        psi = readout[0][:, 0]
-    else:
-        psi = np.array([jost_evolved(state, float(s), omega) for s in grid.x], dtype=complex)
-    phi = 2.0 * np.imag(phase * psi)
+    ks = np.array([omega], dtype=complex)
+    sol = state.glm_plane(grid.x, ks)
+    q = sol.q if state.t > 0.0 else _plane_chain_q(sol, grid)
+    readout = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)     # (psi,) at t = 0
+    phi = 2.0 * np.imag(phase * readout[0][:, 0])
     if state.t > 0.0:
         phi_x = 2.0 * np.imag(phase * readout[1][:, 0])
     else:
-        h = grid.spacing
-        phi_x = np.gradient(phi, h, edge_order=2)
-        phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * h)
+        phi_x = np.gradient(phi, grid.spacing, edge_order=2)
+        phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * grid.spacing)
     cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
     return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0], q,
-                        delta, factor_points)
+                        sol.delta, sol.factor_points)
 
 
 def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
     """q at the t = 0 plane's nodes from its chains' log-determinants, NaN where they cannot serve.
 
-    A node qualifies when its chain's nodes are delta apart, the centred
-    stencil fits inside the chain and its inner end, 3 delta nearer x = 0,
-    keeps 2|x| / delta >= KINK_NODES_MIN.  That keeps the stencil off q's
-    derivative jump at x = 0 and off the nodes next to it, where the
-    second difference is least accurate; `dyson_q` serves those x instead.
+    A node qualifies when its chain's nodes are delta apart and the centred stencil
+    fits inside the chain.  On x < 0 its inner end, 3 delta nearer x = 0, must keep
+    2|x| / delta >= KINK_NODES_MIN, off the nodes next to x = 0 where the second
+    difference is least accurate; on x > 0, whose windows hold no kink, it need only
+    stay right of q's derivative jump at x = 0 (x - 3 delta >= 0).
     """
     offsets, weights = _CENTRAL
     q = np.full(grid.n_points, np.nan)
@@ -276,25 +320,23 @@ def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
         nodes = np.arange(grid.n_points)
         ends = (nodes >= 3 * chains) & (nodes < grid.n_points - 3 * chains)
         inner = np.rint(2.0 * np.abs(grid.x) / sol.delta) - 2 * offsets[-1]
-        nodes = nodes[ends & (inner >= KINK_NODES_MIN)]
+        nodes = nodes[ends & (inner >= np.where(grid.x < 0.0, KINK_NODES_MIN, 0))]
         window = nodes[:, None] + chains * offsets
         q[nodes] = -2.0 * (sol.log_det_real(window) @ weights) / sol.delta**2
     return q
 
 
 def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
-    """-2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)) at plane nodes x.
+    """-2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)) at x (scalar or array).
 
-    The derivatives are analytic in phi and phi_x; x (scalar or array) must lie
-    on the plane grid.
+    The derivatives are analytic in phi, phi_x and I (`EvolvedPlane.fields`).
     """
-    j = plane.index(x)
-    *_, dq = single_state_step(alpha, plane.phi[j], plane.phi_x[j], plane.big_i[j])
+    *_, dq = single_state_step(alpha, *plane.fields(x))
     return dq if not np.isscalar(x) else float(dq[0])
 
 
 def q_plus_evolved(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
-    """Evolved transformed potential q_+1(x, t) at plane nodes x (scalar or array).
+    """Evolved transformed potential q_+1(x, t) at x (scalar or array).
 
     q_+1 = q(x,t) - 2 d^2/dx^2 log(1 + alpha^2 Integral(phi(s,t)^2, -inf..x)):
     the evolved seed (`EvolvedPlane.q_at`) plus `insertion_term`.
@@ -316,8 +358,7 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     state, omega = plane.state, plane.omega
     j = plane.grid.index_of(x_probe)
     xx = float(plane.grid.x[j])
-    f, fx = plane.phi[j], plane.phi_x[j]
-    big_i = plane.big_i[j]
+    f, fx, big_i = plane.phi[j], plane.phi_x[j], plane.big_i[j]
     _, y_val, y_x, _ = single_state_step(alpha, f, fx, big_i)
     terms = [(alpha, omega, y_val, y_x, f, fx)]
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
@@ -354,8 +395,7 @@ def kdv_residual(u: np.ndarray, dx: float, dt: float, mask: np.ndarray = None) -
     nt, nx = u.shape
     if nt < 5 or nx < 7:
         raise ValidationError("need at least 5 time planes and 7 x-nodes")
-    tt = slice(2, nt - 2)
-    xx = slice(3, nx - 3)
+    tt, xx = slice(2, nt - 2), slice(3, nx - 3)
     u_t = (u[0:nt - 4, xx] - 8 * u[1:nt - 3, xx] + 8 * u[3:nt - 1, xx]
            - u[4:nt, xx]) / (12 * dt)
     c = u[tt, :]

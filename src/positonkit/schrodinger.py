@@ -40,9 +40,10 @@ from .errors import (
 __all__ = [
     "Grid", "PotentialSpec", "WaveField", "OdeWork",
     "solve_at", "integrate", "right_jost_at", "right_jost", "fundamental_pair", "wronskian",
-    "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL",
+    "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL", "MAX_POINTS",
 ]
 
+MAX_POINTS = 10**6      # most nodes, momenta or list entries of a config; most phi-plane nodes
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 # Most right-hand-side evaluations one smooth piece of q may take in DOP853

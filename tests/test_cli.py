@@ -140,13 +140,14 @@ def test_evolve_seed_only(tmp_path):
         assert set(diag[key]["timings_s"]) == {"plane", "q"}
         assert min(diag[key]["timings_s"].values()) >= 0.0
     assert diag["t=0.0"]["timings_s"]["plane"] == 0.0      # no plane: q from chains of their own
-    assert "plane_path" not in diag["t=0.0"] and "plane_operator_spacing" not in diag["t=0.0"]
+    assert "plane_nodes" not in diag["t=0.0"] and "plane_operator_spacing" not in diag["t=0.0"]
     assert "kernel_u_points" not in diag["t=0.0"]
     # without a state q at t > 0 comes from a GLM plane over the output grid
     # alone: spacing 1 > 0.11, one chain at delta = 1/10, factored where x = 3
     # needs it (60 rows + 200 intervals)
     assert diag["t=0.02"]["q_source"] == "plane_glm"
-    assert diag["t=0.02"]["plane_path"] == "chain"
+    assert diag["t=0.02"]["plane_nodes"] == 7
+    assert diag["t=0.02"]["plane_spacing"] == 1.0
     assert diag["t=0.02"]["plane_operator_spacing"] == pytest.approx(0.1, abs=1e-12)
     assert diag["t=0.02"]["plane_chains"] == 1
     assert diag["t=0.02"]["plane_factor_points"] == [261]
@@ -155,20 +156,46 @@ def test_evolve_seed_only(tmp_path):
     assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
     # with a state, the plane on [-45, 3] at spacing 1 > 0.22 is one chain at
     # delta = 1/5 whose factorization spans the widest node, x = -45: 106/0.2
-    # intervals; at t = 0 too, since u = 2 * -45 is node 450 of that chain
+    # intervals; at t = 0 too, on [-45, 6] (three chain steps past x_max), since
+    # u = 2 * -45 is node 450 of that chain
     cfg = dict(cfg, states=[{"omega": 1.0, "alpha": 1.0}])
     code, prefix = run_cli(tmp_path, "evo_plane", cfg, "evolve")
     assert code == 0
     diags = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
-    for key, q_source in (("t=0.0", "chain_log_det"), ("t=0.02", "plane_glm")):
+    for key, q_source, nodes in (("t=0.0", "chain_log_det", 52), ("t=0.02", "plane_glm", 49)):
         diag = diags[key]
-        assert diag["plane_path"] == "chain"
+        assert diag["plane_nodes"] == nodes
+        assert diag["plane_spacing"] == 1.0
         assert diag["plane_operator_spacing"] == pytest.approx(0.2, abs=1e-12)
         assert diag["plane_chains"] == 1
         assert diag["plane_factor_points"] == [531]
         assert diag["operator_points_max"] == 531
         assert diag["q_source"] == q_source
         assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
+
+
+@pytest.mark.parametrize("rho, grid, nodes, spacing", [
+    (2.0, {"x_min": -3.0, "x_max": 2.03, "n": 101}, 943, 0.0503),   # x_max off the kink lattice
+    (2.0, {"x_min": 1.9, "x_max": 2.0, "n": 11}, 1182, 0.04),       # h = 0.01: the plane at 4 h
+    # a kink-aligned grid per node would need 1601 intervals at x = -0.13
+    (0.5, {"x_min": -3.0, "x_max": 2.013, "n": 101}, 946, 0.05013)])
+def test_evolve_t0_reads_output_nodes_off_a_chained_plane(tmp_path, rho, grid, nodes, spacing):
+    # the t = 0 phi-plane has nodes of its own, two chains at delta = 2 l h with
+    # the kink on a node of each; the output nodes between its nodes are read
+    # off it, and meet the evolve_t0 workload's bounds
+    cfg = {"potential": dict(WVN_POT, rho=rho), "grid": grid,
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.0]}}
+    code, prefix = run_cli(tmp_path, "evo_t0", cfg, "evolve")
+    assert code == 0
+    x, _, q, q_plus = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1).T
+    assert np.max(np.abs(q - wvn.q_seed(rho, x))) < 1e-3
+    assert np.max(np.abs(q_plus - wvn.q_plus1(rho, 1.0, x))) < 2e-3
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.0"]
+    assert diag["plane_nodes"] == nodes
+    assert diag["plane_spacing"] == pytest.approx(spacing, rel=1e-12)
+    assert diag["plane_chains"] == 2
+    assert diag["plane_operator_spacing"] == pytest.approx(2.0 * spacing, rel=1e-12)
+    assert max(diag["plane_factor_points"]) <= 1601
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -226,10 +253,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
         # with R(omega) given, only the eigenfunction norms' tail windows see it
         ("insert", dict(base, grid={"x_min": -1.0, "x_max": 20.0, "n": 401},
                         states=[{"omega": 1.0, "alpha": 1.0, "r_at_omega": [-1.0, 0.0]}])),
-        # the phi-plane on [-45, x_max] at the grid's spacing: 4.7e11 nodes, or none
+        # the t > 0 phi-plane on [-45, x_max] at the grid's spacing: 4.7e11 nodes, or none
         ("evolve", dict(base, grid={"x_min": 1.999999999, "x_max": 2.0, "n": 11},
                         time={"t_values": [0.02]})),
-        ("evolve", dict(base, grid={"x_min": -50.0, "x_max": -45.0, "n": 11}))]
+        ("evolve", dict(base, grid={"x_min": -50.0, "x_max": -45.0, "n": 11})),
+        # output nodes left of the phi-plane's first node, at t = 0 and at t > 0
+        ("evolve", dict(base, grid={"x_min": -50.0, "x_max": 2.0, "n": 105})),
+        ("evolve", dict(base, grid={"x_min": -50.0, "x_max": 2.0, "n": 105},
+                        time={"t_values": [0.02]})),
+        # rho beyond the validated 5, on a grid whose t = 0 plane the cap coarsens to 3 h
+        ("evolve", dict(base, potential=dict(WVN_POT, rho=10.0),
+                        grid={"x_min": -3.0, "x_max": 2.0, "n": 168}))]
     messages = []
     for i, (command, cfg) in enumerate(bad):
         capsys.readouterr()
@@ -240,7 +274,22 @@ def test_bad_config_exit_code(tmp_path, capsys):
         messages.append(json.loads(lines[0])["error"]["message"])
         assert not (tmp_path / f"bad{i}.csv").exists()
     # a phi-plane fault is named by the config grid that makes it
-    assert all("config.grid" in m for m in messages[-2:])
+    assert all("config.grid" in m for m in messages[-5:-1])
+    assert "rho" in messages[-1]
+
+
+def test_evolve_lays_out_every_plane_before_any_solve(tmp_path, monkeypatch):
+    # the t = 0 plane of this grid is small (l in closed form); the t = 0.02
+    # plane at the grid's spacing would have 4.7e11 nodes, a config fault
+    # that exits 2 before the t = 0 plane is solved
+    def solve(state, grid):
+        pytest.fail("a phi-plane was solved before every t's plane was laid out")
+
+    monkeypatch.setattr(cli.kdv, "evolved_phi_plane", solve)
+    cfg = {"potential": WVN_POT, "grid": {"x_min": 1.999999999, "x_max": 2.0, "n": 11},
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.0, 0.02]}}
+    code, _ = run_cli(tmp_path, "late_fault", cfg, "evolve")
+    assert code == cli.EXIT_BAD_CONFIG
 
 
 def test_linalg_error_is_numerical(tmp_path, monkeypatch, capsys):

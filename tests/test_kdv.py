@@ -189,20 +189,107 @@ def test_plane_jost_t0_near_cap():
     assert sol.factor_points == (1476, 1475)
 
 
-def test_unaligned_t0_plane_is_solved_per_node(state0):
-    # the plane cmd_evolve builds for the output grid [-3, 2.03] (n = 101), cut
-    # to [-15, 2.03]: x_max / h is not integral, so no spacing puts the kink on
-    # a node of the plane's chains, and each node keeps its own aligned grid
+def _chain_rows(state, x):
+    """Rows of the widest chain factor of the t = 0 plane over the uniform nodes x."""
+    chains, stride, delta = hankel.plane_spacing(0.0, (x[-1] - x[0]) / (len(x) - 1),
+                                                 state.fixed_delta(float(x[0])))
+    needed = [max(state.m_op, int(np.ceil(hankel.operator_spacing(state.poles.ystar, xx,
+                                                                   state.m_op)[0] / delta)))
+              for xx in x]
+    return int(np.max(np.arange(len(x)) // chains * stride + np.array(needed)))
+
+
+@pytest.mark.parametrize("rho, x_min, x_max, n, spacings, delta_cap", [
+    (2.0, -3.0, 2.0, 101, 1, None),     # the evolve_t0 grid: its nodes are plane nodes
+    (2.0, -3.0, 2.03, 101, 1, None),    # x_max / h not integral
+    (2.0, 1.9, 2.0, 11, 4, None),       # h = 0.01: at l = 3 the first node needs 1767 rows
+    (2.0, -3.0, 2.0, 501, 4, None),
+    (0.5, -3.0, 2.013, 101, 1, None),
+    (2.0, -3.0, 3.0, 7, 1, None),       # h = 1 > delta0: one chain, five rows per node
+    (2.0, 1.999999999, 2.0, 11, 3.3e8, None),  # h = 1e-10: l in closed form, no loop over it
+    (2.0, 0.0, 100.0, 2001, 2, None),   # the last node's steps need l = 2
+    # delta0 = 0.11, least delta 0.066: no chain delta 2 l h of these grids lies between
+    (2.0, -3.0, 2.0, 168, 3, 0.11),     # 2 h < delta0 < 4 h: one chain at delta = 3 h
+    (2.0, -3.0, 2.04, 43, 2, 0.11)])    # h > delta0: one chain at delta = 2 h / 3
+def test_t0_plane_grid_layout(rho, x_min, x_max, n, spacings, delta_cap):
+    # the t = 0 phi-plane: l h apart with the least l whose chains fit M_OP_CAP,
+    # from x <= -45 to three chain steps past x_max, every node on the kink
+    # lattice (delta / 2)Z of its chains
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho), delta_cap=delta_cap)
+    grid = Grid(x_min, x_max, n)
+    pg = kdv.phi_plane_grid(state, grid)
+    h, step = grid.spacing, pg.spacing
+    assert step / h == pytest.approx(round(step / h), rel=1e-9)
+    assert round(step / h) == pytest.approx(spacings, rel=0.02)
+    chains, _, delta = hankel.plane_spacing(0.0, step, state.fixed_delta(pg.x_min))
+    lattice = 2.0 * pg.x / delta
+    assert np.max(np.abs(lattice - np.rint(lattice))) <= 1e-8 * np.max(np.abs(lattice))
+    assert -45.0 - step * (1.0 + 1e-9) <= pg.x_min <= -45.0 + 1e-9      # a step left, up to rounding
+    margin = pg.x_max - x_max - 3 * chains * step
+    assert -1e-9 <= margin < delta / 2
+    assert _chain_rows(state, pg.x) <= hankel.M_OP_CAP
+    if round(step / h) > 1:
+        # the least l: at l - 1 a chain passes the cap, or comes within the
+        # closed form's slack of 6 rows of it
+        coarser = (round(step / h) - 1) * h
+        assert _chain_rows(state, np.arange(-45.0, x_max + coarser, coarser)) > hankel.M_OP_CAP - 6
+
+
+def test_t_plane_grid_is_the_output_spacing():
+    # at t > 0 the plane ends at x_max at the grid's spacing, as criterion 9c's does
+    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
+    pg = kdv.phi_plane_grid(state, Grid(-3.0, 2.0, 101))
+    assert (pg.x_min, pg.x_max, pg.n_points) == (-45.0, 2.0, 941)
+
+
+def test_plane_grid_rejects_output_left_of_its_start():
+    # the plane starts a step or less left of -45 at every t; output x left of
+    # it would be spline extrapolation, so the layout rejects the grid
+    for t in (0.0, 0.02):
+        state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
+        with pytest.raises(ValidationError, match="x_min"):
+            kdv.phi_plane_grid(state, Grid(-50.0, 2.0, 105))
+
+
+def test_state_rejects_rho_beyond_validated():
+    # at rho = 10 the t = 0 read-out misses q_plus1 by 2.6e-3 on the evolve_t0 grid
+    # and by 1.2e-2 on [-3, 2] at n = 168, where the cap coarsens the plane to 3 h
+    with pytest.raises(ValidationError, match="rho"):
+        kdv.EvolvedState(0.0, wvn.ExampleParams(kdv.RHO_MAX * 1.01))
+    kdv.EvolvedState(0.0, wvn.ExampleParams(kdv.RHO_MAX))
+
+
+def test_off_lattice_t0_plane_is_rejected(state0):
+    # the plane the output grid [-3, 2.03] (n = 101) got at its own spacing, ending
+    # at x_max, cut to [-15, 2.03]: 2 x[0] / delta is not an integer
     h = 0.0503
     n = int(np.ceil((2.03 + 15.0) / h)) + 1
     grid = Grid(2.03 - (n - 1) * h, 2.03, n)
-    plane = kdv.evolved_phi_plane(state0, grid, tail_window=5.0)
-    assert plane.delta is None and plane.factor_points == ()
-    for j in (0, n // 2, n - 1):
-        assert plane.phi[j] == 2.0 * np.imag(kdv.jost_evolved(state0, float(grid.x[j]), 1.0))
     with pytest.raises(ValidationError, match="kink"):
-        hankel.plane_jost(state0.poles, state0.kernel(), 0.0, grid.x, [1.0], state0.m_op,
-                          state0.fixed_delta(float(grid.x[0])))
+        kdv.evolved_phi_plane(state0, grid, tail_window=5.0)
+
+
+def test_plane_read_outs(plane0):
+    # at plane nodes the read-outs are the nodes' own values, bit for bit
+    j = np.arange(3, plane0.grid.n_points, 37)
+    x = plane0.grid.x[j]
+    assert np.array_equal(plane0.fields(x), np.stack([plane0.phi[j], plane0.phi_x[j],
+                                                      plane0.big_i[j]]))
+    served = np.isfinite(plane0.q[j])
+    assert np.array_equal(plane0.q_at(x[served]), plane0.q[j][served])
+    # between nodes: the quintic spline of phi and I against the closed forms,
+    # within the bounds the nodes themselves meet
+    mid = x + 0.3 * plane0.grid.spacing
+    phi, _, big_i = plane0.fields(mid)
+    assert np.max(np.abs(phi - wvn.phi_closed(RHO, mid))) < 2e-4
+    assert np.max(np.abs(big_i - wvn.big_i_closed(RHO, mid))) < 2e-3
+    # off the plane there is nothing to read: no spline extrapolation
+    g = plane0.grid
+    for x_off in (g.x_min - 0.3 * g.spacing, g.x_max + 0.3 * g.spacing, np.nan):
+        with pytest.raises(ValidationError, match="phi-plane"):
+            plane0.fields([0.0, x_off])
+        with pytest.raises(ValidationError, match="phi-plane"):
+            plane0.q_at(x_off)
 
 
 def test_jost_evolved_t0(state0):
@@ -227,12 +314,14 @@ def test_evolved_plane_t0_is_chained(plane0):
     assert plane0.factor_points == (1061, 1060)
     assert np.max(np.abs(plane0.phi - wvn.phi_closed(RHO, plane0.grid.x))) < 2e-4
     # q from the chains' log-determinants wherever the centred stencil fits its
-    # chain and keeps 12 kink intervals at its inner end (|x| >= 0.9); NaN, and
-    # left to dyson_q, at the chains' three end nodes and next to x = 0
+    # chain and, on x < 0, keeps 12 kink intervals at its inner end (x <= -0.9),
+    # on x > 0 stays right of x = 0 (x >= 0.3); NaN, and left to dyson_q, at
+    # the chains' three end nodes and next to x = 0
     x = plane0.grid.x
     served = np.isfinite(plane0.q)
     i = np.arange(len(x))
-    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6) & (np.abs(x) > 0.9 - 1e-9))
+    near_zero = (x > -0.9 + 1e-9) & (x < 0.3 - 1e-9)
+    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6) & ~near_zero)
     assert np.max(np.abs(plane0.q[served] - wvn.q_seed(RHO, x[served]))) < 1e-3
 
 
