@@ -9,7 +9,11 @@ runs on the line Im z = b above the single pole i*ystar of R in the upper half
 plane (ystar solves y^3 + y = rho).  K_t is split into an explicit rank-one
 resonance-pole piece c_t e^{-ystar u} (the only exponentially large part;
 kept in exact scalar form) plus the bounded regular remainder evaluated on
-contours inside 0 < Im z < ystar.
+contours inside 0 < Im z < ystar.  The seed is real, so R(-conj z) = conj R(z)
+and K_t is real: the GLM operator (core, resonance border, right-hand sides)
+is factored and solved in float64, and only the read-out sum_i w_i e^{ik xi_i} v_i
+at the momenta k is complex.  The imaginary part of every log det is exactly
+0, or pi for a negative determinant, which the positivity checks reject.
 
 At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
 kernel is supported on u < 0, which makes the operator finite-window.  Every
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -79,9 +84,9 @@ class PoleData:
     def kernel_low_t0(self, u, d: int = 0):
         """Regular kernel part at t = 0, closed form.
 
-        Equals -i sum over the two lower poles for u < 0, and
-        +i r_star e^{i p_star u} for u >= 0 (so that the full kernel,
-        regular part + c0 e^{-ystar u}, vanishes identically on u > 0).
+        Equals -i sum over the two lower poles (a pair z, -conj z with conjugate
+        terms) for u < 0, and +i r_star e^{i p_star u} for u >= 0 (so that the full
+        kernel, regular part + c0 e^{-ystar u}, vanishes identically on u > 0).
         """
         u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape, complex)
@@ -89,7 +94,7 @@ class PoleData:
         for p, r in zip(self.low_poles, self.low_res):
             out[m] += -1j * r * (1j * p) ** d * np.exp(1j * p * u[m])
         out[~m] = 1j * self.r_star * (1j * self.p_star) ** d * np.exp(1j * self.p_star * u[~m])
-        return out
+        return out.real
 
 
 def _contour_rule(b: float, t: float, x_scale: float, tol_exp: float = 38.0):
@@ -183,8 +188,9 @@ class KernelTable:
     contour rule and the table grid u_k = u_grid[0] + k du are uniform, so each
     side's quadrature sums are one chirp-z transform.  `sides` maps "u>=0" and
     "u<0" to the u_grid slice and the contour rule (nodes, weights) used there.
-    Cubic splines interpolate the tables for derivative orders d = 0, 1.  Right
-    of the table the kernel is 0: the u >= 0 side decays at least like
+    Cubic splines interpolate the tables' real parts (z -> -conj z maps each rule
+    to itself and its integrand to the conjugate) for derivative orders d = 0, 1.
+    Right of the table the kernel is 0: the u >= 0 side decays at least like
     e^{-b_plus u}, so the error is at most |K(u_grid[-1])|.
     """
 
@@ -198,7 +204,7 @@ class KernelTable:
         self.u_grid = start + du * np.arange(int(math.ceil((stop - start) / du)))
         n_neg = int(np.searchsorted(self.u_grid, 0.0))
         self.sides = {}
-        vals = np.empty((2, len(self.u_grid)), complex)
+        vals = np.empty((2, len(self.u_grid)))
         for name, sl, bfrac in (("u>=0", slice(n_neg, len(self.u_grid)), b_plus_frac),
                                 ("u<0", slice(0, n_neg), b_minus_frac)):
             m = sl.stop - sl.start
@@ -215,7 +221,7 @@ class KernelTable:
             sig = nodes.real
             h = (sig[-1] - sig[0]) / (len(sig) - 1)
             u_c = start + du * 0.5 * (sl.start + sl.stop - 1)
-            vals[:, sl] = (_chirp_z_sums(f, 0.5 * (sig[0] + sig[-1]), h, u_c, du, m)
+            vals[:, sl] = (_chirp_z_sums(f, 0.5 * (sig[0] + sig[-1]), h, u_c, du, m).real
                            * np.exp(-b * u_here))
         self._splines = {d: CubicSpline(self.u_grid, vals[d]) for d in (0, 1)}
 
@@ -270,25 +276,24 @@ def _operator_intervals(w_needed: float, delta: float, m_op: int) -> int:
     return max(m_op, int(math.ceil(w_needed / delta)))
 
 
-def _resonance_border(poles: PoleData, x: float, t: float):
-    """(log Gamma, s_row, s_inv_gamma) of the rank-one resonance border at (x, t).
+def _resonance_border(poles: PoleData, x, t: float):
+    """(log Gamma, s_row, s_inv_gamma) of the rank-one resonance border at nodes x, time t.
 
     Only log Gamma and 1/Gamma ever enter the numerics: a huge Gamma keeps the
     border row unscaled (1/Gamma may underflow); a tiny one (far right)
     scales the border row by Gamma instead.
     """
     y = poles.ystar
-    log_gamma = math.log(poles.c0) + 8.0 * y**3 * t - 2.0 * y * x
-    if log_gamma >= 0:
-        return log_gamma, 1.0, (math.exp(-log_gamma) if log_gamma < 700 else 0.0)
-    return log_gamma, math.exp(log_gamma), 1.0
+    log_gamma = math.log(poles.c0) + 8.0 * y**3 * t - 2.0 * y * np.asarray(x, dtype=float)
+    scale, huge = np.exp(-np.abs(log_gamma)), log_gamma >= 0      # 1/Gamma or Gamma, at most 1
+    return log_gamma, np.where(huge, 1.0, scale), np.where(huge, scale, 1.0)
 
 
 class DetState:
     """Per-(x, t) assembly of the split Hankel determinant and its GLM solves.
 
-    One dense bordered system per node: the per-node path, and the oracle of
-    `plane_jost`.  Without a fixed_delta a t = 0 grid is aligned: it puts the
+    One dense real bordered system per node: the per-node path, and the oracle
+    of `plane_jost`.  Without a fixed_delta a t = 0 grid is aligned: it puts the
     kernel's kink on a node (`kink_spacing`), and gets order-8 weights; a
     fixed_delta grid gets the order-6 weights of `plane_jost`'s chains.
     """
@@ -310,25 +315,22 @@ class DetState:
         self._u = 2 * x + np.arange(2 * mn + 1) * delta
         self._kernel = kernel
         self._h0 = kernel(self._u, 0)
-        # the rank-one resonance piece Gamma e^{-y xi} e^{-y xi'} is a border of the
-        # system; only log Gamma and 1/Gamma ever enter the numerics
+        # the rank-one resonance piece Gamma e^{-y xi} e^{-y xi'} is a border of the system
         self.log_gamma, self.s_row, self.s_inv_gamma = _resonance_border(poles, x, t)
-        self._system = None
 
+    @cached_property
     def _bordered(self):
         """LU of B = I + H diag(w) bordered by the resonance piece, nonsingular with I + H."""
-        if self._system is None:
-            mn1 = self.mn + 1
-            ghat = np.exp(-self.poles.ystar * self.xi)
-            b = np.zeros((mn1 + 1, mn1 + 1), complex)
-            core = b[:mn1, :mn1]
-            np.multiply(self.w[None, :], _hankel(self._h0, mn1), out=core)
-            core[np.diag_indices(mn1)] += 1.0
-            b[:mn1, mn1] = ghat
-            b[mn1, :mn1] = self.s_row * self.w * ghat
-            b[mn1, mn1] = -self.s_inv_gamma
-            self._system = lu_factor(b, overwrite_a=True)
-        return self._system
+        mn1 = self.mn + 1
+        ghat = np.exp(-self.poles.ystar * self.xi)
+        b = np.zeros((mn1 + 1, mn1 + 1))
+        core = b[:mn1, :mn1]
+        np.multiply(self.w[None, :], _hankel(self._h0, mn1), out=core)
+        core[np.diag_indices(mn1)] += 1.0
+        b[:mn1, mn1] = ghat
+        b[mn1, :mn1] = self.s_row * self.w * ghat
+        b[mn1, mn1] = -self.s_inv_gamma
+        return lu_factor(b, overwrite_a=True)
 
     def log_det(self) -> float:
         """log det(I + H) = log Gamma - log s + log(-det B) for the bordered B.
@@ -336,7 +338,7 @@ class DetState:
         det B is the product of its LU factor's diagonal, its sign flipped by
         each row interchange.
         """
-        lu, piv = self._bordered()
+        lu, piv = self._bordered
         d = np.diagonal(lu)
         swaps = np.count_nonzero(piv != np.arange(len(piv)))
         _check_positive(np.angle(-np.prod(d / np.abs(d)) * (-1.0) ** swaps), self.mn)
@@ -344,42 +346,37 @@ class DetState:
 
     # -- linear solves for the evolved Jost solution ------------------------
 
+    def _solution(self):
+        """Bordered solutions (a, z) for the right-hand sides (H 1, 0) and (0, s_row), by column."""
+        rhs = np.zeros((self.mn + 2, 2))
+        rhs[:-1, 0] = self._h0[:self.mn + 1]
+        rhs[-1, 1] = self.s_row
+        return lu_solve(self._bordered, rhs)
+
+    def _readout(self, ks, sol):
+        """sum_i w_i e^{ik xi_i} v_i at each momentum k, v = a + z of the bordered solution."""
+        return np.exp(1j * np.outer(ks, self.xi)) @ (self.w * (sol[:-1, 0] + sol[:-1, 1]))
+
     def solve_jost(self, ks):
         """(I+H)^{-1}(H 1) extended to the momenta ks; returns g(k) per k.
 
         psi(x,t,k) = e^{ikx} (1 - g(k)).  The resonance rank-one piece is
         handled by a bordered solve, stable for any size of its coefficient.
         """
-        mn1 = self.mn + 1
-        lu = self._bordered()
-        rhs = np.zeros((mn1 + 1, 2), complex)
-        rhs[:mn1, 0] = self._h0[:mn1]
-        rhs[mn1, 1] = self.s_row
-        sol = lu_solve(lu, rhs)
-        self._jost_cache = (lu, sol)
-        v = sol[:mn1, 0] + sol[:mn1, 1]
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        return np.array([np.sum(self.w * np.exp(1j * k * self.xi) * v) for k in ks])
+        return self._readout(ks, self._solution())
 
     def solve_jost_with_derivative(self, ks):
         """g(k) and its x-derivative (fixed-grid path)."""
         if self.fixed_delta is None:
             raise ValidationError("jost x-derivatives require a fixed grid (fixed_delta)")
-        g = self.solve_jost(ks)
-        lu, sol = self._jost_cache
-        mn1 = self.mn + 1
+        sol, mn1 = self._solution(), self.mn + 1
         k1 = self._kernel(self._u, 1)
-        y = self.poles.ystar
-        rhs = np.empty((mn1 + 1, 2), complex)
+        rhs = np.empty((mn1 + 1, 2))
         # a_x = 2 H(k1) diag(w) applied to both solution columns in one product
         rhs[:mn1] = -(_hankel(2.0 * k1, mn1) @ (self.w[:, None] * sol[:mn1]))
         rhs[:mn1, 0] += 2.0 * k1[:mn1]
-        rhs[mn1] = 2.0 * y * self.s_inv_gamma * sol[mn1]
-        dsol = lu_solve(lu, rhs)
-        vx = dsol[:mn1, 0] + dsol[:mn1, 1]
-        ks = np.atleast_1d(np.asarray(ks, dtype=complex))
-        gx = np.array([np.sum(self.w * np.exp(1j * k * self.xi) * vx) for k in ks])
-        return g, gx
+        rhs[mn1] = 2.0 * self.poles.ystar * self.s_inv_gamma * sol[mn1]
+        return self._readout(ks, sol), self._readout(ks, lu_solve(self._bordered, rhs))
 
 
 # -- the fixed-grid plane: one factorization per chain of nodes ----------------
@@ -393,14 +390,14 @@ class PlaneJost:
     """g(k), g_x(k), q and log det(I + H) at every node of a uniform plane.
 
     psi(x, t, k) = e^{ikx}(1 - g(k)) as for `DetState.solve_jost_with_derivative`.
-    g and gx have shape (nodes, momenta); q = 2 Re d/dx v(xi = 0) is the
+    g and gx have shape (nodes, momenta); q = 2 d/dx v(xi = 0) is the
     evolved potential, since K(x, x + xi) = -v(xi) and q = -2 d/dx K(x, x).
     At t = 0, where K' jumps at u = 0 and both read-outs are wrong, gx and q
     are None; q is then a second difference of log_det along a chain
     (`kdv.dyson_q`).  log_det is complex, its imaginary part the phase of
-    the determinant in (-pi, pi], which is 0 for a positive one.  sizes holds
-    mn + 1 of each node's system and factor_points that of each chain's one
-    factorization.
+    the real determinant: exactly 0 for a positive one, pi for a negative
+    one.  sizes holds mn + 1 of each node's system and factor_points that of
+    each chain's one factorization.
     """
 
     g: np.ndarray
@@ -436,7 +433,8 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                delta0: float) -> PlaneJost:
     """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x.
 
-    x may be a single node, which then gets the spacing delta0.
+    x may be a single node, which then gets the spacing delta0.  Only the
+    read-outs g and gx are complex.
 
     The operator spacing delta is commensurate with the plane spacing
     (`plane_spacing`).  At t = 0 2 x[0] / delta must be integral (or
@@ -492,7 +490,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
         u = 2.0 * x[r] + np.arange(2 * big_n + 1) * delta
         h0_rev = kernel(u, 0)[::-1]
         w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
-        core = np.empty((big_n + 1, big_n + 1), complex, order="F")
+        core = np.empty((big_n + 1, big_n + 1), order="F")
         np.multiply(_hankel(h0_rev, big_n + 1), w0[None, :], out=core)
         core[np.diag_indices(big_n + 1)] += 1.0
         lu, piv = lu_factor(core, overwrite_a=True)
@@ -500,19 +498,18 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
             raise DiscretizationFailureError(
                 "the reversed GLM core needed a row interchange; its leading blocks "
                 "do not factor the nodes' systems")
-        log_u = np.concatenate([[0.0], np.cumsum(np.log(np.diagonal(lu)))])
+        # log u_ii summed along the diagonal; each negative pivot adds i pi
+        log_u = np.concatenate([[0.0], np.cumsum(np.log(np.diagonal(lu).astype(complex)))])
         if t == 0.0:
             g[nodes], log_det[nodes] = _chain_t0(poles, x[nodes], ks, delta, sizes[nodes],
                                                  lu, log_u, w0)
             continue
         h1_rev = kernel(u, 1)[::-1]
-        h1_hat = sfft.fft(2.0 * h1_rev, sfft.next_fast_len(3 * big_n + 1))
+        h1_hat = sfft.rfft(2.0 * h1_rev, 2 * sfft.next_fast_len((3 * big_n + 2) // 2, real=True))
         for b0 in range(0, len(nodes), _NODE_BLOCK):
             js = nodes[b0:b0 + _NODE_BLOCK]
             g[js], log_det[js], gx[js], q[js] = _plane_nodes(
                 poles, t, x[js], ks, delta, sizes[js], lu, log_u, w0, h0_rev, h1_rev, h1_hat)
-    # the phase of a positive determinant is 0 up to rounding, whatever the sum's branches
-    log_det.imag = np.angle(np.exp(1j * log_det.imag))
     return PlaneJost(g, gx, q, log_det, delta, tuple(factor_points), sizes)
 
 
@@ -532,18 +529,16 @@ def _node_corners(lu, w0, k):
     return ends, r, upper, upper * r[:, None, :] + l_inv_e * (1.0 - r[:, None, :])
 
 
-def _border(poles, x, t):
-    """(log Gamma, s_row, s_inv_gamma) of `_resonance_border` at each node x, as arrays."""
-    return np.array([_resonance_border(poles, float(xx), t) for xx in x]).T
-
-
 def _log_det(log_u, k, corner, sigma, log_gamma, s_row):
     """log det(I + H) = log det A + log(-sigma) + log Gamma - log s_row, as in `DetState.log_det`.
 
     det A is the product of the leading k diagonal entries of U and det(corner).
+    All are real: the phase is pi for an odd count of negative factors, else 0.
     """
     sign, log_corner = np.linalg.slogdet(corner)
-    return log_u[k] + np.log(sign) + log_corner + np.log(-sigma) + log_gamma - np.log(s_row)
+    negatives = np.rint(log_u[k].imag / np.pi) + (sign < 0) + (sigma > 0)
+    return (log_u[k].real + log_corner + np.log(np.abs(sigma)) + log_gamma - np.log(s_row)
+            + 1j * np.pi * (negatives % 2))
 
 
 def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
@@ -562,7 +557,7 @@ def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
     Each c is, on rows i < k, a per-node scalar alpha times the chain vector
     d = w0 e^{rate delta (i-i0)} (rate y for the border, -ik for the
     read-out).  L and U^T are lower triangular, so p = L^{-1} f and
-    Q = U^{-T} d serve every node through their leading rows:
+    Q = U^{-T} d (real and imaginary parts) serve every node by their leading rows:
     c^T A^{-1} b = alpha Q[:k].(L^{-1} b)[:k] + q_e.(L^{-1} b)[ends], with
     q_e = corner^{-T}(c[ends] - r alpha U[:k, ends]^T Q[:k]).  The prefix
     dots are one cumulative sum per chain, and U[:k, ends]^T Q[:k] is
@@ -571,12 +566,13 @@ def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
     y = poles.ystar
     n1, k = lu.shape[0], m - _EM_END
     ends, r, upper, corner = _node_corners(lu, w0, k)
-    log_gamma, s_row, s_inv_gamma = _border(poles, x, 0.0)
+    log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, 0.0)
     rate = np.concatenate([[y], -1j * ks])                  # border row, then each momentum
     chain = np.exp(delta * (np.arange(n1) - 0.5 * (n1 - 1))[:, None] * rate)   # (rows, 1 + momenta)
-    p = solve_triangular(lu, chain[:, 0], lower=True, unit_diagonal=True, check_finite=False)
+    p = solve_triangular(lu, chain[:, 0].real, lower=True, unit_diagonal=True, check_finite=False)
     d = w0[:, None] * chain
-    big_q = solve_triangular(lu, d, trans="T", lower=False, check_finite=False)
+    re_im = solve_triangular(lu, np.hstack([d.real, d.imag]), trans="T", check_finite=False)
+    big_q = re_im[:, :rate.size] + 1j * re_im[:, rate.size:]
     prefix = np.concatenate([np.zeros((1, rate.size)), np.cumsum(big_q * p[:, None], axis=0)])
     off = delta * (m - 1 - 0.5 * (n1 - 1))                  # xi of each node's row i0
     alpha = np.exp(-off[:, None] * rate)
@@ -586,8 +582,8 @@ def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
     cz = np.exp(-y * off)[:, None] * (alpha * prefix[k] + np.einsum("ncj,nc->nj", q_e, p[ends]))
     ca = (c_end[-1] - q_e[:, -1]) / w0[-1]
     # the border row is s_row times column 0's functionals
-    sigma = -s_inv_gamma - s_row * cz[:, 0]                 # Schur complement of the border
-    mu = s_row * (1.0 - ca[:, 0]) / sigma
+    sigma = -s_inv_gamma - s_row * cz[:, 0].real            # Schur complement of the border
+    mu = s_row * (1.0 - ca[:, 0].real) / sigma
     return ca[:, 1:] - mu[:, None] * cz[:, 1:], _log_det(log_u, k, corner, sigma, log_gamma, s_row)
 
 
@@ -595,7 +591,7 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_ha
     """(g, log det(I + H), gx, q) at a block of one t > 0 chain's nodes from its packed factor lu.
 
     log_u holds the cumulative sums of the logs of lu's diagonal, h1_rev the
-    reversed kernel derivative and h1_hat the transform of twice it.
+    reversed kernel derivative and h1_hat its doubled real transform, of even length.
 
     Node c's core A differs from the leading block L U of the chain's core
     only in its last five columns (reversed order), where the node's own left
@@ -620,13 +616,13 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_ha
     ghat = np.exp(-y * xi) * inside
     w = np.where(i < k, w0[:big_m, None], 0.0)
     w[ends, cols[:, None]] = w0[-_EM_END:]                 # the node's own end corrections
-    log_gamma, s_row, s_inv_gamma = _border(poles, x, t)
+    log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, t)
     top = lu[:big_m, ends].transpose(1, 0, 2)               # (nodes, rows, 5)
     above = (i < k)[:, :, None]
 
     def substitute(b, lower):
         # over the whole factor: a leading-block view would be copied for LAPACK
-        pad = np.zeros((n1, b[0].size), complex, order="F")
+        pad = np.zeros((n1, b[0].size), order="F")
         pad[:big_m] = b.reshape(big_m, -1)
         return solve_triangular(lu, pad, lower=lower, unit_diagonal=lower, overwrite_b=True,
                                 check_finite=False)[:big_m].reshape(b.shape)
@@ -646,10 +642,10 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_ha
     v = a - mu * z
     e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
     # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
-    corr = sfft.ifft(h1_hat[:, None] * sfft.fft((w * v)[::-1], h1_hat.size, axis=0),
-                     axis=0)[big_m - 1:2 * big_m - 1]
+    corr = sfft.irfft(h1_hat[:, None] * sfft.rfft((w * v)[::-1], 2 * h1_hat.size - 2, axis=0),
+                      axis=0)[big_m - 1:2 * big_m - 1]
     ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
     mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
     vx = ax - mux * z
     return (np.einsum("ick,ic->ck", e, v), _log_det(log_u, k, corner, sigma, log_gamma, s_row),
-            np.einsum("ick,ic->ck", e, vx), 2.0 * vx[m - 1, cols].real)   # xi = 0: last row
+            np.einsum("ick,ic->ck", e, vx), 2.0 * vx[m - 1, cols])   # xi = 0: last row

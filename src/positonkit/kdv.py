@@ -3,7 +3,7 @@ time-evolved insertion of the embedded state, and independent PDE cross-checks.
 
 The evolved seed is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) (Dyson formula);
 its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
-t > 0 q is read from the same GLM solves, q = 2 Re d/dx v(xi = 0); at t = 0 it
+t > 0 q is read from the same GLM solves, q = 2 d/dx v(xi = 0); at t = 0 it
 is a sixth-order second difference of the log-determinants that the same
 chained solves give at every node.  The one-state evolved insertion adds
 -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2)), phi(s,t) = 2 Im[e^{4 i omega^3 t}

@@ -290,9 +290,12 @@ class WaveField:
 
 
 def write_csv(path, header, columns):
-    """Write the columns as CSV under a header line, every value as %.17g."""
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
-               fmt="%.17g")
+    """Write the 1-d columns as CSV under a header line, every value as %.17g (as `np.savetxt`)."""
+    rows, row_format = np.column_stack(columns), ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(rows), 1024):     # tolist() per block: fast to format, bounded memory
+            fh.writelines(row_format % tuple(row) for row in rows[i:i + 1024].tolist())
 
 
 @dataclass

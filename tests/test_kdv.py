@@ -65,6 +65,38 @@ def test_kernel_table_matches_direct_contour_sum(t):
             assert np.max(np.abs(tab(u, d) - direct)) <= 1e-9
 
 
+@given(st.floats(0.3, 5.0), st.floats(0.0, hankel.T_MAX, exclude_min=True))
+@settings(max_examples=10, deadline=None)
+def test_kernel_is_real(rho, t):
+    # the seed is real, so each symmetric contour rule sums conjugate pairs and
+    # KernelTable keeps the real part; what it drops is rounding of the chirp-z
+    # sums: within 1e-12 of kappa(u) = e^{-b u} sum_j |f_j|, the size of their
+    # largest terms (at rho = 5, e^{-b u} reaches e^{18} on the far left, where
+    # Im is 1.5e-7 of max |Re| and still 5e-14 of kappa)
+    state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
+    chirp_z_sums, sums = hankel._chirp_z_sums, []
+
+    def recording_sums(*args, **kwargs):
+        sums.append(chirp_z_sums(*args, **kwargs))
+        return sums[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hankel, "_chirp_z_sums", recording_sums)
+        tab = state.kernel()
+    assert len(sums) == len(tab.sides) == 2
+    for (sl, z, w), s in zip(tab.sides.values(), sums):
+        damp = np.exp(-z.imag[0] * tab.u_grid[sl])
+        f = np.abs(state.poles.reflection(z) * np.exp(8j * z**3 * t) * w) / (2 * np.pi)
+        kappa = np.outer(np.abs(z) ** np.arange(2)[:, None] @ f, damp)
+        assert np.all(np.abs(s.imag) * damp <= 1e-12 * kappa)
+        for d in (0, 1):
+            kept = s[d].real * damp
+            assert np.max(np.abs(tab(tab.u_grid[sl], d) - kept)) <= 1e-14 * np.max(np.abs(kept))
+    u = np.linspace(-20.0, 5.0, 101)
+    for d in (0, 1):
+        assert state.poles.kernel_low_t0(u, d).dtype == np.float64
+
+
 def test_kernel_table_is_zero_right_of_its_end():
     # the plane's windows reach u ~ 122, far right of the table (u <= 32/ystar + 4);
     # the u >= 0 side decays like e^{-0.9 ystar u}, so K there is below the table's last value
@@ -178,6 +210,48 @@ def test_plane_jost_no_row_swap_across_family(rho, t, h, x_min):
     _assert_plane_matches_dense(rho, t, x_min + h * np.arange(8))
     # at t = 0 the plane starts on a multiple of h, which puts the kink on a node
     _assert_plane_matches_dense(rho, 0.0, h * (round(x_min / h) + np.arange(8)))
+
+
+def _flipping_pivots(count):
+    """lu_factor whose factor has its first `count` pivots negated: det times (-1)^count."""
+    def factor(a, **kwargs):
+        lu, piv = lu_factor(a, **kwargs)
+        lu[np.arange(count), np.arange(count)] *= -1.0
+        return lu, piv
+    return factor
+
+
+@pytest.mark.parametrize("t", [0.0, 0.02])
+def test_negative_pivot_reaches_the_positivity_check(t):
+    # each negative pivot of a real chain factor adds pi to log det's phase,
+    # which is exactly 0 or pi; the first pivot (the windows' far corner,
+    # where the kernel is e^{-32}) lies in every node's leading block
+    state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
+    x = -4.0 + 0.1 * np.arange(6)
+    plane = state.glm_plane(x)
+    assert np.all(plane.log_det.imag == 0.0)
+    for count, phase in ((1, np.pi), (2, 0.0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hankel, "lu_factor", _flipping_pivots(count))
+            flipped = state.glm_plane(x)
+        assert np.all(flipped.log_det.imag == phase)
+        assert np.allclose(flipped.log_det.real, plane.log_det.real, rtol=1e-12, atol=0)
+        if phase:
+            with pytest.raises(DiscretizationFailureError, match="positivity"):
+                flipped.log_det_real()
+        else:
+            flipped.log_det_real()
+
+
+def test_negative_bordered_determinant_is_rejected():
+    # DetState's real bordered factor with one pivot negated: det B changes sign
+    for t, x in ((0.0, -3.0), (0.02, -3.0)):
+        state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
+        assert np.isfinite(state.det_state(x).log_det())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hankel, "lu_factor", _flipping_pivots(1))
+            with pytest.raises(DiscretizationFailureError, match="positivity"):
+                state.det_state(x + 0.5).log_det()
 
 
 def test_plane_jost_t0_near_cap():

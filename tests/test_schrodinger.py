@@ -312,3 +312,18 @@ def test_wronskian_contract_violation(wvn_spec):
     c = sch.right_jost(wvn_spec, 1.4, g1)
     with pytest.raises(ValidationError):
         sch.wronskian(a, c, 0.0)
+
+
+def test_write_csv_matches_savetxt_byte_for_byte(tmp_path):
+    # write_csv against np.savetxt with the same format and header, on values
+    # whose %.17g spelling is awkward: signed zero, nan, infinities, the least
+    # subnormal, a huge value and an integer that float64 rounds; and 2,500
+    # rows, more than one of the writer's blocks
+    awkward = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 2**53 + 1, 0.1])
+    x = np.linspace(-1.0, 1.0, 2500)
+    for cols in ([awkward, awkward[::-1], np.linspace(-1.0, 1.0, awkward.size)], [x, np.exp(x)]):
+        header = ",".join("abc"[:len(cols)])
+        sch.write_csv(tmp_path / "ours.csv", header, cols)
+        np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), delimiter=",", header=header,
+                   comments="", fmt="%.17g")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
