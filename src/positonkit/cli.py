@@ -184,40 +184,53 @@ def _work_done(work) -> dict:
 
 
 def cmd_scatter(config, prefix, *, potential, k_grid):
+    start = perf_counter()
     with count_ode_work() as work:
         rs, ts = scattering.scattering_coefficients(potential, k_grid)
+    scanned = perf_counter()
     _write_csv(f"{prefix}.csv", "k,R_re,R_im,T_re,T_im",
                [k_grid, rs.real, rs.imag, ts.real, ts.imag])
+    timings = {"scan": scanned - start, "csv": perf_counter() - scanned}
     unit = float(np.max(np.abs(np.abs(rs) ** 2 + np.abs(ts) ** 2 - 1.0))) if len(k_grid) else 0.0
     _write_meta(prefix, config, {"n_k": len(k_grid), "max_unitarity_defect": unit,
-                                 **_work_done(work)})
+                                 **_work_done(work), "timings_s": timings})
     return EXIT_OK
 
 
 def cmd_insert(config, prefix, *, potential, grid, states, tolerances):
+    start = perf_counter()
     with count_ode_work() as work:
         res = darboux.insert_embedded(potential, states, grid, **tolerances)
+    inserted = perf_counter()
     diag = dict(res.meta(), **_work_done(work))
     if states:
         # before any output: the norms' tail windows may not fit the grid
         diag["eigenfunction_norms"] = res.eigenfunction_norms().tolist()
+    normed = perf_counter()
     res.to_csv(f"{prefix}.csv")
+    diag["timings_s"] = {"insert": inserted - start, "norms": normed - inserted,
+                         "csv": perf_counter() - normed}
     _write_meta(prefix, config, diag)
     return EXIT_OK
 
 
 def cmd_remove(config, prefix, *, potential, grid, states, tolerances):
     """Insert the configured states, then remove them again (round trip)."""
+    start = perf_counter()
     with count_ode_work() as work:
         res = darboux.insert_embedded(potential, states, grid, **tolerances)
+    inserted = perf_counter()
     rem = darboux.remove_embedded(res.q_new, res.y_fields, grid,
                                   omegas=[s.omega for s in states])
+    removed = perf_counter()
     _write_csv(f"{prefix}.csv", "x,q_seed,q_plus,q_removed",
                [grid.x, res.q_seed, res.q_new, rem.q_minus])
     _write_meta(prefix, config, {
         "round_trip_max_error": float(np.max(np.abs(rem.q_minus - res.q_seed))),
         "orthonormality": rem.orthonormality.tolist(),
         **_work_done(work),
+        "timings_s": {"insert": inserted - start, "remove": removed - inserted,
+                      "csv": perf_counter() - removed},
     })
     return EXIT_OK
 
@@ -281,8 +294,11 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
     return EXIT_OK
 
 
-def _verify_checks(rho, alpha):
-    """Closed-form/numeric cross-checks of the explicit example; yields rows."""
+def _verify_checks(rho, alpha, estimates):
+    """Closed-form/numeric cross-checks of the explicit example; yields rows.
+
+    Self-estimates of accuracy that a check computes go into the dict estimates.
+    """
     spec = PotentialSpec.wvn_example(rho)
     par = wvn.ExampleParams(rho, alpha)
 
@@ -338,6 +354,7 @@ def _verify_checks(rho, alpha):
         _, psi_n = darboux.transformed_solutions(res, k)
         return psi_n
     rr = scattering.residue_at(1.0, fam, delta0=1e-2)
+    estimates["residue_error_estimate"] = float(rr.error_estimate)
     cum, left, right, _ = darboux.tail_closed_gram(
         grid, [np.real(rr.residue.values)], [np.real(rr.residue.derivs)], [1.0], right=True)
     norm = math.sqrt(cum[-1, 0, 0] + left[0, 0] + right[0, 0])
@@ -365,7 +382,8 @@ def _verify_checks(rho, alpha):
 
 
 def cmd_verify_example(config, prefix, *, rho, alpha):
-    rows = list(_verify_checks(rho, alpha))
+    estimates = {}
+    rows = list(_verify_checks(rho, alpha, estimates))
     width = max(len(r[0]) for r in rows) + 2
     n_fail = 0
     for name, value, tol, ok in rows:
@@ -377,7 +395,7 @@ def cmd_verify_example(config, prefix, *, rho, alpha):
     if prefix:
         _write_meta(prefix, config, {
             "checks": [{"name": n, "value": v, "tol": t, "passed": bool(ok)}
-                       for n, v, t, ok in rows]})
+                       for n, v, t, ok in rows], **estimates})
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILED
 
 

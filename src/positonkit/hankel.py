@@ -35,12 +35,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
+from numpy.fft import fft, ifft, irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .errors import DiscretizationFailureError, ValidationError
+from .schrodinger import CubicSpline
 
 __all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost", "difference_stencil",
            "kink_spacing", "operator_spacing", "plane_jost", "plane_spacing"]
@@ -159,6 +159,13 @@ def em_weights(m: int, h: float, order: int = 8) -> np.ndarray:
     return w
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n: a length the FFT transforms fast."""
+    # each odd part 3^j 5^k below 2n, times the least power of two that reaches n
+    odd = (3 ** j * 5 ** k for j in range(n.bit_length()) for k in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
+
+
 def _chirp_z_sums(f, sig_c: float, h: float, u_c: float, du: float, m: int) -> np.ndarray:
     """Sums sum_j f[..., j] e^{i sigma_j u_k} over two uniform axes, by chirp-z convolution.
 
@@ -174,9 +181,9 @@ def _chirp_z_sums(f, sig_c: float, h: float, u_c: float, du: float, m: int) -> n
     a = h * du
     g = f * np.exp(1j * (h * u_c * jc + 0.5 * a * jc * jc))
     lag = np.arange(n + m - 1) - (n - 1) - 0.5 * (m - n)     # k' - j' at k - j = index - (n-1)
-    size = sfft.next_fast_len(n + m - 1)
-    conv = sfft.ifft(sfft.fft(g, size, axis=-1) * sfft.fft(np.exp(-0.5j * a * lag * lag), size),
-                     axis=-1)[..., n - 1:n - 1 + m]
+    size = _fast_len(n + m - 1)
+    conv = ifft(fft(g, size, axis=-1) * fft(np.exp(-0.5j * a * lag * lag), size),
+                axis=-1)[..., n - 1:n - 1 + m]
     return conv * np.exp(0.5j * a * kc * kc + 1j * sig_c * (u_c + du * kc))
 
 
@@ -505,7 +512,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                                                  lu, log_u, w0)
             continue
         h1_rev = kernel(u, 1)[::-1]
-        h1_hat = sfft.rfft(2.0 * h1_rev, 2 * sfft.next_fast_len((3 * big_n + 2) // 2, real=True))
+        h1_hat = rfft(2.0 * h1_rev, 2 * _fast_len((3 * big_n + 2) // 2))
         for b0 in range(0, len(nodes), _NODE_BLOCK):
             js = nodes[b0:b0 + _NODE_BLOCK]
             g[js], log_det[js], gx[js], q[js] = _plane_nodes(
@@ -642,8 +649,9 @@ def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_ha
     v = a - mu * z
     e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
     # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
-    corr = sfft.irfft(h1_hat[:, None] * sfft.rfft((w * v)[::-1], 2 * h1_hat.size - 2, axis=0),
-                      axis=0)[big_m - 1:2 * big_m - 1]
+    # transformed along the contiguous last axis: one row per node
+    corr = irfft(h1_hat * rfft(np.ascontiguousarray((w * v)[::-1].T), 2 * h1_hat.size - 2)
+                 )[:, big_m - 1:2 * big_m - 1].T
     ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
     mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
     vx = ax - mux * z

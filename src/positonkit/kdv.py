@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from . import wvn_example as wvn
 from .darboux import gauge_map, single_state_step, tail_closed_gram
@@ -229,6 +228,9 @@ class EvolvedPlane:
         nodes = np.stack([self.phi, self.phi_x, self.big_i])
         out = nodes[:, j]
         if not np.all(on):
+            # the package's one scipy import beyond scipy.linalg, deferred: it loads
+            # scipy.special (~0.3 s), and only outputs off the plane's nodes need it
+            from scipy.interpolate import make_interp_spline
             out[:, ~on] = make_interp_spline(self.grid.x, nodes.T, k=5)(xs[~on]).T
         return out
 

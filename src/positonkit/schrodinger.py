@@ -4,14 +4,16 @@
 potential's kink points, with momentum as a batch axis (an array of k is
 carried through one solve):
 
-- at scattered points (`solve_at`, `right_jost_at`) by adaptive DOP853,
-  rtol 1e-10 / atol 1e-12 by default;
+- at scattered points (`solve_at`, `right_jost_at`) by the package's own
+  adaptive DOP853 (`solve_ivp`: Hairer's coefficients and step control),
+  rtol 1e-10 / atol 1e-12 by default, its steps landing on each point;
 - on grids (`integrate`, `right_jost`, `fundamental_pair`) by a vectorised
   sixth-order Magnus propagator whose steps are at most
   h_s = rtol^(1/6) / max(1, |k|), 0.0215 at the default rtol.
 
 A solve is capped at MAX_NFEV right-hand-side evaluations per smooth piece
-(DOP853) or MAX_NFEV steps (Magnus).  Right Jost solutions are exact plane
+(DOP853) or MAX_NFEV steps (Magnus), and a DOP853 step below 10 ulp of x
+fails.  Right Jost solutions are exact plane
 waves beyond the potential's right cutoff by construction; to the left they
 are extended by integration.
 """
@@ -20,14 +22,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import wvn_example as wvn
 from .errors import (
@@ -38,7 +40,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Grid", "PotentialSpec", "WaveField", "OdeWork",
+    "Grid", "CubicSpline", "PotentialSpec", "WaveField", "OdeWork", "OdeSolution", "solve_ivp",
     "solve_at", "integrate", "right_jost_at", "right_jost", "fundamental_pair", "wronskian",
     "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL", "MAX_POINTS",
 ]
@@ -96,6 +98,48 @@ class Grid:
         return self.x_min - 1e-12 <= x0 <= self.x_max + 1e-12
 
 
+class CubicSpline:
+    """The not-a-knot cubic spline through (x, y), x strictly increasing; NaN outside [x[0], x[-1]].
+
+    Its slopes at the knots solve one tridiagonal system (a banded solve):
+    a continuous second derivative at every interior knot and a continuous
+    third derivative at x[1] and x[-2].  Three knots give the parabola
+    through them and two the line, as scipy's `CubicSpline`.
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        ab, b = np.zeros((3, x.size)), np.empty(x.size)   # upper, main and lower diagonal
+        ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2.0 * (dx[:-1] + dx[1:]), dx[1:]
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if x.size == 2:
+            first = last = (1.0, 0.0, slope[0])
+        elif x.size == 3:       # both end conditions are the same one here
+            first, last = (1.0, 1.0, 2.0 * slope[0]), (1.0, 1.0, 2.0 * slope[1])
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            first = (dx[1], d0,
+                     ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0)
+            last = (dx[-2], d1,
+                    (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1)
+        (ab[1, 0], ab[0, 1], b[0]), (ab[1, -1], ab[2, -2], b[-1]) = first, last
+        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        # coefficients of (z^3, z^2, z, 1), z = x - x_i, on each interval i
+        self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        i = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
+        z = x - self.x[i]
+        c = self.c[:, i]
+        return np.where((x >= self.x[0]) & (x <= self.x[-1]),
+                        ((c[0] * z + c[1]) * z + c[2]) * z + c[3], np.nan)
+
+
 @dataclass
 class PotentialSpec:
     """A real potential on the line, closed-form or sampled.
@@ -127,7 +171,7 @@ class PotentialSpec:
                 raise ValidationError("sample arrays must be 1d and of equal length")
             if self.sample_x.size < 2 or np.any(np.diff(self.sample_x) <= 0):
                 raise ValidationError("sample x must be at least 2 strictly increasing points")
-            self._spline = CubicSpline(self.sample_x, self.sample_q, extrapolate=False)
+            self._spline = CubicSpline(self.sample_x, self.sample_q)
         if self.kind == KIND_WVN and self.right_cutoff < 0:
             raise ValidationError("the wvn_example potential is nonzero below x = 0; "
                                   "right_cutoff must be >= 0")
@@ -324,13 +368,119 @@ def count_ode_work():
         _ode_work.reset(token)
 
 
-def _integrate_piece(qfn, k, x_from, x_to, y0, t_eval, rtol, atol):
-    """solve_ivp over one smooth piece for all momenta k (1d array) at once.
+# Dormand & Prince's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5):
+# stage s starts at x + c_s h from y + h sum_j a_sj K_j, its row a_s holding the
+# weights of stages 0..s-1; b weighs the 12 stages into the eighth-order step,
+# and e5, e3 = b - bhh give the fifth- and third-order error estimates.
+_DOP_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+          0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+          0.8571428571428571, 1.0)
+_DOP_A = [np.array(row) for row in (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636))]
+_DOP_B = np.array([0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+                   1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+                   -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_DOP_E5 = np.array([0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+                    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+                    0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_DOP_E3 = _DOP_B - np.array([0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0,
+                             0.733846688281611857341361741547, 0, 0,
+                             0.220588235294117647058823529412e-1])
 
-    The state is [u_1..u_n, u'_1..u'_n].  solve_ivp bounds the RMS of the
-    scaled error over all 2n components, so both tolerances are divided by
-    sqrt(n): each momentum's own (u, u') pair then keeps the bound that a
+
+# one `solve_ivp` call: its states at its points (columns of y) and its evaluations of f
+OdeSolution = namedtuple("OdeSolution", "y nfev")
+
+
+def _rms(v) -> float:
+    return float(np.linalg.norm(v)) / math.sqrt(v.size)
+
+
+def solve_ivp(fun, x0: float, y0, x_eval, rtol: float, atol: float) -> OdeSolution:
+    """DOP853 for y' = fun(x, y) from (x0, y0), landing a step on each point of x_eval in turn.
+
+    The step control is Hairer's (as in scipy's DOP853): the error norm is the
+    RMS of the E5 estimate, damped by the E3 one, in units of
+    atol + max(|y|, |y_new|) rtol; a step is accepted below 1 and the next
+    step is 0.9 err^(-1/8) times this one, within [0.2, 10] and not growing
+    right after a rejection; the first step follows Hairer's rule.  A step
+    that would pass the next point is cut to end on it (and does not shrink
+    the step after it), so no interpolant is needed.  A step the controller
+    wants below 10 ulp of x raises IntegrationFailureError.
+    """
+    x, y = float(x0), np.asarray(y0)
+    x_eval = np.asarray(x_eval, dtype=float)
+    out = np.empty((y.size, x_eval.size), y.dtype)
+    if not x_eval.size:
+        return OdeSolution(out, 0)
+    f = fun(x, y)
+    direction = 1.0 if x_eval[-1] >= x else -1.0
+    span = abs(float(x_eval[-1]) - x)
+    # Hairer's initial step: from the sizes of y, f and a difference estimate of f'
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _rms((fun(x + direction * h0, y + direction * h0 * f) - f) / scale) / h0 if h0 else 0.0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs, nfev = min(100.0 * h0, h1, span), 2
+    stages = np.empty((12, y.size), y.dtype)
+    for j, target in enumerate(x_eval):
+        rejected = False
+        while direction * (target - x) > 0.0:
+            if h_abs < 10.0 * abs(math.nextafter(x, direction * math.inf) - x):
+                raise IntegrationFailureError(
+                    f"integration failed near x={x}: the step fell below 10 ulp of x "
+                    f"at rtol={rtol:.3g}, atol={atol:.3g}", x_failed=x)
+            landed = h_abs >= direction * (target - x)
+            x_new = float(target) if landed else x + direction * h_abs
+            h = x_new - x
+            stages[0] = f
+            for s, (c, a) in enumerate(zip(_DOP_C, _DOP_A), start=1):
+                stages[s] = fun(x + c * h, y + h * (a @ stages[:s]))
+            nfev += 11
+            y_new = y + h * (_DOP_B @ stages)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5, e3 = (_rms((e @ stages) / scale) ** 2 for e in (_DOP_E5, _DOP_E3))
+            err = abs(h) * e5 / math.sqrt(e5 + 0.01 * e3) if e5 or e3 else 0.0
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                grown = abs(h) * (min(1.0, factor) if rejected else factor)
+                h_abs = max(h_abs, grown) if landed else grown
+                x, y, f, rejected = x_new, y_new, fun(x_new, y_new), False
+                nfev += 1
+            else:
+                h_abs = abs(h) * max(0.2, 0.9 * err ** -0.125)
+                rejected = True
+        out[:, j] = y
+    return OdeSolution(out, nfev)
+
+
+def _integrate_piece(qfn, k, x_from, x_to, y0, x_eval, rtol, atol):
+    """`solve_ivp` over one smooth piece for all momenta k (1d array) at once.
+
+    The state is [u_1..u_n, u'_1..u'_n].  The step control bounds the RMS of
+    the scaled error over all 2n components, so both tolerances are divided
+    by sqrt(n): each momentum's own (u, u') pair then keeps the bound that a
     solve for that momentum alone has, and n = 1 is exactly such a solve.
+    Steps land on each point of x_eval, the last of which ends the piece,
+    and a step below 10 ulp of x fails (see `solve_ivp`).
     """
     n = k.size
     ksq = k * k
@@ -347,23 +497,18 @@ def _integrate_piece(qfn, k, x_from, x_to, y0, t_eval, rtol, atol):
                 f"the solve would take more than {MAX_NFEV} evaluations of the equation: "
                 f"{nfev} reached x={x} of [{x_from}, {x_to}]", x_failed=float(x))
         q = qfn(x)
-        if not math.isfinite(q):     # DOP853 never returns on a non-finite right-hand side
+        if not math.isfinite(q):     # else the step would shrink to its floor before failing
             raise IntegrationFailureError(f"potential is not finite at x={x}: q={q}",
                                           x_failed=float(x))
         coef[n:] = q - ksq
         return y[perm] * coef
 
     scale = math.sqrt(n)
-    sol = solve_ivp(rhs, (x_from, x_to), y0, method="DOP853",
-                    t_eval=t_eval, rtol=rtol / scale, atol=atol / scale, dense_output=False)
-    if not sol.success:
-        xf = sol.t[-1] if len(sol.t) else x_from     # t is [] when no t_eval point was reached
-        raise IntegrationFailureError(f"integration failed near x={xf}: {sol.message}",
-                                      x_failed=float(xf))
+    sol = solve_ivp(rhs, x_from, y0, x_eval, rtol / scale, atol / scale)
     work = _ode_work.get()
     if work is not None:
         work.solves += 1
-        work.nfev += int(sol.nfev)
+        work.nfev += sol.nfev
     return sol
 
 

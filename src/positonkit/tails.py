@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import TailDivergenceError, ValidationError
 
@@ -96,6 +97,49 @@ def _fit_at_theta(theta, s, phi, omega, s0, sgn):
     return sv[-1], vt[-1]
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))      # the golden section's smaller share
+
+
+def _brent_min(f, a, x, b, xtol=1e-12):
+    """A local minimum of f in [a, b] from x by Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5): parabolic steps through the
+    three best points, golden-section steps where a parabola's would leave
+    [a, b] or not shrink, none shorter than tol = xtol |x| + 1e-11; it stops
+    once [a, b] lies within 2 tol of x."""
+    w = v = x
+    fx = fw = fv = f(x)
+    step = last = 0.0
+    for _ in range(500):
+        tol = xtol * abs(x) + 1e-11
+        mid = 0.5 * (a + b)
+        if abs(x - mid) < 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = 0.0
+        if abs(last) > tol:         # the parabola through (v, w, x): x + p / q
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+        if q != 0.0 and q * (a - x) < p < q * (b - x) and abs(p) < abs(0.5 * q * last):
+            last, step = step, p / q
+            if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
+                step = math.copysign(tol, mid - x)
+        else:
+            last = (a if x >= mid else b) - x
+            step = _GOLDEN * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
+
+
 def fit_oscillatory_tail(s, phi, omega, side, zero_tol=1e-11) -> TailFit:
     """Fit the oscillatory tail model to samples (s, phi) on a window.
 
@@ -128,10 +172,8 @@ def fit_oscillatory_tail(s, phi, omega, side, zero_tol=1e-11) -> TailFit:
     thetas = np.linspace(0.0, np.pi, 32, endpoint=False)
     scores = [_fit_at_theta(th, s, phi, omega, s0, sgn)[0] for th in thetas]
     th0 = thetas[int(np.argmin(scores))]
-    res = minimize_scalar(lambda th: _fit_at_theta(th, s, phi, omega, s0, sgn)[0],
-                          bracket=(th0 - 0.2, th0, th0 + 0.2), method="brent",
-                          options={"xtol": 1e-12})
-    theta = float(res.x)
+    theta = _brent_min(lambda th: _fit_at_theta(th, s, phi, omega, s0, sgn)[0],
+                       th0 - 0.2, th0, th0 + 0.2)
     sigma, vec = _fit_at_theta(theta, s, phi, omega, s0, sgn)
     a, b, c = vec
     if a < 0:

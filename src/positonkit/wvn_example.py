@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import OutOfDomainError, PoleEvaluationError, ValidationError
 
@@ -296,10 +295,18 @@ def positon_closed(x, t, singular_value=math.inf, singular_tol=1e-10):
 
 
 def positon_singularity(t):
-    """Location of the (unique) double-pole singularity of the positon at time t."""
+    """Location of the (unique) double-pole singularity of the positon at time t.
+
+    Bisection to 1e-13, or to adjacent floats: the tau argument f is
+    increasing (f' = 2 sin^2 >= 0), negative at lo and positive at hi.
+    """
     f = lambda x: 1.0 + x + 12.0 * t - 0.5 * math.sin(2 * (x + 4.0 * t))
     lo, hi = -12.0 * t - 4.0, -12.0 * t + 2.0
-    return brentq(f, lo, hi, xtol=1e-13)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-13 and lo < mid < hi:
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def soliton_closed(x, t):

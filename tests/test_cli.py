@@ -71,6 +71,7 @@ def test_insert_with_state(tmp_path):
     meta = json.loads(open(prefix + ".meta.json").read())
     assert abs(meta["diagnostics"]["eigenfunction_norms"][0] - 1.0) < 1e-6
     _assert_work_recorded(meta["diagnostics"])
+    _assert_timed(meta["diagnostics"], {"insert", "norms", "csv"})
 
 
 def _assert_work_recorded(diag):
@@ -82,6 +83,11 @@ def _assert_work_recorded(diag):
     assert diag["ode_solves"] == 2 and diag["ode_nfev"] > 0
 
 
+def _assert_timed(diag, steps):
+    assert set(diag["timings_s"]) == steps
+    assert min(diag["timings_s"].values()) >= 0.0
+
+
 def test_remove_round_trip(tmp_path):
     cfg = {"potential": WVN_POT,
            "grid": {"x_min": -20.0, "x_max": 20.0, "n": 2001},
@@ -91,6 +97,7 @@ def test_remove_round_trip(tmp_path):
     meta = json.loads(open(prefix + ".meta.json").read())
     assert meta["diagnostics"]["round_trip_max_error"] < 1e-6
     _assert_work_recorded(meta["diagnostics"])
+    _assert_timed(meta["diagnostics"], {"insert", "remove", "csv"})
 
 
 def test_ode_rtol_sets_the_step_and_ode_atol_is_rejected(tmp_path, capsys):
@@ -340,6 +347,8 @@ def test_verify_example_passes(tmp_path, capsys):
     assert "FAIL" not in out
     meta = json.loads(open(str(tmp_path / "verify") + ".meta.json").read())
     assert all(c["passed"] for c in meta["diagnostics"]["checks"])
+    # the residue's Richardson error estimate, behind the norming-constant check
+    assert 0.0 <= meta["diagnostics"]["residue_error_estimate"] < 1e-4
 
 
 def test_scatter_meta_records_ode_work(tmp_path):
@@ -352,6 +361,7 @@ def test_scatter_meta_records_ode_work(tmp_path):
     assert diag["ode_solves"] == 1      # every momentum rides in one solve
     assert diag["ode_nfev"] > 0
     assert "workers" not in diag
+    _assert_timed(diag, {"scan", "csv"})
 
 
 # -- fuzzing main with hostile configs -----------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from positonkit import darboux as dbx
 from positonkit import scattering as sct
+from positonkit import tails
 from positonkit import wvn_example as wvn
 from positonkit.errors import (
     OrthonormalityError,
@@ -345,6 +346,33 @@ def test_tail_divergence_detected():
     phi = np.sin(1.3 * x) * np.exp(-0.1 * (x - x[0]))   # grows outward (leftward)
     with pytest.raises(TailDivergenceError):
         fit_oscillatory_tail(x, phi, 1.3, "left")
+
+
+@pytest.mark.parametrize("rho, s_min", [(2.0, -200.0), (0.5, -60.0), (2.0, -40.0)])
+def test_brent_step_matches_scipy_oracle_on_a_tail_window(rho, s_min):
+    # the tail fit's phase refinement against scipy's bounded Brent search (the
+    # oracle, a test-only dependency), from the same bracket around the best
+    # of the 32 phase samples, on the left tail window of the eigenfunction
+    from scipy.optimize import minimize_scalar
+
+    s = np.linspace(s_min, s_min + 20.0, 1001)
+    phi = wvn.phi_closed(rho, s) + 1e-6 * np.cos(3.0 * s)
+    calls = []
+
+    def f(theta):
+        calls.append(theta)
+        return tails._fit_at_theta(theta, s, phi, 1.0, s[0], -1.0)[0]
+
+    thetas = np.linspace(0.0, np.pi, 32, endpoint=False)
+    th0 = thetas[int(np.argmin([f(th) for th in thetas]))]
+    calls.clear()
+    ours = tails._brent_min(f, th0 - 0.2, th0, th0 + 0.2)
+    evaluations = len(calls)
+    ref = minimize_scalar(f, bracket=(th0 - 0.2, th0, th0 + 0.2), method="brent",
+                          options={"xtol": 1e-12})
+    assert abs(ours - ref.x) <= 1e-10
+    assert f(ours) <= ref.fun * (1.0 + 1e-9)
+    assert evaluations < 30         # golden section alone would take about 56
 
 
 def _soliton_pair(grid, kappa):

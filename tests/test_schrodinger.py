@@ -93,6 +93,68 @@ def test_nan_potential_fails_promptly():
     assert out.returncode == 0 and out.stdout.strip() == "raised"
 
 
+def test_step_floor_fails_promptly():
+    # rtol = atol = 1e-30 lies below the rounding of every step (with the
+    # default atol the scale would be atol's, and the solve would succeed), so
+    # the controller shrinks the step until it falls below 10 ulp of x, away
+    # from x = 0, where an ulp is tiny; run in a child under a timeout
+    src = os.path.dirname(os.path.dirname(sch.__file__))
+    code = ("import time\n"
+            "from positonkit import schrodinger as sch\n"
+            "from positonkit.errors import IntegrationFailureError\n"
+            "spec = sch.PotentialSpec.wvn_example(2.0)\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    sch.solve_at(spec, 1.0, -1.0, -2.0, (1.0, 0.5), [-2.0], rtol=1e-30, atol=1e-30)\n"
+            "except IntegrationFailureError as exc:\n"
+            "    verdict = 'raised' if 'below 10 ulp' in str(exc) else 'other'\n"
+            "    print(verdict, time.perf_counter() - t0)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    verdict, elapsed = out.stdout.split()
+    assert out.returncode == 0 and verdict == "raised" and float(elapsed) < 5.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_dop853_matches_scipy_oracle(rho):
+    # the package's own DOP853 against scipy's (the oracle, a test-only
+    # dependency) on the batched system at complex momenta, Im k > 0, with
+    # output points inside the span: scipy interpolates there, ours lands on them
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    spec = sch.PotentialSpec.wvn_example(rho)
+    ks = np.array([0.3 + 0.2j, 0.7 + 1e-3j, 1.1 + 0.05j, 2.4 + 0.5j])
+    x_eval = np.array([-1.3, -4.0, -7.5])
+    init = (np.ones_like(ks), 1j * ks)
+    with sch.count_ode_work() as work:
+        vals, ders = sch.solve_at(spec, ks, 0.0, -7.5, init, x_eval)
+    q, n = spec.scalar_fn(), ks.size
+    scale = math.sqrt(n)        # as `solve_at` scales the tolerances of a batch
+    ref = scipy_solve_ivp(lambda x, y: np.concatenate([y[n:], (q(x) - ks * ks) * y[:n]]),
+                          (0.0, -7.5), np.concatenate(init), method="DOP853", t_eval=x_eval,
+                          rtol=sch.DEFAULT_RTOL / scale, atol=sch.DEFAULT_ATOL / scale)
+    assert ref.success and work.solves == 1
+    for ours, theirs in ((vals, ref.y[:n]), (ders, ref.y[n:])):
+        scale = np.max(np.abs(theirs), axis=1, keepdims=True)
+        assert np.max(np.abs(ours - theirs) / scale) <= 1e-10
+    assert abs(work.nfev - ref.nfev) <= 0.05 * ref.nfev
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 60])
+def test_cubic_spline_matches_scipy_oracle(n):
+    # not-a-knot, as scipy's CubicSpline (the oracle), on uneven knots; NaN
+    # outside the knots as with extrapolate=False
+    from scipy.interpolate import CubicSpline as ScipyCubicSpline
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+    y = np.sin(1.7 * x) + rng.normal(0.0, 0.3, n)
+    xs = np.concatenate([np.linspace(x[0], x[-1], 2001), x])
+    ours, theirs = sch.CubicSpline(x, y)(xs), ScipyCubicSpline(x, y)(xs)
+    assert np.max(np.abs(ours - theirs)) <= 1e-13 * np.max(np.abs(theirs))
+    assert np.all(np.isnan(sch.CubicSpline(x, y)([x[0] - 1e-9, x[-1] + 1e-9, np.nan])))
+
+
 @pytest.mark.parametrize("share, solved", [(0.95, True), (1.1, False)])
 def test_ode_cap_admits_its_documented_span(monkeypatch, share, solved):
     # at the full cap a 200-momentum scan (one piece, 0 -> -4) is solved up to

@@ -2,10 +2,15 @@
 
 A module-level private function that nothing in the package references is
 dead code, and an `__all__` entry that the module does not define breaks
-`from positonkit.<module> import *`.
+`from positonkit.<module> import *`.  The import check runs in a child
+process: importing the package loads numpy and scipy.linalg, and nothing else
+of scipy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "positonkit"
@@ -61,3 +66,20 @@ def test_all_entries_are_defined():
     missing = [f"{mod}.{name}" for mod, tree in _modules().items()
                for name in _all_entries(tree) if name not in _defined_names(tree)]
     assert not missing, f"__all__ names a missing definition: {missing}"
+
+
+def test_import_loads_scipy_linalg_only():
+    # scipy.integrate, interpolate and optimize each load scipy.special (about
+    # 0.3 s per CLI run); the package has its own DOP853, spline and minimizer
+    code = ("import sys\n"
+            "import positonkit.cli\n"
+            "from positonkit import schrodinger\n"
+            "heavy = ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize', 'scipy.fft',\n"
+            "         'scipy.special')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+            "print(schrodinger.solve_ivp.__module__)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["[]", "positonkit.schrodinger"]

@@ -154,6 +154,17 @@ def test_positon_singularity_location():
     assert np.isinf(wvn.positon_closed(x0, 0.0))
 
 
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.045, 0.3, 2.0, 1e6])
+def test_positon_singularity_matches_brentq_oracle(t):
+    # bisection against scipy's brentq (the oracle, a test-only dependency);
+    # at t = 1e6 the floats near the root are 2e-9 apart, and bisection stops there
+    from scipy.optimize import brentq
+
+    f = lambda x: 1.0 + x + 12.0 * t - 0.5 * np.sin(2 * (x + 4.0 * t))
+    ref = brentq(f, -12.0 * t - 4.0, -12.0 * t + 2.0, xtol=1e-13)
+    assert abs(wvn.positon_singularity(t) - ref) <= 2e-13 + 2e-15 * abs(ref)
+
+
 def test_positon_asymptotics():
     t = 1.0
     for x in (100.0, -100.0):
