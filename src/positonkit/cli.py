@@ -267,12 +267,13 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         timings = {"plane": solved - start, "q": perf_counter() - solved}
         cols.append((grid.x, np.full(grid.n_points, t), q, q_plus))
         # sizes actually used: mn + 1 of the operator systems, the plane's
-        # factorizations and the t > 0 kernel table; the determinant sign margin
+        # factorizations and the t > 0 kernel table; the determinant sign and pivot margins
         diag = {"operator_points_min": min(state.operator_sizes, default=None),
                 "operator_points_max": max(state.operator_sizes, default=None),
                 "q_source": "plane_glm" if t > 0 else "chain_log_det",
                 "q_points_own_chain": state.q_points_own_chain,
                 "log_det_phase_max": state.log_det_phase_max,
+                "pivot_margin": state.pivot_margin,
                 "timings_s": timings}
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)

@@ -23,9 +23,9 @@ its chains' lattice (delta / 2)Z (laid out by `kdv.phi_plane_grid`),
 u = 0, q at t = 0 is a second difference of the log-determinants that
 `plane_jost` reads off a chain's one factorization with two triangular
 substitutions, in O(n^2).  At t > 0 the kernel is tabulated (`KernelTable`)
-and q is the GLM read-out of `plane_jost`, which needs each node's full
-solution.  `DetState`, one dense system per node, serves the per-node Jost
-solves (`kdv.jost_evolved`) and is the oracle of `plane_jost`.
+and q is the GLM read-out of `plane_jost`, read off a chain factor's two
+triangular inverses in O(n) per node.  `DetState`, one dense system per node,
+serves the per-node Jost solves (`kdv.jost_evolved`) and is the oracle of `plane_jost`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DiscretizationFailureError, ValidationError
 from .schrodinger import CubicSpline
@@ -389,7 +390,7 @@ class DetState:
 # -- the fixed-grid plane: one factorization per chain of nodes ----------------
 
 _EM_END = 5                # weights that em_weights(order=6) corrects at each end
-_NODE_BLOCK = 32           # plane nodes that share each pair of triangular solves
+_SLAB_WORK = 600_000       # n1 slab^2 of a t > 0 chain: bounded arrays, single-threaded BLAS
 
 
 @dataclass
@@ -404,7 +405,8 @@ class PlaneJost:
     (`kdv.dyson_q`).  log_det is complex, its imaginary part the phase of
     the real determinant: exactly 0 for a positive one, pi for a negative
     one.  sizes holds mn + 1 of each node's system and factor_points that of
-    each chain's one factorization.
+    each chain's one factorization.  pivot_margin, near 0 near a singular node, is the least
+    min |u_ii| / max |u_ii| on a node's leading rows or |sigma| / (|1/Gamma'| + |row.z|).
     """
 
     g: np.ndarray
@@ -414,6 +416,7 @@ class PlaneJost:
     delta: float
     factor_points: tuple
     sizes: np.ndarray
+    pivot_margin: float
 
     def log_det_real(self, nodes=slice(None)) -> np.ndarray:
         """Re log det(I + H) at the nodes, each checked positive as by `DetState.log_det`."""
@@ -459,13 +462,12 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
       * the resonance border enters as a 1 x 1 Schur complement;
       * log det(I + H) is the sum of the logs of the factor's leading diagonal,
         of the updated 5 x 5 corner's determinant and of that Schur complement.
-    At t = 0 only scalar functionals of each node's solution are read, and a
-    chain's nodes share one forward and one transposed backward substitution
-    with the whole factor, plus O(1) work per node (`_chain_t0`).  At t > 0
-    the derivative right-hand side needs each node's full solution: a forward
-    and a backward substitution shared by a block of the chain's nodes, and an
-    FFT correlation for its Hankel product (`_plane_nodes`); q is read from
-    the derivative solve.
+    At t = 0 only scalar functionals of each node's solution are read, and one
+    forward and one transposed backward substitution with the whole factor
+    serve a chain's nodes with O(1) work each (`_chain_t0`).  At t > 0 the
+    derivative right-hand side needs each node's full solution, read in O(m)
+    off the factor's two triangular inverses, and an FFT correlation for its
+    Hankel product (`_chain_t`); q is read from the derivative solve.
     A row interchange in the factorization would break the leading-block
     property; it is reported as a DiscretizationFailureError.
     """
@@ -488,7 +490,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     gx = np.empty((n, len(ks)), complex) if t > 0 else None
     q = np.empty(n) if t > 0 else None
     log_det = np.empty(n, complex)
-    factor_points = []
+    factor_points, margin = [], 1.0
     for r in range(min(chains, n)):
         nodes = np.arange(r, n, chains)
         big_n = _within_cap(int(np.max(steps[nodes] + needed[nodes])))
@@ -507,26 +509,28 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                 "do not factor the nodes' systems")
         # log u_ii summed along the diagonal; each negative pivot adds i pi
         log_u = np.concatenate([[0.0], np.cumsum(np.log(np.diagonal(lu).astype(complex)))])
+        pivots, k = np.abs(np.diagonal(lu)), sizes[nodes] - _EM_END - 1
+        pivots = np.minimum.accumulate(pivots)[k] / np.maximum.accumulate(pivots)[k]
         if t == 0.0:
-            g[nodes], log_det[nodes] = _chain_t0(poles, x[nodes], ks, delta, sizes[nodes],
-                                                 lu, log_u, w0)
-            continue
-        h1_rev = kernel(u, 1)[::-1]
-        h1_hat = rfft(2.0 * h1_rev, 2 * _fast_len((3 * big_n + 2) // 2))
-        for b0 in range(0, len(nodes), _NODE_BLOCK):
-            js = nodes[b0:b0 + _NODE_BLOCK]
-            g[js], log_det[js], gx[js], q[js] = _plane_nodes(
-                poles, t, x[js], ks, delta, sizes[js], lu, log_u, w0, h0_rev, h1_rev, h1_hat)
-    return PlaneJost(g, gx, q, log_det, delta, tuple(factor_points), sizes)
+            g[nodes], log_det[nodes], sigma = _chain_t0(poles, x[nodes], ks, delta, sizes[nodes],
+                                                        lu, log_u, w0)
+        else:
+            g[nodes], log_det[nodes], gx[nodes], q[nodes], sigma = _chain_t(
+                poles, t, x[nodes], ks, delta, sizes[nodes], lu, log_u, w0, kernel(u, 1)[::-1])
+        inv_gamma = _resonance_border(poles, x[nodes], t)[2]     # sigma = -inv_gamma - row.z
+        border = np.abs(sigma) / (inv_gamma + np.abs(sigma + inv_gamma))
+        margin = min(margin, float(np.min(np.minimum(pivots, border))))
+    return PlaneJost(g, gx, q, log_det, delta, tuple(factor_points), sizes, margin)
 
 
 def _node_corners(lu, w0, k):
     """(ends, r, upper, corner) of the nodes whose leading m - 5 rows number k.
 
-    ends holds each node's last five rows, r = w / w0 there, upper the
-    factor's upper triangle on them and corner the 5 x 5 block of the node's
-    updated upper factor (see `_plane_nodes`): r_c U e_c + (1 - r_c) L^{-1} e_c
-    restricted to the ends, L^{-1} e_c lying in the corner.
+    ends holds each node's last five rows, r = w / w0 there and upper the
+    factor's upper triangle on them.  The node's own end weights make its core
+    A e_c = r_c L U e_c + (1 - r_c) e_c there: a rank-5 (Woodbury) update, A = L U'
+    with U' e_c = r_c U e_c + (1 - r_c) L^{-1} e_c, whose 5 x 5 block on the
+    ends is corner (L^{-1} e_c lies in it).
     """
     ends = k[:, None] + np.arange(_EM_END)                  # (nodes, 5)
     r = w0[-_EM_END:] / w0[ends]
@@ -548,112 +552,135 @@ def _log_det(log_u, k, corner, sigma, log_gamma, s_row):
             + 1j * np.pi * (negatives % 2))
 
 
-def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
-    """(g, log det(I + H)) at every node of one t = 0 chain from its packed factor lu.
-
-    Node c's core A = L U' is as in `_plane_nodes`, with k = m - 5 leading
-    rows.  Only functionals c^T A^{-1} b are read, for the border row
-    c = s_row w ghat (s_row applied last) and the read-out c = w e^{ik xi}
-    at each momentum:
-      * the a column: its right-hand side is column m - 1 of H, so
-        A a = (A - I) e_{m-1} / w_{m-1} and a = (e_{m-1} - A^{-1} e_{m-1}) / w_{m-1},
-        where L^{-1} e_{m-1} = e_{m-1};
-      * the z column: ghat = e^{-y xi} is beta = e^{-y delta (m-1-i0)} times
-        the leading rows of the chain vector f_i = e^{y delta (i-i0)}, centred
-        on i0 = (n1 - 1) / 2 to keep f within e^{+-0.23 M_OP_CAP / 2}.
-    Each c is, on rows i < k, a per-node scalar alpha times the chain vector
-    d = w0 e^{rate delta (i-i0)} (rate y for the border, -ik for the
-    read-out).  L and U^T are lower triangular, so p = L^{-1} f and
-    Q = U^{-T} d (real and imaginary parts) serve every node by their leading rows:
-    c^T A^{-1} b = alpha Q[:k].(L^{-1} b)[:k] + q_e.(L^{-1} b)[ends], with
-    q_e = corner^{-T}(c[ends] - r alpha U[:k, ends]^T Q[:k]).  The prefix
-    dots are one cumulative sum per chain, and U[:k, ends]^T Q[:k] is
-    d[ends] - triu(U[ends, ends])^T Q[ends], since U^T Q = d.
-    """
-    y = poles.ystar
-    n1, k = lu.shape[0], m - _EM_END
-    ends, r, upper, corner = _node_corners(lu, w0, k)
-    log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, 0.0)
+def _chain_functionals(poles, ks, delta, m, lu, w0, corners):
+    """(p, d, Q, alpha, beta, c_end, q_e) of one chain's functionals c = alpha d (`_chain_t0`)."""
+    (ends, r, upper, corner), n1, y = corners, lu.shape[0], poles.ystar
     rate = np.concatenate([[y], -1j * ks])                  # border row, then each momentum
     chain = np.exp(delta * (np.arange(n1) - 0.5 * (n1 - 1))[:, None] * rate)   # (rows, 1 + momenta)
     p = solve_triangular(lu, chain[:, 0].real, lower=True, unit_diagonal=True, check_finite=False)
     d = w0[:, None] * chain
     re_im = solve_triangular(lu, np.hstack([d.real, d.imag]), trans="T", check_finite=False)
     big_q = re_im[:, :rate.size] + 1j * re_im[:, rate.size:]
-    prefix = np.concatenate([np.zeros((1, rate.size)), np.cumsum(big_q * p[:, None], axis=0)])
     off = delta * (m - 1 - 0.5 * (n1 - 1))                  # xi of each node's row i0
     alpha = np.exp(-off[:, None] * rate)
     c_end = w0[-_EM_END:, None] * np.exp(-delta * np.arange(_EM_END - 1, -1, -1)[:, None] * rate)
     top = d[ends] - np.einsum("nic,nij->ncj", upper, big_q[ends])
     q_e = np.linalg.solve(np.swapaxes(corner, 1, 2), c_end - r[:, :, None] * alpha[:, None, :] * top)
-    cz = np.exp(-y * off)[:, None] * (alpha * prefix[k] + np.einsum("ncj,nc->nj", q_e, p[ends]))
+    return p, d, big_q, alpha, np.exp(-y * off), c_end, q_e
+
+
+def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
+    """(g, log det(I + H), sigma) at every node of one t = 0 chain from its packed factor lu.
+
+    Node c's core A = L U' is as in `_chain_t`, with k = m - 5 leading
+    rows; sigma is its border's Schur complement.  Only functionals
+    c^T A^{-1} b are read, for the border row c = s_row w ghat (s_row applied
+    last) and the read-out c = w e^{ik xi} at each momentum:
+      * the a column: its right-hand side is column m - 1 of H, so
+        A a = (A - I) e_{m-1} / w_{m-1} and a = (e_{m-1} - A^{-1} e_{m-1}) / w_{m-1},
+        where L^{-1} e_{m-1} = e_{m-1};
+      * the z column: ghat = e^{-y xi} is beta = e^{-y delta (m-1-i0)} times
+        the leading rows of the chain vector f_i = e^{y delta (i-i0)}, centred
+        on i0 = (n1 - 1) / 2 to keep f within e^{+-0.23 M_OP_CAP / 2}.
+    Each c is alpha d on rows i < k, a per-node scalar times the chain vector
+    d = w0 e^{rate delta (i-i0)} (rate y for the border, -ik for each
+    read-out), and c_end on the ends.  L and U^T are lower triangular, so
+    p = L^{-1} f and Q = U^{-T} d serve every node by their leading rows:
+    c^T A^{-1} b = alpha Q[:k].(L^{-1} b)[:k] + q_e.(L^{-1} b)[ends], with
+    q_e = corner^{-T}(c_end - r alpha U[:k, ends]^T Q[:k]).  The prefix dots
+    are one cumulative sum per chain, and U[:k, ends]^T Q[:k] is
+    d[ends] - triu(U[ends, ends])^T Q[ends], since U^T Q = d.
+    """
+    k = m - _EM_END
+    corners = _node_corners(lu, w0, k)
+    log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, 0.0)
+    p, _, big_q, alpha, beta, c_end, q_e = _chain_functionals(poles, ks, delta, m, lu, w0, corners)
+    prefix = np.concatenate([np.zeros((1, alpha.shape[1])), np.cumsum(big_q * p[:, None], axis=0)])
+    cz = beta[:, None] * (alpha * prefix[k] + np.einsum("ncj,nc->nj", q_e, p[corners[0]]))
     ca = (c_end[-1] - q_e[:, -1]) / w0[-1]
     # the border row is s_row times column 0's functionals
     sigma = -s_inv_gamma - s_row * cz[:, 0].real            # Schur complement of the border
     mu = s_row * (1.0 - ca[:, 0].real) / sigma
-    return ca[:, 1:] - mu[:, None] * cz[:, 1:], _log_det(log_u, k, corner, sigma, log_gamma, s_row)
+    return (ca[:, 1:] - mu[:, None] * cz[:, 1:],
+            _log_det(log_u, k, corners[3], sigma, log_gamma, s_row), sigma)
 
 
-def _plane_nodes(poles, t, x, ks, delta, m, lu, log_u, w0, h0_rev, h1_rev, h1_hat):
-    """(g, log det(I + H), gx, q) at a block of one t > 0 chain's nodes from its packed factor lu.
+def _chain_t(poles, t, x, ks, delta, m, lu, log_u, w0, h1_rev):
+    """(g, log det(I + H), gx, q, sigma) at every node of one t > 0 chain from its packed factor lu.
 
-    log_u holds the cumulative sums of the logs of lu's diagonal, h1_rev the
-    reversed kernel derivative and h1_hat its doubled real transform, of even length.
-
-    Node c's core A differs from the leading block L U of the chain's core
-    only in its last five columns (reversed order), where the node's own left
-    end corrections of `em_weights` replace the chain's weights.  With
-    r = w / w0 there, A e_c = r_c L U e_c + (1 - r_c) e_c: a rank-5 update
-    (Woodbury) that leaves L and changes only the last five columns of U.
-    The changed upper factor is block triangular with a full 5 x 5 corner, so
-    A x = b is one forward pass, one 5 x 5 solve and one backward pass over
-    the leading m - 5 rows.  The block's nodes share each pass: a column that
-    is zero below a node's rows gives, in those rows, that node's leading-block
-    solution (the leading block of a triangular inverse is the inverse of the
-    leading block).  Arrays are (rows, nodes) in reversed order, zero below
-    each node's m rows.  The bordered determinant is det A times the border's
-    Schur complement sigma (`_log_det`).
+    lu is overwritten by its two triangular inverses.  Node c's core is L U',
+    U' = [[U_kk, U_ke r], [0, corner]] over its k = m - 5 leading rows and five
+    ends (`_node_corners`), and a leading block of a triangular inverse is the
+    inverse of that block, so each node is read off the inverses in O(m):
+      * a and z as in `_chain_t0`, from A^{-1} e_{m-1} and U'^{-1} p[:m], whose
+        leading rows are U_kk^{-1} p[:k] plus U^{-1}[:k, ends] U_ee r
+        corner^{-1} (e_4 or p[ends]), as U_kk^{-1} U_ke = -U^{-1}[:k, ends] U_ee;
+      * the derivative solve A a_x = b_x, b_x the FFT correlation -H_1 W v of the
+        node's solution v, only through lambda^T b_x for lambda = A^{-T} c =
+        alpha (Q^T L^{-1})[:k] + L^{-1}[ends, :m]^T q_e: the border row, the
+        read-outs and e_{m-1} (q = 2 v_x(xi = 0)).
+    Nodes go in slabs of sqrt(_SLAB_WORK / n1) rows l0 <= l < l1, in increasing k
+    (OpenBLAS runs products that small on one thread, where it would stall): the
+    sums over l < l0 in U_kk^{-1} p[:k] and (Q^T L^{-1})[:k] are carried, and
+    the band [l0, l1 + 5) of rows and columns adds the rest and the ends.
     """
-    y = poles.ystar
-    n1, big_m, cols, k = lu.shape[0], int(m.max()), np.arange(len(m)), m - _EM_END
-    i = np.arange(big_m)[:, None]
-    inside = i < m
-    ends, r, _, corner = _node_corners(lu, w0, k)
-    xi = np.where(inside, (m - 1 - i) * delta, 0.0)
-    ghat = np.exp(-y * xi) * inside
-    w = np.where(i < k, w0[:big_m, None], 0.0)
-    w[ends, cols[:, None]] = w0[-_EM_END:]                 # the node's own end corrections
+    n1, k, n = lu.shape[0], m - _EM_END, len(m)
+    ends, r, upper, corner = corners = _node_corners(lu, w0, k)
     log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, t)
-    top = lu[:big_m, ends].transpose(1, 0, 2)               # (nodes, rows, 5)
-    above = (i < k)[:, :, None]
-
-    def substitute(b, lower):
-        # over the whole factor: a leading-block view would be copied for LAPACK
-        pad = np.zeros((n1, b[0].size), order="F")
-        pad[:big_m] = b.reshape(big_m, -1)
-        return solve_triangular(lu, pad, lower=lower, unit_diagonal=lower, overwrite_b=True,
-                                check_finite=False)[:big_m].reshape(b.shape)
-
-    def core_solve(b):
-        fy = substitute(b, lower=True)
-        tail = np.linalg.solve(corner, fy[ends, cols[:, None]])
-        out = substitute((fy - np.matmul(top, r[:, :, None] * tail).transpose(1, 0, 2)) * above,
-                         lower=False)
-        out[ends, cols[:, None]] = tail
-        return out
-
-    a, z = np.moveaxis(core_solve(np.stack([h0_rev[m - 1 + i] * inside, ghat], axis=2)), 2, 0)
-    row = s_row * w * ghat
-    sigma = -s_inv_gamma - np.sum(row * z, axis=0)         # Schur complement of the border
-    mu = (s_row - np.sum(row * a, axis=0)) / sigma
-    v = a - mu * z
-    e = w[:, :, None] * np.exp(1j * xi[:, :, None] * ks)
-    # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT correlation
-    # transformed along the contiguous last axis: one row per node
-    corr = irfft(h1_hat * rfft(np.ascontiguousarray((w * v)[::-1].T), 2 * h1_hat.size - 2)
-                 )[:, big_m - 1:2 * big_m - 1].T
-    ax = core_solve(((2.0 * h1_rev[m - 1 + i] - corr) * inside)[:, :, None])[..., 0]
-    mux = (2.0 * y * s_inv_gamma * mu - np.sum(row * ax, axis=0)) / sigma
-    vx = ax - mux * z
-    return (np.einsum("ick,ic->ck", e, v), _log_det(log_u, k, corner, sigma, log_gamma, s_row),
-            np.einsum("ick,ic->ck", e, vx), 2.0 * vx[m - 1, cols])   # xi = 0: last row
+    p, d, big_q, alpha, beta, c_end, q_e = _chain_functionals(poles, ks, delta, m, lu, w0, corners)
+    e_last = np.eye(_EM_END)[-1]
+    q_e = np.concatenate([q_e, np.linalg.solve(np.swapaxes(corner, 1, 2), e_last[:, None])], axis=2)
+    tail = np.linalg.solve(corner, np.stack([np.broadcast_to(e_last, ends.shape), p[ends]], axis=2))
+    coef = np.matmul(upper * r[:, None, :], tail)            # U_ee r corner^{-1} (e_4, p[ends])
+    dtrtri(lu, overwrite_c=1)
+    dtrtri(lu, lower=1, unitdiag=1, overwrite_c=1)
+    g, gx = np.empty((n, ks.size), complex), np.empty((n, ks.size), complex)
+    q, sigma = np.empty(n), np.empty(n)
+    # the sums over l < l0: U^{-1} diag(p) over columns, diag(Q) L^{-1} over rows
+    col_p, row_r = np.zeros(n1), np.zeros((alpha.shape[1], n1), complex)
+    slab = math.isqrt(_SLAB_WORK // n1)
+    for l0 in range(0, int(k.max()), slab):
+        l1, rows = min(l0 + slab, n1), min(l0 + slab + _EM_END, n1)
+        band = np.arange(l0, rows)
+        u_band = np.triu(lu[:rows, l0:rows], -l0)
+        l_band = np.tril(lu[l0:rows, :rows], l0 - 1)
+        l_band[band - l0, band] = 1.0
+        js = np.flatnonzero((k > l0) & (k <= l1))
+        if js.size:
+            kk, mm, cols = k[js], m[js], np.arange(js.size)[:, None]
+            i, e_js = np.arange(rows)[:, None], ends[js]
+            lead = i < kk
+            # (A^{-1} e_{m-1}, U'^{-1} p[:m]) from U^{-1}'s band columns, weighted by p and coef
+            spread = np.zeros((2, band.size, js.size))
+            spread[1] = np.where(band[:, None] < kk, p[band, None], 0.0)
+            spread[:, e_js - l0, cols] = np.moveaxis(coef[js], 2, 0)
+            sol = np.stack([u_band @ spread[0], u_band @ spread[1] + col_p[:rows, None]], axis=2)
+            sol[e_js, cols] = tail[js]
+            a = -sol[..., 0] / w0[-1]
+            a[mm - 1, cols[:, 0]] += 1.0 / w0[-1]
+            z = beta[js] * sol[..., 1]
+            # c^T a and c^T z for each functional: alpha d on the leading rows, c_end on the ends
+            fa, fz = (alpha[js] * ((v * lead).T @ d[:rows]) + v[e_js, cols] @ c_end for v in (a, z))
+            sigma[js] = sg = -s_inv_gamma[js] - s_row[js] * fz[:, 0].real    # the border's Schur
+            mu = s_row[js] * (1.0 - fa[:, 0].real) / sg
+            w = np.where(lead, w0[:rows, None], 0.0)
+            w[e_js, cols] = w0[-_EM_END:]                # the node's own end corrections
+            # a_x v = 2 H(k1) diag(w) v: corr[i] = sum_l 2 h1_rev[i + l] (w v)[l], an FFT
+            # correlation along the contiguous last axis: one row per node
+            size = 2 * _fast_len((3 * rows - 1) // 2)
+            corr = irfft(rfft(2.0 * h1_rev[:2 * rows - 1], size)
+                         * rfft(np.ascontiguousarray((w * (a - mu * z))[::-1].T), size)
+                         )[:, rows - 1:2 * rows - 1].T
+            b_x = (2.0 * h1_rev[mm - 1 + i] - corr) * (i < mm)
+            # lambda^T b_x: (L^{-1} b_x) on the band's rows, the carried rows l < l0 as row_r
+            l_b = l_band @ b_x
+            f_x = np.einsum("nef,ne->nf", q_e[js], l_b[e_js - l0, cols])
+            f_x[:, :-1] += alpha[js] * (row_r[:, :rows] @ b_x
+                                        + big_q[band].T @ np.where(band[:, None] < kk, l_b, 0.0)).T
+            mux = (2.0 * poles.ystar * s_inv_gamma[js] * mu - s_row[js] * f_x[:, 0].real) / sg
+            g[js] = fa[:, 1:] - mu[:, None] * fz[:, 1:]
+            gx[js] = f_x[:, 1:-1] - mux[:, None] * fz[:, 1:]
+            q[js] = 2.0 * (f_x[:, -1].real - mux * z[mm - 1, cols[:, 0]])     # xi = 0: last row
+        col_p[:rows] += u_band[:, :l1 - l0] @ p[l0:l1]
+        row_r[:, :rows] += big_q[l0:l1].T @ l_band[:l1 - l0]
+    return g, _log_det(log_u, k, corner, sigma, log_gamma, s_row), gx, q, sigma

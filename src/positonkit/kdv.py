@@ -66,10 +66,11 @@ class EvolvedState:
     _det_cache: dict = field(default_factory=dict, repr=False)
     # mn + 1 of every operator system solved (DetStates and plane nodes), the sizes actually used
     operator_sizes: list = field(default_factory=list, repr=False)
-    # t = 0 q values that took a chain of their own (`dyson_q`), and the largest
-    # |Im log det(I + H)| over every plane node: the determinant sign margin
+    # t = 0 q values that took a chain of their own (`dyson_q`), the largest
+    # |Im log det(I + H)| and the least `PlaneJost.pivot_margin` over every plane node
     q_points_own_chain: int = field(default=0, repr=False)
     log_det_phase_max: float = field(default=0.0, repr=False)
+    pivot_margin: float = field(default=1.0, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.t):
@@ -122,6 +123,7 @@ class EvolvedState:
         self.operator_sizes.extend(sol.sizes.tolist())
         self.log_det_phase_max = max(self.log_det_phase_max,
                                      float(np.max(np.abs(sol.log_det.imag))))
+        self.pivot_margin = min(self.pivot_margin, sol.pivot_margin)
         return sol
 
 

@@ -181,6 +181,20 @@ def test_evolve_seed_only(tmp_path):
         assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
 
 
+@pytest.mark.parametrize("t, n", [(0.0, 101), (0.02, 51)])
+def test_evolve_meta_records_pivot_margin(tmp_path, t, n):
+    # the evolve_t0 and evolve_t benchmark configurations: the smallest chain
+    # pivot or border Schur complement, relative to its scale, lies in (0, 1];
+    # the sign margin stays pinned
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": n},
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [t]}}
+    code, prefix = run_cli(tmp_path, "evo_margin", cfg, "evolve")
+    assert code == 0
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"][f"t={t}"]
+    assert 0.0 < diag["pivot_margin"] <= 1.0
+    assert 0.0 <= diag["log_det_phase_max"] < 1e-6
+
+
 @pytest.mark.parametrize("rho, grid, nodes, spacing", [
     (2.0, {"x_min": -3.0, "x_max": 2.03, "n": 101}, 943, 0.0503),   # x_max off the kink lattice
     (2.0, {"x_min": 1.9, "x_max": 2.0, "n": 11}, 1182, 0.04),       # h = 0.01: the plane at 4 h

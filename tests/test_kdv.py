@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from positonkit import hankel, kdv
 from positonkit import wvn_example as wvn
@@ -146,33 +147,40 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None):
     """plane_jost against a dense LU of each node's own system at its (x, delta, window, weights).
 
     That is `DetState`'s bordered LU at the plane's spacing (order-6 weights),
-    for g and log det, and at t > 0 for gx.  A t = 0 plane reads its nodes off
-    one forward and one backward substitution per chain.  nodes picks the
-    nodes compared (all by default).  Returns the plane.
+    for g and log det, and at t > 0 for gx.  Every plane reads its nodes off
+    one forward and one transposed backward substitution per chain, at t > 0
+    with the factor's two triangular inverses (`dtrtri`, two per chain), so
+    neither count grows with the nodes.  nodes picks the nodes compared (all
+    by default).  Returns the plane.
     """
     state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
     kernel = state.kernel(2.0 * min(x[0], 0.0) - 2.0)
     ks = np.array([1.0 + 0.0j])
-    swaps, substitutions = [], []
+    swaps, substitutions, inverses = [], [], []
 
     def recording_lu(a, **kwargs):
         lu, piv = lu_factor(a, **kwargs)
         swaps.append(int(np.count_nonzero(piv != np.arange(len(piv)))))
         return lu, piv
 
-    def counting_solve(*args, **kwargs):
-        substitutions.append(1)
-        return solve_triangular(*args, **kwargs)
+    def counting(calls, f):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return f(*args, **kwargs)
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hankel, "lu_factor", recording_lu)
-        mp.setattr(hankel, "solve_triangular", counting_solve)
+        mp.setattr(hankel, "solve_triangular", counting(substitutions, solve_triangular))
+        mp.setattr(hankel, "dtrtri", counting(inverses, dtrtri))
         sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
                                 state.fixed_delta(x[0]))
     assert swaps == [0] * len(sol.factor_points)
+    assert len(substitutions) == 2 * len(sol.factor_points)
+    assert len(inverses) == (2 * len(sol.factor_points) if t > 0.0 else 0)
+    assert 0.0 < sol.pivot_margin <= 1.0
     if t == 0.0:
         assert sol.gx is None and sol.q is None
-        assert len(substitutions) <= 2 * len(sol.factor_points)
     log_det = sol.log_det_real()
     for j in range(len(x)) if nodes is None else nodes:
         ds = DetState(state.poles, kernel, float(x[j]), t, int(sol.sizes[j]) - 1,
@@ -261,6 +269,15 @@ def test_plane_jost_t0_near_cap():
     # widest system), a middle one and the last
     sol = _assert_plane_matches_dense(0.3, 0.0, -45.0 + 0.05 * np.arange(941), nodes=(0, 471, 940))
     assert sol.factor_points == (1476, 1475)
+
+
+def test_plane_jost_t_near_cap():
+    # rho = 0.3 at t = 0.02 on [-60, 2] at h = 0.12: one chain at delta = 0.12 whose
+    # factor (1480 points) is near M_OP_CAP, the longest carried sums and chain
+    # vectors of a t > 0 plane; its first node (the widest system), a middle one and the last
+    x = -60.0 + 0.12 * np.arange(517)
+    sol = _assert_plane_matches_dense(0.3, 0.02, x, nodes=(0, 258, 516))
+    assert sol.factor_points == (1480,)
 
 
 def _chain_rows(state, x):
