@@ -267,7 +267,7 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         timings = {"plane": solved - start, "q": perf_counter() - solved}
         cols.append((grid.x, np.full(grid.n_points, t), q, q_plus))
         # sizes actually used: mn + 1 of the operator systems, the plane's
-        # factorizations and the t > 0 kernel table; the determinant sign and pivot margins
+        # factorizations and the t > 0 kernel lattices; the determinant sign and pivot margins
         diag = {"operator_points_min": min(state.operator_sizes, default=None),
                 "operator_points_max": max(state.operator_sizes, default=None),
                 "q_source": "plane_glm" if t > 0 else "chain_log_det",
@@ -284,10 +284,8 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
             diag["plane_chains"] = len(plane.factor_points)
             diag["plane_factor_points"] = list(plane.factor_points)
         if t > 0:
-            tab = state.kernel()
-            diag["kernel_u_points"] = len(tab.u_grid)
-            diag["kernel_contour_points"] = {name: len(nodes)
-                                             for name, (_, nodes, _) in tab.sides.items()}
+            diag["kernel_u_points"] = state.kernel_u_points
+            diag["kernel_contour_points"] = dict(state.kernel_contour_points)
         diags[f"t={t}"] = diag
     _write_csv(f"{prefix}.csv", "x,t,q,q_plus",
                [np.concatenate(c) for c in zip(*cols)])

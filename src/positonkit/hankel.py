@@ -22,10 +22,12 @@ its chains' lattice (delta / 2)Z (laid out by `kdv.phi_plane_grid`),
 `DetState`'s by a grid aligned per node (`kink_spacing`).  As K' jumps at
 u = 0, q at t = 0 is a second difference of the log-determinants that
 `plane_jost` reads off a chain's one factorization with two triangular
-substitutions, in O(n^2).  At t > 0 the kernel is tabulated (`KernelTable`)
-and q is the GLM read-out of `plane_jost`, read off a chain factor's two
-triangular inverses in O(n) per node.  `DetState`, one dense system per node,
-serves the per-node Jost solves (`kdv.jost_evolved`) and is the oracle of `plane_jost`.
+substitutions, in O(n^2).  At t > 0 the kernel is a contour sum, evaluated
+by chirp-z transform once per operator, at exactly the lattice nodes
+2x + i delta that it reads (`KernelTable`); q is the GLM read-out of
+`plane_jost`, read off a chain factor's two triangular inverses in O(n) per
+node.  `DetState`, one dense system per node, serves the per-node Jost solves
+(`kdv.jost_evolved`) and is the oracle of `plane_jost`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DiscretizationFailureError, ValidationError
-from .schrodinger import CubicSpline
 
 __all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost", "difference_stencil",
            "kink_spacing", "operator_spacing", "plane_jost", "plane_spacing"]
@@ -82,32 +83,37 @@ class PoleData:
     def reflection(self, z):
         return -1j * self.rho / (z * (z * z - 1.0) + 1j * self.rho)
 
-    def kernel_low_t0(self, u, d: int = 0):
-        """Regular kernel part at t = 0, closed form.
+    def kernel_low_t0(self, u):
+        """Rows [K, K'] of the regular kernel part at t = 0, closed form, shape (2, len(u)).
 
         Equals -i sum over the two lower poles (a pair z, -conj z with conjugate
         terms) for u < 0, and +i r_star e^{i p_star u} for u >= 0 (so that the full
-        kernel, regular part + c0 e^{-ystar u}, vanishes identically on u > 0).
+        kernel, regular part + c0 e^{-ystar u}, vanishes identically on u > 0);
+        K' takes each term's factor i p from the same exponential.
         """
         u = np.asarray(u, dtype=float)
-        out = np.zeros(u.shape, complex)
+        out = np.zeros((2,) + u.shape, complex)
         m = u < 0
         for p, r in zip(self.low_poles, self.low_res):
-            out[m] += -1j * r * (1j * p) ** d * np.exp(1j * p * u[m])
-        out[~m] = 1j * self.r_star * (1j * self.p_star) ** d * np.exp(1j * self.p_star * u[~m])
+            e = -1j * r * np.exp(1j * p * u[m])
+            out[:, m] += (e, 1j * p * e)
+        e = 1j * self.r_star * np.exp(1j * self.p_star * u[~m])
+        out[:, ~m] = (e, 1j * self.p_star * e)
         return out.real
 
 
-def _contour_rule(b: float, t: float, x_scale: float, tol_exp: float = 38.0):
+def _contour_rule(b: float, t: float, x_scale: float, ystar: float):
     """(nodes, weights) of a uniform trapezoid rule on the line Im z = b (t > 0).
 
-    Truncation S (at most 500) balances the Gaussian damping e^{-24 t b sigma^2}
-    against the algebraic |R| ~ rho/sigma^3 tail; the spacing resolves the oscillation
-    e^{i(z u + 8 z^3 t)} for |u| <= 2 x_scale inside the live Gaussian window.
+    Truncation S (at most 500) brings the Gaussian damping e^{-24 t b sigma^2}
+    down to e^{-38} ahead of the algebraic |R| ~ rho/sigma^3 tail; the spacing
+    resolves the oscillation e^{i(z u + 8 z^3 t)} for |u| <= 2 x_scale inside
+    the live Gaussian window, and it keeps the alias of the pole i ystar,
+    ystar - b above the line, at e^{-2 pi (ystar - b) / h} <= e^{-38} of K.
     """
-    s_trunc = min(500.0, math.sqrt(tol_exp / (24.0 * t * b)) + 4.0)
-    rate = 2.0 * x_scale + tol_exp / b + 10.0
-    h = min(0.05, 2.0 * math.pi / rate / 3.0)
+    s_trunc = min(500.0, math.sqrt(38.0 / (24.0 * b)) / math.sqrt(t) + 4.0)
+    rate = 2.0 * x_scale + 38.0 / b + 10.0
+    h = min(0.05, 2.0 * math.pi / rate / 3.0, 2.0 * math.pi * (ystar - b) / 38.0)
     n = int(math.ceil(2 * s_trunc / h)) + 1
     sig = np.linspace(-s_trunc, s_trunc, n)
     w = np.full(n, sig[1] - sig[0])
@@ -146,8 +152,7 @@ def em_weights(m: int, h: float, order: int = 8) -> np.ndarray:
         raise ValidationError("endpoint-corrected rule needs at least 12 intervals")
     w = np.full(m + 1, h, float)
     w[0] = w[-1] = h / 2
-    terms = {4: [(1, 2, -1.0 / 12.0)],
-             6: [(1, 4, -1.0 / 12.0), (3, 2, 1.0 / 720.0)],
+    terms = {6: [(1, 4, -1.0 / 12.0), (3, 2, 1.0 / 720.0)],
              8: [(1, 6, -1.0 / 12.0), (3, 4, 1.0 / 720.0), (5, 2, -1.0 / 30240.0)]}[order]
     for r, p, coef in terms:
         d = difference_stencil(np.arange(r + p), r)
@@ -189,55 +194,45 @@ def _chirp_z_sums(f, sig_c: float, h: float, u_c: float, du: float, m: int) -> n
 
 
 class KernelTable:
-    """Regular kernel part H_low at fixed t > 0, tabulated by contour quadrature.
+    """Rows [K, K'] of the regular kernel part H_low at fixed t > 0 on a uniform lattice u.
 
-    Values for u >= 0 come from a contour just below i*ystar (fast decay); for
-    u < 0 from a low contour Im z = b_minus (bounded integrand).  Both the
-    contour rule and the table grid u_k = u_grid[0] + k du are uniform, so each
-    side's quadrature sums are one chirp-z transform.  `sides` maps "u>=0" and
-    "u<0" to the u_grid slice and the contour rule (nodes, weights) used there.
-    Cubic splines interpolate the tables' real parts (z -> -conj z maps each rule
-    to itself and its integrand to the conjugate) for derivative orders d = 0, 1.
-    Right of the table the kernel is 0: the u >= 0 side decays at least like
-    e^{-b_plus u}, so the error is at most |K(u_grid[-1])|.
+    The operators read K only at their lattice sums u = 2x + i delta, so the
+    table is evaluated there (u_grid = u) by contour quadrature, with no
+    interpolation; values has shape (2, len(u)).  Values for u >= 0 come from a
+    contour Im z = 0.9 ystar just below i*ystar (fast decay).  For u < 0 they
+    come from a low contour Im z = b = min(0.12 ystar, 11 / |u[0]|): its sums
+    cancel down to K e^{b u}, and the factor e^{-b u} <= e^{11} that restores K
+    bounds their rounding.  Both the contour rule and u are uniform, so each
+    side's quadrature sums are one chirp-z transform, its rule sized from that
+    side's own u-range.  `sides` maps "u>=0" and "u<0" to the slice of u and
+    the contour rule (nodes, weights) used there.  K is the sums' real part:
+    z -> -conj z maps each rule to itself and its integrand to the conjugate.
     """
 
-    def __init__(self, poles: PoleData, t: float, u_min: float, u_max: float,
-                 du: float = 0.02, b_plus_frac: float = 0.9, b_minus_frac: float = 0.12):
+    def __init__(self, poles: PoleData, t: float, u):
         if t <= 0:
             raise ValidationError("KernelTable is the t > 0 path; t = 0 is closed form")
-        self.poles = poles
-        self.t = t
-        start, stop = u_min - 4 * du, u_max + 4 * du
-        self.u_grid = start + du * np.arange(int(math.ceil((stop - start) / du)))
-        n_neg = int(np.searchsorted(self.u_grid, 0.0))
-        self.sides = {}
-        vals = np.empty((2, len(self.u_grid)))
-        for name, sl, bfrac in (("u>=0", slice(n_neg, len(self.u_grid)), b_plus_frac),
-                                ("u<0", slice(0, n_neg), b_minus_frac)):
-            m = sl.stop - sl.start
-            if m == 0:
+        u = np.asarray(u, dtype=float)
+        du = (u[-1] - u[0]) / (u.size - 1) if u.ndim == 1 and u.size > 1 else math.nan
+        if not (du > 0 and np.all(np.abs(np.diff(u) - du) <= 1e-8 * du)):
+            raise ValidationError("the kernel lattice u must be uniform and ascending")
+        self.u_grid, self.values, self.sides = u, np.empty((2, u.size)), {}
+        y, n_neg = poles.ystar, int(np.searchsorted(u, 0.0))
+        for name, sl in (("u>=0", slice(n_neg, u.size)), ("u<0", slice(0, n_neg))):
+            u_here = u[sl]
+            if u_here.size == 0:
                 continue
-            b = bfrac * poles.ystar
-            u_here = self.u_grid[sl]
-            scale = max(abs(float(u_here[0])), abs(float(u_here[-1])), 1.0)
-            nodes, weights = _contour_rule(b, t, scale / 2.0)
+            b = 0.9 * y if name == "u>=0" else min(0.12 * y, -11.0 / u_here[0])
+            nodes, weights = _contour_rule(b, t, max(-u_here[0], u_here[-1], 1.0) / 2.0, y)
             self.sides[name] = (sl, nodes, weights)
             base = poles.reflection(nodes) * np.exp(1j * 8 * nodes**3 * t) * weights / (2 * np.pi)
             f = base * (1j * nodes) ** np.arange(2)[:, None]
             # steps from the rules themselves: neighbour differences carry rounding
             sig = nodes.real
             h = (sig[-1] - sig[0]) / (len(sig) - 1)
-            u_c = start + du * 0.5 * (sl.start + sl.stop - 1)
-            vals[:, sl] = (_chirp_z_sums(f, 0.5 * (sig[0] + sig[-1]), h, u_c, du, m).real
-                           * np.exp(-b * u_here))
-        self._splines = {d: CubicSpline(self.u_grid, vals[d]) for d in (0, 1)}
-
-    def __call__(self, u, d: int = 0):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < self.u_grid[0]):
-            raise ValidationError(f"kernel requested at u < {self.u_grid[0]}, left of its table")
-        return np.where(u <= self.u_grid[-1], self._splines[d](u), 0.0)
+            sums = _chirp_z_sums(f, 0.5 * (sig[0] + sig[-1]), h, 0.5 * (u_here[0] + u_here[-1]),
+                                 du, u_here.size)
+            self.values[:, sl] = sums.real * np.exp(-b * u_here)
 
 
 def operator_spacing(y: float, x: float, m_op: int, delta_cap: float | None = None):
@@ -304,6 +299,8 @@ class DetState:
     of `plane_jost`.  Without a fixed_delta a t = 0 grid is aligned: it puts the
     kernel's kink on a node (`kink_spacing`), and gets order-8 weights; a
     fixed_delta grid gets the order-6 weights of `plane_jost`'s chains.
+    kernel maps a uniform lattice u to the rows [K, K'] there; it is called
+    once, on the node's window u = 2x + i delta.
     """
 
     def __init__(self, poles: PoleData, kernel, x: float, t: float, m_op: int,
@@ -320,9 +317,7 @@ class DetState:
         self.delta, self.mn = delta, mn
         self.xi = np.arange(mn + 1) * delta
         self.w = em_weights(mn, delta, order=8 if t == 0.0 and fixed_delta is None else 6)
-        self._u = 2 * x + np.arange(2 * mn + 1) * delta
-        self._kernel = kernel
-        self._h0 = kernel(self._u, 0)
+        self._h0, self._h1 = kernel(2 * x + np.arange(2 * mn + 1) * delta)
         # the rank-one resonance piece Gamma e^{-y xi} e^{-y xi'} is a border of the system
         self.log_gamma, self.s_row, self.s_inv_gamma = _resonance_border(poles, x, t)
 
@@ -377,8 +372,7 @@ class DetState:
         """g(k) and its x-derivative (fixed-grid path)."""
         if self.fixed_delta is None:
             raise ValidationError("jost x-derivatives require a fixed grid (fixed_delta)")
-        sol, mn1 = self._solution(), self.mn + 1
-        k1 = self._kernel(self._u, 1)
+        sol, mn1, k1 = self._solution(), self.mn + 1, self._h1
         rhs = np.empty((mn1 + 1, 2))
         # a_x = 2 H(k1) diag(w) applied to both solution columns in one product
         rhs[:mn1] = -(_hankel(2.0 * k1, mn1) @ (self.w[:, None] * sol[:mn1]))
@@ -444,7 +438,10 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x.
 
     x may be a single node, which then gets the spacing delta0.  Only the
-    read-outs g and gx are complex.
+    read-outs g and gx are complex.  kernel maps a uniform lattice u to the
+    rows [K, K'] there (`EvolvedState.kernel`).  It is called once, on the
+    lattice 2 x[0] + j c delta / chains with c = gcd(2, chains), whose nodes
+    j = (2r + chains i) / c are chain r's window u = 2 x[r] + i delta.
 
     The operator spacing delta is commensurate with the plane spacing
     (`plane_spacing`).  At t = 0 2 x[0] / delta must be integral (or
@@ -490,14 +487,17 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     gx = np.empty((n, len(ks)), complex) if t > 0 else None
     q = np.empty(n) if t > 0 else None
     log_det = np.empty(n, complex)
-    factor_points, margin = [], 1.0
-    for r in range(min(chains, n)):
-        nodes = np.arange(r, n, chains)
-        big_n = _within_cap(int(np.max(steps[nodes] + needed[nodes])))
+    chain_nodes = [np.arange(r, n, chains) for r in range(min(chains, n))]
+    big_ns = [_within_cap(int(np.max(steps[nodes] + needed[nodes]))) for nodes in chain_nodes]
+    # chain r's window is the lattice nodes 2r / c + (chains / c) i
+    c = math.gcd(2, chains)
+    first, skip = [2 * r // c for r in range(len(chain_nodes))], chains // c
+    size = max(j + skip * 2 * big_n for j, big_n in zip(first, big_ns)) + 1
+    rows = kernel(2.0 * x[0] + np.arange(size) * (c * delta / chains))
+    margin = 1.0
+    for nodes, j, big_n in zip(chain_nodes, first, big_ns):
         sizes[nodes] = big_n - steps[nodes] + 1
-        factor_points.append(big_n + 1)
-        u = 2.0 * x[r] + np.arange(2 * big_n + 1) * delta
-        h0_rev = kernel(u, 0)[::-1]
+        h0_rev, h1_rev = rows[:, j:j + skip * 2 * big_n + 1:skip][:, ::-1]
         w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
         core = np.empty((big_n + 1, big_n + 1), order="F")
         np.multiply(_hankel(h0_rev, big_n + 1), w0[None, :], out=core)
@@ -516,11 +516,11 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                                                         lu, log_u, w0)
         else:
             g[nodes], log_det[nodes], gx[nodes], q[nodes], sigma = _chain_t(
-                poles, t, x[nodes], ks, delta, sizes[nodes], lu, log_u, w0, kernel(u, 1)[::-1])
+                poles, t, x[nodes], ks, delta, sizes[nodes], lu, log_u, w0, h1_rev)
         inv_gamma = _resonance_border(poles, x[nodes], t)[2]     # sigma = -inv_gamma - row.z
         border = np.abs(sigma) / (inv_gamma + np.abs(sigma + inv_gamma))
         margin = min(margin, float(np.min(np.minimum(pivots, border))))
-    return PlaneJost(g, gx, q, log_det, delta, tuple(factor_points), sizes, margin)
+    return PlaneJost(g, gx, q, log_det, delta, tuple(b + 1 for b in big_ns), sizes, margin)
 
 
 def _node_corners(lu, w0, k):

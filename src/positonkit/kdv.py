@@ -30,7 +30,6 @@ from .hankel import (
     M_OP_CAP,
     T_MAX,
     THIN_SUPPORT_X,
-    U_DECAY_TARGET,
     DetState,
     KernelTable,
     PlaneJost,
@@ -62,10 +61,12 @@ class EvolvedState:
     params: wvn.ExampleParams
     m_op: int = 200
     delta_cap: float | None = None
-    _tables: dict = field(default_factory=dict, repr=False)
     _det_cache: dict = field(default_factory=dict, repr=False)
     # mn + 1 of every operator system solved (DetStates and plane nodes), the sizes actually used
     operator_sizes: list = field(default_factory=list, repr=False)
+    # t > 0: lattice points of every kernel evaluated, the largest contour rule per side of u = 0
+    kernel_u_points: int = field(default=0, repr=False)
+    kernel_contour_points: dict = field(default_factory=dict, repr=False)
     # t = 0 q values that took a chain of their own (`dyson_q`), the largest
     # |Im log det(I + H)| and the least `PlaneJost.pivot_margin` over every plane node
     q_points_own_chain: int = field(default=0, repr=False)
@@ -86,25 +87,26 @@ class EvolvedState:
             raise ValidationError("the operator grid needs m_op >= 12 intervals")
         self.poles = PoleData.for_rho(self.params.rho)
 
-    def kernel(self, u_min_needed: float = -96.0):
-        """Regular kernel part: closed form at t = 0, tabulated for t > 0."""
+    def kernel(self, u) -> np.ndarray:
+        """Rows [K, K'] of the regular kernel part on the uniform lattice u, shape (2, len(u)).
+
+        Closed form at t = 0; at t > 0 one `KernelTable` on u, exact at every node.
+        """
         if self.t == 0.0:
-            return self.poles.kernel_low_t0
-        tab = self._tables.get("default")
-        if tab is None or tab.u_grid[0] > u_min_needed:
-            y = self.poles.ystar
-            u_lo = min(u_min_needed, -96.0) - 4.0
-            u_hi = U_DECAY_TARGET / y + 4.0
-            self._tables["default"] = KernelTable(self.poles, self.t, u_lo, u_hi)
-        return self._tables["default"]
+            return self.poles.kernel_low_t0(u)
+        tab = KernelTable(self.poles, self.t, u)
+        self.kernel_u_points += tab.u_grid.size
+        for side, (_, nodes, _) in tab.sides.items():
+            sizes = self.kernel_contour_points
+            sizes[side] = max(nodes.size, sizes.get(side, 0))
+        return tab.values
 
     def det_state(self, x: float, fixed_delta: float | None = None) -> DetState:
         key = (round(x, 12), fixed_delta)
         if key not in self._det_cache:
             if len(self._det_cache) > 4:
                 self._det_cache.clear()
-            kernel = self.kernel(2.0 * min(x, 0.0) - 2.0)
-            ds = DetState(self.poles, kernel, x, self.t, self.m_op, fixed_delta=fixed_delta,
+            ds = DetState(self.poles, self.kernel, x, self.t, self.m_op, fixed_delta=fixed_delta,
                           delta_cap=self.delta_cap)
             self.operator_sizes.append(ds.mn + 1)
             self._det_cache[key] = ds
@@ -118,8 +120,7 @@ class EvolvedState:
         """`hankel.plane_jost` over the uniform nodes x, by default at the spacing of x[0]."""
         if delta0 is None:
             delta0 = self.fixed_delta(float(x[0]))
-        sol = plane_jost(self.poles, self.kernel(2.0 * min(float(x[0]), 0.0) - 2.0), self.t,
-                         x, ks, self.m_op, delta0)
+        sol = plane_jost(self.poles, self.kernel, self.t, x, ks, self.m_op, delta0)
         self.operator_sizes.extend(sol.sizes.tolist())
         self.log_det_phase_max = max(self.log_det_phase_max,
                                      float(np.max(np.abs(sol.log_det.imag))))

@@ -111,20 +111,19 @@ class ResidueResult:
     classification: str              # "simple" or "regular"
 
 
-def left_reference(spec: PotentialSpec, k: complex, x: float,
-                   left_cut: float | None = None):
+def left_reference(spec: PotentialSpec, k: complex, x: float):
     """(value, derivative) of an independent left-side solution at x.
 
     For the explicit family this is its closed-form left Jost solution; for the
     zero potential it is the plane wave e^{-ikx}; sampled potentials fall back
-    to a left-cutoff plane wave continued by integration.
+    to the plane wave left of their first sample, continued by integration.
     """
     if spec.kind == sch.KIND_WVN:
         return wvn.left_jost_closed(spec.rho, x, k)
     if spec.kind == sch.KIND_ZERO:
         return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
-    if spec.kind == sch.KIND_SAMPLED or left_cut is not None:
-        cut = left_cut if left_cut is not None else float(spec.sample_x[0])
+    if spec.kind == sch.KIND_SAMPLED:
+        cut = float(spec.sample_x[0])
         if x <= cut:
             return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
         y0 = (np.exp(-1j * k * cut), -1j * k * np.exp(-1j * k * cut))
@@ -143,8 +142,7 @@ def left_weyl(spec: PotentialSpec, k: float, grid: Grid, r_value: complex) -> Wa
     return WaveField(grid, k, vals, ders)
 
 
-def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0,
-                            left_cut: float | None = None):
+def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0):
     """Reflection and transmission coefficients (R(k), T(k)) at momenta k.
 
     Both come from one Wronskian pair per momentum, with psi the right Jost
@@ -158,7 +156,7 @@ def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0,
     """
     k = np.asarray(k)
     pv, pd = right_jost_at(spec, k, x_eval)
-    lv, ld = left_reference(spec, k, x_eval, left_cut=left_cut)
+    lv, ld = left_reference(spec, k, x_eval)
     w_den = lv * pd - ld * pv                      # W(phi, psi)
     w_num = lv * np.conj(pd) - ld * np.conj(pv)    # W(phi, conj psi)
     # a relative test: |W| >= 1e-8 also keeps T = 2ik/W finite
@@ -170,10 +168,9 @@ def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0,
     return -w_num / w_den, 2j * k / w_den
 
 
-def reflection_from_wronskians(spec: PotentialSpec, k: float,
-                               x_eval: float = -4.0, left_cut: float | None = None) -> complex:
+def reflection_from_wronskians(spec: PotentialSpec, k: float, x_eval: float = -4.0) -> complex:
     """Right reflection coefficient R(k) at real k (see `scattering_coefficients`)."""
-    return scattering_coefficients(spec, k, x_eval, left_cut)[0]
+    return scattering_coefficients(spec, k, x_eval)[0]
 
 
 def reflection_at_resonance(spec: PotentialSpec, omega: float,
@@ -190,21 +187,19 @@ def reflection_at_resonance(spec: PotentialSpec, omega: float,
     return complex((16 * r2 - r1) / 15)
 
 
-def transmission(spec: PotentialSpec, k: float, x_eval: float = -4.0,
-                 left_cut: float | None = None) -> complex:
+def transmission(spec: PotentialSpec, k: float, x_eval: float = -4.0) -> complex:
     """Transmission coefficient T(k) = 2ik / W(psi_-, psi) (see `scattering_coefficients`)."""
-    return scattering_coefficients(spec, k, x_eval, left_cut)[1]
+    return scattering_coefficients(spec, k, x_eval)[1]
 
 
-def greens_diagonal(spec: PotentialSpec, k: complex, x: float,
-                    left_cut: float | None = None) -> complex:
+def greens_diagonal(spec: PotentialSpec, k: complex, x: float) -> complex:
     """Diagonal Green's function g(k^2, x) = psi(x) Psi_-(x) / W(psi, Psi_-).
 
     The left Weyl representative's scale cancels in the ratio.  Valid for
     Im k > 0 and for real k away from singular momenta.
     """
     pv, pd = right_jost_at(spec, k, x)
-    lv, ld = left_reference(spec, k, x, left_cut=left_cut)
+    lv, ld = left_reference(spec, k, x)
     w = pv * ld - pd * lv
     if abs(w) < 1e-12 * max(1.0, abs(pv * ld)):
         raise DegenerateWronskianError(f"degenerate Wronskian in greens_diagonal at k={k}")
@@ -222,8 +217,7 @@ def potential_recovery_diagnostic(spec: PotentialSpec, x: float, kappa: float) -
     return float(np.real(2.0 * kappa**2 * (1.0 - 2.0 * kappa * g)))
 
 
-def m_functions(spec: PotentialSpec, lam: complex, a: float,
-                left_cut: float | None = None) -> MFunctionSample:
+def m_functions(spec: PotentialSpec, lam: complex, a: float) -> MFunctionSample:
     """Dirichlet m-functions m_+/- (lam, a) and the Neumann function -1/m_+."""
     if np.imag(lam) <= 0:
         raise ValidationError("m_functions require Im lam > 0")
@@ -231,7 +225,7 @@ def m_functions(spec: PotentialSpec, lam: complex, a: float,
     if k.imag < 0:
         k = -k
     pv, pd = right_jost_at(spec, k, a)
-    lv, ld = left_reference(spec, k, a, left_cut=left_cut)
+    lv, ld = left_reference(spec, k, a)
     if abs(pv) < 1e-13 * max(1.0, abs(pd)) or abs(lv) < 1e-13 * max(1.0, abs(ld)):
         raise PoleAtSampleError(f"a Weyl solution vanishes at the sample point a={a}")
     m_plus = complex(pd / pv)

@@ -134,7 +134,7 @@ def test_evolve_seed_only(tmp_path):
     qc = wvn.q_seed(2.0, data[t0, 0])
     assert np.max(np.abs(data[t0, 2] - qc)) < 1e-3
     diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
-    # sizes actually used: operator nodes mn + 1, and the t > 0 kernel table
+    # sizes actually used: operator nodes mn + 1, and the t > 0 kernel lattices and rules
     for key in ("t=0.0", "t=0.02"):
         lo, hi = diag[key]["operator_points_min"], diag[key]["operator_points_max"]
         assert 200 < lo <= hi <= 1601
@@ -158,7 +158,8 @@ def test_evolve_seed_only(tmp_path):
     assert diag["t=0.02"]["plane_operator_spacing"] == pytest.approx(0.1, abs=1e-12)
     assert diag["t=0.02"]["plane_chains"] == 1
     assert diag["t=0.02"]["plane_factor_points"] == [261]
-    assert diag["t=0.02"]["kernel_u_points"] > 1000
+    # the plane's one kernel lattice: 2 * 260 + 1 points at delta
+    assert diag["t=0.02"]["kernel_u_points"] == 521
     sizes = diag["t=0.02"]["kernel_contour_points"]
     assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
     # with a state, the plane on [-45, 3] at spacing 1 > 0.22 is one chain at

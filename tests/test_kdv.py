@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,22 +50,77 @@ def test_pole_data():
     assert abs(sum(poles.low_res) + poles.r_star) < 1e-12
 
 
+# a lattice whose nodes miss the 0.02 grid that t > 0 kernels were once tabulated
+# on: anchored at 2 * 2.013, step 0.2, from u ~ -100 to u ~ 36
+OFF_GRID_U = 2 * 2.013 + 0.2 * np.arange(-520, 161)
+
+
 @pytest.mark.parametrize("t", [0.02, 0.045])
 def test_kernel_table_matches_direct_contour_sum(t):
     # oracle: the contour sum (1/2 pi) sum_j w_j R(z_j) e^{8 i z_j^3 t} (i z_j)^d e^{i z_j u},
-    # summed term by term at table nodes on each side of u = 0
+    # summed term by term at lattice nodes on each side of u = 0
     poles = PoleData.for_rho(RHO)
-    tab = KernelTable(poles, t, -100.0, 36.0)
+    tab = KernelTable(poles, t, OFF_GRID_U)
     assert set(tab.sides) == {"u>=0", "u<0"}
+    assert np.array_equal(tab.u_grid, OFF_GRID_U) and tab.values.shape == (2, OFF_GRID_U.size)
     for sl, z, w in tab.sides.values():
-        u = tab.u_grid[sl]
-        u = u[(u >= -100.0) & (u <= 36.0)]
-        u = u[np.linspace(0, len(u) - 1, 8).round().astype(int)]
+        nodes = np.arange(OFF_GRID_U.size)[sl]
+        nodes = nodes[np.linspace(0, len(nodes) - 1, 8).round().astype(int)]
         refl = -1j * RHO / (z * (z * z - 1.0) + 1j * RHO)
-        terms = (w * refl * np.exp(8j * z**3 * t) / (2 * np.pi))[None, :] * np.exp(1j * np.outer(u, z))
+        terms = ((w * refl * np.exp(8j * z**3 * t) / (2 * np.pi))[None, :]
+                 * np.exp(1j * np.outer(OFF_GRID_U[nodes], z)))
         for d in (0, 1):
             direct = (terms * (1j * z) ** d).sum(axis=1)
-            assert np.max(np.abs(tab(u, d) - direct)) <= 1e-9
+            assert np.max(np.abs(tab.values[d, nodes] - direct)) <= 1e-9
+
+
+@pytest.mark.parametrize("rho", [0.3, 2.0, 5.0])
+def test_kernel_table_far_left_rounding(rho):
+    # the u < 0 sums cancel down to K e^{b u} before e^{-b u} restores K, so the
+    # table caps b |u[0]| at 11.  Oracle: at every u < 0 node a direct trapezoid
+    # sum on Im z = min(0.12 ystar, 2 / |u|), where that factor is at most e^2
+    # (the integral does not depend on the height between the real axis and
+    # i ystar), whose Gaussian damping at its ends and whose aliases of the
+    # real axis and of the pole i ystar are each at most e^{-40} of K
+    t, poles = 0.02, PoleData.for_rho(rho)
+    y = poles.ystar
+    tab = KernelTable(poles, t, OFF_GRID_U)
+    sl, z, _ = tab.sides["u<0"]
+    assert z.imag[0] == pytest.approx(min(0.12 * y, 11.0 / -OFF_GRID_U[0]), rel=1e-12)
+    scale = np.max(np.abs(tab.values), axis=1)
+    for u, kernel in zip(OFF_GRID_U[sl], tab.values[:, sl].T):
+        b = min(0.12 * y, 2.0 / -u)
+        s = math.sqrt(40.0 / (24.0 * t * b)) + 4.0
+        n = math.ceil(s / (2 * np.pi) * max(40.0 / b, (40.0 - y * u) / (y - b)))
+        sig, h = np.linspace(-s, s, 2 * n + 1, retstep=True)
+        zz = sig + 1j * b
+        f = poles.reflection(zz) * np.exp(1j * zz * (8 * t * zz * zz + u)) * h / (2 * np.pi)
+        direct = np.array([f.sum(), (1j * zz * f).sum()])
+        assert np.all(np.abs(kernel - direct) <= 1e-10 * scale)
+
+
+def test_kernel_tables_agree_on_overlapping_lattices():
+    # half the step and a shorter reach left: other heights and rules on both
+    # sides of u = 0, the same kernel at every node the two lattices share (on
+    # u >= 0 only since the rule's spacing bounds the alias of the pole i ystar:
+    # sized from the wide lattice's reach u ~ 36 alone, it let in 3.8e-12)
+    poles = PoleData.for_rho(RHO)
+    wide = KernelTable(poles, 0.02, OFF_GRID_U)
+    fine = KernelTable(poles, 0.02, 2 * 2.013 + 0.1 * np.arange(-560, 761))
+    assert wide.sides["u<0"][1].imag[0] != fine.sides["u<0"][1].imag[0]
+    shared = np.arange(-280, 161)                  # lattice indices j of 2 * 2.013 + 0.2 j
+    assert np.allclose(wide.u_grid[shared + 520], fine.u_grid[2 * shared + 560], rtol=0, atol=1e-12)
+    gap = np.abs(wide.values[:, shared + 520] - fine.values[:, 2 * shared + 560])
+    assert np.all(gap <= 1e-12 * np.max(np.abs(wide.values), axis=1)[:, None])
+
+
+def test_kernel_table_needs_a_uniform_ascending_lattice():
+    poles = PoleData.for_rho(RHO)
+    bumped = OFF_GRID_U.copy()
+    bumped[300] += 1e-4
+    for u in (OFF_GRID_U[::-1], bumped, OFF_GRID_U[:1], np.append(OFF_GRID_U, 40.0)):
+        with pytest.raises(ValidationError, match="uniform and ascending"):
+            KernelTable(poles, 0.02, u)
 
 
 @given(st.floats(0.3, 5.0), st.floats(0.0, hankel.T_MAX, exclude_min=True))
@@ -72,9 +129,8 @@ def test_kernel_is_real(rho, t):
     # the seed is real, so each symmetric contour rule sums conjugate pairs and
     # KernelTable keeps the real part; what it drops is rounding of the chirp-z
     # sums: within 1e-12 of kappa(u) = e^{-b u} sum_j |f_j|, the size of their
-    # largest terms (at rho = 5, e^{-b u} reaches e^{18} on the far left, where
-    # Im is 1.5e-7 of max |Re| and still 5e-14 of kappa)
-    state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
+    # largest terms (e^{-b u} reaches e^{11} on the far left)
+    poles = PoleData.for_rho(rho)
     chirp_z_sums, sums = hankel._chirp_z_sums, []
 
     def recording_sums(*args, **kwargs):
@@ -83,30 +139,19 @@ def test_kernel_is_real(rho, t):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hankel, "_chirp_z_sums", recording_sums)
-        tab = state.kernel()
+        tab = KernelTable(poles, t, OFF_GRID_U)
     assert len(sums) == len(tab.sides) == 2
     for (sl, z, w), s in zip(tab.sides.values(), sums):
         damp = np.exp(-z.imag[0] * tab.u_grid[sl])
-        f = np.abs(state.poles.reflection(z) * np.exp(8j * z**3 * t) * w) / (2 * np.pi)
+        f = np.abs(poles.reflection(z) * np.exp(8j * z**3 * t) * w) / (2 * np.pi)
         kappa = np.outer(np.abs(z) ** np.arange(2)[:, None] @ f, damp)
         assert np.all(np.abs(s.imag) * damp <= 1e-12 * kappa)
         for d in (0, 1):
             kept = s[d].real * damp
-            assert np.max(np.abs(tab(tab.u_grid[sl], d) - kept)) <= 1e-14 * np.max(np.abs(kept))
+            assert np.max(np.abs(tab.values[d, sl] - kept)) <= 1e-14 * np.max(np.abs(kept))
     u = np.linspace(-20.0, 5.0, 101)
-    for d in (0, 1):
-        assert state.poles.kernel_low_t0(u, d).dtype == np.float64
-
-
-def test_kernel_table_is_zero_right_of_its_end():
-    # the plane's windows reach u ~ 122, far right of the table (u <= 32/ystar + 4);
-    # the u >= 0 side decays like e^{-0.9 ystar u}, so K there is below the table's last value
-    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
-    tab = state.kernel()
-    assert np.all(tab(np.array([60.0, 122.0])) == 0.0)
-    assert abs(tab(tab.u_grid[-1:])[0]) <= 1e-15
-    with pytest.raises(ValidationError, match="left of its table"):
-        tab(np.array([tab.u_grid[0] - 1.0]))
+    rows = poles.kernel_low_t0(u)
+    assert rows.dtype == np.float64 and rows.shape == (2, u.size)
 
 
 def test_dyson_seed_values(state0):
@@ -150,11 +195,21 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None):
     for g and log det, and at t > 0 for gx.  Every plane reads its nodes off
     one forward and one transposed backward substitution per chain, at t > 0
     with the factor's two triangular inverses (`dtrtri`, two per chain), so
-    neither count grows with the nodes.  nodes picks the nodes compared (all
-    by default).  Returns the plane.
+    neither count grows with the nodes.  The plane calls its kernel once;
+    `DetState` and the one-node plane read their rows off that lattice's, so
+    that both sides compare the linear algebra on identical kernel values.
+    nodes picks the nodes compared (all by default).  Returns the plane.
     """
     state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
-    kernel = state.kernel(2.0 * min(x[0], 0.0) - 2.0)
+    lattice = []
+
+    def kernel(u):
+        if not lattice:
+            lattice.extend([u, state.kernel(u)])
+        j = np.rint((u - lattice[0][0]) / (lattice[0][1] - lattice[0][0])).astype(int)
+        assert np.max(np.abs(lattice[0][j] - u)) <= 1e-9
+        return lattice[1][:, j]
+
     ks = np.array([1.0 + 0.0j])
     swaps, substitutions, inverses = [], [], []
 

@@ -62,7 +62,7 @@ def test_batched_scattering_properties(rho, ks):
 def test_scattering_coefficients_names_degenerate_momentum(monkeypatch, wvn_spec):
     # a left reference proportional to psi makes W(phi, psi) vanish
     monkeypatch.setattr(sct, "left_reference",
-                        lambda spec, k, x, left_cut=None: right_jost_at(spec, k, x))
+                        lambda spec, k, x: right_jost_at(spec, k, x))
     with pytest.raises(DegenerateWronskianError, match="k=1.7"):
         sct.scattering_coefficients(wvn_spec, np.array([1.7, 2.1]))
 
