@@ -253,7 +253,7 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         # the phi-plane's chains, or of a chain of each x's own
         start = perf_counter()
         if states:
-            plane = kdv.evolved_phi_plane(state, pg)
+            plane = kdv.evolved_phi_plane(state, pg, read_from=grid.x_min)
             solved = perf_counter()
             q = plane.q_at(grid.x)
             q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
@@ -278,8 +278,9 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
         if states or t > 0:
-            diag["plane_nodes"] = (plane.grid if states else grid).n_points
-            diag["plane_spacing"] = (plane.grid if states else grid).spacing
+            # the nodes solved: with a state, chain 0's left of the phi-plane's window and its own
+            diag["plane_nodes"] = plane.solved if states else grid.n_points
+            diag["plane_spacing"] = (pg if states else grid).spacing
             diag["plane_operator_spacing"] = plane.delta
             diag["plane_chains"] = len(plane.factor_points)
             diag["plane_factor_points"] = list(plane.factor_points)
@@ -355,7 +356,8 @@ def _verify_checks(rho, alpha, estimates):
     rr = scattering.residue_at(1.0, fam, delta0=1e-2)
     estimates["residue_error_estimate"] = float(rr.error_estimate)
     cum, left, right, _ = darboux.tail_closed_gram(
-        grid, [np.real(rr.residue.values)], [np.real(rr.residue.derivs)], [1.0], right=True)
+        grid.x, grid.spacing, [np.real(rr.residue.values)], [np.real(rr.residue.derivs)], [1.0],
+        right=True)
     norm = math.sqrt(cum[-1, 0, 0] + left[0, 0] + right[0, 0])
     yield row("residue-norming-constant", abs(norm - abs(alpha)), 1e-4)
 

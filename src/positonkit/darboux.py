@@ -130,7 +130,7 @@ class TransformResult:
     def eigenfunction_norms(self, tail_window: float = DEFAULT_TAIL_WINDOW) -> np.ndarray:
         """L2 norms of the eigenfunctions, grid quadrature plus fitted tails."""
         cum, left, right, _ = tail_closed_gram(
-            self.grid, [np.real(y.values) for y in self.y_fields],
+            self.grid.x, self.grid.spacing, [np.real(y.values) for y in self.y_fields],
             [np.real(y.derivs) for y in self.y_fields], [s.omega for s in self.states],
             tail_window, right=True)
         return np.sqrt(np.diagonal(cum[-1] + left + right))
@@ -183,7 +183,8 @@ class PoleCheckReport:
 def cumulative_corrected_trapezoid(f, fp, h):
     """Cumulative integral from the first node, trapezoid + derivative correction.
 
-    Per-interval rule h(f0+f1)/2 + h^2 (f0'-f1')/12, locally O(h^5).
+    Per-interval rule h(f0+f1)/2 + h^2 (f0'-f1')/12, locally O(h^5); h is the
+    nodes' spacing, a scalar or one per interval.
     """
     f = np.asarray(f)
     fp = np.asarray(fp)
@@ -194,17 +195,18 @@ def cumulative_corrected_trapezoid(f, fp, h):
     return out
 
 
-def tail_closed_gram(grid: Grid, values, derivs, omegas,
+def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas,
                      tail_window: float = DEFAULT_TAIL_WINDOW, right: bool = False):
     """Tail-closed integrals of the products f_m f_l of real oscillatory fields.
 
+    The fields are sampled at the ascending nodes x, whose spacing h is a scalar
+    or one per interval (`cumulative_corrected_trapezoid`).
     Returns (cum, left, right_tail, fits): cum[:, m, l] is the corrected
     trapezoid integral of f_m f_l from x_min to each node, left[m, l] the
     (-inf, x_min] piece from the `TailFit` models fitted on the leftmost
     `tail_window`, right_tail[m, l] the [x_max, inf) piece when `right` is set
     (else None), and fits the left fits.  Callers combine the three pieces.
     """
-    x = grid.x
     if x[0] + tail_window > 0.5 * (x[0] + x[-1]):
         raise ValidationError(
             f"the {tail_window}-unit tail window reaches past the midpoint of the grid "
@@ -215,13 +217,13 @@ def tail_closed_gram(grid: Grid, values, derivs, omegas,
         windows.append(("right", x >= x[-1] - tail_window))
     fits = [[fit_oscillatory_tail(x[win], v[win], w, side) for v, w in zip(values, omegas)]
             for side, win in windows]
-    cum = np.empty((grid.n_points, n, n))
+    cum = np.empty((len(x), n, n))
     tails = np.empty((len(windows), n, n))
     for m in range(n):
         for l in range(m, n):
             dprod = derivs[m] * values[l] + values[m] * derivs[l]
             cum[:, m, l] = cum[:, l, m] = cumulative_corrected_trapezoid(
-                values[m] * values[l], dprod, grid.spacing)
+                values[m] * values[l], dprod, h)
             for i, f in enumerate(fits):
                 tails[i, m, l] = tails[i, l, m] = (f[m].self_integral() if m == l
                                                    else f[m].cross_integral(f[l]))
@@ -263,9 +265,9 @@ def gram_plus(phis: list, alphas, grid: Grid | None = None,
             raise ValidationError("all phi fields must share the grid")
     if omegas is None:
         omegas = [float(np.real(f.k)) for f in phis]
-    cum, left, _, fits = tail_closed_gram(grid, [np.real(f.values) for f in phis],
-                                          [np.real(f.derivs) for f in phis], omegas,
-                                          tail_window)
+    cum, left, _, fits = tail_closed_gram(grid.x, grid.spacing,
+                                          [np.real(f.values) for f in phis],
+                                          [np.real(f.derivs) for f in phis], omegas, tail_window)
     weights = np.outer(alphas, alphas)
     return GramField(grid, weights * (cum + left), weights * left, fits)
 
@@ -413,7 +415,7 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
     for n, s in enumerate(states):
         a = s.alpha
         # row 0: the integrals of phi_n against itself and the remaining phi_j
-        cum, left, _, _ = tail_closed_gram(ext, cur_v[n:], cur_d[n:],
+        cum, left, _, _ = tail_closed_gram(ext.x, ext.spacing, cur_v[n:], cur_d[n:],
                                            [st.omega for st in states[n:]], tail_window)
         u, y, ydash, dq = single_state_step(a, cur_v[n], cur_d[n], left[0, 0] + cum[:, 0, 0])
         log_det_total += np.log(u)
@@ -555,7 +557,8 @@ def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
         omegas = [float(np.real(y.k)) for y in eigenfunctions]
     vals = [np.real(y.values) for y in eigenfunctions]
     ders = [np.real(y.derivs) for y in eigenfunctions]
-    cum, left, right, _ = tail_closed_gram(grid, vals, ders, omegas, tail_window, right=True)
+    cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, vals, ders, omegas, tail_window,
+                                           right=True)
     ortho = left + cum[-1] + right
     gbar = right + (cum[-1] - cum)
     dev = np.max(np.abs(ortho - np.eye(n)))

@@ -235,17 +235,17 @@ class KernelTable:
             self.values[:, sl] = sums.real * np.exp(-b * u_here)
 
 
-def operator_spacing(y: float, x: float, m_op: int, delta_cap: float | None = None):
-    """Operator width needed at x and the default spacing.
+def operator_spacing(y: float, x, m_op: int, delta_cap: float | None = None):
+    """Operator width needed at x and the default spacing, elementwise over an array x.
 
     The solution density lives on [0, 2|x|]; the width adds a decay margin
     beyond it.  Returns (w_needed, min(w_needed / m_op, delta_cap)), the cap
     being 0.22 / max(y, 1) unless given.
     """
-    w_needed = 2.0 * max(0.0, -x) + U_DECAY_TARGET / (2.0 * y)
+    w_needed = 2.0 * np.maximum(0.0, -x) + U_DECAY_TARGET / (2.0 * y)
     if delta_cap is None:
         delta_cap = 0.22 / max(y, 1.0)
-    return w_needed, min(w_needed / m_op, delta_cap)
+    return w_needed, np.minimum(w_needed / m_op, delta_cap)
 
 
 def kink_spacing(x: float, delta: float) -> float:
@@ -274,9 +274,9 @@ def _within_cap(mn: int) -> int:
     return mn
 
 
-def _operator_intervals(w_needed: float, delta: float, m_op: int) -> int:
-    """Intervals mn of an operator grid of spacing delta covering the width w_needed."""
-    return max(m_op, int(math.ceil(w_needed / delta)))
+def _operator_intervals(w_needed, delta: float, m_op: int):
+    """Intervals mn of an operator grid of spacing delta covering the width w_needed, per element."""
+    return np.maximum(m_op, np.ceil(w_needed / delta).astype(int))
 
 
 def _resonance_border(poles: PoleData, x, t: float):
@@ -312,7 +312,7 @@ class DetState:
             delta = fixed_delta
         elif t == 0.0 and x < -THIN_SUPPORT_X:
             delta = kink_spacing(x, delta)
-        mn = _within_cap(_operator_intervals(w_needed, delta, m_op))
+        mn = _within_cap(int(_operator_intervals(w_needed, delta, m_op)))
         self.fixed_delta = fixed_delta
         self.delta, self.mn = delta, mn
         self.xi = np.arange(mn + 1) * delta
@@ -398,11 +398,14 @@ class PlaneJost:
     are None; q is then a second difference of log_det along a chain
     (`kdv.dyson_q`).  log_det is complex, its imaginary part the phase of
     the real determinant: exactly 0 for a positive one, pi for a negative
-    one.  sizes holds mn + 1 of each node's system and factor_points that of
-    each chain's one factorization.  pivot_margin, near 0 near a singular node, is the least
-    min |u_ii| / max |u_ii| on a node's leading rows or |sigma| / (|1/Gamma'| + |row.z|).
+    one.  nodes holds the indices into the plane's x of the nodes solved, in
+    increasing x, and every array is over them.  sizes holds mn + 1 of each
+    node's system and factor_points that of each chain's one factorization.
+    pivot_margin, near 0 near a singular node, is the least min |u_ii| / max |u_ii|
+    on a node's leading rows or |sigma| / (|1/Gamma'| + |row.z|).
     """
 
+    nodes: np.ndarray
     g: np.ndarray
     gx: np.ndarray | None
     q: np.ndarray | None
@@ -434,14 +437,18 @@ def plane_spacing(t: float, h: float, delta0: float):
 
 
 def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
-               delta0: float) -> PlaneJost:
-    """The fixed-grid GLM solves of `DetState` at every node of the uniform grid x.
+               delta0: float, window: int = 0) -> PlaneJost:
+    """The fixed-grid GLM solves of `DetState` at the nodes of the uniform grid x.
 
-    x may be a single node, which then gets the spacing delta0.  Only the
-    read-outs g and gx are complex.  kernel maps a uniform lattice u to the
-    rows [K, K'] there (`EvolvedState.kernel`).  It is called once, on the
+    Chain 0 (nodes 0, chains, 2 chains, ...) is solved over all of x, chain
+    r >= 1 only over the window x[window:] (window a multiple of chains), from
+    node window + r on: the nodes solved (`PlaneJost.nodes`) are x[:window:chains]
+    and x[window:].  x may be a single node, which then gets the spacing delta0.
+    Only the read-outs g and gx are complex.  kernel maps a uniform lattice u to
+    the rows [K, K'] there (`EvolvedState.kernel`).  It is called once, on the
     lattice 2 x[0] + j c delta / chains with c = gcd(2, chains), whose nodes
-    j = (2r + chains i) / c are chain r's window u = 2 x[r] + i delta.
+    j = (2s + chains i) / c are the window u = 2 x[s] + i delta of the chain
+    whose first node is s.
 
     The operator spacing delta is commensurate with the plane spacing
     (`plane_spacing`).  At t = 0 2 x[0] / delta must be integral (or
@@ -452,8 +459,9 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     row and column dropped, so every node's regular core is a trailing block
     of the core of the chain's leftmost node, whose window ends where the
     widest node needs it (no node gets less than `DetState` gives it at this
-    spacing).  The reversed core J(I + H diag(w))J is factored once, and its
-    leading blocks then factor every node's core:
+    spacing), so a chain that starts at the window gets a factor of the window's
+    size.  The reversed core J(I + H diag(w))J is factored once, and its leading
+    blocks then factor every node's core:
       * the node's own left end corrections of `em_weights` enter as a rank-5
         (Woodbury) update of the factor's last five columns;
       * the resonance border enters as a 1 x 1 Schur complement;
@@ -473,10 +481,11 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     n = len(x)
     chains, stride, delta = plane_spacing(t, (x[-1] - x[0]) / (n - 1) if n > 1 else delta0,
                                           delta0)
-    # each node's rows from its chain's leftmost node, and those `DetState` gives it at delta
-    steps = np.arange(n) // chains * stride
-    needed = np.array([_operator_intervals(operator_spacing(poles.ystar, float(xx), m_op)[0],
-                                           delta, m_op) for xx in x])
+    if window % chains or not 0 <= window < n:
+        raise ValidationError(f"the window must start on a chain-0 node of the {n} nodes, "
+                              f"got node {window} with {chains} chains")
+    # the rows `DetState` gives each node at delta
+    needed = _operator_intervals(operator_spacing(poles.ystar, x, m_op)[0], delta, m_op)
     # u = 0 is a node of every window u = 2 x + i delta, or x[0] >= 0 puts each right of it
     kink = 2.0 * x[0] / delta
     if t == 0.0 and x[0] < 0.0 and abs(kink - round(kink)) > 1e-8 * max(1.0, abs(kink)):
@@ -487,16 +496,19 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     gx = np.empty((n, len(ks)), complex) if t > 0 else None
     q = np.empty(n) if t > 0 else None
     log_det = np.empty(n, complex)
-    chain_nodes = [np.arange(r, n, chains) for r in range(min(chains, n))]
-    big_ns = [_within_cap(int(np.max(steps[nodes] + needed[nodes]))) for nodes in chain_nodes]
-    # chain r's window is the lattice nodes 2r / c + (chains / c) i
+    chain_nodes = [np.arange(window + r if r else 0, n, chains) for r in range(chains)]
+    chain_nodes = [nodes for nodes in chain_nodes if nodes.size]
+    # each node's rows from its chain's leftmost node
+    steps = [(nodes - nodes[0]) // chains * stride for nodes in chain_nodes]
+    big_ns = [_within_cap(int(np.max(st + needed[nodes]))) for nodes, st in zip(chain_nodes, steps)]
+    # the window of the chain whose first node is s is the lattice nodes 2s / c + (chains / c) i
     c = math.gcd(2, chains)
-    first, skip = [2 * r // c for r in range(len(chain_nodes))], chains // c
+    first, skip = [2 * int(nodes[0]) // c for nodes in chain_nodes], chains // c
     size = max(j + skip * 2 * big_n for j, big_n in zip(first, big_ns)) + 1
     rows = kernel(2.0 * x[0] + np.arange(size) * (c * delta / chains))
     margin = 1.0
-    for nodes, j, big_n in zip(chain_nodes, first, big_ns):
-        sizes[nodes] = big_n - steps[nodes] + 1
+    for nodes, st, j, big_n in zip(chain_nodes, steps, first, big_ns):
+        sizes[nodes] = big_n - st + 1
         h0_rev, h1_rev = rows[:, j:j + skip * 2 * big_n + 1:skip][:, ::-1]
         w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
         core = np.empty((big_n + 1, big_n + 1), order="F")
@@ -520,7 +532,10 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
         inv_gamma = _resonance_border(poles, x[nodes], t)[2]     # sigma = -inv_gamma - row.z
         border = np.abs(sigma) / (inv_gamma + np.abs(sigma + inv_gamma))
         margin = min(margin, float(np.min(np.minimum(pivots, border))))
-    return PlaneJost(g, gx, q, log_det, delta, tuple(b + 1 for b in big_ns), sizes, margin)
+    solved = np.r_[0:window:chains, window:n]
+    return PlaneJost(solved, g[solved], None if gx is None else gx[solved],
+                     None if q is None else q[solved], log_det[solved], delta,
+                     tuple(b + 1 for b in big_ns), sizes[solved], margin)
 
 
 def _node_corners(lu, w0, k):

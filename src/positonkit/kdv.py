@@ -8,8 +8,8 @@ is a sixth-order second difference of the log-determinants that the same
 chained solves give at every node.  The one-state evolved insertion adds
 -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2)), phi(s,t) = 2 Im[e^{4 i omega^3 t}
 psi(s,t,omega)], solved on a phi-plane whose nodes `phi_plane_grid` lays out and
-whose read-outs serve any x.  An independent pseudospectral split-step
-integrator and centered-stencil PDE residuals close the loop.
+whose read-outs serve any x of its output window.  An independent pseudospectral
+split-step integrator and centered-stencil PDE residuals close the loop.
 
 Validated time range: t in [0, 0.05] at the default discretization; larger t
 needs contour re-tuning and is rejected beyond T_MAX.
@@ -116,11 +116,12 @@ class EvolvedState:
         """DetState's default operator spacing at x_min, held fixed for solves at x >= x_min."""
         return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[1]
 
-    def glm_plane(self, x: np.ndarray, ks=(), delta0: float | None = None) -> PlaneJost:
+    def glm_plane(self, x: np.ndarray, ks=(), delta0: float | None = None,
+                  window: int = 0) -> PlaneJost:
         """`hankel.plane_jost` over the uniform nodes x, by default at the spacing of x[0]."""
         if delta0 is None:
             delta0 = self.fixed_delta(float(x[0]))
-        sol = plane_jost(self.poles, self.kernel, self.t, x, ks, self.m_op, delta0)
+        sol = plane_jost(self.poles, self.kernel, self.t, x, ks, self.m_op, delta0, window)
         self.operator_sizes.extend(sol.sizes.tolist())
         self.log_det_phase_max = max(self.log_det_phase_max,
                                      float(np.max(np.abs(sol.log_det.imag))))
@@ -195,14 +196,16 @@ def _jost_readout(x, ks: np.ndarray, g, gx=None):
 
 @dataclass
 class EvolvedPlane:
-    """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on an s-grid.
+    """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on the window of a phi-plane.
 
-    delta is the operator spacing of the plane's chained GLM solves and factor_points
-    the size of each chain's one factorization (`hankel.plane_jost`).  q is the evolved
-    seed from the same solves: the GLM read-out at t > 0; at t = 0 the chains'
-    log-determinant second difference (`_plane_chain_q`), NaN where they cannot serve.
-    The read-outs (`fields`, `q_at`) take x in [grid.x_min, grid.x_max]: node values at a node,
-    else phi, phi_x and I from their quintic spline and q, as at NaN nodes, from `dyson_q`.
+    grid is the window, the nodes solved on every chain (`evolved_phi_plane`);
+    solved counts them with chain 0's nodes left of it.  delta is the operator
+    spacing of the plane's chained GLM solves and factor_points the size of each
+    chain's one factorization (`hankel.plane_jost`).  q is the evolved seed from the
+    same solves: the GLM read-out at t > 0; at t = 0 the chains' log-determinant
+    second difference (`_plane_chain_q`), NaN where they cannot serve.  The read-outs
+    (`fields`, `q_at`) take x in [grid.x_min, grid.x_max]: node values at a node, else
+    phi, phi_x and I from their quintic spline and q, as at NaN nodes, from `dyson_q`.
     """
 
     state: EvolvedState
@@ -215,6 +218,7 @@ class EvolvedPlane:
     q: np.ndarray
     delta: float
     factor_points: tuple
+    solved: int
 
     def index(self, x):
         """(x, j, on): x as an array, the node nearest each x and whether x is that node."""
@@ -255,6 +259,7 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
     the least l that fits, in closed form from the widest nodes' rows; `plane_jost`
     checks them all), and it ends three chain steps past x_max, so that no output
     node reads an edge stencil.  A grid starting left of the plane is a ValidationError.
+    `evolved_phi_plane` solves chain 0 over the whole plane, the others over the output's window.
     """
     h, x_max = grid.spacing, grid.x_max
     if not x_max > PLANE_START:
@@ -285,35 +290,58 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
 
 
 def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
-                      tail_window: float = 20.0) -> EvolvedPlane:
+                      tail_window: float = 20.0, read_from: float | None = None) -> EvolvedPlane:
     """Evaluate the evolved generating function on the plane's own grid, with cumulative norm.
 
     The GLM solves are `EvolvedState.glm_plane`'s chains; a t = 0 grid off their kink
-    lattice (see `phi_plane_grid`) is a ValidationError.  At t = 0, where K' jumps at
-    u = 0, phi_x is a 4th-order centred stencil on the grid, and q is read from the
-    chains' log-determinants where `_plane_chain_q` allows.
+    lattice (see `phi_plane_grid`) is a ValidationError.  Every chain is solved over
+    the window, from the last chain-0 node at or left of read_from - 3 delta - 2 h
+    (h the grid's spacing; read_from, the least x read out, defaults to grid.x_min):
+    room for `_plane_chain_q`'s centred stencil and the t = 0 phi_x stencil.  Left of
+    it, where phi only feeds I and its left tail fit, chain 0 alone is solved, its
+    nodes chains h apart, and I's corrected trapezoid runs at that spacing.  At t = 0,
+    where K' jumps at u = 0, phi_x is a 4th-order centred stencil along chain 0 left
+    of the window and along the window, and q is read from the chains'
+    log-determinants where `_plane_chain_q` allows.  The plane returned holds the window.
     """
     phase = np.exp(4j * omega**3 * state.t)
     ks = np.array([omega], dtype=complex)
-    sol = state.glm_plane(grid.x, ks)
-    q = sol.q if state.t > 0.0 else _plane_chain_q(sol, grid)
-    readout = _jost_readout(grid.x[:, None], ks, sol.g, sol.gx)     # (psi,) at t = 0
+    h = grid.spacing
+    chains, _, delta = plane_spacing(state.t, h, state.fixed_delta(grid.x_min))
+    edge = (grid.x_min if read_from is None else read_from) - 3 * delta - 2 * h
+    lead = max(0, math.floor((edge - grid.x_min) / (chains * h) + 1e-9))    # chain 0's, left of it
+    sol = state.glm_plane(grid.x, ks, window=chains * lead)
+    x = grid.x[sol.nodes]
+    readout = _jost_readout(x[:, None], ks, sol.g, sol.gx)     # (psi,) at t = 0
     phi = 2.0 * np.imag(phase * readout[0][:, 0])
     if state.t > 0.0:
         phi_x = 2.0 * np.imag(phase * readout[1][:, 0])
     else:
-        phi_x = np.gradient(phi, grid.spacing, edge_order=2)
-        phi_x[2:-2] = (phi[:-4] - 8 * phi[1:-3] + 8 * phi[3:-1] - phi[4:]) / (12 * grid.spacing)
-    cum, left, _, fits = tail_closed_gram(grid, [phi], [phi_x], [omega], tail_window)
-    return EvolvedPlane(state, grid, omega, phi, phi_x, left[0, 0] + cum[:, 0, 0], fits[0], q,
-                        sol.delta, sol.factor_points)
+        chain0 = np.concatenate([phi[:lead], phi[lead::chains]])
+        phi_x = np.concatenate([_centred_x(chain0, chains * h)[:lead], _centred_x(phi[lead:], h)])
+    spacings = np.full(x.size - 1, h)
+    spacings[:lead] = chains * h
+    cum, left, _, fits = tail_closed_gram(x, spacings, [phi], [phi_x], [omega], tail_window)
+    window = Grid(x[lead], grid.x_max, x.size - lead)
+    q = sol.q[lead:] if state.t > 0.0 else _plane_chain_q(sol, window, lead)
+    return EvolvedPlane(state, window, omega, phi[lead:], phi_x[lead:],
+                        left[0, 0] + cum[lead:, 0, 0], fits[0], q, sol.delta, sol.factor_points,
+                        x.size)
 
 
-def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
+def _centred_x(f: np.ndarray, h: float) -> np.ndarray:
+    """f' on nodes h apart: the 4th-order centred stencil, 2nd-order at the two end nodes."""
+    out = np.gradient(f, h, edge_order=2)
+    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    return out
+
+
+def _plane_chain_q(sol: PlaneJost, grid: Grid, lead: int) -> np.ndarray:
     """q at the t = 0 plane's nodes from its chains' log-determinants, NaN where they cannot serve.
 
-    A node qualifies when its chain's nodes are delta apart and the centred stencil
-    fits inside the chain.  On x < 0 its inner end, 3 delta nearer x = 0, must keep
+    grid is the window, which starts at solved node lead.  A node qualifies when its
+    chain's nodes are delta apart and the centred stencil fits inside the window.
+    On x < 0 its inner end, 3 delta nearer x = 0, must keep
     2|x| / delta >= KINK_NODES_MIN, off the nodes next to x = 0 where the second
     difference is least accurate; on x > 0, whose windows hold no kink, it need only
     stay right of q's derivative jump at x = 0 (x - 3 delta >= 0).
@@ -326,8 +354,8 @@ def _plane_chain_q(sol: PlaneJost, grid: Grid) -> np.ndarray:
         ends = (nodes >= 3 * chains) & (nodes < grid.n_points - 3 * chains)
         inner = np.rint(2.0 * np.abs(grid.x) / sol.delta) - 2 * offsets[-1]
         nodes = nodes[ends & (inner >= np.where(grid.x < 0.0, KINK_NODES_MIN, 0))]
-        window = nodes[:, None] + chains * offsets
-        q[nodes] = -2.0 * (sol.log_det_real(window) @ weights) / sol.delta**2
+        stencil = lead + nodes[:, None] + chains * offsets
+        q[nodes] = -2.0 * (sol.log_det_real(stencil) @ weights) / sol.delta**2
     return q
 
 

@@ -338,8 +338,9 @@ def write_csv(path, header, columns):
     rows, row_format = np.column_stack(columns), ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(rows), 1024):     # tolist() per block: fast to format, bounded memory
-            fh.writelines(row_format % tuple(row) for row in rows[i:i + 1024].tolist())
+        for i in range(0, len(rows), 1024):     # one % per block: fast to format, bounded memory
+            block = rows[i:i + 1024]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass

@@ -196,15 +196,52 @@ def test_evolve_meta_records_pivot_margin(tmp_path, t, n):
     assert 0.0 <= diag["log_det_phase_max"] < 1e-6
 
 
+def test_evolve_meta_records_the_window_chains(tmp_path):
+    # the evolve_t configuration: two chains at delta = 0.2 over the plane [-45, 2];
+    # chain 0 is solved at all of its 236 nodes and factored for x = -45, chain 1
+    # only over the window from x = -3.8 (29 nodes, 200 intervals past the last)
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 51},
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.02]}}
+    code, prefix = run_cli(tmp_path, "evo_window", cfg, "evolve")
+    assert code == 0
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.02"]
+    assert diag["plane_factor_points"] == [531, 229]
+    assert diag["plane_nodes"] == 236 + 29
+    assert diag["plane_chains"] == 2 and diag["plane_spacing"] == pytest.approx(0.1, abs=1e-15)
+
+
+def test_evolve_window_at_the_plane_start_is_the_whole_plane(tmp_path):
+    # x_min - 3 delta - 2 h = -45.5 lies left of the plane's first node, x = -45:
+    # nothing is left to drop, every chain spans the plane, and the CSV is byte for
+    # byte that of the plane solved throughout (`evolved_phi_plane` without read_from)
+    from positonkit import kdv
+    from positonkit.schrodinger import Grid, write_csv
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -44.7, "x_max": 2.0, "n": 468},
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.02]}}
+    code, prefix = run_cli(tmp_path, "evo_whole", cfg, "evolve")
+    assert code == 0
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.02"]
+    assert diag["plane_nodes"] == 471 and diag["plane_factor_points"] == [531, 530]
+    state = kdv.EvolvedState(0.02, wvn.ExampleParams(2.0, 1.0))
+    grid = Grid(-44.7, 2.0, 468)
+    plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, grid))
+    q = plane.q_at(grid.x)
+    write_csv(tmp_path / "whole.csv", "x,t,q,q_plus",
+              [grid.x, np.full(grid.n_points, 0.02), q, q + kdv.insertion_term(plane, 1.0, grid.x)])
+    assert (tmp_path / "whole.csv").read_bytes() == open(prefix + ".csv", "rb").read()
+
+
 @pytest.mark.parametrize("rho, grid, nodes, spacing", [
-    (2.0, {"x_min": -3.0, "x_max": 2.03, "n": 101}, 943, 0.0503),   # x_max off the kink lattice
-    (2.0, {"x_min": 1.9, "x_max": 2.0, "n": 11}, 1182, 0.04),       # h = 0.01: the plane at 4 h
+    (2.0, {"x_min": -3.0, "x_max": 2.03, "n": 101}, 530, 0.0503),   # x_max off the kink lattice
+    (2.0, {"x_min": 1.9, "x_max": 2.0, "n": 11}, 600, 0.04),        # h = 0.01: the plane at 4 h
     # a kink-aligned grid per node would need 1601 intervals at x = -0.13
-    (0.5, {"x_min": -3.0, "x_max": 2.013, "n": 101}, 946, 0.05013)])
+    (0.5, {"x_min": -3.0, "x_max": 2.013, "n": 101}, 531, 0.05013)])
 def test_evolve_t0_reads_output_nodes_off_a_chained_plane(tmp_path, rho, grid, nodes, spacing):
     # the t = 0 phi-plane has nodes of its own, two chains at delta = 2 l h with
     # the kink on a node of each; the output nodes between its nodes are read
-    # off it, and meet the evolve_t0 workload's bounds
+    # off it, and meet the evolve_t0 workload's bounds.  The nodes solved are
+    # chain 0's left of the window and the window's: the layouts have 943, 1182
+    # and 946 nodes
     cfg = {"potential": dict(WVN_POT, rho=rho), "grid": grid,
            "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.0]}}
     code, prefix = run_cli(tmp_path, "evo_t0", cfg, "evolve")

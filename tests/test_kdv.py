@@ -178,6 +178,17 @@ def test_dyson_determinant_positive():
         assert np.isfinite(state.det_state(x).log_det())
 
 
+def test_operator_intervals_over_a_node_array_match_the_scalar_rule():
+    # plane_jost sizes every node at once; each entry is the scalar rule's
+    # max(m_op, ceil(w / delta)), w = 2 max(0, -x) + 32 / (2 y), the same integer
+    y, m_op, delta = PoleData.for_rho(0.3).ystar, 200, 0.1
+    x = np.concatenate([-45.0 + 0.05 * np.arange(947), [-190.0, -0.0, 0.0, 1e-300]])
+    rows = hankel._operator_intervals(hankel.operator_spacing(y, x, m_op)[0], delta, m_op)
+    scalar = [max(m_op, math.ceil((2.0 * max(0.0, -xx) + 32.0 / (2.0 * y)) / delta)) for xx in x]
+    assert rows.tolist() == scalar
+    assert hankel.operator_spacing(y, -3.0, m_op)[1] == min((6.0 + 32.0 / (2.0 * y)) / m_op, 0.22)
+
+
 def test_operator_grid_cap_is_a_failure(state0):
     # at x = -190 the window 2|x| + 16/ystar needs more than M_OP_CAP intervals;
     # a capped grid would be narrower than the kernel's support
@@ -188,7 +199,7 @@ def test_operator_grid_cap_is_a_failure(state0):
         kdv.evolved_phi_plane(state, Grid(-190.0, -189.0, 11))
 
 
-def _assert_plane_matches_dense(rho, t, x, nodes=None):
+def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
     """plane_jost against a dense LU of each node's own system at its (x, delta, window, weights).
 
     That is `DetState`'s bordered LU at the plane's spacing (order-6 weights),
@@ -198,7 +209,8 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None):
     neither count grows with the nodes.  The plane calls its kernel once;
     `DetState` and the one-node plane read their rows off that lattice's, so
     that both sides compare the linear algebra on identical kernel values.
-    nodes picks the nodes compared (all by default).  Returns the plane.
+    nodes picks the solved nodes compared, by position (all by default);
+    window is `plane_jost`'s.  Returns the plane.
     """
     state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
     lattice = []
@@ -229,7 +241,7 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None):
         mp.setattr(hankel, "solve_triangular", counting(substitutions, solve_triangular))
         mp.setattr(hankel, "dtrtri", counting(inverses, dtrtri))
         sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
-                                state.fixed_delta(x[0]))
+                                state.fixed_delta(x[0]), window)
     assert swaps == [0] * len(sol.factor_points)
     assert len(substitutions) == 2 * len(sol.factor_points)
     assert len(inverses) == (2 * len(sol.factor_points) if t > 0.0 else 0)
@@ -237,8 +249,9 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None):
     if t == 0.0:
         assert sol.gx is None and sol.q is None
     log_det = sol.log_det_real()
-    for j in range(len(x)) if nodes is None else nodes:
-        ds = DetState(state.poles, kernel, float(x[j]), t, int(sol.sizes[j]) - 1,
+    xs = x[sol.nodes]
+    for j in range(len(xs)) if nodes is None else nodes:
+        ds = DetState(state.poles, kernel, float(xs[j]), t, int(sol.sizes[j]) - 1,
                       fixed_delta=sol.delta)
         assert ds.mn + 1 == sol.sizes[j]
         if t == 0.0:
@@ -249,9 +262,9 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None):
         assert abs(sol.g[j, 0] - g[0]) <= 1e-10 * max(1.0, abs(g[0]))
         dense = ds.log_det()
         assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
-        if t > 0.0 and j in (1, len(x) - 1):
+        if t > 0.0 and j in (1, len(xs) - 1):
             # q of a node solved in a block of its chain equals that of the node alone
-            alone = hankel.plane_jost(state.poles, kernel, t, x[j:j + 1], ks, ds.mn, sol.delta)
+            alone = hankel.plane_jost(state.poles, kernel, t, xs[j:j + 1], ks, ds.mn, sol.delta)
             assert abs(sol.q[j] - alone.q[0]) <= 1e-10 * max(1.0, abs(alone.q[0]))
     return sol
 
@@ -263,6 +276,20 @@ def test_plane_jost_matches_dense_solves():
     x = -6.0 + 0.05 * np.arange(41)
     for t in (0.02, 0.0):
         _assert_plane_matches_dense(RHO, t, x)
+
+
+def test_plane_jost_window_matches_dense_solves():
+    # the nodes of the plane above from node 20 on are its window: chain 0 is
+    # solved at all of its 21 nodes, chain 1 from node 21 on (10 nodes), and its
+    # factor is sized by the window alone: the 259 intervals that its first node,
+    # x = -4.95, needs at delta = 0.1, where x = -5.95 needed 279
+    x = -6.0 + 0.05 * np.arange(41)
+    for t in (0.02, 0.0):
+        sol = _assert_plane_matches_dense(RHO, t, x, window=20)
+        assert np.array_equal(sol.nodes, np.r_[0:20:2, 20:41])
+        assert sol.factor_points == (281, 260)
+    with pytest.raises(ValidationError, match="window"):
+        hankel.plane_jost(PoleData.for_rho(RHO), None, 0.02, x, [1.0], 200, 0.22, window=21)
 
 
 @given(st.floats(0.3, 5.0), st.floats(0.005, 0.05), st.sampled_from([0.05, 0.1, 0.3]),
@@ -386,6 +413,57 @@ def test_t_plane_grid_is_the_output_spacing():
     state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
     pg = kdv.phi_plane_grid(state, Grid(-3.0, 2.0, 101))
     assert (pg.x_min, pg.x_max, pg.n_points) == (-45.0, 2.0, 941)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.02])
+@pytest.mark.parametrize("rho", [0.3, 2.0, 5.0])
+def test_split_plane_matches_the_whole_plane(rho, t):
+    # left of the output window only chain 0 is solved, and I and its tail fit
+    # are read off chain 0's nodes there; at every output node q moves by at
+    # most 1e-10 and q_plus by at most 1e-5 from the plane that solves every
+    # chain throughout (at h = 0.05 every plane has two chains or more; at
+    # h = 0.1 the rho = 5 planes have one, and nothing to drop)
+    state = kdv.EvolvedState(t, wvn.ExampleParams(rho))
+    out = Grid(-3.0, 2.0, 101)
+    pg = kdv.phi_plane_grid(state, out)
+    split = kdv.evolved_phi_plane(state, pg, read_from=out.x_min)
+    whole = kdv.evolved_phi_plane(state, pg)
+    assert whole.grid == pg and whole.solved == pg.n_points
+    # the window starts at the last chain-0 node at or left of x_min - 3 delta - 2 h
+    edge = out.x_min - 3 * split.delta - 2 * pg.spacing
+    assert split.grid.x_min - 1e-9 <= edge < split.grid.x_min + split.delta
+    chains = len(split.factor_points)
+    assert split.solved == (pg.n_points - split.grid.n_points) // chains + split.grid.n_points
+    assert np.max(np.abs(split.q_at(out.x) - whole.q_at(out.x))) <= 1e-10
+    assert np.max(np.abs(kdv.q_plus_evolved(split, 1.0, out.x)
+                         - kdv.q_plus_evolved(whole, 1.0, out.x))) <= 1e-5
+
+
+@pytest.mark.parametrize("t, x_min, x_max, n, factor_points", [
+    (0.0, -3.0, 2.0, 101, (1061, 257)),     # evolve_t0: chain 1 over [-3.35, 2.25] at delta = 0.1
+    (0.02, -3.0, 2.0, 51, (531, 229)),      # evolve_t: chain 1 from x = -3.7 to 1.9 at delta = 0.2
+    # a narrow grid at t > 0: 22 chains at delta = 0.22 over nodes 0.01 apart, and
+    # chains 1-21 hold the 3 or 4 nodes each of the window [1.2, 2]
+    (0.02, 1.9, 2.0, 11, (483,) + (204,) * 14 + (203,) * 7)])
+def test_window_chains_have_window_sized_factors(t, x_min, x_max, n, factor_points):
+    # chain 0 keeps the factor that spans the plane; each chain r >= 1 holds only
+    # the window's nodes and m_op = 200 intervals past its last, all from one kernel call
+    state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
+    calls = []
+
+    def kernel(u):
+        calls.append(u.size)
+        return kdv.EvolvedState.kernel(state, u)
+
+    state.kernel = kernel
+    out = Grid(x_min, x_max, n)
+    plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, out), read_from=x_min)
+    assert plane.factor_points == factor_points
+    assert len(calls) == 1
+    span = round((plane.grid.x_max - plane.grid.x_min) / plane.delta)
+    assert max(plane.factor_points[1:]) <= span + state.m_op + 1
+    if t == 0.0:
+        assert np.max(np.abs(plane.phi - wvn.phi_closed(RHO, plane.grid.x))) < 2e-4
 
 
 def test_plane_grid_rejects_output_left_of_its_start():
