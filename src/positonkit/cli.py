@@ -250,7 +250,7 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
     for t, state, pg in zip(time, evolved, plane_grids):
         # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
         # state the output grid itself); at t = 0 from the log-determinants of
-        # the phi-plane's chains, or of a chain of each x's own
+        # the phi-plane's chains and its kink chain, or of a chain of each x's own
         start = perf_counter()
         if states:
             plane = kdv.evolved_phi_plane(state, pg, read_from=grid.x_min)
@@ -272,11 +272,16 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
                 "operator_points_max": max(state.operator_sizes, default=None),
                 "q_source": "plane_glm" if t > 0 else "chain_log_det",
                 "q_points_own_chain": state.q_points_own_chain,
+                "q_points_kink_chain": state.q_points_kink_chain,
                 "log_det_phase_max": state.log_det_phase_max,
                 "pivot_margin": state.pivot_margin,
                 "timings_s": timings}
         if states:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
+            # the t = 0 plane's one chain for the nodes next to the kink, if any
+            kink = plane.kink_chain
+            diag["plane_kink_spacing"] = kink.delta if kink else None
+            diag["plane_kink_factor_points"] = list(kink.factor_points) if kink else []
         if states or t > 0:
             # the nodes solved: with a state, chain 0's left of the phi-plane's window and its own
             diag["plane_nodes"] = plane.solved if states else grid.n_points

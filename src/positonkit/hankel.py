@@ -248,12 +248,12 @@ def operator_spacing(y: float, x, m_op: int, delta_cap: float | None = None):
     return w_needed, np.minimum(w_needed / m_op, delta_cap)
 
 
-def kink_spacing(x: float, delta: float) -> float:
+def kink_spacing(x, delta):
     """The spacing nearest delta that puts the t = 0 kernel's kink u = 0 on a node at x < 0.
 
-    2|x| / kink_spacing is an integer of at least KINK_NODES_MIN.
+    2|x| / kink_spacing is an integer of at least KINK_NODES_MIN; elementwise over arrays.
     """
-    return -2.0 * x / max(KINK_NODES_MIN, round(-2.0 * x / delta))
+    return -2.0 * x / np.maximum(KINK_NODES_MIN, np.rint(-2.0 * x / delta))
 
 
 def _check_positive(phase, mn: int):

@@ -5,7 +5,8 @@ The evolved seed is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) (Dyson formula);
 its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
 t > 0 q is read from the same GLM solves, q = 2 d/dx v(xi = 0); at t = 0 it
 is a sixth-order second difference of the log-determinants that the same
-chained solves give at every node.  The one-state evolved insertion adds
+chained solves give at every node, or, next to the kernel's kink, that one chain
+of the nodes' own gives them.  The one-state evolved insertion adds
 -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2)), phi(s,t) = 2 Im[e^{4 i omega^3 t}
 psi(s,t,omega)], solved on a phi-plane whose nodes `phi_plane_grid` lays out and
 whose read-outs serve any x of its output window.  An independent pseudospectral
@@ -34,6 +35,7 @@ from .hankel import (
     KernelTable,
     PlaneJost,
     PoleData,
+    _operator_intervals,
     difference_stencil,
     kink_spacing,
     operator_spacing,
@@ -67,9 +69,11 @@ class EvolvedState:
     # t > 0: lattice points of every kernel evaluated, the largest contour rule per side of u = 0
     kernel_u_points: int = field(default=0, repr=False)
     kernel_contour_points: dict = field(default_factory=dict, repr=False)
-    # t = 0 q values that took a chain of their own (`dyson_q`), the largest
-    # |Im log det(I + H)| and the least `PlaneJost.pivot_margin` over every plane node
+    # t = 0 q values that took a chain of their own (`dyson_q`) and the plane nodes
+    # served by a kink chain (`_kink_chain_q`), the largest |Im log det(I + H)| and
+    # the least `PlaneJost.pivot_margin` over every plane node
     q_points_own_chain: int = field(default=0, repr=False)
+    q_points_kink_chain: int = field(default=0, repr=False)
     log_det_phase_max: float = field(default=0.0, repr=False)
     pivot_margin: float = field(default=1.0, repr=False)
 
@@ -86,6 +90,9 @@ class EvolvedState:
         if self.m_op < 12:
             raise ValidationError("the operator grid needs m_op >= 12 intervals")
         self.poles = PoleData.for_rho(self.params.rho)
+        # t = 0: left of x = 0 within x_thin a chain puts too few nodes on the
+        # kernel's support [0, 2|x|], and q is `_thin_support_q`'s series
+        self.x_thin = min(0.35, THIN_SUPPORT_X * max(1.0, (2.0 / self.params.rho) ** (1.0 / 3.0)))
 
     def kernel(self, u) -> np.ndarray:
         """Rows [K, K'] of the regular kernel part on the uniform lattice u, shape (2, len(u)).
@@ -129,8 +136,8 @@ class EvolvedState:
         return sol
 
 
-def _thin_support_q(poles: PoleData, x: float) -> float:
-    """Series branch of the t=0 determinant for a thin kernel support (|x| small).
+def _thin_support_q(poles: PoleData, x):
+    """Series branch of the t=0 q for a thin kernel support (|x| small), elementwise.
 
     Two trace terms of log det(I + A) with exact exponential integrals; the
     dropped terms are O(x^7).
@@ -139,11 +146,16 @@ def _thin_support_q(poles: PoleData, x: float) -> float:
     rs = list(poles.low_res) + [poles.r_star]
     s1 = sum(rr * pp * np.exp(2j * pp * x) for rr, pp in zip(rs, ps))
     s0 = sum(rr * np.exp(2j * pp * x) for rr, pp in zip(rs, ps))
-    return float(np.real(4.0 * s1 - 4.0 * s0 * s0))
+    return np.real(4.0 * s1 - 4.0 * s0 * s0)
 
 
 # (offsets, weights) of the sixth-order second difference: centred on 7 nodes, forward over 8
 _CENTRAL, _FORWARD = ((o, difference_stencil(o, 2)) for o in (np.arange(-3, 4), np.arange(8)))
+
+
+def _log_det_q(sol: PlaneJost, stencil, weights) -> np.ndarray:
+    """q = -2 d^2/dx^2 log det(I + H): the second difference with weights over sol's stencil nodes."""
+    return -2.0 * (sol.log_det_real(stencil) @ weights) / sol.delta**2
 
 
 def dyson_q(state: EvolvedState, x: float) -> float:
@@ -160,16 +172,15 @@ def dyson_q(state: EvolvedState, x: float) -> float:
     """
     if state.t > 0:
         return float(state.glm_plane(np.array([x], dtype=float)).q[0])
-    x_thin = min(0.35, THIN_SUPPORT_X * max(1.0, (2.0 / state.params.rho) ** (1.0 / 3.0)))
-    if -x_thin < x < 0.0:
-        return _thin_support_q(state.poles, x)
+    if -state.x_thin < x < 0.0:
+        return float(_thin_support_q(state.poles, x))
     delta = state.fixed_delta(x)
     offsets, weights = _FORWARD
     if x < 0.0:
         delta, (offsets, weights) = kink_spacing(x, delta), _CENTRAL
     sol = state.glm_plane(x + delta * offsets, delta0=delta)
     state.q_points_own_chain += 1
-    return float(-2.0 * (sol.log_det_real() @ weights) / sol.delta**2)
+    return float(_log_det_q(sol, slice(None), weights))
 
 
 def jost_evolved(state: EvolvedState, x: float, k):
@@ -202,10 +213,14 @@ class EvolvedPlane:
     solved counts them with chain 0's nodes left of it.  delta is the operator
     spacing of the plane's chained GLM solves and factor_points the size of each
     chain's one factorization (`hankel.plane_jost`).  q is the evolved seed from the
-    same solves: the GLM read-out at t > 0; at t = 0 the chains' log-determinant
-    second difference (`_plane_chain_q`), NaN where they cannot serve.  The read-outs
-    (`fields`, `q_at`) take x in [grid.x_min, grid.x_max]: node values at a node, else
-    phi, phi_x and I from their quintic spline and q, as at NaN nodes, from `dyson_q`.
+    same solves: the GLM read-out at t > 0; at t = 0 the log-determinant second
+    difference along the chains and, next to the kink, along kink_chain, the one
+    chain of those nodes' own, or the thin-support series (`_plane_chain_q`), and NaN
+    where none serves: on a plane of chains delta apart, only at the window's three
+    end chain steps, the padding no output node reads, and at a node the kink chain
+    drops for M_OP_CAP.  The read-outs (`fields`, `q_at`) take x in [grid.x_min,
+    grid.x_max]: node values at a node, else phi, phi_x and I from their quintic
+    spline and q, as at NaN nodes, from `dyson_q`.
     """
 
     state: EvolvedState
@@ -219,6 +234,7 @@ class EvolvedPlane:
     delta: float
     factor_points: tuple
     solved: int
+    kink_chain: PlaneJost | None
 
     def index(self, x):
         """(x, j, on): x as an array, the node nearest each x and whether x is that node."""
@@ -242,7 +258,7 @@ class EvolvedPlane:
         return out
 
     def q_at(self, x) -> np.ndarray:
-        """Evolved seed q at x: the plane's own read-out at its nodes, else `dyson_q`."""
+        """Evolved seed q at x: the plane's q at its nodes, else (off the nodes, or NaN) `dyson_q`."""
         xs, j, on = self.index(x)
         q = np.where(on, self.q[j], np.nan)
         own = np.flatnonzero(np.isnan(q))
@@ -301,8 +317,8 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
     it, where phi only feeds I and its left tail fit, chain 0 alone is solved, its
     nodes chains h apart, and I's corrected trapezoid runs at that spacing.  At t = 0,
     where K' jumps at u = 0, phi_x is a 4th-order centred stencil along chain 0 left
-    of the window and along the window, and q is read from the chains'
-    log-determinants where `_plane_chain_q` allows.  The plane returned holds the window.
+    of the window and along the window, and q is read from log-determinants by
+    `_plane_chain_q`.  The plane returned holds the window.
     """
     phase = np.exp(4j * omega**3 * state.t)
     ks = np.array([omega], dtype=complex)
@@ -323,10 +339,10 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
     spacings[:lead] = chains * h
     cum, left, _, fits = tail_closed_gram(x, spacings, [phi], [phi_x], [omega], tail_window)
     window = Grid(x[lead], grid.x_max, x.size - lead)
-    q = sol.q[lead:] if state.t > 0.0 else _plane_chain_q(sol, window, lead)
+    q, kink = (sol.q[lead:], None) if state.t > 0.0 else _plane_chain_q(state, sol, window, lead)
     return EvolvedPlane(state, window, omega, phi[lead:], phi_x[lead:],
                         left[0, 0] + cum[lead:, 0, 0], fits[0], q, sol.delta, sol.factor_points,
-                        x.size)
+                        x.size, kink)
 
 
 def _centred_x(f: np.ndarray, h: float) -> np.ndarray:
@@ -336,27 +352,63 @@ def _centred_x(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _plane_chain_q(sol: PlaneJost, grid: Grid, lead: int) -> np.ndarray:
-    """q at the t = 0 plane's nodes from its chains' log-determinants, NaN where they cannot serve.
+def _plane_chain_q(state: EvolvedState, sol: PlaneJost, grid: Grid, lead: int):
+    """(q, kink chain) at the t = 0 plane's window nodes, q NaN where nothing serves.
 
-    grid is the window, which starts at solved node lead.  A node qualifies when its
-    chain's nodes are delta apart and the centred stencil fits inside the window.
-    On x < 0 its inner end, 3 delta nearer x = 0, must keep
-    2|x| / delta >= KINK_NODES_MIN, off the nodes next to x = 0 where the second
-    difference is least accurate; on x > 0, whose windows hold no kink, it need only
-    stay right of q's derivative jump at x = 0 (x - 3 delta >= 0).
+    grid is the window, which starts at solved node lead.  When the chains' nodes
+    are delta apart, q is -2 times a second difference of log det along a node's
+    own chain: centred where it fits inside the window and, on x < 0, its inner end,
+    3 delta nearer x = 0, keeps 2|x| / delta >= KINK_NODES_MIN, off the nodes next
+    to x = 0 where it is least accurate; on x > 0, whose windows hold no kink, where
+    it stays right of q's derivative jump at x = 0 (x >= 3 delta); forward over 8
+    nodes on [0, 3 delta), where they lie in the window.  On any layout the nodes
+    -9 delta < x <= -x_thin, whose centred stencil would keep too few kink
+    intervals, share one kink chain (`_kink_chain_q`), and the thin support
+    -x_thin < x < 0 takes `_thin_support_q`.
     """
-    offsets, weights = _CENTRAL
+    x, nodes = grid.x, np.arange(grid.n_points)
     q = np.full(grid.n_points, np.nan)
     chains = len(sol.factor_points)
+    inner = np.rint(2.0 * np.abs(x) / sol.delta) - 2 * _CENTRAL[0][-1]
     if abs(chains * grid.spacing - sol.delta) <= 1e-9 * sol.delta:
-        nodes = np.arange(grid.n_points)
         ends = (nodes >= 3 * chains) & (nodes < grid.n_points - 3 * chains)
-        inner = np.rint(2.0 * np.abs(grid.x) / sol.delta) - 2 * offsets[-1]
-        nodes = nodes[ends & (inner >= np.where(grid.x < 0.0, KINK_NODES_MIN, 0))]
-        stencil = lead + nodes[:, None] + chains * offsets
-        q[nodes] = -2.0 * (sol.log_det_real(stencil) @ weights) / sol.delta**2
-    return q
+        centred = ends & (inner >= np.where(x < 0.0, KINK_NODES_MIN, 0))
+        forward = (x >= 0.0) & (inner < 0) & (nodes < grid.n_points - 7 * chains)
+        for served, (offsets, weights) in ((centred, _CENTRAL), (forward, _FORWARD)):
+            q[served] = _log_det_q(sol, lead + nodes[served, None] + chains * offsets, weights)
+    thin = (x > -state.x_thin) & (x < 0.0)
+    q[thin] = _thin_support_q(state.poles, x[thin])
+    band = (x <= -state.x_thin) & (inner < KINK_NODES_MIN)
+    q[band], kink = _kink_chain_q(state, x[band], sol.delta)
+    return q, kink
+
+
+def _kink_chain_q(state: EvolvedState, x: np.ndarray, delta: float):
+    """(q, chain) at the increasing t = 0 nodes x < 0 of the kink lattice (delta / 2)Z.
+
+    One chain, at spacing delta / (2 m), serves them all: m is the least that
+    gives each node at least the kink intervals of `dyson_q`'s own chain
+    (`hankel.kink_spacing`), so the nodes and u = 0 lie on its lattice, and q is
+    the centred second difference of its log-determinants.  While its factor
+    would pass M_OP_CAP (one interval short of it: `plane_jost` takes the spacing
+    from the nodes), the innermost node is dropped, left NaN for `dyson_q`, and m
+    taken again.  chain is the `PlaneJost`, None when no node is left.
+    """
+    offsets, weights = _CENTRAL
+    q = np.full(x.size, np.nan)
+    need = kink_spacing(x, state.fixed_delta(x))
+    for keep in range(x.size, 0, -1):
+        step = delta / (2 * math.ceil(delta / (2.0 * need[:keep].min()) - 1e-9))
+        j = np.rint(x[:keep] / step).astype(int)
+        chain = step * np.arange(j[0] + offsets[0], j[-1] + offsets[-1] + 1)
+        rows = _operator_intervals(operator_spacing(state.poles.ystar, chain, state.m_op)[0],
+                                   step, state.m_op)
+        if np.max(np.arange(chain.size) + rows) < M_OP_CAP:
+            sol = state.glm_plane(chain, delta0=step)
+            q[:keep] = _log_det_q(sol, (j - j[0] - offsets[0])[:, None] + offsets, weights)
+            state.q_points_kink_chain += keep
+            return q, sol
+    return q, None
 
 
 def insertion_term(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:

@@ -231,6 +231,28 @@ def test_evolve_window_at_the_plane_start_is_the_whole_plane(tmp_path):
     assert (tmp_path / "whole.csv").read_bytes() == open(prefix + ".csv", "rb").read()
 
 
+@pytest.mark.parametrize("rho, own, kink, spacing, factor_points", [
+    (2.0, 0, 15, 0.025, [715]),     # the evolve_t0 configuration, at delta = 0.1
+    # x = -0.25 would need a spacing of 0.025 and take the factor past M_OP_CAP
+    (0.3, 1, 12, 0.05, [1191])])
+def test_evolve_t0_serves_q_next_to_the_kink_off_one_chain(tmp_path, rho, own, kink, spacing,
+                                                          factor_points):
+    # the output nodes on (-0.9, 0.3) that the phi-plane's chains cannot serve take
+    # no chain each of their own (dyson_q) but share one kink chain, or the series
+    cfg = {"potential": dict(WVN_POT, rho=rho), "grid": {"x_min": -3.0, "x_max": 2.0, "n": 101},
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.0]}}
+    code, prefix = run_cli(tmp_path, "evo_kink", cfg, "evolve")
+    assert code == 0
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.0"]
+    assert diag["q_points_own_chain"] == own
+    assert diag["q_points_kink_chain"] == kink
+    assert diag["plane_kink_factor_points"] == factor_points
+    assert diag["plane_kink_spacing"] == pytest.approx(spacing, rel=1e-12)
+    x, _, q, _ = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1).T
+    near = (x > -0.9) & (x < 0.3)
+    assert np.max(np.abs(q[near] - wvn.q_seed(rho, x[near]))) < 1e-4
+
+
 @pytest.mark.parametrize("rho, grid, nodes, spacing", [
     (2.0, {"x_min": -3.0, "x_max": 2.03, "n": 101}, 530, 0.0503),   # x_max off the kink lattice
     (2.0, {"x_min": 1.9, "x_max": 2.0, "n": 11}, 600, 0.04),        # h = 0.01: the plane at 4 h

@@ -165,8 +165,7 @@ def test_dyson_q_t0_across_family(rho):
     # finest and its factor widest, out to x = -15: each own chain stays under
     # M_OP_CAP and its second difference meets q_seed at criterion 8's 1e-3
     state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho))
-    x_thin = min(0.35, hankel.THIN_SUPPORT_X * max(1.0, (2.0 / rho) ** (1.0 / 3.0)))
-    xs = -np.geomspace(x_thin + 1e-3, 15.0, 6)
+    xs = -np.geomspace(state.x_thin + 1e-3, 15.0, 6)
     worst = max(abs(kdv.dyson_q(state, float(x)) - float(wvn.q_seed(rho, x))) for x in xs)
     assert state.q_points_own_chain == len(xs)
     assert worst < 1e-3
@@ -447,7 +446,8 @@ def test_split_plane_matches_the_whole_plane(rho, t):
     (0.02, 1.9, 2.0, 11, (483,) + (204,) * 14 + (203,) * 7)])
 def test_window_chains_have_window_sized_factors(t, x_min, x_max, n, factor_points):
     # chain 0 keeps the factor that spans the plane; each chain r >= 1 holds only
-    # the window's nodes and m_op = 200 intervals past its last, all from one kernel call
+    # the window's nodes and m_op = 200 intervals past its last, all from one kernel
+    # call; at t = 0 the kink chain, a plane of its own, makes a second
     state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
     calls = []
 
@@ -459,7 +459,7 @@ def test_window_chains_have_window_sized_factors(t, x_min, x_max, n, factor_poin
     out = Grid(x_min, x_max, n)
     plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, out), read_from=x_min)
     assert plane.factor_points == factor_points
-    assert len(calls) == 1
+    assert len(calls) == (2 if t == 0.0 else 1)
     span = round((plane.grid.x_max - plane.grid.x_min) / plane.delta)
     assert max(plane.factor_points[1:]) <= span + state.m_op + 1
     if t == 0.0:
@@ -539,14 +539,44 @@ def test_evolved_plane_t0_is_chained(plane0):
     assert np.max(np.abs(plane0.phi - wvn.phi_closed(RHO, plane0.grid.x))) < 2e-4
     # q from the chains' log-determinants wherever the centred stencil fits its
     # chain and, on x < 0, keeps 12 kink intervals at its inner end (x <= -0.9),
-    # on x > 0 stays right of x = 0 (x >= 0.3); NaN, and left to dyson_q, at
-    # the chains' three end nodes and next to x = 0
+    # on x > 0 stays right of x = 0 (x >= 0.3); next to x = 0 from the forward
+    # stencil along the chains on [0, 0.3), one kink chain on [-0.85, -0.15] and
+    # the series on (-0.12, 0).  NaN, and left to dyson_q, only at the chains'
+    # three end nodes, the padding no output node reads
     x = plane0.grid.x
     served = np.isfinite(plane0.q)
     i = np.arange(len(x))
     near_zero = (x > -0.9 + 1e-9) & (x < 0.3 - 1e-9)
-    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6) & ~near_zero)
+    assert np.array_equal(served, (i >= 6) & (i < len(x) - 6))
     assert np.max(np.abs(plane0.q[served] - wvn.q_seed(RHO, x[served]))) < 1e-3
+    assert np.max(np.abs(plane0.q[near_zero] - wvn.q_seed(RHO, x[near_zero]))) < 1e-4
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1])
+@pytest.mark.parametrize("rho", [0.3, 2.0, 5.0])
+def test_t0_plane_serves_q_next_to_the_kink(rho, h):
+    # the output grid [-3, 2]: q is finite at every window node but the three end
+    # chain steps.  The nodes -9 delta < x <= -x_thin share one kink chain, and each
+    # is no further from q_seed than its own dyson_q chain, up to a slack of 1e-11
+    # (the worst excess measured over these six planes is 4.1e-12, at rho = 5,
+    # h = 0.05).  At rho = 0.3, h = 0.05 the innermost, x = -0.25, would take the
+    # chain's factor past M_OP_CAP; it is dropped and left to dyson_q
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho))
+    out = Grid(-3.0, 2.0, round(5.0 / h) + 1)
+    plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, out), read_from=out.x_min)
+    ends = 3 * len(plane.factor_points)
+    x, q = plane.grid.x[ends:-ends], plane.q[ends:-ends]
+    dropped = [-0.25] if (rho, h) == (0.3, 0.05) else []
+    assert x[np.isnan(q)].tolist() == pytest.approx(dropped)
+    kink = (x <= -state.x_thin) & (x > -9.0 * plane.delta + 1e-9) & np.isfinite(q)
+    assert np.count_nonzero(kink) == state.q_points_kink_chain > 0
+    assert plane.kink_chain.factor_points[0] <= hankel.M_OP_CAP
+    own = kdv.EvolvedState(0.0, wvn.ExampleParams(rho))
+    err_own = np.abs([kdv.dyson_q(own, float(v)) for v in x[kink]] - wvn.q_seed(rho, x[kink]))
+    assert np.all(np.abs(q[kink] - wvn.q_seed(rho, x[kink])) <= err_own + 1e-11)
+    assert state.q_points_own_chain == 0
+    plane.q_at(dropped)
+    assert state.q_points_own_chain == len(dropped)
 
 
 def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
@@ -558,7 +588,7 @@ def test_q_plus_evolved_t0_matches_oracle(state0, plane0):
 
 def test_q_plus_free_limit(state0, plane0):
     # without the inserted state the formula returns the plane's evolved seed itself
-    x = np.array([-3.0, -0.3])          # read from the plane's chains, and from its own
+    x = np.array([-3.0, -0.3])          # read from the plane's chains, and from its kink chain
     tiny = kdv.q_plus_evolved(plane0, 1e-8, x)
     assert np.max(np.abs(tiny - plane0.q_at(x))) < 1e-6
 
