@@ -240,6 +240,9 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
         raise ValidationError("evolve supports the explicit example family")
     if len(states) > 1:
         raise ValidationError("evolve handles at most one embedded state")
+    if states and (states[0].omega != 1.0 or states[0].r_at_omega != -1.0):
+        raise ValidationError("config.states[0]: evolve inserts at omega = 1, where R(1) = -1; "
+                              f"got omega={states[0].omega}, r_at_omega={states[0].r_at_omega}")
     params = wvn.ExampleParams(potential.rho, states[0].alpha if states else 1.0)
     evolved = [kdv.EvolvedState(t, params) for t in time]
     try:        # every t's phi-plane is laid out, and so checked, before any solve

@@ -48,16 +48,15 @@ from .tails import fit_oscillatory_tail
 
 __all__ = [
     "EmbeddedStateSpec", "GramField", "TransformResult", "RemovalResult",
-    "PoleCheckReport",
     "phi_n", "gram_plus", "insert_embedded", "chain_insert",
     "transformed_solutions", "phi_plus_at_omega", "greens_diagonal_transformed",
-    "remove_embedded", "check_isolated_pole_preservation",
+    "remove_embedded",
     "cumulative_corrected_trapezoid", "tail_closed_gram", "gauge_map", "single_state_step",
 ]
 
 RESONANCE_TOL = 1e-8
 DEFAULT_TAIL_WINDOW = 20.0
-DEFAULT_EXTEND_LEFT = 25.0
+EXTEND_LEFT = 25.0         # the Gram tail is fitted this far left of the output grid
 
 
 @dataclass
@@ -165,19 +164,6 @@ class RemovalResult:
     q_minus: np.ndarray
     log_det: np.ndarray
     orthonormality: np.ndarray
-
-
-@dataclass
-class PoleCheckReport:
-    """Result of the isolated-pole preservation diagnostic."""
-
-    max_deviation: float
-    tolerance: float
-    vacuous: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.vacuous or self.max_deviation <= self.tolerance
 
 
 def cumulative_corrected_trapezoid(f, fp, h):
@@ -323,15 +309,14 @@ def _check_insertion_preconditions(spec, states, probe_xs=(-3.0, -1.3, 0.6)):
                 "insertion requires continuity there")
 
 
-def _extended_grid(grid: Grid, extend_left: float) -> tuple[Grid, int]:
+def _extended_grid(grid: Grid) -> tuple[Grid, int]:
     h = grid.spacing
-    n_ext = int(math.ceil(extend_left / h))
+    n_ext = int(math.ceil(EXTEND_LEFT / h))
     ext = Grid(grid.x_min - n_ext * h, grid.x_max, grid.n_points + n_ext)
     return ext, n_ext
 
 
 def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
-                    extend_left: float = DEFAULT_EXTEND_LEFT,
                     tail_window: float = DEFAULT_TAIL_WINDOW,
                     check_preconditions: bool = True,
                     rtol: float = DEFAULT_RTOL) -> TransformResult:
@@ -351,7 +336,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
         return TransformResult(spec, grid, [], q0, q0.copy(), zeros, [], [], gram)
     if check_preconditions:
         _check_insertion_preconditions(spec, states)
-    ext, n_ext = _extended_grid(grid, extend_left)
+    ext, n_ext = _extended_grid(grid)
     phis = [phi_n(spec, s, ext, rtol=rtol) for s in states]
     alphas = np.array([s.alpha for s in states])
     gram = gram_plus(phis, alphas, ext, tail_window,
@@ -369,7 +354,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
                   for s, f in zip(states, phis)]
     return TransformResult(spec, grid, states, q0, q_new, log_det[sl],
                            y_fields, phi_fields, gram_out,
-                           diagnostics={"extend_left": extend_left,
+                           diagnostics={"extend_left": EXTEND_LEFT,
                                         "tail_window": tail_window})
 
 
@@ -390,7 +375,6 @@ def single_state_step(alpha, phi, phi_x, big_i):
 
 
 def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
-                 extend_left: float = DEFAULT_EXTEND_LEFT,
                  tail_window: float = DEFAULT_TAIL_WINDOW,
                  check_preconditions: bool = True) -> TransformResult:
     """Insert the states one at a time through the single-state recurrence.
@@ -404,7 +388,7 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
     _validate_states(states)
     if check_preconditions and states:
         _check_insertion_preconditions(spec, states)
-    ext, n_ext = _extended_grid(grid, extend_left)
+    ext, n_ext = _extended_grid(grid)
     phis = [phi_n(spec, s, ext) for s in states]
     cur_v = [np.real(f.values).copy() for f in phis]
     cur_d = [np.real(f.derivs).copy() for f in phis]
@@ -575,30 +559,3 @@ def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
     dd2 = -2.0 * np.einsum("ip,ip->p", yd, v) - jay**2
     q_minus = q - 2.0 * dd2
     return RemovalResult(grid, q_minus, log_det, ortho)
-
-
-def check_isolated_pole_preservation(phi_family, psi_family, result_like,
-                                     bound_state, tolerance: float = 1e-4,
-                                     delta0: float = 1e-2) -> PoleCheckReport:
-    """Verify Res_{i kappa} phi_+N = i c^2 psi_+N(., i kappa) after a transform.
-
-    phi_family / psi_family: callables k -> WaveField for the SEED pair, which
-    must already satisfy the isolated pole condition at i kappa.  result_like
-    provides (states, y_fields, phi_fields) of the transform.  A None bound
-    state yields a vacuous pass.
-    """
-    if bound_state is None:
-        return PoleCheckReport(0.0, tolerance, vacuous=True)
-    kappa, c2 = bound_state
-    terms = _gauge_terms(result_like)
-
-    def gauge(base: WaveField, k) -> WaveField:
-        return WaveField(base.grid, k, *gauge_map(base.values, base.derivs, k, terms))
-
-    res = sct.residue_at(1j * kappa, lambda k: gauge(phi_family(k), k), delta0=delta0)
-    psi_plus = gauge(psi_family(1j * kappa), 1j * kappa)
-    target = 1j * c2 * psi_plus.values
-    got = res.residue.values if isinstance(res.residue, WaveField) else np.asarray(res.residue)
-    scale = max(np.max(np.abs(target)), 1e-30)
-    dev = float(np.max(np.abs(got - target)) / scale)
-    return PoleCheckReport(dev, tolerance)

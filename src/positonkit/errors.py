@@ -33,10 +33,6 @@ class PoleEvaluationError(PositonkitError):
         self.k = k
 
 
-class PoleAtSampleError(PositonkitError):
-    """A Weyl solution vanishes at the sampling point; the m-function is not defined there."""
-
-
 class TailDivergenceError(PositonkitError):
     """A tail that must be square integrable does not decay (running integral not Cauchy)."""
 

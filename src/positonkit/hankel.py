@@ -222,7 +222,8 @@ class KernelTable:
             u_here = u[sl]
             if u_here.size == 0:
                 continue
-            b = 0.9 * y if name == "u>=0" else min(0.12 * y, -11.0 / u_here[0])
+            # |u[0]| clamped at 1e-300 keeps 11 / |u[0]| finite; below it the min is 0.12 y* anyway
+            b = 0.9 * y if name == "u>=0" else min(0.12 * y, 11.0 / max(-u_here[0], 1e-300))
             nodes, weights = _contour_rule(b, t, max(-u_here[0], u_here[-1], 1.0) / 2.0, y)
             self.sides[name] = (sl, nodes, weights)
             base = poles.reflection(nodes) * np.exp(1j * 8 * nodes**3 * t) * weights / (2 * np.pi)

@@ -1,5 +1,4 @@
-"""Reflection/transmission coefficients, Weyl solutions, diagonal Green's function,
-m-functions, and residue extraction at embedded poles.
+"""Reflection/transmission coefficients and residue extraction at embedded poles.
 
 Scattering quantities are formed from Wronskians of the numerically integrated
 right Jost solution against an independent left-side reference solution.  For
@@ -9,97 +8,26 @@ solution; for sampled potentials a left-cutoff plane wave is used instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import schrodinger as sch
 from . import wvn_example as wvn
-from .errors import (
-    DegenerateWronskianError,
-    PoleAtSampleError,
-    ResidueClassificationError,
-    ValidationError,
-)
-from .schrodinger import Grid, PotentialSpec, WaveField, right_jost, right_jost_at
+from .errors import DegenerateWronskianError, ResidueClassificationError, ValidationError
+from .schrodinger import PotentialSpec, WaveField, right_jost_at
 
 __all__ = [
-    "ScatteringData", "MFunctionSample", "ResidueResult",
-    "left_reference", "left_weyl",
+    "ResidueResult", "left_reference",
     "scattering_coefficients", "reflection_from_wronskians",
     "reflection_at_resonance", "transmission",
-    "greens_diagonal", "potential_recovery_diagnostic",
-    "m_functions", "residue_at", "fit_pole_exponent",
+    "residue_at", "fit_pole_exponent",
 ]
 
-
-@dataclass
-class ScatteringData:
-    """Reflection/transmission samples plus bound- and embedded-state data.
-
-    bound_states: list of (kappa_n > 0, c_n^2 > 0), kappa strictly decreasing.
-    embedded_states: list of (omega_n > 0, alpha_n^2 > 0), omega strictly increasing.
-    """
-
-    k_grid: np.ndarray
-    r_samples: np.ndarray
-    t_samples: np.ndarray | None = None
-    l_samples: np.ndarray | None = None
-    bound_states: list = field(default_factory=list)
-    embedded_states: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.k_grid = np.asarray(self.k_grid, dtype=float)
-        self.r_samples = np.asarray(self.r_samples, dtype=complex)
-        if self.k_grid.shape != self.r_samples.shape:
-            raise ValidationError("k_grid and r_samples must have matching shapes")
-        if np.any(np.abs(self.k_grid) < 1e-12):
-            raise ValidationError("k_grid must exclude k = 0")
-        if np.any(np.abs(self.r_samples) > 1.0 + 1e-8):
-            raise ValidationError("|R(k)| <= 1 violated")
-        # R(-k) = conj(R(k)) wherever both are sampled
-        idx = {round(k, 12): i for i, k in enumerate(self.k_grid)}
-        for k, i in idx.items():
-            j = idx.get(round(-k, 12))
-            if j is not None:
-                if abs(self.r_samples[i] - np.conj(self.r_samples[j])) > 1e-6:
-                    raise ValidationError("R(-k) = conj(R(k)) violated on the sample grid")
-        kappas = [b[0] for b in self.bound_states]
-        if any(k <= 0 for k in kappas) or any(c <= 0 for _, c in self.bound_states):
-            raise ValidationError("bound states require kappa > 0 and c^2 > 0")
-        if list(kappas) != sorted(kappas, reverse=True) or len(set(kappas)) != len(kappas):
-            raise ValidationError("kappa_n must be strictly decreasing")
-        omegas = [e[0] for e in self.embedded_states]
-        if any(w <= 0 for w in omegas) or any(a <= 0 for _, a in self.embedded_states):
-            raise ValidationError("embedded states require omega > 0 and alpha^2 > 0")
-        if list(omegas) != sorted(omegas) or len(set(omegas)) != len(omegas):
-            raise ValidationError("omega_n must be strictly increasing")
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k_grid.tolist(),
-            "R_re": self.r_samples.real.tolist(),
-            "R_im": self.r_samples.imag.tolist(),
-            "bound": [[k, c] for k, c in self.bound_states],
-            "embedded": [[w, a] for w, a in self.embedded_states],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ScatteringData":
-        r = np.asarray(d["R_re"]) + 1j * np.asarray(d["R_im"])
-        return cls(np.asarray(d["k"]), r,
-                   bound_states=[tuple(b) for b in d.get("bound", [])],
-                   embedded_states=[tuple(e) for e in d.get("embedded", [])])
-
-
-@dataclass
-class MFunctionSample:
-    """Titchmarsh-Weyl m-functions at one spectral point lam (Im lam > 0)."""
-
-    lam: complex
-    m_plus: complex
-    m_minus: complex
-    m_neumann: complex
+# residue_at: Richardson levels below delta0, and the scale under which a
+# residue counts as zero (the point is regular)
+RESIDUE_LEVELS = 3
+REGULAR_TOL = 1e-8
 
 
 @dataclass
@@ -130,16 +58,6 @@ def left_reference(spec: PotentialSpec, k: complex, x: float):
         wf = sch.integrate(spec, k, cut, x, y0)
         return wf.values[..., -1], wf.derivs[..., -1]
     raise ValidationError(f"no left-side reference solution available for kind {spec.kind!r}")
-
-
-def left_weyl(spec: PotentialSpec, k: float, grid: Grid, r_value: complex) -> WaveField:
-    """Left Weyl solution phi = conj(psi) + R psi on the grid (real k)."""
-    if abs(np.imag(k)) > 1e-12:
-        raise ValidationError("left_weyl uses the real-k scattering relation")
-    psi = right_jost(spec, k, grid)
-    vals = np.conj(psi.values) + r_value * psi.values
-    ders = np.conj(psi.derivs) + r_value * psi.derivs
-    return WaveField(grid, k, vals, ders)
 
 
 def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0):
@@ -192,47 +110,6 @@ def transmission(spec: PotentialSpec, k: float, x_eval: float = -4.0) -> complex
     return scattering_coefficients(spec, k, x_eval)[1]
 
 
-def greens_diagonal(spec: PotentialSpec, k: complex, x: float) -> complex:
-    """Diagonal Green's function g(k^2, x) = psi(x) Psi_-(x) / W(psi, Psi_-).
-
-    The left Weyl representative's scale cancels in the ratio.  Valid for
-    Im k > 0 and for real k away from singular momenta.
-    """
-    pv, pd = right_jost_at(spec, k, x)
-    lv, ld = left_reference(spec, k, x)
-    w = pv * ld - pd * lv
-    if abs(w) < 1e-12 * max(1.0, abs(pv * ld)):
-        raise DegenerateWronskianError(f"degenerate Wronskian in greens_diagonal at k={k}")
-    return complex(pv * lv / w)
-
-
-def potential_recovery_diagnostic(spec: PotentialSpec, x: float, kappa: float) -> float:
-    """Recover q(x) from the large-kappa behavior of g(-kappa^2, x).
-
-    The recovery formula holds up to an overall normalization; it is calibrated
-    so that the zero potential recovers exactly 0 (free g = 1/(2 kappa)), i.e.
-    q_est = 2 kappa^2 (1 - 2 kappa g(-kappa^2, x)).  Diagnostic only.
-    """
-    g = greens_diagonal(spec, 1j * kappa, x)
-    return float(np.real(2.0 * kappa**2 * (1.0 - 2.0 * kappa * g)))
-
-
-def m_functions(spec: PotentialSpec, lam: complex, a: float) -> MFunctionSample:
-    """Dirichlet m-functions m_+/- (lam, a) and the Neumann function -1/m_+."""
-    if np.imag(lam) <= 0:
-        raise ValidationError("m_functions require Im lam > 0")
-    k = complex(np.sqrt(complex(lam)))
-    if k.imag < 0:
-        k = -k
-    pv, pd = right_jost_at(spec, k, a)
-    lv, ld = left_reference(spec, k, a)
-    if abs(pv) < 1e-13 * max(1.0, abs(pd)) or abs(lv) < 1e-13 * max(1.0, abs(ld)):
-        raise PoleAtSampleError(f"a Weyl solution vanishes at the sample point a={a}")
-    m_plus = complex(pd / pv)
-    m_minus = complex(-ld / lv)
-    return MFunctionSample(lam, m_plus, m_minus, -1.0 / m_plus)
-
-
 def _linear_combination(fields, coeffs):
     """Combine WaveFields/arrays/scalars with scalar coefficients."""
     first = fields[0]
@@ -249,15 +126,14 @@ def _res_norm(obj):
     return float(np.max(np.abs(np.asarray(obj))))
 
 
-def _residue_stencil(omega, delta0: float = 1e-2, levels: int = 3):
-    """Steps d_j = delta0 / 2^j (j = 0..levels) and the momenta omega + d_j,
-    omega - d_j at which `residue_at` samples its family."""
-    d = delta0 / 2.0 ** np.arange(levels + 1)
+def _residue_stencil(omega, delta0: float = 1e-2):
+    """Steps d_j = delta0 / 2^j (j = 0..RESIDUE_LEVELS) and the momenta
+    omega + d_j, omega - d_j at which `residue_at` samples its family."""
+    d = delta0 / 2.0 ** np.arange(RESIDUE_LEVELS + 1)
     return d, omega + d, omega - d
 
 
-def residue_at(omega: float, family, delta0: float = 1e-2, levels: int = 3,
-               regular_tol: float = 1e-8) -> ResidueResult:
+def residue_at(omega: float, family, delta0: float = 1e-2) -> ResidueResult:
     """Residue of k -> family(k) at the real momentum omega.
 
     Symmetric two-sided estimates r(d) = d (f(omega+d) - f(omega-d)) / 2 are
@@ -267,20 +143,20 @@ def residue_at(omega: float, family, delta0: float = 1e-2, levels: int = 3,
     """
     ests = []
     even = []
-    for d, k_plus, k_minus in zip(*_residue_stencil(omega, delta0, levels)):
+    for d, k_plus, k_minus in zip(*_residue_stencil(omega, delta0)):
         fp = family(k_plus)
         fm = family(k_minus)
         ests.append(_linear_combination([fp, fm], [d / 2, -d / 2]))
         even.append(_res_norm(_linear_combination([fp, fm], [0.5, 0.5])))
     # an even-order pole hides from the antisymmetric estimate but blows up
     # the symmetric average as delta shrinks
-    if even[-1] > 3.0 * even[0] + regular_tol and even[-1] > 10 * _res_norm(ests[-1]):
+    if even[-1] > 3.0 * even[0] + REGULAR_TOL and even[-1] > 10 * _res_norm(ests[-1]):
         raise ResidueClassificationError(
             "symmetric part diverges as delta -> 0; singularity is of even order, "
             "not a simple pole")
     # Richardson in d^2
     table = [ests]
-    for m in range(1, levels + 1):
+    for m in range(1, RESIDUE_LEVELS + 1):
         prev = table[-1]
         fac = 4.0**m
         table.append([
@@ -291,9 +167,9 @@ def residue_at(omega: float, family, delta0: float = 1e-2, levels: int = 3,
     second = table[-2][-1]
     err = _res_norm(_linear_combination([best, second], [1.0, -1.0]))
     scale = _res_norm(best)
-    if scale <= max(regular_tol, 10 * err):
+    if scale <= max(REGULAR_TOL, 10 * err):
         return ResidueResult(best, err, "regular")
-    if err > 0.05 * scale + regular_tol:
+    if err > 0.05 * scale + REGULAR_TOL:
         raise ResidueClassificationError(
             f"residue extrapolation did not converge (|res|~{scale:.3g}, err~{err:.3g}); "
             "singularity is not a simple pole")

@@ -7,9 +7,9 @@ carried through one solve):
 - at scattered points (`solve_at`, `right_jost_at`) by the package's own
   adaptive DOP853 (`solve_ivp`: Hairer's coefficients and step control),
   rtol 1e-10 / atol 1e-12 by default, its steps landing on each point;
-- on grids (`integrate`, `right_jost`, `fundamental_pair`) by a vectorised
-  sixth-order Magnus propagator whose steps are at most
-  h_s = rtol^(1/6) / max(1, |k|), 0.0215 at the default rtol.
+- on grids (`integrate`, `right_jost`) by a vectorised sixth-order Magnus
+  propagator whose steps are at most h_s = rtol^(1/6) / max(1, |k|), 0.0215
+  at the default rtol.
 
 A solve is capped at MAX_NFEV right-hand-side evaluations per smooth piece
 (DOP853) or MAX_NFEV steps (Magnus), and a DOP853 step below 10 ulp of x
@@ -41,7 +41,7 @@ from .errors import (
 
 __all__ = [
     "Grid", "CubicSpline", "PotentialSpec", "WaveField", "OdeWork", "OdeSolution", "solve_ivp",
-    "solve_at", "integrate", "right_jost_at", "right_jost", "fundamental_pair", "wronskian",
+    "solve_at", "integrate", "right_jost_at", "right_jost",
     "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL", "MAX_POINTS",
 ]
 
@@ -320,6 +320,8 @@ class WaveField:
         """W(self, other) = f g' - f' g, at x0 (grid midpoint by default)."""
         if self.grid is not other.grid and not np.array_equal(self.grid.x, other.grid.x):
             raise ValidationError("wronskian requires fields on the same grid")
+        if not np.array_equal(self.k, other.k):
+            raise ValidationError("wronskian requires fields at the same momentum")
         if x0 is None:
             i = self.grid.n_points // 2
             return complex(self.values[i] * other.derivs[i] - self.derivs[i] * other.values[i])
@@ -770,38 +772,3 @@ def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL) -
                              lambda ks, x_from, init, x_eval:
                              _magnus(spec, ks, x_from, init, x_eval, rtol))
     return WaveField(grid, k, vals, ders)
-
-
-def fundamental_pair(spec: PotentialSpec, lam: complex, grid: Grid,
-                     rtol: float = DEFAULT_RTOL):
-    """Solutions (c, s) with c(0)=1, c'(0)=0, s(0)=0, s'(0)=1; W(c, s) = 1."""
-    i0 = grid.index_of(0.0)
-    if not grid.contains(0.0) or abs(grid.x[i0]) > 1e-9:
-        raise ValidationError("fundamental_pair requires a grid containing x = 0")
-    k = complex(np.sqrt(complex(lam)))
-    if k.imag < 0:
-        k = -k
-    fields = []
-    for init in ((1.0, 0.0), (0.0, 1.0)):
-        vals = np.empty(grid.n_points, complex)
-        ders = np.empty(grid.n_points, complex)
-        if i0 + 1 < grid.n_points:
-            wf = integrate(spec, k, 0.0, grid.x_max, init, grid=grid, rtol=rtol)
-            n = wf.grid.n_points
-            vals[grid.n_points - n:] = wf.values
-            ders[grid.n_points - n:] = wf.derivs
-        if i0 > 0:
-            wf = integrate(spec, k, 0.0, grid.x_min, init, grid=grid, rtol=rtol)
-            n = wf.grid.n_points
-            vals[:n] = wf.values
-            ders[:n] = wf.derivs
-        vals[i0], ders[i0] = init
-        fields.append(WaveField(grid, k, vals, ders))
-    return fields[0], fields[1]
-
-
-def wronskian(f: WaveField, g: WaveField, x0: float) -> complex:
-    """W(f, g)(x0) = f g' - f' g, interpolated at x0."""
-    if f.k != g.k:
-        raise ValidationError("wronskian requires fields at the same momentum")
-    return f.wronskian_with(g, x0)

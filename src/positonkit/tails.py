@@ -29,6 +29,7 @@ __all__ = ["TailFit", "fit_oscillatory_tail"]
 
 LEFT = "left"
 RIGHT = "right"
+ZERO_TOL = 1e-11        # a window below this, relative to its scale, has a zero tail
 
 
 @dataclass
@@ -140,12 +141,12 @@ def _brent_min(f, a, x, b, xtol=1e-12):
     return x
 
 
-def fit_oscillatory_tail(s, phi, omega, side, zero_tol=1e-11) -> TailFit:
+def fit_oscillatory_tail(s, phi, omega, side) -> TailFit:
     """Fit the oscillatory tail model to samples (s, phi) on a window.
 
     The window must be the outermost available data on the tail side; the
     anchor s0 is the window edge facing the tail.  Solutions that have already
-    decayed below `zero_tol` (relative to their global scale) are flagged as
+    decayed below ZERO_TOL (relative to their global scale) are flagged as
     zero-tail.  A non-decaying envelope raises TailDivergenceError.
     """
     s = np.asarray(s, dtype=float)
@@ -160,12 +161,12 @@ def fit_oscillatory_tail(s, phi, omega, side, zero_tol=1e-11) -> TailFit:
     # outer third of the window, on the tail side
     n = len(s)
     outer = slice(0, n // 3) if side == LEFT else slice(2 * n // 3, n)
-    if scale < zero_tol or np.max(np.abs(phi[outer])) < zero_tol * max(scale, 1.0):
+    if scale < ZERO_TOL or np.max(np.abs(phi[outer])) < ZERO_TOL * max(scale, 1.0):
         return TailFit(side, float(s0), omega, 0.0, 0.0, 1.0, 1.0, 0.0, zero_tail=True)
 
     # crude divergence screen: the envelope must not grow outward
     inner = slice(2 * n // 3, n) if side == LEFT else slice(0, n // 3)
-    if np.max(np.abs(phi[outer])) > 3.0 * np.max(np.abs(phi[inner])) + zero_tol:
+    if np.max(np.abs(phi[outer])) > 3.0 * np.max(np.abs(phi[inner])) + ZERO_TOL:
         raise TailDivergenceError("tail is not decaying; running integral is not Cauchy")
 
     sgn = -1.0 if side == LEFT else 1.0

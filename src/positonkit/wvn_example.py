@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+_POSITON_SINGULAR_TOL = 1e-10   # |tau argument| below which the positon reads +inf
 
 
 @dataclass(frozen=True)
@@ -277,11 +278,11 @@ def _log_second_derivative(g, gx, gxx):
     return -2.0 * gxx / g + 2.0 * (gx / g) ** 2
 
 
-def positon_closed(x, t, singular_value=math.inf, singular_tol=1e-10):
+def positon_closed(x, t):
     """Singular one-positon profile -2 d^2/dx^2 log(1 + x + 12t - sin(2(x+4t))/2).
 
     At the (moving) zero of the tau argument the profile has a double pole;
-    such points are reported as `singular_value` (default +inf).
+    such points are reported as +inf.
     """
     x = np.asarray(x, dtype=float)
     th = x + 4.0 * t
@@ -290,7 +291,7 @@ def positon_closed(x, t, singular_value=math.inf, singular_tol=1e-10):
     gxx = 2.0 * np.sin(2 * th)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _log_second_derivative(g, gx, gxx)
-    out = np.where(np.abs(g) < singular_tol, singular_value, out)
+    out = np.where(np.abs(g) < _POSITON_SINGULAR_TOL, math.inf, out)
     return out if out.ndim else float(out)
 
 

@@ -373,6 +373,20 @@ def test_evolve_lays_out_every_plane_before_any_solve(tmp_path, monkeypatch):
     assert code == cli.EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("state", [{"omega": 2.0, "alpha": 1.0, "r_at_omega": [-1, 0]},
+                                   {"omega": 1.0, "alpha": 1.0, "r_at_omega": [1, 0]}])
+def test_evolve_rejects_a_state_other_than_omega_one(tmp_path, capsys, state):
+    # evolve inserts at omega = 1 with R(1) = -1; any other state is refused,
+    # not silently replaced by that one
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 51},
+           "states": [state], "time": {"t_values": [0.0]}}
+    code, prefix = run_cli(tmp_path, "other_state", cfg, "evolve")
+    assert code == cli.EXIT_BAD_CONFIG
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "validation" and "config.states[0]" in error["message"]
+    assert not os.path.exists(prefix + ".csv")
+
+
 def test_linalg_error_is_numerical(tmp_path, monkeypatch, capsys):
     def singular(spec, ks):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -375,55 +375,6 @@ def test_brent_step_matches_scipy_oracle_on_a_tail_window(rho, s_min):
     assert evaluations < 30         # golden section alone would take about 56
 
 
-def _soliton_pair(grid, kappa):
-    x = grid.x
-    th = np.tanh(kappa * x)
-    sech2 = 1.0 / np.cosh(kappa * x) ** 2
-
-    def phi_family(k):
-        v = np.exp(-1j * k * x) * (k - 1j * kappa * th) / (k - 1j * kappa)
-        d = (-1j * k * v
-             + np.exp(-1j * k * x) * (-1j * kappa**2 * sech2) / (k - 1j * kappa))
-        return WaveField(grid, k, v, d)
-
-    def psi_family(k):
-        v = np.exp(1j * k * x) * (k + 1j * kappa * th) / (k + 1j * kappa)
-        d = (1j * k * v
-             + np.exp(1j * k * x) * (1j * kappa**2 * sech2) / (k + 1j * kappa))
-        return WaveField(grid, k, v, d)
-
-    return phi_family, psi_family
-
-
-def test_isolated_pole_preservation():
-    grid = Grid(-12.0, 12.0, 1201)
-    kappa = 1.0
-    phi_fam, psi_fam = _soliton_pair(grid, kappa)
-    # synthetic gauge data: one fabricated real "state" with its y from the 1x1 solve
-    f = _synthetic_fields(grid, 1.3, 0.0)
-    alpha = 0.8
-    cum = dbx.cumulative_corrected_trapezoid(
-        np.real(f.values) ** 2, 2 * np.real(f.values) * np.real(f.derivs), grid.spacing)
-    u = 1.0 + alpha**2 * cum
-    y = WaveField(grid, 1.3, -alpha * np.real(f.values) / u,
-                  -alpha * np.real(f.derivs) / u + alpha**3 * np.real(f.values) ** 3 / u**2)
-
-    class FakeResult:
-        states = [dbx.EmbeddedStateSpec(1.3, alpha, -1.0)]
-        y_fields = [y]
-        phi_fields = [f]
-
-    report = dbx.check_isolated_pole_preservation(phi_fam, psi_fam, FakeResult(),
-                                                  (kappa, 2 * kappa))
-    assert report.passed
-    assert report.max_deviation < 1e-4
-    bad = dbx.check_isolated_pole_preservation(phi_fam, psi_fam, FakeResult(),
-                                               (kappa, 2.2 * kappa))
-    assert not bad.passed
-    vac = dbx.check_isolated_pole_preservation(phi_fam, psi_fam, FakeResult(), None)
-    assert vac.passed and vac.vacuous
-
-
 def test_transform_result_csv_and_meta(tmp_path, inserted_std):
     path = tmp_path / "out.csv"
     inserted_std.to_csv(path)

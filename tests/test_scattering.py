@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 from positonkit import darboux as dbx
 from positonkit import scattering as sct
 from positonkit import wvn_example as wvn
-from positonkit.errors import (
-    DegenerateWronskianError,
-    ResidueClassificationError,
-    ValidationError,
-)
-from positonkit.schrodinger import Grid, PotentialSpec, right_jost_at
+from positonkit.errors import DegenerateWronskianError, ResidueClassificationError
+from positonkit.schrodinger import Grid, PotentialSpec, right_jost, right_jost_at
 
 RHO = 2.0
 
@@ -80,45 +76,59 @@ def test_reflection_at_resonance(wvn_spec):
     assert abs(r + 1.0) < 1e-6
 
 
+# The seed's left Weyl solution, diagonal Green's function and m-functions are
+# read off its pair (phi, psi): `transformed_solutions` of a transform that
+# inserts no state returns the pair unchanged.
+
+def _seed_pair(spec, k, grid):
+    return dbx.transformed_solutions(dbx.insert_embedded(spec, [], grid), k)
+
+
 def test_left_weyl_free_and_wronskian(wvn_spec):
+    # at real k, phi is the left Weyl solution conj(psi) + R psi
     g = Grid(-10.0, 2.0, 1201)
-    phi0 = sct.left_weyl(PotentialSpec.zero(), 1.5, g, 0.0)
+    phi0, _ = _seed_pair(PotentialSpec.zero(), 1.5, g)
     assert np.max(np.abs(phi0.values - np.exp(-1.5j * g.x))) < 1e-12
     k = 2.0
-    r = sct.reflection_from_wronskians(wvn_spec, k)
-    phi = sct.left_weyl(wvn_spec, k, g, r)
-    psi = __import__("positonkit.schrodinger", fromlist=["right_jost"]).right_jost(wvn_spec, k, g)
+    phi, psi = _seed_pair(wvn_spec, k, g)
     # basic scattering relation: W(psi, phi) = -2ik
     assert abs(psi.wronskian_with(phi, -4.4) + 2j * k) < 1e-6
 
 
 def test_left_weyl_decay_envelope(wvn_spec):
+    # at the full-reflection momentum conj(psi) + R psi decays like 1/|x|
     k = 1.0
     g = Grid(-200.0, 1.0, 20101)
     r = sct.reflection_at_resonance(wvn_spec, k)
-    phi = sct.left_weyl(wvn_spec, k, g, r)
+    psi = right_jost(wvn_spec, k, g)
+    phi = np.conj(psi.values) + r * psi.values
     win = (g.x >= -200.0) & (g.x <= -50.0)
-    prod = np.abs(phi.values[win]) * np.abs(g.x[win])
+    prod = np.abs(phi[win]) * np.abs(g.x[win])
     assert np.max(prod) < 1.5  # |phi| <= C/|x| with C ~ 2/rho
-    assert np.max(np.abs(phi.values[g.x <= -150.0])) < 0.01
+    assert np.max(np.abs(phi[g.x <= -150.0])) < 0.01
 
 
 def test_greens_free():
     k = 2.0 + 0.3j
-    g = sct.greens_diagonal(PotentialSpec.zero(), k, 1.1)
+    g = dbx.greens_diagonal_transformed(dbx.insert_embedded(PotentialSpec.zero(), [],
+                                                            Grid(-1.0, 2.0, 301)), k, 1.1)
     assert abs(g - (-1.0 / (2j * k))) < 1e-12
 
 
 def test_greens_herglotz(wvn_spec):
+    seed = dbx.insert_embedded(wvn_spec, [], Grid(-3.0, 1.0, 401))
     for lam in (1.0 + 0.5j, 2.5 + 0.2j):
         k = np.sqrt(lam)
-        g = sct.greens_diagonal(wvn_spec, k, -1.3)
+        g = dbx.greens_diagonal_transformed(seed, k, -1.3)
         assert np.imag(g) > 0
 
 
-def test_greens_pole_classification(wvn_spec, inserted_std):
+def test_greens_pole_classification(wvn_spec, inserted_std, grid_std):
+    # the seed's Green's function stays bounded at k -> 1; the inserted
+    # state gives the transformed one a simple pole there
     eps = [1e-2, 1e-3, 1e-4]
-    m_seed = [abs(sct.greens_diagonal(wvn_spec, 1.0 + 1j * e, -1.1)) for e in eps]
+    seed = dbx.insert_embedded(wvn_spec, [], grid_std)
+    m_seed = [abs(dbx.greens_diagonal_transformed(seed, 1.0 + 1j * e, -1.1)) for e in eps]
     p_seed = sct.fit_pole_exponent(eps, m_seed)
     assert abs(p_seed) < 0.3
     m_plus = [abs(dbx.greens_diagonal_transformed(inserted_std, 1.0 + 1j * e, -1.1))
@@ -128,37 +138,41 @@ def test_greens_pole_classification(wvn_spec, inserted_std):
 
 
 def test_potential_recovery(wvn_spec):
-    x = -3.0
-    q_est = sct.potential_recovery_diagnostic(wvn_spec, x, 20.0)
-    q_true = float(wvn.q_seed(RHO, x))
-    assert abs(q_est - q_true) < 0.05 * abs(q_true)
-    assert abs(sct.potential_recovery_diagnostic(PotentialSpec.zero(), 0.7, 20.0)) < 1e-8
+    # g(-kappa^2, x) = (1 - q(x) / (2 kappa^2) + ...) / (2 kappa) at large kappa
+    kappa = 20.0
+    for spec, x, q_true in ((wvn_spec, -3.0, float(wvn.q_seed(RHO, -3.0))),
+                            (PotentialSpec.zero(), 0.7, 0.0)):
+        seed = dbx.insert_embedded(spec, [], Grid(-3.5, 1.0, 451))
+        g = dbx.greens_diagonal_transformed(seed, 1j * kappa, x)
+        q_est = float(np.real(2.0 * kappa**2 * (1.0 - 2.0 * kappa * g)))
+        assert abs(q_est - q_true) < max(0.05 * abs(q_true), 1e-8)
 
 
 def test_m_functions_free():
     lam = 1.0 + 0.5j
-    m = sct.m_functions(PotentialSpec.zero(), lam, 0.0)
     k = np.sqrt(lam)
-    assert abs(m.m_plus - 1j * k) < 1e-10
-    assert abs(m.m_neumann + 1.0 / m.m_plus) < 1e-12
+    phi, psi = _seed_pair(PotentialSpec.zero(), k, Grid(-1.0, 1.0, 201))
+    (pv, pd), (sv, sd) = phi.at(0.0), psi.at(0.0)
+    assert abs(sd / sv - 1j * k) < 1e-10          # m_+ = psi'/psi
+    assert abs(-pd / pv - 1j * k) < 1e-10         # m_- = -phi'/phi
 
 
 def test_m_functions_herglotz(wvn_spec):
-    m = sct.m_functions(wvn_spec, 1.0 + 0.5j, -2.0)
-    assert m.m_plus.imag > 0
-    assert m.m_minus.imag > 0
+    phi, psi = _seed_pair(wvn_spec, np.sqrt(1.0 + 0.5j), Grid(-3.0, 1.0, 401))
+    (pv, pd), (sv, sd) = phi.at(-2.0), psi.at(-2.0)
+    assert (sd / sv).imag > 0
+    assert (-pd / pv).imag > 0
 
 
 def test_m_minus_embedded_pole_sweep(wvn_spec):
     eps = [1e-2, 1e-3, 1e-4]
-    mags = [abs(sct.m_functions(wvn_spec, 1.0 + 1j * e, -np.pi).m_minus) for e in eps]
+    g = Grid(-4.0, 1.0, 501)
+    mags = []
+    for e in eps:
+        pv, pd = _seed_pair(wvn_spec, np.sqrt(1.0 + 1j * e), g)[0].at(-np.pi)
+        mags.append(abs(pd / pv))
     p = sct.fit_pole_exponent(eps, mags)
     assert abs(p - 1.0) < 0.1
-
-
-def test_m_functions_requires_upper_half():
-    with pytest.raises(ValidationError):
-        sct.m_functions(PotentialSpec.zero(), 1.0, 0.0)
 
 
 def test_residue_simple_pole():
@@ -176,23 +190,3 @@ def test_residue_regular_point():
 def test_residue_higher_order_rejected():
     with pytest.raises(ResidueClassificationError):
         sct.residue_at(1.0, lambda k: 1.0 / (k - 1.0) ** 2)
-
-
-def test_scattering_data_validation():
-    ks = np.array([-2.0, -1.0, 1.0, 2.0])
-    _, r1, _ = wvn.scattering_closed(RHO, 1.0)
-    rs = np.array([np.conj(wvn.scattering_closed(RHO, 2.0)[1]),
-                   np.conj(r1), r1, wvn.scattering_closed(RHO, 2.0)[1]])
-    data = sct.ScatteringData(ks, rs, embedded_states=[(1.0, 1.0)],
-                              bound_states=[(2.0, 1.0), (1.0, 0.5)])
-    back = sct.ScatteringData.from_json(data.to_json())
-    assert np.allclose(back.r_samples, data.r_samples)
-    with pytest.raises(ValidationError):
-        sct.ScatteringData(np.array([1.0]), np.array([1.5 + 0j]))
-    rs_bad = rs.copy()
-    rs_bad[0] = 0.3 + 0.1j   # breaks the (-2, 2) conjugate pair
-    with pytest.raises(ValidationError):
-        sct.ScatteringData(ks, rs_bad)
-    with pytest.raises(ValidationError):
-        sct.ScatteringData(np.array([1.0]), np.array([0.5 + 0j]),
-                           embedded_states=[(2.0, 1.0), (1.0, 1.0)])

@@ -327,21 +327,6 @@ def test_right_jost_requires_cutoff_in_grid():
         sch.right_jost(spec, 1.0, sch.Grid(-5, 5, 101))
 
 
-def test_fundamental_pair_free():
-    g = sch.Grid(-3.0, 3.0, 241)
-    c, s = sch.fundamental_pair(sch.PotentialSpec.zero(), 4.0, g)
-    assert np.max(np.abs(c.values - np.cos(2 * g.x))) < 1e-8
-    assert np.max(np.abs(s.values - np.sin(2 * g.x) / 2)) < 1e-8
-
-
-def test_fundamental_pair_wronskian_and_reality(wvn_spec):
-    g = sch.Grid(-4.0, 4.0, 321)
-    c, s = sch.fundamental_pair(wvn_spec, 1.0, g)
-    for x0 in (-3.3, -0.7, 1.9):
-        assert abs(sch.wronskian(c, s, x0) - 1.0) < 1e-8
-    assert np.max(np.abs(np.imag(c.values))) < 1e-10
-
-
 @given(st.floats(0.3, 3.0))
 @settings(max_examples=12, deadline=None)
 def test_wronskian_constancy(k):
@@ -370,10 +355,10 @@ def test_wronskian_contract_violation(wvn_spec):
     a = sch.right_jost(wvn_spec, 1.3, g1)
     b = sch.right_jost(wvn_spec, 1.3, g2)
     with pytest.raises(ValidationError):
-        sch.wronskian(a, b, 0.0)
+        a.wronskian_with(b, 0.0)
     c = sch.right_jost(wvn_spec, 1.4, g1)
     with pytest.raises(ValidationError):
-        sch.wronskian(a, c, 0.0)
+        a.wronskian_with(c, 0.0)
 
 
 def test_write_csv_matches_savetxt_byte_for_byte(tmp_path):

@@ -1,7 +1,9 @@
 """Static checks on the package source with the standard library's ast module.
 
 A module-level private function that nothing in the package references is
-dead code, and an `__all__` entry that the module does not define breaks
+dead code, and so is a public function or class that only its own tests call,
+unless it is a named oracle kept for tests and acceptance criteria.  An
+`__all__` entry that the module does not define breaks
 `from positonkit.<module> import *`.  The import check runs in a child
 process: importing the package loads numpy and scipy.linalg, and nothing else
 of scipy.
@@ -15,14 +17,28 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "positonkit"
 
+# public names no command calls, kept as independent references that tests and
+# acceptance criteria compare the pipeline against
+NAMED_ORACLES = (
+    "darboux.chain_insert", "darboux.phi_plus_at_omega", "darboux.greens_diagonal_transformed",
+    "kdv.q_plus_evolved", "kdv.classify_embedded_pole_evolved", "kdv.split_step_reference",
+    "wvn_example.y_closed", "wvn_example.y_x_closed", "wvn_example.psi_plus1_closed",
+)
+
 
 def _modules():
     return {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _referenced_names(tree):
+def _referenced_names(tree, skip=None):
+    """Names that tree's Name, Attribute and alias nodes use, outside the subtree skip."""
     names = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -60,6 +76,22 @@ def test_private_functions_are_referenced():
               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
               and not node.name.startswith("__") and node.name not in referenced]
     assert not unused, f"private functions referenced nowhere in src/: {unused}"
+
+
+def test_public_names_have_a_caller():
+    # a caller anywhere in src/ but the name's own definition; __all__ entries
+    # are strings, and the re-exports of __init__ are not callers
+    modules = {mod: tree for mod, tree in _modules().items() if mod != "__init__"}
+    refs = {mod: _referenced_names(tree) for mod, tree in modules.items()}
+    uncalled = []
+    for mod, tree in modules.items():
+        elsewhere = set().union(*(r for other, r in refs.items() if other != mod))
+        uncalled += [f"{mod}.{node.name}" for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_") and node.name not in elsewhere
+                     and node.name not in _referenced_names(tree, skip=node)]
+    assert sorted(set(uncalled) - set(NAMED_ORACLES)) == [], "public names without a caller"
+    assert sorted(set(NAMED_ORACLES) - set(uncalled)) == [], "named oracles now with a caller"
 
 
 def test_all_entries_are_defined():
