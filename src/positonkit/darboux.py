@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 RESONANCE_TOL = 1e-8
-DEFAULT_TAIL_WINDOW = 20.0
+TAIL_WINDOW = 20.0         # the Gram tails are fitted on this much of each end of the grid
 EXTEND_LEFT = 25.0         # the Gram tail is fitted this far left of the output grid
 
 
@@ -126,12 +126,12 @@ class TransformResult:
     gram: GramField
     diagnostics: dict = field(default_factory=dict)
 
-    def eigenfunction_norms(self, tail_window: float = DEFAULT_TAIL_WINDOW) -> np.ndarray:
+    def eigenfunction_norms(self) -> np.ndarray:
         """L2 norms of the eigenfunctions, grid quadrature plus fitted tails."""
         cum, left, right, _ = tail_closed_gram(
             self.grid.x, self.grid.spacing, [np.real(y.values) for y in self.y_fields],
             [np.real(y.derivs) for y in self.y_fields], [s.omega for s in self.states],
-            tail_window, right=True)
+            right=True)
         return np.sqrt(np.diagonal(cum[-1] + left + right))
 
     def to_csv(self, path):
@@ -182,7 +182,7 @@ def cumulative_corrected_trapezoid(f, fp, h):
 
 
 def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas,
-                     tail_window: float = DEFAULT_TAIL_WINDOW, right: bool = False):
+                     tail_window: float = TAIL_WINDOW, right: bool = False):
     """Tail-closed integrals of the products f_m f_l of real oscillatory fields.
 
     The fields are sampled at the ascending nodes x, whose spacing h is a scalar
@@ -232,13 +232,11 @@ def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
     return WaveField(grid, state.omega, vals, ders)
 
 
-def gram_plus(phis: list, alphas, grid: Grid | None = None,
-              tail_window: float = DEFAULT_TAIL_WINDOW,
-              omegas=None) -> GramField:
+def gram_plus(phis: list, alphas, grid: Grid | None = None, omegas=None) -> GramField:
     """Gram matrix field G(x)_{mn} = alpha_m alpha_n Integral(phi_m phi_n, -inf..x).
 
     The (-inf, x_min] piece comes from the oscillatory tail model fitted on
-    the leftmost `tail_window` of the grid.
+    the leftmost `TAIL_WINDOW` of the grid.
     """
     if grid is None:
         grid = phis[0].grid
@@ -253,7 +251,7 @@ def gram_plus(phis: list, alphas, grid: Grid | None = None,
         omegas = [float(np.real(f.k)) for f in phis]
     cum, left, _, fits = tail_closed_gram(grid.x, grid.spacing,
                                           [np.real(f.values) for f in phis],
-                                          [np.real(f.derivs) for f in phis], omegas, tail_window)
+                                          [np.real(f.derivs) for f in phis], omegas)
     weights = np.outer(alphas, alphas)
     return GramField(grid, weights * (cum + left), weights * left, fits)
 
@@ -317,7 +315,6 @@ def _extended_grid(grid: Grid) -> tuple[Grid, int]:
 
 
 def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
-                    tail_window: float = DEFAULT_TAIL_WINDOW,
                     check_preconditions: bool = True,
                     rtol: float = DEFAULT_RTOL) -> TransformResult:
     """Insert embedded eigenvalues omega_n^2 into the potential.
@@ -339,8 +336,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     ext, n_ext = _extended_grid(grid)
     phis = [phi_n(spec, s, ext, rtol=rtol) for s in states]
     alphas = np.array([s.alpha for s in states])
-    gram = gram_plus(phis, alphas, ext, tail_window,
-                     omegas=[s.omega for s in states])
+    gram = gram_plus(phis, alphas, ext, omegas=[s.omega for s in states])
     phit = np.stack([a * np.real(f.values) for a, f in zip(alphas, phis)])
     dphit = np.stack([a * np.real(f.derivs) for a, f in zip(alphas, phis)])
     log_det, dd2, y, yp = _solve_transform(phit, dphit, gram.entries)
@@ -355,7 +351,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     return TransformResult(spec, grid, states, q0, q_new, log_det[sl],
                            y_fields, phi_fields, gram_out,
                            diagnostics={"extend_left": EXTEND_LEFT,
-                                        "tail_window": tail_window})
+                                        "tail_window": TAIL_WINDOW})
 
 
 def single_state_step(alpha, phi, phi_x, big_i):
@@ -375,7 +371,6 @@ def single_state_step(alpha, phi, phi_x, big_i):
 
 
 def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
-                 tail_window: float = DEFAULT_TAIL_WINDOW,
                  check_preconditions: bool = True) -> TransformResult:
     """Insert the states one at a time through the single-state recurrence.
 
@@ -400,7 +395,7 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
         a = s.alpha
         # row 0: the integrals of phi_n against itself and the remaining phi_j
         cum, left, _, _ = tail_closed_gram(ext.x, ext.spacing, cur_v[n:], cur_d[n:],
-                                           [st.omega for st in states[n:]], tail_window)
+                                           [st.omega for st in states[n:]])
         u, y, ydash, dq = single_state_step(a, cur_v[n], cur_d[n], left[0, 0] + cum[:, 0, 0])
         log_det_total += np.log(u)
         q = q + dq
@@ -520,7 +515,6 @@ def greens_diagonal_transformed(result: TransformResult, k: complex, x: float) -
 
 def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
                     omegas=None,
-                    tail_window: float = DEFAULT_TAIL_WINDOW,
                     ortho_tol: float = 1e-6) -> RemovalResult:
     """Remove embedded eigenvalues given an orthonormal set of eigenfunctions.
 
@@ -541,8 +535,7 @@ def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
         omegas = [float(np.real(y.k)) for y in eigenfunctions]
     vals = [np.real(y.values) for y in eigenfunctions]
     ders = [np.real(y.derivs) for y in eigenfunctions]
-    cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, vals, ders, omegas, tail_window,
-                                           right=True)
+    cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, vals, ders, omegas, right=True)
     ortho = left + cum[-1] + right
     gbar = right + (cum[-1] - cum)
     dev = np.max(np.abs(ortho - np.eye(n)))

@@ -12,8 +12,13 @@ kept in exact scalar form) plus the bounded regular remainder evaluated on
 contours inside 0 < Im z < ystar.  The seed is real, so R(-conj z) = conj R(z)
 and K_t is real: the GLM operator (core, resonance border, right-hand sides)
 is factored and solved in float64, and only the read-out sum_i w_i e^{ik xi_i} v_i
-at the momenta k is complex.  The imaginary part of every log det is exactly
-0, or pi for a negative determinant, which the positivity checks reject.
+at the momenta k is complex.  Every core I + H diag(w) is similar to the
+symmetric I + W^1/2 H W^1/2, which is positive definite, so numpy's Cholesky
+factors it without row interchanges (`lu_factor`); a core that is not
+positive definite is a DiscretizationFailureError.  The core's determinant is
+then positive, and the sign of det(I + H) is that of the resonance border's
+Schur complement: the imaginary part of every log det is exactly 0, or pi
+for a negative determinant, which the positivity checks reject.
 
 At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
 kernel is supported on u < 0, which makes the operator finite-window.  Every
@@ -21,12 +26,13 @@ t = 0 operator grid puts the kernel's kink u = 0 on a node: `plane_jost`'s by
 its chains' lattice (delta / 2)Z (laid out by `kdv.phi_plane_grid`),
 `DetState`'s by a grid aligned per node (`kink_spacing`).  As K' jumps at
 u = 0, q at t = 0 is a second difference of the log-determinants that
-`plane_jost` reads off a chain's one factorization with two triangular
+`plane_jost` reads off a chain's one factorization with two blocked
 substitutions, in O(n^2).  At t > 0 the kernel is a contour sum, evaluated
 by chirp-z transform once per operator, at exactly the lattice nodes
 2x + i delta that it reads (`KernelTable`); q is the GLM read-out of
-`plane_jost`, read off a chain factor's two triangular inverses in O(n) per
-node.  `DetState`, one dense system per node, serves the per-node Jost solves
+`plane_jost`, read off the inverse of a chain's Cholesky factor, which
+gives both triangular inverses of its LU, in O(n) per node.  `DetState`,
+one dense system per node, serves the per-node Jost solves
 (`kdv.jost_evolved`) and is the oracle of `plane_jost`.
 """
 
@@ -39,8 +45,6 @@ from functools import cached_property
 import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
-from scipy.linalg.lapack import dtrtri
 
 from .errors import DiscretizationFailureError, ValidationError
 
@@ -293,6 +297,92 @@ def _resonance_border(poles: PoleData, x, t: float):
     return log_gamma, np.where(huge, 1.0, scale), np.where(huge, scale, 1.0)
 
 
+# -- the GLM core A = I + H diag(w), factored through its symmetrization -------
+
+_BLOCK = 64                # rows of a diagonal block in the blocked factor, substitutions and inverse
+
+
+def _symmetric_core(h, sqrt_w) -> np.ndarray:
+    """S = I + W^1/2 H W^1/2 in C order, H[i, j] = h[i + j]: the core I + H W made symmetric."""
+    s = _hankel(h, sqrt_w.size) * sqrt_w[:, None]
+    s *= sqrt_w
+    s[np.diag_indices(sqrt_w.size)] += 1.0
+    return s
+
+
+def lu_factor(a, sqrt_w):
+    """Factor (g, sqrt_w) of the core A = I + H W from its symmetrization a = I + W^1/2 H W^1/2.
+
+    a = W^1/2 A W^-1/2 = g g^T with g lower triangular (Cholesky), so A = L U
+    with the unit lower L = W^-1/2 g D^-1 W^1/2 and the upper U = W^-1/2 D g^T W^1/2,
+    D = diag(g): the factors that elimination without row interchanges gives,
+    with diag(U) = D^2 > 0 and log det A = 2 sum log g_ii.  They are read off
+    g by these diagonal scalings where needed.  g overwrites a, built
+    left-looking in column blocks of _BLOCK: each block's Cholesky factor, and
+    below it the block's panel times the inverse transpose of that factor.  A
+    core that is not positive definite, or not finite, is a
+    DiscretizationFailureError.
+    """
+    n = a.shape[0]
+    try:
+        for j0 in range(0, n, _BLOCK):
+            j1 = min(j0 + _BLOCK, n)
+            col = a[j0:, j0:j1] - a[j0:, :j0] @ a[j0:j1, :j0].T
+            a[j0:j1, j0:j1] = diag_block = np.linalg.cholesky(col[:j1 - j0])
+            a[j1:, j0:j1] = col[j1 - j0:] @ np.linalg.inv(diag_block).T
+            a[:j0, j0:j1] = 0.0
+        definite = bool(np.all(np.isfinite(np.diagonal(a))))
+    except np.linalg.LinAlgError:
+        definite = False
+    if not definite:
+        raise DiscretizationFailureError("the GLM core is not positive definite; refine the "
+                                         "operator grid", suggested_m=2 * n)
+    return a, sqrt_w
+
+
+def lu_solve(factor, b) -> np.ndarray:
+    """A^-1 b for the factor (g, sqrt_w) of A (`lu_factor`): A^-1 = W^-1/2 g^-T g^-1 W^1/2."""
+    g, sqrt_w = factor
+    sw = sqrt_w.reshape((-1,) + (1,) * (np.ndim(b) - 1))
+    return _substitute(g, _substitute(g, sw * b), trans=True) / sw
+
+
+def _substitute(g, b, trans: bool = False) -> np.ndarray:
+    """x with g x = b, or g^T x = b if trans, for a lower triangular g; b a vector or columns.
+
+    Blocked: each block of _BLOCK rows subtracts its product with the rows
+    solved before it, then solves with its diagonal block.
+    """
+    n = g.shape[0]
+    x = np.array(b, dtype=np.result_type(g, b))
+    starts = range(0, n, _BLOCK)
+    for k0 in reversed(starts) if trans else starts:
+        k1 = min(k0 + _BLOCK, n)
+        if trans:
+            x[k0:k1] -= g[k1:, k0:k1].T @ x[k1:]
+            x[k0:k1] = np.linalg.solve(g[k0:k1, k0:k1].T, x[k0:k1])
+        else:
+            x[k0:k1] -= g[k0:k1, :k0] @ x[:k0]
+            x[k0:k1] = np.linalg.solve(g[k0:k1, k0:k1], x[k0:k1])
+    return x
+
+
+def _tri_inverse(g) -> np.ndarray:
+    """g^-1 of a lower triangular g, by halves: [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]].
+
+    Every product is a matrix product; above the diagonal the inverse is exactly 0.
+    """
+    n = g.shape[0]
+    if n <= _BLOCK:
+        return np.tril(np.linalg.inv(g))
+    h = n // 2
+    out = np.zeros_like(g)
+    out[:h, :h] = _tri_inverse(g[:h, :h])
+    out[h:, h:] = _tri_inverse(g[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (g[h:, :h] @ out[:h, :h]))
+    return out
+
+
 class DetState:
     """Per-(x, t) assembly of the split Hankel determinant and its GLM solves.
 
@@ -324,38 +414,43 @@ class DetState:
 
     @cached_property
     def _bordered(self):
-        """LU of B = I + H diag(w) bordered by the resonance piece, nonsingular with I + H."""
+        """(factor, A^-1 [H 1, ghat], c, sigma) of the core A = I + H diag(w) and its border.
+
+        The resonance piece borders A by the column ghat = e^{-y xi} and the row
+        c = s_row w ghat; it enters through the Schur complement
+        sigma = -s_inv_gamma - c.A^-1 ghat, so det B = sigma det A.
+        """
         mn1 = self.mn + 1
         ghat = np.exp(-self.poles.ystar * self.xi)
-        b = np.zeros((mn1 + 1, mn1 + 1))
-        core = b[:mn1, :mn1]
-        np.multiply(self.w[None, :], _hankel(self._h0, mn1), out=core)
-        core[np.diag_indices(mn1)] += 1.0
-        b[:mn1, mn1] = ghat
-        b[mn1, :mn1] = self.s_row * self.w * ghat
-        b[mn1, mn1] = -self.s_inv_gamma
-        return lu_factor(b, overwrite_a=True)
+        sqrt_w = np.sqrt(self.w)
+        factor = lu_factor(_symmetric_core(self._h0, sqrt_w), sqrt_w)
+        sol = lu_solve(factor, np.stack([self._h0[:mn1], ghat], axis=1))
+        c = self.s_row * self.w * ghat
+        return factor, sol, c, -self.s_inv_gamma - c @ sol[:, 1]
 
     def log_det(self) -> float:
         """log det(I + H) = log Gamma - log s + log(-det B) for the bordered B.
 
-        det B is the product of its LU factor's diagonal, its sign flipped by
-        each row interchange.
+        det B = sigma det A, and det A = prod g_ii^2 > 0 (`lu_factor`), so the
+        sign of det(I + H) is that of -sigma.
         """
-        lu, piv = self._bordered
-        d = np.diagonal(lu)
-        swaps = np.count_nonzero(piv != np.arange(len(piv)))
-        _check_positive(np.angle(-np.prod(d / np.abs(d)) * (-1.0) ** swaps), self.mn)
-        return self.log_gamma - math.log(self.s_row) + float(np.sum(np.log(np.abs(d))))
+        factor, _, _, sigma = self._bordered
+        _check_positive(np.angle(-sigma), self.mn)
+        return (self.log_gamma - math.log(self.s_row) + math.log(-sigma)
+                + 2.0 * float(np.sum(np.log(np.diagonal(factor[0])))))
 
     # -- linear solves for the evolved Jost solution ------------------------
 
+    def _border_solve(self, inner, last):
+        """Solutions of B v = (b, beta) by column, from inner = A^-1 b and the last entries beta."""
+        _, sol, c, sigma = self._bordered
+        tail = (last - c @ inner) / sigma
+        return np.vstack([inner - np.outer(sol[:, 1], tail), tail])
+
     def _solution(self):
         """Bordered solutions (a, z) for the right-hand sides (H 1, 0) and (0, s_row), by column."""
-        rhs = np.zeros((self.mn + 2, 2))
-        rhs[:-1, 0] = self._h0[:self.mn + 1]
-        rhs[-1, 1] = self.s_row
-        return lu_solve(self._bordered, rhs)
+        h_sol = self._bordered[1][:, :1]
+        return self._border_solve(np.hstack([h_sol, np.zeros_like(h_sol)]), np.array([0.0, self.s_row]))
 
     def _readout(self, ks, sol):
         """sum_i w_i e^{ik xi_i} v_i at each momentum k, v = a + z of the bordered solution."""
@@ -374,12 +469,13 @@ class DetState:
         if self.fixed_delta is None:
             raise ValidationError("jost x-derivatives require a fixed grid (fixed_delta)")
         sol, mn1, k1 = self._solution(), self.mn + 1, self._h1
-        rhs = np.empty((mn1 + 1, 2))
         # a_x = 2 H(k1) diag(w) applied to both solution columns in one product
-        rhs[:mn1] = -(_hankel(2.0 * k1, mn1) @ (self.w[:, None] * sol[:mn1]))
-        rhs[:mn1, 0] += 2.0 * k1[:mn1]
-        rhs[mn1] = 2.0 * self.poles.ystar * self.s_inv_gamma * sol[mn1]
-        return self._readout(ks, sol), self._readout(ks, lu_solve(self._bordered, rhs))
+        rhs = -(_hankel(2.0 * k1, mn1) @ (self.w[:, None] * sol[:mn1]))
+        rhs[:, 0] += 2.0 * k1[:mn1]
+        inner = lu_solve(self._bordered[0], rhs)
+        return (self._readout(ks, sol),
+                self._readout(ks, self._border_solve(inner, 2.0 * self.poles.ystar
+                                                     * self.s_inv_gamma * sol[mn1])))
 
 
 # -- the fixed-grid plane: one factorization per chain of nodes ----------------
@@ -402,8 +498,9 @@ class PlaneJost:
     one.  nodes holds the indices into the plane's x of the nodes solved, in
     increasing x, and every array is over them.  sizes holds mn + 1 of each
     node's system and factor_points that of each chain's one factorization.
-    pivot_margin, near 0 near a singular node, is the least min |u_ii| / max |u_ii|
-    on a node's leading rows or |sigma| / (|1/Gamma'| + |row.z|).
+    pivot_margin, near 0 near a singular node, is the least min u_ii / max u_ii
+    on a node's leading rows (u_ii = g_ii^2 > 0, `lu_factor`) or
+    |sigma| / (|1/Gamma'| + |row.z|).
     """
 
     nodes: np.ndarray
@@ -461,21 +558,22 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
     of the core of the chain's leftmost node, whose window ends where the
     widest node needs it (no node gets less than `DetState` gives it at this
     spacing), so a chain that starts at the window gets a factor of the window's
-    size.  The reversed core J(I + H diag(w))J is factored once, and its leading
-    blocks then factor every node's core:
+    size.  The reversed core J(I + H diag(w))J is factored once, by the
+    Cholesky factor of its symmetrization (`lu_factor`), which has no row
+    interchanges, and the leading blocks of its L U then factor every node's core:
       * the node's own left end corrections of `em_weights` enter as a rank-5
         (Woodbury) update of the factor's last five columns;
       * the resonance border enters as a 1 x 1 Schur complement;
-      * log det(I + H) is the sum of the logs of the factor's leading diagonal,
-        of the updated 5 x 5 corner's determinant and of that Schur complement.
-    At t = 0 only scalar functionals of each node's solution are read, and one
-    forward and one transposed backward substitution with the whole factor
-    serve a chain's nodes with O(1) work each (`_chain_t0`).  At t > 0 the
-    derivative right-hand side needs each node's full solution, read in O(m)
-    off the factor's two triangular inverses, and an FFT correlation for its
-    Hankel product (`_chain_t`); q is read from the derivative solve.
-    A row interchange in the factorization would break the leading-block
-    property; it is reported as a DiscretizationFailureError.
+      * log det(I + H) is the sum of the logs of the factor's leading diagonal
+        (each positive), of the updated 5 x 5 corner's determinant and of that
+        Schur complement, whose signs alone set its phase.
+    At t = 0 only scalar functionals of each node's solution are read, and two
+    forward substitutions with the whole Cholesky factor serve a chain's nodes
+    with O(1) work each (`_chain_t0`).  At t > 0 the derivative right-hand
+    side needs each node's full solution, read in O(m) off the one inverse of
+    the Cholesky factor, and an FFT correlation for its Hankel product
+    (`_chain_t`); q is read from the derivative solve.  A core that is not
+    positive definite is a DiscretizationFailureError.
     """
     x = np.asarray(x, dtype=float)
     ks = np.atleast_1d(np.asarray(ks, dtype=complex))
@@ -512,24 +610,18 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
         sizes[nodes] = big_n - st + 1
         h0_rev, h1_rev = rows[:, j:j + skip * 2 * big_n + 1:skip][:, ::-1]
         w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
-        core = np.empty((big_n + 1, big_n + 1), order="F")
-        np.multiply(_hankel(h0_rev, big_n + 1), w0[None, :], out=core)
-        core[np.diag_indices(big_n + 1)] += 1.0
-        lu, piv = lu_factor(core, overwrite_a=True)
-        if np.any(piv != np.arange(big_n + 1)):
-            raise DiscretizationFailureError(
-                "the reversed GLM core needed a row interchange; its leading blocks "
-                "do not factor the nodes' systems")
-        # log u_ii summed along the diagonal; each negative pivot adds i pi
-        log_u = np.concatenate([[0.0], np.cumsum(np.log(np.diagonal(lu).astype(complex)))])
-        pivots, k = np.abs(np.diagonal(lu)), sizes[nodes] - _EM_END - 1
+        sqrt_w = np.sqrt(w0)
+        factor = lu_factor(_symmetric_core(h0_rev, sqrt_w), sqrt_w)
+        # diag(U) = diag(g)^2 > 0: log det of every leading block is a prefix sum
+        pivots, k = np.diagonal(factor[0]) ** 2, sizes[nodes] - _EM_END - 1
+        log_u = np.concatenate([[0.0], np.cumsum(np.log(pivots))])
         pivots = np.minimum.accumulate(pivots)[k] / np.maximum.accumulate(pivots)[k]
         if t == 0.0:
             g[nodes], log_det[nodes], sigma = _chain_t0(poles, x[nodes], ks, delta, sizes[nodes],
-                                                        lu, log_u, w0)
+                                                        factor, log_u, w0)
         else:
             g[nodes], log_det[nodes], gx[nodes], q[nodes], sigma = _chain_t(
-                poles, t, x[nodes], ks, delta, sizes[nodes], lu, log_u, w0, h1_rev)
+                poles, t, x[nodes], ks, delta, sizes[nodes], factor, log_u, w0, h1_rev)
         inv_gamma = _resonance_border(poles, x[nodes], t)[2]     # sigma = -inv_gamma - row.z
         border = np.abs(sigma) / (inv_gamma + np.abs(sigma + inv_gamma))
         margin = min(margin, float(np.min(np.minimum(pivots, border))))
@@ -539,43 +631,53 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
                      tuple(b + 1 for b in big_ns), sizes[solved], margin)
 
 
-def _node_corners(lu, w0, k):
+def _node_corners(factor, w0, k):
     """(ends, r, upper, corner) of the nodes whose leading m - 5 rows number k.
 
     ends holds each node's last five rows, r = w / w0 there and upper the
-    factor's upper triangle on them.  The node's own end weights make its core
+    factor's U on them, read off the chain's (g, sqrt_w) (`lu_factor`) with
+    L on them by diagonal scalings.  The node's own end weights make its core
     A e_c = r_c L U e_c + (1 - r_c) e_c there: a rank-5 (Woodbury) update, A = L U'
     with U' e_c = r_c U e_c + (1 - r_c) L^{-1} e_c, whose 5 x 5 block on the
     ends is corner (L^{-1} e_c lies in it).
     """
+    g, sqrt_w = factor
     ends = k[:, None] + np.arange(_EM_END)                  # (nodes, 5)
     r = w0[-_EM_END:] / w0[ends]
-    blk = lu[ends[:, :, None], ends[:, None, :]]
-    l_inv_e = np.linalg.inv(np.tril(blk, -1) + np.eye(_EM_END))
-    upper = np.triu(blk)
+    blk, d = g[ends[:, :, None], ends[:, None, :]], g[ends, ends]
+    scale = sqrt_w[ends][:, None, :] / sqrt_w[ends][:, :, None]      # w_j^1/2 / w_i^1/2
+    l_inv_e = np.linalg.inv(np.tril(blk, -1) * scale / d[:, None, :] + np.eye(_EM_END))
+    upper = np.swapaxes(blk, 1, 2) * d[:, :, None] * scale
     return ends, r, upper, upper * r[:, None, :] + l_inv_e * (1.0 - r[:, None, :])
 
 
 def _log_det(log_u, k, corner, sigma, log_gamma, s_row):
     """log det(I + H) = log det A + log(-sigma) + log Gamma - log s_row, as in `DetState.log_det`.
 
-    det A is the product of the leading k diagonal entries of U and det(corner).
-    All are real: the phase is pi for an odd count of negative factors, else 0.
+    det A is the product of the leading k diagonal entries of U, each positive
+    (`lu_factor`), and det(corner).  The phase is pi when exactly one of
+    det(corner) and -sigma is negative, else 0.
     """
     sign, log_corner = np.linalg.slogdet(corner)
-    negatives = np.rint(log_u[k].imag / np.pi) + (sign < 0) + (sigma > 0)
-    return (log_u[k].real + log_corner + np.log(np.abs(sigma)) + log_gamma - np.log(s_row)
+    negatives = (sign < 0) + (sigma > 0)
+    return (log_u[k] + log_corner + np.log(np.abs(sigma)) + log_gamma - np.log(s_row)
             + 1j * np.pi * (negatives % 2))
 
 
-def _chain_functionals(poles, ks, delta, m, lu, w0, corners):
-    """(p, d, Q, alpha, beta, c_end, q_e) of one chain's functionals c = alpha d (`_chain_t0`)."""
-    (ends, r, upper, corner), n1, y = corners, lu.shape[0], poles.ystar
+def _chain_functionals(poles, ks, delta, m, factor, w0, corners):
+    """(p, d, Q, alpha, beta, c_end, q_e) of one chain's functionals c = alpha d (`_chain_t0`).
+
+    p = L^{-1} f and Q = U^{-T} d are each one forward substitution with g: for
+    the factor (g, sqrt_w) (`lu_factor`), L^{-1} = W^-1/2 D g^{-1} W^1/2 and
+    U^{-T} = W^1/2 D^{-1} g^{-1} W^-1/2, D = diag(g).
+    """
+    (ends, r, upper, corner), (g, sqrt_w), y = corners, factor, poles.ystar
+    n1, diag = g.shape[0], np.diagonal(g)
     rate = np.concatenate([[y], -1j * ks])                  # border row, then each momentum
     chain = np.exp(delta * (np.arange(n1) - 0.5 * (n1 - 1))[:, None] * rate)   # (rows, 1 + momenta)
-    p = solve_triangular(lu, chain[:, 0].real, lower=True, unit_diagonal=True, check_finite=False)
+    p = diag / sqrt_w * _substitute(g, sqrt_w * chain[:, 0].real)
     d = w0[:, None] * chain
-    re_im = solve_triangular(lu, np.hstack([d.real, d.imag]), trans="T", check_finite=False)
+    re_im = (sqrt_w / diag)[:, None] * _substitute(g, np.hstack([d.real, d.imag]) / sqrt_w[:, None])
     big_q = re_im[:, :rate.size] + 1j * re_im[:, rate.size:]
     off = delta * (m - 1 - 0.5 * (n1 - 1))                  # xi of each node's row i0
     alpha = np.exp(-off[:, None] * rate)
@@ -585,8 +687,8 @@ def _chain_functionals(poles, ks, delta, m, lu, w0, corners):
     return p, d, big_q, alpha, np.exp(-y * off), c_end, q_e
 
 
-def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
-    """(g, log det(I + H), sigma) at every node of one t = 0 chain from its packed factor lu.
+def _chain_t0(poles, x, ks, delta, m, factor, log_u, w0):
+    """(g, log det(I + H), sigma) at every node of one t = 0 chain from its core's factor.
 
     Node c's core A = L U' is as in `_chain_t`, with k = m - 5 leading
     rows; sigma is its border's Schur complement.  Only functionals
@@ -608,9 +710,10 @@ def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
     d[ends] - triu(U[ends, ends])^T Q[ends], since U^T Q = d.
     """
     k = m - _EM_END
-    corners = _node_corners(lu, w0, k)
+    corners = _node_corners(factor, w0, k)
     log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, 0.0)
-    p, _, big_q, alpha, beta, c_end, q_e = _chain_functionals(poles, ks, delta, m, lu, w0, corners)
+    p, _, big_q, alpha, beta, c_end, q_e = _chain_functionals(poles, ks, delta, m, factor, w0,
+                                                              corners)
     prefix = np.concatenate([np.zeros((1, alpha.shape[1])), np.cumsum(big_q * p[:, None], axis=0)])
     cz = beta[:, None] * (alpha * prefix[k] + np.einsum("ncj,nc->nj", q_e, p[corners[0]]))
     ca = (c_end[-1] - q_e[:, -1]) / w0[-1]
@@ -621,13 +724,14 @@ def _chain_t0(poles, x, ks, delta, m, lu, log_u, w0):
             _log_det(log_u, k, corners[3], sigma, log_gamma, s_row), sigma)
 
 
-def _chain_t(poles, t, x, ks, delta, m, lu, log_u, w0, h1_rev):
-    """(g, log det(I + H), gx, q, sigma) at every node of one t > 0 chain from its packed factor lu.
+def _chain_t(poles, t, x, ks, delta, m, factor, log_u, w0, h1_rev):
+    """(g, log det(I + H), gx, q, sigma) at every node of one t > 0 chain from its core's factor.
 
-    lu is overwritten by its two triangular inverses.  Node c's core is L U',
-    U' = [[U_kk, U_ke r], [0, corner]] over its k = m - 5 leading rows and five
-    ends (`_node_corners`), and a leading block of a triangular inverse is the
-    inverse of that block, so each node is read off the inverses in O(m):
+    Node c's core is L U', U' = [[U_kk, U_ke r], [0, corner]] over its k = m - 5
+    leading rows and five ends (`_node_corners`), and a leading block of a
+    triangular inverse is the inverse of that block, so each node is read off
+    the inverses L^{-1} = W^-1/2 D g^{-1} W^1/2 and U^{-1} = W^-1/2 g^{-T} D^{-1} W^1/2,
+    both from the one inverse g^{-1} of the factor (g, sqrt_w) (`lu_factor`), in O(m):
       * a and z as in `_chain_t0`, from A^{-1} e_{m-1} and U'^{-1} p[:m], whose
         leading rows are U_kk^{-1} p[:k] plus U^{-1}[:k, ends] U_ee r
         corner^{-1} (e_4 or p[ends]), as U_kk^{-1} U_ke = -U^{-1}[:k, ends] U_ee;
@@ -640,16 +744,17 @@ def _chain_t(poles, t, x, ks, delta, m, lu, log_u, w0, h1_rev):
     sums over l < l0 in U_kk^{-1} p[:k] and (Q^T L^{-1})[:k] are carried, and
     the band [l0, l1 + 5) of rows and columns adds the rest and the ends.
     """
-    n1, k, n = lu.shape[0], m - _EM_END, len(m)
-    ends, r, upper, corner = corners = _node_corners(lu, w0, k)
+    n1, k, n = factor[0].shape[0], m - _EM_END, len(m)
+    ends, r, upper, corner = corners = _node_corners(factor, w0, k)
     log_gamma, s_row, s_inv_gamma = _resonance_border(poles, x, t)
-    p, d, big_q, alpha, beta, c_end, q_e = _chain_functionals(poles, ks, delta, m, lu, w0, corners)
+    p, d, big_q, alpha, beta, c_end, q_e = _chain_functionals(poles, ks, delta, m, factor, w0,
+                                                              corners)
     e_last = np.eye(_EM_END)[-1]
     q_e = np.concatenate([q_e, np.linalg.solve(np.swapaxes(corner, 1, 2), e_last[:, None])], axis=2)
     tail = np.linalg.solve(corner, np.stack([np.broadcast_to(e_last, ends.shape), p[ends]], axis=2))
     coef = np.matmul(upper * r[:, None, :], tail)            # U_ee r corner^{-1} (e_4, p[ends])
-    dtrtri(lu, overwrite_c=1)
-    dtrtri(lu, lower=1, unitdiag=1, overwrite_c=1)
+    g_inv, sqrt_w = _tri_inverse(factor[0]), factor[1]
+    u_scale = sqrt_w / np.diagonal(factor[0])               # U^{-1}[i, j] = g_inv[j, i] u_scale_j / sqrt_w_i
     g, gx = np.empty((n, ks.size), complex), np.empty((n, ks.size), complex)
     q, sigma = np.empty(n), np.empty(n)
     # the sums over l < l0: U^{-1} diag(p) over columns, diag(Q) L^{-1} over rows
@@ -658,8 +763,8 @@ def _chain_t(poles, t, x, ks, delta, m, lu, log_u, w0, h1_rev):
     for l0 in range(0, int(k.max()), slab):
         l1, rows = min(l0 + slab, n1), min(l0 + slab + _EM_END, n1)
         band = np.arange(l0, rows)
-        u_band = np.triu(lu[:rows, l0:rows], -l0)
-        l_band = np.tril(lu[l0:rows, :rows], l0 - 1)
+        u_band = g_inv[l0:rows, :rows].T * u_scale[l0:rows] / sqrt_w[:rows, None]
+        l_band = g_inv[l0:rows, :rows] / u_scale[l0:rows, None] * sqrt_w[:rows]
         l_band[band - l0, band] = 1.0
         js = np.flatnonzero((k > l0) & (k <= l1))
         if js.size:

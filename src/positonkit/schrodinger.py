@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import wvn_example as wvn
 from .errors import (
@@ -48,6 +47,7 @@ __all__ = [
 MAX_POINTS = 10**6      # most nodes, momenta or list entries of a config; most phi-plane nodes
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+_POINTS_PER_UNIT = 40   # nodes per unit length of the grid `integrate` lays out when given none
 # Most right-hand-side evaluations one smooth piece of q may take in DOP853
 # (about a minute; 44-54 per unit of |k| * span, see README), and most steps
 # one Magnus solve may take (46 per unit of |k| * span for |k| >= 1 at the
@@ -98,10 +98,27 @@ class Grid:
         return self.x_min - 1e-12 <= x0 <= self.x_max + 1e-12
 
 
+def _solve_tridiagonal(ab, b) -> np.ndarray:
+    """x with A x = b for the tridiagonal A held in banded layout, A[i, j] = ab[1 + i - j, j].
+
+    Elimination without row interchanges (Thomas): after the spline's first
+    row, whose elimination leaves row 1 diagonally dominant, every row is.
+    """
+    upper, main, lower, x = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist(), b.tolist()
+    for i in range(1, len(main)):
+        f = lower[i - 1] / main[i - 1]
+        main[i] -= f * upper[i - 1]
+        x[i] -= f * x[i - 1]
+    x[-1] /= main[-1]
+    for i in range(len(main) - 2, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1]) / main[i]
+    return np.array(x)
+
+
 class CubicSpline:
     """The not-a-knot cubic spline through (x, y), x strictly increasing; NaN outside [x[0], x[-1]].
 
-    Its slopes at the knots solve one tridiagonal system (a banded solve):
+    Its slopes at the knots solve one tridiagonal system (`_solve_tridiagonal`):
     a continuous second derivative at every interior knot and a continuous
     third derivative at x[1] and x[-2].  Three knots give the parabola
     through them and two the line, as scipy's `CubicSpline`.
@@ -126,7 +143,7 @@ class CubicSpline:
             last = (dx[-2], d1,
                     (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1)
         (ab[1, 0], ab[0, 1], b[0]), (ab[1, -1], ab[2, -2], b[-1]) = first, last
-        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+        s = _solve_tridiagonal(ab, b)
         t = (s[:-1] + s[1:] - 2.0 * slope) / dx
         # coefficients of (z^3, z^2, z, 1), z = x - x_i, on each interval i
         self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
@@ -699,8 +716,7 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
 
 
 def integrate(spec: PotentialSpec, k, x_from: float, x_to: float,
-              init, grid: Grid | None = None, n_default_per_unit: int = 40,
-              rtol: float = DEFAULT_RTOL) -> WaveField:
+              init, grid: Grid | None = None, rtol: float = DEFAULT_RTOL) -> WaveField:
     """Integrate -u'' + q u = k^2 u from x_from to x_to with data init=(u, u').
 
     Returns the solution sampled on the sub-grid of `grid` lying between the
@@ -709,7 +725,7 @@ def integrate(spec: PotentialSpec, k, x_from: float, x_to: float,
     array k gives a batched WaveField (values of shape k.shape + (n_points,)).
     """
     if grid is None:
-        n = max(2, int(abs(x_to - x_from) * n_default_per_unit) + 1)
+        n = max(2, int(abs(x_to - x_from) * _POINTS_PER_UNIT) + 1)
         grid = Grid(min(x_from, x_to), max(x_from, x_to), n)
     lo, hi = min(x_from, x_to), max(x_from, x_to)
     xs = grid.x[(grid.x >= lo - 1e-12) & (grid.x <= hi + 1e-12)]

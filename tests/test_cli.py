@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positonkit import cli
+from positonkit import cli, hankel
 from positonkit import wvn_example as wvn
 
 WVN_POT = {"kind": "wvn_example", "rho": 2.0, "right_cutoff": 0.0}
@@ -402,6 +402,20 @@ def test_linalg_error_is_numerical(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(tmp_path, "overflow", cfg, "evolve")
     assert code == cli.EXIT_NUMERICAL
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
+
+
+@pytest.mark.parametrize("t", [0.0, 0.02])
+def test_evolve_core_not_positive_definite_exits_numerical(tmp_path, monkeypatch, capsys, t):
+    # every chain core is factored by Cholesky; a core that is not positive
+    # definite (here negated) exits 3 with one JSON error line
+    symmetric_core = hankel._symmetric_core
+    monkeypatch.setattr(hankel, "_symmetric_core", lambda h, sqrt_w: -symmetric_core(h, sqrt_w))
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": 2.0, "n": 6},
+           "states": [], "time": {"t_values": [t]}}
+    code, _ = run_cli(tmp_path, "indefinite", cfg, "evolve")
+    assert code == cli.EXIT_NUMERICAL
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "numerical" and "not positive definite" in error["message"]
 
 
 def test_recursion_in_a_run_is_not_a_config_fault(tmp_path, monkeypatch):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, solve_triangular
-from scipy.linalg.lapack import dtrtri
 
 from positonkit import hankel, kdv
 from positonkit import wvn_example as wvn
@@ -198,14 +196,69 @@ def test_operator_grid_cap_is_a_failure(state0):
         kdv.evolved_phi_plane(state, Grid(-190.0, -189.0, 11))
 
 
-def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
-    """plane_jost against a dense LU of each node's own system at its (x, delta, window, weights).
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 531, 1061])
+def test_core_factor_matches_dense_numpy(n):
+    # a GLM core A = I + H W at t = 0, x = -40, delta = 0.1 (order-6 weights,
+    # trapezoid weights below em_weights' 13 points): lu_factor's L U, lu_solve,
+    # log det and the triangular inverse against numpy's dense LU routines,
+    # on both sides of each 64-row block edge
+    delta = 0.1
+    h = PoleData.for_rho(RHO).kernel_low_t0(-80.0 + delta * np.arange(2 * n - 1))[0]
+    w = hankel.em_weights(n - 1, delta, order=6) if n > 12 else np.full(n, delta)
+    a = np.eye(n) + hankel._hankel(h, n) * w
+    sqrt_w = np.sqrt(w)
+    g, _ = factor = hankel.lu_factor(hankel._symmetric_core(h, sqrt_w), sqrt_w)
+    d = np.diagonal(g)
+    lower = g / d * sqrt_w / sqrt_w[:, None]             # W^-1/2 g D^-1 W^1/2
+    upper = g.T * d[:, None] * sqrt_w / sqrt_w[:, None]  # W^-1/2 D g^T W^1/2
+    assert np.all(np.triu(g, 1) == 0.0) and np.all(np.diagonal(lower) == 1.0)
+    assert np.max(np.abs(lower @ upper - a)) <= 1e-12 * np.max(np.abs(a))
+    b = np.random.default_rng(n).standard_normal((n, 3))
+    for rhs in (b, b[:, 0]):
+        ref = np.linalg.solve(a, rhs)
+        assert np.max(np.abs(hankel.lu_solve(factor, rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    sign, log_det = np.linalg.slogdet(a)
+    assert sign == 1.0
+    assert abs(2.0 * np.sum(np.log(d)) - log_det) <= 1e-12 * max(1.0, abs(log_det))
+    g_inv, ref = hankel._tri_inverse(g), np.linalg.inv(g)
+    assert np.all(np.triu(g_inv, 1) == 0.0)
+    assert np.max(np.abs(g_inv - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    That is `DetState`'s bordered LU at the plane's spacing (order-6 weights),
-    for g and log det, and at t > 0 for gx.  Every plane reads its nodes off
-    one forward and one transposed backward substitution per chain, at t > 0
-    with the factor's two triangular inverses (`dtrtri`, two per chain), so
-    neither count grows with the nodes.  The plane calls its kernel once;
+
+def test_core_not_positive_definite_is_a_discretization_failure():
+    # an indefinite core, one whose later pivot turns negative, and a core that
+    # is not finite: none may escape as numpy's LinAlgError
+    cores = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag(np.r_[np.ones(70), -1.0]),
+             np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[np.inf]])]
+    for a in cores:
+        with pytest.raises(DiscretizationFailureError, match="not positive definite"):
+            hankel.lu_factor(a.copy(), np.ones(len(a)))
+
+
+def _counting(calls, f):
+    """f, recording the order of its first argument at each call not nested in another."""
+    depth = []
+
+    def call(a, *args, **kwargs):
+        if not depth:
+            calls.append(a.shape[0])
+        depth.append(1)
+        try:
+            return f(a, *args, **kwargs)
+        finally:
+            depth.pop()
+    return call
+
+
+def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
+    """plane_jost against a dense solve of each node's own system at its (x, delta, window, weights).
+
+    That is `DetState`'s own factor of the node's core and the Schur
+    complement of its border at the plane's spacing (order-6 weights), for g
+    and log det, and at t > 0 for gx.  Every chain goes through `lu_factor`
+    once, and reads its nodes off two forward substitutions with its factor,
+    at t > 0 with the factor's one triangular inverse as well, so neither
+    count grows with the nodes.  The plane calls its kernel once;
     `DetState` and the one-node plane read their rows off that lattice's, so
     that both sides compare the linear algebra on identical kernel values.
     nodes picks the solved nodes compared, by position (all by default);
@@ -222,28 +275,16 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
         return lattice[1][:, j]
 
     ks = np.array([1.0 + 0.0j])
-    swaps, substitutions, inverses = [], [], []
-
-    def recording_lu(a, **kwargs):
-        lu, piv = lu_factor(a, **kwargs)
-        swaps.append(int(np.count_nonzero(piv != np.arange(len(piv)))))
-        return lu, piv
-
-    def counting(calls, f):
-        def call(*args, **kwargs):
-            calls.append(1)
-            return f(*args, **kwargs)
-        return call
-
+    factors, substitutions, inverses = [], [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hankel, "lu_factor", recording_lu)
-        mp.setattr(hankel, "solve_triangular", counting(substitutions, solve_triangular))
-        mp.setattr(hankel, "dtrtri", counting(inverses, dtrtri))
+        mp.setattr(hankel, "lu_factor", _counting(factors, hankel.lu_factor))
+        mp.setattr(hankel, "_substitute", _counting(substitutions, hankel._substitute))
+        mp.setattr(hankel, "_tri_inverse", _counting(inverses, hankel._tri_inverse))
         sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
                                 state.fixed_delta(x[0]), window)
-    assert swaps == [0] * len(sol.factor_points)
-    assert len(substitutions) == 2 * len(sol.factor_points)
-    assert len(inverses) == (2 * len(sol.factor_points) if t > 0.0 else 0)
+    assert factors == list(sol.factor_points)
+    assert substitutions == [n for n in factors for _ in range(2)]
+    assert inverses == (factors if t > 0.0 else [])
     assert 0.0 < sol.pivot_margin <= 1.0
     if t == 0.0:
         assert sol.gx is None and sol.q is None
@@ -295,53 +336,64 @@ def test_plane_jost_window_matches_dense_solves():
        st.floats(-8.0, 1.0))
 @settings(max_examples=12, deadline=None)
 @example(2.0, 0.02, 0.1, -1e-310)   # a subnormal x_min puts a subnormal u < 0 first on the lattice
-def test_plane_jost_no_row_swap_across_family(rho, t, h, x_min):
-    # h = 0.3 exceeds every default spacing: one chain, nodes several rows apart
+def test_plane_jost_core_positive_definite_across_family(rho, t, h, x_min):
+    # every chain's core goes through lu_factor, whose Cholesky factor would
+    # raise on a core that is not positive definite; h = 0.3 exceeds every
+    # default spacing: one chain, nodes several rows apart
     _assert_plane_matches_dense(rho, t, x_min + h * np.arange(8))
     # at t = 0 the plane starts on a multiple of h, which puts the kink on a node
     _assert_plane_matches_dense(rho, 0.0, h * (round(x_min / h) + np.arange(8)))
 
 
-def _flipping_pivots(count):
-    """lu_factor whose factor has its first `count` pivots negated: det times (-1)^count."""
-    def factor(a, **kwargs):
-        lu, piv = lu_factor(a, **kwargs)
-        lu[np.arange(count), np.arange(count)] *= -1.0
-        return lu, piv
+def _negated_pivots(count):
+    """lu_factor of the core with its first `count` diagonal entries negated: not positive definite."""
+    lu_factor = hankel.lu_factor
+
+    def factor(a, sqrt_w):
+        a[np.arange(count), np.arange(count)] *= -1.0
+        return lu_factor(a, sqrt_w)
     return factor
 
 
 @pytest.mark.parametrize("t", [0.0, 0.02])
 def test_negative_pivot_reaches_the_positivity_check(t):
-    # each negative pivot of a real chain factor adds pi to log det's phase,
-    # which is exactly 0 or pi; the first pivot (the windows' far corner,
-    # where the kernel is e^{-32}) lies in every node's leading block
+    # a negative leading pivot leaves the core indefinite, and its Cholesky
+    # factor fails for any count of them: two no longer cancel in the phase
     state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
     x = -4.0 + 0.1 * np.arange(6)
-    plane = state.glm_plane(x)
-    assert np.all(plane.log_det.imag == 0.0)
-    for count, phase in ((1, np.pi), (2, 0.0)):
+    assert np.all(state.glm_plane(x).log_det.imag == 0.0)
+    for count in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hankel, "lu_factor", _flipping_pivots(count))
-            flipped = state.glm_plane(x)
-        assert np.all(flipped.log_det.imag == phase)
-        assert np.allclose(flipped.log_det.real, plane.log_det.real, rtol=1e-12, atol=0)
-        if phase:
-            with pytest.raises(DiscretizationFailureError, match="positivity"):
-                flipped.log_det_real()
-        else:
-            flipped.log_det_real()
+            mp.setattr(hankel, "lu_factor", _negated_pivots(count))
+            with pytest.raises(DiscretizationFailureError, match="positiv"):
+                state.glm_plane(x)
+
+
+def _shifted_border(shift):
+    """_resonance_border with 1 / Gamma lowered by shift: the border's Schur complement sigma + shift."""
+    border = hankel._resonance_border
+
+    def shifted(*args):
+        log_gamma, s_row, s_inv_gamma = border(*args)
+        return log_gamma, s_row, s_inv_gamma - shift
+    return shifted
 
 
 def test_negative_bordered_determinant_is_rejected():
-    # DetState's real bordered factor with one pivot negated: det B changes sign
+    # det(I + H) has the sign of -sigma, the Schur complement of the resonance
+    # border (det A > 0); sigma is about -8 at these nodes, so sigma + 100 > 0
+    # makes det(I + H) negative in DetState and in plane_jost alike
     for t, x in ((0.0, -3.0), (0.02, -3.0)):
         state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
         assert np.isfinite(state.det_state(x).log_det())
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hankel, "lu_factor", _flipping_pivots(1))
+            mp.setattr(hankel, "_resonance_border", _shifted_border(100.0))
             with pytest.raises(DiscretizationFailureError, match="positivity"):
                 state.det_state(x + 0.5).log_det()
+            flipped = state.glm_plane(x + 0.1 * np.arange(6))
+        assert np.all(flipped.log_det.imag == np.pi)
+        with pytest.raises(DiscretizationFailureError, match="positivity"):
+            flipped.log_det_real()
 
 
 def test_plane_jost_t0_near_cap():

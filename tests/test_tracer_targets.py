@@ -58,3 +58,22 @@ def test_tracer_counts_the_kernel_lattice_of_each_plane():
     assert metrics["hankel.kernel_table_builds"]["value"] == 1
     assert (metrics["hankel.kernel_table_u_points"]["value"] == state.kernel_u_points
             == max(2 * (first - 1), 1 + 2 * (second - 1)) + 1)
+
+
+def test_every_chain_factor_goes_through_the_traced_lu_factor():
+    # the benchmark's hankel.lu_* metrics count the calls of hankel.lu_factor:
+    # a chain core factored any other way would leave them short of the plane's
+    x = -3.0 + 0.05 * np.arange(6)
+    for t in (0.0, 0.02):
+        state = kdv.EvolvedState(t, wvn.ExampleParams(2.0))
+        tracer = _tracer()
+        tracer.install()
+        try:
+            plane = state.glm_plane(x)
+            metrics, missing = tracer.metrics(0, 0)
+        finally:
+            restored = tracer.restore()
+        assert restored and missing == []
+        assert tracer.broken == set() and tracer.hook_errors == []
+        assert metrics["hankel.lu_calls"]["value"] == len(plane.factor_points)
+        assert metrics["hankel.lu_n_max"]["value"] == max(plane.factor_points)
