@@ -299,7 +299,7 @@ def _resonance_border(poles: PoleData, x, t: float):
 
 # -- the GLM core A = I + H diag(w), factored through its symmetrization -------
 
-_BLOCK = 64                # rows of a diagonal block in the blocked factor, substitutions and inverse
+_BLOCK = 64                # rows of a diagonal block: blocked factor, substitutions and inverse
 
 
 def _symmetric_core(h, sqrt_w) -> np.ndarray:
@@ -368,9 +368,10 @@ def _substitute(g, b, trans: bool = False) -> np.ndarray:
 
 
 def _tri_inverse(g) -> np.ndarray:
-    """g^-1 of a lower triangular g, by halves: [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]].
+    """g^-1 of a lower triangular g, by halves.
 
-    Every product is a matrix product; above the diagonal the inverse is exactly 0.
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: every product is a
+    matrix product, and above the diagonal the inverse is exactly 0.
     """
     n = g.shape[0]
     if n <= _BLOCK:
@@ -450,7 +451,8 @@ class DetState:
     def _solution(self):
         """Bordered solutions (a, z) for the right-hand sides (H 1, 0) and (0, s_row), by column."""
         h_sol = self._bordered[1][:, :1]
-        return self._border_solve(np.hstack([h_sol, np.zeros_like(h_sol)]), np.array([0.0, self.s_row]))
+        return self._border_solve(np.hstack([h_sol, np.zeros_like(h_sol)]),
+                                  np.array([0.0, self.s_row]))
 
     def _readout(self, ks, sol):
         """sum_i w_i e^{ik xi_i} v_i at each momentum k, v = a + z of the bordered solution."""
@@ -754,7 +756,8 @@ def _chain_t(poles, t, x, ks, delta, m, factor, log_u, w0, h1_rev):
     tail = np.linalg.solve(corner, np.stack([np.broadcast_to(e_last, ends.shape), p[ends]], axis=2))
     coef = np.matmul(upper * r[:, None, :], tail)            # U_ee r corner^{-1} (e_4, p[ends])
     g_inv, sqrt_w = _tri_inverse(factor[0]), factor[1]
-    u_scale = sqrt_w / np.diagonal(factor[0])               # U^{-1}[i, j] = g_inv[j, i] u_scale_j / sqrt_w_i
+    # U^{-1}[i, j] = g_inv[j, i] u_scale_j / sqrt_w_i, L^{-1}[i, j] = g_inv[i, j] sqrt_w_j / u_scale_i
+    u_scale = sqrt_w / np.diagonal(factor[0])
     g, gx = np.empty((n, ks.size), complex), np.empty((n, ks.size), complex)
     q, sigma = np.empty(n), np.empty(n)
     # the sums over l < l0: U^{-1} diag(p) over columns, diag(Q) L^{-1} over rows

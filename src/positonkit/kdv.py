@@ -251,7 +251,7 @@ class EvolvedPlane:
         nodes = np.stack([self.phi, self.phi_x, self.big_i])
         out = nodes[:, j]
         if not np.all(on):
-            # the package's one scipy import beyond scipy.linalg, deferred: it loads
+            # the package's one scipy import, deferred: it loads
             # scipy.special (~0.3 s), and only outputs off the plane's nodes need it
             from scipy.interpolate import make_interp_spline
             out[:, ~on] = make_interp_spline(self.grid.x, nodes.T, k=5)(xs[~on]).T

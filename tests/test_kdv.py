@@ -346,7 +346,7 @@ def test_plane_jost_core_positive_definite_across_family(rho, t, h, x_min):
 
 
 def _negated_pivots(count):
-    """lu_factor of the core with its first `count` diagonal entries negated: not positive definite."""
+    """lu_factor of the core with its first `count` diagonal entries negated: indefinite."""
     lu_factor = hankel.lu_factor
 
     def factor(a, sqrt_w):
@@ -370,7 +370,7 @@ def test_negative_pivot_reaches_the_positivity_check(t):
 
 
 def _shifted_border(shift):
-    """_resonance_border with 1 / Gamma lowered by shift: the border's Schur complement sigma + shift."""
+    """_resonance_border with 1 / Gamma lowered by shift: the Schur complement sigma + shift."""
     border = hankel._resonance_border
 
     def shifted(*args):
