@@ -181,8 +181,7 @@ def cumulative_corrected_trapezoid(f, fp, h):
     return out
 
 
-def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas,
-                     tail_window: float = TAIL_WINDOW, right: bool = False):
+def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas, right: bool = False):
     """Tail-closed integrals of the products f_m f_l of real oscillatory fields.
 
     The fields are sampled at the ascending nodes x, whose spacing h is a scalar
@@ -190,17 +189,17 @@ def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas,
     Returns (cum, left, right_tail, fits): cum[:, m, l] is the corrected
     trapezoid integral of f_m f_l from x_min to each node, left[m, l] the
     (-inf, x_min] piece from the `TailFit` models fitted on the leftmost
-    `tail_window`, right_tail[m, l] the [x_max, inf) piece when `right` is set
+    `TAIL_WINDOW`, right_tail[m, l] the [x_max, inf) piece when `right` is set
     (else None), and fits the left fits.  Callers combine the three pieces.
     """
-    if x[0] + tail_window > 0.5 * (x[0] + x[-1]):
+    if x[0] + TAIL_WINDOW > 0.5 * (x[0] + x[-1]):
         raise ValidationError(
-            f"the {tail_window}-unit tail window reaches past the midpoint of the grid "
-            f"[{x[0]}, {x[-1]}]; the tails need a grid at least {2 * tail_window} long")
+            f"the {TAIL_WINDOW}-unit tail window reaches past the midpoint of the grid "
+            f"[{x[0]}, {x[-1]}]; the tails need a grid at least {2 * TAIL_WINDOW} long")
     n = len(values)
-    windows = [("left", x <= x[0] + tail_window)]
+    windows = [("left", x <= x[0] + TAIL_WINDOW)]
     if right:
-        windows.append(("right", x >= x[-1] - tail_window))
+        windows.append(("right", x >= x[-1] - TAIL_WINDOW))
     fits = [[fit_oscillatory_tail(x[win], v[win], w, side) for v, w in zip(values, omegas)]
             for side, win in windows]
     cum = np.empty((len(x), n, n))

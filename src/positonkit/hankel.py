@@ -26,8 +26,8 @@ t = 0 operator grid puts the kernel's kink u = 0 on a node: `plane_jost`'s by
 its chains' lattice (delta / 2)Z (laid out by `kdv.phi_plane_grid`),
 `DetState`'s by a grid aligned per node (`kink_spacing`).  As K' jumps at
 u = 0, q at t = 0 is a second difference of the log-determinants that
-`plane_jost` reads off a chain's one factorization with two blocked
-substitutions, in O(n^2).  At t > 0 the kernel is a contour sum, evaluated
+`plane_jost` reads off a chain's one factorization with one blocked
+substitution, in O(n^2).  At t > 0 the kernel is a contour sum, evaluated
 by chirp-z transform once per operator, at exactly the lattice nodes
 2x + i delta that it reads (`KernelTable`); q is the GLM read-out of
 `plane_jost`, read off the inverse of a chain's Cholesky factor, which
@@ -54,6 +54,7 @@ __all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost", "difference_stenc
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
 THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
 KINK_NODES_MIN = 12        # minimum nodes between the origin and the kernel kink
+M_OP = 200                # least intervals of an operator grid (its default spacing is w / M_OP)
 M_OP_CAP = 1600            # hard cap for the adaptive operator-grid refinement
 POSITIVITY_TOL = 1e-6      # largest |Im log det(I + H)| of a determinant taken as positive
 T_MAX = 0.25               # evolution beyond this needs contour re-tuning
@@ -240,17 +241,17 @@ class KernelTable:
             self.values[:, sl] = sums.real * np.exp(-b * u_here)
 
 
-def operator_spacing(y: float, x, m_op: int, delta_cap: float | None = None):
+def operator_spacing(y: float, x, delta_cap: float | None = None):
     """Operator width needed at x and the default spacing, elementwise over an array x.
 
     The solution density lives on [0, 2|x|]; the width adds a decay margin
-    beyond it.  Returns (w_needed, min(w_needed / m_op, delta_cap)), the cap
+    beyond it.  Returns (w_needed, min(w_needed / M_OP, delta_cap)), the cap
     being 0.22 / max(y, 1) unless given.
     """
     w_needed = 2.0 * np.maximum(0.0, -x) + U_DECAY_TARGET / (2.0 * y)
     if delta_cap is None:
         delta_cap = 0.22 / max(y, 1.0)
-    return w_needed, np.minimum(w_needed / m_op, delta_cap)
+    return w_needed, np.minimum(w_needed / M_OP, delta_cap)
 
 
 def kink_spacing(x, delta):
@@ -279,9 +280,9 @@ def _within_cap(mn: int) -> int:
     return mn
 
 
-def _operator_intervals(w_needed, delta: float, m_op: int):
+def _operator_intervals(w_needed, delta: float):
     """Intervals mn of an operator grid of spacing delta covering the width w_needed, per element."""
-    return np.maximum(m_op, np.ceil(w_needed / delta).astype(int))
+    return np.maximum(M_OP, np.ceil(w_needed / delta).astype(int))
 
 
 def _resonance_border(poles: PoleData, x, t: float):
@@ -395,16 +396,16 @@ class DetState:
     once, on the node's window u = 2x + i delta.
     """
 
-    def __init__(self, poles: PoleData, kernel, x: float, t: float, m_op: int,
+    def __init__(self, poles: PoleData, kernel, x: float, t: float,
                  fixed_delta: float | None = None, delta_cap: float | None = None):
         self.poles = poles
         y = poles.ystar
-        w_needed, delta = operator_spacing(y, x, m_op, delta_cap)
+        w_needed, delta = operator_spacing(y, x, delta_cap)
         if fixed_delta is not None:
             delta = fixed_delta
         elif t == 0.0 and x < -THIN_SUPPORT_X:
             delta = kink_spacing(x, delta)
-        mn = _within_cap(int(_operator_intervals(w_needed, delta, m_op)))
+        mn = _within_cap(int(_operator_intervals(w_needed, delta)))
         self.fixed_delta = fixed_delta
         self.delta, self.mn = delta, mn
         self.xi = np.arange(mn + 1) * delta
@@ -536,8 +537,8 @@ def plane_spacing(t: float, h: float, delta0: float):
     return 1, stride, h / stride
 
 
-def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
-               delta0: float, window: int = 0) -> PlaneJost:
+def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, delta0: float,
+               window: int = 0) -> PlaneJost:
     """The fixed-grid GLM solves of `DetState` at the nodes of the uniform grid x.
 
     Chain 0 (nodes 0, chains, 2 chains, ...) is solved over all of x, chain
@@ -569,8 +570,8 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
       * log det(I + H) is the sum of the logs of the factor's leading diagonal
         (each positive), of the updated 5 x 5 corner's determinant and of that
         Schur complement, whose signs alone set its phase.
-    At t = 0 only scalar functionals of each node's solution are read, and two
-    forward substitutions with the whole Cholesky factor serve a chain's nodes
+    At t = 0 only scalar functionals of each node's solution are read, and one
+    forward substitution with the whole Cholesky factor serves a chain's nodes
     with O(1) work each (`_chain_t0`).  At t > 0 the derivative right-hand
     side needs each node's full solution, read in O(m) off the one inverse of
     the Cholesky factor, and an FFT correlation for its Hankel product
@@ -586,7 +587,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, m_op: int,
         raise ValidationError(f"the window must start on a chain-0 node of the {n} nodes, "
                               f"got node {window} with {chains} chains")
     # the rows `DetState` gives each node at delta
-    needed = _operator_intervals(operator_spacing(poles.ystar, x, m_op)[0], delta, m_op)
+    needed = _operator_intervals(operator_spacing(poles.ystar, x)[0], delta)
     # u = 0 is a node of every window u = 2 x + i delta, or x[0] >= 0 puts each right of it
     kink = 2.0 * x[0] / delta
     if t == 0.0 and x[0] < 0.0 and abs(kink - round(kink)) > 1e-8 * max(1.0, abs(kink)):
@@ -669,17 +670,17 @@ def _log_det(log_u, k, corner, sigma, log_gamma, s_row):
 def _chain_functionals(poles, ks, delta, m, factor, w0, corners):
     """(p, d, Q, alpha, beta, c_end, q_e) of one chain's functionals c = alpha d (`_chain_t0`).
 
-    p = L^{-1} f and Q = U^{-T} d are each one forward substitution with g: for
-    the factor (g, sqrt_w) (`lu_factor`), L^{-1} = W^-1/2 D g^{-1} W^1/2 and
-    U^{-T} = W^1/2 D^{-1} g^{-1} W^-1/2, D = diag(g).
+    For the factor (g, sqrt_w) (`lu_factor`), L^{-1} = W^-1/2 D g^{-1} W^1/2 and
+    U^{-T} = W^1/2 D^{-1} g^{-1} W^-1/2, D = diag(g), and d / W^1/2 = W^1/2 chain, so
+    p = L^{-1} f and Q = U^{-T} d share one forward substitution with g: f is chain's column 0.
     """
     (ends, r, upper, corner), (g, sqrt_w), y = corners, factor, poles.ystar
     n1, diag = g.shape[0], np.diagonal(g)
     rate = np.concatenate([[y], -1j * ks])                  # border row, then each momentum
     chain = np.exp(delta * (np.arange(n1) - 0.5 * (n1 - 1))[:, None] * rate)   # (rows, 1 + momenta)
-    p = diag / sqrt_w * _substitute(g, sqrt_w * chain[:, 0].real)
     d = w0[:, None] * chain
-    re_im = (sqrt_w / diag)[:, None] * _substitute(g, np.hstack([d.real, d.imag]) / sqrt_w[:, None])
+    sol = _substitute(g, sqrt_w[:, None] * np.hstack([chain.real, chain.imag]))
+    p, re_im = diag / sqrt_w * sol[:, 0], (sqrt_w / diag)[:, None] * sol
     big_q = re_im[:, :rate.size] + 1j * re_im[:, rate.size:]
     off = delta * (m - 1 - 0.5 * (n1 - 1))                  # xi of each node's row i0
     alpha = np.exp(-off[:, None] * rate)

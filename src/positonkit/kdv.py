@@ -8,9 +8,9 @@ is a sixth-order second difference of the log-determinants that the same
 chained solves give at every node, or, next to the kernel's kink, that one chain
 of the nodes' own gives them.  The one-state evolved insertion adds
 -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2)), phi(s,t) = 2 Im[e^{4 i omega^3 t}
-psi(s,t,omega)], solved on a phi-plane whose nodes `phi_plane_grid` lays out and
-whose read-outs serve any x of its output window.  An independent pseudospectral
-split-step integrator and centered-stencil PDE residuals close the loop.
+psi(s,t,omega)] at omega = OMEGA, solved on a phi-plane that `phi_plane_grid` lays
+out and read between its nodes off the plane's own data.  An independent
+pseudospectral split-step integrator and centered-stencil PDE residuals close the loop.
 
 Validated time range: t in [0, 0.05] at the default discretization; larger t
 needs contour re-tuning and is rejected beyond T_MAX.
@@ -28,6 +28,7 @@ from .darboux import gauge_map, single_state_step, tail_closed_gram
 from .errors import ValidationError
 from .hankel import (
     KINK_NODES_MIN,
+    M_OP,
     M_OP_CAP,
     T_MAX,
     THIN_SUPPORT_X,
@@ -53,6 +54,8 @@ __all__ = [
 
 PLANE_START = -45.0        # the phi-plane's first node is at x <= PLANE_START
 RHO_MAX = 5.0              # the evolved fields are validated for rho <= RHO_MAX
+OMEGA = 1.0                # the inserted state's momentum, where R(OMEGA) = -1
+S_MAX = 0.05               # the t = 0 phi-plane's (its phi_x stencil's) step, where M_OP_CAP allows
 
 
 @dataclass
@@ -61,9 +64,7 @@ class EvolvedState:
 
     t: float
     params: wvn.ExampleParams
-    m_op: int = 200
     delta_cap: float | None = None
-    _det_cache: dict = field(default_factory=dict, repr=False)
     # mn + 1 of every operator system solved (DetStates and plane nodes), the sizes actually used
     operator_sizes: list = field(default_factory=list, repr=False)
     # t > 0: lattice points of every kernel evaluated, the largest contour rule per side of u = 0
@@ -87,8 +88,6 @@ class EvolvedState:
                 f"t={self.t} beyond the validated contour tuning (t <= {T_MAX})")
         if self.params.rho > RHO_MAX:
             raise ValidationError(f"rho={self.params.rho} beyond the validated rho <= {RHO_MAX}")
-        if self.m_op < 12:
-            raise ValidationError("the operator grid needs m_op >= 12 intervals")
         self.poles = PoleData.for_rho(self.params.rho)
         # t = 0: left of x = 0 within x_thin a chain puts too few nodes on the
         # kernel's support [0, 2|x|], and q is `_thin_support_q`'s series
@@ -109,26 +108,20 @@ class EvolvedState:
         return tab.values
 
     def det_state(self, x: float, fixed_delta: float | None = None) -> DetState:
-        key = (round(x, 12), fixed_delta)
-        if key not in self._det_cache:
-            if len(self._det_cache) > 4:
-                self._det_cache.clear()
-            ds = DetState(self.poles, self.kernel, x, self.t, self.m_op, fixed_delta=fixed_delta,
-                          delta_cap=self.delta_cap)
-            self.operator_sizes.append(ds.mn + 1)
-            self._det_cache[key] = ds
-        return self._det_cache[key]
+        ds = DetState(self.poles, self.kernel, x, self.t, fixed_delta, self.delta_cap)
+        self.operator_sizes.append(ds.mn + 1)
+        return ds
 
     def fixed_delta(self, x_min: float) -> float:
         """DetState's default operator spacing at x_min, held fixed for solves at x >= x_min."""
-        return operator_spacing(self.poles.ystar, x_min, self.m_op, self.delta_cap)[1]
+        return operator_spacing(self.poles.ystar, x_min, self.delta_cap)[1]
 
     def glm_plane(self, x: np.ndarray, ks=(), delta0: float | None = None,
                   window: int = 0) -> PlaneJost:
         """`hankel.plane_jost` over the uniform nodes x, by default at the spacing of x[0]."""
         if delta0 is None:
             delta0 = self.fixed_delta(float(x[0]))
-        sol = plane_jost(self.poles, self.kernel, self.t, x, ks, self.m_op, delta0, window)
+        sol = plane_jost(self.poles, self.kernel, self.t, x, ks, delta0, window)
         self.operator_sizes.extend(sol.sizes.tolist())
         self.log_det_phase_max = max(self.log_det_phase_max,
                                      float(np.max(np.abs(sol.log_det.imag))))
@@ -159,19 +152,18 @@ def _log_det_q(sol: PlaneJost, stencil, weights) -> np.ndarray:
 
 
 def dyson_q(state: EvolvedState, x: float) -> float:
-    """Evolved seed q(x, t) = -2 d^2/dx^2 log det(I + H(x,t)).
+    """Evolved seed q(x, 0) = -2 d^2/dx^2 log det(I + H(x, 0)); at t > 0 a ValidationError.
 
-    At t > 0 q is the GLM read-out of a one-node plane
-    (`EvolvedState.glm_plane`).  At t = 0, where that read-out fails because
-    K' jumps at u = 0, q is -2 times a sixth-order second difference of the
-    log-determinants of a chain of its own: for x < 0, 7 nodes centred on x
-    at `hankel.kink_spacing`; for x >= 0, 8 nodes forward from x, whose
-    windows lie right of the kink, so that the stencil stays off q's
-    derivative jump at x = 0.  Next to x = 0 on the left, where a chain puts
-    too few nodes on the kernel's support [0, 2|x|], the series is used.
+    Where the plane's GLM read-out fails because K' jumps at u = 0, q is -2
+    times a sixth-order second difference of the log-determinants of a chain
+    of its own: for x < 0, 7 nodes centred on x at `hankel.kink_spacing`; for
+    x >= 0, 8 nodes forward from x, whose windows lie right of the kink, so
+    that the stencil stays off q's derivative jump at x = 0.  Next to x = 0
+    on the left, where a chain puts too few nodes on the kernel's support
+    [0, 2|x|], the series is used.  At t > 0 q is read at a plane's nodes.
     """
     if state.t > 0:
-        return float(state.glm_plane(np.array([x], dtype=float)).q[0])
+        raise ValidationError(f"at t = {state.t} > 0 q is read at a plane's nodes, not x = {x}")
     if -state.x_thin < x < 0.0:
         return float(_thin_support_q(state.poles, x))
     delta = state.fixed_delta(x)
@@ -205,9 +197,14 @@ def _jost_readout(x, ks: np.ndarray, g, gx=None):
     return (psi,) if gx is None else (psi, 1j * ks * psi + e * (-gx))
 
 
+# the quintic Hermite basis on s in [0, 1]: s^0..s^5 for (f, h f', h^2 f'') x (s = 0, 1)
+_HERMITE = np.array([[1, 0, 0, -10, 15, -6], [0, 0, 0, 10, -15, 6], [0, 1, 0, -6, 8, -3],
+                     [0, 0, 0, -4, 7, -3], [0, 0, .5, -1.5, 1.5, -.5], [0, 0, 0, .5, -1, .5]])
+
+
 @dataclass
 class EvolvedPlane:
-    """phi(s, t) = 2 Im[e^{4 i omega^3 t} psi(s, t, omega)] sampled on the window of a phi-plane.
+    """phi(s, t) = 2 Im[e^{4 i OMEGA^3 t} psi(s, t, OMEGA)] sampled on the window of a phi-plane.
 
     grid is the window, the nodes solved on every chain (`evolved_phi_plane`);
     solved counts them with chain 0's nodes left of it.  delta is the operator
@@ -219,13 +216,11 @@ class EvolvedPlane:
     where none serves: on a plane of chains delta apart, only at the window's three
     end chain steps, the padding no output node reads, and at a node the kink chain
     drops for M_OP_CAP.  The read-outs (`fields`, `q_at`) take x in [grid.x_min,
-    grid.x_max]: node values at a node, else phi, phi_x and I from their quintic
-    spline and q, as at NaN nodes, from `dyson_q`.
+    grid.x_max]; q off the nodes only at t = 0, from `dyson_q` as at NaN nodes.
     """
 
     state: EvolvedState
     grid: Grid
-    omega: float
     phi: np.ndarray
     phi_x: np.ndarray
     big_i: np.ndarray          # cumulative integral of phi^2 from -inf
@@ -246,15 +241,23 @@ class EvolvedPlane:
         return xs, j, np.abs(g.x[j] - xs) <= tol
 
     def fields(self, x) -> np.ndarray:
-        """(phi, phi_x, I) at x: the node values at nodes, their quintic spline between."""
+        """(phi, phi_x, I) at x: node values at nodes, else quintic Hermite interpolants on x's cell.
+
+        phi's matches phi, phi_x and (q - OMEGA^2) phi (q from `q_at`) at both ends, I's
+        I, phi^2 and 2 phi phi_x; phi_x is the derivative of phi's.
+        """
         xs, j, on = self.index(x)
-        nodes = np.stack([self.phi, self.phi_x, self.big_i])
-        out = nodes[:, j]
+        out = np.stack([self.phi, self.phi_x, self.big_i])[:, j]
         if not np.all(on):
-            # the package's one scipy import, deferred: it loads
-            # scipy.special (~0.3 s), and only outputs off the plane's nodes need it
-            from scipy.interpolate import make_interp_spline
-            out[:, ~on] = make_interp_spline(self.grid.x, nodes.T, k=5)(xs[~on]).T
+            g, h, off = self.grid, self.grid.spacing, xs[~on]
+            ends = np.clip(np.floor((off - g.x_min) / h).astype(int), 0, g.n_points - 2) + [[0], [1]]
+            f, fx, q = self.phi[ends], self.phi_x[ends], self.q_at(g.x[ends].ravel()).reshape(2, -1)
+            phi = np.stack([f, h * fx, h * h * (q - OMEGA**2) * f]).reshape(6, -1)
+            big_i = np.stack([self.big_i[ends], h * f * f, 2.0 * h * h * f * fx]).reshape(6, -1)
+            s = (off - g.x[ends[0]]) / h
+            basis = _HERMITE @ s ** np.arange(6)[:, None]
+            slope = _HERMITE[:, 1:] @ (np.arange(1, 6)[:, None] * s ** np.arange(5)[:, None]) / h
+            out[:, ~on] = np.sum(phi * basis, 0), np.sum(phi * slope, 0), np.sum(big_i * basis, 0)
         return out
 
     def q_at(self, x) -> np.ndarray:
@@ -269,12 +272,13 @@ class EvolvedPlane:
 def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
     """The phi-plane for the output grid: uniform nodes from x <= PLANE_START past its x_max.
 
-    At t > 0 it has the grid's spacing h and ends at x_max.  At t = 0 its nodes
-    lie on the kink lattice (delta / 2)Z of its chains (`hankel.plane_spacing`),
-    its spacing is l h with l = 1 unless a chain factor would pass M_OP_CAP (then
-    the least l that fits, in closed form from the widest nodes' rows; `plane_jost`
-    checks them all), and it ends three chain steps past x_max, so that no output
-    node reads an edge stencil.  A grid starting left of the plane is a ValidationError.
+    At t > 0 it has the grid's spacing h and ends at x_max: its nodes are the output's.
+    At t = 0 its nodes lie on the kink lattice (delta / 2)Z of its chains
+    (`hankel.plane_spacing`), its spacing is l h / m, l = 1 unless a chain factor would
+    pass M_OP_CAP (then the least l that fits, in closed form from the widest nodes' rows;
+    `plane_jost` checks them all) and m the least integer that brings it to S_MAX as far
+    as two chains fit, and it ends three chain steps past x_max, so that no output node
+    reads an edge stencil.  A grid starting left of the plane is a ValidationError.
     `evolved_phi_plane` solves chain 0 over the whole plane, the others over the output's window.
     """
     h, x_max = grid.spacing, grid.x_max
@@ -283,17 +287,18 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
     end, step = x_max, h
     if state.t == 0.0:
         delta0, span = state.fixed_delta(PLANE_START), x_max - PLANE_START
-        w = [operator_spacing(state.poles.ystar, x, state.m_op)[0] for x in (PLANE_START, x_max)]
+        w = [operator_spacing(state.poles.ystar, x)[0] for x in (PLANE_START, x_max)]
         # least delta for rows within M_OP_CAP: the first node's window (x0 >= -45 - delta),
-        # the last node's steps and window (m_op at least), the margin adding <= 5 rows
+        # the last node's steps and window (M_OP at least), the margin adding <= 5 rows
         d_min = max(w[0] / (M_OP_CAP - 2), (span + w[1]) / (M_OP_CAP - 6),
-                    span / max(1, M_OP_CAP - 6 - state.m_op))
+                    span / max(1, M_OP_CAP - 6 - M_OP))
         l = max(1, math.ceil(d_min / (2.0 * h)))             # two chains at delta = 2 l h
         if 2 * l * h > delta0:                               # one chain at delta = l h
             l = max(l, math.ceil(d_min / h))
         if l * h > delta0 and d_min < delta0:                # delta = l h / ceil(l h / delta0)
             l = max(l, math.ceil(1.0 / (h / d_min - h / delta0)))
-        step = l * h
+        m = min(math.ceil(l * h / S_MAX - 1e-9), math.floor(2.0 * l * h / d_min))
+        step = l * h / (m if m * delta0 >= 2.0 * l * h else 1)     # two chains at delta = 2 step
         chains, _, delta = plane_spacing(0.0, step, delta0)
         end = math.ceil((x_max + 3 * chains * step) / (delta / 2) - 1e-9) * delta / 2
     n = math.ceil((end - PLANE_START) / step) + 1
@@ -305,8 +310,8 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
     return plane
 
 
-def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
-                      tail_window: float = 20.0, read_from: float | None = None) -> EvolvedPlane:
+def evolved_phi_plane(state: EvolvedState, grid: Grid,
+                      read_from: float | None = None) -> EvolvedPlane:
     """Evaluate the evolved generating function on the plane's own grid, with cumulative norm.
 
     The GLM solves are `EvolvedState.glm_plane`'s chains; a t = 0 grid off their kink
@@ -320,8 +325,8 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
     of the window and along the window, and q is read from log-determinants by
     `_plane_chain_q`.  The plane returned holds the window.
     """
-    phase = np.exp(4j * omega**3 * state.t)
-    ks = np.array([omega], dtype=complex)
+    phase = np.exp(4j * OMEGA**3 * state.t)
+    ks = np.array([OMEGA], dtype=complex)
     h = grid.spacing
     chains, _, delta = plane_spacing(state.t, h, state.fixed_delta(grid.x_min))
     edge = (grid.x_min if read_from is None else read_from) - 3 * delta - 2 * h
@@ -337,10 +342,10 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid, omega: float = 1.0,
         phi_x = np.concatenate([_centred_x(chain0, chains * h)[:lead], _centred_x(phi[lead:], h)])
     spacings = np.full(x.size - 1, h)
     spacings[:lead] = chains * h
-    cum, left, _, fits = tail_closed_gram(x, spacings, [phi], [phi_x], [omega], tail_window)
+    cum, left, _, fits = tail_closed_gram(x, spacings, [phi], [phi_x], [OMEGA])
     window = Grid(x[lead], grid.x_max, x.size - lead)
     q, kink = (sol.q[lead:], None) if state.t > 0.0 else _plane_chain_q(state, sol, window, lead)
-    return EvolvedPlane(state, window, omega, phi[lead:], phi_x[lead:],
+    return EvolvedPlane(state, window, phi[lead:], phi_x[lead:],
                         left[0, 0] + cum[lead:, 0, 0], fits[0], q, sol.delta, sol.factor_points,
                         x.size, kink)
 
@@ -401,8 +406,7 @@ def _kink_chain_q(state: EvolvedState, x: np.ndarray, delta: float):
         step = delta / (2 * math.ceil(delta / (2.0 * need[:keep].min()) - 1e-9))
         j = np.rint(x[:keep] / step).astype(int)
         chain = step * np.arange(j[0] + offsets[0], j[-1] + offsets[-1] + 1)
-        rows = _operator_intervals(operator_spacing(state.poles.ystar, chain, state.m_op)[0],
-                                   step, state.m_op)
+        rows = _operator_intervals(operator_spacing(state.poles.ystar, chain)[0], step)
         if np.max(np.arange(chain.size) + rows) < M_OP_CAP:
             sol = state.glm_plane(chain, delta0=step)
             q[:keep] = _log_det_q(sol, (j - j[0] - offsets[0])[:, None] + offsets, weights)
@@ -438,30 +442,25 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     Builds psi_+1(x, t, omega + i eps) by the gauge transform of the evolved
     Jost solution and pairs it with the regularized (finite) phi_+1 value, so a
     simple embedded pole shows p ~ 1 and a regular point p ~ 0.  x_probe is
-    read at the plane node nearest to it.
+    read at the plane node nearest to it; each solve serves every eps.
     """
-    state, omega = plane.state, plane.omega
+    state = plane.state
     j = plane.grid.index_of(x_probe)
     xx = float(plane.grid.x[j])
     f, fx, big_i = plane.phi[j], plane.phi_x[j], plane.big_i[j]
     _, y_val, y_x, _ = single_state_step(alpha, f, fx, big_i)
-    terms = [(alpha, omega, y_val, y_x, f, fx)]
+    terms = [(alpha, OMEGA, y_val, y_x, f, fx)]
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
     phi_plus_reg = abs(f + alpha * y_val * big_i)
-    mags = []
-    for eps in eps_values:
-        k = omega + 1j * eps
-        if state.t == 0.0:
-            h = 5e-3
-            psi = jost_evolved(state, xx, k)
-            psix = (jost_evolved(state, xx + h, k)
-                    - jost_evolved(state, xx - h, k)) / (2 * h)
-        else:
-            ks = np.array([k])
-            ds = state.det_state(xx, fixed_delta=plane.delta)
-            psi, psix = (p[0] for p in _jost_readout(xx, ks, *ds.solve_jost_with_derivative(ks)))
-        psi_plus, _ = gauge_map(psi, psix, k, terms)
-        mags.append(abs(-phi_plus_reg * psi_plus / (2j * k)))
+    ks = OMEGA + 1j * np.asarray(eps_values, dtype=float)
+    if state.t == 0.0:
+        psi = jost_evolved(state, xx, ks)
+        psix = (jost_evolved(state, xx + 5e-3, ks) - jost_evolved(state, xx - 5e-3, ks)) / 1e-2
+    else:
+        ds = state.det_state(xx, fixed_delta=plane.delta)
+        psi, psix = _jost_readout(xx, ks, *ds.solve_jost_with_derivative(ks))
+    psi_plus, _ = gauge_map(psi, psix, ks, terms)
+    mags = np.abs(-phi_plus_reg * psi_plus / (2j * ks)).tolist()
     from .scattering import fit_pole_exponent
     return fit_pole_exponent(eps_values, mags), mags
 

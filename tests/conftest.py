@@ -24,10 +24,10 @@ def inserted_std(wvn_spec, grid_std):
     return dbx.insert_embedded(wvn_spec, [state], grid_std, check_preconditions=False)
 
 
-def l2_norm_with_tails(grid, values, derivs, omega=1.0, window=20.0):
+def l2_norm_with_tails(grid, values, derivs, omega=1.0):
     """L2 norm of a real oscillatory-decaying field: grid quadrature + tail fits."""
     cum, left, right, _ = dbx.tail_closed_gram(grid.x, grid.spacing, [np.real(values)],
-                                               [np.real(derivs)], [omega], window, right=True)
+                                               [np.real(derivs)], [omega], right=True)
     return float(np.sqrt(cum[-1, 0, 0] + left[0, 0] + right[0, 0]))
 
 

@@ -150,7 +150,7 @@ def test_criterion_7_tail_discrepancy_fit():
 
 def test_criterion_8_dyson_t0_identity():
     t0 = time.time()
-    state = kdv.EvolvedState(0.0, wvn.ExampleParams(2.0), m_op=200)
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(2.0))
     xs = np.arange(-15.0, 15.0 + 1e-9, 0.25)
     worst = max(abs(kdv.dyson_q(state, float(x)) - float(wvn.q_seed(2.0, x))) for x in xs)
     elapsed = time.time() - t0

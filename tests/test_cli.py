@@ -164,20 +164,23 @@ def test_evolve_seed_only(tmp_path):
     assert set(sizes) == {"u>=0", "u<0"} and min(sizes.values()) > 100
     # with a state, the plane on [-45, 3] at spacing 1 > 0.22 is one chain at
     # delta = 1/5 whose factorization spans the widest node, x = -45: 106/0.2
-    # intervals; at t = 0 too, on [-45, 6] (three chain steps past x_max), since
-    # u = 2 * -45 is node 450 of that chain
+    # intervals.  At t = 0 the plane's step is S_MAX = 0.05 (phi_x is a stencil
+    # along it): two chains at delta = 0.1, chain 0 alone left of the window
+    # [-3.4, 3.3] (416 + 135 nodes), factored for x = -45 and for the window
     cfg = dict(cfg, states=[{"omega": 1.0, "alpha": 1.0}])
     code, prefix = run_cli(tmp_path, "evo_plane", cfg, "evolve")
     assert code == 0
     diags = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
-    for key, q_source, nodes in (("t=0.0", "chain_log_det", 52), ("t=0.02", "plane_glm", 49)):
+    for key, q_source, nodes, spacing, delta, factor_points in (
+            ("t=0.0", "chain_log_det", 551, 0.05, 0.1, [1061, 267]),
+            ("t=0.02", "plane_glm", 49, 1.0, 0.2, [531])):
         diag = diags[key]
         assert diag["plane_nodes"] == nodes
-        assert diag["plane_spacing"] == 1.0
-        assert diag["plane_operator_spacing"] == pytest.approx(0.2, abs=1e-12)
-        assert diag["plane_chains"] == 1
-        assert diag["plane_factor_points"] == [531]
-        assert diag["operator_points_max"] == 531
+        assert diag["plane_spacing"] == pytest.approx(spacing, rel=1e-12)
+        assert diag["plane_operator_spacing"] == pytest.approx(delta, abs=1e-12)
+        assert diag["plane_chains"] == len(factor_points)
+        assert diag["plane_factor_points"] == factor_points
+        assert diag["operator_points_max"] == factor_points[0]
         assert diag["q_source"] == q_source
         assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
 
@@ -277,6 +280,22 @@ def test_evolve_t0_reads_output_nodes_off_a_chained_plane(tmp_path, rho, grid, n
     assert diag["plane_chains"] == 2
     assert diag["plane_operator_spacing"] == pytest.approx(2.0 * spacing, rel=1e-12)
     assert max(diag["plane_factor_points"]) <= 1601
+
+
+@pytest.mark.parametrize("x_max, n, refine", [(2.0, 51, 2), (2.0, 34, 4), (2.0, 26, 4),
+                                              (3.0, 7, 20)])
+def test_evolve_t0_coarse_grid_meets_its_gate(tmp_path, x_max, n, refine):
+    # phi_x is a stencil along the plane, so the plane's step is the output's h
+    # refined to S_MAX = 0.05 or below; at h = 0.1, 0.15, 0.2 and 1 itself the
+    # closed-form q_plus error read 3.3e-3, 1.2e-2, 2.6e-2 and 1.3 on these grids
+    cfg = {"potential": WVN_POT, "grid": {"x_min": -3.0, "x_max": x_max, "n": n},
+           "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.0]}}
+    code, prefix = run_cli(tmp_path, "evo_coarse", cfg, "evolve")
+    assert code == 0
+    x, _, q, q_plus = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1).T
+    assert np.max(np.abs(q_plus - wvn.q_plus1(2.0, 1.0, x))) <= 2e-3
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.0"]
+    assert diag["plane_spacing"] == pytest.approx((x_max + 3.0) / (n - 1) / refine, rel=1e-12)
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -177,13 +177,14 @@ def test_dyson_determinant_positive():
 
 def test_operator_intervals_over_a_node_array_match_the_scalar_rule():
     # plane_jost sizes every node at once; each entry is the scalar rule's
-    # max(m_op, ceil(w / delta)), w = 2 max(0, -x) + 32 / (2 y), the same integer
-    y, m_op, delta = PoleData.for_rho(0.3).ystar, 200, 0.1
+    # max(M_OP, ceil(w / delta)), w = 2 max(0, -x) + 32 / (2 y), the same integer
+    y, m_op, delta = PoleData.for_rho(0.3).ystar, hankel.M_OP, 0.1
+    assert m_op == 200
     x = np.concatenate([-45.0 + 0.05 * np.arange(947), [-190.0, -0.0, 0.0, 1e-300]])
-    rows = hankel._operator_intervals(hankel.operator_spacing(y, x, m_op)[0], delta, m_op)
+    rows = hankel._operator_intervals(hankel.operator_spacing(y, x)[0], delta)
     scalar = [max(m_op, math.ceil((2.0 * max(0.0, -xx) + 32.0 / (2.0 * y)) / delta)) for xx in x]
     assert rows.tolist() == scalar
-    assert hankel.operator_spacing(y, -3.0, m_op)[1] == min((6.0 + 32.0 / (2.0 * y)) / m_op, 0.22)
+    assert hankel.operator_spacing(y, -3.0)[1] == min((6.0 + 32.0 / (2.0 * y)) / m_op, 0.22)
 
 
 def test_operator_grid_cap_is_a_failure(state0):
@@ -256,11 +257,13 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
     That is `DetState`'s own factor of the node's core and the Schur
     complement of its border at the plane's spacing (order-6 weights), for g
     and log det, and at t > 0 for gx.  Every chain goes through `lu_factor`
-    once, and reads its nodes off two forward substitutions with its factor,
+    once, and reads its nodes off one forward substitution with its factor,
     at t > 0 with the factor's one triangular inverse as well, so neither
-    count grows with the nodes.  The plane calls its kernel once;
-    `DetState` and the one-node plane read their rows off that lattice's, so
-    that both sides compare the linear algebra on identical kernel values.
+    count grows with the nodes.  hankel.M_OP, set to a node's intervals, gives
+    `DetState` and the one-node plane the rows the plane gave that node.  The
+    plane calls its kernel once; `DetState` and the one-node plane read their
+    rows off that lattice's, so that both sides compare the linear algebra on
+    identical kernel values.
     nodes picks the solved nodes compared, by position (all by default);
     window is `plane_jost`'s.  Returns the plane.
     """
@@ -280,32 +283,32 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
         mp.setattr(hankel, "lu_factor", _counting(factors, hankel.lu_factor))
         mp.setattr(hankel, "_substitute", _counting(substitutions, hankel._substitute))
         mp.setattr(hankel, "_tri_inverse", _counting(inverses, hankel._tri_inverse))
-        sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.m_op,
-                                state.fixed_delta(x[0]), window)
+        sol = hankel.plane_jost(state.poles, kernel, t, x, ks, state.fixed_delta(x[0]), window)
     assert factors == list(sol.factor_points)
-    assert substitutions == [n for n in factors for _ in range(2)]
+    assert substitutions == factors
     assert inverses == (factors if t > 0.0 else [])
     assert 0.0 < sol.pivot_margin <= 1.0
     if t == 0.0:
         assert sol.gx is None and sol.q is None
     log_det = sol.log_det_real()
     xs = x[sol.nodes]
-    for j in range(len(xs)) if nodes is None else nodes:
-        ds = DetState(state.poles, kernel, float(xs[j]), t, int(sol.sizes[j]) - 1,
-                      fixed_delta=sol.delta)
-        assert ds.mn + 1 == sol.sizes[j]
-        if t == 0.0:
-            g = ds.solve_jost(ks)
-        else:
-            g, gx = ds.solve_jost_with_derivative(ks)
-            assert abs(sol.gx[j, 0] - gx[0]) <= 1e-10 * max(1.0, abs(gx[0]))
-        assert abs(sol.g[j, 0] - g[0]) <= 1e-10 * max(1.0, abs(g[0]))
-        dense = ds.log_det()
-        assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
-        if t > 0.0 and j in (1, len(xs) - 1):
-            # q of a node solved in a block of its chain equals that of the node alone
-            alone = hankel.plane_jost(state.poles, kernel, t, xs[j:j + 1], ks, ds.mn, sol.delta)
-            assert abs(sol.q[j] - alone.q[0]) <= 1e-10 * max(1.0, abs(alone.q[0]))
+    with pytest.MonkeyPatch.context() as mp:
+        for j in range(len(xs)) if nodes is None else nodes:
+            mp.setattr(hankel, "M_OP", int(sol.sizes[j]) - 1)
+            ds = DetState(state.poles, kernel, float(xs[j]), t, fixed_delta=sol.delta)
+            assert ds.mn + 1 == sol.sizes[j]
+            if t == 0.0:
+                g = ds.solve_jost(ks)
+            else:
+                g, gx = ds.solve_jost_with_derivative(ks)
+                assert abs(sol.gx[j, 0] - gx[0]) <= 1e-10 * max(1.0, abs(gx[0]))
+            assert abs(sol.g[j, 0] - g[0]) <= 1e-10 * max(1.0, abs(g[0]))
+            dense = ds.log_det()
+            assert abs(log_det[j] - dense) <= 1e-10 * max(1.0, abs(dense))
+            if t > 0.0 and j in (1, len(xs) - 1):
+                # q of a node solved in a block of its chain equals that of the node alone
+                alone = hankel.plane_jost(state.poles, kernel, t, xs[j:j + 1], ks, sol.delta)
+                assert abs(sol.q[j] - alone.q[0]) <= 1e-10 * max(1.0, abs(alone.q[0]))
     return sol
 
 
@@ -329,7 +332,7 @@ def test_plane_jost_window_matches_dense_solves():
         assert np.array_equal(sol.nodes, np.r_[0:20:2, 20:41])
         assert sol.factor_points == (281, 260)
     with pytest.raises(ValidationError, match="window"):
-        hankel.plane_jost(PoleData.for_rho(RHO), None, 0.02, x, [1.0], 200, 0.22, window=21)
+        hankel.plane_jost(PoleData.for_rho(RHO), None, 0.02, x, [1.0], 0.22, window=21)
 
 
 @given(st.floats(0.3, 5.0), st.floats(0.005, 0.05), st.sampled_from([0.05, 0.1, 0.3]),
@@ -418,34 +421,40 @@ def _chain_rows(state, x):
     """Rows of the widest chain factor of the t = 0 plane over the uniform nodes x."""
     chains, stride, delta = hankel.plane_spacing(0.0, (x[-1] - x[0]) / (len(x) - 1),
                                                  state.fixed_delta(float(x[0])))
-    needed = [max(state.m_op, int(np.ceil(hankel.operator_spacing(state.poles.ystar, xx,
-                                                                   state.m_op)[0] / delta)))
+    needed = [max(hankel.M_OP, int(np.ceil(hankel.operator_spacing(state.poles.ystar, xx)[0]
+                                            / delta)))
               for xx in x]
     return int(np.max(np.arange(len(x)) // chains * stride + np.array(needed)))
 
 
 @pytest.mark.parametrize("rho, x_min, x_max, n, spacings, delta_cap", [
     (2.0, -3.0, 2.0, 101, 1, None),     # the evolve_t0 grid: its nodes are plane nodes
-    (2.0, -3.0, 2.03, 101, 1, None),    # x_max / h not integral
+    (2.0, -3.0, 2.03, 101, 1, None),    # x_max / h not integral; h / 2 would pass the cap
     (2.0, 1.9, 2.0, 11, 4, None),       # h = 0.01: at l = 3 the first node needs 1767 rows
     (2.0, -3.0, 2.0, 501, 4, None),
     (0.5, -3.0, 2.013, 101, 1, None),
-    (2.0, -3.0, 3.0, 7, 1, None),       # h = 1 > delta0: one chain, five rows per node
+    (2.0, -3.0, 3.0, 7, 1, None),       # h = 1: refined by 20 to two chains at delta = 0.1
+    (2.0, -3.0, 2.0, 34, 1, None),      # h = 0.152: refined by 4
+    (0.3, -3.0, 2.0, 34, 1, None),      # h / 4 would pass the cap: refined by 3, to 0.0505
     (2.0, 1.999999999, 2.0, 11, 3.3e8, None),  # h = 1e-10: l in closed form, no loop over it
-    (2.0, 0.0, 100.0, 2001, 2, None),   # the last node's steps need l = 2
-    # delta0 = 0.11, least delta 0.066: no chain delta 2 l h of these grids lies between
-    (2.0, -3.0, 2.0, 168, 3, 0.11),     # 2 h < delta0 < 4 h: one chain at delta = 3 h
-    (2.0, -3.0, 2.04, 43, 2, 0.11)])    # h > delta0: one chain at delta = 2 h / 3
+    (2.0, 0.0, 100.0, 2001, 2, None),   # the last node's steps need l = 2, and no finer step fits
+    # delta0 = 0.11, least delta 0.066: no chain delta 2 l h of these grids lies between;
+    # each l h is then refined to two chains at delta = 2 l h / m
+    (2.0, -3.0, 2.0, 168, 3, 0.11),     # 2 h < delta0 < 4 h: l = 3, m = 2
+    (2.0, -3.0, 2.04, 43, 2, 0.11)])    # h > delta0: l = 2, m = 5
 def test_t0_plane_grid_layout(rho, x_min, x_max, n, spacings, delta_cap):
-    # the t = 0 phi-plane: l h apart with the least l whose chains fit M_OP_CAP,
-    # from x <= -45 to three chain steps past x_max, every node on the kink
+    # the t = 0 phi-plane: l h / m apart with the least l whose chains fit
+    # M_OP_CAP and the least m that brings l h to S_MAX as far as two chains fit
+    # it, from x <= -45 to three chain steps past x_max, every node on the kink
     # lattice (delta / 2)Z of its chains
     state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho), delta_cap=delta_cap)
     grid = Grid(x_min, x_max, n)
     pg = kdv.phi_plane_grid(state, grid)
     h, step = grid.spacing, pg.spacing
-    assert step / h == pytest.approx(round(step / h), rel=1e-9)
-    assert round(step / h) == pytest.approx(spacings, rel=0.02)
+    m = round(spacings * h / step)
+    l = round(step * m / h)
+    assert step * m / h == pytest.approx(l, rel=1e-9)
+    assert l == pytest.approx(spacings, rel=0.02)
     chains, _, delta = hankel.plane_spacing(0.0, step, state.fixed_delta(pg.x_min))
     lattice = 2.0 * pg.x / delta
     assert np.max(np.abs(lattice - np.rint(lattice))) <= 1e-8 * np.max(np.abs(lattice))
@@ -453,11 +462,17 @@ def test_t0_plane_grid_layout(rho, x_min, x_max, n, spacings, delta_cap):
     margin = pg.x_max - x_max - 3 * chains * step
     assert -1e-9 <= margin < delta / 2
     assert _chain_rows(state, pg.x) <= hankel.M_OP_CAP
-    if round(step / h) > 1:
+    if l > 1:
         # the least l: at l - 1 a chain passes the cap, or comes within the
         # closed form's slack of 6 rows of it
-        coarser = (round(step / h) - 1) * h
+        coarser = (l - 1) * h
         assert _chain_rows(state, np.arange(-45.0, x_max + coarser, coarser)) > hankel.M_OP_CAP - 6
+    # the least m: l h / (m - 1) is above S_MAX, and where l h / m still is, at
+    # l h / (m + 1) a chain passes the cap or comes within the slack of it
+    assert m == 1 or l * h / (m - 1) > kdv.S_MAX
+    if step > kdv.S_MAX:
+        finer = l * h / (m + 1)
+        assert _chain_rows(state, np.arange(-45.0, x_max + finer, finer)) > hankel.M_OP_CAP - 6
 
 
 def test_t_plane_grid_is_the_output_spacing():
@@ -499,7 +514,7 @@ def test_split_plane_matches_the_whole_plane(rho, t):
     (0.02, 1.9, 2.0, 11, (483,) + (204,) * 14 + (203,) * 7)])
 def test_window_chains_have_window_sized_factors(t, x_min, x_max, n, factor_points):
     # chain 0 keeps the factor that spans the plane; each chain r >= 1 holds only
-    # the window's nodes and m_op = 200 intervals past its last, all from one kernel
+    # the window's nodes and M_OP = 200 intervals past its last, all from one kernel
     # call; at t = 0 the kink chain, a plane of its own, makes a second
     state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
     calls = []
@@ -514,14 +529,14 @@ def test_window_chains_have_window_sized_factors(t, x_min, x_max, n, factor_poin
     assert plane.factor_points == factor_points
     assert len(calls) == (2 if t == 0.0 else 1)
     span = round((plane.grid.x_max - plane.grid.x_min) / plane.delta)
-    assert max(plane.factor_points[1:]) <= span + state.m_op + 1
+    assert max(plane.factor_points[1:]) <= span + hankel.M_OP + 1
     if t == 0.0:
         assert np.max(np.abs(plane.phi - wvn.phi_closed(RHO, plane.grid.x))) < 2e-4
 
 
 def test_plane_grid_rejects_output_left_of_its_start():
     # the plane starts a step or less left of -45 at every t; output x left of
-    # it would be spline extrapolation, so the layout rejects the grid
+    # it would be extrapolation, so the layout rejects the grid
     for t in (0.0, 0.02):
         state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
         with pytest.raises(ValidationError, match="x_min"):
@@ -543,7 +558,7 @@ def test_off_lattice_t0_plane_is_rejected(state0):
     n = int(np.ceil((2.03 + 15.0) / h)) + 1
     grid = Grid(2.03 - (n - 1) * h, 2.03, n)
     with pytest.raises(ValidationError, match="kink"):
-        kdv.evolved_phi_plane(state0, grid, tail_window=5.0)
+        kdv.evolved_phi_plane(state0, grid)
 
 
 def test_plane_read_outs(plane0):
@@ -554,19 +569,63 @@ def test_plane_read_outs(plane0):
                                                       plane0.big_i[j]]))
     served = np.isfinite(plane0.q[j])
     assert np.array_equal(plane0.q_at(x[served]), plane0.q[j][served])
-    # between nodes: the quintic spline of phi and I against the closed forms,
-    # within the bounds the nodes themselves meet
+    # between nodes: the local quintic Hermite read-outs of phi and I against the
+    # closed forms, within the bounds the nodes themselves meet
     mid = x + 0.3 * plane0.grid.spacing
     phi, _, big_i = plane0.fields(mid)
     assert np.max(np.abs(phi - wvn.phi_closed(RHO, mid))) < 2e-4
     assert np.max(np.abs(big_i - wvn.big_i_closed(RHO, mid))) < 2e-3
-    # off the plane there is nothing to read: no spline extrapolation
+    # off the plane there is nothing to read: no extrapolation
     g = plane0.grid
     for x_off in (g.x_min - 0.3 * g.spacing, g.x_max + 0.3 * g.spacing, np.nan):
         with pytest.raises(ValidationError, match="phi-plane"):
             plane0.fields([0.0, x_off])
         with pytest.raises(ValidationError, match="phi-plane"):
             plane0.q_at(x_off)
+
+
+def test_plane_read_outs_at_cell_midpoints_match_the_closed_forms(plane0):
+    # each off-node x is read off the Hermite interpolants of its own cell; at the
+    # midpoint of every cell of the plane they meet the closed forms within the
+    # errors of the node values themselves (7.6e-5, 6.4e-4 and 7.7e-6)
+    x = plane0.grid.x
+    mid = 0.5 * (x[:-1] + x[1:])
+    phi, phi_x, big_i = plane0.fields(mid)
+    assert np.max(np.abs(phi - wvn.phi_closed(RHO, mid))) < 1e-4
+    assert np.max(np.abs(phi_x - wvn.phi_x_closed(RHO, mid))) < 1e-3
+    assert np.max(np.abs(big_i - wvn.big_i_closed(RHO, mid))) < 1e-5
+
+
+@pytest.mark.parametrize("rho", [0.3, 2.0, 5.0])
+def test_t_plane_read_outs_match_a_plane_at_half_the_spacing(rho):
+    # the evolve_t output grid (h = 0.1) and the one at h = 0.05 get planes at the
+    # same operator spacing, and the finer plane's nodes are the coarser's cell
+    # midpoints; phi and phi_x agree to 1e-14 at common nodes, so their gap there is
+    # the read-out's, and I's (about 6e-6 at common nodes too) is its trapezoid's
+    planes = []
+    for n in (51, 101):
+        state = kdv.EvolvedState(0.02, wvn.ExampleParams(rho))
+        out = Grid(-3.0, 2.0, n)
+        planes.append(kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, out), read_from=-3.0))
+    coarse, fine = planes
+    assert coarse.delta == fine.delta
+    mid = Grid(-3.0, 2.0, 101).x[1::2]
+    gap = np.max(np.abs(coarse.fields(mid) - fine.fields(mid)), axis=1)
+    assert np.all(gap < [5e-7, 2e-6, 2e-5])
+
+
+def test_q_off_a_t_plane_node_is_rejected():
+    # a t > 0 plane's nodes are its output's, and q is read there only
+    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
+    out = Grid(-3.0, 2.0, 51)
+    plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, out), read_from=out.x_min)
+    assert np.all(np.isfinite(plane.q_at(out.x)))
+    off = out.x[10] + 0.5 * out.spacing
+    with pytest.raises(ValidationError, match="nodes"):
+        plane.q_at([out.x[10], off])
+    with pytest.raises(ValidationError, match="nodes"):
+        kdv.dyson_q(state, off)
+    assert np.all(np.isfinite(plane.fields(off)))
 
 
 def test_jost_evolved_t0(state0):
@@ -616,7 +675,10 @@ def test_t0_plane_serves_q_next_to_the_kink(rho, h):
     # chain's factor past M_OP_CAP; it is dropped and left to dyson_q
     state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho))
     out = Grid(-3.0, 2.0, round(5.0 / h) + 1)
-    plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, out), read_from=out.x_min)
+    # h = 0.1: the plane at the output's spacing, on the kink lattice 0.1Z of two
+    # chains at delta = 0.2 (rho = 5: one at 0.1); phi_plane_grid refines it to S_MAX
+    pg = kdv.phi_plane_grid(state, out) if h == 0.05 else Grid(-45.0, 2.6, 477)
+    plane = kdv.evolved_phi_plane(state, pg, read_from=out.x_min)
     ends = 3 * len(plane.factor_points)
     x, q = plane.grid.x[ends:-ends], plane.q[ends:-ends]
     dropped = [-0.25] if (rho, h) == (0.3, 0.05) else []
@@ -679,12 +741,17 @@ def test_split_step_cfl_rejection():
         kdv.split_step_reference(x, 50.0 * np.exp(-x**2), 0.1, dt=1e-2)
 
 
+def _glm_q(state, x):
+    """q at x from the GLM read-out of a one-node plane (`EvolvedState.glm_plane`)."""
+    return float(state.glm_plane(np.array([x])).q[0])
+
+
 def test_grid_convergence_invariant():
-    # at the refined operator spacing, halving it again moves dyson_q (the
-    # plane's GLM read-out at t > 0) by well under 10% of the evolved-pipeline
+    # at the refined operator spacing, halving it again moves the plane's GLM
+    # read-out of q at t > 0 by well under 10% of the evolved-pipeline
     # tolerance budget (1e-2)
-    a = kdv.dyson_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO), delta_cap=0.08), -8.0)
-    b = kdv.dyson_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO), delta_cap=0.04), -8.0)
+    a = _glm_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO), delta_cap=0.08), -8.0)
+    b = _glm_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO), delta_cap=0.04), -8.0)
     assert abs(a - b) < 1e-3
 
 
@@ -693,8 +760,8 @@ def test_dyson_q_far_left_converged(x):
     # at the default spacing fixed_delta(x) (0.16 and 0.22) q agrees with a
     # delta_cap = 0.05 solve within the bound of test_grid_convergence_invariant;
     # the resolvent-trace formula, which needs K'', missed it by 1.2e-2 and 6.3e-2
-    a = kdv.dyson_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO)), x)
-    b = kdv.dyson_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO), delta_cap=0.05), x)
+    a = _glm_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO)), x)
+    b = _glm_q(kdv.EvolvedState(0.02, wvn.ExampleParams(RHO), delta_cap=0.05), x)
     assert abs(a - b) < 1e-3
 
 

@@ -4,8 +4,10 @@ A module-level private function that nothing in the package references is
 dead code, and so is a public function or class that only its own tests call,
 unless it is a named oracle kept for tests and acceptance criteria.  An
 `__all__` entry that the module does not define breaks
-`from positonkit.<module> import *`.  The import check runs in a child
-process: importing the package loads numpy and no module of scipy.
+`from positonkit.<module> import *`.  No module imports scipy, at module
+level or deferred into a function: scipy is a test-only dependency.  The
+import check runs in a child process: importing the package loads numpy and
+no module of scipy.
 """
 
 import ast
@@ -97,6 +99,22 @@ def test_all_entries_are_defined():
     missing = [f"{mod}.{name}" for mod, tree in _modules().items()
                for name in _all_entries(tree) if name not in _defined_names(tree)]
     assert not missing, f"__all__ names a missing definition: {missing}"
+
+
+def _imported_packages(tree):
+    """(top-level package, line) of every import statement anywhere in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+def test_no_module_imports_scipy():
+    # function bodies included: test_import_loads_no_scipy sees only what an import loads
+    found = [f"{mod}.py:{line}" for mod, tree in _modules().items()
+             for package, line in _imported_packages(tree) if package == "scipy"]
+    assert not found, f"scipy imported in src/: {found}"
 
 
 def test_import_loads_no_scipy():
