@@ -216,29 +216,28 @@ def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas, right: bool = Fal
 
 
 def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
-          psi: WaveField | None = None, rtol: float = DEFAULT_RTOL) -> WaveField:
+          rtol: float = DEFAULT_RTOL) -> WaveField:
     """Real generating function phi_n = -2 Re[R(omega)^{1/2} psi(., omega)].
 
     The minus sign is this artifact's convention; it makes phi equal to
     +2 sin(x) on the right tail of the explicit example.  The right tail obeys
     phi ~ (+-)2 cos(omega x + arg R / 2).
     """
-    if psi is None:
-        psi = right_jost(spec, state.omega, grid, rtol=rtol)
+    psi = right_jost(spec, state.omega, grid, rtol=rtol)
     root = state.root_r
     vals = -2.0 * np.real(root * psi.values)
     ders = -2.0 * np.real(root * psi.derivs)
     return WaveField(grid, state.omega, vals, ders)
 
 
-def gram_plus(phis: list, alphas, grid: Grid | None = None, omegas=None) -> GramField:
+def gram_plus(phis: list, alphas) -> GramField:
     """Gram matrix field G(x)_{mn} = alpha_m alpha_n Integral(phi_m phi_n, -inf..x).
 
-    The (-inf, x_min] piece comes from the oscillatory tail model fitted on
-    the leftmost `TAIL_WINDOW` of the grid.
+    The phi fields share a grid, and each is real with a real momentum phi.k,
+    the omega of its tail model.  The (-inf, x_min] piece comes from that
+    oscillatory model fitted on the leftmost `TAIL_WINDOW` of the grid.
     """
-    if grid is None:
-        grid = phis[0].grid
+    grid = phis[0].grid
     n = len(phis)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (n,):
@@ -246,11 +245,10 @@ def gram_plus(phis: list, alphas, grid: Grid | None = None, omegas=None) -> Gram
     for f in phis:
         if f.grid.n_points != grid.n_points or not np.allclose(f.grid.x, grid.x):
             raise ValidationError("all phi fields must share the grid")
-    if omegas is None:
-        omegas = [float(np.real(f.k)) for f in phis]
     cum, left, _, fits = tail_closed_gram(grid.x, grid.spacing,
                                           [np.real(f.values) for f in phis],
-                                          [np.real(f.derivs) for f in phis], omegas)
+                                          [np.real(f.derivs) for f in phis],
+                                          [float(np.real(f.k)) for f in phis])
     weights = np.outer(alphas, alphas)
     return GramField(grid, weights * (cum + left), weights * left, fits)
 
@@ -335,7 +333,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     ext, n_ext = _extended_grid(grid)
     phis = [phi_n(spec, s, ext, rtol=rtol) for s in states]
     alphas = np.array([s.alpha for s in states])
-    gram = gram_plus(phis, alphas, ext, omegas=[s.omega for s in states])
+    gram = gram_plus(phis, alphas)
     phit = np.stack([a * np.real(f.values) for a, f in zip(alphas, phis)])
     dphit = np.stack([a * np.real(f.derivs) for a, f in zip(alphas, phis)])
     log_det, dd2, y, yp = _solve_transform(phit, dphit, gram.entries)
@@ -512,26 +510,23 @@ def greens_diagonal_transformed(result: TransformResult, k: complex, x: float) -
     return complex(-pv * sv / (2j * k))
 
 
-def remove_embedded(q_input, eigenfunctions: list, grid: Grid,
-                    omegas=None,
+def remove_embedded(q_samples, eigenfunctions: list, grid: Grid,
                     ortho_tol: float = 1e-6) -> RemovalResult:
     """Remove embedded eigenvalues given an orthonormal set of eigenfunctions.
 
+    q_samples holds q at the grid's nodes, and each eigenfunction is real with
+    a real momentum y.k, the omega of its tail model.
     q_minus = q - 2 d^2/dx^2 log det(Gbar(x)) with Gbar(x) = Integral(y_m y_n, x..inf),
     which equals I - G_-(x) by orthonormality.  Gbar is positive definite for
     every finite x; violations raise OrthonormalityError.
     """
-    if isinstance(q_input, PotentialSpec):
-        q = np.asarray(q_input.evaluate(grid.x), dtype=float)
-    else:
-        q = np.asarray(q_input, dtype=float)
-        if q.shape != (grid.n_points,):
-            raise ValidationError("q samples must align with the grid")
+    q = np.asarray(q_samples, dtype=float)
+    if q.shape != (grid.n_points,):
+        raise ValidationError("q samples must align with the grid")
     n = len(eigenfunctions)
     if n == 0:
         return RemovalResult(grid, q.copy(), np.zeros(grid.n_points), np.zeros((0, 0)))
-    if omegas is None:
-        omegas = [float(np.real(y.k)) for y in eigenfunctions]
+    omegas = [float(np.real(y.k)) for y in eigenfunctions]
     vals = [np.real(y.values) for y in eigenfunctions]
     ders = [np.real(y.derivs) for y in eigenfunctions]
     cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, vals, ders, omegas, right=True)

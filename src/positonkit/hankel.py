@@ -498,8 +498,9 @@ class PlaneJost:
     are None; q is then a second difference of log_det along a chain
     (`kdv.dyson_q`).  log_det is complex, its imaginary part the phase of
     the real determinant: exactly 0 for a positive one, pi for a negative
-    one.  nodes holds the indices into the plane's x of the nodes solved, in
-    increasing x, and every array is over them.  sizes holds mn + 1 of each
+    one, which `kdv.EvolvedState.glm_plane` rejects.  nodes holds the indices
+    into the plane's x of the nodes solved, in increasing x, and every array
+    is over them.  sizes holds mn + 1 of each
     node's system and factor_points that of each chain's one factorization.
     pivot_margin, near 0 near a singular node, is the least min u_ii / max u_ii
     on a node's leading rows (u_ii = g_ii^2 > 0, `lu_factor`) or
@@ -515,11 +516,6 @@ class PlaneJost:
     factor_points: tuple
     sizes: np.ndarray
     pivot_margin: float
-
-    def log_det_real(self, nodes=slice(None)) -> np.ndarray:
-        """Re log det(I + H) at the nodes, each checked positive as by `DetState.log_det`."""
-        _check_positive(self.log_det[nodes].imag, int(np.max(self.sizes[nodes], initial=0)))
-        return self.log_det[nodes].real
 
 
 def plane_spacing(t: float, h: float, delta0: float):

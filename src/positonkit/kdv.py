@@ -36,6 +36,7 @@ from .hankel import (
     KernelTable,
     PlaneJost,
     PoleData,
+    _check_positive,
     _operator_intervals,
     difference_stencil,
     kink_spacing,
@@ -71,11 +72,10 @@ class EvolvedState:
     kernel_u_points: int = field(default=0, repr=False)
     kernel_contour_points: dict = field(default_factory=dict, repr=False)
     # t = 0 q values that took a chain of their own (`dyson_q`) and the plane nodes
-    # served by a kink chain (`_kink_chain_q`), the largest |Im log det(I + H)| and
-    # the least `PlaneJost.pivot_margin` over every plane node
+    # served by a kink chain (`_kink_chain_q`), and the least `PlaneJost.pivot_margin`
+    # over every plane node
     q_points_own_chain: int = field(default=0, repr=False)
     q_points_kink_chain: int = field(default=0, repr=False)
-    log_det_phase_max: float = field(default=0.0, repr=False)
     pivot_margin: float = field(default=1.0, repr=False)
 
     def __post_init__(self):
@@ -118,13 +118,16 @@ class EvolvedState:
 
     def glm_plane(self, x: np.ndarray, ks=(), delta0: float | None = None,
                   window: int = 0) -> PlaneJost:
-        """`hankel.plane_jost` over the uniform nodes x, by default at the spacing of x[0]."""
+        """`hankel.plane_jost` over the uniform nodes x, by default at the spacing of x[0].
+
+        Every node's det(I + H) must be positive (its log's phase 0, not pi), at
+        every t, else DiscretizationFailureError: q, psi and phi are read off it.
+        """
         if delta0 is None:
             delta0 = self.fixed_delta(float(x[0]))
         sol = plane_jost(self.poles, self.kernel, self.t, x, ks, delta0, window)
+        _check_positive(sol.log_det.imag, int(np.max(sol.sizes)))
         self.operator_sizes.extend(sol.sizes.tolist())
-        self.log_det_phase_max = max(self.log_det_phase_max,
-                                     float(np.max(np.abs(sol.log_det.imag))))
         self.pivot_margin = min(self.pivot_margin, sol.pivot_margin)
         return sol
 
@@ -148,7 +151,7 @@ _CENTRAL, _FORWARD = ((o, difference_stencil(o, 2)) for o in (np.arange(-3, 4), 
 
 def _log_det_q(sol: PlaneJost, stencil, weights) -> np.ndarray:
     """q = -2 d^2/dx^2 log det(I + H): the second difference with weights over sol's stencil nodes."""
-    return -2.0 * (sol.log_det_real(stencil) @ weights) / sol.delta**2
+    return -2.0 * (sol.log_det[stencil].real @ weights) / sol.delta**2
 
 
 def dyson_q(state: EvolvedState, x: float) -> float:

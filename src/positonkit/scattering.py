@@ -14,7 +14,7 @@ import numpy as np
 
 from . import schrodinger as sch
 from . import wvn_example as wvn
-from .errors import DegenerateWronskianError, ResidueClassificationError, ValidationError
+from .errors import DegenerateWronskianError, ResidueClassificationError
 from .schrodinger import PotentialSpec, WaveField, right_jost_at
 
 __all__ = [
@@ -40,24 +40,22 @@ class ResidueResult:
 
 
 def left_reference(spec: PotentialSpec, k: complex, x: float):
-    """(value, derivative) of an independent left-side solution at x.
+    """(value, derivative) of an independent left-side solution at x, for every kind.
 
     For the explicit family this is its closed-form left Jost solution; for the
-    zero potential it is the plane wave e^{-ikx}; sampled potentials fall back
-    to the plane wave left of their first sample, continued by integration.
+    zero potential it is the plane wave e^{-ikx}; a sampled potential takes
+    the plane wave left of its first sample, continued by integration.
     """
     if spec.kind == sch.KIND_WVN:
         return wvn.left_jost_closed(spec.rho, x, k)
     if spec.kind == sch.KIND_ZERO:
         return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
-    if spec.kind == sch.KIND_SAMPLED:
-        cut = float(spec.sample_x[0])
-        if x <= cut:
-            return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
-        y0 = (np.exp(-1j * k * cut), -1j * k * np.exp(-1j * k * cut))
-        wf = sch.integrate(spec, k, cut, x, y0)
-        return wf.values[..., -1], wf.derivs[..., -1]
-    raise ValidationError(f"no left-side reference solution available for kind {spec.kind!r}")
+    cut = float(spec.sample_x[0])
+    if x <= cut:
+        return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
+    y0 = (np.exp(-1j * k * cut), -1j * k * np.exp(-1j * k * cut))
+    wf = sch.integrate(spec, k, cut, x, y0)
+    return wf.values[..., -1], wf.derivs[..., -1]
 
 
 def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0):

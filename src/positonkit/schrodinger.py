@@ -59,10 +59,7 @@ NFEV_CHECK = 5_000
 
 KIND_ZERO = "zero"
 KIND_WVN = "wvn_example"
-KIND_SYM = "sym_plus_one"
 KIND_SAMPLED = "sampled"
-KIND_SHIFTED = "shifted"
-KIND_SUM = "sum"
 
 
 @dataclass
@@ -159,24 +156,24 @@ class CubicSpline:
 
 @dataclass
 class PotentialSpec:
-    """A real potential on the line, closed-form or sampled.
+    """A real potential on the line, closed-form or sampled, that vanishes beyond `right_cutoff`.
 
-    The potential must vanish exactly beyond `right_cutoff` (or be declared
-    negligible there within `tail_tol`; `right_cutoff = inf` marks a potential
-    with no usable right cutoff).
+    Each kind has a finite right cutoff (or -inf, for the zero potential) and
+    a left reference solution (`scattering.left_reference`): the explicit
+    example (`wvn_example`, cutoff 0), the zero potential, and the not-a-knot
+    cubic spline through samples (`sampled`, cutoff its last sample x, and
+    evaluated only within them: OutOfDomainError).  The cutoff may be
+    replaced (`dataclasses.replace`); the wvn_example's must stay >= 0.
     """
 
     kind: str
     rho: float | None = None
     sample_x: np.ndarray | None = None
     sample_q: np.ndarray | None = None
-    shift: float = 0.0
-    parts: tuple = ()
     right_cutoff: float = 0.0
-    tail_tol: float = 0.0
 
     def __post_init__(self):
-        if self.kind in (KIND_WVN, KIND_SYM):
+        if self.kind == KIND_WVN:
             if not isinstance(self.rho, numbers.Real) or not 0 < self.rho < math.inf:
                 raise ValidationError(f"{self.kind} requires a finite rho > 0")
         if self.kind == KIND_SAMPLED:
@@ -192,8 +189,6 @@ class PotentialSpec:
         if self.kind == KIND_WVN and self.right_cutoff < 0:
             raise ValidationError("the wvn_example potential is nonzero below x = 0; "
                                   "right_cutoff must be >= 0")
-        if self.tail_tol < 0:
-            raise ValidationError("tail_tol must be nonnegative")
 
     # -- constructors ------------------------------------------------------
 
@@ -206,27 +201,8 @@ class PotentialSpec:
         return cls(kind=KIND_WVN, rho=rho, right_cutoff=0.0)
 
     @classmethod
-    def sym_plus_one(cls, rho: float, tail_tol: float = 1e-2) -> "PotentialSpec":
-        # long-range on both sides; no exact right cutoff exists
-        return cls(kind=KIND_SYM, rho=rho, right_cutoff=math.inf, tail_tol=tail_tol)
-
-    @classmethod
-    def sampled(cls, x: np.ndarray, q: np.ndarray, right_cutoff: float | None = None,
-                tail_tol: float = 0.0) -> "PotentialSpec":
-        rc = float(x[-1]) if right_cutoff is None else right_cutoff
-        return cls(kind=KIND_SAMPLED, sample_x=x, sample_q=q,
-                   right_cutoff=rc, tail_tol=tail_tol)
-
-    @classmethod
-    def shifted(cls, inner: "PotentialSpec", dx: float) -> "PotentialSpec":
-        return cls(kind=KIND_SHIFTED, parts=(inner,), shift=dx,
-                   right_cutoff=inner.right_cutoff + dx, tail_tol=inner.tail_tol)
-
-    @classmethod
-    def sum_of(cls, *parts: "PotentialSpec") -> "PotentialSpec":
-        rc = max(p.right_cutoff for p in parts)
-        tol = max(p.tail_tol for p in parts)
-        return cls(kind=KIND_SUM, parts=tuple(parts), right_cutoff=rc, tail_tol=tol)
+    def sampled(cls, x: np.ndarray, q: np.ndarray) -> "PotentialSpec":
+        return cls(kind=KIND_SAMPLED, sample_x=x, sample_q=q, right_cutoff=float(x[-1]))
 
     # -- evaluation --------------------------------------------------------
 
@@ -234,22 +210,16 @@ class PotentialSpec:
         return self.evaluate(x)
 
     def evaluate(self, x):
-        """q(x); finite real for every finite x (OutOfDomainError for sampled kinds)."""
+        """q(x); finite real for every finite x (a sampled potential: within its samples)."""
         if self.kind == KIND_ZERO:
             return np.zeros_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 0.0
         if self.kind == KIND_WVN:
             return wvn.q_seed(self.rho, x)
-        if self.kind == KIND_SYM:
-            return wvn.q_sym(self.rho, x)
         if self.kind == KIND_SAMPLED:
             out = self._spline(x)
             if np.any(np.isnan(out)):
                 raise OutOfDomainError("sampled potential evaluated outside its sample range")
             return out if not np.isscalar(x) else float(out)
-        if self.kind == KIND_SHIFTED:
-            return self.parts[0].evaluate(np.asarray(x) - self.shift)
-        if self.kind == KIND_SUM:
-            return sum(p.evaluate(x) for p in self.parts)
         raise ValidationError(f"unknown potential kind {self.kind!r}")
 
     def scalar_fn(self) -> Callable[[float], float]:
@@ -274,13 +244,7 @@ class PotentialSpec:
 
     def breakpoints(self) -> list[float]:
         """x-locations where q is continuous but not smooth (integration is split there)."""
-        if self.kind in (KIND_WVN, KIND_SYM):
-            return [0.0]
-        if self.kind == KIND_SHIFTED:
-            return [b + self.shift for b in self.parts[0].breakpoints()]
-        if self.kind == KIND_SUM:
-            return sorted({b for p in self.parts for b in p.breakpoints()})
-        return []
+        return [0.0] if self.kind == KIND_WVN else []
 
 
 @dataclass

@@ -98,14 +98,14 @@ def test_criterion_5_removal_round_trip():
     grid = Grid(-20.0, 20.0, 4001)
     state = dbx.EmbeddedStateSpec.for_wvn_example(rho, 0.8)
     res = dbx.insert_embedded(spec, [state], grid, check_preconditions=False)
-    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid, omegas=[1.0])
+    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid)
     err_rt = float(np.max(np.abs(rem.q_minus - res.q_seed)))
 
     alpha_sym = np.sqrt(rho / 2.0)
     from positonkit.schrodinger import WaveField
     y = WaveField(grid, 1.0, wvn.y_closed(rho, alpha_sym, grid.x),
                   wvn.y_x_closed(rho, alpha_sym, grid.x))
-    rem2 = dbx.remove_embedded(wvn.q_sym(rho, grid.x), [y], grid, omegas=[1.0])
+    rem2 = dbx.remove_embedded(wvn.q_sym(rho, grid.x), [y], grid)
     err_sym = float(np.max(np.abs(rem2.q_minus - wvn.q_seed(rho, grid.x))))
     worst = max(err_rt, err_sym)
     assert _report("5 removal round trip", worst, 1e-6,

@@ -241,7 +241,7 @@ def test_chain_empty(wvn_spec):
 def test_remove_round_trip(wvn_spec, grid_std):
     state = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 0.7)
     res = dbx.insert_embedded(wvn_spec, [state], grid_std, check_preconditions=False)
-    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid_std, omegas=[1.0])
+    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid_std)
     assert np.max(np.abs(rem.q_minus - res.q_seed)) < 1e-6
 
 
@@ -252,7 +252,7 @@ def test_remove_round_trip_across_family(rho, alpha):
     grid = Grid(-20.0, 20.0, 2001)
     state = dbx.EmbeddedStateSpec.for_wvn_example(rho, alpha)
     res = dbx.insert_embedded(PotentialSpec.wvn_example(rho), [state], grid)
-    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid, omegas=[1.0])
+    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid)
     assert np.max(np.abs(rem.q_minus - res.q_seed)) < 1e-6
 
 
@@ -261,7 +261,7 @@ def test_remove_symmetric_case_recovers_seed(grid_std):
     y = WaveField(grid_std, 1.0, wvn.y_closed(RHO, alpha, grid_std.x),
                   wvn.y_x_closed(RHO, alpha, grid_std.x))
     q_sym = wvn.q_sym(RHO, grid_std.x)
-    rem = dbx.remove_embedded(q_sym, [y], grid_std, omegas=[1.0])
+    rem = dbx.remove_embedded(q_sym, [y], grid_std)
     assert np.max(np.abs(rem.q_minus - wvn.q_seed(RHO, grid_std.x))) < 1e-6
 
 
@@ -277,7 +277,7 @@ def test_remove_rejects_non_orthonormal(grid_std):
     y = WaveField(grid_std, 1.0, 1.1 * wvn.y_closed(RHO, alpha, grid_std.x),
                   1.1 * wvn.y_x_closed(RHO, alpha, grid_std.x))
     with pytest.raises(OrthonormalityError):
-        dbx.remove_embedded(wvn.q_sym(RHO, grid_std.x), [y], grid_std, omegas=[1.0])
+        dbx.remove_embedded(wvn.q_sym(RHO, grid_std.x), [y], grid_std)
 
 
 MODEL_RHO = 2.0
@@ -312,7 +312,7 @@ def test_gram_two_state_tails_on_model_fields():
     """Diagonal: Integral(phi^2, -inf..x) = 1/(2 rho tau(x)); cross: quadrature from -20000."""
     grid = Grid(-40.0, 0.0, 4001)
     fields = _model_wavefields(grid)
-    gram = dbx.gram_plus(fields, [1.0, 1.0], grid, omegas=list(MODEL_OMEGAS))
+    gram = dbx.gram_plus(fields, [1.0, 1.0])
     for m, w in enumerate(MODEL_OMEGAS):
         exact = 1.0 / (2 * MODEL_RHO * _model_tau(w, grid.x))
         # the tail model is exact for these fields; the grid part carries the
@@ -330,8 +330,7 @@ def test_remove_two_state_tails_on_model_fields():
     """Full-line integrals: 1/rho on the diagonal, quadrature on [-20000, 20000] across."""
     grid = Grid(-40.0, 40.0, 8001)
     fields = _model_wavefields(grid)
-    rem = dbx.remove_embedded(np.zeros(grid.n_points), fields, grid,
-                              omegas=list(MODEL_OMEGAS), ortho_tol=np.inf)
+    rem = dbx.remove_embedded(np.zeros(grid.n_points), fields, grid, ortho_tol=np.inf)
     assert np.max(np.abs(np.diagonal(rem.orthonormality) - 1.0 / MODEL_RHO)) < 1e-10
     (v1, d1), (v2, d2) = ((f.values, f.derivs) for f in fields)
     mid = dbx.cumulative_corrected_trapezoid(v1 * v2, d1 * v2 + v1 * d2, grid.spacing)[-1]

@@ -290,7 +290,8 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
     assert 0.0 < sol.pivot_margin <= 1.0
     if t == 0.0:
         assert sol.gx is None and sol.q is None
-    log_det = sol.log_det_real()
+    assert np.all(sol.log_det.imag == 0.0)
+    log_det = sol.log_det.real
     xs = x[sol.nodes]
     with pytest.MonkeyPatch.context() as mp:
         for j in range(len(xs)) if nodes is None else nodes:
@@ -385,18 +386,21 @@ def _shifted_border(shift):
 def test_negative_bordered_determinant_is_rejected():
     # det(I + H) has the sign of -sigma, the Schur complement of the resonance
     # border (det A > 0); sigma is about -8 at these nodes, so sigma + 100 > 0
-    # makes det(I + H) negative in DetState and in plane_jost alike
+    # makes det(I + H) negative in DetState and in plane_jost alike, and
+    # glm_plane rejects the plane at every t
     for t, x in ((0.0, -3.0), (0.02, -3.0)):
         state = kdv.EvolvedState(t, wvn.ExampleParams(RHO))
         assert np.isfinite(state.det_state(x).log_det())
+        nodes = x + 0.1 * np.arange(6)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hankel, "_resonance_border", _shifted_border(100.0))
             with pytest.raises(DiscretizationFailureError, match="positivity"):
                 state.det_state(x + 0.5).log_det()
-            flipped = state.glm_plane(x + 0.1 * np.arange(6))
+            flipped = hankel.plane_jost(state.poles, state.kernel, t, nodes, (),
+                                        state.fixed_delta(x))
+            with pytest.raises(DiscretizationFailureError, match="positivity"):
+                state.glm_plane(nodes)
         assert np.all(flipped.log_det.imag == np.pi)
-        with pytest.raises(DiscretizationFailureError, match="positivity"):
-            flipped.log_det_real()
 
 
 def test_plane_jost_t0_near_cap():
@@ -776,7 +780,6 @@ def test_dyson_q_t0_is_its_own_chain():
         assert len(sizes) == nodes
         assert np.all(np.diff(sizes) == -1)              # one chain: one row fewer per node
     assert state.q_points_own_chain == 3
-    assert 0.0 <= state.log_det_phase_max < hankel.POSITIVITY_TOL
 
 
 @pytest.mark.slow

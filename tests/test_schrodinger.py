@@ -205,12 +205,11 @@ def test_magnus_error_falls_sixth_order(wvn_spec, k):
 
 
 def test_magnus_steps_split_at_kinks(wvn_spec):
-    # the shifted example's kink lies between grid nodes, and a cutoff moved
+    # the example's kink x = 0 lies between grid nodes, and a cutoff moved
     # right of it puts the kink inside the integrated span
-    shift = 0.3137
-    spec = dataclasses.replace(sch.PotentialSpec.shifted(wvn_spec, shift), right_cutoff=1.0)
-    g = sch.Grid(-20.0, 2.0, 1101)
-    assert np.min(np.abs(g.x - shift)) > 1e-3
+    spec = dataclasses.replace(wvn_spec, right_cutoff=1.0)
+    g = sch.Grid(-20.0, 2.0, 1100)
+    assert np.min(np.abs(g.x)) > 1e-3
     for k in (0.7, 1.0, 2.2):
         psi = sch.right_jost(spec, k, g)
         vals, ders = sch.right_jost_at(spec, k, g.x)
@@ -259,15 +258,6 @@ def test_magnus_cap_counts_steps(monkeypatch, wvn_spec, n_steps, solved):
     else:
         with pytest.raises(IntegrationFailureError, match="more than 20000 steps"):
             sch.right_jost(wvn_spec, 1.0, g)
-
-
-def test_composite_potentials():
-    base = sch.PotentialSpec.wvn_example(RHO)
-    shifted = sch.PotentialSpec.shifted(base, 1.5)
-    assert shifted.evaluate(1.0) == base.evaluate(-0.5)
-    assert shifted.right_cutoff == 1.5
-    total = sch.PotentialSpec.sum_of(base, sch.PotentialSpec.zero())
-    assert total.evaluate(-2.0) == base.evaluate(-2.0)
 
 
 def test_plane_wave_exact():
@@ -321,9 +311,9 @@ def test_right_jost_rejects_k_zero(wvn_spec):
         sch.right_jost(wvn_spec, 0.0, sch.Grid(-1, 1, 21))
 
 
-def test_right_jost_requires_cutoff_in_grid():
-    spec = sch.PotentialSpec.sym_plus_one(RHO)
-    with pytest.raises(ValidationError):
+def test_right_jost_requires_cutoff_in_grid(wvn_spec):
+    spec = dataclasses.replace(wvn_spec, right_cutoff=6.0)
+    with pytest.raises(ValidationError, match="right_cutoff <= grid.x_max"):
         sch.right_jost(spec, 1.0, sch.Grid(-5, 5, 101))
 
 
