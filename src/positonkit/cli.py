@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from time import perf_counter
 
@@ -33,9 +34,12 @@ EXIT_NUMERICAL = 3
 
 
 def _write_meta(prefix, config, diagnostics):
+    env = os.environ
     meta = {
         "config": config,
         "versions": {"positonkit": __version__, "numpy": np.__version__},
+        # the BLAS thread setting the run had: evolve's last digits depend on the thread count
+        "blas_threads": env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS") or None,
         "diagnostics": diagnostics,
     }
     with open(f"{prefix}.meta.json", "w") as fh:
@@ -239,52 +243,49 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
                               f"got omega={states[0].omega}, r_at_omega={states[0].r_at_omega}")
     params = wvn.ExampleParams(potential.rho, states[0].alpha if states else 1.0)
     evolved = [kdv.EvolvedState(t, params) for t in time]
-    try:        # every t's phi-plane is laid out, and so checked, before any solve
-        plane_grids = [kdv.phi_plane_grid(state, grid) if states else None for state in evolved]
+    try:        # every phi-plane is laid out, and so checked, before any solve
+        plane_grids = [kdv.phi_plane_grid(state, grid) if states or t == 0 else None
+                       for t, state in zip(time, evolved)]
     except ValidationError as exc:        # a fault of the config's grid
         raise ValidationError(f"config.{exc}") from exc
     cols, diags = [], {}
     for t, state, pg in zip(time, evolved, plane_grids):
-        # q at t > 0 from the GLM solves of a plane (the phi-plane, or without a
-        # state the output grid itself); at t = 0 from the log-determinants of
-        # the phi-plane's chains and its kink chain, or of a chain of each x's own
+        # q off the GLM solves of a plane: the phi-plane with a state and at
+        # t = 0 (read off its chains' log-determinants there), else at t > 0 the
+        # output grid itself
         start = perf_counter()
-        if states:
+        if pg is not None:
             plane = kdv.evolved_phi_plane(state, pg, read_from=grid.x_min)
             solved = perf_counter()
-            q = plane.q_at(grid.x)
-            q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
-        elif t > 0:
+            q = q_plus = plane.q_at(grid.x)
+            if states:
+                q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
+        else:
             plane = state.glm_plane(grid.x)
             solved = perf_counter()
             q = q_plus = plane.q
-        else:
-            solved = start
-            q = q_plus = np.array([kdv.dyson_q(state, float(x)) for x in grid.x])
         timings = {"plane": solved - start, "q": perf_counter() - solved}
         cols.append((grid.x, np.full(grid.n_points, t), q, q_plus))
         # sizes actually used: mn + 1 of the operator systems, the plane's
         # factorizations and the t > 0 kernel lattices; the pivot margin
-        diag = {"operator_points_min": min(state.operator_sizes, default=None),
-                "operator_points_max": max(state.operator_sizes, default=None),
+        diag = {"operator_points_min": min(state.operator_sizes),
+                "operator_points_max": max(state.operator_sizes),
                 "q_source": "plane_glm" if t > 0 else "chain_log_det",
-                "q_points_own_chain": state.q_points_own_chain,
                 "q_points_kink_chain": state.q_points_kink_chain,
                 "pivot_margin": state.pivot_margin,
                 "timings_s": timings}
-        if states:
+        if pg is not None:
             diag["plane_tail_fit_residual"] = float(plane.tail_fit.residual)
             # the t = 0 plane's one chain for the nodes next to the kink, if any
             kink = plane.kink_chain
             diag["plane_kink_spacing"] = kink.delta if kink else None
             diag["plane_kink_factor_points"] = list(kink.factor_points) if kink else []
-        if states or t > 0:
-            # the nodes solved: with a state, chain 0's left of the phi-plane's window and its own
-            diag["plane_nodes"] = plane.solved if states else grid.n_points
-            diag["plane_spacing"] = (pg if states else grid).spacing
-            diag["plane_operator_spacing"] = plane.delta
-            diag["plane_chains"] = len(plane.factor_points)
-            diag["plane_factor_points"] = list(plane.factor_points)
+        # the nodes solved: on a phi-plane, chain 0's left of its window and the window's
+        diag["plane_nodes"] = grid.n_points if pg is None else plane.solved
+        diag["plane_spacing"] = (grid if pg is None else pg).spacing
+        diag["plane_operator_spacing"] = plane.delta
+        diag["plane_chains"] = len(plane.factor_points)
+        diag["plane_factor_points"] = list(plane.factor_points)
         if t > 0:
             diag["kernel_u_points"] = state.kernel_u_points
             diag["kernel_contour_points"] = dict(state.kernel_contour_points)

@@ -496,7 +496,7 @@ class PlaneJost:
     evolved potential, since K(x, x + xi) = -v(xi) and q = -2 d/dx K(x, x).
     At t = 0, where K' jumps at u = 0 and both read-outs are wrong, gx and q
     are None; q is then a second difference of log_det along a chain
-    (`kdv.dyson_q`).  log_det is complex, its imaginary part the phase of
+    (`kdv.evolved_phi_plane`).  log_det is complex, its imaginary part the phase of
     the real determinant: exactly 0 for a positive one, pi for a negative
     one, which `kdv.EvolvedState.glm_plane` rejects.  nodes holds the indices
     into the plane's x of the nodes solved, in increasing x, and every array

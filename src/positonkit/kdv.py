@@ -6,7 +6,8 @@ its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
 t > 0 q is read from the same GLM solves, q = 2 d/dx v(xi = 0); at t = 0 it
 is a sixth-order second difference of the log-determinants that the same
 chained solves give at every node, or, next to the kernel's kink, that one chain
-of the nodes' own gives them.  The one-state evolved insertion adds
+of the nodes' own gives them, and it is read between the nodes off the nodes'
+q.  The one-state evolved insertion adds
 -2 d^2/dx^2 log(1 + alpha^2 Integral(phi^2)), phi(s,t) = 2 Im[e^{4 i omega^3 t}
 psi(s,t,omega)] at omega = OMEGA, solved on a phi-plane that `phi_plane_grid` lays
 out and read between its nodes off the plane's own data.  An independent
@@ -19,6 +20,7 @@ needs contour re-tuning and is rejected beyond T_MAX.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,7 @@ PLANE_START = -45.0        # the phi-plane's first node is at x <= PLANE_START
 RHO_MAX = 5.0              # the evolved fields are validated for rho <= RHO_MAX
 OMEGA = 1.0                # the inserted state's momentum, where R(OMEGA) = -1
 S_MAX = 0.05               # the t = 0 phi-plane's (its phi_x stencil's) step, where M_OP_CAP allows
+Q_NODES = 6                # t = 0 q off the plane's nodes: its interpolant's nodes (see README)
 
 
 @dataclass
@@ -71,10 +74,8 @@ class EvolvedState:
     # t > 0: lattice points of every kernel evaluated, the largest contour rule per side of u = 0
     kernel_u_points: int = field(default=0, repr=False)
     kernel_contour_points: dict = field(default_factory=dict, repr=False)
-    # t = 0 q values that took a chain of their own (`dyson_q`) and the plane nodes
-    # served by a kink chain (`_kink_chain_q`), and the least `PlaneJost.pivot_margin`
-    # over every plane node
-    q_points_own_chain: int = field(default=0, repr=False)
+    # t = 0 plane nodes served by a kink chain (`_kink_chain_q`), and the least
+    # `PlaneJost.pivot_margin` over every plane node
     q_points_kink_chain: int = field(default=0, repr=False)
     pivot_margin: float = field(default=1.0, repr=False)
 
@@ -88,6 +89,9 @@ class EvolvedState:
                 f"t={self.t} beyond the validated contour tuning (t <= {T_MAX})")
         if self.params.rho > RHO_MAX:
             raise ValidationError(f"rho={self.params.rho} beyond the validated rho <= {RHO_MAX}")
+        cap = self.delta_cap
+        if cap is not None and not (isinstance(cap, numbers.Real) and 0 < cap < math.inf):
+            raise ValidationError(f"delta_cap must be None or a finite spacing > 0, got {cap!r}")
         self.poles = PoleData.for_rho(self.params.rho)
         # t = 0: left of x = 0 within x_thin a chain puts too few nodes on the
         # kernel's support [0, 2|x|], and q is `_thin_support_q`'s series
@@ -155,15 +159,17 @@ def _log_det_q(sol: PlaneJost, stencil, weights) -> np.ndarray:
 
 
 def dyson_q(state: EvolvedState, x: float) -> float:
-    """Evolved seed q(x, 0) = -2 d^2/dx^2 log det(I + H(x, 0)); at t > 0 a ValidationError.
+    """Evolved seed q(x, 0) = -2 d^2/dx^2 log det(I + H(x, 0)) off a chain of x's own.
 
+    A named oracle: `evolve` reads every q off a plane (`EvolvedPlane.q_at`).
     Where the plane's GLM read-out fails because K' jumps at u = 0, q is -2
     times a sixth-order second difference of the log-determinants of a chain
     of its own: for x < 0, 7 nodes centred on x at `hankel.kink_spacing`; for
     x >= 0, 8 nodes forward from x, whose windows lie right of the kink, so
     that the stencil stays off q's derivative jump at x = 0.  Next to x = 0
     on the left, where a chain puts too few nodes on the kernel's support
-    [0, 2|x|], the series is used.  At t > 0 q is read at a plane's nodes.
+    [0, 2|x|], the series is used.  At t > 0 q is read at a plane's nodes: a
+    ValidationError.
     """
     if state.t > 0:
         raise ValidationError(f"at t = {state.t} > 0 q is read at a plane's nodes, not x = {x}")
@@ -174,7 +180,6 @@ def dyson_q(state: EvolvedState, x: float) -> float:
     if x < 0.0:
         delta, (offsets, weights) = kink_spacing(x, delta), _CENTRAL
     sol = state.glm_plane(x + delta * offsets, delta0=delta)
-    state.q_points_own_chain += 1
     return float(_log_det_q(sol, slice(None), weights))
 
 
@@ -203,6 +208,7 @@ def _jost_readout(x, ks: np.ndarray, g, gx=None):
 # the quintic Hermite basis on s in [0, 1]: s^0..s^5 for (f, h f', h^2 f'') x (s = 0, 1)
 _HERMITE = np.array([[1, 0, 0, -10, 15, -6], [0, 0, 0, 10, -15, 6], [0, 1, 0, -6, 8, -3],
                      [0, 0, 0, -4, 7, -3], [0, 0, .5, -1.5, 1.5, -.5], [0, 0, 0, .5, -1, .5]])
+_EYE = np.eye(Q_NODES, dtype=bool)
 
 
 @dataclass
@@ -219,7 +225,7 @@ class EvolvedPlane:
     where none serves: on a plane of chains delta apart, only at the window's three
     end chain steps, the padding no output node reads, and at a node the kink chain
     drops for M_OP_CAP.  The read-outs (`fields`, `q_at`) take x in [grid.x_min,
-    grid.x_max]; q off the nodes only at t = 0, from `dyson_q` as at NaN nodes.
+    grid.x_max]; q off the nodes, and at NaN nodes, only at t = 0.
     """
 
     state: EvolvedState
@@ -264,11 +270,35 @@ class EvolvedPlane:
         return out
 
     def q_at(self, x) -> np.ndarray:
-        """Evolved seed q at x: the plane's q at its nodes, else (off the nodes, or NaN) `dyson_q`."""
+        """Evolved seed q at x: the plane's q at its nodes, else (off them, or NaN) interpolated.
+
+        At t = 0 that is the Lagrange interpolant through the Q_NODES finite nodes
+        nearest x on x's side of x = 0 (x <= 0 reads nodes x <= 0, x > 0 nodes x >= 0:
+        the x = 0 node serves both, as q is continuous there and only q' jumps); fewer
+        such nodes is a ValidationError.  At t > 0 q is read at the nodes only.
+        """
         xs, j, on = self.index(x)
         q = np.where(on, self.q[j], np.nan)
-        own = np.flatnonzero(np.isnan(q))
-        q[own] = [dyson_q(self.state, float(v)) for v in xs[own]]
+        off = np.isnan(q)
+        if self.state.t > 0.0 and np.any(off):
+            raise ValidationError(f"at t = {self.state.t} > 0 q is read at a plane's nodes, "
+                                  f"not x = {xs[off][0]}")
+        g, tol = self.grid, 1e-9 * self.grid.spacing
+        finite = np.isfinite(self.q)
+        for right in (False, True):
+            read = off & ((xs > tol) if right else (xs <= tol))
+            if not np.any(read):
+                continue
+            nodes = np.flatnonzero(finite & ((g.x >= -tol) if right else (g.x <= tol)))
+            if nodes.size < Q_NODES:
+                raise ValidationError(f"q at x = {xs[read][0]} needs {Q_NODES} finite plane "
+                                      f"nodes on its side of x = 0, the plane has {nodes.size}")
+            first = np.searchsorted(g.x[nodes], xs[read]) - Q_NODES // 2
+            near = nodes[np.clip(first, 0, nodes.size - Q_NODES)[:, None] + np.arange(Q_NODES)]
+            xn = g.x[near][:, None, :]                       # [x, i, k]: x_k
+            steps = np.where(_EYE, 1.0, xs[read, None, None] - xn)
+            gaps = np.swapaxes(xn, 1, 2) - xn + _EYE         # x_i - x_k, 1 at i = k
+            q[read] = np.sum(np.prod(steps / gaps, axis=2) * self.q[near], axis=1)
         return q
 
 
@@ -281,7 +311,10 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
     pass M_OP_CAP (then the least l that fits, in closed form from the widest nodes' rows;
     `plane_jost` checks them all) and m the least integer that brings it to S_MAX as far
     as two chains fit, and it ends three chain steps past x_max, so that no output node
-    reads an edge stencil.  A grid starting left of the plane is a ValidationError.
+    reads an edge stencil, and past 7 chain steps if x_max lies right of minus its
+    spacing: the nodes right of x = 0 that `EvolvedPlane.q_at` reads, and the x = 0 node
+    that both sides read, then have their forward stencils.  A grid starting left of the
+    plane is a ValidationError.
     `evolved_phi_plane` solves chain 0 over the whole plane, the others over the output's window.
     """
     h, x_max = grid.spacing, grid.x_max
@@ -303,7 +336,8 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
         m = min(math.ceil(l * h / S_MAX - 1e-9), math.floor(2.0 * l * h / d_min))
         step = l * h / (m if m * delta0 >= 2.0 * l * h else 1)     # two chains at delta = 2 step
         chains, _, delta = plane_spacing(0.0, step, delta0)
-        end = math.ceil((x_max + 3 * chains * step) / (delta / 2) - 1e-9) * delta / 2
+        reach = x_max if x_max <= -step else max(x_max, 7 * chains * step)
+        end = math.ceil((reach + 3 * chains * step) / (delta / 2) - 1e-9) * delta / 2
     n = math.ceil((end - PLANE_START) / step) + 1
     if n > MAX_POINTS:
         raise ValidationError(f"grid spacing {h:.3g} makes a phi-plane of {n} > {MAX_POINTS} nodes")
@@ -321,7 +355,9 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid,
     lattice (see `phi_plane_grid`) is a ValidationError.  Every chain is solved over
     the window, from the last chain-0 node at or left of read_from - 3 delta - 2 h
     (h the grid's spacing; read_from, the least x read out, defaults to grid.x_min):
-    room for `_plane_chain_q`'s centred stencil and the t = 0 phi_x stencil.  Left of
+    room for `_plane_chain_q`'s centred stencil and the t = 0 phi_x stencil.  At t = 0
+    the window starts at latest 6 delta + (Q_NODES - 1) h left of the plane's end, so
+    that it holds the Q_NODES finite nodes `EvolvedPlane.q_at` reads.  Left of
     it, where phi only feeds I and its left tail fit, chain 0 alone is solved, its
     nodes chains h apart, and I's corrected trapezoid runs at that spacing.  At t = 0,
     where K' jumps at u = 0, phi_x is a 4th-order centred stencil along chain 0 left
@@ -333,6 +369,8 @@ def evolved_phi_plane(state: EvolvedState, grid: Grid,
     h = grid.spacing
     chains, _, delta = plane_spacing(state.t, h, state.fixed_delta(grid.x_min))
     edge = (grid.x_min if read_from is None else read_from) - 3 * delta - 2 * h
+    if state.t == 0.0:
+        edge = min(edge, grid.x_max - 6 * delta - (Q_NODES - 1) * h)
     lead = max(0, math.floor((edge - grid.x_min) / (chains * h) + 1e-9))    # chain 0's, left of it
     sol = state.glm_plane(grid.x, ks, window=chains * lead)
     x = grid.x[sol.nodes]
@@ -399,8 +437,8 @@ def _kink_chain_q(state: EvolvedState, x: np.ndarray, delta: float):
     (`hankel.kink_spacing`), so the nodes and u = 0 lie on its lattice, and q is
     the centred second difference of its log-determinants.  While its factor
     would pass M_OP_CAP (one interval short of it: `plane_jost` takes the spacing
-    from the nodes), the innermost node is dropped, left NaN for `dyson_q`, and m
-    taken again.  chain is the `PlaneJost`, None when no node is left.
+    from the nodes), the innermost node is dropped, left NaN for `EvolvedPlane.q_at`,
+    and m taken again.  chain is the `PlaneJost`, None when no node is left.
     """
     offsets, weights = _CENTRAL
     q = np.full(x.size, np.nan)

@@ -173,6 +173,13 @@ class PotentialSpec:
     right_cutoff: float = 0.0
 
     def __post_init__(self):
+        if type(self.kind) is not str or self.kind not in (KIND_ZERO, KIND_WVN, KIND_SAMPLED):
+            raise ValidationError(f"unknown potential kind {self.kind!r}")
+        cut = self.right_cutoff
+        if not (isinstance(cut, numbers.Real) and (math.isfinite(cut)
+                                                   or (self.kind == KIND_ZERO and cut < 0))):
+            raise ValidationError(f"right_cutoff must be finite (or -inf for the zero "
+                                  f"potential), got {cut!r}")
         if self.kind == KIND_WVN:
             if not isinstance(self.rho, numbers.Real) or not 0 < self.rho < math.inf:
                 raise ValidationError(f"{self.kind} requires a finite rho > 0")
@@ -183,6 +190,8 @@ class PotentialSpec:
             self.sample_q = np.asarray(self.sample_q, dtype=float)
             if self.sample_x.ndim != 1 or self.sample_x.shape != self.sample_q.shape:
                 raise ValidationError("sample arrays must be 1d and of equal length")
+            if not (np.all(np.isfinite(self.sample_x)) and np.all(np.isfinite(self.sample_q))):
+                raise ValidationError("sample arrays must be finite")
             if self.sample_x.size < 2 or np.any(np.diff(self.sample_x) <= 0):
                 raise ValidationError("sample x must be at least 2 strictly increasing points")
             self._spline = CubicSpline(self.sample_x, self.sample_q)
@@ -215,12 +224,10 @@ class PotentialSpec:
             return np.zeros_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 0.0
         if self.kind == KIND_WVN:
             return wvn.q_seed(self.rho, x)
-        if self.kind == KIND_SAMPLED:
-            out = self._spline(x)
-            if np.any(np.isnan(out)):
-                raise OutOfDomainError("sampled potential evaluated outside its sample range")
-            return out if not np.isscalar(x) else float(out)
-        raise ValidationError(f"unknown potential kind {self.kind!r}")
+        out = self._spline(x)
+        if np.any(np.isnan(out)):
+            raise OutOfDomainError("sampled potential evaluated outside its sample range")
+        return out if not np.isscalar(x) else float(out)
 
     def scalar_fn(self) -> Callable[[float], float]:
         """A fast scalar q(x) for the ODE right-hand side."""
@@ -711,8 +718,6 @@ def _right_jost(spec: PotentialSpec, k, x, solve):
     if np.any(np.imag(k) < -1e-14):
         raise ValidationError("right_jost requires Im k >= 0")
     cutoff = spec.right_cutoff
-    if math.isinf(cutoff) and cutoff > 0:
-        raise ValidationError("potential declares no finite right cutoff; cannot build a Jost solution")
     x = np.asarray(x, dtype=float)
     ks, xs = k.ravel(), x.ravel()
     vals = np.exp(1j * ks[:, None] * xs)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positonkit import cli, hankel
+from positonkit import cli, hankel, kdv
 from positonkit import wvn_example as wvn
 
 WVN_POT = {"kind": "wvn_example", "rho": 2.0, "right_cutoff": 0.0}
@@ -158,16 +158,17 @@ def test_evolve_seed_only(tmp_path):
     for key in ("t=0.0", "t=0.02"):
         lo, hi = diag[key]["operator_points_min"], diag[key]["operator_points_max"]
         assert 200 < lo <= hi <= 1601
-        assert "plane_tail_fit_residual" not in diag[key]     # no state, no phi-plane
-    # at t = 0 each x's q takes a chain of its own, but x = 0 (the thin support is x < 0)
-    assert diag["t=0.0"]["q_source"] == "chain_log_det"
-    assert diag["t=0.0"]["q_points_own_chain"] == 7
-    for key in ("t=0.0", "t=0.02"):
         assert set(diag[key]["timings_s"]) == {"plane", "q"}
         assert min(diag[key]["timings_s"].values()) >= 0.0
-    assert diag["t=0.0"]["timings_s"]["plane"] == 0.0      # no plane: q from chains of their own
-    assert "plane_nodes" not in diag["t=0.0"] and "plane_operator_spacing" not in diag["t=0.0"]
+    # at t = 0 q comes off the phi-plane a run with a state solves (below), and
+    # only a t > 0 row without a state has no phi-plane
+    assert diag["t=0.0"]["q_source"] == "chain_log_det"
+    assert diag["t=0.0"]["timings_s"]["plane"] > 0.0
+    assert 0.0 <= diag["t=0.0"]["plane_tail_fit_residual"] < 1e-2
+    assert "q_points_own_chain" not in diag["t=0.0"]
+    assert "plane_tail_fit_residual" not in diag["t=0.02"]
     assert "kernel_u_points" not in diag["t=0.0"]
+    seed_only = diag["t=0.0"]
     # without a state q at t > 0 comes from a GLM plane over the output grid
     # alone: spacing 1 > 0.11, one chain at delta = 1/10, factored where x = 3
     # needs it (60 rows + 200 intervals)
@@ -202,6 +203,11 @@ def test_evolve_seed_only(tmp_path):
         assert diag["operator_points_max"] == factor_points[0]
         assert diag["q_source"] == q_source
         assert 0.0 <= diag["plane_tail_fit_residual"] < 1e-2
+    # the t = 0 phi-plane is the seed-only run's: the same layout and q, bit for bit
+    for key in ("plane_nodes", "plane_spacing", "plane_factor_points", "plane_kink_factor_points"):
+        assert seed_only[key] == diags["t=0.0"][key]
+    with_state = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1)
+    assert np.array_equal(with_state[t0, 2], data[t0, 2])
 
 
 @pytest.mark.parametrize("t, n", [(0.0, 101), (0.02, 51)])
@@ -235,7 +241,6 @@ def test_evolve_window_at_the_plane_start_is_the_whole_plane(tmp_path):
     # x_min - 3 delta - 2 h = -45.5 lies left of the plane's first node, x = -45:
     # nothing is left to drop, every chain spans the plane, and the CSV is byte for
     # byte that of the plane solved throughout (`evolved_phi_plane` without read_from)
-    from positonkit import kdv
     from positonkit.schrodinger import Grid, write_csv
     cfg = {"potential": WVN_POT, "grid": {"x_min": -44.7, "x_max": 2.0, "n": 468},
            "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.02]}}
@@ -252,24 +257,27 @@ def test_evolve_window_at_the_plane_start_is_the_whole_plane(tmp_path):
     assert (tmp_path / "whole.csv").read_bytes() == open(prefix + ".csv", "rb").read()
 
 
-@pytest.mark.parametrize("rho, own, kink, spacing, factor_points", [
+@pytest.mark.parametrize("rho, dropped, kink, spacing, factor_points", [
     (2.0, 0, 15, 0.025, [715]),     # the evolve_t0 configuration, at delta = 0.1
     # x = -0.25 would need a spacing of 0.025 and take the factor past M_OP_CAP
     (0.3, 1, 12, 0.05, [1191])])
-def test_evolve_t0_serves_q_next_to_the_kink_off_one_chain(tmp_path, rho, own, kink, spacing,
+def test_evolve_t0_serves_q_next_to_the_kink_off_one_chain(tmp_path, rho, dropped, kink, spacing,
                                                           factor_points):
-    # the output nodes on (-0.9, 0.3) that the phi-plane's chains cannot serve take
-    # no chain each of their own (dyson_q) but share one kink chain, or the series
+    # the output nodes -9 delta < x <= -x_thin that the phi-plane's chains cannot
+    # serve share one kink chain; one it drops is read off its neighbours
     cfg = {"potential": dict(WVN_POT, rho=rho), "grid": {"x_min": -3.0, "x_max": 2.0, "n": 101},
            "states": [{"omega": 1.0, "alpha": 1.0}], "time": {"t_values": [0.0]}}
     code, prefix = run_cli(tmp_path, "evo_kink", cfg, "evolve")
     assert code == 0
     diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]["t=0.0"]
-    assert diag["q_points_own_chain"] == own
     assert diag["q_points_kink_chain"] == kink
+    assert "q_points_own_chain" not in diag
     assert diag["plane_kink_factor_points"] == factor_points
     assert diag["plane_kink_spacing"] == pytest.approx(spacing, rel=1e-12)
     x, _, q, _ = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1).T
+    x_thin = kdv.EvolvedState(0.0, wvn.ExampleParams(rho)).x_thin
+    band = (x > -9.0 * diag["plane_operator_spacing"] + 1e-9) & (x <= -x_thin)
+    assert np.count_nonzero(band) == kink + dropped
     near = (x > -0.9) & (x < 0.3)
     assert np.max(np.abs(q[near] - wvn.q_seed(rho, x[near]))) < 1e-4
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from positonkit import scattering
+from positonkit import kdv, scattering
 from positonkit import schrodinger as sch
 from positonkit import wvn_example as wvn
 from positonkit.errors import (
@@ -60,6 +60,56 @@ def test_wvn_potential_requires_finite_positive_rho():
     for rho in (0.0, -1.0, math.nan, math.inf, "2"):
         with pytest.raises(ValidationError):
             sch.PotentialSpec.wvn_example(rho)
+
+
+KINDS = ("zero", "wvn_example", "sampled")
+CONSTRUCTORS = {
+    "PotentialSpec": sch.PotentialSpec,
+    "PotentialSpec.wvn_example": sch.PotentialSpec.wvn_example,
+    "PotentialSpec.sampled": sch.PotentialSpec.sampled,
+    "EvolvedState": lambda **kw: kdv.EvolvedState(0.0, wvn.ExampleParams(RHO), **kw),
+}
+
+
+@st.composite
+def hostile_construction(draw):
+    """(constructor, keyword arguments) with one input the constructor must reject."""
+    not_a_number = st.one_of(st.none(), st.text(max_size=3),
+                             st.sampled_from([math.nan, math.inf, -math.inf]))
+    case = draw(st.sampled_from(["kind", "cutoff", "rho", "samples", "delta_cap"]))
+    if case == "kind":
+        kind = st.one_of(st.text(max_size=12).filter(lambda k: k not in KINDS), st.integers())
+        return "PotentialSpec", {"kind": draw(kind)}
+    if case == "cutoff":
+        kind = draw(st.sampled_from(KINDS))
+        cutoff = draw(not_a_number.filter(lambda v: kind != "zero" or v != -math.inf))
+        return "PotentialSpec", {"kind": kind, "rho": RHO, "sample_x": [0.0, 1.0],
+                                 "sample_q": [0.0, 0.0], "right_cutoff": cutoff}
+    if case == "rho":
+        return "PotentialSpec.wvn_example", {"rho": draw(st.one_of(not_a_number,
+                                                                   st.floats(max_value=0.0)))}
+    if case == "samples":
+        x = draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6, unique=True).map(sorted))
+        q = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(x), max_size=len(x)))
+        if draw(st.booleans()):             # a sample that is not finite
+            bad = draw(st.sampled_from([x, q]))
+            bad[draw(st.integers(0, len(x) - 1))] = draw(st.sampled_from([math.nan, math.inf]))
+        else:                               # x not increasing
+            x = x[::-1]
+        return "PotentialSpec.sampled", {"x": x, "q": q}
+    return "EvolvedState", {"delta_cap": draw(st.one_of(st.text(max_size=3),
+                                                        st.sampled_from([math.nan, math.inf]),
+                                                        st.floats(max_value=0.0)))}
+
+
+@given(hostile_construction())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_public_constructors_reject_hostile_input(case):
+    # the library's counterpart of test_cli's hostile configs: a bad input is
+    # rejected where it is constructed, not where it is first used
+    name, kwargs = case
+    with pytest.raises(ValidationError):
+        CONSTRUCTORS[name](**kwargs)
 
 
 def test_integration_failure_is_reported(monkeypatch):

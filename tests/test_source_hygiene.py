@@ -22,7 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "positonkit"
 # acceptance criteria compare the pipeline against
 NAMED_ORACLES = (
     "darboux.chain_insert", "darboux.phi_plus_at_omega", "darboux.greens_diagonal_transformed",
-    "kdv.q_plus_evolved", "kdv.classify_embedded_pole_evolved", "kdv.split_step_reference",
+    "kdv.dyson_q", "kdv.q_plus_evolved", "kdv.classify_embedded_pole_evolved",
+    "kdv.split_step_reference",
     "wvn_example.y_closed", "wvn_example.y_x_closed", "wvn_example.psi_plus1_closed",
     "wvn_example.q_sym",
 )
