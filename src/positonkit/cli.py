@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__, darboux, kdv, scattering, wvn_example as wvn
-from .errors import OutOfDomainError, PositonkitError, ValidationError
+from .errors import PositonkitError, ValidationError
 from .schrodinger import DEFAULT_RTOL, MAX_POINTS, Grid, PotentialSpec, count_ode_work
 from .schrodinger import write_csv as _write_csv     # perfbench times the CSV writes by this name
 
@@ -458,8 +458,7 @@ def main(argv=None) -> int:
     command, read = COMMANDS[args.command]
     try:
         return command(cfg, args.output, **read(cfg, "config"))
-    # OutOfDomainError: the config's grid reaches past its sampled potential's samples
-    except (ValidationError, OutOfDomainError) as exc:
+    except ValidationError as exc:
         return _report_error("validation", exc, EXIT_BAD_CONFIG)
     # ValueError covers LinAlgError; ArithmeticError is float overflow on extreme values
     except (PositonkitError, ValueError, ArithmeticError) as exc:

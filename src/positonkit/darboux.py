@@ -455,12 +455,11 @@ def transformed_solutions(result: TransformResult, k: complex):
                 "or phi_plus_at_omega for the regular branch", k=k)
     psi = right_jost(spec, k, grid)
     if abs(np.imag(k)) < 1e-12:
-        r_val = sct.reflection_from_wronskians(spec, float(np.real(k)),
-                                               x_eval=min(-4.0, grid.x_min + 1.0))
+        r_val = sct.reflection_from_wronskians(spec, float(np.real(k)))
         phi_v = np.conj(psi.values) + r_val * psi.values
         phi_d = np.conj(psi.derivs) + r_val * psi.derivs
     else:
-        t_val = sct.transmission(spec, k, x_eval=min(-4.0, grid.x_min + 1.0))
+        t_val = sct.transmission(spec, k)
         lv = np.empty(grid.n_points, complex)
         ld = np.empty(grid.n_points, complex)
         neg = grid.x <= 0

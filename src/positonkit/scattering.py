@@ -28,6 +28,7 @@ __all__ = [
 # residue counts as zero (the point is regular)
 RESIDUE_LEVELS = 3
 REGULAR_TOL = 1e-8
+X_EVAL = -4.0           # where scattering_coefficients takes its Wronskians
 
 
 @dataclass
@@ -39,30 +40,36 @@ class ResidueResult:
     classification: str              # "simple" or "regular"
 
 
-def left_reference(spec: PotentialSpec, k: complex, x: float):
+def left_reference(spec: PotentialSpec, k, x):
     """(value, derivative) of an independent left-side solution at x, for every kind.
 
-    For the explicit family this is its closed-form left Jost solution; for the
-    zero potential it is the plane wave e^{-ikx}; a sampled potential takes
-    the plane wave left of its first sample, continued by integration.
+    For the explicit family this is its closed-form left Jost solution.  Any
+    other kind takes the plane wave e^{-ikx} left of its support (the zero
+    potential: everywhere), continued across the support by DOP853.  Both
+    arrays have shape k.shape + x.shape.
     """
     if spec.kind == sch.KIND_WVN:
         return wvn.left_jost_closed(spec.rho, x, k)
-    if spec.kind == sch.KIND_ZERO:
-        return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
-    cut = float(spec.sample_x[0])
-    if x <= cut:
-        return np.exp(-1j * k * x), -1j * k * np.exp(-1j * k * x)
-    y0 = (np.exp(-1j * k * cut), -1j * k * np.exp(-1j * k * cut))
-    wf = sch.integrate(spec, k, cut, x, y0)
-    return wf.values[..., -1], wf.derivs[..., -1]
+    k, x = np.asarray(k), np.asarray(x, dtype=float)
+    ks, xs = k.ravel(), x.ravel()
+    vals = np.exp(-1j * ks[:, None] * xs)
+    ders = -1j * ks[:, None] * vals
+    cut = spec.support()[0]
+    inside = np.flatnonzero(xs > cut)
+    if inside.size:
+        inside = inside[np.argsort(xs[inside], kind="stable")]
+        y0 = (np.exp(-1j * ks * cut), -1j * ks * np.exp(-1j * ks * cut))
+        vals[:, inside], ders[:, inside] = sch.solve_at(spec, ks, cut, xs[inside[-1]], y0,
+                                                        xs[inside])
+    shape = k.shape + x.shape
+    return vals.reshape(shape)[()], ders.reshape(shape)[()]
 
 
-def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0):
+def scattering_coefficients(spec: PotentialSpec, k):
     """Reflection and transmission coefficients (R(k), T(k)) at momenta k.
 
     Both come from one Wronskian pair per momentum, with psi the right Jost
-    solution and phi the left reference solution at x_eval:
+    solution and phi the left reference solution at X_EVAL:
 
         R = -W(phi, conj psi) / W(phi, psi),    T = 2ik / W(phi, psi).
 
@@ -71,8 +78,8 @@ def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0):
     ODE solve.  Returns arrays of the shape of k.
     """
     k = np.asarray(k)
-    pv, pd = right_jost_at(spec, k, x_eval)
-    lv, ld = left_reference(spec, k, x_eval)
+    pv, pd = right_jost_at(spec, k, X_EVAL)
+    lv, ld = left_reference(spec, k, X_EVAL)
     w_den = lv * pd - ld * pv                      # W(phi, psi)
     w_num = lv * np.conj(pd) - ld * np.conj(pv)    # W(phi, conj psi)
     # a relative test: |W| >= 1e-8 also keeps T = 2ik/W finite
@@ -84,28 +91,28 @@ def scattering_coefficients(spec: PotentialSpec, k, x_eval: float = -4.0):
     return -w_num / w_den, 2j * k / w_den
 
 
-def reflection_from_wronskians(spec: PotentialSpec, k: float, x_eval: float = -4.0) -> complex:
+def reflection_from_wronskians(spec: PotentialSpec, k: float) -> complex:
     """Right reflection coefficient R(k) at real k (see `scattering_coefficients`)."""
-    return scattering_coefficients(spec, k, x_eval)[0]
+    return scattering_coefficients(spec, k)[0]
 
 
 def reflection_at_resonance(spec: PotentialSpec, omega: float,
-                            delta0: float = 1e-3, x_eval: float = -4.0) -> complex:
+                            delta0: float = 1e-3) -> complex:
     """R(omega) at a momentum where the left reference has a pole, by Richardson limit.
 
     The six momenta omega +- delta0 {1, 1/2, 1/4} share one solve.
     """
     d = delta0 / np.array([1.0, 2.0, 4.0])
-    r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d]), x_eval)[0]
+    r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d]))[0]
     vals = 0.5 * (r[:3] + r[3:])
     r1 = (4 * vals[1] - vals[0]) / 3
     r2 = (4 * vals[2] - vals[1]) / 3
     return complex((16 * r2 - r1) / 15)
 
 
-def transmission(spec: PotentialSpec, k: float, x_eval: float = -4.0) -> complex:
+def transmission(spec: PotentialSpec, k: float) -> complex:
     """Transmission coefficient T(k) = 2ik / W(psi_-, psi) (see `scattering_coefficients`)."""
-    return scattering_coefficients(spec, k, x_eval)[1]
+    return scattering_coefficients(spec, k)[1]
 
 
 def _linear_combination(fields, coeffs):

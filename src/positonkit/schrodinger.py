@@ -154,16 +154,33 @@ class CubicSpline:
                         ((c[0] * z + c[1]) * z + c[2]) * z + c[3], np.nan)
 
 
+def _samples(x, q):
+    """A sampled potential's (x, q) as float arrays: finite, 1d, of equal length,
+    x at least 2 strictly increasing points (else ValidationError)."""
+    try:
+        x, q = np.asarray(x, dtype=float), np.asarray(q, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("sample arrays must be numeric") from None
+    if x.ndim != 1 or x.shape != q.shape:
+        raise ValidationError("sample arrays must be 1d and of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
+        raise ValidationError("sample arrays must be finite")
+    if x.size < 2 or np.any(np.diff(x) <= 0):
+        raise ValidationError("sample x must be at least 2 strictly increasing points")
+    return x, q
+
+
 @dataclass
 class PotentialSpec:
     """A real potential on the line, closed-form or sampled, that vanishes beyond `right_cutoff`.
 
-    Each kind has a finite right cutoff (or -inf, for the zero potential) and
-    a left reference solution (`scattering.left_reference`): the explicit
-    example (`wvn_example`, cutoff 0), the zero potential, and the not-a-knot
-    cubic spline through samples (`sampled`, cutoff its last sample x, and
-    evaluated only within them: OutOfDomainError).  The cutoff may be
-    replaced (`dataclasses.replace`); the wvn_example's must stay >= 0.
+    Each kind has a support outside which q = 0 (`support`) and a left
+    reference solution (`scattering.left_reference`): the explicit example
+    (`wvn_example`, support (-inf, 0]), the zero potential (empty support), and
+    the not-a-knot cubic spline through samples (`sampled`, support
+    [x_0, x_last]; q may jump at either end).  The constructors set the right
+    cutoff to the support's right end; it may be replaced
+    (`dataclasses.replace`) by any larger finite x.
     """
 
     kind: str
@@ -175,29 +192,17 @@ class PotentialSpec:
     def __post_init__(self):
         if type(self.kind) is not str or self.kind not in (KIND_ZERO, KIND_WVN, KIND_SAMPLED):
             raise ValidationError(f"unknown potential kind {self.kind!r}")
-        cut = self.right_cutoff
-        if not (isinstance(cut, numbers.Real) and (math.isfinite(cut)
-                                                   or (self.kind == KIND_ZERO and cut < 0))):
-            raise ValidationError(f"right_cutoff must be finite (or -inf for the zero "
-                                  f"potential), got {cut!r}")
         if self.kind == KIND_WVN:
             if not isinstance(self.rho, numbers.Real) or not 0 < self.rho < math.inf:
                 raise ValidationError(f"{self.kind} requires a finite rho > 0")
         if self.kind == KIND_SAMPLED:
-            if self.sample_x is None or self.sample_q is None:
-                raise ValidationError("sampled potential requires sample arrays")
-            self.sample_x = np.asarray(self.sample_x, dtype=float)
-            self.sample_q = np.asarray(self.sample_q, dtype=float)
-            if self.sample_x.ndim != 1 or self.sample_x.shape != self.sample_q.shape:
-                raise ValidationError("sample arrays must be 1d and of equal length")
-            if not (np.all(np.isfinite(self.sample_x)) and np.all(np.isfinite(self.sample_q))):
-                raise ValidationError("sample arrays must be finite")
-            if self.sample_x.size < 2 or np.any(np.diff(self.sample_x) <= 0):
-                raise ValidationError("sample x must be at least 2 strictly increasing points")
+            self.sample_x, self.sample_q = _samples(self.sample_x, self.sample_q)
             self._spline = CubicSpline(self.sample_x, self.sample_q)
-        if self.kind == KIND_WVN and self.right_cutoff < 0:
-            raise ValidationError("the wvn_example potential is nonzero below x = 0; "
-                                  "right_cutoff must be >= 0")
+        end = self.support()[1]
+        cut = self.right_cutoff
+        if not (isinstance(cut, numbers.Real) and end <= cut < math.inf):
+            raise ValidationError(f"right_cutoff must be below +inf and at least the right end "
+                                  f"of the {self.kind} potential's support, {end}; got {cut!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -211,6 +216,7 @@ class PotentialSpec:
 
     @classmethod
     def sampled(cls, x: np.ndarray, q: np.ndarray) -> "PotentialSpec":
+        x, q = _samples(x, q)
         return cls(kind=KIND_SAMPLED, sample_x=x, sample_q=q, right_cutoff=float(x[-1]))
 
     # -- evaluation --------------------------------------------------------
@@ -219,14 +225,13 @@ class PotentialSpec:
         return self.evaluate(x)
 
     def evaluate(self, x):
-        """q(x); finite real for every finite x (a sampled potential: within its samples)."""
+        """q(x); finite real for every finite x."""
         if self.kind == KIND_ZERO:
             return np.zeros_like(np.asarray(x, dtype=float)) if not np.isscalar(x) else 0.0
         if self.kind == KIND_WVN:
             return wvn.q_seed(self.rho, x)
-        out = self._spline(x)
-        if np.any(np.isnan(out)):
-            raise OutOfDomainError("sampled potential evaluated outside its sample range")
+        xs = np.asarray(x, dtype=float)
+        out = np.where((xs < self.sample_x[0]) | (xs > self.sample_x[-1]), 0.0, self._spline(xs))
         return out if not np.isscalar(x) else float(out)
 
     def scalar_fn(self) -> Callable[[float], float]:
@@ -249,9 +254,17 @@ class PotentialSpec:
         fn = self.evaluate
         return lambda x: float(fn(x))
 
+    def support(self) -> tuple[float, float]:
+        """The ends of the interval outside which q = 0; (inf, -inf), empty, for the zero kind."""
+        if self.kind == KIND_WVN:
+            return -math.inf, 0.0
+        if self.kind == KIND_SAMPLED:
+            return float(self.sample_x[0]), float(self.sample_x[-1])
+        return math.inf, -math.inf
+
     def breakpoints(self) -> list[float]:
-        """x-locations where q is continuous but not smooth (integration is split there)."""
-        return [0.0] if self.kind == KIND_WVN else []
+        """The support's finite ends, where q may jump or kink (integration is split there)."""
+        return [end for end in self.support() if math.isfinite(end)]
 
 
 @dataclass

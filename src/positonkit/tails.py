@@ -13,6 +13,14 @@ whose square integrates in closed form:  Integral over the tail equals
 C^2 / (2 b tau_hat(s0)).  The model class contains exactly the envelopes the
 explicit potential family produces, so the fit error is set by the data, not
 by the model.
+
+The model is linear in six columns that do not depend on theta: with
+r = s - s0, phi tau_hat - C sin(omega s + theta) = F v for
+F = [phi, phi r, phi sin 2wr, phi cos 2wr, sin wr, cos wr] (w = omega).  One
+SVD of F, its columns scaled to unit norm, gives v as the least right
+singular vector, and b, C, theta and tau_hat(s0) are read off it.  The
+coefficients of phi sin 2wr and phi cos 2wr are left free, which relaxes the
+model by two degrees of freedom and is exact on data inside it.
 """
 
 from __future__ import annotations
@@ -45,15 +53,6 @@ class TailFit:
     b: float            # envelope slope
     residual: float     # relative fit residual on the window
     zero_tail: bool = False
-
-    def _sgn(self) -> float:
-        return -1.0 if self.side == LEFT else 1.0
-
-    def tau_hat(self, s):
-        s = np.asarray(s, dtype=float)
-        osc = (np.sin(2 * (self.omega * s + self.theta))
-               - np.sin(2 * (self.omega * self.s0 + self.theta))) / (2 * self.omega)
-        return self.a + self._sgn() * (self.b * (s - self.s0) - self.b * osc)
 
     def self_integral(self) -> float:
         """Integral of phi^2 over the tail beyond s0."""
@@ -89,58 +88,6 @@ class TailFit:
         return float(self.amp * other.amp * out)
 
 
-def _fit_at_theta(theta, s, phi, omega, s0, sgn):
-    osc = (np.sin(2 * (omega * s + theta)) - np.sin(2 * (omega * s0 + theta))) / (2 * omega)
-    g = sgn * ((s - s0) - osc)
-    h = np.sin(omega * s + theta)
-    B = np.column_stack([phi, phi * g, -h])
-    _, sv, vt = np.linalg.svd(B, full_matrices=False)
-    return sv[-1], vt[-1]
-
-
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))      # the golden section's smaller share
-
-
-def _brent_min(f, a, x, b, xtol=1e-12):
-    """A local minimum of f in [a, b] from x by Brent's method (Algorithms for
-    Minimization without Derivatives, 1973, ch. 5): parabolic steps through the
-    three best points, golden-section steps where a parabola's would leave
-    [a, b] or not shrink, none shorter than tol = xtol |x| + 1e-11; it stops
-    once [a, b] lies within 2 tol of x."""
-    w = v = x
-    fx = fw = fv = f(x)
-    step = last = 0.0
-    for _ in range(500):
-        tol = xtol * abs(x) + 1e-11
-        mid = 0.5 * (a + b)
-        if abs(x - mid) < 2.0 * tol - 0.5 * (b - a):
-            break
-        p = q = 0.0
-        if abs(last) > tol:         # the parabola through (v, w, x): x + p / q
-            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-            p, q = (-p, q) if q > 0.0 else (p, -q)
-        if q != 0.0 and q * (a - x) < p < q * (b - x) and abs(p) < abs(0.5 * q * last):
-            last, step = step, p / q
-            if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
-                step = math.copysign(tol, mid - x)
-        else:
-            last = (a if x >= mid else b) - x
-            step = _GOLDEN * last
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
-
-
 def fit_oscillatory_tail(s, phi, omega, side) -> TailFit:
     """Fit the oscillatory tail model to samples (s, phi) on a window.
 
@@ -169,17 +116,30 @@ def fit_oscillatory_tail(s, phi, omega, side) -> TailFit:
     if np.max(np.abs(phi[outer])) > 3.0 * np.max(np.abs(phi[inner])) + ZERO_TOL:
         raise TailDivergenceError("tail is not decaying; running integral is not Cauchy")
 
+    # with psi = omega s0 + theta, v = (a + sgn b sin2psi/2w, sgn b, -sgn b cos2psi/2w,
+    # -sgn b sin2psi/2w, -C cos psi, -C sin psi); v[2] and v[3] are not read
     sgn = -1.0 if side == LEFT else 1.0
-    thetas = np.linspace(0.0, np.pi, 32, endpoint=False)
-    scores = [_fit_at_theta(th, s, phi, omega, s0, sgn)[0] for th in thetas]
-    th0 = thetas[int(np.argmin(scores))]
-    theta = _brent_min(lambda th: _fit_at_theta(th, s, phi, omega, s0, sgn)[0],
-                       th0 - 0.2, th0, th0 + 0.2)
-    sigma, vec = _fit_at_theta(theta, s, phi, omega, s0, sgn)
-    a, b, c = vec
-    if a < 0:
-        a, b, c = -a, -b, -c
-    rel = float(sigma / np.linalg.norm(phi))
+    r = s - s0
+    wr = omega * r
+    F = np.column_stack([phi, phi * r, phi * np.sin(2 * wr), phi * np.cos(2 * wr),
+                         np.sin(wr), np.cos(wr)])
+    norms = np.linalg.norm(F, axis=0)
+    _, sv, vt = np.linalg.svd(F / norms, full_matrices=False)
+    v = vt[-1] / norms
+    if sgn * v[1] < 0:
+        v = -v
+    b = sgn * v[1]
+    c = math.hypot(v[4], v[5])
+    psi = math.atan2(-v[5], -v[4])
+    a = v[0] - sgn * b * math.sin(2 * psi) / (2 * omega)
+    theta = psi - omega * s0
+    turns = math.floor(theta / math.pi)        # theta to [0, pi); C changes sign with a half-turn
+    theta -= turns * math.pi
+    if turns % 2:
+        c = -c
+    size = math.sqrt(a * a + b * b + c * c)
+    a, b, c = a / size, b / size, c / size
+    rel = float(sv[-1] / size / np.linalg.norm(phi))
     if b <= 0 or a <= 0:
         raise TailDivergenceError(
             f"tail envelope fit failed (a={a:.3g}, b={b:.3g}); tail integral not Cauchy")

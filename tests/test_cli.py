@@ -488,19 +488,27 @@ def test_evolve_negative_determinant_exits_numerical(tmp_path, monkeypatch, caps
     assert not os.path.exists(prefix + ".csv")
 
 
-def test_grid_past_the_samples_is_a_config_fault(tmp_path, capsys):
-    # the samples end at x = 0, and the grid runs on to x = 60
+def test_grid_past_the_samples_reads_q_as_zero(tmp_path):
+    # the samples end at x = 0, and the grid runs on to x = 60, where q is 0
     x = np.linspace(-120.0, 0.0, 2401)
     cfg = {"potential": {"kind": "sampled", "x": x.tolist(), "q": wvn.q_seed(2.0, x).tolist()},
-           "grid": {"x_min": -60.0, "x_max": 60.0, "n": 2001},
-           "states": [{"omega": 1.0, "alpha": 1.0, "r_at_omega": [-1.0, 0.0]}]}
+           "grid": {"x_min": -60.0, "x_max": 60.0, "n": 2001}, "states": []}
     code, prefix = run_cli(tmp_path, "past_samples", cfg, "insert")
-    assert code == cli.EXIT_BAD_CONFIG
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])["error"]
-    assert error["kind"] == "validation" and "sample range" in error["message"]
-    assert not os.path.exists(prefix + ".csv")
+    assert code == cli.EXIT_OK
+    data = np.loadtxt(prefix + ".csv", delimiter=",", skiprows=1)
+    assert np.all(data[data[:, 0] > 0.0, 1] == 0.0)
+    assert np.max(np.abs(data[:, 1] - wvn.q_seed(2.0, data[:, 0]))) < 1e-4
+
+
+def test_sampled_potential_right_of_the_wronskian_point_scatters(tmp_path):
+    # the samples start right of x = -4, where the Wronskians are taken; q is 0 left of them
+    cfg = {"potential": {"kind": "sampled", "x": [-3.0, -2.0, -1.0, 0.0],
+                         "q": [0.1, 0.2, 0.1, 0.0]},
+           "k_grid": {"k_min": 0.5, "k_max": 2.0, "n": 5}}
+    code, prefix = run_cli(tmp_path, "short_samples", cfg, "scatter")
+    assert code == cli.EXIT_OK
+    diag = json.loads(open(prefix + ".meta.json").read())["diagnostics"]
+    assert diag["max_unitarity_defect"] < 1e-6
 
 
 def test_recursion_in_a_run_is_not_a_config_fault(tmp_path, monkeypatch):

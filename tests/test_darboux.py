@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from positonkit import darboux as dbx
 from positonkit import scattering as sct
-from positonkit import tails
 from positonkit import wvn_example as wvn
 from positonkit.errors import (
     OrthonormalityError,
@@ -347,31 +346,28 @@ def test_tail_divergence_detected():
         fit_oscillatory_tail(x, phi, 1.3, "left")
 
 
-@pytest.mark.parametrize("rho, s_min", [(2.0, -200.0), (0.5, -60.0), (2.0, -40.0)])
-def test_brent_step_matches_scipy_oracle_on_a_tail_window(rho, s_min):
-    # the tail fit's phase refinement against scipy's bounded Brent search (the
-    # oracle, a test-only dependency), from the same bracket around the best
-    # of the 32 phase samples, on the left tail window of the eigenfunction
-    from scipy.optimize import minimize_scalar
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("theta", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("omega", [0.3, 1.0, 1.6, 3.0])
+def test_tail_fit_recovers_an_in_model_tail(omega, theta, side):
+    # phi = sin(omega s + theta) / tau with tau' = -+ 2 rho sin^2(omega s + theta),
+    # tau(0) = 1, is inside the model class: its tail integral is 1 / (2 rho tau(s0))
+    rho, sgn = 0.7, (-1.0 if side == "left" else 1.0)
+    s = np.linspace(-45.0, -25.0, 1001) if side == "left" else np.linspace(25.0, 45.0, 1001)
 
-    s = np.linspace(s_min, s_min + 20.0, 1001)
-    phi = wvn.phi_closed(rho, s) + 1e-6 * np.cos(3.0 * s)
-    calls = []
+    def tau(x):
+        return 1.0 + sgn * rho * (x - (np.sin(2 * (omega * x + theta)) - np.sin(2 * theta))
+                                  / (2 * omega))
 
-    def f(theta):
-        calls.append(theta)
-        return tails._fit_at_theta(theta, s, phi, 1.0, s[0], -1.0)[0]
-
-    thetas = np.linspace(0.0, np.pi, 32, endpoint=False)
-    th0 = thetas[int(np.argmin([f(th) for th in thetas]))]
-    calls.clear()
-    ours = tails._brent_min(f, th0 - 0.2, th0, th0 + 0.2)
-    evaluations = len(calls)
-    ref = minimize_scalar(f, bracket=(th0 - 0.2, th0, th0 + 0.2), method="brent",
-                          options={"xtol": 1e-12})
-    assert abs(ours - ref.x) <= 1e-10
-    assert f(ours) <= ref.fun * (1.0 + 1e-9)
-    assert evaluations < 30         # golden section alone would take about 56
+    phi = np.sin(omega * s + theta) / tau(s)
+    s0 = s[0] if side == "left" else s[-1]
+    ref = 1.0 / (2 * rho * tau(s0))
+    fit = fit_oscillatory_tail(s, phi, omega, side)
+    assert abs(fit.self_integral() / ref - 1.0) <= 1e-12
+    d = (fit.theta - theta) % np.pi
+    assert min(d, np.pi - d) <= 1e-12
+    noisy = phi * (1.0 + 1e-6 * np.random.default_rng(7).standard_normal(s.size))
+    assert abs(fit_oscillatory_tail(s, noisy, omega, side).self_integral() / ref - 1.0) <= 1e-4
 
 
 def test_transform_result_csv_and_meta(tmp_path, inserted_std):

@@ -95,6 +95,15 @@ def test_left_weyl_free_and_wronskian(wvn_spec):
     assert abs(psi.wronskian_with(phi, -4.4) + 2j * k) < 1e-6
 
 
+def test_sampled_seed_pair_at_complex_k():
+    # phi = T times the left reference, which a sampled potential takes at every grid x
+    spec = PotentialSpec.sampled([-3.0, -2.0, -1.0, 0.0], [0.1, 0.2, 0.1, 0.0])
+    k = 1.3 + 0.2j
+    phi, psi = _seed_pair(spec, k, Grid(-5.0, 2.0, 701))
+    for x in (-4.5, -2.5, -0.5, 1.5):
+        assert abs(psi.wronskian_with(phi, x) + 2j * k) < 1e-6
+
+
 def test_left_weyl_decay_envelope(wvn_spec):
     # at the full-reflection momentum conj(psi) + R psi decays like 1/|x|
     k = 1.0

@@ -16,7 +16,6 @@ from positonkit import schrodinger as sch
 from positonkit import wvn_example as wvn
 from positonkit.errors import (
     IntegrationFailureError,
-    OutOfDomainError,
     PoleEvaluationError,
     ValidationError,
 )
@@ -49,11 +48,14 @@ def test_potential_asymptotic_decay(wvn_spec):
 
 
 def test_sampled_potential_out_of_domain():
+    # q is the spline between the first and last sample x, and 0 outside
     xs = np.linspace(-1, 1, 51)
     spec = sch.PotentialSpec.sampled(xs, np.cos(xs))
     assert spec.evaluate(0.3) == pytest.approx(np.cos(0.3), abs=1e-6)
-    with pytest.raises(OutOfDomainError):
-        spec.evaluate(2.0)
+    assert spec.evaluate(2.0) == 0.0 and spec.scalar_fn()(-1.5) == 0.0
+    assert spec.evaluate(np.array([-3.0, 1.0, 1.5])) == pytest.approx([0.0, np.cos(1.0), 0.0])
+    assert spec.support() == (-1.0, 1.0) and spec.breakpoints() == [-1.0, 1.0]
+    assert dataclasses.replace(spec, right_cutoff=2.0).right_cutoff == 2.0
 
 
 def test_wvn_potential_requires_finite_positive_rho():
@@ -82,7 +84,9 @@ def hostile_construction(draw):
         return "PotentialSpec", {"kind": draw(kind)}
     if case == "cutoff":
         kind = draw(st.sampled_from(KINDS))
-        cutoff = draw(not_a_number.filter(lambda v: kind != "zero" or v != -math.inf))
+        end = {"zero": -math.inf, "wvn_example": 0.0, "sampled": 1.0}[kind]  # the support's
+        below = st.floats(max_value=end, exclude_max=True) if kind != "zero" else st.nothing()
+        cutoff = draw(st.one_of(not_a_number, below).filter(lambda v: v != end))
         return "PotentialSpec", {"kind": kind, "rho": RHO, "sample_x": [0.0, 1.0],
                                  "sample_q": [0.0, 0.0], "right_cutoff": cutoff}
     if case == "rho":
@@ -103,6 +107,9 @@ def hostile_construction(draw):
 
 
 @given(hostile_construction())
+@example(("PotentialSpec.sampled", {"x": ["a", "b"], "q": [0, 0]}))
+@example(("PotentialSpec.sampled", {"x": [0.0, 1.0], "q": ["x", "y"]}))
+@example(("PotentialSpec.sampled", {"x": [], "q": []}))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_public_constructors_reject_hostile_input(case):
     # the library's counterpart of test_cli's hostile configs: a bad input is

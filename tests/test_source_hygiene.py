@@ -121,8 +121,8 @@ def test_no_module_imports_scipy():
 
 def test_import_loads_no_scipy():
     # scipy.linalg alone was about 0.2 s of every CLI run's import; the package
-    # factors, solves and splines with numpy, and has its own DOP853 stepper,
-    # minimizer and bisection
+    # factors, solves and splines with numpy, and has its own DOP853 stepper
+    # and bisection
     code = ("import sys\n"
             "import positonkit.cli\n"
             "from positonkit import schrodinger\n"
