@@ -19,7 +19,7 @@ from .darboux import (
 )
 from .kdv import EvolvedState, dyson_q, jost_evolved, kdv_residual, q_plus_evolved
 from .schrodinger import Grid, PotentialSpec, WaveField, right_jost
-from .scattering import reflection_from_wronskians, residue_at, transmission
+from .scattering import residue_at
 from .wvn_example import ExampleParams
 
 __version__ = "0.1.0"

@@ -355,7 +355,7 @@ def _verify_checks(rho, alpha, estimates):
     def fam(k):
         _, psi_n = darboux.transformed_solutions(res, k)
         return psi_n
-    rr = scattering.residue_at(1.0, fam, delta0=1e-2)
+    rr = scattering.residue_at(1.0, fam)
     estimates["residue_error_estimate"] = float(rr.error_estimate)
     cum, left, right, _ = darboux.tail_closed_gram(
         grid.x, grid.spacing, [np.real(rr.residue.values)], [np.real(rr.residue.derivs)], [1.0],

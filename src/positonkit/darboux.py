@@ -39,7 +39,6 @@ from .schrodinger import (
     Grid,
     PotentialSpec,
     WaveField,
-    integrate,
     right_jost,
     right_jost_at,
     write_csv,
@@ -57,6 +56,7 @@ __all__ = [
 RESONANCE_TOL = 1e-8
 TAIL_WINDOW = 20.0         # the Gram tails are fitted on this much of each end of the grid
 EXTEND_LEFT = 25.0         # the Gram tail is fitted this far left of the output grid
+PROBE_XS = (-3.0, -1.3, 0.6)   # where the insertion precheck takes psi
 
 
 @dataclass
@@ -281,11 +281,11 @@ def _validate_states(states):
         raise ValidationError("embedded momenta must be at least 1e-12 apart")
 
 
-def _check_insertion_preconditions(spec, states, probe_xs=(-3.0, -1.3, 0.6)):
+def _check_insertion_preconditions(spec, states):
     """Full reflection at each omega, and continuity of psi there.
 
-    psi at the probe points comes from one solve over the residue stencils of
-    all states.
+    psi at PROBE_XS comes from one solve over the residue stencils of all
+    states, which are the momenta `residue_at` samples.
     """
     for s in states:
         r = sct.reflection_at_resonance(spec, s.omega)
@@ -294,7 +294,7 @@ def _check_insertion_preconditions(spec, states, probe_xs=(-3.0, -1.3, 0.6)):
                 f"omega={s.omega} is not a full-reflection momentum of this potential "
                 f"(|R|={abs(r):.8f})")
     ks = np.concatenate([np.concatenate(sct._residue_stencil(s.omega)[1:]) for s in states])
-    psi, _ = right_jost_at(spec, ks, probe_xs)
+    psi, _ = right_jost_at(spec, ks, PROBE_XS)
     psi_probe = dict(zip(ks.tolist(), psi))
     for s in states:
         res = sct.residue_at(s.omega, psi_probe.__getitem__)
@@ -442,8 +442,9 @@ def _gauge_terms(result_like) -> list:
 def transformed_solutions(result: TransformResult, k: complex):
     """Transformed pair (phi_+N, psi_+N) at momentum k on the result grid.
 
-    psi_+N = psi + sum_m alpha_m y_m W(psi, phi_m)/(k^2 - omega_m^2); the phi
-    branch uses the left Weyl solution with the basic-scattering normalization.
+    Both are the gauge map (`gauge_map`) of the seed's pair: psi is the right
+    Jost solution and phi = T(k) `scattering.left_reference`, the seed's left
+    Jost solution times its transmission coefficient, at every k.
     Evaluation exactly at k = +-omega_n raises (use residue_at / phi_plus_at_omega).
     """
     grid = result.grid
@@ -454,26 +455,10 @@ def transformed_solutions(result: TransformResult, k: complex):
                 f"psi_+N has a pole at k={s.omega}; use residue_at for the residue "
                 "or phi_plus_at_omega for the regular branch", k=k)
     psi = right_jost(spec, k, grid)
-    if abs(np.imag(k)) < 1e-12:
-        r_val = sct.reflection_from_wronskians(spec, float(np.real(k)))
-        phi_v = np.conj(psi.values) + r_val * psi.values
-        phi_d = np.conj(psi.derivs) + r_val * psi.derivs
-    else:
-        t_val = sct.transmission(spec, k)
-        lv = np.empty(grid.n_points, complex)
-        ld = np.empty(grid.n_points, complex)
-        neg = grid.x <= 0
-        if np.any(neg):
-            lv[neg], ld[neg] = sct.left_reference(spec, k, grid.x[neg])
-        if np.any(~neg):
-            v0, d0 = sct.left_reference(spec, k, 0.0)
-            wf = integrate(spec, k, 0.0, grid.x_max, (v0, d0), grid=grid)
-            npos = int(np.sum(~neg))
-            lv[~neg] = wf.values[-npos:]
-            ld[~neg] = wf.derivs[-npos:]
-        phi_v, phi_d = t_val * lv, t_val * ld
+    t_val = sct.scattering_coefficients(spec, k)[1]
+    lv, ld = sct.left_reference(spec, k, grid.x)
     terms = _gauge_terms(result)
-    return (WaveField(grid, k, *gauge_map(phi_v, phi_d, k, terms)),
+    return (WaveField(grid, k, *gauge_map(t_val * lv, t_val * ld, k, terms)),
             WaveField(grid, k, *gauge_map(psi.values, psi.derivs, k, terms)))
 
 

@@ -60,6 +60,7 @@ RHO_MAX = 5.0              # the evolved fields are validated for rho <= RHO_MAX
 OMEGA = 1.0                # the inserted state's momentum, where R(OMEGA) = -1
 S_MAX = 0.05               # the t = 0 phi-plane's (its phi_x stencil's) step, where M_OP_CAP allows
 Q_NODES = 6                # t = 0 q off the plane's nodes: its interpolant's nodes (see README)
+POLE_EPS = (1e-2, 1e-3, 1e-4)   # classify_embedded_pole_evolved's distances above the pole
 
 
 @dataclass
@@ -476,9 +477,8 @@ def q_plus_evolved(plane: EvolvedPlane, alpha: float, x) -> np.ndarray:
     return out if not np.isscalar(x) else float(out[0])
 
 
-def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: float,
-                                   eps_values=(1e-2, 1e-3, 1e-4)):
-    """Exponent p of |g_+1(omega + i eps)| ~ C/eps^p for the transformed potential.
+def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: float):
+    """Exponent p of |g_+1(omega + i eps)| ~ C/eps^p, eps in POLE_EPS, for the transformed potential.
 
     Builds psi_+1(x, t, omega + i eps) by the gauge transform of the evolved
     Jost solution and pairs it with the regularized (finite) phi_+1 value, so a
@@ -493,7 +493,7 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     terms = [(alpha, OMEGA, y_val, y_x, f, fx)]
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
     phi_plus_reg = abs(f + alpha * y_val * big_i)
-    ks = OMEGA + 1j * np.asarray(eps_values, dtype=float)
+    ks = OMEGA + 1j * np.asarray(POLE_EPS)
     if state.t == 0.0:
         psi = jost_evolved(state, xx, ks)
         psix = (jost_evolved(state, xx + 5e-3, ks) - jost_evolved(state, xx - 5e-3, ks)) / 1e-2
@@ -503,7 +503,7 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     psi_plus, _ = gauge_map(psi, psix, ks, terms)
     mags = np.abs(-phi_plus_reg * psi_plus / (2j * ks)).tolist()
     from .scattering import fit_pole_exponent
-    return fit_pole_exponent(eps_values, mags), mags
+    return fit_pole_exponent(POLE_EPS, mags), mags
 
 
 # -- PDE residual and the independent split-step oracle ------------------------

@@ -1,9 +1,10 @@
 """Reflection/transmission coefficients and residue extraction at embedded poles.
 
 Scattering quantities are formed from Wronskians of the numerically integrated
-right Jost solution against an independent left-side reference solution.  For
-the explicit potential family that reference is its closed-form left Jost
-solution; for sampled potentials a left-cutoff plane wave is used instead.
+right Jost solution against an independent left solution, `left_reference`:
+the plane wave e^{-ikx} left of q's support, continued across the support (in
+closed form for the explicit family, by DOP853 for any other kind) and by the
+exact free pair right of it.  Every left solution of the package is built there.
 """
 
 from __future__ import annotations
@@ -14,20 +15,21 @@ import numpy as np
 
 from . import schrodinger as sch
 from . import wvn_example as wvn
-from .errors import DegenerateWronskianError, ResidueClassificationError
+from .errors import DegenerateWronskianError, PoleEvaluationError, ResidueClassificationError
 from .schrodinger import PotentialSpec, WaveField, right_jost_at
 
 __all__ = [
     "ResidueResult", "left_reference",
-    "scattering_coefficients", "reflection_from_wronskians",
-    "reflection_at_resonance", "transmission",
+    "scattering_coefficients", "reflection_at_resonance",
     "residue_at", "fit_pole_exponent",
 ]
 
-# residue_at: Richardson levels below delta0, and the scale under which a
-# residue counts as zero (the point is regular)
+# residue_at: the largest step, the Richardson levels below it, and the scale
+# under which a residue counts as zero (the point is regular)
+RESIDUE_DELTA = 1e-2
 RESIDUE_LEVELS = 3
 REGULAR_TOL = 1e-8
+RESONANCE_DELTA = 1e-3  # reflection_at_resonance's largest step
 X_EVAL = -4.0           # where scattering_coefficients takes its Wronskians
 
 
@@ -41,26 +43,47 @@ class ResidueResult:
 
 
 def left_reference(spec: PotentialSpec, k, x):
-    """(value, derivative) of an independent left-side solution at x, for every kind.
+    """(value, derivative) at x of the left solution phi, e^{-ikx} left of q's support.
 
-    For the explicit family this is its closed-form left Jost solution.  Any
-    other kind takes the plane wave e^{-ikx} left of its support (the zero
-    potential: everywhere), continued across the support by DOP853.  Both
-    arrays have shape k.shape + x.shape.
+    - Left of the support (the zero potential: everywhere): that plane wave.
+    - On it: the explicit family's closed-form left Jost solution, or for any
+      other kind the plane wave continued by DOP853 to the largest x, or to
+      the support's right end e when some x lies beyond it.
+    - Right of it, where q = 0: a e^{-ik(x-e)} + b e^{ik(x-e)} with
+      a = (v - d/ik)/2, b = (v + d/ik)/2 from phi = (v, d) at e; k = 0 raises
+      PoleEvaluationError there.
+
+    phi is thus the left Jost solution at every real x.  Both arrays have
+    shape k.shape + x.shape.
     """
-    if spec.kind == sch.KIND_WVN:
-        return wvn.left_jost_closed(spec.rho, x, k)
     k, x = np.asarray(k), np.asarray(x, dtype=float)
     ks, xs = k.ravel(), x.ravel()
     vals = np.exp(-1j * ks[:, None] * xs)
     ders = -1j * ks[:, None] * vals
-    cut = spec.support()[0]
-    inside = np.flatnonzero(xs > cut)
-    if inside.size:
-        inside = inside[np.argsort(xs[inside], kind="stable")]
-        y0 = (np.exp(-1j * ks * cut), -1j * ks * np.exp(-1j * ks * cut))
-        vals[:, inside], ders[:, inside] = sch.solve_at(spec, ks, cut, xs[inside[-1]], y0,
-                                                        xs[inside])
+    start, end = spec.support()
+    on = np.flatnonzero((xs > start) & (xs <= end))
+    right = np.flatnonzero((xs > end) & (start < end))    # the zero kind's support is empty
+    if spec.kind == sch.KIND_WVN:
+        if on.size:
+            vals[:, on], ders[:, on] = wvn.left_jost_closed(spec.rho, xs[on], ks[:, None])
+        if right.size:
+            v, d = wvn.left_jost_closed(spec.rho, end, ks)
+    elif on.size or right.size:
+        on = on[np.argsort(xs[on], kind="stable")]
+        x_eval = np.append(xs[on], end) if right.size else xs[on]
+        y0 = (np.exp(-1j * ks * start), -1j * ks * np.exp(-1j * ks * start))
+        sv, sd = sch.solve_at(spec, ks, start, x_eval[-1], y0, x_eval)
+        vals[:, on], ders[:, on] = sv[:, :on.size], sd[:, :on.size]
+        v, d = sv[:, -1], sd[:, -1]
+    if right.size:
+        if np.any(ks == 0):
+            raise PoleEvaluationError("the left solution's continuation right of the "
+                                      "support is degenerate at k = 0", k=0.0)
+        ik = 1j * ks[:, None]
+        a, b = (v[:, None] - d[:, None] / ik) / 2, (v[:, None] + d[:, None] / ik) / 2
+        e_minus, e_plus = np.exp(-ik * (xs[right] - end)), np.exp(ik * (xs[right] - end))
+        vals[:, right] = a * e_minus + b * e_plus
+        ders[:, right] = ik * (b * e_plus - a * e_minus)
     shape = k.shape + x.shape
     return vals.reshape(shape)[()], ders.reshape(shape)[()]
 
@@ -91,28 +114,17 @@ def scattering_coefficients(spec: PotentialSpec, k):
     return -w_num / w_den, 2j * k / w_den
 
 
-def reflection_from_wronskians(spec: PotentialSpec, k: float) -> complex:
-    """Right reflection coefficient R(k) at real k (see `scattering_coefficients`)."""
-    return scattering_coefficients(spec, k)[0]
-
-
-def reflection_at_resonance(spec: PotentialSpec, omega: float,
-                            delta0: float = 1e-3) -> complex:
+def reflection_at_resonance(spec: PotentialSpec, omega: float) -> complex:
     """R(omega) at a momentum where the left reference has a pole, by Richardson limit.
 
-    The six momenta omega +- delta0 {1, 1/2, 1/4} share one solve.
+    The six momenta omega +- RESONANCE_DELTA {1, 1/2, 1/4} share one solve.
     """
-    d = delta0 / np.array([1.0, 2.0, 4.0])
+    d = RESONANCE_DELTA / np.array([1.0, 2.0, 4.0])
     r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d]))[0]
     vals = 0.5 * (r[:3] + r[3:])
     r1 = (4 * vals[1] - vals[0]) / 3
     r2 = (4 * vals[2] - vals[1]) / 3
     return complex((16 * r2 - r1) / 15)
-
-
-def transmission(spec: PotentialSpec, k: float) -> complex:
-    """Transmission coefficient T(k) = 2ik / W(psi_-, psi) (see `scattering_coefficients`)."""
-    return scattering_coefficients(spec, k)[1]
 
 
 def _linear_combination(fields, coeffs):
@@ -131,24 +143,24 @@ def _res_norm(obj):
     return float(np.max(np.abs(np.asarray(obj))))
 
 
-def _residue_stencil(omega, delta0: float = 1e-2):
-    """Steps d_j = delta0 / 2^j (j = 0..RESIDUE_LEVELS) and the momenta
+def _residue_stencil(omega):
+    """Steps d_j = RESIDUE_DELTA / 2^j (j = 0..RESIDUE_LEVELS) and the momenta
     omega + d_j, omega - d_j at which `residue_at` samples its family."""
-    d = delta0 / 2.0 ** np.arange(RESIDUE_LEVELS + 1)
+    d = RESIDUE_DELTA / 2.0 ** np.arange(RESIDUE_LEVELS + 1)
     return d, omega + d, omega - d
 
 
-def residue_at(omega: float, family, delta0: float = 1e-2) -> ResidueResult:
+def residue_at(omega: float, family) -> ResidueResult:
     """Residue of k -> family(k) at the real momentum omega.
 
     Symmetric two-sided estimates r(d) = d (f(omega+d) - f(omega-d)) / 2 are
-    Richardson-extrapolated over d in {delta0, delta0/2, ...}.  For a simple
+    Richardson-extrapolated over the steps of `_residue_stencil`.  For a simple
     pole this converges to the residue with an even error series; for a regular
     point it converges to 0; anything else raises ResidueClassificationError.
     """
     ests = []
     even = []
-    for d, k_plus, k_minus in zip(*_residue_stencil(omega, delta0)):
+    for d, k_plus, k_minus in zip(*_residue_stencil(omega)):
         fp = family(k_plus)
         fm = family(k_minus)
         ests.append(_linear_combination([fp, fm], [d / 2, -d / 2]))

@@ -7,15 +7,15 @@ carried through one solve):
 - at scattered points (`solve_at`, `right_jost_at`) by the package's own
   adaptive DOP853 (`solve_ivp`: Hairer's coefficients and step control),
   rtol 1e-10 / atol 1e-12 by default, its steps landing on each point;
-- on grids (`integrate`, `right_jost`) by a vectorised sixth-order Magnus
-  propagator whose steps are at most h_s = rtol^(1/6) / max(1, |k|), 0.0215
-  at the default rtol.
+- on grids (`right_jost`) by a vectorised sixth-order Magnus propagator
+  (`_magnus`) whose steps are at most h_s = rtol^(1/6) / max(1, |k|),
+  0.0215 at the default rtol.
 
 A solve is capped at MAX_NFEV right-hand-side evaluations per smooth piece
 (DOP853) or MAX_NFEV steps (Magnus), and a DOP853 step below 10 ulp of x
-fails.  Right Jost solutions are exact plane
-waves beyond the potential's right cutoff by construction; to the left they
-are extended by integration.
+fails.  Right Jost solutions are exact plane waves beyond the potential's
+right cutoff by construction; to the left they are extended by integration.
+Left solutions are built in `scattering.left_reference`.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from .errors import (
 
 __all__ = [
     "Grid", "CubicSpline", "PotentialSpec", "WaveField", "OdeWork", "OdeSolution", "solve_ivp",
-    "solve_at", "integrate", "right_jost_at", "right_jost",
+    "solve_at", "right_jost_at", "right_jost",
     "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL", "MAX_POINTS",
 ]
 
 MAX_POINTS = 10**6      # most nodes, momenta or list entries of a config; most phi-plane nodes
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-_POINTS_PER_UNIT = 40   # nodes per unit length of the grid `integrate` lays out when given none
 # Most right-hand-side evaluations one smooth piece of q may take in DOP853
 # (about a minute; 44-54 per unit of |k| * span, see README), and most steps
 # one Magnus solve may take (46 per unit of |k| * span for |k| >= 1 at the
@@ -178,16 +177,16 @@ class PotentialSpec:
     reference solution (`scattering.left_reference`): the explicit example
     (`wvn_example`, support (-inf, 0]), the zero potential (empty support), and
     the not-a-knot cubic spline through samples (`sampled`, support
-    [x_0, x_last]; q may jump at either end).  The constructors set the right
-    cutoff to the support's right end; it may be replaced
-    (`dataclasses.replace`) by any larger finite x.
+    [x_0, x_last]; q may jump at either end).  The right cutoff defaults
+    (None) to the support's right end; it may be set, at construction or by
+    `dataclasses.replace`, to any larger finite x.
     """
 
     kind: str
     rho: float | None = None
     sample_x: np.ndarray | None = None
     sample_q: np.ndarray | None = None
-    right_cutoff: float = 0.0
+    right_cutoff: float | None = None
 
     def __post_init__(self):
         if type(self.kind) is not str or self.kind not in (KIND_ZERO, KIND_WVN, KIND_SAMPLED):
@@ -199,6 +198,8 @@ class PotentialSpec:
             self.sample_x, self.sample_q = _samples(self.sample_x, self.sample_q)
             self._spline = CubicSpline(self.sample_x, self.sample_q)
         end = self.support()[1]
+        if self.right_cutoff is None:
+            self.right_cutoff = end
         cut = self.right_cutoff
         if not (isinstance(cut, numbers.Real) and end <= cut < math.inf):
             raise ValidationError(f"right_cutoff must be below +inf and at least the right end "
@@ -208,21 +209,17 @@ class PotentialSpec:
 
     @classmethod
     def zero(cls) -> "PotentialSpec":
-        return cls(kind=KIND_ZERO, right_cutoff=-math.inf)
+        return cls(kind=KIND_ZERO)
 
     @classmethod
     def wvn_example(cls, rho: float) -> "PotentialSpec":
-        return cls(kind=KIND_WVN, rho=rho, right_cutoff=0.0)
+        return cls(kind=KIND_WVN, rho=rho)
 
     @classmethod
     def sampled(cls, x: np.ndarray, q: np.ndarray) -> "PotentialSpec":
-        x, q = _samples(x, q)
-        return cls(kind=KIND_SAMPLED, sample_x=x, sample_q=q, right_cutoff=float(x[-1]))
+        return cls(kind=KIND_SAMPLED, sample_x=x, sample_q=q)
 
     # -- evaluation --------------------------------------------------------
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def evaluate(self, x):
         """q(x); finite real for every finite x."""
@@ -329,11 +326,6 @@ class WaveField:
         f, fp = self.at(x0)
         g, gp = other.at(x0)
         return complex(f * gp - fp * g)
-
-    def to_csv(self, path):
-        write_csv(path, "x,re_u,im_u,re_du,im_du",
-                  [self.grid.x, self.values.real, self.values.imag,
-                   self.derivs.real, self.derivs.imag])
 
 
 def write_csv(path, header, columns):
@@ -699,29 +691,6 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
     return vals.reshape(shape), ders.reshape(shape)
 
 
-def integrate(spec: PotentialSpec, k, x_from: float, x_to: float,
-              init, grid: Grid | None = None, rtol: float = DEFAULT_RTOL) -> WaveField:
-    """Integrate -u'' + q u = k^2 u from x_from to x_to with data init=(u, u').
-
-    Returns the solution sampled on the sub-grid of `grid` lying between the
-    endpoints (a fresh uniform grid is built when none is given), from the
-    Magnus propagator with steps of at most rtol^(1/6) / max(1, |k|).  An
-    array k gives a batched WaveField (values of shape k.shape + (n_points,)).
-    """
-    if grid is None:
-        n = max(2, int(abs(x_to - x_from) * _POINTS_PER_UNIT) + 1)
-        grid = Grid(min(x_from, x_to), max(x_from, x_to), n)
-    lo, hi = min(x_from, x_to), max(x_from, x_to)
-    xs = grid.x[(grid.x >= lo - 1e-12) & (grid.x <= hi + 1e-12)]
-    if len(xs) < 2:
-        raise ValidationError("integration window contains fewer than 2 grid nodes")
-    forward = x_to >= x_from
-    vals, ders = _magnus(spec, k, x_from, init, xs if forward else xs[::-1], rtol)
-    if not forward:
-        vals, ders = vals[..., ::-1], ders[..., ::-1]
-    return WaveField(Grid(xs[0], xs[-1], len(xs)), k, vals, ders)
-
-
 def _right_jost(spec: PotentialSpec, k, x, solve):
     """psi(x, k) and psi'(x, k) with the part left of the cutoff from
     solve(ks, x_from, init, x_eval); shapes k.shape + x.shape."""
@@ -761,8 +730,8 @@ def right_jost_at(spec: PotentialSpec, k, x,
 def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL) -> WaveField:
     """Right Jost solution psi(., k) on the grid (see `right_jost_at`).
 
-    Left of the cutoff it comes from the Magnus propagator (see `integrate`);
-    an array k gives a batched WaveField.
+    Left of the cutoff it comes from the Magnus propagator (`_magnus`, see the
+    module docstring); an array k gives a batched WaveField.
     """
     if spec.right_cutoff > grid.x_max + 1e-12:
         raise ValidationError("right cutoff must satisfy right_cutoff <= grid.x_max")

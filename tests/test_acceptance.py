@@ -84,7 +84,7 @@ def test_criterion_4_norming_constant_residue(l2_with_tails):
         def fam(k, _res=res):
             return dbx.transformed_solutions(_res, k)[1]
 
-        r = sct.residue_at(1.0, fam, delta0=1e-2)
+        r = sct.residue_at(1.0, fam)
         norm = l2_with_tails(grid, r.residue.values, r.residue.derivs)
         worst = max(worst, abs(norm - alpha))
     assert _report("4 residue L2 norm = alpha", worst, 1e-4)
@@ -119,7 +119,7 @@ def test_criterion_6_full_reflection_at_resonance():
     spec = PotentialSpec.wvn_example(rho)
     closed = max(abs(abs(wvn.scattering_closed(rho, s)[1]) - 1.0) for s in (1.0, -1.0))
     numeric = max(abs(abs(sct.reflection_at_resonance(spec, s)) - 1.0) for s in (1.0, -1.0))
-    below = max(abs(sct.reflection_from_wronskians(spec, k)) for k in (0.5, 2.0))
+    below = max(abs(sct.scattering_coefficients(spec, k)[0]) for k in (0.5, 2.0))
     ok1 = _report("6a |R(+-1)| = 1 closed form", closed, 1e-8)
     ok2 = _report("6b |R(+-1)| = 1 numerical", numeric, 1e-6)
     ok3 = _report("6c |R| < 1 off resonance", below, 1.0 - 1e-9, f"(max |R| = {below:.6f})")

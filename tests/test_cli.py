@@ -336,6 +336,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
                {"potential": dict(WVN_POT, right_cutoff=float("nan")), "k_grid": k_grid},
                {"potential": dict(WVN_POT, right_cutoff=-3.0), "k_grid": k_grid},
                {"potential": dict(WVN_POT, right_cutoff="0"), "k_grid": k_grid},
+               # null is not a number, though None is the library's default cutoff
+               {"potential": dict(WVN_POT, right_cutoff=None), "k_grid": k_grid},
                {"potential": {"kind": "shifted", "inner": 5, "shift": 1}, "k_grid": k_grid},
                {"potential": {"kind": "sum", "parts": None}, "k_grid": k_grid},
                {"potential": {"kind": "sampled", "x": "abc", "q": "def"}, "k_grid": k_grid},

@@ -166,7 +166,7 @@ def test_transformed_solutions_pole_error(inserted_std):
 def test_residue_is_norming_constant(inserted_std, l2_with_tails):
     def fam(k):
         return dbx.transformed_solutions(inserted_std, k)[1]
-    res = sct.residue_at(1.0, fam, delta0=1e-2)
+    res = sct.residue_at(1.0, fam)
     assert res.classification == "simple"
     norm = l2_with_tails(inserted_std.grid, res.residue.values, res.residue.derivs)
     assert abs(norm - 1.0) < 1e-4
@@ -176,7 +176,7 @@ def test_embedded_pole_condition(inserted_std):
     # Res_{k=omega} psi_+N = (i alpha^2 / R(omega)) phi_+N(., omega)
     def fam(k):
         return dbx.transformed_solutions(inserted_std, k)[1]
-    res = sct.residue_at(1.0, fam, delta0=1e-2)
+    res = sct.residue_at(1.0, fam)
     st = inserted_std.states[0]
     target = (1j * st.alpha**2 / st.r_at_omega) * dbx.phi_plus_at_omega(inserted_std, 0).values
     got = res.residue.values

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from positonkit import darboux as dbx
 from positonkit import scattering as sct
 from positonkit import wvn_example as wvn
-from positonkit.errors import DegenerateWronskianError, ResidueClassificationError
+from positonkit.errors import (
+    DegenerateWronskianError,
+    PoleEvaluationError,
+    ResidueClassificationError,
+)
 from positonkit.schrodinger import Grid, PotentialSpec, right_jost, right_jost_at
 
 RHO = 2.0
@@ -14,29 +18,28 @@ RHO = 2.0
 
 def test_reflection_matches_closed(wvn_spec):
     for k in (0.5, 2.0, 1.3, -1.7):
-        r = sct.reflection_from_wronskians(wvn_spec, k)
+        r = sct.scattering_coefficients(wvn_spec, k)[0]
         _, rc, _ = wvn.scattering_closed(RHO, k)
         assert abs(r - rc) < 1e-6
 
 
 def test_reflection_zero_potential():
-    assert abs(sct.reflection_from_wronskians(PotentialSpec.zero(), 1.7)) < 1e-12
+    assert abs(sct.scattering_coefficients(PotentialSpec.zero(), 1.7)[0]) < 1e-12
 
 
 def test_transmission_matches_closed(wvn_spec):
     for k in (0.5, 2.0):
-        t = sct.transmission(wvn_spec, k)
+        t = sct.scattering_coefficients(wvn_spec, k)[1]
         tc, _, _ = wvn.scattering_closed(RHO, k)
         assert abs(t - tc) < 1e-6
-    assert abs(sct.transmission(PotentialSpec.zero(), 1.1) - 1.0) < 1e-12
+    assert abs(sct.scattering_coefficients(PotentialSpec.zero(), 1.1)[1] - 1.0) < 1e-12
 
 
 def test_unitarity_and_symmetry(wvn_spec):
     for k in (0.4, 1.6, 2.8):
-        r = sct.reflection_from_wronskians(wvn_spec, k)
-        t = sct.transmission(wvn_spec, k)
+        r, t = sct.scattering_coefficients(wvn_spec, k)
         assert abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) < 1e-6
-        rm = sct.reflection_from_wronskians(wvn_spec, -k)
+        rm = sct.scattering_coefficients(wvn_spec, -k)[0]
         assert abs(rm - np.conj(r)) < 1e-6
 
 
@@ -65,7 +68,7 @@ def test_scattering_coefficients_names_degenerate_momentum(monkeypatch, wvn_spec
 
 def test_near_resonance_reflection(wvn_spec):
     for k in (1.0 + 1e-3, 1.0 - 1e-3):
-        r = sct.reflection_from_wronskians(wvn_spec, k)
+        r = sct.scattering_coefficients(wvn_spec, k)[0]
         assert abs(r) < 1.0
         assert 1.0 - abs(r) < 5e-6
 
@@ -91,8 +94,58 @@ def test_left_weyl_free_and_wronskian(wvn_spec):
     assert np.max(np.abs(phi0.values - np.exp(-1.5j * g.x))) < 1e-12
     k = 2.0
     phi, psi = _seed_pair(wvn_spec, k, g)
+    r = sct.scattering_coefficients(wvn_spec, k)[0]
+    assert np.max(np.abs(phi.values - (np.conj(psi.values) + r * psi.values))) < 1e-9
+    assert np.max(np.abs(phi.derivs - (np.conj(psi.derivs) + r * psi.derivs))) < 1e-9
     # basic scattering relation: W(psi, phi) = -2ik
     assert abs(psi.wronskian_with(phi, -4.4) + 2j * k) < 1e-6
+
+
+@st.composite
+def potential_and_momentum(draw):
+    """A potential of each kind, and a real or complex momentum at least 1e-2 from +-1."""
+    kind = draw(st.sampled_from(["zero", "wvn_example", "sampled"]))
+    if kind == "zero":
+        spec = PotentialSpec.zero()
+    elif kind == "wvn_example":
+        spec = PotentialSpec.wvn_example(draw(st.floats(0.3, 5.0)))
+    else:       # its support [-3, 0] + shift lies left of, across or right of X_EVAL
+        shift = draw(st.floats(-5.0, 3.0))
+        q = draw(st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4))
+        spec = PotentialSpec.sampled(np.arange(-3.0, 1.0) + shift, q)
+    k = draw(st.floats(0.2, 3.0)) + 1j * draw(st.sampled_from([0.0, 0.05, 0.3]))
+    assume(min(abs(k - 1.0), abs(k + 1.0)) > 1e-2)
+    return spec, k
+
+
+def test_left_reference_right_of_the_support_rejects_k_zero():
+    spec = PotentialSpec.sampled([-1.0, 0.0], [0.5, 0.5])
+    assert sct.left_reference(spec, 0.0, -0.5)[0] == pytest.approx(np.cosh(np.sqrt(0.5) * 0.5))
+    with pytest.raises(PoleEvaluationError):
+        sct.left_reference(spec, 0.0, 1.0)
+
+
+@given(potential_and_momentum())
+@settings(max_examples=30, deadline=None)
+def test_left_reference_is_the_left_jost_solution(case):
+    # W(phi, psi) = 2ik/T left of, on and right of q's support, and phi is
+    # continuous in value and derivative across the support's right end
+    spec, k = case
+    start, end = spec.support()
+    if spec.kind == "zero":
+        xs = np.array([-2.0, 0.0, 2.0])
+    else:
+        on = end - 1.5 if spec.kind == "wvn_example" else 0.5 * (start + end)
+        xs = np.array([start - 1.0, on, end + 1.5])[np.isfinite([start, 0.0, 0.0])]
+    lv, ld = sct.left_reference(spec, k, xs)
+    pv, pd = right_jost_at(spec, k, xs)
+    w = 2j * k / sct.scattering_coefficients(spec, k)[1]
+    assert np.max(np.abs(lv * pd - ld * pv - w)) <= 1e-8 * abs(w)
+    if spec.kind != "zero":
+        (v, d), (v_r, d_r) = (sct.left_reference(spec, k, e)
+                              for e in (end, np.nextafter(end, np.inf)))
+        scale = abs(v) + abs(d / k)
+        assert abs(v_r - v) <= 1e-12 * scale and abs(d_r - d) <= 1e-12 * abs(k) * scale
 
 
 def test_sampled_seed_pair_at_complex_k():
