@@ -2,7 +2,7 @@
 
 Insertion: from generating functions phi_n(x) = -2 Re[R(omega_n)^{1/2} psi(x, omega_n)]
 (square root cut along the negative reals; the overall sign is a convention and
-drops out of every even combination) build the Gram matrix
+drops out of every even combination; `generating_functions`) build the Gram matrix
 
     G(x)_{mn} = alpha_m alpha_n Integral(phi_m phi_n, -inf..x),
 
@@ -17,12 +17,17 @@ Removal runs the same algebra on the right Gram matrix Integral(y_m y_n, x..inf)
 of an orthonormal set of eigenfunctions.  Cumulative integrals use a
 derivative-corrected trapezoid rule; the infinite tails use the oscillatory
 tail model of `tails`.
+
+Every field of N states is one real array of shape (N, n_points), a row per
+state on the grid's nodes: the generating functions, the eigenfunctions and
+their x-derivatives.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +52,7 @@ from .tails import fit_oscillatory_tail
 
 __all__ = [
     "EmbeddedStateSpec", "GramField", "TransformResult", "RemovalResult",
-    "phi_n", "gram_plus", "insert_embedded", "chain_insert",
+    "generating_functions", "gram_plus", "insert_embedded", "chain_insert",
     "transformed_solutions", "phi_plus_at_omega", "greens_diagonal_transformed",
     "remove_embedded",
     "cumulative_corrected_trapezoid", "tail_closed_gram", "gauge_map", "single_state_step",
@@ -69,6 +74,11 @@ class EmbeddedStateSpec:
     r_at_omega: complex
 
     def __post_init__(self):
+        if not (isinstance(self.omega, numbers.Real) and isinstance(self.alpha, numbers.Real)
+                and isinstance(self.r_at_omega, numbers.Complex)):
+            raise ValidationError(
+                "embedded state requires real omega and alpha and a complex r_at_omega, got "
+                f"({self.omega!r:.40}, {self.alpha!r:.40}, {self.r_at_omega!r:.40})")
         if not (math.isfinite(self.omega) and math.isfinite(self.alpha)
                 and cmath.isfinite(self.r_at_omega)):
             raise ValidationError(
@@ -113,7 +123,8 @@ class GramField:
 
 @dataclass
 class TransformResult:
-    """Output of an insertion: new potential, eigenfunctions, log det, fields."""
+    """Output of an insertion: new potential, log det, and one row per state of
+    the eigenfunctions y and generating functions phi on the grid."""
 
     spec: PotentialSpec
     grid: Grid
@@ -121,26 +132,26 @@ class TransformResult:
     q_seed: np.ndarray
     q_new: np.ndarray
     log_det: np.ndarray
-    y_fields: list                 # list of real WaveField (eigenfunctions)
-    phi_fields: list               # list of real WaveField (generating functions)
+    y: np.ndarray                  # (N, n_points) eigenfunctions
+    y_x: np.ndarray
+    phi: np.ndarray                # (N, n_points) generating functions
+    phi_x: np.ndarray
     gram: GramField
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def omegas(self) -> np.ndarray:
+        return np.array([s.omega for s in self.states], dtype=float)
+
     def eigenfunction_norms(self) -> np.ndarray:
         """L2 norms of the eigenfunctions, grid quadrature plus fitted tails."""
-        cum, left, right, _ = tail_closed_gram(
-            self.grid.x, self.grid.spacing, [np.real(y.values) for y in self.y_fields],
-            [np.real(y.derivs) for y in self.y_fields], [s.omega for s in self.states],
-            right=True)
+        cum, left, right, _ = tail_closed_gram(self.grid.x, self.grid.spacing, self.y,
+                                               self.y_x, self.omegas, right=True)
         return np.sqrt(np.diagonal(cum[-1] + left + right))
 
     def to_csv(self, path):
-        cols = [self.grid.x, self.q_seed, self.q_new, self.log_det]
-        header = "x,q_seed,q_new,log_det"
-        for i, y in enumerate(self.y_fields):
-            cols.append(np.real(y.values))
-            header += f",y_{i+1}"
-        write_csv(path, header, cols)
+        header = "x,q_seed,q_new,log_det" + "".join(f",y_{i + 1}" for i in range(len(self.y)))
+        write_csv(path, header, [self.grid.x, self.q_seed, self.q_new, self.log_det, *self.y])
 
     def meta(self) -> dict:
         return {
@@ -215,40 +226,43 @@ def tail_closed_gram(x: np.ndarray, h, values, derivs, omegas, right: bool = Fal
     return cum, tails[0], tails[1] if right else None, fits[0]
 
 
-def phi_n(spec: PotentialSpec, state: EmbeddedStateSpec, grid: Grid,
-          rtol: float = DEFAULT_RTOL) -> WaveField:
-    """Real generating function phi_n = -2 Re[R(omega)^{1/2} psi(., omega)].
+def generating_functions(spec: PotentialSpec, states: list, grid: Grid,
+                         rtol: float = DEFAULT_RTOL):
+    """Real generating functions phi_n = -2 Re[R(omega_n)^{1/2} psi(., omega_n)] and phi_n'.
 
-    The minus sign is this artifact's convention; it makes phi equal to
-    +2 sin(x) on the right tail of the explicit example.  The right tail obeys
-    phi ~ (+-)2 cos(omega x + arg R / 2).
+    One right Jost solve serves the momenta of all states; each of phi and
+    phi_x has one row per state, shape (N, n_points).  The minus sign is this
+    artifact's convention; it makes phi equal to +2 sin(x) on the right tail
+    of the explicit example.  The right tail obeys phi ~ (+-)2 cos(omega x + arg R / 2).
     """
-    psi = right_jost(spec, state.omega, grid, rtol=rtol)
-    root = state.root_r
-    vals = -2.0 * np.real(root * psi.values)
-    ders = -2.0 * np.real(root * psi.derivs)
-    return WaveField(grid, state.omega, vals, ders)
+    psi = right_jost(spec, np.array([s.omega for s in states], dtype=float), grid, rtol=rtol)
+    roots = np.array([s.root_r for s in states], dtype=complex)[:, None]
+    return -2.0 * np.real(roots * psi.values), -2.0 * np.real(roots * psi.derivs)
 
 
-def gram_plus(phis: list, alphas) -> GramField:
+def _rows(grid: Grid, omegas, *fields):
+    """omegas as a 1-d float array and each field as a float array of one row per omega
+    on the grid's nodes; any other shape raises ValidationError."""
+    omegas = np.asarray(omegas, dtype=float)
+    fields = [np.asarray(f, dtype=float) for f in fields]
+    shape = (omegas.size, grid.n_points)
+    if omegas.ndim != 1 or any(f.shape != shape for f in fields):
+        raise ValidationError(f"need fields of shape {shape}: one row per omega on the grid")
+    return omegas, fields
+
+
+def gram_plus(phi, phi_x, omegas, alphas, grid: Grid) -> GramField:
     """Gram matrix field G(x)_{mn} = alpha_m alpha_n Integral(phi_m phi_n, -inf..x).
 
-    The phi fields share a grid, and each is real with a real momentum phi.k,
-    the omega of its tail model.  The (-inf, x_min] piece comes from that
+    phi and phi_x hold one real row per momentum omega_n, the omega of its
+    tail model, on the grid's nodes.  The (-inf, x_min] piece comes from that
     oscillatory model fitted on the leftmost `TAIL_WINDOW` of the grid.
     """
-    grid = phis[0].grid
-    n = len(phis)
+    omegas, (phi, phi_x) = _rows(grid, omegas, phi, phi_x)
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (n,):
+    if alphas.shape != omegas.shape:
         raise ValidationError("need one alpha per phi")
-    for f in phis:
-        if f.grid.n_points != grid.n_points or not np.allclose(f.grid.x, grid.x):
-            raise ValidationError("all phi fields must share the grid")
-    cum, left, _, fits = tail_closed_gram(grid.x, grid.spacing,
-                                          [np.real(f.values) for f in phis],
-                                          [np.real(f.derivs) for f in phis],
-                                          [float(np.real(f.k)) for f in phis])
+    cum, left, _, fits = tail_closed_gram(grid.x, grid.spacing, phi, phi_x, omegas)
     weights = np.outer(alphas, alphas)
     return GramField(grid, weights * (cum + left), weights * left, fits)
 
@@ -284,23 +298,22 @@ def _validate_states(states):
 def _check_insertion_preconditions(spec, states):
     """Full reflection at each omega, and continuity of psi there.
 
-    psi at PROBE_XS comes from one solve over the residue stencils of all
-    states, which are the momenta `residue_at` samples.
+    One solve takes R at every state's resonance momenta, and one psi at
+    PROBE_XS over every state's `residue_stencil`, the momenta `residue_at`
+    samples.
     """
-    for s in states:
-        r = sct.reflection_at_resonance(spec, s.omega)
+    omegas = np.array([s.omega for s in states], dtype=float)
+    for omega, r in zip(omegas, sct.reflection_at_resonance(spec, omegas)):
         if abs(abs(r) - 1.0) > 1e-6:
             raise ValidationError(
-                f"omega={s.omega} is not a full-reflection momentum of this potential "
+                f"omega={omega} is not a full-reflection momentum of this potential "
                 f"(|R|={abs(r):.8f})")
-    ks = np.concatenate([np.concatenate(sct._residue_stencil(s.omega)[1:]) for s in states])
-    psi, _ = right_jost_at(spec, ks, PROBE_XS)
-    psi_probe = dict(zip(ks.tolist(), psi))
-    for s in states:
-        res = sct.residue_at(s.omega, psi_probe.__getitem__)
-        if res.classification != "regular":
+    psi, _ = right_jost_at(spec, sct.residue_stencil(omegas), PROBE_XS)
+    for omega, psi_n in zip(omegas, psi):
+        # the family's values at the stencil were solved above
+        if sct.residue_at(omega, lambda ks, psi_n=psi_n: psi_n).classification != "regular":
             raise ValidationError(
-                f"right Jost solution is singular at omega={s.omega}; "
+                f"right Jost solution is singular at omega={omega}; "
                 "insertion requires continuity there")
 
 
@@ -325,28 +338,23 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     _validate_states(states)
     q0 = np.asarray(spec.evaluate(grid.x), dtype=float)
     if not states:
-        zeros = np.zeros(grid.n_points)
+        none = np.zeros((0, grid.n_points))
         gram = GramField(grid, np.zeros((grid.n_points, 0, 0)), np.zeros((0, 0)))
-        return TransformResult(spec, grid, [], q0, q0.copy(), zeros, [], [], gram)
+        return TransformResult(spec, grid, [], q0, q0.copy(), np.zeros(grid.n_points),
+                               none, none, none, none, gram)
     if check_preconditions:
         _check_insertion_preconditions(spec, states)
     ext, n_ext = _extended_grid(grid)
-    phis = [phi_n(spec, s, ext, rtol=rtol) for s in states]
+    phi, phi_x = generating_functions(spec, states, ext, rtol=rtol)
     alphas = np.array([s.alpha for s in states])
-    gram = gram_plus(phis, alphas)
-    phit = np.stack([a * np.real(f.values) for a, f in zip(alphas, phis)])
-    dphit = np.stack([a * np.real(f.derivs) for a, f in zip(alphas, phis)])
-    log_det, dd2, y, yp = _solve_transform(phit, dphit, gram.entries)
+    gram = gram_plus(phi, phi_x, [s.omega for s in states], alphas, ext)
+    log_det, dd2, y, yp = _solve_transform(alphas[:, None] * phi, alphas[:, None] * phi_x,
+                                           gram.entries)
 
     sl = slice(n_ext, None)
     gram_out = GramField(grid, gram.entries[sl], gram.tail_constant, gram.fits)
-    q_new = q0 - 2.0 * dd2[sl]
-    y_fields = [WaveField(grid, s.omega, y[i, sl], yp[i, sl])
-                for i, s in enumerate(states)]
-    phi_fields = [WaveField(grid, s.omega, np.real(f.values[sl]), np.real(f.derivs[sl]))
-                  for s, f in zip(states, phis)]
-    return TransformResult(spec, grid, states, q0, q_new, log_det[sl],
-                           y_fields, phi_fields, gram_out,
+    return TransformResult(spec, grid, states, q0, q0 - 2.0 * dd2[sl], log_det[sl],
+                           y[:, sl], yp[:, sl], phi[:, sl], phi_x[:, sl], gram_out,
                            diagnostics={"extend_left": EXTEND_LEFT,
                                         "tail_window": TAIL_WINDOW})
 
@@ -381,35 +389,27 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
     if check_preconditions and states:
         _check_insertion_preconditions(spec, states)
     ext, n_ext = _extended_grid(grid)
-    phis = [phi_n(spec, s, ext) for s in states]
-    cur_v = [np.real(f.values).copy() for f in phis]
-    cur_d = [np.real(f.derivs).copy() for f in phis]
+    phi, phi_x = generating_functions(spec, states, ext)
+    cur_v, cur_d = phi.copy(), phi_x.copy()
+    y, y_x = np.empty_like(phi), np.empty_like(phi)
+    omegas = [s.omega for s in states]
     q = np.asarray(spec.evaluate(ext.x), dtype=float)
     q0 = q.copy()
     log_det_total = np.zeros(ext.n_points)
-    y_final = []
     for n, s in enumerate(states):
         a = s.alpha
         # row 0: the integrals of phi_n against itself and the remaining phi_j
-        cum, left, _, _ = tail_closed_gram(ext.x, ext.spacing, cur_v[n:], cur_d[n:],
-                                           [st.omega for st in states[n:]])
-        u, y, ydash, dq = single_state_step(a, cur_v[n], cur_d[n], left[0, 0] + cum[:, 0, 0])
+        cum, left, _, _ = tail_closed_gram(ext.x, ext.spacing, cur_v[n:], cur_d[n:], omegas[n:])
+        u, y[n], y_x[n], dq = single_state_step(a, cur_v[n], cur_d[n], left[0, 0] + cum[:, 0, 0])
         log_det_total += np.log(u)
         q = q + dq
-        y_final.append((y, ydash))
-        for j in range(n + 1, len(states)):
-            hcum = left[0, j - n] + cum[:, 0, j - n]
-            new_v = cur_v[j] + a * y * hcum
-            new_d = cur_d[j] + a * (ydash * hcum + y * cur_v[n] * cur_v[j])
-            cur_v[j], cur_d[j] = new_v, new_d
+        hcum = left[0, 1:, None] + cum[:, 0, 1:].T
+        cur_d[n + 1:] += a * (y_x[n] * hcum + y[n] * cur_v[n] * cur_v[n + 1:])
+        cur_v[n + 1:] += a * y[n] * hcum
     sl = slice(n_ext, None)
-    y_fields = [WaveField(grid, s.omega, y[sl], yd[sl])
-                for s, (y, yd) in zip(states, y_final)]
-    phi_fields = [WaveField(grid, s.omega, np.real(f.values[sl]), np.real(f.derivs[sl]))
-                  for s, f in zip(states, phis)]
     gram = GramField(grid, np.zeros((grid.n_points, 0, 0)), np.zeros((0, 0)))
     return TransformResult(spec, grid, states, q0[sl], q[sl], log_det_total[sl],
-                           y_fields, phi_fields, gram,
+                           y[:, sl], y_x[:, sl], phi[:, sl], phi_x[:, sl], gram,
                            diagnostics={"method": "chain"})
 
 
@@ -431,35 +431,36 @@ def gauge_map(values, derivs, k, terms):
     return v, d
 
 
-def _gauge_terms(result_like) -> list:
+def _gauge_terms(result: TransformResult) -> list:
     """The (alpha, omega, y, y', phi, phi') of each state of a transform, for gauge_map."""
-    return [(s.alpha, s.omega, np.real(y.values), np.real(y.derivs),
-             np.real(f.values), np.real(f.derivs))
-            for s, y, f in zip(result_like.states, result_like.y_fields,
-                               result_like.phi_fields)]
+    return [(s.alpha, s.omega, *rows) for s, *rows in
+            zip(result.states, result.y, result.y_x, result.phi, result.phi_x)]
 
 
-def transformed_solutions(result: TransformResult, k: complex):
-    """Transformed pair (phi_+N, psi_+N) at momentum k on the result grid.
+def transformed_solutions(result: TransformResult, k):
+    """Transformed pair (phi_+N, psi_+N) at the momenta k on the result grid.
 
     Both are the gauge map (`gauge_map`) of the seed's pair: psi is the right
     Jost solution and phi = T(k) `scattering.left_reference`, the seed's left
-    Jost solution times its transmission coefficient, at every k.
+    Jost solution times its transmission coefficient, at every k.  An array k
+    gives batched WaveFields whose momenta share each solve.
     Evaluation exactly at k = +-omega_n raises (use residue_at / phi_plus_at_omega).
     """
     grid = result.grid
     spec = result.spec
-    for s in result.states:
-        if abs(k * k - s.omega**2) < 1e-12:
-            raise PoleEvaluationError(
-                f"psi_+N has a pole at k={s.omega}; use residue_at for the residue "
-                "or phi_plus_at_omega for the regular branch", k=k)
+    kk = np.asarray(k)[..., None]          # momenta against the grid's nodes
+    at_pole = np.any(np.abs(kk * kk - result.omegas**2) < 1e-12, axis=-1)
+    if np.any(at_pole):
+        k_pole = np.atleast_1d(k)[np.atleast_1d(at_pole)][0]
+        raise PoleEvaluationError(
+            f"psi_+N has a pole at k={k_pole}; use residue_at for the residue "
+            "or phi_plus_at_omega for the regular branch", k=k_pole)
     psi = right_jost(spec, k, grid)
-    t_val = sct.scattering_coefficients(spec, k)[1]
+    t_val = np.asarray(sct.scattering_coefficients(spec, k)[1])[..., None]
     lv, ld = sct.left_reference(spec, k, grid.x)
     terms = _gauge_terms(result)
-    return (WaveField(grid, k, *gauge_map(t_val * lv, t_val * ld, k, terms)),
-            WaveField(grid, k, *gauge_map(psi.values, psi.derivs, k, terms)))
+    return (WaveField(grid, k, *gauge_map(t_val * lv, t_val * ld, kk, terms)),
+            WaveField(grid, k, *gauge_map(psi.values, psi.derivs, kk, terms)))
 
 
 def phi_plus_at_omega(result: TransformResult, n: int) -> WaveField:
@@ -469,21 +470,14 @@ def phi_plus_at_omega(result: TransformResult, n: int) -> WaveField:
     with the cumulative integrals read off the Gram field.
     """
     s = result.states[n]
-    grid = result.grid
-    root = s.root_r
     alphas = np.array([st.alpha for st in result.states])
-    fv = np.real(result.phi_fields[n].values)
-    fd = np.real(result.phi_fields[n].derivs)
-    acc_v = fv.astype(complex).copy()
-    acc_d = fd.astype(complex).copy()
-    for m, (st, y) in enumerate(zip(result.states, result.y_fields)):
-        cum = result.gram.entries[:, n, m] / (alphas[n] * alphas[m])
-        yv, yd = np.real(y.values), np.real(y.derivs)
-        fmv = np.real(result.phi_fields[m].values)
-        acc_v += st.alpha * yv * cum
-        acc_d += st.alpha * (yd * cum + yv * fv * fmv)
-    sigma = -1.0   # same sign convention as phi_n
-    return WaveField(grid, s.omega, sigma * root * acc_v, sigma * root * acc_d)
+    acc_v, acc_d = result.phi[n].copy(), result.phi_x[n].copy()
+    for m, alpha in enumerate(alphas):
+        cum = result.gram.entries[:, n, m] / (alphas[n] * alpha)
+        acc_v += alpha * result.y[m] * cum
+        acc_d += alpha * (result.y_x[m] * cum + result.y[m] * result.phi[n] * result.phi[m])
+    sigma = -1.0   # same sign convention as generating_functions
+    return WaveField(result.grid, s.omega, sigma * s.root_r * acc_v, sigma * s.root_r * acc_d)
 
 
 def greens_diagonal_transformed(result: TransformResult, k: complex, x: float) -> complex:
@@ -494,12 +488,13 @@ def greens_diagonal_transformed(result: TransformResult, k: complex, x: float) -
     return complex(-pv * sv / (2j * k))
 
 
-def remove_embedded(q_samples, eigenfunctions: list, grid: Grid,
+def remove_embedded(q_samples, y, y_x, omegas, grid: Grid,
                     ortho_tol: float = 1e-6) -> RemovalResult:
     """Remove embedded eigenvalues given an orthonormal set of eigenfunctions.
 
-    q_samples holds q at the grid's nodes, and each eigenfunction is real with
-    a real momentum y.k, the omega of its tail model.
+    q_samples holds q at the grid's nodes; y and y_x hold one real
+    eigenfunction and its derivative per momentum omega_n, the omega of its
+    tail model, on the grid's nodes.
     q_minus = q - 2 d^2/dx^2 log det(Gbar(x)) with Gbar(x) = Integral(y_m y_n, x..inf),
     which equals I - G_-(x) by orthonormality.  Gbar is positive definite for
     every finite x; violations raise OrthonormalityError.
@@ -507,13 +502,11 @@ def remove_embedded(q_samples, eigenfunctions: list, grid: Grid,
     q = np.asarray(q_samples, dtype=float)
     if q.shape != (grid.n_points,):
         raise ValidationError("q samples must align with the grid")
-    n = len(eigenfunctions)
+    omegas, (yv, yd) = _rows(grid, omegas, y, y_x)
+    n = omegas.size
     if n == 0:
         return RemovalResult(grid, q.copy(), np.zeros(grid.n_points), np.zeros((0, 0)))
-    omegas = [float(np.real(y.k)) for y in eigenfunctions]
-    vals = [np.real(y.values) for y in eigenfunctions]
-    ders = [np.real(y.derivs) for y in eigenfunctions]
-    cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, vals, ders, omegas, right=True)
+    cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, yv, yd, omegas, right=True)
     ortho = left + cum[-1] + right
     gbar = right + (cum[-1] - cum)
     dev = np.max(np.abs(ortho - np.eye(n)))
@@ -523,8 +516,6 @@ def remove_embedded(q_samples, eigenfunctions: list, grid: Grid,
     sign, log_det = np.linalg.slogdet(gbar)
     if np.any(sign <= 0):
         raise OrthonormalityError("right Gram matrix lost positive definiteness")
-    yv = np.stack(vals)
-    yd = np.stack(ders)
     v = np.linalg.solve(gbar, yv.T[:, :, None])[:, :, 0].T
     jay = np.einsum("ip,ip->p", yv, v)
     dd2 = -2.0 * np.einsum("ip,ip->p", yd, v) - jay**2

@@ -483,10 +483,11 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     Builds psi_+1(x, t, omega + i eps) by the gauge transform of the evolved
     Jost solution and pairs it with the regularized (finite) phi_+1 value, so a
     simple embedded pole shows p ~ 1 and a regular point p ~ 0.  x_probe is
-    read at the plane node nearest to it; each solve serves every eps.
+    read at the plane node nearest to it, and one outside the plane raises
+    ValidationError; each solve serves every eps.
     """
     state = plane.state
-    j = plane.grid.index_of(x_probe)
+    j = int(plane.index(x_probe)[1][0])
     xx = float(plane.grid.x[j])
     f, fx, big_i = plane.phi[j], plane.phi_x[j], plane.big_i[j]
     _, y_val, y_x, _ = single_state_step(alpha, f, fx, big_i)

@@ -16,12 +16,12 @@ import numpy as np
 from . import schrodinger as sch
 from . import wvn_example as wvn
 from .errors import DegenerateWronskianError, PoleEvaluationError, ResidueClassificationError
-from .schrodinger import PotentialSpec, WaveField, right_jost_at
+from .schrodinger import PotentialSpec, right_jost_at
 
 __all__ = [
     "ResidueResult", "left_reference",
     "scattering_coefficients", "reflection_at_resonance",
-    "residue_at", "fit_pole_exponent",
+    "residue_stencil", "residue_at", "fit_pole_exponent",
 ]
 
 # residue_at: the largest step, the Richardson levels below it, and the scale
@@ -29,6 +29,7 @@ __all__ = [
 RESIDUE_DELTA = 1e-2
 RESIDUE_LEVELS = 3
 REGULAR_TOL = 1e-8
+_STEPS = RESIDUE_DELTA / 2.0 ** np.arange(RESIDUE_LEVELS + 1)
 RESONANCE_DELTA = 1e-3  # reflection_at_resonance's largest step
 X_EVAL = -4.0           # where scattering_coefficients takes its Wronskians
 
@@ -37,7 +38,7 @@ X_EVAL = -4.0           # where scattering_coefficients takes its Wronskians
 class ResidueResult:
     """Residue of a family at a real momentum, with an extrapolation error estimate."""
 
-    residue: object                  # WaveField, ndarray or complex
+    residue: object                  # ndarray or scalar, as one value of the family
     error_estimate: float
     classification: str              # "simple" or "regular"
 
@@ -114,76 +115,61 @@ def scattering_coefficients(spec: PotentialSpec, k):
     return -w_num / w_den, 2j * k / w_den
 
 
-def reflection_at_resonance(spec: PotentialSpec, omega: float) -> complex:
-    """R(omega) at a momentum where the left reference has a pole, by Richardson limit.
+def reflection_at_resonance(spec: PotentialSpec, omega):
+    """R(omega) at momenta where the left reference has a pole, by Richardson limit.
 
-    The six momenta omega +- RESONANCE_DELTA {1, 1/2, 1/4} share one solve.
+    The six momenta omega +- RESONANCE_DELTA {1, 1/2, 1/4} of every omega share
+    one solve.  Returns an array of the shape of omega.
     """
+    omega = np.asarray(omega, dtype=float)[..., None]
     d = RESONANCE_DELTA / np.array([1.0, 2.0, 4.0])
-    r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d]))[0]
-    vals = 0.5 * (r[:3] + r[3:])
-    r1 = (4 * vals[1] - vals[0]) / 3
-    r2 = (4 * vals[2] - vals[1]) / 3
-    return complex((16 * r2 - r1) / 15)
+    r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d], axis=-1))[0]
+    vals = 0.5 * (r[..., :3] + r[..., 3:])
+    r1 = (4 * vals[..., 1] - vals[..., 0]) / 3
+    r2 = (4 * vals[..., 2] - vals[..., 1]) / 3
+    return (16 * r2 - r1) / 15
 
 
-def _linear_combination(fields, coeffs):
-    """Combine WaveFields/arrays/scalars with scalar coefficients."""
-    first = fields[0]
-    if isinstance(first, WaveField):
-        vals = sum(c * f.values for c, f in zip(coeffs, fields))
-        ders = sum(c * f.derivs for c, f in zip(coeffs, fields))
-        return WaveField(first.grid, first.k, vals, ders)
-    return sum(c * np.asarray(f) for c, f in zip(coeffs, fields))
-
-
-def _res_norm(obj):
-    if isinstance(obj, WaveField):
-        return float(np.max(np.abs(obj.values)))
-    return float(np.max(np.abs(np.asarray(obj))))
-
-
-def _residue_stencil(omega):
-    """Steps d_j = RESIDUE_DELTA / 2^j (j = 0..RESIDUE_LEVELS) and the momenta
-    omega + d_j, omega - d_j at which `residue_at` samples its family."""
-    d = RESIDUE_DELTA / 2.0 ** np.arange(RESIDUE_LEVELS + 1)
-    return d, omega + d, omega - d
+def residue_stencil(omega):
+    """The momenta omega + d_j, then omega - d_j, at which `residue_at` samples
+    its family: d_j = RESIDUE_DELTA / 2^j, j = 0..RESIDUE_LEVELS.  Shape
+    omega.shape + (2 RESIDUE_LEVELS + 2,)."""
+    omega = np.asarray(omega, dtype=float)[..., None]
+    return np.concatenate([omega + _STEPS, omega - _STEPS], axis=-1)
 
 
 def residue_at(omega: float, family) -> ResidueResult:
     """Residue of k -> family(k) at the real momentum omega.
 
+    family is called once, on the array `residue_stencil(omega)`, and returns
+    one value per momentum along its leading axis (a scalar or an array each).
     Symmetric two-sided estimates r(d) = d (f(omega+d) - f(omega-d)) / 2 are
-    Richardson-extrapolated over the steps of `_residue_stencil`.  For a simple
-    pole this converges to the residue with an even error series; for a regular
-    point it converges to 0; anything else raises ResidueClassificationError.
+    Richardson-extrapolated over the steps d.  For a simple pole this
+    converges to the residue with an even error series; for a regular point it
+    converges to 0; anything else raises ResidueClassificationError.  Norms
+    are the largest modulus over a value's entries.
     """
-    ests = []
-    even = []
-    for d, k_plus, k_minus in zip(*_residue_stencil(omega)):
-        fp = family(k_plus)
-        fm = family(k_minus)
-        ests.append(_linear_combination([fp, fm], [d / 2, -d / 2]))
-        even.append(_res_norm(_linear_combination([fp, fm], [0.5, 0.5])))
+    f = np.asarray(family(residue_stencil(omega)))
+    n = _STEPS.size
+    f_plus, f_minus = f[:n], f[n:]
+    d = _STEPS.reshape((n,) + (1,) * (f.ndim - 1))
+    ests = d / 2 * f_plus + (-d / 2) * f_minus
+    even = np.max(np.abs(0.5 * f_plus + 0.5 * f_minus).reshape(n, -1), axis=1)
     # an even-order pole hides from the antisymmetric estimate but blows up
     # the symmetric average as delta shrinks
-    if even[-1] > 3.0 * even[0] + REGULAR_TOL and even[-1] > 10 * _res_norm(ests[-1]):
+    if even[-1] > 3.0 * even[0] + REGULAR_TOL and even[-1] > 10 * np.max(np.abs(ests[-1])):
         raise ResidueClassificationError(
             "symmetric part diverges as delta -> 0; singularity is of even order, "
             "not a simple pole")
-    # Richardson in d^2
-    table = [ests]
+    # Richardson in d^2, one level per pass along the leading axis
+    table = ests
     for m in range(1, RESIDUE_LEVELS + 1):
-        prev = table[-1]
         fac = 4.0**m
-        table.append([
-            _linear_combination([prev[j + 1], prev[j]], [fac / (fac - 1), -1.0 / (fac - 1)])
-            for j in range(len(prev) - 1)
-        ])
-    best = table[-1][-1]
-    second = table[-2][-1]
-    err = _res_norm(_linear_combination([best, second], [1.0, -1.0]))
-    scale = _res_norm(best)
+        second = table[-1]
+        table = fac / (fac - 1) * table[1:] + (-1.0 / (fac - 1)) * table[:-1]
+    best = table[-1]
+    err = float(np.max(np.abs(best - second)))
+    scale = float(np.max(np.abs(best)))
     if scale <= max(REGULAR_TOL, 10 * err):
         return ResidueResult(best, err, "regular")
     if err > 0.05 * scale + REGULAR_TOL:

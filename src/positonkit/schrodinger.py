@@ -70,6 +70,11 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (isinstance(self.x_min, numbers.Real) and isinstance(self.x_max, numbers.Real)
+                and isinstance(self.n_points, numbers.Integral)):
+            raise ValidationError("grid requires real x_min and x_max and an integer n_points, "
+                                  f"got ({self.x_min!r:.40}, {self.x_max!r:.40}, "
+                                  f"{self.n_points!r:.40})")
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValidationError("grid requires finite x_min and x_max")
         if not (self.x_min < self.x_max):
@@ -85,10 +90,6 @@ class Grid:
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    def index_of(self, x0: float) -> int:
-        """Index of the grid node closest to x0."""
-        return int(round((x0 - self.x_min) / self.spacing))
 
     def contains(self, x0: float) -> bool:
         return self.x_min - 1e-12 <= x0 <= self.x_max + 1e-12
@@ -314,18 +315,15 @@ class WaveField:
             der = der + la * self.derivs[..., j + a]
         return val, der
 
-    def wronskian_with(self, other: "WaveField", x0: float | None = None) -> complex:
-        """W(self, other) = f g' - f' g, at x0 (grid midpoint by default)."""
+    def wronskian_with(self, other: "WaveField", x0: float):
+        """W(self, other) = f g' - f' g at x0: a scalar, or one value per momentum of a batch."""
         if self.grid is not other.grid and not np.array_equal(self.grid.x, other.grid.x):
             raise ValidationError("wronskian requires fields on the same grid")
         if not np.array_equal(self.k, other.k):
             raise ValidationError("wronskian requires fields at the same momentum")
-        if x0 is None:
-            i = self.grid.n_points // 2
-            return complex(self.values[i] * other.derivs[i] - self.derivs[i] * other.values[i])
         f, fp = self.at(x0)
         g, gp = other.at(x0)
-        return complex(f * gp - fp * g)
+        return f * gp - fp * g
 
 
 def write_csv(path, header, columns):

@@ -106,11 +106,14 @@ def scattering_closed(rho, k):
     """Transmission and right/left reflection coefficients (T, R, L).
 
     T = P/(P + i rho), R = L = -i rho/(P + i rho), with P(k) = k^3 - k.
+    k is a number or an array; each coefficient has its shape.
     """
     p = k**3 - k
     den = p + 1j * rho
-    if abs(den) < _POLE_TOL:
-        raise PoleEvaluationError("k is a pole of the reflection coefficient", k=k)
+    at_pole = np.abs(den) < _POLE_TOL
+    if np.any(at_pole):
+        raise PoleEvaluationError("k is a pole of the reflection coefficient",
+                                  k=np.atleast_1d(k)[np.atleast_1d(at_pole)][0])
     t = p / den
     r = -1j * rho / den
     return t, r, r

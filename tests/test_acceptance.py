@@ -81,11 +81,12 @@ def test_criterion_4_norming_constant_residue(l2_with_tails):
         state = dbx.EmbeddedStateSpec.for_wvn_example(rho, alpha)
         res = dbx.insert_embedded(spec, [state], grid, check_preconditions=False)
 
-        def fam(k, _res=res):
-            return dbx.transformed_solutions(_res, k)[1]
+        def fam(ks, _res=res):
+            psi = dbx.transformed_solutions(_res, ks)[1]
+            return np.stack([psi.values, psi.derivs], axis=1)
 
         r = sct.residue_at(1.0, fam)
-        norm = l2_with_tails(grid, r.residue.values, r.residue.derivs)
+        norm = l2_with_tails(grid, *r.residue)
         worst = max(worst, abs(norm - alpha))
     assert _report("4 residue L2 norm = alpha", worst, 1e-4)
 
@@ -98,14 +99,12 @@ def test_criterion_5_removal_round_trip():
     grid = Grid(-20.0, 20.0, 4001)
     state = dbx.EmbeddedStateSpec.for_wvn_example(rho, 0.8)
     res = dbx.insert_embedded(spec, [state], grid, check_preconditions=False)
-    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid)
+    rem = dbx.remove_embedded(res.q_new, res.y, res.y_x, res.omegas, grid)
     err_rt = float(np.max(np.abs(rem.q_minus - res.q_seed)))
 
     alpha_sym = np.sqrt(rho / 2.0)
-    from positonkit.schrodinger import WaveField
-    y = WaveField(grid, 1.0, wvn.y_closed(rho, alpha_sym, grid.x),
-                  wvn.y_x_closed(rho, alpha_sym, grid.x))
-    rem2 = dbx.remove_embedded(wvn.q_sym(rho, grid.x), [y], grid)
+    y, y_x = wvn.y_closed(rho, alpha_sym, grid.x), wvn.y_x_closed(rho, alpha_sym, grid.x)
+    rem2 = dbx.remove_embedded(wvn.q_sym(rho, grid.x), [y], [y_x], [1.0], grid)
     err_sym = float(np.max(np.abs(rem2.q_minus - wvn.q_seed(rho, grid.x))))
     worst = max(err_rt, err_sym)
     assert _report("5 removal round trip", worst, 1e-6,

@@ -12,7 +12,7 @@ from positonkit.errors import (
     TailDivergenceError,
     ValidationError,
 )
-from positonkit.schrodinger import Grid, PotentialSpec, WaveField
+from positonkit.schrodinger import Grid, PotentialSpec
 from positonkit.tails import fit_oscillatory_tail
 
 RHO = 2.0
@@ -33,21 +33,24 @@ def test_state_spec_validation():
     assert st.root_r == 1j
 
 
+def _node(grid, x0):
+    """Index of the grid node nearest x0."""
+    return int(np.argmin(np.abs(grid.x - x0)))
+
+
 def test_phi_n_right_tail_and_left_branch(wvn_spec, inserted_std):
-    phi = inserted_std.phi_fields[0]
+    phi = inserted_std.phi[0]
     g = inserted_std.grid
-    i5 = g.index_of(5.0)
-    assert abs(np.real(phi.values[i5]) - 2 * np.sin(5.0)) < 1e-9
-    im5 = g.index_of(-5.0)
-    assert abs(np.real(phi.values[im5]) - wvn.phi_closed(RHO, -5.0)) < 1e-7
+    assert abs(phi[_node(g, 5.0)] - 2 * np.sin(5.0)) < 1e-9
+    assert abs(phi[_node(g, -5.0)] - wvn.phi_closed(RHO, -5.0)) < 1e-7
 
 
 def test_phi_n_tail_amplitude_fit(wvn_spec):
     state = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 1.0)
     g = Grid(0.0, 100.0, 4001)
-    phi = dbx.phi_n(wvn_spec, state, g)
+    phi, _ = dbx.generating_functions(wvn_spec, [state], g)
     win = g.x >= 10.0
-    x, v = g.x[win], np.real(phi.values[win])
+    x, v = g.x[win], phi[0, win]
     basis = np.column_stack([np.sin(x), np.cos(x)])
     coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
     assert abs(np.hypot(*coef) - 2.0) < 1e-3
@@ -56,10 +59,8 @@ def test_phi_n_tail_amplitude_fit(wvn_spec):
 def test_gram_single_state_matches_closed(wvn_spec, inserted_std):
     g = inserted_std.grid
     gram = inserted_std.gram
-    i0 = g.index_of(0.0)
-    assert abs(gram.entries[i0, 0, 0] - 2.0 / RHO) < 1e-7
-    im = g.index_of(-12.0)
-    assert abs(gram.entries[im, 0, 0] - wvn.big_i_closed(RHO, -12.0)) < 1e-7
+    assert abs(gram.entries[_node(g, 0.0), 0, 0] - 2.0 / RHO) < 1e-7
+    assert abs(gram.entries[_node(g, -12.0), 0, 0] - wvn.big_i_closed(RHO, -12.0)) < 1e-7
     # leftward the Gram entry tracks the decaying closed form toward zero
     assert abs(gram.entries[0, 0, 0] - wvn.big_i_closed(RHO, -20.0)) < 1e-7
     assert gram.entries[0, 0, 0] < 0.05
@@ -119,7 +120,7 @@ def test_jacobi_identity(inserted_std):
     # phit (I+G)^{-1} phit = d/dx log det(I+G)
     g = inserted_std.grid
     alpha = inserted_std.states[0].alpha
-    phi = alpha * np.real(inserted_std.phi_fields[0].values)
+    phi = alpha * inserted_std.phi[0]
     gram = inserted_std.gram.entries[:, 0, 0]
     jay = phi**2 / (1.0 + gram)
     ld = inserted_std.log_det
@@ -129,9 +130,8 @@ def test_jacobi_identity(inserted_std):
 
 
 def test_eigenfunction_residual(inserted_std):
-    y = inserted_std.y_fields[0]
     g = inserted_std.grid
-    v = np.real(y.values)
+    v = inserted_std.y[0]
     h = g.spacing
     # fourth-order centered second difference
     ypp = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12 * h**2)
@@ -154,32 +154,84 @@ def test_transformed_solutions_closed_match(wvn_spec, inserted_std):
     assert np.max(np.abs(psiN.values[pos] - closed)) < 1e-6
     assert abs(psiN.wronskian_with(phiN, 2.3) + 2j * k) < 1e-8
     # near +infinity the transformed solution reverts to a plane wave
-    i = g.index_of(19.0)
-    assert abs(psiN.values[i] / np.exp(1j * k * 19.0) - 1.0) < 0.3
+    assert abs(psiN.values[_node(g, 19.0)] / np.exp(1j * k * 19.0) - 1.0) < 0.3
+
+
+def test_transformed_solutions_batch_equals_per_k(inserted_std):
+    # psi_+N comes from the same Magnus steps per momentum, bit for bit; phi_+N's
+    # T comes from one DOP853 solve whose step control the batch shares
+    for ks in (sct.residue_stencil(1.0), np.array([2.0 + 0.3j])):
+        phi_b, psi_b = dbx.transformed_solutions(inserted_std, ks)
+        for i, k in enumerate(ks):
+            phi, psi = dbx.transformed_solutions(inserted_std, k)
+            assert np.array_equal(psi_b.values[i], psi.values)
+            assert np.array_equal(psi_b.derivs[i], psi.derivs)
+            for b, f in ((phi_b.values[i], phi.values), (phi_b.derivs[i], phi.derivs)):
+                assert np.max(np.abs(b - f)) <= 1e-9 * np.max(np.abs(f))
+
+
+def test_transformed_wronskian_per_momentum(inserted_std):
+    ks = np.array([1.5, 1.7])
+    phi, psi = dbx.transformed_solutions(inserted_std, ks)
+    assert np.max(np.abs(psi.wronskian_with(phi, 3.1) + 2j * ks)) < 1e-6
+
+
+def test_generating_functions_batch_equals_each_state(wvn_spec):
+    # one right Jost solve for both momenta gives each state's rows of its own solve
+    g = Grid(-30.0, 10.0, 2001)
+    states = [dbx.EmbeddedStateSpec.for_wvn_example(RHO, 1.0),
+              dbx.EmbeddedStateSpec(1.6, 0.5, np.exp(0.7j))]
+    both = dbx.generating_functions(wvn_spec, states, g)
+    for i, s in enumerate(states):
+        for rows, row in zip(both, dbx.generating_functions(wvn_spec, [s], g)):
+            assert rows.shape == (2, g.n_points)
+            assert np.max(np.abs(rows[i] - row[0])) < 1e-13
+
+
+def test_fields_must_be_one_row_per_omega(grid_std):
+    phi, phi_x = np.ones((2, grid_std.n_points)), np.ones((2, grid_std.n_points))
+    q = np.zeros(grid_std.n_points)
+    for bad in ([1.0], [1.0, 1.6, 2.0]):            # one omega per row
+        with pytest.raises(ValidationError):
+            dbx.gram_plus(phi, phi_x, bad, [1.0] * len(bad), grid_std)
+        with pytest.raises(ValidationError):
+            dbx.remove_embedded(q, phi, phi_x, bad, grid_std)
+    with pytest.raises(ValidationError):            # a derivative row short
+        dbx.gram_plus(phi, phi_x[:, 1:], [1.0, 1.6], [1.0, 1.0], grid_std)
+    with pytest.raises(ValidationError):
+        dbx.remove_embedded(q, phi, phi_x[:1], [1.0, 1.6], grid_std)
+    with pytest.raises(ValidationError):            # one alpha per row
+        dbx.gram_plus(phi, phi_x, [1.0, 1.6], [1.0], grid_std)
 
 
 def test_transformed_solutions_pole_error(inserted_std):
     with pytest.raises(PoleEvaluationError):
         dbx.transformed_solutions(inserted_std, 1.0)
+    with pytest.raises(PoleEvaluationError):
+        dbx.transformed_solutions(inserted_std, np.array([1.5, -1.0]))
+
+
+def _psi_plus(result):
+    """The family k -> (psi_+N, psi_+N') of a transform, stacked on the axis after k's."""
+    def fam(ks):
+        psi = dbx.transformed_solutions(result, ks)[1]
+        return np.stack([psi.values, psi.derivs], axis=1)
+    return fam
 
 
 def test_residue_is_norming_constant(inserted_std, l2_with_tails):
-    def fam(k):
-        return dbx.transformed_solutions(inserted_std, k)[1]
-    res = sct.residue_at(1.0, fam)
+    res = sct.residue_at(1.0, _psi_plus(inserted_std))
     assert res.classification == "simple"
-    norm = l2_with_tails(inserted_std.grid, res.residue.values, res.residue.derivs)
+    norm = l2_with_tails(inserted_std.grid, *res.residue)
     assert abs(norm - 1.0) < 1e-4
 
 
 def test_embedded_pole_condition(inserted_std):
     # Res_{k=omega} psi_+N = (i alpha^2 / R(omega)) phi_+N(., omega)
-    def fam(k):
-        return dbx.transformed_solutions(inserted_std, k)[1]
-    res = sct.residue_at(1.0, fam)
+    res = sct.residue_at(1.0, _psi_plus(inserted_std))
     st = inserted_std.states[0]
     target = (1j * st.alpha**2 / st.r_at_omega) * dbx.phi_plus_at_omega(inserted_std, 0).values
-    got = res.residue.values
+    got = res.residue[0]
     scale = np.max(np.abs(target))
     assert np.max(np.abs(got - target)) < 1e-4 * scale
 
@@ -196,17 +248,14 @@ def _synthetic_fields(grid, freq, center):
     env = np.exp(-((x - center) / 3.0) ** 2)
     v = env * np.sin(freq * x)
     d = env * (freq * np.cos(freq * x)) - 2 * (x - center) / 9.0 * v
-    return WaveField(grid, freq, v, d)
+    return v, d
 
 
 def test_chain_matches_direct_determinant_synthetic():
     grid = Grid(-30.0, 30.0, 3001)
-    f1 = _synthetic_fields(grid, 1.1, -6.0)
-    f2 = _synthetic_fields(grid, 1.7, -2.0)
+    vals, ders = zip(_synthetic_fields(grid, 1.1, -6.0), _synthetic_fields(grid, 1.7, -2.0))
     alphas = np.array([0.8, 1.3])
     h = grid.spacing
-    vals = [np.real(f.values) for f in (f1, f2)]
-    ders = [np.real(f.derivs) for f in (f1, f2)]
 
     cums = {}
     for a in range(2):
@@ -231,6 +280,20 @@ def test_chain_matches_direct_determinant_synthetic():
     assert np.max(np.abs(det_chain - det_direct)) < 1e-8
 
 
+def test_chain_matches_direct_on_three_model_states(monkeypatch):
+    # generating functions inside the tail model, so both paths close their tails
+    # exactly; the chain's recurrence updates every remaining phi_j at each step
+    def model_rows(spec, states, grid, rtol=None):
+        return tuple(np.stack(f) for f in zip(*(_model_field(s.omega, grid.x) for s in states)))
+    monkeypatch.setattr(dbx, "generating_functions", model_rows)
+    states = [dbx.EmbeddedStateSpec(w, a, -1.0) for w, a in ((1.0, 0.8), (1.6, 0.5), (2.3, 1.2))]
+    grid = Grid(-40.0, 40.0, 4001)
+    chain = dbx.chain_insert(PotentialSpec.zero(), states, grid, check_preconditions=False)
+    direct = dbx.insert_embedded(PotentialSpec.zero(), states, grid, check_preconditions=False)
+    assert np.max(np.abs(chain.q_new - direct.q_new)) < 1e-7      # 1.7e-8 measured
+    assert np.max(np.abs(chain.log_det - direct.log_det)) < 1e-7
+
+
 def test_chain_empty(wvn_spec):
     grid = Grid(-5.0, 5.0, 201)
     res = dbx.chain_insert(wvn_spec, [], grid)
@@ -240,7 +303,7 @@ def test_chain_empty(wvn_spec):
 def test_remove_round_trip(wvn_spec, grid_std):
     state = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 0.7)
     res = dbx.insert_embedded(wvn_spec, [state], grid_std, check_preconditions=False)
-    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid_std)
+    rem = dbx.remove_embedded(res.q_new, res.y, res.y_x, res.omegas, grid_std)
     assert np.max(np.abs(rem.q_minus - res.q_seed)) < 1e-6
 
 
@@ -251,32 +314,31 @@ def test_remove_round_trip_across_family(rho, alpha):
     grid = Grid(-20.0, 20.0, 2001)
     state = dbx.EmbeddedStateSpec.for_wvn_example(rho, alpha)
     res = dbx.insert_embedded(PotentialSpec.wvn_example(rho), [state], grid)
-    rem = dbx.remove_embedded(res.q_new, res.y_fields, grid)
+    rem = dbx.remove_embedded(res.q_new, res.y, res.y_x, res.omegas, grid)
     assert np.max(np.abs(rem.q_minus - res.q_seed)) < 1e-6
 
 
 def test_remove_symmetric_case_recovers_seed(grid_std):
     alpha = np.sqrt(RHO / 2.0)
-    y = WaveField(grid_std, 1.0, wvn.y_closed(RHO, alpha, grid_std.x),
-                  wvn.y_x_closed(RHO, alpha, grid_std.x))
+    y, y_x = wvn.y_closed(RHO, alpha, grid_std.x), wvn.y_x_closed(RHO, alpha, grid_std.x)
     q_sym = wvn.q_sym(RHO, grid_std.x)
-    rem = dbx.remove_embedded(q_sym, [y], grid_std)
+    rem = dbx.remove_embedded(q_sym, [y], [y_x], [1.0], grid_std)
     assert np.max(np.abs(rem.q_minus - wvn.q_seed(RHO, grid_std.x))) < 1e-6
 
 
 def test_remove_nothing(wvn_spec):
     grid = Grid(-5.0, 5.0, 201)
     q = np.asarray(wvn_spec.evaluate(grid.x))
-    rem = dbx.remove_embedded(q, [], grid)
+    rem = dbx.remove_embedded(q, np.zeros((0, grid.n_points)), np.zeros((0, grid.n_points)), [],
+                              grid)
     assert np.array_equal(rem.q_minus, q)
 
 
 def test_remove_rejects_non_orthonormal(grid_std):
     alpha = np.sqrt(RHO / 2.0)
-    y = WaveField(grid_std, 1.0, 1.1 * wvn.y_closed(RHO, alpha, grid_std.x),
-                  1.1 * wvn.y_x_closed(RHO, alpha, grid_std.x))
+    y, y_x = 1.1 * wvn.y_closed(RHO, alpha, grid_std.x), 1.1 * wvn.y_x_closed(RHO, alpha, grid_std.x)
     with pytest.raises(OrthonormalityError):
-        dbx.remove_embedded(wvn.q_sym(RHO, grid_std.x), [y], grid_std)
+        dbx.remove_embedded(wvn.q_sym(RHO, grid_std.x), [y], [y_x], [1.0], grid_std)
 
 
 MODEL_RHO = 2.0
@@ -303,22 +365,23 @@ def _model_cross_far_left(s_end, far=-20000.0, h=0.02):
     return dbx.cumulative_corrected_trapezoid(v1 * v2, d1 * v2 + v1 * d2, s[1] - s[0])[-1]
 
 
-def _model_wavefields(grid):
-    return [WaveField(grid, w, *_model_field(w, grid.x)) for w in MODEL_OMEGAS]
+def _model_fields(grid):
+    """(phi, phi_x) of the model fields, one row per omega of MODEL_OMEGAS."""
+    return tuple(np.stack(f) for f in zip(*(_model_field(w, grid.x) for w in MODEL_OMEGAS)))
 
 
 def test_gram_two_state_tails_on_model_fields():
     """Diagonal: Integral(phi^2, -inf..x) = 1/(2 rho tau(x)); cross: quadrature from -20000."""
     grid = Grid(-40.0, 0.0, 4001)
-    fields = _model_wavefields(grid)
-    gram = dbx.gram_plus(fields, [1.0, 1.0])
+    phi, phi_x = _model_fields(grid)
+    gram = dbx.gram_plus(phi, phi_x, MODEL_OMEGAS, [1.0, 1.0], grid)
     for m, w in enumerate(MODEL_OMEGAS):
         exact = 1.0 / (2 * MODEL_RHO * _model_tau(w, grid.x))
         # the tail model is exact for these fields; the grid part carries the
         # rule's h^4 f'''/720 error, largest (~6e-10) near x = 0 where tau ~ 1
         assert abs(gram.tail_constant[m, m] - exact[0]) < 1e-10
         assert np.max(np.abs(gram.entries[:, m, m] - exact)) < 1e-9
-    (v1, d1), (v2, d2) = ((f.values, f.derivs) for f in fields)
+    (v1, v2), (d1, d2) = phi, phi_x
     ref = _model_cross_far_left(grid.x_min) + dbx.cumulative_corrected_trapezoid(
         v1 * v2, d1 * v2 + v1 * d2, grid.spacing)
     assert np.max(np.abs(gram.entries[:, 0, 1] - ref)) < 2e-6
@@ -328,10 +391,11 @@ def test_gram_two_state_tails_on_model_fields():
 def test_remove_two_state_tails_on_model_fields():
     """Full-line integrals: 1/rho on the diagonal, quadrature on [-20000, 20000] across."""
     grid = Grid(-40.0, 40.0, 8001)
-    fields = _model_wavefields(grid)
-    rem = dbx.remove_embedded(np.zeros(grid.n_points), fields, grid, ortho_tol=np.inf)
+    phi, phi_x = _model_fields(grid)
+    rem = dbx.remove_embedded(np.zeros(grid.n_points), phi, phi_x, MODEL_OMEGAS, grid,
+                              ortho_tol=np.inf)
     assert np.max(np.abs(np.diagonal(rem.orthonormality) - 1.0 / MODEL_RHO)) < 1e-10
-    (v1, d1), (v2, d2) = ((f.values, f.derivs) for f in fields)
+    (v1, v2), (d1, d2) = phi, phi_x
     mid = dbx.cumulative_corrected_trapezoid(v1 * v2, d1 * v2 + v1 * d2, grid.spacing)[-1]
     # phi_1 phi_2 is even, so the far right integral equals the far left one
     ref = 2 * _model_cross_far_left(grid.x_min) + mid

@@ -665,7 +665,7 @@ def test_evolved_plane_t0_matches_closed(plane0):
     g = plane0.grid
     phic = wvn.phi_closed(RHO, g.x)
     assert np.max(np.abs(plane0.phi - phic)) < 5e-3
-    i0 = g.index_of(0.0)
+    i0 = int(plane0.index(0.0)[1][0])
     assert abs(plane0.big_i[i0] - wvn.big_i_closed(RHO, 0.0)) < 2e-3
 
 
@@ -821,3 +821,15 @@ def test_conservation_under_evolution(averaged_integral):
     d_mom = abs(averaged_integral(xs, q_t**2) - averaged_integral(xs, q_0**2))
     assert d_mass < 5e-2
     assert d_mom < 5e-2
+
+
+def test_pole_probe_outside_the_plane_is_rejected():
+    # the evolve_t plane's window is [-3.8, 2]: a probe left of it read a node
+    # near its right end, and one right of it indexed past the last node
+    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO, 1.0))
+    plane = kdv.evolved_phi_plane(state, kdv.phi_plane_grid(state, Grid(-3.0, 2.0, 51)),
+                                  read_from=-3.0)
+    assert plane.grid.x_min == pytest.approx(-3.8) and plane.grid.n_points == 59
+    for x_probe in (-4.5, 2.3):
+        with pytest.raises(ValidationError):
+            kdv.classify_embedded_pole_evolved(plane, 1.0, x_probe)

@@ -243,8 +243,42 @@ def test_residue_simple_pole():
     assert abs(res.residue - 1.0) < 1e-10
 
 
+def test_residue_calls_its_family_once_on_the_stencil():
+    calls = []
+
+    def fam(ks):
+        calls.append(ks)
+        return 1.0 / (ks - 1.0)
+    sct.residue_at(1.0, fam)
+    assert len(calls) == 1 and np.array_equal(calls[0], sct.residue_stencil(1.0))
+
+
+def test_residue_matches_the_per_step_richardson_table():
+    # the table built one step and one level at a time, in the same arithmetic
+    def fam(k):
+        return np.stack([1.0 / (k - 1.0) + np.cos(k), np.exp(k) / (k - 1.0)], axis=-1)
+    n = sct.RESIDUE_LEVELS + 1
+    f = fam(sct.residue_stencil(1.0))
+    d = sct.RESIDUE_DELTA / 2.0 ** np.arange(n)
+    table = [[dj / 2 * f[j] + (-dj / 2) * f[n + j] for j, dj in enumerate(d)]]
+    for m in range(1, n):
+        fac = 4.0**m
+        prev = table[-1]
+        table.append([fac / (fac - 1) * prev[j + 1] + (-1.0 / (fac - 1)) * prev[j]
+                      for j in range(len(prev) - 1)])
+    res = sct.residue_at(1.0, fam)
+    assert np.array_equal(res.residue, table[-1][-1])
+    assert res.error_estimate == np.max(np.abs(table[-1][-1] - table[-2][-1]))
+
+
+def test_reflection_at_resonance_batch(wvn_spec):
+    r = sct.reflection_at_resonance(wvn_spec, 1.0)
+    assert sct.reflection_at_resonance(wvn_spec, [1.0])[0] == r
+    assert sct.reflection_at_resonance(wvn_spec, [1.0, -1.0]).shape == (2,)
+
+
 def test_residue_regular_point():
-    res = sct.residue_at(1.0, lambda k: np.array([np.cos(k), k**2]))
+    res = sct.residue_at(1.0, lambda k: np.stack([np.cos(k), k**2], axis=-1))
     assert res.classification == "regular"
     assert np.max(np.abs(np.asarray(res.residue))) < 1e-8
 

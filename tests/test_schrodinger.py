@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from positonkit import kdv, scattering
+from positonkit import darboux, kdv, scattering
 from positonkit import schrodinger as sch
 from positonkit import wvn_example as wvn
 from positonkit.errors import (
@@ -80,7 +80,11 @@ CONSTRUCTORS = {
     "PotentialSpec.wvn_example": sch.PotentialSpec.wvn_example,
     "PotentialSpec.sampled": sch.PotentialSpec.sampled,
     "EvolvedState": lambda **kw: kdv.EvolvedState(0.0, wvn.ExampleParams(RHO), **kw),
+    "Grid": sch.Grid,
+    "EmbeddedStateSpec": darboux.EmbeddedStateSpec,
 }
+GRID_ARGS = {"x_min": 0.0, "x_max": 1.0, "n_points": 3}
+STATE_ARGS = {"omega": 1.0, "alpha": 1.0, "r_at_omega": -1.0}
 
 
 @st.composite
@@ -88,7 +92,8 @@ def hostile_construction(draw):
     """(constructor, keyword arguments) with one input the constructor must reject."""
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
     not_a_number = st.one_of(st.none(), st.text(max_size=3), non_finite)
-    case = draw(st.sampled_from(["kind", "cutoff", "rho", "samples", "delta_cap"]))
+    case = draw(st.sampled_from(["kind", "cutoff", "rho", "samples", "delta_cap", "grid",
+                                 "state"]))
     if case == "kind":
         kind = st.one_of(st.text(max_size=12).filter(lambda k: k not in KINDS), st.integers())
         return "PotentialSpec", {"kind": draw(kind)}
@@ -112,6 +117,15 @@ def hostile_construction(draw):
         else:                               # x not increasing
             x = x[::-1]
         return "PotentialSpec.sampled", {"x": x, "q": q}
+    if case in ("grid", "state"):     # one argument replaced by a value of the wrong type
+        name, args = ("Grid", GRID_ARGS) if case == "grid" else ("EmbeddedStateSpec", STATE_ARGS)
+        key = draw(st.sampled_from(sorted(args)))
+        bad = st.one_of(st.none(), st.text(max_size=3), st.just([1.0]))
+        if key == "n_points":          # an integer is required: a float is rejected too
+            bad = st.one_of(bad, st.floats())
+        elif key != "r_at_omega":      # a real number is required
+            bad = st.one_of(bad, non_finite, st.complex_numbers(min_magnitude=1e-3))
+        return name, dict(args, **{key: draw(bad)})
     return "EvolvedState", {"delta_cap": draw(st.one_of(st.text(max_size=3),
                                                         st.sampled_from([math.nan, math.inf]),
                                                         st.floats(max_value=0.0)))}
@@ -121,6 +135,11 @@ def hostile_construction(draw):
 @example(("PotentialSpec.sampled", {"x": ["a", "b"], "q": [0, 0]}))
 @example(("PotentialSpec.sampled", {"x": [0.0, 1.0], "q": ["x", "y"]}))
 @example(("PotentialSpec.sampled", {"x": [], "q": []}))
+@example(("Grid", {"x_min": "a", "x_max": 1.0, "n_points": 3}))
+@example(("Grid", dict(GRID_ARGS, n_points=2.5)))
+@example(("Grid", dict(GRID_ARGS, n_points=None)))
+@example(("EmbeddedStateSpec", dict(STATE_ARGS, alpha="a")))
+@example(("EmbeddedStateSpec", dict(STATE_ARGS, r_at_omega=None)))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_public_constructors_reject_hostile_input(case):
     # the library's counterpart of test_cli's hostile configs: a bad input is

@@ -55,6 +55,16 @@ def test_scattering_closed_resonance():
     assert lcoef == r
 
 
+def test_scattering_closed_array_equals_scalars():
+    # numpy's scalar and array complex division agree bit for bit
+    ks = np.linspace(0.2, 3.0, 7)
+    per_k = zip(*(wvn.scattering_closed(RHO, k) for k in ks))
+    for coef, one in zip(wvn.scattering_closed(RHO, ks), per_k):
+        assert np.array_equal(coef, np.array(one))
+    with pytest.raises(PoleEvaluationError):
+        wvn.scattering_closed(0.0, np.array([0.5, 1.0]))
+
+
 def test_scattering_closed_zero_momentum():
     _, r, _ = wvn.scattering_closed(RHO, 0.0)
     assert r == -1.0
