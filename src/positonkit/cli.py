@@ -259,7 +259,7 @@ def cmd_evolve(config, prefix, *, potential, grid, states, time):
             solved = perf_counter()
             q = q_plus = plane.q_at(grid.x)
             if states:
-                q_plus = q + kdv.insertion_term(plane, states[0].alpha, grid.x)
+                q_plus = kdv.q_plus_evolved(plane, states[0].alpha, grid.x)
         else:
             plane = state.glm_plane(grid.x)
             solved = perf_counter()
@@ -333,9 +333,9 @@ def _verify_checks(rho, alpha, estimates):
     from .schrodinger import right_jost
     g = Grid(-12.0, 2.0, 1401)
     for k in (1.5, 1.0):
-        psi = right_jost(spec, k, g)
+        psi, _ = right_jost(spec, k, g)
         vc, _ = wvn.right_jost_closed(rho, g.x, k)
-        yield row(f"jost-integration-match-k={k}", float(np.max(np.abs(psi.values - vc))), 1e-6)
+        yield row(f"jost-integration-match-k={k}", float(np.max(np.abs(psi - vc))), 1e-6)
 
     # insertion against the closed form
     grid = Grid(-20.0, 20.0, 2001)
@@ -347,8 +347,7 @@ def _verify_checks(rho, alpha, estimates):
 
     # norming constant from the residue of the transformed Jost solution
     def fam(ks):
-        _, psi_n = darboux.transformed_solutions(res, ks)
-        return np.stack([psi_n.values, psi_n.derivs], axis=1)
+        return np.stack(darboux.transformed_solutions(res, ks)[1], axis=1)
     rr = scattering.residue_at(1.0, fam)
     estimates["residue_error_estimate"] = float(rr.error_estimate)
     cum, left, right, _ = darboux.tail_closed_gram(
@@ -357,8 +356,9 @@ def _verify_checks(rho, alpha, estimates):
     yield row("residue-norming-constant", abs(norm - abs(alpha)), 1e-4)
 
     # transformed pair Wronskian: W(psi_+1, phi_+1) = -2ik
-    phi_n, psi_n = darboux.transformed_solutions(res, 1.7)
-    wr = psi_n.wronskian_with(phi_n, 3.1)
+    (phi, phi_x), (psi, psi_x) = darboux.transformed_solutions(res, 1.7)
+    j = grid.index(3.1)[1][0]
+    wr = psi[j] * phi_x[j] - psi_x[j] * phi[j]
     yield row("transformed-wronskian", abs(wr + 2j * 1.7), 1e-6)
 
     # removal round trip

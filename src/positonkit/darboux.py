@@ -43,7 +43,6 @@ from .schrodinger import (
     DEFAULT_RTOL,
     Grid,
     PotentialSpec,
-    WaveField,
     right_jost,
     right_jost_at,
     write_csv,
@@ -235,19 +234,21 @@ def generating_functions(spec: PotentialSpec, states: list, grid: Grid,
     artifact's convention; it makes phi equal to +2 sin(x) on the right tail
     of the explicit example.  The right tail obeys phi ~ (+-)2 cos(omega x + arg R / 2).
     """
-    psi = right_jost(spec, np.array([s.omega for s in states], dtype=float), grid, rtol=rtol)
+    psi, psi_x = right_jost(spec, np.array([s.omega for s in states], dtype=float), grid,
+                            rtol=rtol)
     roots = np.array([s.root_r for s in states], dtype=complex)[:, None]
-    return -2.0 * np.real(roots * psi.values), -2.0 * np.real(roots * psi.derivs)
+    return -2.0 * np.real(roots * psi), -2.0 * np.real(roots * psi_x)
 
 
 def _rows(grid: Grid, omegas, *fields):
     """omegas as a 1-d float array and each field as a float array of one row per omega
-    on the grid's nodes; any other shape raises ValidationError."""
+    on the grid's nodes; any other shape, or omegas closer than 1e-12, raises ValidationError."""
     omegas = np.asarray(omegas, dtype=float)
     fields = [np.asarray(f, dtype=float) for f in fields]
     shape = (omegas.size, grid.n_points)
     if omegas.ndim != 1 or any(f.shape != shape for f in fields):
         raise ValidationError(f"need fields of shape {shape}: one row per omega on the grid")
+    _check_apart(omegas)
     return omegas, fields
 
 
@@ -289,9 +290,9 @@ def _solve_transform(phit, dphit, gram_entries):
     return log_det, dd2, y, yp
 
 
-def _validate_states(states):
+def _check_apart(omegas):
     # the cross tail integrals divide by omega_m - omega_n
-    if np.any(np.diff(np.sort([s.omega for s in states])) < 1e-12):
+    if np.any(np.diff(np.sort(omegas)) < 1e-12):
         raise ValidationError("embedded momenta must be at least 1e-12 apart")
 
 
@@ -335,7 +336,7 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     the asymptotic region; results are restricted to `grid`.
     """
     states = list(states)
-    _validate_states(states)
+    _check_apart([s.omega for s in states])
     q0 = np.asarray(spec.evaluate(grid.x), dtype=float)
     if not states:
         none = np.zeros((0, grid.n_points))
@@ -385,7 +386,7 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
     -2 d^2/dx^2 log(1 + alpha_n^2 Integral(phi_n^2)) to the potential.
     """
     states = list(states)
-    _validate_states(states)
+    _check_apart([s.omega for s in states])
     if check_preconditions and states:
         _check_insertion_preconditions(spec, states)
     ext, n_ext = _extended_grid(grid)
@@ -443,8 +444,10 @@ def transformed_solutions(result: TransformResult, k):
     Both are the gauge map (`gauge_map`) of the seed's pair: psi is the right
     Jost solution and phi = T(k) `scattering.left_reference`, the seed's left
     Jost solution times its transmission coefficient, at every k.  An array k
-    gives batched WaveFields whose momenta share each solve.
-    Evaluation exactly at k = +-omega_n raises (use residue_at / phi_plus_at_omega).
+    gives one row per momentum, and the momenta share each solve.  Returns
+    ((phi, phi_x), (psi, psi_x)) on the grid's nodes, each of shape
+    k.shape + (n_points,).  Evaluation exactly at k = +-omega_n raises (use
+    residue_at / phi_plus_at_omega).
     """
     grid = result.grid
     spec = result.spec
@@ -455,16 +458,16 @@ def transformed_solutions(result: TransformResult, k):
         raise PoleEvaluationError(
             f"psi_+N has a pole at k={k_pole}; use residue_at for the residue "
             "or phi_plus_at_omega for the regular branch", k=k_pole)
-    psi = right_jost(spec, k, grid)
+    psi, psi_x = right_jost(spec, k, grid)
     t_val = np.asarray(sct.scattering_coefficients(spec, k)[1])[..., None]
     lv, ld = sct.left_reference(spec, k, grid.x)
     terms = _gauge_terms(result)
-    return (WaveField(grid, k, *gauge_map(t_val * lv, t_val * ld, kk, terms)),
-            WaveField(grid, k, *gauge_map(psi.values, psi.derivs, kk, terms)))
+    return gauge_map(t_val * lv, t_val * ld, kk, terms), gauge_map(psi, psi_x, kk, terms)
 
 
-def phi_plus_at_omega(result: TransformResult, n: int) -> WaveField:
-    """Regularized phi_+N at k = omega_n (continuous branch through the pole).
+def phi_plus_at_omega(result: TransformResult, n: int):
+    """Regularized phi_+N at k = omega_n (continuous branch through the pole) and its
+    x-derivative on the result grid's nodes.
 
     Equals (sign) R^{1/2} { phi_n + sum_m alpha_m y_m Integral(phi_n phi_m, -inf..x) },
     with the cumulative integrals read off the Gram field.
@@ -477,15 +480,19 @@ def phi_plus_at_omega(result: TransformResult, n: int) -> WaveField:
         acc_v += alpha * result.y[m] * cum
         acc_d += alpha * (result.y_x[m] * cum + result.y[m] * result.phi[n] * result.phi[m])
     sigma = -1.0   # same sign convention as generating_functions
-    return WaveField(result.grid, s.omega, sigma * s.root_r * acc_v, sigma * s.root_r * acc_d)
+    return sigma * s.root_r * acc_v, sigma * s.root_r * acc_d
 
 
 def greens_diagonal_transformed(result: TransformResult, k: complex, x: float) -> complex:
-    """Diagonal Green's function of the transformed potential, -phi_+N psi_+N / 2ik."""
-    phiN, psiN = transformed_solutions(result, k)
-    pv, _ = phiN.at(x)
-    sv, _ = psiN.at(x)
-    return complex(-pv * sv / (2j * k))
+    """Diagonal Green's function of the transformed potential, -phi_+N psi_+N / 2ik, at x.
+
+    x is read at a node of the result grid; an x off its nodes raises ValidationError.
+    """
+    _, j, on = result.grid.index(x)
+    if not on[0]:
+        raise ValidationError(f"the Green's function is read at the grid's nodes, not x = {x}")
+    (phi, _), (psi, _) = transformed_solutions(result, k)
+    return complex(-phi[j[0]] * psi[j[0]] / (2j * k))
 
 
 def remove_embedded(q_samples, y, y_x, omegas, grid: Grid,

@@ -241,22 +241,13 @@ class EvolvedPlane:
     solved: int
     kink_chain: PlaneJost | None
 
-    def index(self, x):
-        """(x, j, on): x as an array, the node nearest each x and whether x is that node."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        g, tol = self.grid, 1e-9 * self.grid.spacing
-        if not np.all((xs >= g.x_min - tol) & (xs <= g.x_max + tol)):
-            raise ValidationError(f"x must lie on the phi-plane [{g.x_min}, {g.x_max}]")
-        j = np.clip(np.rint((xs - g.x_min) / g.spacing).astype(int), 0, g.n_points - 1)
-        return xs, j, np.abs(g.x[j] - xs) <= tol
-
     def fields(self, x) -> np.ndarray:
         """(phi, phi_x, I) at x: node values at nodes, else quintic Hermite interpolants on x's cell.
 
         phi's matches phi, phi_x and (q - OMEGA^2) phi (q from `q_at`) at both ends, I's
         I, phi^2 and 2 phi phi_x; phi_x is the derivative of phi's.
         """
-        xs, j, on = self.index(x)
+        xs, j, on = self.grid.index(x)
         out = np.stack([self.phi, self.phi_x, self.big_i])[:, j]
         if not np.all(on):
             g, h, off = self.grid, self.grid.spacing, xs[~on]
@@ -278,7 +269,7 @@ class EvolvedPlane:
         the x = 0 node serves both, as q is continuous there and only q' jumps); fewer
         such nodes is a ValidationError.  At t > 0 q is read at the nodes only.
         """
-        xs, j, on = self.index(x)
+        xs, j, on = self.grid.index(x)
         q = np.where(on, self.q[j], np.nan)
         off = np.isnan(q)
         if self.state.t > 0.0 and np.any(off):
@@ -487,7 +478,7 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     ValidationError; each solve serves every eps.
     """
     state = plane.state
-    j = int(plane.index(x_probe)[1][0])
+    j = int(plane.grid.index(x_probe)[1][0])
     xx = float(plane.grid.x[j])
     f, fx, big_i = plane.phi[j], plane.phi_x[j], plane.big_i[j]
     _, y_val, y_x, _ = single_state_step(alpha, f, fx, big_i)

@@ -33,13 +33,12 @@ import numpy as np
 from . import wvn_example as wvn
 from .errors import (
     IntegrationFailureError,
-    OutOfDomainError,
     PoleEvaluationError,
     ValidationError,
 )
 
 __all__ = [
-    "Grid", "CubicSpline", "PotentialSpec", "WaveField", "OdeWork", "OdeSolution", "solve_ivp",
+    "Grid", "CubicSpline", "PotentialSpec", "OdeWork", "OdeSolution", "solve_ivp",
     "solve_at", "right_jost_at", "right_jost",
     "count_ode_work", "write_csv", "DEFAULT_RTOL", "DEFAULT_ATOL", "MAX_POINTS",
 ]
@@ -91,8 +90,14 @@ class Grid:
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    def contains(self, x0: float) -> bool:
-        return self.x_min - 1e-12 <= x0 <= self.x_max + 1e-12
+    def index(self, x):
+        """(x, j, on): x as an array, the node nearest each x and whether x is that node."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        tol = 1e-9 * self.spacing
+        if not np.all((xs >= self.x_min - tol) & (xs <= self.x_max + tol)):
+            raise ValidationError(f"x must lie on the grid [{self.x_min}, {self.x_max}]")
+        j = np.clip(np.rint((xs - self.x_min) / self.spacing).astype(int), 0, self.n_points - 1)
+        return xs, j, np.abs(self.x[j] - xs) <= tol
 
 
 def _solve_tridiagonal(ab, b) -> np.ndarray:
@@ -263,67 +268,6 @@ class PotentialSpec:
     def breakpoints(self) -> list[float]:
         """The support's finite ends, where q may jump or kink (integration is split there)."""
         return [end for end in self.support() if math.isfinite(end)]
-
-
-@dataclass
-class WaveField:
-    """A solution of the Schrodinger equation sampled on a grid, with derivative.
-
-    A batch of solutions, one per momentum in an array k, carries values and
-    derivs of shape k.shape + (n_points,).
-    """
-
-    grid: Grid
-    k: complex
-    values: np.ndarray
-    derivs: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        self.derivs = np.asarray(self.derivs)
-        shape = np.shape(self.k) + (self.grid.n_points,)
-        if self.values.shape != shape or self.derivs.shape != shape:
-            raise ValidationError("values/derivs must have exactly n_points entries per momentum")
-
-    def at(self, x0: float):
-        """(value, derivative) at x0 by local cubic interpolation.
-
-        Values use the Hermite cubic built from (value, derivative) node data;
-        derivatives use a 4-point local Lagrange cubic on the derivative samples.
-        """
-        g = self.grid
-        if not g.contains(x0):
-            raise OutOfDomainError(f"x={x0} outside grid [{g.x_min}, {g.x_max}]")
-        h = g.spacing
-        i = min(max(int((x0 - g.x_min) / h), 0), g.n_points - 2)
-        t = (x0 - g.x[i]) / h
-        v0, v1 = self.values[..., i], self.values[..., i + 1]
-        d0, d1 = self.derivs[..., i], self.derivs[..., i + 1]
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t**2 * (3 - 2 * t)
-        h11 = t**2 * (t - 1)
-        val = h00 * v0 + h10 * h * d0 + h01 * v1 + h11 * h * d1
-        j = min(max(i - 1, 0), g.n_points - 4)
-        xs = g.x[j:j + 4]
-        der = 0.0
-        for a in range(4):
-            la = 1.0
-            for b_ in range(4):
-                if a != b_:
-                    la *= (x0 - xs[b_]) / (xs[a] - xs[b_])
-            der = der + la * self.derivs[..., j + a]
-        return val, der
-
-    def wronskian_with(self, other: "WaveField", x0: float):
-        """W(self, other) = f g' - f' g at x0: a scalar, or one value per momentum of a batch."""
-        if self.grid is not other.grid and not np.array_equal(self.grid.x, other.grid.x):
-            raise ValidationError("wronskian requires fields on the same grid")
-        if not np.array_equal(self.k, other.k):
-            raise ValidationError("wronskian requires fields at the same momentum")
-        f, fp = self.at(x0)
-        g, gp = other.at(x0)
-        return f * gp - fp * g
 
 
 def write_csv(path, header, columns):
@@ -725,15 +669,15 @@ def right_jost_at(spec: PotentialSpec, k, x,
     return _right_jost(spec, k, x, solve)
 
 
-def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL) -> WaveField:
-    """Right Jost solution psi(., k) on the grid (see `right_jost_at`).
+def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL):
+    """Right Jost solution psi(., k) and its x-derivative on the grid's nodes.
 
-    Left of the cutoff it comes from the Magnus propagator (`_magnus`, see the
-    module docstring); an array k gives a batched WaveField.
+    As `right_jost_at`, but left of the cutoff it comes from the Magnus
+    propagator (`_magnus`, see the module docstring).  Both arrays have shape
+    k.shape + (n_points,).
     """
     if spec.right_cutoff > grid.x_max + 1e-12:
         raise ValidationError("right cutoff must satisfy right_cutoff <= grid.x_max")
-    vals, ders = _right_jost(spec, k, grid.x,
-                             lambda ks, x_from, init, x_eval:
-                             _magnus(spec, ks, x_from, init, x_eval, rtol))
-    return WaveField(grid, k, vals, ders)
+    return _right_jost(spec, k, grid.x,
+                       lambda ks, x_from, init, x_eval:
+                       _magnus(spec, ks, x_from, init, x_eval, rtol))

@@ -82,8 +82,7 @@ def test_criterion_4_norming_constant_residue(l2_with_tails):
         res = dbx.insert_embedded(spec, [state], grid, check_preconditions=False)
 
         def fam(ks, _res=res):
-            psi = dbx.transformed_solutions(_res, ks)[1]
-            return np.stack([psi.values, psi.derivs], axis=1)
+            return np.stack(dbx.transformed_solutions(_res, ks)[1], axis=1)
 
         r = sct.residue_at(1.0, fam)
         norm = l2_with_tails(grid, *r.residue)

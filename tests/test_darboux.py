@@ -105,6 +105,18 @@ def test_insert_duplicate_omegas_rejected(wvn_spec):
             dbx.insert_embedded(wvn_spec, [s1, s2], grid)
 
 
+def test_fields_at_equal_momenta_rejected(inserted_std):
+    # two copies of one eigenfunction at omegas [1, 1] reached the cross tail
+    # integral and escaped as a bare ValueError
+    res = inserted_std
+    y, y_x = np.repeat(res.y, 2, axis=0), np.repeat(res.y_x, 2, axis=0)
+    for omegas in ([1.0, 1.0], [1.0, 1.0 + 7e-13]):
+        with pytest.raises(ValidationError, match="apart"):
+            dbx.gram_plus(y, y_x, omegas, [1.0, 0.5], res.grid)
+        with pytest.raises(ValidationError, match="apart"):
+            dbx.remove_embedded(res.q_new, y, y_x, omegas, res.grid)
+
+
 def test_symmetry_iff_matched_norming(wvn_spec, grid_std):
     odd_norms = []
     for alpha in (1.0, 1.2, 1.5):
@@ -147,14 +159,15 @@ def test_eigenfunction_norms(inserted_std):
 
 def test_transformed_solutions_closed_match(wvn_spec, inserted_std):
     k = 1.7
-    phiN, psiN = dbx.transformed_solutions(inserted_std, k)
+    (phi, phi_x), (psi, psi_x) = dbx.transformed_solutions(inserted_std, k)
     g = inserted_std.grid
     pos = g.x >= 0
     closed = wvn.psi_plus1_closed(RHO, 1.0, g.x[pos], k)
-    assert np.max(np.abs(psiN.values[pos] - closed)) < 1e-6
-    assert abs(psiN.wronskian_with(phiN, 2.3) + 2j * k) < 1e-8
+    assert np.max(np.abs(psi[pos] - closed)) < 1e-6
+    j = _node(g, 2.3)
+    assert abs(psi[j] * phi_x[j] - psi_x[j] * phi[j] + 2j * k) < 1e-8
     # near +infinity the transformed solution reverts to a plane wave
-    assert abs(psiN.values[_node(g, 19.0)] / np.exp(1j * k * 19.0) - 1.0) < 0.3
+    assert abs(psi[_node(g, 19.0)] / np.exp(1j * k * 19.0) - 1.0) < 0.3
 
 
 def test_transformed_solutions_batch_equals_per_k(inserted_std):
@@ -164,16 +177,30 @@ def test_transformed_solutions_batch_equals_per_k(inserted_std):
         phi_b, psi_b = dbx.transformed_solutions(inserted_std, ks)
         for i, k in enumerate(ks):
             phi, psi = dbx.transformed_solutions(inserted_std, k)
-            assert np.array_equal(psi_b.values[i], psi.values)
-            assert np.array_equal(psi_b.derivs[i], psi.derivs)
-            for b, f in ((phi_b.values[i], phi.values), (phi_b.derivs[i], phi.derivs)):
-                assert np.max(np.abs(b - f)) <= 1e-9 * np.max(np.abs(f))
+            for b, f in zip(psi_b, psi):        # values, then derivatives
+                assert np.array_equal(b[i], f)
+            for b, f in zip(phi_b, phi):
+                assert np.max(np.abs(b[i] - f)) <= 1e-9 * np.max(np.abs(f))
 
 
-def test_transformed_wronskian_per_momentum(inserted_std):
-    ks = np.array([1.5, 1.7])
-    phi, psi = dbx.transformed_solutions(inserted_std, ks)
-    assert np.max(np.abs(psi.wronskian_with(phi, 3.1) + 2j * ks)) < 1e-6
+# a momentum at least 0.1 from +-1 (the inserted pole): |Re k| in [0.3, 3], Im k >= 0
+_MOMENTA = st.builds(lambda re, sign, im: sign * re + 1j * im,
+                     st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 3.0)),
+                     st.sampled_from([1.0, -1.0]), st.sampled_from([0.0, 0.05, 0.3]))
+
+
+@given(rho=st.floats(0.3, 5.0), alpha=st.floats(0.3, 2.0),
+       ks=st.lists(_MOMENTA, min_size=1, max_size=4))
+@settings(max_examples=12, deadline=None)
+def test_transformed_wronskian_at_every_node(grid_std, rho, alpha, ks):
+    # W(psi_+1, phi_+1) = -2ik across the family, at every node and for every k of a batch
+    state = dbx.EmbeddedStateSpec.for_wvn_example(rho, alpha)
+    res = dbx.insert_embedded(PotentialSpec.wvn_example(rho), [state], grid_std,
+                              check_preconditions=False)
+    ks = np.array(ks)
+    (phi, phi_x), (psi, psi_x) = dbx.transformed_solutions(res, ks)
+    w = psi * phi_x - psi_x * phi
+    assert np.all(np.abs(w + 2j * ks[:, None]) <= 1e-8 * np.abs(ks)[:, None])
 
 
 def test_generating_functions_batch_equals_each_state(wvn_spec):
@@ -214,8 +241,7 @@ def test_transformed_solutions_pole_error(inserted_std):
 def _psi_plus(result):
     """The family k -> (psi_+N, psi_+N') of a transform, stacked on the axis after k's."""
     def fam(ks):
-        psi = dbx.transformed_solutions(result, ks)[1]
-        return np.stack([psi.values, psi.derivs], axis=1)
+        return np.stack(dbx.transformed_solutions(result, ks)[1], axis=1)
     return fam
 
 
@@ -230,7 +256,7 @@ def test_embedded_pole_condition(inserted_std):
     # Res_{k=omega} psi_+N = (i alpha^2 / R(omega)) phi_+N(., omega)
     res = sct.residue_at(1.0, _psi_plus(inserted_std))
     st = inserted_std.states[0]
-    target = (1j * st.alpha**2 / st.r_at_omega) * dbx.phi_plus_at_omega(inserted_std, 0).values
+    target = (1j * st.alpha**2 / st.r_at_omega) * dbx.phi_plus_at_omega(inserted_std, 0)[0]
     got = res.residue[0]
     scale = np.max(np.abs(target))
     assert np.max(np.abs(got - target)) < 1e-4 * scale

@@ -10,6 +10,7 @@ from positonkit.errors import (
     DegenerateWronskianError,
     PoleEvaluationError,
     ResidueClassificationError,
+    ValidationError,
 )
 from positonkit.schrodinger import Grid, PotentialSpec, right_jost, right_jost_at
 
@@ -79,26 +80,34 @@ def test_reflection_at_resonance(wvn_spec):
     assert abs(r + 1.0) < 1e-6
 
 
-# The seed's left Weyl solution, diagonal Green's function and m-functions are
-# read off its pair (phi, psi): `transformed_solutions` of a transform that
-# inserts no state returns the pair unchanged.
+# The seed's left Weyl solution and diagonal Green's function are read off its
+# pair (phi, psi) on a grid's nodes: `transformed_solutions` of a transform that
+# inserts no state returns the pair unchanged.  Its m-functions are read at a
+# point off the pointwise solutions `left_reference` and `right_jost_at`.
 
 def _seed_pair(spec, k, grid):
     return dbx.transformed_solutions(dbx.insert_embedded(spec, [], grid), k)
 
 
+def _wronskian(f, g, x, grid):
+    """W(f, g) = f g' - f' g of two (values, derivs) pairs at a node x of the grid."""
+    _, j, on = grid.index(x)
+    assert np.all(on)
+    return f[0][..., j] * g[1][..., j] - f[1][..., j] * g[0][..., j]
+
+
 def test_left_weyl_free_and_wronskian(wvn_spec):
     # at real k, phi is the left Weyl solution conj(psi) + R psi
     g = Grid(-10.0, 2.0, 1201)
-    phi0, _ = _seed_pair(PotentialSpec.zero(), 1.5, g)
-    assert np.max(np.abs(phi0.values - np.exp(-1.5j * g.x))) < 1e-12
+    (phi0, _), _ = _seed_pair(PotentialSpec.zero(), 1.5, g)
+    assert np.max(np.abs(phi0 - np.exp(-1.5j * g.x))) < 1e-12
     k = 2.0
     phi, psi = _seed_pair(wvn_spec, k, g)
     r = sct.scattering_coefficients(wvn_spec, k)[0]
-    assert np.max(np.abs(phi.values - (np.conj(psi.values) + r * psi.values))) < 1e-9
-    assert np.max(np.abs(phi.derivs - (np.conj(psi.derivs) + r * psi.derivs))) < 1e-9
+    for f, p in zip(phi, psi):      # values, then derivatives
+        assert np.max(np.abs(f - (np.conj(p) + r * p))) < 1e-9
     # basic scattering relation: W(psi, phi) = -2ik
-    assert abs(psi.wronskian_with(phi, -4.4) + 2j * k) < 1e-6
+    assert abs(_wronskian(psi, phi, -4.4, g) + 2j * k) < 1e-6
 
 
 @st.composite
@@ -152,9 +161,10 @@ def test_sampled_seed_pair_at_complex_k():
     # phi = T times the left reference, which a sampled potential takes at every grid x
     spec = PotentialSpec.sampled([-3.0, -2.0, -1.0, 0.0], [0.1, 0.2, 0.1, 0.0])
     k = 1.3 + 0.2j
-    phi, psi = _seed_pair(spec, k, Grid(-5.0, 2.0, 701))
+    g = Grid(-5.0, 2.0, 701)
+    phi, psi = _seed_pair(spec, k, g)
     for x in (-4.5, -2.5, -0.5, 1.5):
-        assert abs(psi.wronskian_with(phi, x) + 2j * k) < 1e-6
+        assert abs(_wronskian(psi, phi, x, g) + 2j * k) < 1e-6
 
 
 def test_left_weyl_decay_envelope(wvn_spec):
@@ -162,8 +172,8 @@ def test_left_weyl_decay_envelope(wvn_spec):
     k = 1.0
     g = Grid(-200.0, 1.0, 20101)
     r = sct.reflection_at_resonance(wvn_spec, k)
-    psi = right_jost(wvn_spec, k, g)
-    phi = np.conj(psi.values) + r * psi.values
+    psi, _ = right_jost(wvn_spec, k, g)
+    phi = np.conj(psi) + r * psi
     win = (g.x >= -200.0) & (g.x <= -50.0)
     prod = np.abs(phi[win]) * np.abs(g.x[win])
     assert np.max(prod) < 1.5  # |phi| <= C/|x| with C ~ 2/rho
@@ -172,9 +182,12 @@ def test_left_weyl_decay_envelope(wvn_spec):
 
 def test_greens_free():
     k = 2.0 + 0.3j
-    g = dbx.greens_diagonal_transformed(dbx.insert_embedded(PotentialSpec.zero(), [],
-                                                            Grid(-1.0, 2.0, 301)), k, 1.1)
+    seed = dbx.insert_embedded(PotentialSpec.zero(), [], Grid(-1.0, 2.0, 301))
+    g = dbx.greens_diagonal_transformed(seed, k, 1.1)
     assert abs(g - (-1.0 / (2j * k))) < 1e-12
+    # the pair is known at the grid's nodes only: x = 1.105 lies between two
+    with pytest.raises(ValidationError, match="nodes"):
+        dbx.greens_diagonal_transformed(seed, k, 1.105)
 
 
 def test_greens_herglotz(wvn_spec):
@@ -210,29 +223,30 @@ def test_potential_recovery(wvn_spec):
         assert abs(q_est - q_true) < max(0.05 * abs(q_true), 1e-8)
 
 
+def _m_functions(spec, k, x):
+    """(m_+, m_-) = (psi'/psi, -phi'/phi) at x; T drops out of phi's ratio."""
+    (pv, pd), (sv, sd) = sct.left_reference(spec, k, x), right_jost_at(spec, k, x)
+    return sd / sv, -pd / pv
+
+
 def test_m_functions_free():
     lam = 1.0 + 0.5j
     k = np.sqrt(lam)
-    phi, psi = _seed_pair(PotentialSpec.zero(), k, Grid(-1.0, 1.0, 201))
-    (pv, pd), (sv, sd) = phi.at(0.0), psi.at(0.0)
-    assert abs(sd / sv - 1j * k) < 1e-10          # m_+ = psi'/psi
-    assert abs(-pd / pv - 1j * k) < 1e-10         # m_- = -phi'/phi
+    m_plus, m_minus = _m_functions(PotentialSpec.zero(), k, 0.0)
+    assert abs(m_plus - 1j * k) < 1e-10
+    assert abs(m_minus - 1j * k) < 1e-10
 
 
 def test_m_functions_herglotz(wvn_spec):
-    phi, psi = _seed_pair(wvn_spec, np.sqrt(1.0 + 0.5j), Grid(-3.0, 1.0, 401))
-    (pv, pd), (sv, sd) = phi.at(-2.0), psi.at(-2.0)
-    assert (sd / sv).imag > 0
-    assert (-pd / pv).imag > 0
+    m_plus, m_minus = _m_functions(wvn_spec, np.sqrt(1.0 + 0.5j), -2.0)
+    assert m_plus.imag > 0
+    assert m_minus.imag > 0
 
 
 def test_m_minus_embedded_pole_sweep(wvn_spec):
+    # phi(., 1) vanishes at x = -pi, so m_- has its pole there, between grid nodes
     eps = [1e-2, 1e-3, 1e-4]
-    g = Grid(-4.0, 1.0, 501)
-    mags = []
-    for e in eps:
-        pv, pd = _seed_pair(wvn_spec, np.sqrt(1.0 + 1j * e), g)[0].at(-np.pi)
-        mags.append(abs(pd / pv))
+    mags = [abs(_m_functions(wvn_spec, np.sqrt(1.0 + 1j * e), -np.pi)[1]) for e in eps]
     p = sct.fit_pole_exponent(eps, mags)
     assert abs(p - 1.0) < 0.1
 

@@ -1,4 +1,5 @@
-"""Static checks on the package source with the standard library's ast module.
+"""Static checks on the package source with the standard library's ast module,
+and on the names README.md gives it.
 
 A module-level private function that nothing in the package references is
 dead code, and so is a public function or class that only its own tests call,
@@ -7,22 +8,29 @@ unless it is a named oracle kept for tests and acceptance criteria.  An
 `from positonkit.<module> import *`.  No module imports scipy, at module
 level or deferred into a function: scipy is a test-only dependency.  The
 import check runs in a child process: importing the package loads numpy and
-no module of scipy.
+no module of scipy.  Every backticked dotted name of README.md that starts at
+the package, one of its modules or an `__all__` name resolves, and one that
+starts with a capital letter starts at an `__all__` class.
 """
 
 import ast
+import dataclasses
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "positonkit"
+README = SRC.parent.parent / "README.md"
+FILE_SUFFIXES = {"py", "md", "json", "csv", "toml"}     # `cli.py` names a file, not an attribute
 
 # public names no command calls, kept as independent references that tests and
 # acceptance criteria compare the pipeline against
 NAMED_ORACLES = (
     "darboux.chain_insert", "darboux.phi_plus_at_omega", "darboux.greens_diagonal_transformed",
-    "kdv.dyson_q", "kdv.q_plus_evolved", "kdv.classify_embedded_pole_evolved",
+    "kdv.dyson_q", "kdv.classify_embedded_pole_evolved",
     "kdv.split_step_reference",
     "wvn_example.y_closed", "wvn_example.y_x_closed", "wvn_example.psi_plus1_closed",
     "wvn_example.q_sym",
@@ -133,3 +141,30 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:2] == ["[]", "positonkit.schrodinger"]
+
+
+def _resolves(obj, attrs) -> bool:
+    """Whether the attribute path attrs exists on obj; a dataclass field ends it resolved."""
+    for attr in attrs:
+        if dataclasses.is_dataclass(obj) and attr in {f.name for f in dataclasses.fields(obj)}:
+            return True
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_readme_names_resolve():
+    # lower-case heads outside the package (numpy.linalg, config keys such as
+    # grid.x_min) are skipped; a capitalized head is a class, so a deleted one is stale
+    modules = {p.stem: importlib.import_module(f"positonkit.{p.stem}")
+               for p in sorted(SRC.glob("*.py")) if p.stem not in ("__init__", "__main__")}
+    roots = {"positonkit": importlib.import_module("positonkit"), **modules}
+    for mod in modules.values():
+        roots.update({name: getattr(mod, name) for name in getattr(mod, "__all__", ())})
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text())
+    checked = [n.split(".") for n in names if n.split(".")[-1] not in FILE_SUFFIXES]
+    checked = [n for n in checked if n[0] in roots or n[0][0].isupper()]
+    stale = sorted({".".join(n) for n in checked
+                    if n[0] not in roots or not _resolves(roots[n[0]], n[1:])})
+    assert checked and not stale, f"README.md names what the package lacks: {stale}"
