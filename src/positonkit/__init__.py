@@ -17,7 +17,7 @@ from .darboux import (
     remove_embedded,
     transformed_solutions,
 )
-from .kdv import EvolvedState, dyson_q, jost_evolved, kdv_residual, q_plus_evolved
+from .kdv import EvolvedState, dyson_q, kdv_residual, q_plus_evolved
 from .schrodinger import Grid, PotentialSpec, right_jost
 from .scattering import residue_at
 from .wvn_example import ExampleParams

@@ -22,18 +22,17 @@ for a negative determinant, which the positivity checks reject.
 
 At t = 0 the regular kernel is closed form (two residues); on x < 0 the full
 kernel is supported on u < 0, which makes the operator finite-window.  Every
-t = 0 operator grid puts the kernel's kink u = 0 on a node: `plane_jost`'s by
-its chains' lattice (delta / 2)Z (laid out by `kdv.phi_plane_grid`),
-`DetState`'s by a grid aligned per node (`kink_spacing`).  As K' jumps at
-u = 0, q at t = 0 is a second difference of the log-determinants that
-`plane_jost` reads off a chain's one factorization with one blocked
-substitution, in O(n^2).  At t > 0 the kernel is a contour sum, evaluated
-by chirp-z transform once per operator, at exactly the lattice nodes
-2x + i delta that it reads (`KernelTable`); q is the GLM read-out of
-`plane_jost`, read off the inverse of a chain's Cholesky factor, which
-gives both triangular inverses of its LU, in O(n) per node.  `DetState`,
-one dense system per node, serves the per-node Jost solves
-(`kdv.jost_evolved`) and is the oracle of `plane_jost`.
+t = 0 plane puts the kernel's kink u = 0 on a node of each chain: its chains'
+lattice (delta / 2)Z holds u = 0 (laid out by `kdv.phi_plane_grid`, or for a
+chain of one x's own by `kink_spacing`).  As K' jumps at u = 0, q at t = 0
+is a second difference of the log-determinants that `plane_jost` reads off
+a chain's one factorization with one blocked substitution, in O(n^2).  At
+t > 0 the kernel is a contour sum, evaluated by chirp-z transform once per
+operator, at exactly the lattice nodes 2x + i delta that it reads
+(`KernelTable`); q is the GLM read-out of `plane_jost`, read off the inverse
+of a chain's Cholesky factor, which gives both triangular inverses of its
+LU, in O(n) per node.  Every evolved q and psi comes from `plane_jost`;
+`DetState`, one dense system at one node and spacing, is its oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = ["PoleData", "KernelTable", "DetState", "PlaneJost", "difference_stenc
            "kink_spacing", "operator_spacing", "plane_jost", "plane_spacing"]
 
 U_DECAY_TARGET = 32.0      # kernel magnitude e^{-32} at the grid's far corner
-THIN_SUPPORT_X = 0.12      # |x| below which the t=0 determinant uses the series branch
 KINK_NODES_MIN = 12        # minimum nodes between the origin and the kernel kink
 M_OP = 200                # least intervals of an operator grid (its default spacing is w / M_OP)
 M_OP_CAP = 1600            # hard cap for the adaptive operator-grid refinement
@@ -146,20 +144,18 @@ def difference_stencil(offsets, r: int) -> np.ndarray:
     return np.linalg.solve(mom, rhs)
 
 
-def em_weights(m: int, h: float, order: int = 8) -> np.ndarray:
-    """Trapezoid weights with Euler-Maclaurin end corrections (O(h^order)).
+def em_weights(m: int, h: float) -> np.ndarray:
+    """Trapezoid weights with Euler-Maclaurin end corrections (O(h^6)).
 
     Corrections use one-sided difference estimates of the odd endpoint
-    derivatives; the Bernoulli-number coefficients are -h^2/12, +h^4/720,
-    -h^6/30240 for f', f''', f^(5).
+    derivatives; the Bernoulli-number coefficients are -h^2/12 and +h^4/720
+    for f' and f'''.
     """
     if m < 12:
         raise ValidationError("endpoint-corrected rule needs at least 12 intervals")
     w = np.full(m + 1, h, float)
     w[0] = w[-1] = h / 2
-    terms = {6: [(1, 4, -1.0 / 12.0), (3, 2, 1.0 / 720.0)],
-             8: [(1, 6, -1.0 / 12.0), (3, 4, 1.0 / 720.0), (5, 2, -1.0 / 30240.0)]}[order]
-    for r, p, coef in terms:
+    for r, p, coef in ((1, 4, -1.0 / 12.0), (3, 2, 1.0 / 720.0)):
         d = difference_stencil(np.arange(r + p), r)
         corr = -coef * h * d            # -c_r d_j / h^r with c_r = coef h^{r+1}
         for j, c in enumerate(corr):
@@ -388,28 +384,19 @@ def _tri_inverse(g) -> np.ndarray:
 class DetState:
     """Per-(x, t) assembly of the split Hankel determinant and its GLM solves.
 
-    One dense real bordered system per node: the per-node path, and the oracle
-    of `plane_jost`.  Without a fixed_delta a t = 0 grid is aligned: it puts the
-    kernel's kink on a node (`kink_spacing`), and gets order-8 weights; a
-    fixed_delta grid gets the order-6 weights of `plane_jost`'s chains.
-    kernel maps a uniform lattice u to the rows [K, K'] there; it is called
-    once, on the node's window u = 2x + i delta.
+    One dense real bordered system at the node x, on the operator grid of
+    spacing delta with the rows and `em_weights` that `plane_jost` gives a
+    node there: the oracle of one plane node.  kernel maps a uniform lattice
+    u to the rows [K, K'] there; it is called once, on the node's window
+    u = 2x + i delta.
     """
 
-    def __init__(self, poles: PoleData, kernel, x: float, t: float,
-                 fixed_delta: float | None = None, delta_cap: float | None = None):
-        self.poles = poles
-        y = poles.ystar
-        w_needed, delta = operator_spacing(y, x, delta_cap)
-        if fixed_delta is not None:
-            delta = fixed_delta
-        elif t == 0.0 and x < -THIN_SUPPORT_X:
-            delta = kink_spacing(x, delta)
-        mn = _within_cap(int(_operator_intervals(w_needed, delta)))
-        self.fixed_delta = fixed_delta
+    def __init__(self, poles: PoleData, kernel, x: float, t: float, delta: float):
+        self.poles, self.t = poles, t
+        mn = _within_cap(int(_operator_intervals(operator_spacing(poles.ystar, x)[0], delta)))
         self.delta, self.mn = delta, mn
         self.xi = np.arange(mn + 1) * delta
-        self.w = em_weights(mn, delta, order=8 if t == 0.0 and fixed_delta is None else 6)
+        self.w = em_weights(mn, delta)
         self._h0, self._h1 = kernel(2 * x + np.arange(2 * mn + 1) * delta)
         # the rank-one resonance piece Gamma e^{-y xi} e^{-y xi'} is a border of the system
         self.log_gamma, self.s_row, self.s_inv_gamma = _resonance_border(poles, x, t)
@@ -468,9 +455,9 @@ class DetState:
         return self._readout(ks, self._solution())
 
     def solve_jost_with_derivative(self, ks):
-        """g(k) and its x-derivative (fixed-grid path)."""
-        if self.fixed_delta is None:
-            raise ValidationError("jost x-derivatives require a fixed grid (fixed_delta)")
+        """g(k) and its x-derivative at t > 0; at t = 0, where K' jumps, a ValidationError."""
+        if self.t == 0.0:
+            raise ValidationError("at t = 0 K' jumps at u = 0, so g has no GLM x-derivative")
         sol, mn1, k1 = self._solution(), self.mn + 1, self._h1
         # a_x = 2 H(k1) diag(w) applied to both solution columns in one product
         rhs = -(_hankel(2.0 * k1, mn1) @ (self.w[:, None] * sol[:mn1]))
@@ -483,7 +470,7 @@ class DetState:
 
 # -- the fixed-grid plane: one factorization per chain of nodes ----------------
 
-_EM_END = 5                # weights that em_weights(order=6) corrects at each end
+_EM_END = 5                # weights that em_weights corrects at each end
 _SLAB_WORK = 600_000       # n1 slab^2 of a t > 0 chain: bounded arrays, single-threaded BLAS
 
 
@@ -491,7 +478,9 @@ _SLAB_WORK = 600_000       # n1 slab^2 of a t > 0 chain: bounded arrays, single-
 class PlaneJost:
     """g(k), g_x(k), q and log det(I + H) at every node of a uniform plane.
 
-    psi(x, t, k) = e^{ikx}(1 - g(k)) as for `DetState.solve_jost_with_derivative`.
+    psi(x, t, k) = e^{ikx}(1 - g(k)) is the evolved right Jost solution, and
+    every evolved psi is read off a plane (`kdv.EvolvedState.glm_plane`, at a
+    single node too); `DetState` solves one node densely as its oracle.
     g and gx have shape (nodes, momenta); q = 2 d/dx v(xi = 0) is the
     evolved potential, since K(x, x + xi) = -v(xi) and q = -2 d/dx K(x, x).
     At t = 0, where K' jumps at u = 0 and both read-outs are wrong, gx and q
@@ -535,7 +524,7 @@ def plane_spacing(t: float, h: float, delta0: float):
 
 def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, delta0: float,
                window: int = 0) -> PlaneJost:
-    """The fixed-grid GLM solves of `DetState` at the nodes of the uniform grid x.
+    """The GLM solves at the nodes of the uniform grid x, each as `DetState`'s at delta.
 
     Chain 0 (nodes 0, chains, 2 chains, ...) is solved over all of x, chain
     r >= 1 only over the window x[window:] (window a multiple of chains), from
@@ -608,7 +597,7 @@ def plane_jost(poles: PoleData, kernel, t: float, x: np.ndarray, ks, delta0: flo
     for nodes, st, j, big_n in zip(chain_nodes, steps, first, big_ns):
         sizes[nodes] = big_n - st + 1
         h0_rev, h1_rev = rows[:, j:j + skip * 2 * big_n + 1:skip][:, ::-1]
-        w0 = em_weights(big_n, delta, order=6)          # symmetric, so J w0 = w0
+        w0 = em_weights(big_n, delta)                   # symmetric, so J w0 = w0
         sqrt_w = np.sqrt(w0)
         factor = lu_factor(_symmetric_core(h0_rev, sqrt_w), sqrt_w)
         # diag(U) = diag(g)^2 > 0: log det of every leading block is a prefix sum

@@ -2,7 +2,8 @@
 time-evolved insertion of the embedded state, and independent PDE cross-checks.
 
 The evolved seed is q(x,t) = -2 d^2/dx^2 log det(I + H(x,t)) (Dyson formula);
-its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k).  At
+its right Jost solution is psi(x,t,k) = e^{ikx} (1 - (I+H)^{-1} H 1)(k), read
+at a plane's nodes, or at one node, off `hankel.plane_jost`.  At
 t > 0 q is read from the same GLM solves, q = 2 d/dx v(xi = 0); at t = 0 it
 is a sixth-order second difference of the log-determinants that the same
 chained solves give at every node, or, next to the kernel's kink, that one chain
@@ -33,7 +34,6 @@ from .hankel import (
     M_OP,
     M_OP_CAP,
     T_MAX,
-    THIN_SUPPORT_X,
     DetState,
     KernelTable,
     PlaneJost,
@@ -50,7 +50,7 @@ from .schrodinger import MAX_POINTS, Grid
 
 __all__ = [
     "EvolvedState", "EvolvedPlane",
-    "dyson_q", "jost_evolved", "phi_plane_grid", "evolved_phi_plane",
+    "dyson_q", "phi_plane_grid", "evolved_phi_plane",
     "insertion_term", "q_plus_evolved", "classify_embedded_pole_evolved",
     "kdv_residual", "split_step_reference",
 ]
@@ -61,6 +61,7 @@ OMEGA = 1.0                # the inserted state's momentum, where R(OMEGA) = -1
 S_MAX = 0.05               # the t = 0 phi-plane's (its phi_x stencil's) step, where M_OP_CAP allows
 Q_NODES = 6                # t = 0 q off the plane's nodes: its interpolant's nodes (see README)
 POLE_EPS = (1e-2, 1e-3, 1e-4)   # classify_embedded_pole_evolved's distances above the pole
+THIN_SUPPORT_X = 0.12      # x_thin at rho >= 2: t = 0 q uses the series branch for |x| below it
 
 
 @dataclass
@@ -112,14 +113,29 @@ class EvolvedState:
             sizes[side] = max(nodes.size, sizes.get(side, 0))
         return tab.values
 
-    def det_state(self, x: float, fixed_delta: float | None = None) -> DetState:
-        ds = DetState(self.poles, self.kernel, x, self.t, fixed_delta, self.delta_cap)
+    def det_state(self, x: float) -> DetState:
+        """The dense oracle of the one node x at `own_spacing(x)`."""
+        ds = DetState(self.poles, self.kernel, x, self.t, self.own_spacing(x))
         self.operator_sizes.append(ds.mn + 1)
         return ds
 
     def fixed_delta(self, x_min: float) -> float:
-        """DetState's default operator spacing at x_min, held fixed for solves at x >= x_min."""
+        """The default operator spacing at x_min (`hankel.operator_spacing` under delta_cap).
+
+        A plane whose first node is x_min holds it fixed for all its nodes.
+        """
         return operator_spacing(self.poles.ystar, x_min, self.delta_cap)[1]
+
+    def own_spacing(self, x):
+        """The operator spacing of a chain of x's own, elementwise.
+
+        That is `fixed_delta(x)`, put on the kink lattice at t = 0 and x < 0
+        (`hankel.kink_spacing`), so that u = 0 is a node of the chain's windows.
+        """
+        delta = self.fixed_delta(x)
+        if self.t == 0.0:
+            delta = np.where(x < 0.0, kink_spacing(x, delta), delta)[()]     # [()]: 0-d to scalar
+        return delta
 
     def glm_plane(self, x: np.ndarray, ks=(), delta0: float | None = None,
                   window: int = 0) -> PlaneJost:
@@ -165,8 +181,8 @@ def dyson_q(state: EvolvedState, x: float) -> float:
     A named oracle: `evolve` reads every q off a plane (`EvolvedPlane.q_at`).
     Where the plane's GLM read-out fails because K' jumps at u = 0, q is -2
     times a sixth-order second difference of the log-determinants of a chain
-    of its own: for x < 0, 7 nodes centred on x at `hankel.kink_spacing`; for
-    x >= 0, 8 nodes forward from x, whose windows lie right of the kink, so
+    of its own at `EvolvedState.own_spacing`: for x < 0, 7 nodes centred on x;
+    for x >= 0, 8 nodes forward from x, whose windows lie right of the kink, so
     that the stencil stays off q's derivative jump at x = 0.  Next to x = 0
     on the left, where a chain puts too few nodes on the kernel's support
     [0, 2|x|], the series is used.  At t > 0 q is read at a plane's nodes: a
@@ -176,24 +192,10 @@ def dyson_q(state: EvolvedState, x: float) -> float:
         raise ValidationError(f"at t = {state.t} > 0 q is read at a plane's nodes, not x = {x}")
     if -state.x_thin < x < 0.0:
         return float(_thin_support_q(state.poles, x))
-    delta = state.fixed_delta(x)
-    offsets, weights = _FORWARD
-    if x < 0.0:
-        delta, (offsets, weights) = kink_spacing(x, delta), _CENTRAL
+    delta = state.own_spacing(x)
+    offsets, weights = _CENTRAL if x < 0.0 else _FORWARD
     sol = state.glm_plane(x + delta * offsets, delta0=delta)
     return float(_log_det_q(sol, slice(None), weights))
-
-
-def jost_evolved(state: EvolvedState, x: float, k):
-    """Evolved right Jost solution psi(x, t, k) = e^{ikx}(1 - g(k)).
-
-    Accepts a scalar or array of momenta with Im k >= 0 (off the embedded
-    poles of any transformed potential; the seed itself is regular at k = 1).
-    """
-    ks = np.atleast_1d(np.asarray(k, dtype=complex))
-    ds = state.det_state(x, fixed_delta=state.fixed_delta(x) if state.t > 0.0 else None)
-    psi, = _jost_readout(x, ks, ds.solve_jost(ks))
-    return complex(psi[0]) if np.isscalar(k) else psi
 
 
 def _jost_readout(x, ks: np.ndarray, g, gx=None):
@@ -426,7 +428,7 @@ def _kink_chain_q(state: EvolvedState, x: np.ndarray, delta: float):
 
     One chain, at spacing delta / (2 m), serves them all: m is the least that
     gives each node at least the kink intervals of `dyson_q`'s own chain
-    (`hankel.kink_spacing`), so the nodes and u = 0 lie on its lattice, and q is
+    (`EvolvedState.own_spacing`), so the nodes and u = 0 lie on its lattice, and q is
     the centred second difference of its log-determinants.  While its factor
     would pass M_OP_CAP (one interval short of it: `plane_jost` takes the spacing
     from the nodes), the innermost node is dropped, left NaN for `EvolvedPlane.q_at`,
@@ -434,7 +436,7 @@ def _kink_chain_q(state: EvolvedState, x: np.ndarray, delta: float):
     """
     offsets, weights = _CENTRAL
     q = np.full(x.size, np.nan)
-    need = kink_spacing(x, state.fixed_delta(x))
+    need = state.own_spacing(x)
     for keep in range(x.size, 0, -1):
         step = delta / (2 * math.ceil(delta / (2.0 * need[:keep].min()) - 1e-9))
         j = np.rint(x[:keep] / step).astype(int)
@@ -475,9 +477,15 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     Jost solution and pairs it with the regularized (finite) phi_+1 value, so a
     simple embedded pole shows p ~ 1 and a regular point p ~ 0.  x_probe is
     read at the plane node nearest to it, and one outside the plane raises
-    ValidationError; each solve serves every eps.
+    ValidationError.  psi and psi_x at every eps come from a one-node plane at
+    the plane's spacing, so t > 0 only: at t = 0, where K' jumps at u = 0 and
+    the GLM read-out of psi_x fails, it raises ValidationError, and the static
+    pole is classified by `darboux.greens_diagonal_transformed`.
     """
     state = plane.state
+    if state.t == 0.0:
+        raise ValidationError("at t = 0 the evolved psi_x is not read; classify the static "
+                              "pole with darboux.greens_diagonal_transformed")
     j = int(plane.grid.index(x_probe)[1][0])
     xx = float(plane.grid.x[j])
     f, fx, big_i = plane.phi[j], plane.phi_x[j], plane.big_i[j]
@@ -486,12 +494,8 @@ def classify_embedded_pole_evolved(plane: EvolvedPlane, alpha: float, x_probe: f
     # regularized |phi_+1(x, omega)| (finite scale factor for the sweep)
     phi_plus_reg = abs(f + alpha * y_val * big_i)
     ks = OMEGA + 1j * np.asarray(POLE_EPS)
-    if state.t == 0.0:
-        psi = jost_evolved(state, xx, ks)
-        psix = (jost_evolved(state, xx + 5e-3, ks) - jost_evolved(state, xx - 5e-3, ks)) / 1e-2
-    else:
-        ds = state.det_state(xx, fixed_delta=plane.delta)
-        psi, psix = _jost_readout(xx, ks, *ds.solve_jost_with_derivative(ks))
+    sol = state.glm_plane(np.array([xx]), ks, delta0=plane.delta)
+    psi, psix = _jost_readout(xx, ks, sol.g[0], sol.gx[0])
     psi_plus, _ = gauge_map(psi, psix, ks, terms)
     mags = np.abs(-phi_plus_reg * psi_plus / (2j * ks)).tolist()
     from .scattering import fit_pole_exponent

@@ -81,7 +81,7 @@ class TailFit:
             (-0.5, self.omega + other.omega, self.theta + other.theta),
         ]:
             if abs(nu) < 1e-12:
-                raise ValueError("cross tails with equal frequencies are not supported")
+                raise ValidationError("cross tails with equal frequencies are not supported")
             c = nu * self.s0 + beta
             val = sgn * np.sin(c) / nu * f0 - np.cos(c) / nu**2 * f1
             out += w * val

@@ -13,7 +13,7 @@ from positonkit.errors import (
     ValidationError,
 )
 from positonkit.schrodinger import Grid, PotentialSpec
-from positonkit.tails import fit_oscillatory_tail
+from positonkit.tails import TailFit, fit_oscillatory_tail
 
 RHO = 2.0
 
@@ -434,6 +434,17 @@ def test_tail_divergence_detected():
     phi = np.sin(1.3 * x) * np.exp(-0.1 * (x - x[0]))   # grows outward (leftward)
     with pytest.raises(TailDivergenceError):
         fit_oscillatory_tail(x, phi, 1.3, "left")
+
+
+def test_cross_tails_at_equal_frequencies_are_a_validation_error():
+    # the cross integral's asymptotics divide by omega_1 - omega_2: equal momenta
+    # are the package's ValidationError (CLI exit 2), not a bare ValueError
+    fit = TailFit("left", -45.0, 1.0, 0.3, 1.0, 2.0, 0.5, 0.0)
+    other = TailFit("left", -45.0, 1.0, 1.1, 0.8, 1.5, 0.4, 0.0)
+    for a, b in ((fit, fit), (fit, other)):
+        with pytest.raises(ValidationError, match="equal frequencies"):
+            a.cross_integral(b)
+    assert np.isfinite(fit.cross_integral(TailFit("left", -45.0, 1.6, 1.1, 0.8, 1.5, 0.4, 0.0)))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

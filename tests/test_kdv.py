@@ -204,7 +204,7 @@ def test_core_factor_matches_dense_numpy(n):
     # on both sides of each 64-row block edge
     delta = 0.1
     h = PoleData.for_rho(RHO).kernel_low_t0(-80.0 + delta * np.arange(2 * n - 1))[0]
-    w = hankel.em_weights(n - 1, delta, order=6) if n > 12 else np.full(n, delta)
+    w = hankel.em_weights(n - 1, delta) if n > 12 else np.full(n, delta)
     a = np.eye(n) + hankel._hankel(h, n) * w
     sqrt_w = np.sqrt(w)
     g, _ = factor = hankel.lu_factor(hankel._symmetric_core(h, sqrt_w), sqrt_w)
@@ -295,7 +295,7 @@ def _assert_plane_matches_dense(rho, t, x, nodes=None, window=0):
     with pytest.MonkeyPatch.context() as mp:
         for j in range(len(xs)) if nodes is None else nodes:
             mp.setattr(hankel, "M_OP", int(sol.sizes[j]) - 1)
-            ds = DetState(state.poles, kernel, float(xs[j]), t, fixed_delta=sol.delta)
+            ds = DetState(state.poles, kernel, float(xs[j]), t, sol.delta)
             assert ds.mn + 1 == sol.sizes[j]
             if t == 0.0:
                 g = ds.solve_jost(ks)
@@ -654,11 +654,39 @@ def test_q_off_a_t_plane_node_is_rejected():
     assert np.all(np.isfinite(plane.fields(off)))
 
 
-def test_jost_evolved_t0(state0):
-    assert abs(kdv.jost_evolved(state0, 0.0, 2.0) - 1.0) < 1e-3
-    assert abs(kdv.jost_evolved(state0, 1.3, 1.0) - np.exp(1.3j)) < 1e-3
-    vc, _ = wvn.right_jost_closed(RHO, -5.0, 2.0)
-    assert abs(kdv.jost_evolved(state0, -5.0, 2.0) - vc) < 1e-3
+@pytest.mark.parametrize("rho", [0.3, 2.0, 5.0])
+def test_one_node_plane_psi_t0_matches_closed(rho):
+    # every evolved psi comes off a plane: psi = e^{ikx}(1 - g) of a one-node
+    # plane at x's own spacing (on the kink lattice for x < 0) against the
+    # closed-form right Jost solution, on both sides of x = 0
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(rho))
+    for x, k in ((0.0, 2.0), (1.3, 1.0), (-5.0, 2.0), (-0.5, 1.7)):
+        sol = state.glm_plane(np.array([x]), [k], delta0=state.own_spacing(x))
+        psi = np.exp(1j * k * x) * (1.0 - sol.g[0, 0])
+        assert abs(psi - wvn.right_jost_closed(rho, x, k)[0]) < 1e-3
+
+
+def test_own_spacing_is_elementwise_and_on_the_kink_lattice(state0):
+    # a chain of x's own at t = 0 puts u = 0 on a node for x < 0 (2|x| / delta
+    # an integer of at least KINK_NODES_MIN) and keeps fixed_delta(x) for x >= 0;
+    # at t > 0 it is fixed_delta(x) everywhere
+    x = np.array([-40.0, -5.0, -0.5, -0.01, 0.0, 1.3])
+    delta = state0.own_spacing(x)
+    assert delta.tolist() == [state0.own_spacing(float(xx)) for xx in x]
+    steps = -2.0 * x[:4] / delta[:4]
+    assert np.all(np.abs(steps - np.rint(steps)) <= 1e-9) and np.all(steps >= hankel.KINK_NODES_MIN)
+    assert delta[4:].tolist() == [state0.fixed_delta(xx) for xx in x[4:]]
+    state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))
+    assert state.own_spacing(x).tolist() == [state.fixed_delta(xx) for xx in x]
+
+
+def test_psi_x_is_not_read_at_t0(state0, plane0):
+    # at t = 0 K' jumps at u = 0, so neither the pole classifier nor the dense
+    # oracle reads an x-derivative of psi; the static pole has its own criterion
+    with pytest.raises(ValidationError, match="greens_diagonal_transformed"):
+        kdv.classify_embedded_pole_evolved(plane0, 1.0, -1.1)
+    with pytest.raises(ValidationError, match="u = 0"):
+        state0.det_state(-3.0).solve_jost_with_derivative([1.0])
 
 
 def test_evolved_plane_t0_matches_closed(plane0):

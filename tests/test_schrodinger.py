@@ -149,6 +149,25 @@ def test_public_constructors_reject_hostile_input(case):
         CONSTRUCTORS[name](**kwargs)
 
 
+@given(st.floats(0.3, 5.0), st.floats(-60.0, 5.0))
+@example(2.0, 0.0)
+@example(2.0, -0.0)
+@example(2.0, 1e-300)
+@example(2.0, -1e-300)
+@example(4.480592821440301, -4.504098778607151)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_scalar_seed_matches_evaluate(rho, x):
+    # the DOP853 right-hand side inlines wvn_example.q_seed's formula
+    # q = -2 tau''/tau + 2 (tau'/tau)^2 for speed: the two copies agree across the
+    # family, on both sides of x = 0 and at 0, to 1e-13 of the size of those two
+    # terms, where rounding enters (a relative bound on q fails at its zeros: at
+    # the last example q = 3.2e-4 and the copies differ by 5.2e-13 of it)
+    spec = sch.PotentialSpec.wvn_example(rho)
+    fast, ref = spec.scalar_fn()(x), spec.evaluate(x)
+    tau, tau_x, tau_xx = wvn.tau(rho, x), wvn.tau_x(rho, x), wvn.tau_xx(rho, x)
+    assert abs(fast - ref) <= 1e-13 * (2.0 * abs(tau_xx / tau) + 2.0 * (tau_x / tau) ** 2)
+
+
 def test_integration_failure_is_reported(monkeypatch):
     # q is NaN past the start point, so both integrators fail before any output
     # point: the grid propagator (which samples q through evaluate) and DOP853
