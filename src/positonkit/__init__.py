@@ -10,7 +10,6 @@ Fredholm-determinant KdV evolution producing bounded positon solutions.
 from . import darboux, errors, kdv, scattering, schrodinger, tails, wvn_example
 from .darboux import (
     EmbeddedStateSpec,
-    GramField,
     TransformResult,
     chain_insert,
     insert_embedded,

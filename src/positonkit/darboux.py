@@ -7,16 +7,18 @@ drops out of every even combination; `generating_functions`) build the Gram matr
     G(x)_{mn} = alpha_m alpha_n Integral(phi_m phi_n, -inf..x),
 
 then q_new = q - 2 (log det(I + G))'' and eigenfunctions y solving
-(I + G(x)) y = -(alpha_n phi_n).  Both log-det derivatives are evaluated
+(I + G(x)) y = -(alpha_n phi_n).  Removal takes q - 2 (log det Gbar)'' with the
+right Gram matrix Gbar(x) = Integral(y_m y_n, x..inf) of an orthonormal set of
+eigenfunctions.  Both are one resolvent step (`_resolvent`) for a matrix M
+with M' = sign f f^T: f = (alpha_n phi_n) and sign = +1 for M = I + G, f = y
+and sign = -1 for M = Gbar.  Its log-det derivatives are evaluated
 analytically through the resolvent (no numerical differencing):
 
-    (log det)'  = phit . u,          u = (I+G)^{-1} phit,
-    (log det)'' = 2 phit' . u - (phit . u)^2,      phit = (alpha_n phi_n).
+    (log det M)'  = sign f . u,          u = M^{-1} f,
+    (log det M)'' = sign 2 f' . u - (f . u)^2.
 
-Removal runs the same algebra on the right Gram matrix Integral(y_m y_n, x..inf)
-of an orthonormal set of eigenfunctions.  Cumulative integrals use a
-derivative-corrected trapezoid rule; the infinite tails use the oscillatory
-tail model of `tails`.
+Cumulative integrals use a derivative-corrected trapezoid rule; the infinite
+tails use the oscillatory tail model of `tails`.
 
 Every field of N states is one real array of shape (N, n_points), a row per
 state on the grid's nodes: the generating functions, the eigenfunctions and
@@ -50,9 +52,9 @@ from .schrodinger import (
 from .tails import fit_oscillatory_tail
 
 __all__ = [
-    "EmbeddedStateSpec", "GramField", "TransformResult", "RemovalResult",
+    "EmbeddedStateSpec", "TransformResult", "RemovalResult",
     "generating_functions", "gram_plus", "insert_embedded", "chain_insert",
-    "transformed_solutions", "phi_plus_at_omega", "greens_diagonal_transformed",
+    "transformed_solutions", "greens_diagonal_transformed",
     "remove_embedded",
     "cumulative_corrected_trapezoid", "tail_closed_gram", "gauge_map", "single_state_step",
 ]
@@ -111,19 +113,20 @@ class EmbeddedStateSpec:
 
 
 @dataclass
-class GramField:
-    """x-dependent N x N Gram matrix of the weighted generating functions."""
-
-    grid: Grid
-    entries: np.ndarray            # (n_points, N, N)
-    tail_constant: np.ndarray      # (N, N): contribution of (-inf, x_min]
-    fits: list = field(default_factory=list)
-
-
-@dataclass
 class TransformResult:
     """Output of an insertion: new potential, log det, and one row per state of
-    the eigenfunctions y and generating functions phi on the grid."""
+    the eigenfunctions y and generating functions phi on the grid.
+
+    gram is the Gram matrix G(x) of `gram_plus` at the grid's nodes, shape
+    (n_points, N, N), and tail_fits the left tail fits that closed it.  With
+    y = -(I + G)^{-1} (alpha_n phi_n),
+
+        phi_n + sum_m alpha_m y_m Integral(phi_n phi_m, -inf..x) = -y_n / alpha_n,
+
+    so the regular branch of phi_+N at k = omega_n (continuous through the
+    pole), -R(omega_n)^{1/2} times the left side, is R(omega_n)^{1/2} y_n / alpha_n,
+    with x-derivative R(omega_n)^{1/2} y_x,n / alpha_n.
+    """
 
     spec: PotentialSpec
     grid: Grid
@@ -135,7 +138,8 @@ class TransformResult:
     y_x: np.ndarray
     phi: np.ndarray                # (N, n_points) generating functions
     phi_x: np.ndarray
-    gram: GramField
+    gram: np.ndarray               # (n_points, N, N)
+    tail_fits: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -163,14 +167,13 @@ class TransformResult:
                 {"side": f.side, "s0": f.s0, "omega": f.omega, "theta": f.theta,
                  "amp": f.amp, "a": f.a, "b": f.b, "residual": f.residual,
                  "zero_tail": f.zero_tail}
-                for f in self.gram.fits],
+                for f in self.tail_fits],
             "diagnostics": self.diagnostics,
         }
 
 
 @dataclass
 class RemovalResult:
-    grid: Grid
     q_minus: np.ndarray
     log_det: np.ndarray
     orthonormality: np.ndarray
@@ -252,12 +255,14 @@ def _rows(grid: Grid, omegas, *fields):
     return omegas, fields
 
 
-def gram_plus(phi, phi_x, omegas, alphas, grid: Grid) -> GramField:
+def gram_plus(phi, phi_x, omegas, alphas, grid: Grid):
     """Gram matrix field G(x)_{mn} = alpha_m alpha_n Integral(phi_m phi_n, -inf..x).
 
     phi and phi_x hold one real row per momentum omega_n, the omega of its
     tail model, on the grid's nodes.  The (-inf, x_min] piece comes from that
-    oscillatory model fitted on the leftmost `TAIL_WINDOW` of the grid.
+    oscillatory model fitted on the leftmost `TAIL_WINDOW` of the grid; it is
+    G[0], where the cumulative part is 0.  Returns (G, fits): G of shape
+    (n_points, N, N) and the left tail fits.
     """
     omegas, (phi, phi_x) = _rows(grid, omegas, phi, phi_x)
     alphas = np.asarray(alphas, dtype=float)
@@ -265,29 +270,26 @@ def gram_plus(phi, phi_x, omegas, alphas, grid: Grid) -> GramField:
         raise ValidationError("need one alpha per phi")
     cum, left, _, fits = tail_closed_gram(grid.x, grid.spacing, phi, phi_x, omegas)
     weights = np.outer(alphas, alphas)
-    return GramField(grid, weights * (cum + left), weights * left, fits)
+    return weights * (cum + left), fits
 
 
-def _solve_transform(phit, dphit, gram_entries):
-    """Per-x solves shared by insertion paths.
+def _resolvent(mats, f, f_x, sign, singular):
+    """log det M and its resolvent traces at every node, for M' = sign f f^T.
 
-    phit, dphit: (N, npts) weighted generating functions and derivatives.
-    Returns (log_det, log_det'', y (N, npts), y' (N, npts)).
+    mats: (n_points, N, N); f, f_x: (N, n_points).  A node where det M <= 0
+    has no real log det, and raises singular, the caller's error, before any
+    solve.  Returns (log det M, (log det M)'' = sign 2 f_x . M^{-1} f -
+    (f . M^{-1} f)^2, M^{-1} f, M^{-1} f_x, f . M^{-1} f), the vectors of shape
+    (N, n_points).
     """
-    n, npts = phit.shape
-    mats = np.eye(n)[None, :, :] + gram_entries
-    sign, log_det = np.linalg.slogdet(mats)
-    if np.any(sign <= 0) or np.any(log_det < -1e-10):
-        raise PositonkitError("det(I + G) < 1: Gram accumulation lost positivity")
-    rhs = np.stack([phit.T, dphit.T], axis=-1)          # (npts, N, 2)
-    sol = np.linalg.solve(mats, rhs)                     # (npts, N, 2)
-    u = sol[:, :, 0].T                                   # (N, npts)
-    mdp = sol[:, :, 1].T                                 # (N, npts) = (I+G)^{-1} phit'
-    jay = np.einsum("ip,ip->p", phit, u)
-    dd2 = 2.0 * np.einsum("ip,ip->p", dphit, u) - jay**2
-    y = -u
-    yp = -(y * jay[None, :]) - mdp
-    return log_det, dd2, y, yp
+    det_sign, log_det = np.linalg.slogdet(mats)
+    if np.any(det_sign <= 0):
+        raise singular
+    sol = np.linalg.solve(mats, np.stack([f.T, f_x.T], axis=-1))     # (n_points, N, 2)
+    u, w = sol[:, :, 0].T, sol[:, :, 1].T
+    jay = np.einsum("ip,ip->p", f, u)
+    dd2 = 2.0 * sign * np.einsum("ip,ip->p", f_x, u) - jay**2
+    return log_det, dd2, u, w, jay
 
 
 def _check_apart(omegas):
@@ -340,22 +342,25 @@ def insert_embedded(spec: PotentialSpec, states: list, grid: Grid,
     q0 = np.asarray(spec.evaluate(grid.x), dtype=float)
     if not states:
         none = np.zeros((0, grid.n_points))
-        gram = GramField(grid, np.zeros((grid.n_points, 0, 0)), np.zeros((0, 0)))
         return TransformResult(spec, grid, [], q0, q0.copy(), np.zeros(grid.n_points),
-                               none, none, none, none, gram)
+                               none, none, none, none, np.zeros((grid.n_points, 0, 0)))
     if check_preconditions:
         _check_insertion_preconditions(spec, states)
     ext, n_ext = _extended_grid(grid)
     phi, phi_x = generating_functions(spec, states, ext, rtol=rtol)
     alphas = np.array([s.alpha for s in states])
-    gram = gram_plus(phi, phi_x, [s.omega for s in states], alphas, ext)
-    log_det, dd2, y, yp = _solve_transform(alphas[:, None] * phi, alphas[:, None] * phi_x,
-                                           gram.entries)
+    gram, fits = gram_plus(phi, phi_x, [s.omega for s in states], alphas, ext)
+    lost = PositonkitError("det(I + G) < 1: Gram accumulation lost positivity")
+    log_det, dd2, u, w, jay = _resolvent(np.eye(len(states)) + gram, alphas[:, None] * phi,
+                                         alphas[:, None] * phi_x, 1.0, lost)
+    if np.any(log_det < -1e-10):
+        raise lost
+    y = -u
+    y_x = -(y * jay) - w
 
     sl = slice(n_ext, None)
-    gram_out = GramField(grid, gram.entries[sl], gram.tail_constant, gram.fits)
     return TransformResult(spec, grid, states, q0, q0 - 2.0 * dd2[sl], log_det[sl],
-                           y[:, sl], yp[:, sl], phi[:, sl], phi_x[:, sl], gram_out,
+                           y[:, sl], y_x[:, sl], phi[:, sl], phi_x[:, sl], gram[sl], fits,
                            diagnostics={"extend_left": EXTEND_LEFT,
                                         "tail_window": TAIL_WINDOW})
 
@@ -408,10 +413,9 @@ def chain_insert(spec: PotentialSpec, states: list, grid: Grid,
         cur_d[n + 1:] += a * (y_x[n] * hcum + y[n] * cur_v[n] * cur_v[n + 1:])
         cur_v[n + 1:] += a * y[n] * hcum
     sl = slice(n_ext, None)
-    gram = GramField(grid, np.zeros((grid.n_points, 0, 0)), np.zeros((0, 0)))
     return TransformResult(spec, grid, states, q0[sl], q[sl], log_det_total[sl],
-                           y[:, sl], y_x[:, sl], phi[:, sl], phi_x[:, sl], gram,
-                           diagnostics={"method": "chain"})
+                           y[:, sl], y_x[:, sl], phi[:, sl], phi_x[:, sl],
+                           np.zeros((grid.n_points, 0, 0)), diagnostics={"method": "chain"})
 
 
 def gauge_map(values, derivs, k, terms):
@@ -446,8 +450,9 @@ def transformed_solutions(result: TransformResult, k):
     Jost solution times its transmission coefficient, at every k.  An array k
     gives one row per momentum, and the momenta share each solve.  Returns
     ((phi, phi_x), (psi, psi_x)) on the grid's nodes, each of shape
-    k.shape + (n_points,).  Evaluation exactly at k = +-omega_n raises (use
-    residue_at / phi_plus_at_omega).
+    k.shape + (n_points,).  Evaluation exactly at k = +-omega_n raises: the
+    residue there comes from `scattering.residue_at`, and the regular branch
+    of phi_+N is R(omega_n)^{1/2} y_n / alpha_n (`TransformResult`).
     """
     grid = result.grid
     spec = result.spec
@@ -456,31 +461,13 @@ def transformed_solutions(result: TransformResult, k):
     if np.any(at_pole):
         k_pole = np.atleast_1d(k)[np.atleast_1d(at_pole)][0]
         raise PoleEvaluationError(
-            f"psi_+N has a pole at k={k_pole}; use residue_at for the residue "
-            "or phi_plus_at_omega for the regular branch", k=k_pole)
+            f"psi_+N has a pole at k={k_pole}; use residue_at for the residue; the "
+            "regular branch of phi_+N there is R(omega_n)^(1/2) y_n / alpha_n", k=k_pole)
     psi, psi_x = right_jost(spec, k, grid)
     t_val = np.asarray(sct.scattering_coefficients(spec, k)[1])[..., None]
     lv, ld = sct.left_reference(spec, k, grid.x)
     terms = _gauge_terms(result)
     return gauge_map(t_val * lv, t_val * ld, kk, terms), gauge_map(psi, psi_x, kk, terms)
-
-
-def phi_plus_at_omega(result: TransformResult, n: int):
-    """Regularized phi_+N at k = omega_n (continuous branch through the pole) and its
-    x-derivative on the result grid's nodes.
-
-    Equals (sign) R^{1/2} { phi_n + sum_m alpha_m y_m Integral(phi_n phi_m, -inf..x) },
-    with the cumulative integrals read off the Gram field.
-    """
-    s = result.states[n]
-    alphas = np.array([st.alpha for st in result.states])
-    acc_v, acc_d = result.phi[n].copy(), result.phi_x[n].copy()
-    for m, alpha in enumerate(alphas):
-        cum = result.gram.entries[:, n, m] / (alphas[n] * alpha)
-        acc_v += alpha * result.y[m] * cum
-        acc_d += alpha * (result.y_x[m] * cum + result.y[m] * result.phi[n] * result.phi[m])
-    sigma = -1.0   # same sign convention as generating_functions
-    return sigma * s.root_r * acc_v, sigma * s.root_r * acc_d
 
 
 def greens_diagonal_transformed(result: TransformResult, k: complex, x: float) -> complex:
@@ -512,7 +499,7 @@ def remove_embedded(q_samples, y, y_x, omegas, grid: Grid,
     omegas, (yv, yd) = _rows(grid, omegas, y, y_x)
     n = omegas.size
     if n == 0:
-        return RemovalResult(grid, q.copy(), np.zeros(grid.n_points), np.zeros((0, 0)))
+        return RemovalResult(q.copy(), np.zeros(grid.n_points), np.zeros((0, 0)))
     cum, left, right, _ = tail_closed_gram(grid.x, grid.spacing, yv, yd, omegas, right=True)
     ortho = left + cum[-1] + right
     gbar = right + (cum[-1] - cum)
@@ -520,11 +507,6 @@ def remove_embedded(q_samples, y, y_x, omegas, grid: Grid,
     if dev > ortho_tol:
         raise OrthonormalityError(
             f"eigenfunctions are not orthonormal within {ortho_tol} (deviation {dev:.3e})")
-    sign, log_det = np.linalg.slogdet(gbar)
-    if np.any(sign <= 0):
-        raise OrthonormalityError("right Gram matrix lost positive definiteness")
-    v = np.linalg.solve(gbar, yv.T[:, :, None])[:, :, 0].T
-    jay = np.einsum("ip,ip->p", yv, v)
-    dd2 = -2.0 * np.einsum("ip,ip->p", yd, v) - jay**2
-    q_minus = q - 2.0 * dd2
-    return RemovalResult(grid, q_minus, log_det, ortho)
+    log_det, dd2, *_ = _resolvent(gbar, yv, yd, -1.0, OrthonormalityError(
+        "right Gram matrix lost positive definiteness"))
+    return RemovalResult(q - 2.0 * dd2, log_det, ortho)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import wvn_example as wvn
 from .darboux import gauge_map, single_state_step, tail_closed_gram
-from .errors import ValidationError
+from .errors import DiscretizationFailureError, ValidationError
 from .hankel import (
     KINK_NODES_MIN,
     M_OP,
@@ -71,17 +71,21 @@ class EvolvedState:
     t: float
     params: wvn.ExampleParams
     delta_cap: float | None = None
+    # run counters, not constructor arguments:
     # mn + 1 of every operator system solved (DetStates and plane nodes), the sizes actually used
-    operator_sizes: list = field(default_factory=list, repr=False)
+    operator_sizes: list = field(init=False, default_factory=list, repr=False)
     # t > 0: lattice points of every kernel evaluated, the largest contour rule per side of u = 0
-    kernel_u_points: int = field(default=0, repr=False)
-    kernel_contour_points: dict = field(default_factory=dict, repr=False)
+    kernel_u_points: int = field(init=False, default=0, repr=False)
+    kernel_contour_points: dict = field(init=False, default_factory=dict, repr=False)
     # t = 0 plane nodes served by a kink chain (`_kink_chain_q`), and the least
     # `PlaneJost.pivot_margin` over every plane node
-    q_points_kink_chain: int = field(default=0, repr=False)
-    pivot_margin: float = field(default=1.0, repr=False)
+    q_points_kink_chain: int = field(init=False, default=0, repr=False)
+    pivot_margin: float = field(init=False, default=1.0, repr=False)
 
     def __post_init__(self):
+        if not (isinstance(self.t, numbers.Real) and isinstance(self.params, wvn.ExampleParams)):
+            raise ValidationError(f"evolution requires a real t and ExampleParams, got "
+                                  f"({self.t!r:.40}, {self.params!r:.60})")
         if not math.isfinite(self.t):
             raise ValidationError(f"evolution time must be finite, got t={self.t}")
         if self.t < 0:
@@ -304,7 +308,9 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
     (`hankel.plane_spacing`), its spacing is l h / m, l = 1 unless a chain factor would
     pass M_OP_CAP (then the least l that fits, in closed form from the widest nodes' rows;
     `plane_jost` checks them all) and m the least integer that brings it to S_MAX as far
-    as two chains fit, and it ends three chain steps past x_max, so that no output node
+    as two chains fit, but never below the least m whose two chains are delta = 2 l h / m
+    <= delta0 apart; where those chains would pass M_OP_CAP, the layout raises
+    DiscretizationFailureError.  It ends three chain steps past x_max, so that no output node
     reads an edge stencil, and past 7 chain steps if x_max lies right of minus its
     spacing: the nodes right of x = 0 that `EvolvedPlane.q_at` reads, and the x = 0 node
     that both sides read, then have their forward stencils.  A grid starting left of the
@@ -327,8 +333,14 @@ def phi_plane_grid(state: EvolvedState, grid: Grid) -> Grid:
             l = max(l, math.ceil(d_min / h))
         if l * h > delta0 and d_min < delta0:                # delta = l h / ceil(l h / delta0)
             l = max(l, math.ceil(1.0 / (h / d_min - h / delta0)))
-        m = min(math.ceil(l * h / S_MAX - 1e-9), math.floor(2.0 * l * h / d_min))
-        step = l * h / (m if m * delta0 >= 2.0 * l * h else 1)     # two chains at delta = 2 step
+        # two chains at delta = 2 l h / m <= delta0 (`plane_spacing`'s rounding allowed)
+        m = max(math.ceil(2.0 * l * h / delta0 / (1.0 + 1e-12)),
+                min(math.ceil(l * h / S_MAX - 1e-9), math.floor(2.0 * l * h / d_min)))
+        if 2.0 * l * h / m < d_min:
+            raise DiscretizationFailureError(
+                f"a t = 0 phi-plane at delta <= {delta0:.4g} needs chains more than "
+                f"M_OP_CAP = {M_OP_CAP} rows long (delta >= {d_min:.4g} fits)")
+        step = l * h / m
         chains, _, delta = plane_spacing(0.0, step, delta0)
         reach = x_max if x_max <= -step else max(x_max, 7 * chains * step)
         end = math.ceil((reach + 3 * chains * step) / (delta / 2) - 1e-9) * delta / 2

@@ -73,7 +73,7 @@ def left_reference(spec: PotentialSpec, k, x):
         on = on[np.argsort(xs[on], kind="stable")]
         x_eval = np.append(xs[on], end) if right.size else xs[on]
         y0 = (np.exp(-1j * ks * start), -1j * ks * np.exp(-1j * ks * start))
-        sv, sd = sch.solve_at(spec, ks, start, x_eval[-1], y0, x_eval)
+        sv, sd = sch.solve_at(spec, ks, start, y0, x_eval)
         vals[:, on], ders[:, on] = sv[:, :on.size], sd[:, :on.size]
         v, d = sv[:, -1], sd[:, -1]
     if right.size:

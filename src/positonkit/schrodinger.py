@@ -450,25 +450,27 @@ def _integrate_piece(qfn, k, x_from, x_to, y0, x_eval, rtol, atol):
     return sol
 
 
-def solve_at(spec: PotentialSpec, k, x_from: float, x_to: float, init, x_eval,
+def solve_at(spec: PotentialSpec, k, x_from: float, init, x_eval,
              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
-    """Integrate -u'' + q u = k^2 u from x_from to x_to for every momentum in k.
+    """Integrate -u'' + q u = k^2 u from x_from to x_eval[-1] for every momentum in k.
 
     init = (u, u') at x_from, each broadcastable to the shape of k.  x_eval
-    holds points between the endpoints, ordered from x_from towards x_to.
-    All momenta share one DOP853 solve per smooth piece of q (integration is
-    split at the potential's kink points).  Returns (values, derivs), each of
-    shape k.shape + (len(x_eval),).
+    holds the points where the solution is read, ordered away from x_from;
+    the solve ends at the last.  All momenta share one DOP853 solve per smooth
+    piece of q (integration is split at the potential's kink points).  Returns
+    (values, derivs), each of shape k.shape + (len(x_eval),); an empty x_eval
+    gives empty arrays.
     """
     k = np.asarray(k)
     ks = k.astype(complex).ravel()
     x_eval = np.asarray(x_eval, dtype=float)
     n, m = ks.size, x_eval.size
     out = np.empty((2 * n, m), complex)
-    if n:
+    if n and m:
         u0, d0 = (np.broadcast_to(np.asarray(v, complex), k.shape).ravel() for v in init)
         y = np.concatenate([u0, d0])
         qfn = spec.scalar_fn()
+        x_to = x_eval[-1]
         forward = x_to >= x_from
         lo, hi = min(x_from, x_to), max(x_from, x_to)
         breaks = sorted((b for b in spec.breakpoints() if lo < b < hi), reverse=not forward)
@@ -633,9 +635,10 @@ def _magnus(spec: PotentialSpec, k, x_from: float, init, x_eval, rtol: float = D
     return vals.reshape(shape), ders.reshape(shape)
 
 
-def _right_jost(spec: PotentialSpec, k, x, solve):
+def _right_jost(spec: PotentialSpec, k, x, solve, rtol: float = DEFAULT_RTOL):
     """psi(x, k) and psi'(x, k) with the part left of the cutoff from
-    solve(ks, x_from, init, x_eval); shapes k.shape + x.shape."""
+    solve(spec, ks, x_from, init, x_eval, rtol), `solve_at` or `_magnus`;
+    shapes k.shape + x.shape."""
     k = np.asarray(k)
     if np.any(k == 0):
         raise PoleEvaluationError("Jost normalization is degenerate at k = 0", k=0.0)
@@ -650,23 +653,21 @@ def _right_jost(spec: PotentialSpec, k, x, solve):
     if left.size:
         left = left[np.argsort(-xs[left], kind="stable")]
         y0 = (np.exp(1j * ks * cutoff), 1j * ks * np.exp(1j * ks * cutoff))
-        vals[:, left], ders[:, left] = solve(ks, cutoff, y0, xs[left])
+        vals[:, left], ders[:, left] = solve(spec, ks, cutoff, y0, xs[left], rtol)
     shape = k.shape + x.shape
     return vals.reshape(shape)[()], ders.reshape(shape)[()]
 
 
-def right_jost_at(spec: PotentialSpec, k, x,
-                  rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL):
+def right_jost_at(spec: PotentialSpec, k, x):
     """Right Jost solution psi(x, k) and its x-derivative at the points x.
 
     psi(x) = e^{ikx} exactly (bit for bit) for x >= right_cutoff; to the left
-    it is extended by DOP853.  Requires Im k >= 0 and k != 0.  All momenta of
-    an array k share one solve; both arrays have shape k.shape + x.shape.
+    it is extended by DOP853 (`solve_at`) at its default tolerances, rtol
+    DEFAULT_RTOL and atol DEFAULT_ATOL.  Requires Im k >= 0 and k != 0.  All
+    momenta of an array k share one solve; both arrays have shape
+    k.shape + x.shape.
     """
-    def solve(ks, x_from, init, x_eval):
-        return solve_at(spec, ks, x_from, x_eval[-1], init, x_eval, rtol=rtol, atol=atol)
-
-    return _right_jost(spec, k, x, solve)
+    return _right_jost(spec, k, x, solve_at)
 
 
 def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL):
@@ -678,6 +679,4 @@ def right_jost(spec: PotentialSpec, k, grid: Grid, rtol: float = DEFAULT_RTOL):
     """
     if spec.right_cutoff > grid.x_max + 1e-12:
         raise ValidationError("right cutoff must satisfy right_cutoff <= grid.x_max")
-    return _right_jost(spec, k, grid.x,
-                       lambda ks, x_from, init, x_eval:
-                       _magnus(spec, ks, x_from, init, x_eval, rtol))
+    return _right_jost(spec, k, grid.x, _magnus, rtol)

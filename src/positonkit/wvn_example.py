@@ -20,6 +20,7 @@ where a docstring says so) and may be complex.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class ExampleParams:
     alpha: float = 1.0
 
     def __post_init__(self):
+        if not (isinstance(self.rho, numbers.Real) and isinstance(self.alpha, numbers.Real)):
+            raise ValidationError(f"rho and alpha must be real numbers, got "
+                                  f"({self.rho!r:.40}, {self.alpha!r:.40})")
         if not 0 < self.rho < math.inf:
             raise ValidationError(f"rho must be finite and positive, got {self.rho}")
         if not math.isfinite(self.alpha) or self.alpha == 0:
@@ -73,11 +77,7 @@ def tau_xx(rho, x):
 def q_seed(rho, x):
     """Seed potential: -2 (log tau)'' for x < 0, zero for x >= 0."""
     x = np.asarray(x, dtype=float)
-    t = tau(rho, x)
-    tp = -2.0 * rho * np.sin(x) ** 2
-    tpp = -2.0 * rho * np.sin(2 * x)
-    q = -2.0 * tpp / t + 2.0 * (tp / t) ** 2
-    out = np.where(x < 0, q, 0.0)
+    out = np.where(x < 0, _log_second_derivative(tau(rho, x), tau_x(rho, x), tau_xx(rho, x)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -154,19 +154,6 @@ def left_jost_closed(rho, x, k):
     return val, der
 
 
-def _left_jost_star(rho, x, k):
-    """Analytic continuation of conj(psi_-) off the real k-axis (value, derivative)."""
-    f0 = phi0(rho, x)
-    f0p = phi0_x(rho, x)
-    ep = np.exp(1j * (k + 1) * x) / (k + 1)
-    em = np.exp(1j * (k - 1) * x) / (k - 1)
-    val = np.exp(1j * k * x) - rho * f0 * (ep - em)
-    der = (1j * k * np.exp(1j * k * x)
-           - rho * f0p * (ep - em)
-           - 1j * rho * f0 * (np.exp(1j * (k + 1) * x) - np.exp(1j * (k - 1) * x)))
-    return val, der
-
-
 def _right_jost_at_resonance(rho, x):
     """Limit of the right Jost solution (value, derivative) at k = +1 for x <= 0."""
     x = np.asarray(x, dtype=float)
@@ -217,7 +204,8 @@ def right_jost_closed(rho, x, k):
         else:
             p = k**3 - k
             vm, dm = left_jost_closed(rho, xm, k)
-            vs, ds = _left_jost_star(rho, xm, k)
+            # conj(psi_-) continued off the real k-axis
+            vs, ds = map(np.conj, left_jost_closed(rho, xm, np.conj(k)))
             lam = 1j * rho / p
             v = (1.0 + lam) * vs - lam * vm
             d = (1.0 + lam) * ds - lam * dm

@@ -59,15 +59,15 @@ def test_phi_n_tail_amplitude_fit(wvn_spec):
 def test_gram_single_state_matches_closed(wvn_spec, inserted_std):
     g = inserted_std.grid
     gram = inserted_std.gram
-    assert abs(gram.entries[_node(g, 0.0), 0, 0] - 2.0 / RHO) < 1e-7
-    assert abs(gram.entries[_node(g, -12.0), 0, 0] - wvn.big_i_closed(RHO, -12.0)) < 1e-7
+    assert abs(gram[_node(g, 0.0), 0, 0] - 2.0 / RHO) < 1e-7
+    assert abs(gram[_node(g, -12.0), 0, 0] - wvn.big_i_closed(RHO, -12.0)) < 1e-7
     # leftward the Gram entry tracks the decaying closed form toward zero
-    assert abs(gram.entries[0, 0, 0] - wvn.big_i_closed(RHO, -20.0)) < 1e-7
-    assert gram.entries[0, 0, 0] < 0.05
+    assert abs(gram[0, 0, 0] - wvn.big_i_closed(RHO, -20.0)) < 1e-7
+    assert gram[0, 0, 0] < 0.05
 
 
 def test_gram_monotone_and_det_bound(inserted_std):
-    g11 = inserted_std.gram.entries[:, 0, 0]
+    g11 = inserted_std.gram[:, 0, 0]
     assert np.all(np.diff(g11) >= -1e-12)
     assert np.all(inserted_std.log_det >= -1e-12)
     assert np.all(np.diff(inserted_std.log_det) >= -1e-12)
@@ -133,7 +133,7 @@ def test_jacobi_identity(inserted_std):
     g = inserted_std.grid
     alpha = inserted_std.states[0].alpha
     phi = alpha * inserted_std.phi[0]
-    gram = inserted_std.gram.entries[:, 0, 0]
+    gram = inserted_std.gram[:, 0, 0]
     jay = phi**2 / (1.0 + gram)
     ld = inserted_std.log_det
     h = g.spacing
@@ -256,7 +256,8 @@ def test_embedded_pole_condition(inserted_std):
     # Res_{k=omega} psi_+N = (i alpha^2 / R(omega)) phi_+N(., omega)
     res = sct.residue_at(1.0, _psi_plus(inserted_std))
     st = inserted_std.states[0]
-    target = (1j * st.alpha**2 / st.r_at_omega) * dbx.phi_plus_at_omega(inserted_std, 0)[0]
+    # the regular branch of phi_+N at omega is R^{1/2} y / alpha (TransformResult)
+    target = (1j * st.alpha**2 / st.r_at_omega) * st.root_r * inserted_std.y[0] / st.alpha
     got = res.residue[0]
     scale = np.max(np.abs(target))
     assert np.max(np.abs(got - target)) < 1e-4 * scale
@@ -309,9 +310,7 @@ def test_chain_matches_direct_determinant_synthetic():
 def test_chain_matches_direct_on_three_model_states(monkeypatch):
     # generating functions inside the tail model, so both paths close their tails
     # exactly; the chain's recurrence updates every remaining phi_j at each step
-    def model_rows(spec, states, grid, rtol=None):
-        return tuple(np.stack(f) for f in zip(*(_model_field(s.omega, grid.x) for s in states)))
-    monkeypatch.setattr(dbx, "generating_functions", model_rows)
+    monkeypatch.setattr(dbx, "generating_functions", _model_generating_functions)
     states = [dbx.EmbeddedStateSpec(w, a, -1.0) for w, a in ((1.0, 0.8), (1.6, 0.5), (2.3, 1.2))]
     grid = Grid(-40.0, 40.0, 4001)
     chain = dbx.chain_insert(PotentialSpec.zero(), states, grid, check_preconditions=False)
@@ -365,6 +364,13 @@ def test_remove_rejects_non_orthonormal(grid_std):
     y, y_x = 1.1 * wvn.y_closed(RHO, alpha, grid_std.x), 1.1 * wvn.y_x_closed(RHO, alpha, grid_std.x)
     with pytest.raises(OrthonormalityError):
         dbx.remove_embedded(wvn.q_sym(RHO, grid_std.x), [y], [y_x], [1.0], grid_std)
+    # a normalized y that vanishes on the right window: Gbar(x_max) = 0 is singular,
+    # and the determinant check rejects it before the resolvent's solve, which
+    # would raise a bare LinAlgError
+    x = grid_std.x
+    y = np.exp(-x**2 / 2) / np.pi**0.25
+    with pytest.raises(OrthonormalityError, match="positive definiteness"):
+        dbx.remove_embedded(np.zeros(x.size), [y], [-x * y], [1.0], grid_std)
 
 
 MODEL_RHO = 2.0
@@ -391,6 +397,11 @@ def _model_cross_far_left(s_end, far=-20000.0, h=0.02):
     return dbx.cumulative_corrected_trapezoid(v1 * v2, d1 * v2 + v1 * d2, s[1] - s[0])[-1]
 
 
+def _model_generating_functions(spec, states, grid, rtol=None):
+    """`dbx.generating_functions` with each state's model field in place of its phi."""
+    return tuple(np.stack(f) for f in zip(*(_model_field(s.omega, grid.x) for s in states)))
+
+
 def _model_fields(grid):
     """(phi, phi_x) of the model fields, one row per omega of MODEL_OMEGAS."""
     return tuple(np.stack(f) for f in zip(*(_model_field(w, grid.x) for w in MODEL_OMEGAS)))
@@ -400,18 +411,63 @@ def test_gram_two_state_tails_on_model_fields():
     """Diagonal: Integral(phi^2, -inf..x) = 1/(2 rho tau(x)); cross: quadrature from -20000."""
     grid = Grid(-40.0, 0.0, 4001)
     phi, phi_x = _model_fields(grid)
-    gram = dbx.gram_plus(phi, phi_x, MODEL_OMEGAS, [1.0, 1.0], grid)
+    gram, _ = dbx.gram_plus(phi, phi_x, MODEL_OMEGAS, [1.0, 1.0], grid)
     for m, w in enumerate(MODEL_OMEGAS):
         exact = 1.0 / (2 * MODEL_RHO * _model_tau(w, grid.x))
         # the tail model is exact for these fields; the grid part carries the
         # rule's h^4 f'''/720 error, largest (~6e-10) near x = 0 where tau ~ 1
-        assert abs(gram.tail_constant[m, m] - exact[0]) < 1e-10
-        assert np.max(np.abs(gram.entries[:, m, m] - exact)) < 1e-9
+        assert abs(gram[0, m, m] - exact[0]) < 1e-10        # the (-inf, x_min] piece alone
+        assert np.max(np.abs(gram[:, m, m] - exact)) < 1e-9
     (v1, v2), (d1, d2) = phi, phi_x
     ref = _model_cross_far_left(grid.x_min) + dbx.cumulative_corrected_trapezoid(
         v1 * v2, d1 * v2 + v1 * d2, grid.spacing)
-    assert np.max(np.abs(gram.entries[:, 0, 1] - ref)) < 2e-6
-    assert np.array_equal(gram.entries[:, 0, 1], gram.entries[:, 1, 0])
+    assert np.max(np.abs(gram[:, 0, 1] - ref)) < 2e-6
+    assert np.array_equal(gram[:, 0, 1], gram[:, 1, 0])
+
+
+def test_resolvent_sign_convention_on_model_fields():
+    # insertion's I + G grows (M' = +f f^T) and removal's Gbar shrinks (M' = -f f^T);
+    # the shared step's analytic (log det M)'' is the second difference of its own
+    # log det on both (6.0e-7 and 2.7e-6 measured; the wrong sign misses by 2.4 and 9.1)
+    grid = Grid(-40.0, 40.0, 8001)
+    phi, phi_x = _model_fields(grid)
+    alphas = np.array([0.8, 1.3])[:, None]
+    gram, _ = dbx.gram_plus(phi, phi_x, MODEL_OMEGAS, alphas[:, 0], grid)
+    cum, _, right, _ = dbx.tail_closed_gram(grid.x, grid.spacing, phi, phi_x, MODEL_OMEGAS,
+                                            right=True)
+    singular = ValidationError("det M <= 0")
+    for mats, f, f_x, sign in ((np.eye(2) + gram, alphas * phi, alphas * phi_x, 1.0),
+                               (right + (cum[-1] - cum), phi, phi_x, -1.0)):
+        ld, dd2, *_ = dbx._resolvent(mats, f, f_x, sign, singular)
+        fd = ((-ld[:-4] + 16 * ld[1:-3] - 30 * ld[2:-2] + 16 * ld[3:-1] - ld[4:])
+              / (12 * grid.spacing**2))
+        assert np.max(np.abs(dd2[2:-2] - fd)) < 1e-5
+
+
+def _two_model_states(monkeypatch):
+    """The two model states inserted into the zero potential, R(omega_2) off the real axis."""
+    monkeypatch.setattr(dbx, "generating_functions", _model_generating_functions)
+    states = [dbx.EmbeddedStateSpec(MODEL_OMEGAS[0], 0.8, -1.0),
+              dbx.EmbeddedStateSpec(MODEL_OMEGAS[1], 1.3, np.exp(0.7j))]
+    return dbx.insert_embedded(PotentialSpec.zero(), states, Grid(-40.0, 40.0, 4001),
+                               check_preconditions=False)
+
+
+def test_regular_branch_at_omega_is_the_scaled_eigenfunction(monkeypatch, inserted_std):
+    # phi_+N at k = omega_n, regularized through the pole, was read off the Gram
+    # matrix as -R^{1/2} (phi_n + sum_m alpha_m y_m Integral(phi_n phi_m, -inf..x));
+    # (I + G) y = -(alpha phi) makes that R^{1/2} y_n / alpha_n (4.4e-16 measured)
+    for res in (inserted_std, _two_model_states(monkeypatch)):
+        alphas = np.array([s.alpha for s in res.states])
+        for n, s in enumerate(res.states):
+            acc_v, acc_d = res.phi[n].copy(), res.phi_x[n].copy()
+            for m, a in enumerate(alphas):
+                cum = res.gram[:, n, m] / (alphas[n] * a)
+                acc_v += a * res.y[m] * cum
+                acc_d += a * (res.y_x[m] * cum + res.y[m] * res.phi[n] * res.phi[m])
+            for gram_route, field in ((acc_v, res.y[n]), (acc_d, res.y_x[n])):
+                want = s.root_r * field / s.alpha
+                assert np.max(np.abs(-s.root_r * gram_route - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_remove_two_state_tails_on_model_fields():

@@ -478,6 +478,26 @@ def test_t0_plane_grid_layout(rho, x_min, x_max, n, spacings, delta_cap):
         assert _chain_rows(state, np.arange(-45.0, x_max + finer, finer)) > hankel.M_OP_CAP - 6
 
 
+@pytest.mark.parametrize("delta_cap", [0.09, 0.07, 0.06])
+def test_t0_plane_below_the_default_cap_serves_its_own_q(delta_cap):
+    # a cap delta0 < 2 S_MAX once fell back to a one-chain plane (at 0.09 one
+    # chain at stride 4), whose q served 2 window nodes and q_at raised; every
+    # t = 0 plane now has two chains delta <= delta0 apart (q within 4.2e-5 at
+    # 0.09, 1.7e-5 at 0.07), or, where those chains pass M_OP_CAP, the layout
+    # raises before any solve
+    state = kdv.EvolvedState(0.0, wvn.ExampleParams(RHO), delta_cap=delta_cap)
+    grid = Grid(-3.0, 2.0, 101)                 # the evolve_t0 grid
+    if delta_cap == 0.06:
+        with pytest.raises(DiscretizationFailureError, match="M_OP_CAP"):
+            kdv.phi_plane_grid(state, grid)
+        return
+    pg = kdv.phi_plane_grid(state, grid)
+    chains, _, delta = hankel.plane_spacing(0.0, pg.spacing, state.fixed_delta(pg.x_min))
+    assert chains == 2 and delta <= delta_cap
+    plane = kdv.evolved_phi_plane(state, pg, read_from=grid.x_min)
+    assert np.max(np.abs(plane.q_at(grid.x) - wvn.q_seed(RHO, grid.x))) <= 1e-4
+
+
 def test_t_plane_grid_is_the_output_spacing():
     # at t > 0 the plane ends at x_max at the grid's spacing, as criterion 9c's does
     state = kdv.EvolvedState(0.02, wvn.ExampleParams(RHO))

@@ -79,12 +79,17 @@ CONSTRUCTORS = {
     "PotentialSpec": sch.PotentialSpec,
     "PotentialSpec.wvn_example": sch.PotentialSpec.wvn_example,
     "PotentialSpec.sampled": sch.PotentialSpec.sampled,
-    "EvolvedState": lambda **kw: kdv.EvolvedState(0.0, wvn.ExampleParams(RHO), **kw),
+    "EvolvedState": kdv.EvolvedState,
+    "ExampleParams": wvn.ExampleParams,
     "Grid": sch.Grid,
     "EmbeddedStateSpec": darboux.EmbeddedStateSpec,
 }
 GRID_ARGS = {"x_min": 0.0, "x_max": 1.0, "n_points": 3}
 STATE_ARGS = {"omega": 1.0, "alpha": 1.0, "r_at_omega": -1.0}
+PARAMS_ARGS = {"rho": RHO, "alpha": 1.0}
+EVOLVED_ARGS = {"t": 0.0, "params": wvn.ExampleParams(RHO)}
+WRONG_TYPE = {"grid": ("Grid", GRID_ARGS), "state": ("EmbeddedStateSpec", STATE_ARGS),
+              "params": ("ExampleParams", PARAMS_ARGS), "evolved": ("EvolvedState", EVOLVED_ARGS)}
 
 
 @st.composite
@@ -92,8 +97,8 @@ def hostile_construction(draw):
     """(constructor, keyword arguments) with one input the constructor must reject."""
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
     not_a_number = st.one_of(st.none(), st.text(max_size=3), non_finite)
-    case = draw(st.sampled_from(["kind", "cutoff", "rho", "samples", "delta_cap", "grid",
-                                 "state"]))
+    case = draw(st.sampled_from(["kind", "cutoff", "rho", "samples", "delta_cap",
+                                 *WRONG_TYPE]))
     if case == "kind":
         kind = st.one_of(st.text(max_size=12).filter(lambda k: k not in KINDS), st.integers())
         return "PotentialSpec", {"kind": draw(kind)}
@@ -117,18 +122,19 @@ def hostile_construction(draw):
         else:                               # x not increasing
             x = x[::-1]
         return "PotentialSpec.sampled", {"x": x, "q": q}
-    if case in ("grid", "state"):     # one argument replaced by a value of the wrong type
-        name, args = ("Grid", GRID_ARGS) if case == "grid" else ("EmbeddedStateSpec", STATE_ARGS)
+    if case in WRONG_TYPE:            # one argument replaced by a value of the wrong type
+        name, args = WRONG_TYPE[case]
         key = draw(st.sampled_from(sorted(args)))
         bad = st.one_of(st.none(), st.text(max_size=3), st.just([1.0]))
         if key == "n_points":          # an integer is required: a float is rejected too
             bad = st.one_of(bad, st.floats())
+        elif key == "params":          # an ExampleParams is required: its rho alone is rejected
+            bad = st.one_of(bad, st.floats())
         elif key != "r_at_omega":      # a real number is required
             bad = st.one_of(bad, non_finite, st.complex_numbers(min_magnitude=1e-3))
         return name, dict(args, **{key: draw(bad)})
-    return "EvolvedState", {"delta_cap": draw(st.one_of(st.text(max_size=3),
-                                                        st.sampled_from([math.nan, math.inf]),
-                                                        st.floats(max_value=0.0)))}
+    return "EvolvedState", dict(EVOLVED_ARGS, delta_cap=draw(st.one_of(
+        st.text(max_size=3), st.sampled_from([math.nan, math.inf]), st.floats(max_value=0.0))))
 
 
 @given(hostile_construction())
@@ -140,6 +146,15 @@ def hostile_construction(draw):
 @example(("Grid", dict(GRID_ARGS, n_points=None)))
 @example(("EmbeddedStateSpec", dict(STATE_ARGS, alpha="a")))
 @example(("EmbeddedStateSpec", dict(STATE_ARGS, r_at_omega=None)))
+@example(("EvolvedState", dict(EVOLVED_ARGS, t="a")))
+@example(("EvolvedState", dict(EVOLVED_ARGS, t=None)))
+@example(("EvolvedState", dict(EVOLVED_ARGS, t=[0.0])))
+@example(("EvolvedState", dict(EVOLVED_ARGS, t=1j)))
+@example(("EvolvedState", dict(EVOLVED_ARGS, params=None)))
+@example(("EvolvedState", dict(EVOLVED_ARGS, params=2.0)))
+@example(("ExampleParams", {"rho": "a"}))
+@example(("ExampleParams", dict(PARAMS_ARGS, alpha="x")))
+@example(("ExampleParams", dict(PARAMS_ARGS, alpha=None)))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_public_constructors_reject_hostile_input(case):
     # the library's counterpart of test_cli's hostile configs: a bad input is
@@ -178,7 +193,7 @@ def test_integration_failure_is_reported(monkeypatch):
     with np.errstate(invalid="ignore"), pytest.raises(IntegrationFailureError):
         sch._magnus(spec, 1.0, 0.0, (1.0, 0.0), np.linspace(0.0, -1.0, 41))
     with np.errstate(invalid="ignore"), pytest.raises(IntegrationFailureError):
-        sch.solve_at(spec, 1.0, 0.0, -1.0, (1.0, 0.0), [-0.5, -1.0])
+        sch.solve_at(spec, 1.0, 0.0, (1.0, 0.0), [-0.5, -1.0])
 
 
 def test_nan_potential_fails_promptly():
@@ -191,7 +206,7 @@ def test_nan_potential_fails_promptly():
             "spec = sch.PotentialSpec.zero()\n"
             "spec.scalar_fn = lambda: (lambda x: math.nan)\n"
             "try:\n"
-            "    sch.solve_at(spec, 1.0, 0.0, -1.0, (1.0, 0.0), [-1.0])\n"
+            "    sch.solve_at(spec, 1.0, 0.0, (1.0, 0.0), [-1.0])\n"
             "except IntegrationFailureError:\n"
             "    print('raised')\n")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -211,7 +226,7 @@ def test_step_floor_fails_promptly():
             "spec = sch.PotentialSpec.wvn_example(2.0)\n"
             "t0 = time.perf_counter()\n"
             "try:\n"
-            "    sch.solve_at(spec, 1.0, -1.0, -2.0, (1.0, 0.5), [-2.0], rtol=1e-30, atol=1e-30)\n"
+            "    sch.solve_at(spec, 1.0, -1.0, (1.0, 0.5), [-2.0], rtol=1e-30, atol=1e-30)\n"
             "except IntegrationFailureError as exc:\n"
             "    verdict = 'raised' if 'below 10 ulp' in str(exc) else 'other'\n"
             "    print(verdict, time.perf_counter() - t0)\n")
@@ -233,7 +248,7 @@ def test_dop853_matches_scipy_oracle(rho):
     x_eval = np.array([-1.3, -4.0, -7.5])
     init = (np.ones_like(ks), 1j * ks)
     with sch.count_ode_work() as work:
-        vals, ders = sch.solve_at(spec, ks, 0.0, -7.5, init, x_eval)
+        vals, ders = sch.solve_at(spec, ks, 0.0, init, x_eval)
     q, n = spec.scalar_fn(), ks.size
     scale = math.sqrt(n)        # as `solve_at` scales the tolerances of a batch
     ref = scipy_solve_ivp(lambda x, y: np.concatenate([y[n:], (q(x) - ks * ks) * y[:n]]),
@@ -244,6 +259,10 @@ def test_dop853_matches_scipy_oracle(rho):
         scale = np.max(np.abs(theirs), axis=1, keepdims=True)
         assert np.max(np.abs(ours - theirs) / scale) <= 1e-10
     assert abs(work.nfev - ref.nfev) <= 0.05 * ref.nfev
+    # the solve ends at the last output point: with none it takes no step
+    with sch.count_ode_work() as work:
+        empty = sch.solve_at(spec, ks, 0.0, init, [])
+    assert [a.shape for a in empty] == [(n, 0)] * 2 and work.solves == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 60])

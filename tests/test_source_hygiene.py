@@ -29,7 +29,7 @@ FILE_SUFFIXES = {"py", "md", "json", "csv", "toml"}     # `cli.py` names a file,
 # public names no command calls, kept as independent references that tests and
 # acceptance criteria compare the pipeline against
 NAMED_ORACLES = (
-    "darboux.chain_insert", "darboux.phi_plus_at_omega", "darboux.greens_diagonal_transformed",
+    "darboux.chain_insert", "darboux.greens_diagonal_transformed",
     "kdv.dyson_q", "kdv.classify_embedded_pole_evolved",
     "kdv.split_step_reference",
     "wvn_example.y_closed", "wvn_example.y_x_closed", "wvn_example.psi_plus1_closed",
