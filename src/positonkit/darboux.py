@@ -9,10 +9,11 @@ drops out of every even combination; `generating_functions`) build the Gram matr
 then q_new = q - 2 (log det(I + G))'' and eigenfunctions y solving
 (I + G(x)) y = -(alpha_n phi_n).  Removal takes q - 2 (log det Gbar)'' with the
 right Gram matrix Gbar(x) = Integral(y_m y_n, x..inf) of an orthonormal set of
-eigenfunctions.  Both are one resolvent step (`_resolvent`) for a matrix M
-with M' = sign f f^T: f = (alpha_n phi_n) and sign = +1 for M = I + G, f = y
-and sign = -1 for M = Gbar.  Its log-det derivatives are evaluated
-analytically through the resolvent (no numerical differencing):
+eigenfunctions.  Both are one resolvent step (`_resolvent`, a Cholesky sweep
+along the node axis) for a matrix M with M' = sign f f^T: f = (alpha_n phi_n)
+and sign = +1 for M = I + G, f = y and sign = -1 for M = Gbar.  Its log-det
+derivatives are evaluated analytically through the resolvent (no numerical
+differencing):
 
     (log det M)'  = sign f . u,          u = M^{-1} f,
     (log det M)'' = sign 2 f' . u - (f . u)^2.
@@ -46,7 +47,6 @@ from .schrodinger import (
     Grid,
     PotentialSpec,
     right_jost,
-    right_jost_at,
     write_csv,
 )
 from .tails import fit_oscillatory_tail
@@ -276,17 +276,33 @@ def gram_plus(phi, phi_x, omegas, alphas, grid: Grid):
 def _resolvent(mats, f, f_x, sign, singular):
     """log det M and its resolvent traces at every node, for M' = sign f f^T.
 
-    mats: (n_points, N, N); f, f_x: (N, n_points).  A node where det M <= 0
-    has no real log det, and raises singular, the caller's error, before any
-    solve.  Returns (log det M, (log det M)'' = sign 2 f_x . M^{-1} f -
-    (f . M^{-1} f)^2, M^{-1} f, M^{-1} f_x, f . M^{-1} f), the vectors of shape
-    (N, n_points).
+    mats: (n_points, N, N); f, f_x: (N, n_points).  One Cholesky sweep, a loop
+    over the entries of M whose every operation is a vector over the nodes
+    (the factor L is node-last, (N, N, n_points)), gives log det M as the sum
+    of the logs of the pivots L_jj^2, and M^{-1} [f, f_x] by two substitutions.
+    A node whose pivot is not > 0 (NaN included) is not positive definite,
+    and raises singular, the caller's error, before any division.  Returns
+    (log det M, (log det M)'' = sign 2 f_x . M^{-1} f - (f . M^{-1} f)^2,
+    M^{-1} f, M^{-1} f_x, f . M^{-1} f), the vectors of shape (N, n_points).
     """
-    det_sign, log_det = np.linalg.slogdet(mats)
-    if np.any(det_sign <= 0):
-        raise singular
-    sol = np.linalg.solve(mats, np.stack([f.T, f_x.T], axis=-1))     # (n_points, N, 2)
-    u, w = sol[:, :, 0].T, sol[:, :, 1].T
+    n = len(f)
+    a = np.moveaxis(mats, 0, -1)
+    low = np.zeros(a.shape)
+    log_det = np.zeros(a.shape[-1])
+    for j in range(n):
+        pivot = a[j, j] - np.einsum("kp,kp->p", low[j, :j], low[j, :j])
+        if not np.all(pivot > 0):
+            raise singular
+        log_det += np.log(pivot)
+        low[j, j] = np.sqrt(pivot)
+        for i in range(j + 1, n):
+            low[i, j] = (a[i, j] - np.einsum("kp,kp->p", low[i, :j], low[j, :j])) / low[j, j]
+    sol = np.stack([f, f_x], axis=1)                    # (N, 2, n_points)
+    for i in range(n):                                  # L z = [f, f_x]
+        sol[i] = (sol[i] - np.einsum("kp,ksp->sp", low[i, :i], sol[:i])) / low[i, i]
+    for i in reversed(range(n)):                        # L^T [u, w] = z
+        sol[i] = (sol[i] - np.einsum("kp,ksp->sp", low[i + 1:, i], sol[i + 1:])) / low[i, i]
+    u, w = sol[:, 0], sol[:, 1]
     jay = np.einsum("ip,ip->p", f, u)
     dd2 = 2.0 * sign * np.einsum("ip,ip->p", f_x, u) - jay**2
     return log_det, dd2, u, w, jay
@@ -301,17 +317,18 @@ def _check_apart(omegas):
 def _check_insertion_preconditions(spec, states):
     """Full reflection at each omega, and continuity of psi there.
 
-    One solve takes R at every state's resonance momenta, and one psi at
-    PROBE_XS over every state's `residue_stencil`, the momenta `residue_at`
-    samples.
+    One right Jost solve (`scattering.resonance_probes`) gives both: R at
+    every state's resonance momenta, read at the scattering Wronskians'
+    X_EVAL, and psi at PROBE_XS over every state's `residue_stencil`, the
+    momenta `residue_at` samples.
     """
     omegas = np.array([s.omega for s in states], dtype=float)
-    for omega, r in zip(omegas, sct.reflection_at_resonance(spec, omegas)):
+    r_res, psi = sct.resonance_probes(spec, omegas, PROBE_XS)
+    for omega, r in zip(omegas, r_res):
         if abs(abs(r) - 1.0) > 1e-6:
             raise ValidationError(
                 f"omega={omega} is not a full-reflection momentum of this potential "
                 f"(|R|={abs(r):.8f})")
-    psi, _ = right_jost_at(spec, sct.residue_stencil(omegas), PROBE_XS)
     for omega, psi_n in zip(omegas, psi):
         # the family's values at the stencil were solved above
         if sct.residue_at(omega, lambda ks, psi_n=psi_n: psi_n).classification != "regular":
@@ -491,7 +508,8 @@ def remove_embedded(q_samples, y, y_x, omegas, grid: Grid,
     tail model, on the grid's nodes.
     q_minus = q - 2 d^2/dx^2 log det(Gbar(x)) with Gbar(x) = Integral(y_m y_n, x..inf),
     which equals I - G_-(x) by orthonormality.  Gbar is positive definite for
-    every finite x; violations raise OrthonormalityError.
+    every finite x; a node where its Cholesky factor fails (a pivot not > 0),
+    like a set that is not orthonormal, raises OrthonormalityError.
     """
     q = np.asarray(q_samples, dtype=float)
     if q.shape != (grid.n_points,):

@@ -20,7 +20,7 @@ from .schrodinger import PotentialSpec, right_jost_at
 
 __all__ = [
     "ResidueResult", "left_reference",
-    "scattering_coefficients", "reflection_at_resonance",
+    "scattering_coefficients", "reflection_at_resonance", "resonance_probes",
     "residue_stencil", "residue_at", "fit_pole_exponent",
 ]
 
@@ -31,6 +31,7 @@ RESIDUE_LEVELS = 3
 REGULAR_TOL = 1e-8
 _STEPS = RESIDUE_DELTA / 2.0 ** np.arange(RESIDUE_LEVELS + 1)
 RESONANCE_DELTA = 1e-3  # reflection_at_resonance's largest step
+_RESONANCE_STEPS = RESONANCE_DELTA / np.array([1.0, 2.0, 4.0])
 X_EVAL = -4.0           # where scattering_coefficients takes its Wronskians
 
 
@@ -102,7 +103,11 @@ def scattering_coefficients(spec: PotentialSpec, k):
     ODE solve.  Returns arrays of the shape of k.
     """
     k = np.asarray(k)
-    pv, pd = right_jost_at(spec, k, X_EVAL)
+    return _wronskian_coefficients(spec, k, *right_jost_at(spec, k, X_EVAL))
+
+
+def _wronskian_coefficients(spec: PotentialSpec, k, pv, pd):
+    """(R, T) at momenta k from psi = (pv, pd), the right Jost solution at X_EVAL."""
     lv, ld = left_reference(spec, k, X_EVAL)
     w_den = lv * pd - ld * pv                      # W(phi, psi)
     w_num = lv * np.conj(pd) - ld * np.conj(pv)    # W(phi, conj psi)
@@ -121,21 +126,45 @@ def reflection_at_resonance(spec: PotentialSpec, omega):
     The six momenta omega +- RESONANCE_DELTA {1, 1/2, 1/4} of every omega share
     one solve.  Returns an array of the shape of omega.
     """
+    return _richardson_at_resonance(
+        scattering_coefficients(spec, _symmetric(omega, _RESONANCE_STEPS))[0])
+
+
+def _symmetric(omega, steps):
+    """The momenta omega + steps, then omega - steps: shape omega.shape + (2 len(steps),)."""
     omega = np.asarray(omega, dtype=float)[..., None]
-    d = RESONANCE_DELTA / np.array([1.0, 2.0, 4.0])
-    r = scattering_coefficients(spec, np.concatenate([omega + d, omega - d], axis=-1))[0]
+    return np.concatenate([omega + steps, omega - steps], axis=-1)
+
+
+def _richardson_at_resonance(r):
+    """The limit at omega of R on its six resonance momenta, along r's last axis."""
     vals = 0.5 * (r[..., :3] + r[..., 3:])
     r1 = (4 * vals[..., 1] - vals[..., 0]) / 3
     r2 = (4 * vals[..., 2] - vals[..., 1]) / 3
     return (16 * r2 - r1) / 15
 
 
+def resonance_probes(spec: PotentialSpec, omega, x):
+    """R(omega) and psi at the points x over `residue_stencil(omega)`, from one solve.
+
+    R is `reflection_at_resonance`'s Richardson limit, and psi the right Jost
+    solution of `right_jost_at`; one right Jost solve serves both sets of
+    momenta, read at X_EVAL and at the 1-d points x.  Returns (R of the shape
+    of omega, psi of shape omega.shape + (2 RESIDUE_LEVELS + 2, len(x))).
+    """
+    res_k = _symmetric(omega, _RESONANCE_STEPS)
+    n = res_k.shape[-1]
+    pv, pd = right_jost_at(spec, np.concatenate([res_k, residue_stencil(omega)], axis=-1),
+                           np.append(X_EVAL, x))
+    r = _wronskian_coefficients(spec, res_k, pv[..., :n, 0], pd[..., :n, 0])[0]
+    return _richardson_at_resonance(r), pv[..., n:, 1:]
+
+
 def residue_stencil(omega):
     """The momenta omega + d_j, then omega - d_j, at which `residue_at` samples
     its family: d_j = RESIDUE_DELTA / 2^j, j = 0..RESIDUE_LEVELS.  Shape
     omega.shape + (2 RESIDUE_LEVELS + 2,)."""
-    omega = np.asarray(omega, dtype=float)[..., None]
-    return np.concatenate([omega + _STEPS, omega - _STEPS], axis=-1)
+    return _symmetric(omega, _STEPS)
 
 
 def residue_at(omega: float, family) -> ResidueResult:

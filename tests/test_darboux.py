@@ -9,10 +9,11 @@ from positonkit import wvn_example as wvn
 from positonkit.errors import (
     OrthonormalityError,
     PoleEvaluationError,
+    PositonkitError,
     TailDivergenceError,
     ValidationError,
 )
-from positonkit.schrodinger import Grid, PotentialSpec
+from positonkit.schrodinger import Grid, PotentialSpec, right_jost_at
 from positonkit.tails import TailFit, fit_oscillatory_tail
 
 RHO = 2.0
@@ -93,6 +94,20 @@ def test_insert_precondition_rejects_nonresonant(wvn_spec):
     bad = dbx.EmbeddedStateSpec(1.5, 1.0, -1.0)  # claims |R|=1 at a regular momentum
     with pytest.raises(ValidationError):
         dbx.insert_embedded(wvn_spec, [bad], grid)
+
+
+def test_insert_precondition_rejects_a_singular_psi(monkeypatch, wvn_spec):
+    # psi / (k - 1) keeps every real R, from which a real factor cancels, but has
+    # a simple pole at omega = 1
+    def with_pole(spec, k, x):
+        v, d = right_jost_at(spec, k, x)
+        scale = 1.0 / (np.asarray(k) - 1.0)[..., None]
+        return v * scale, d * scale
+
+    monkeypatch.setattr(sct, "right_jost_at", with_pole)
+    state = dbx.EmbeddedStateSpec.for_wvn_example(RHO, 1.0)
+    with pytest.raises(ValidationError, match="singular at omega=1.0"):
+        dbx.insert_embedded(wvn_spec, [state], Grid(-20.0, 20.0, 401))
 
 
 def test_insert_duplicate_omegas_rejected(wvn_spec):
@@ -442,6 +457,56 @@ def test_resolvent_sign_convention_on_model_fields():
         fd = ((-ld[:-4] + 16 * ld[1:-3] - 30 * ld[2:-2] + 16 * ld[3:-1] - ld[4:])
               / (12 * grid.spacing**2))
         assert np.max(np.abs(dd2[2:-2] - fd)) < 1e-5
+
+
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), log_cond=st.floats(0.0, 10.0),
+       log_scale=st.floats(-6.0, 6.0), sign=st.sampled_from([1.0, -1.0]))
+@example(n=4, seed=0, log_cond=10.0, log_scale=-6.0, sign=-1.0)
+@settings(max_examples=60, deadline=None)
+def test_resolvent_matches_lapack_on_spd_stacks(n, seed, log_cond, log_scale, sign):
+    # 16 nodes of Q diag(lam) Q^T, eigenvalues spread over log_cond decades below
+    # 10^log_scale.  Two backward-stable solves can differ by ~kappa eps, so the
+    # 1e-12 relative bound grows as kappa / 1e3 past kappa = 1e3 (against LAPACK,
+    # 1.2e-12 for log det and 7.5e-12 for the solve were measured at kappa ~ 1e4)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((16, n, n)))
+    lam = 10.0 ** (log_scale - log_cond * rng.uniform(0.0, 1.0, (16, n)))
+    mats = np.einsum("pij,pj,pkj->pik", q, lam, q)
+    mats = 0.5 * (mats + mats.transpose(0, 2, 1))
+    f, f_x = rng.standard_normal((2, n, 16))
+    log_det, _, u, w, _ = dbx._resolvent(mats, f, f_x, sign, ValidationError("not SPD"))
+    det_sign, ref_log_det = np.linalg.slogdet(mats)
+    ref = np.linalg.solve(mats, np.stack([f.T, f_x.T], axis=-1))
+    tol = 1e-12 * np.maximum(1.0, np.linalg.cond(mats) / 1e3)
+    assert np.all(det_sign == 1.0)
+    assert np.all(np.abs(log_det - ref_log_det) <= tol * np.maximum(1.0, np.abs(ref_log_det)))
+    for got, want in ((u, ref[:, :, 0].T), (w, ref[:, :, 1].T)):
+        assert np.all(np.linalg.norm(got - want, axis=0) <= tol * np.linalg.norm(want, axis=0))
+
+
+@pytest.mark.parametrize("bad", [np.diag([-1.0, -1.0]),           # det 1 > 0
+                                 np.full((2, 2), np.nan),
+                                 np.array([[1.0, np.nan], [np.nan, 1.0]])])
+def test_resolvent_raises_the_callers_error_off_positive_definite(bad):
+    mats = np.repeat(np.eye(2)[None], 5, axis=0)
+    mats[3] = bad
+    f = np.ones((2, 5))
+    for sign, singular in ((1.0, PositonkitError("lost positivity")),
+                           (-1.0, OrthonormalityError("lost positive definiteness"))):
+        with pytest.raises(PositonkitError) as err:
+            dbx._resolvent(mats, f, f, sign, singular)
+        assert err.value is singular
+
+
+def test_insert_rejects_a_gram_matrix_that_is_not_positive_definite(monkeypatch):
+    # I + G = -2 I has det 4 >= 1 at every node, yet no real Cholesky factor
+    monkeypatch.setattr(dbx, "generating_functions", _model_generating_functions)
+    monkeypatch.setattr(dbx, "gram_plus", lambda phi, phi_x, omegas, alphas, grid: (
+        np.broadcast_to(-3.0 * np.eye(len(omegas)), (grid.n_points, 2, 2)), []))
+    states = [dbx.EmbeddedStateSpec(w, 1.0, -1.0) for w in MODEL_OMEGAS]
+    with pytest.raises(PositonkitError, match="lost positivity"):
+        dbx.insert_embedded(PotentialSpec.zero(), states, Grid(-40.0, 40.0, 401),
+                            check_preconditions=False)
 
 
 def _two_model_states(monkeypatch):

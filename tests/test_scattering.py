@@ -67,6 +67,19 @@ def test_scattering_coefficients_names_degenerate_momentum(monkeypatch, wvn_spec
         sct.scattering_coefficients(wvn_spec, np.array([1.7, 2.1]))
 
 
+@pytest.mark.parametrize("rho", [0.3, 2.0, 5.0])
+def test_resonance_probes_match_the_separate_solves(rho):
+    # one solve for both momentum sets, where the insertion precheck made two:
+    # R moves by <= 1.5e-12 and psi by <= 4.5e-12 (measured)
+    spec = PotentialSpec.wvn_example(rho)
+    omegas = np.array([1.0, 1.7])
+    r, psi = sct.resonance_probes(spec, omegas, dbx.PROBE_XS)
+    ref, _ = right_jost_at(spec, sct.residue_stencil(omegas), dbx.PROBE_XS)
+    assert r.shape == omegas.shape and psi.shape == ref.shape == (2, 8, 3)
+    assert np.max(np.abs(r - sct.reflection_at_resonance(spec, omegas))) < 1e-9
+    assert np.max(np.abs(psi - ref)) < 1e-9
+
+
 def test_near_resonance_reflection(wvn_spec):
     for k in (1.0 + 1e-3, 1.0 - 1e-3):
         r = sct.scattering_coefficients(wvn_spec, k)[0]
